@@ -47,8 +47,6 @@ from .core import (
 from .solver import (
     Horizon,
     IntegratorConfig,
-    detect_timer_crossing,
-    flow_step,
     simulate_ensemble,
     simulate_path,
 )
@@ -70,9 +68,8 @@ __all__ = [
     "RecurrenceReport", "SamplingPlan", "SetDescriptor", "StateVec",
     "SweepParams", "SystemSpec", "build_average_system", "check_flow_decrease",
     "check_gradient_bound", "check_jacobian_average", "check_jump_condition",
-    "check_sandwich", "detect_timer_crossing", "dist_to_target",
-    "epsilon_sweep", "estimate_average_map", "estimate_gamma",
-    "estimate_lipschitz", "expected_jump_value", "flow_step",
+    "check_sandwich", "dist_to_target", "epsilon_sweep", "estimate_average_map",
+    "estimate_gamma", "estimate_lipschitz", "expected_jump_value",
     "foster_certificate", "hitting_time", "hybrid_time_sum", "jammed_actuator",
     "jammed_es", "load_system", "recurrence_estimate", "simulate_ensemble",
     "simulate_path", "uges_m_fit", "validate_spec", "window_average",

@@ -364,12 +364,6 @@ class HybridArc:
         s1 = self.segments[-1]
         return StateVec(s1.x[-1], s1.r[-1], float(s1.tau[-1]))
 
-    def samples(self):
-        """Yield (t, j, x_row, r_row, tau) over all samples in hybrid-time order."""
-        for seg in self.segments:
-            for k in range(seg.t.shape[0]):
-                yield float(seg.t[k]), int(seg.j), seg.x[k], seg.r[k], float(seg.tau[k])
-
 
 def dist_to_target(s: StateVec, spec: SystemSpec) -> float:
     """Euclidean distance of (x, r) to the target set A = {0} x (C u D).

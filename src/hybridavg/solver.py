@@ -7,16 +7,17 @@ and a noise draw keyed by (seed, jump index).  The clock tau is never
 integrated numerically: within each flow segment it is reconstructed as
 tau_anchor + (t - t_anchor)/epsilon, which is exact up to a few ulps.
 
-Ensembles of paths that share the same initial (r, tau) are advanced in
-lockstep as one batched state array, which is bit-identical to running each
-path alone because every map operation is elementwise across the batch.
+Paths that share an auxiliary state are advanced in lockstep as one batched
+state array, which is bit-identical to running each path alone because every
+map operation is elementwise across the batch.  A group starts from paths
+with bitwise-equal initial (r, tau) and splits at a jump into sub-groups of
+bitwise-equal post-jump r; a single path is a group of one.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,6 @@ from .core import (
     TERMINAL_HORIZON_T,
     TERMINAL_LEFT_SETS,
 )
-
-#: environment variable controlling ensemble worker count (0 = auto)
-WORKERS_ENV = "HYBRIDAVG_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -79,12 +77,17 @@ class MapEvaluationError(RuntimeError):
     """A registered map produced a non-finite value during integration."""
 
 
-def _check_finite(arr: np.ndarray, map_name: str, context: str):
-    if not np.all(np.isfinite(arr)):
-        bad = np.where(~np.all(np.isfinite(np.atleast_2d(arr)), axis=-1))[0]
-        idx = int(bad[0]) if bad.size else 0
+def _check_finite(rows: np.ndarray, map_name: str, context: str, paths, seeds):
+    """Raise MapEvaluationError naming the first path whose row is non-finite.
+
+    rows holds one row per member of the group whose ensemble indices are
+    ``paths``; a single row shared by the whole group names its lowest path.
+    """
+    if not np.all(np.isfinite(rows)):
+        ok = np.all(np.isfinite(np.atleast_2d(rows)), axis=-1)
+        i = int(paths[np.argmin(ok)])
         raise MapEvaluationError(
-            f"map '{map_name}' returned a non-finite value ({context}, batch element {idx})"
+            f"map '{map_name}' returned a non-finite value ({context}; path {i}, seed {seeds[i]})"
         )
 
 
@@ -118,23 +121,6 @@ def _probe_nonfinite(spec: SystemSpec, x, r, tau: float):
     return "f"  # overflowed mid-stage
 
 
-def flow_step(s: StateVec, spec: SystemSpec, dt: float,
-              cfg: IntegratorConfig | None = None) -> StateVec:
-    """Advance a single state by one integrator step of length dt while r in C."""
-    cfg = cfg or IntegratorConfig()
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if dt > cfg.effective_step(spec.epsilon) * (1.0 + 1e-12):
-        raise ValueError("dt exceeds the effective integrator step")
-    if not spec.C.contains(s.r):
-        raise ValueError("flow_step requires r in C")
-    x2, r2 = _rk4(spec, s.x[None, :], s.r[None, :], s.tau, dt)
-    if not (np.all(np.isfinite(x2)) and np.all(np.isfinite(r2))):
-        name = _probe_nonfinite(spec, s.x[None, :], s.r[None, :], s.tau)
-        raise MapEvaluationError(f"map '{name}' returned a non-finite value in flow_step")
-    return StateVec(x2[0], r2[0], s.tau + dt / spec.epsilon)
-
-
 def _entry_interval(r: np.ndarray, w: np.ndarray, lo, hi):
     """Time interval [a, b] during which r + s*w stays inside one box.
 
@@ -155,19 +141,6 @@ def _entry_interval(r: np.ndarray, w: np.ndarray, lo, hi):
         if a > b:
             return None
     return a, b
-
-
-def detect_timer_crossing(s: StateVec, spec: SystemSpec, dt: float):
-    """Exact sub-step time at which r enters D, assuming w constant on the step.
-
-    Returns the crossing time in [0, dt], or None if the boundary is not
-    reached.  Exact for affine auxiliary dynamics (timers).
-    """
-    if spec.D.contains(s.r):
-        return 0.0
-    w = np.asarray(spec.w(s.r[None, :]), dtype=float).ravel()
-    hit = _entry_time(s.r, w, spec.D, dt)
-    return None if hit is None else float(hit[0])
 
 
 def _entry_time(r: np.ndarray, w: np.ndarray, target, dt: float):
@@ -212,187 +185,171 @@ def _snap_into_box(rows: np.ndarray, lo, hi) -> np.ndarray:
     return np.clip(rows, np.asarray(lo), np.asarray(hi))
 
 
-class _LockstepDiverged(Exception):
-    """Auxiliary states stopped being identical across the batch after a jump."""
+def _bitwise_groups(rows) -> list:
+    """Indices of bitwise-equal rows, one list per distinct row, in first-seen order."""
+    groups = {}
+    for b, row in enumerate(rows):
+        groups.setdefault(row.tobytes(), []).append(b)
+    return list(groups.values())
 
 
-def _run_batch(spec: SystemSpec, x0: np.ndarray, r0: np.ndarray, tau0: float,
-               seeds, horizon: Horizon, cfg: IntegratorConfig):
-    """Advance a batch of paths sharing one auxiliary trajectory in lockstep.
+def _store_segment(segments, paths, j, ts, xs, rs, taus):
+    """Stack one finished flow segment of a group and give each path its view."""
+    t_arr = np.asarray(ts, dtype=float)
+    tau_arr = np.asarray(taus, dtype=float)
+    x_arr = np.stack(xs, axis=0)  # (k, B, n)
+    r_arr = np.stack(rs, axis=0)  # (k, B, p)
+    for a in (t_arr, tau_arr, x_arr, r_arr):
+        a.flags.writeable = False
+    for b, i in enumerate(paths):
+        segments[i].append(FlowSegment(j, t_arr, x_arr[:, b, :], r_arr[:, b, :], tau_arr))
 
-    x0: (B, n); r0: (p,) shared by every path; seeds: length-B ints.
-    Returns a list of B HybridArcs.  Raises _LockstepDiverged if a jump makes
-    the auxiliary rows differ across the batch (caller falls back to per-path
-    runs; with B = 1 divergence is impossible, so the batch-of-one run is the
-    fully general solver).
+
+def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
+              cfg: IntegratorConfig) -> list:
+    """Simulate path i from starts[i] under seeds[i]; returns one HybridArc per path.
+
+    Paths advance in lockstep groups whose auxiliary rows are bitwise equal,
+    so the event logic runs once per group on its first row.  One work item
+    advances one group through one flow segment.  At the jump that ends the
+    segment the group splits into sub-groups of equal post-jump r, which join
+    the back of a FIFO worklist rather than a recursion, because a B-path
+    group may split B - 1 times.  Groups start in order of their lowest path
+    index; a failing map names the lowest failing path of its group.
     """
-    B = x0.shape[0]
+    for s in starts:
+        if s.n != spec.n or s.p != spec.p:
+            raise ValueError("initial state dimensions do not match the system")
     cu = spec.flow_or_jump_set
-    rrow = np.array(r0, dtype=float)
-    if not cu.contains(rrow):
-        raise ValueError("dead initial condition: r(0) lies in neither C nor D")
-    X = np.array(x0, dtype=float)
-    R = np.tile(rrow, (B, 1))
-    t = 0.0
-    j = 0
     inv_eps = 1.0 / spec.epsilon
     dt_eff = cfg.effective_step(spec.epsilon)
-    t_anchor, tau_anchor = 0.0, float(tau0)
-    tau_now = float(tau0)
+    segments = [[] for _ in starts]
+    jumps = [[] for _ in starts]
+    terminals = [None] * len(starts)
+    work = deque()
+    for rows in _bitwise_groups([np.append(s.r, s.tau) for s in starts]):
+        first = starts[rows[0]]
+        if not cu.contains(first.r):
+            raise ValueError("dead initial condition: r(0) lies in neither C nor D "
+                             f"(path {rows[0]}, seed {seeds[rows[0]]})")
+        X = np.stack([starts[i].x for i in rows])
+        R = np.tile(first.r, (len(rows), 1))
+        work.append((np.array(rows), X, R, 0.0, 0, first.tau))
 
-    segments = []  # finished (j, t list, X list, R list, tau list)
-    cur_t, cur_x, cur_r, cur_tau = [t], [X], [R], [tau_now]
-    jumps = []  # (HybridTime, Xpre, Rpre, tau, V, Xpost, Rpost)
-    terminal = None
+    while work:
+        paths, X, R, t, j, tau_now = work.popleft()
+        rrow = R[0].copy()
+        t_anchor, tau_anchor = t, tau_now
+        cur_t, cur_x, cur_r, cur_tau = [t], [X], [R], [tau_now]
+        terminal = None
+        while True:
+            if j >= horizon.j_max:
+                terminal = TERMINAL_HORIZON_J
+                break
 
-    while True:
-        if j >= horizon.j_max:
-            terminal = TERMINAL_HORIZON_J
-            break
+            # jump priority first: jumps consume no flow time, so one firing at
+            # exactly t = t_max still belongs to the truncated domain
+            if spec.D.contains(rrow):
+                break
 
-        # jump priority first: jumps consume no flow time, so one firing at
-        # exactly t = t_max still belongs to the truncated domain
-        if spec.D.contains(rrow):
-            # jump priority: fire immediately, draw keyed by jump index
-            k = j + 1
-            V = np.stack([spec.noise.draw(int(s), k) for s in seeds])
-            Xp = np.asarray(spec.g(X, R, V), dtype=float)
-            Rp = np.asarray(spec.h(R, V), dtype=float)
-            Xp = np.broadcast_to(Xp, (B, spec.n)).astype(float, copy=True)
-            Rp = np.broadcast_to(Rp, (B, spec.p)).astype(float, copy=True)
-            _check_finite(Xp, "g", f"jump {k} at t={t}")
-            _check_finite(Rp, "h", f"jump {k} at t={t}")
-            if B > 1 and not np.all(Rp == Rp[0]):
-                raise _LockstepDiverged()
-            jumps.append((HybridTime(t, j), X, R, tau_now, V, Xp, Rp))
-            segments.append((j, cur_t, cur_x, cur_r, cur_tau))
-            j += 1
-            X, R, rrow = Xp, Rp, Rp[0].copy()
-            cur_t, cur_x, cur_r, cur_tau = [t], [X], [R], [tau_now]
-            t_anchor, tau_anchor = t, tau_now
-            if not cu.contains(rrow):
+            if t >= horizon.t_max:
+                terminal = TERMINAL_HORIZON_T
+                break
+
+            if not spec.C.contains(rrow):
                 terminal = TERMINAL_LEFT_SETS
                 break
+
+            # flow: clip the step to the horizon, to entry into D, and to exit from C u D
+            remain = horizon.t_max - t
+            dt = min(dt_eff, remain)
+            wrow = np.asarray(spec.w(rrow[None, :]), dtype=float).ravel()
+            _check_finite(wrow, "w", f"t={t}", paths, seeds)
+            snap_box = None
+            entry = _entry_time(rrow, wrow, spec.D, dt)
+            exit_end, exit_box = _exit_time(rrow, wrow, cu)
+            if exit_end is not None and exit_end <= 0.0:
+                # on the boundary of C u D and moving out, with no jump available
+                terminal = TERMINAL_LEFT_SETS
+                break
+            if exit_end is not None and exit_end < dt:
+                dt = exit_end
+                snap_box = exit_box
+            if entry is not None and entry[0] <= dt:
+                dt = entry[0]
+                snap_box = (entry[1], entry[2])
+            if dt <= 0.0:
+                # r is bitwise on the D boundary without exact membership; snap it on
+                if snap_box is not None:
+                    R = _snap_into_box(R, snap_box[0], snap_box[1])
+                    rrow = R[0].copy()
+                    continue
+                terminal = TERMINAL_LEFT_SETS
+                break
+
+            X2, R2 = _rk4(spec, X, R, tau_now, dt)
+            if not np.all(np.isfinite(X2)):
+                name = _probe_nonfinite(spec, X, R, tau_now)
+                _check_finite(X2, name, f"t={t}", paths, seeds)
+            if snap_box is not None:
+                R2 = _snap_into_box(R2, snap_box[0], snap_box[1])
+            t = horizon.t_max if dt == remain else t + dt
+            tau_now = tau_anchor + (t - t_anchor) * inv_eps
+            X, R, rrow = X2, R2, R2[0].copy()
+            cur_t.append(t)
+            cur_x.append(X)
+            cur_r.append(R)
+            cur_tau.append(tau_now)
+
+        _store_segment(segments, paths, j, cur_t, cur_x, cur_r, cur_tau)
+        if terminal is not None:
+            for i in paths:
+                terminals[i] = terminal
             continue
 
-        if t >= horizon.t_max:
-            terminal = TERMINAL_HORIZON_T
-            break
-
-        if not spec.C.contains(rrow):
-            terminal = TERMINAL_LEFT_SETS
-            break
-
-        # flow: clip the step to the horizon, to entry into D, and to exit from C u D
-        remain = horizon.t_max - t
-        dt = min(dt_eff, remain)
-        wrow = np.asarray(spec.w(rrow[None, :]), dtype=float).ravel()
-        _check_finite(wrow, "w", f"t={t}")
-        snap_box = None
-        entry = _entry_time(rrow, wrow, spec.D, dt)
-        exit_end, exit_box = _exit_time(rrow, wrow, cu)
-        if exit_end is not None and exit_end <= 0.0:
-            # on the boundary of C u D and moving out, with no jump available
-            terminal = TERMINAL_LEFT_SETS
-            break
-        if exit_end is not None and exit_end < dt:
-            dt = exit_end
-            snap_box = exit_box
-        if entry is not None and entry[0] <= dt:
-            dt = entry[0]
-            snap_box = (entry[1], entry[2])
-        if dt <= 0.0:
-            # r is bitwise on the D boundary without exact membership; snap it on
-            if snap_box is not None:
-                R = _snap_into_box(R, snap_box[0], snap_box[1])
-                rrow = R[0].copy()
+        # jump priority: fire immediately, draw keyed by jump index
+        k = j + 1
+        B = len(paths)
+        V = np.stack([spec.noise.draw(seeds[i], k) for i in paths])
+        Xp = np.asarray(spec.g(X, R, V), dtype=float)
+        Rp = np.asarray(spec.h(R, V), dtype=float)
+        Xp = np.broadcast_to(Xp, (B, spec.n)).astype(float, copy=True)
+        Rp = np.broadcast_to(Rp, (B, spec.p)).astype(float, copy=True)
+        _check_finite(Xp, "g", f"jump {k} at t={t}", paths, seeds)
+        _check_finite(Rp, "h", f"jump {k} at t={t}", paths, seeds)
+        ht = HybridTime(t, j)
+        for b, i in enumerate(paths):
+            jumps[i].append(JumpRecord(ht, X[b].copy(), R[b].copy(), tau_now, V[b].copy(),
+                                       Xp[b].copy(), Rp[b].copy()))
+        for rows in _bitwise_groups(Rp):
+            sub = paths[rows]
+            if cu.contains(Rp[rows[0]]):
+                work.append((sub, Xp[rows], Rp[rows], t, k, tau_now))
                 continue
-            terminal = TERMINAL_LEFT_SETS
-            break
+            # a dead post-jump state ends these paths on a one-sample segment
+            _store_segment(segments, sub, k, [t], [Xp[rows]], [Rp[rows]], [tau_now])
+            for i in sub:
+                terminals[i] = TERMINAL_LEFT_SETS
 
-        X2, R2 = _rk4(spec, X, R, tau_now, dt)
-        if not np.all(np.isfinite(X2)):
-            name = _probe_nonfinite(spec, X, R, tau_now)
-            bad = np.where(~np.all(np.isfinite(X2), axis=-1))[0]
-            idx = int(bad[0]) if bad.size else 0
-            raise MapEvaluationError(
-                f"map '{name}' produced a non-finite value at t={t} (path seed {seeds[idx]})"
-            )
-        if snap_box is not None:
-            R2 = _snap_into_box(R2, snap_box[0], snap_box[1])
-        t = horizon.t_max if dt == remain else t + dt
-        tau_now = tau_anchor + (t - t_anchor) * inv_eps
-        X, R, rrow = X2, R2, R2[0].copy()
-        cur_t.append(t)
-        cur_x.append(X)
-        cur_r.append(R)
-        cur_tau.append(tau_now)
-
-    segments.append((j, cur_t, cur_x, cur_r, cur_tau))
-    return _assemble_arcs(segments, jumps, seeds, terminal, B)
-
-
-def _assemble_arcs(segments, jumps, seeds, terminal, B):
-    seg_parts = []
-    for jj, ts, xs, rs, taus in segments:
-        t_arr = np.asarray(ts, dtype=float)
-        tau_arr = np.asarray(taus, dtype=float)
-        x_arr = np.stack(xs, axis=0)  # (k, B, n)
-        r_arr = np.stack(rs, axis=0)  # (k, B, p)
-        for a in (t_arr, tau_arr, x_arr, r_arr):
-            a.flags.writeable = False
-        seg_parts.append((jj, t_arr, x_arr, r_arr, tau_arr))
-    arcs = []
-    for i in range(B):
-        segs = tuple(
-            FlowSegment(jj, t_arr, x_arr[:, i, :], r_arr[:, i, :], tau_arr)
-            for jj, t_arr, x_arr, r_arr, tau_arr in seg_parts
-        )
-        jmps = tuple(
-            JumpRecord(ht, xpre[i].copy(), rpre[i].copy(), tau, v[i].copy(),
-                       xpost[i].copy(), rpost[i].copy())
-            for ht, xpre, rpre, tau, v, xpost, rpost in jumps
-        )
-        arcs.append(HybridArc(segs, jmps, int(seeds[i]), terminal))
-    return arcs
+    return [HybridArc(tuple(segments[i]), tuple(jumps[i]), seeds[i], terminals[i])
+            for i in range(len(starts))]
 
 
 def simulate_path(spec: SystemSpec, init: StateVec, seed: int, horizon: Horizon,
                   cfg: IntegratorConfig | None = None) -> HybridArc:
     """Simulate one random solution from init under the given seed."""
-    cfg = cfg or IntegratorConfig()
-    if init.n != spec.n or init.p != spec.p:
-        raise ValueError("initial state dimensions do not match the system")
-    return _run_batch(spec, init.x[None, :], init.r, init.tau, [seed], horizon, cfg)[0]
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    if k == 0:
-        return os.cpu_count() or 1
-    return max(1, k)
-
-
-def _one_path(args):
-    spec, x0, r0, tau0, seed, horizon, cfg = args
-    return _run_batch(spec, x0[None, :], r0, tau0, [seed], horizon, cfg)[0]
+    return _simulate(spec, [init], [int(seed)], horizon, cfg or IntegratorConfig())[0]
 
 
 def simulate_ensemble(spec: SystemSpec, inits, n_paths: int, seed_base: int,
                       horizon: Horizon, cfg: IntegratorConfig | None = None):
     """Simulate n_paths solutions with seeds seed_base .. seed_base + n_paths - 1.
 
-    Initial conditions are cycled from ``inits``.  Paths sharing one initial
-    (r, tau) run in lockstep as a single batch; otherwise (or if a jump makes
-    the auxiliary states diverge) each path runs on its own, optionally across
-    processes controlled by the HYBRIDAVG_WORKERS environment variable.
-    Either way path i is bit-identical to simulate_path run alone.
+    Initial conditions are cycled from ``inits``.  Paths that share an
+    auxiliary state run in lockstep as one group, and a group splits when
+    jumps send its paths to different auxiliary states.  Path i is
+    bit-identical to simulate_path run alone.
     """
-    cfg = cfg or IntegratorConfig()
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     inits = list(inits)
@@ -400,35 +357,4 @@ def simulate_ensemble(spec: SystemSpec, inits, n_paths: int, seed_base: int,
         raise ValueError("need at least one initial condition")
     chosen = [inits[i % len(inits)] for i in range(n_paths)]
     seeds = [int(seed_base) + i for i in range(n_paths)]
-    for s in chosen:
-        if s.n != spec.n or s.p != spec.p:
-            raise ValueError("initial state dimensions do not match the system")
-
-    r0 = chosen[0].r
-    tau0 = chosen[0].tau
-    lockstep = all(
-        np.array_equal(s.r, r0) and s.tau == tau0 for s in chosen
-    )
-    if lockstep:
-        x0 = np.stack([s.x for s in chosen])
-        try:
-            return _run_batch(spec, x0, r0, tau0, seeds, horizon, cfg)
-        except _LockstepDiverged:
-            pass  # auxiliary states split at a jump; rerun paths individually
-
-    workers = _worker_count()
-    jobs = [(spec, chosen[i].x, chosen[i].r, chosen[i].tau, seeds[i], horizon, cfg)
-            for i in range(n_paths)]
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_one_path, jobs, chunksize=max(1, n_paths // (4 * workers))))
-        except Exception:
-            pass  # unpicklable maps or pool failure: run serially below
-    out = []
-    for i, job in enumerate(jobs):
-        try:
-            out.append(_one_path(job))
-        except Exception as exc:
-            raise type(exc)(f"path {i} (seed {seeds[i]}): {exc}") from exc
-    return out
+    return _simulate(spec, chosen, seeds, horizon, cfg or IntegratorConfig())

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hybridavg as ha
 from hybridavg.solver import MapEvaluationError
@@ -15,36 +17,46 @@ def make_actuator(p=0.1, T=1.0, eps=0.01):
 
 
 class TestFlowStep:
+    """Single integrator steps, observed through simulate_path."""
+
     def test_linear_decay_matches_exponential(self, average_system):
         sys = average_system.to_system()
-        out = ha.flow_step(state(1.0), sys, 0.01)
-        assert out.x[0] == pytest.approx(math.exp(-0.01), abs=1e-10)
+        cfg = ha.IntegratorConfig(base_step=0.01, substep_per_epsilon=1.0)
+        arc = ha.simulate_path(sys, state(1.0), 0, ha.Horizon(0.01, 10), cfg)
+        assert arc.segments[0].t.shape == (2,)
+        assert arc.final_state().x[0] == pytest.approx(math.exp(-0.01), abs=1e-10)
 
     def test_origin_is_invariant(self, actuator):
-        out = ha.flow_step(state(0.0, 0.5), actuator, 0.0005)
-        assert out.x[0] == 0.0
+        arc = ha.simulate_path(actuator, state(0.0, 0.5), 0, ha.Horizon(0.0005, 10))
+        assert arc.segments[0].t.shape == (2,)
+        assert np.all(arc.segments[0].x == 0.0)
 
     def test_clock_advance_is_exact(self):
         spec = make_actuator(eps=0.01)
         cfg = ha.IntegratorConfig(base_step=0.02, substep_per_epsilon=2.0)
-        out = ha.flow_step(state(1.0, 0.0), spec, 0.02, cfg)
-        assert out.tau == 2.0
+        arc = ha.simulate_path(spec, state(1.0, 0.0), 0, ha.Horizon(0.02, 10), cfg)
+        assert arc.segments[0].t.shape == (2,)
+        assert arc.final_state().tau == 2.0
 
     def test_requires_r_in_flow_set(self, actuator):
-        with pytest.raises(ValueError):
-            ha.flow_step(state(1.0, 5.0), actuator, 0.0005)
+        with pytest.raises(ValueError, match="dead initial condition"):
+            ha.simulate_path(actuator, state(1.0, 5.0), 0, ha.Horizon(0.0005, 10))
 
 
 class TestTimerCrossing:
+    """Exact location of the timer's entry into D, observed through simulate_path."""
+
     def test_linear_interpolation_exact(self, actuator):
-        got = ha.detect_timer_crossing(state(1.0, 0.95), actuator, 0.1)
-        assert got == pytest.approx(0.05, abs=1e-12)
+        arc = ha.simulate_path(actuator, state(1.0, 0.95), 0, ha.Horizon(0.1, 10))
+        assert arc.jumps[0].time.t == pytest.approx(0.05, abs=1e-12)
 
     def test_no_crossing_inside_window(self, actuator):
-        assert ha.detect_timer_crossing(state(1.0, 0.5), actuator, 0.1) is None
+        arc = ha.simulate_path(actuator, state(1.0, 0.5), 0, ha.Horizon(0.1, 10))
+        assert arc.n_jumps == 0
 
     def test_already_on_boundary(self, actuator):
-        assert ha.detect_timer_crossing(state(1.0, 1.0), actuator, 0.1) == 0.0
+        arc = ha.simulate_path(actuator, state(1.0, 1.0), 0, ha.Horizon(0.1, 10))
+        assert arc.jumps[0].time == ha.HybridTime(0.0, 0)
 
 
 class TestSimulatePath:
@@ -213,7 +225,7 @@ class TestEnsemble:
             assert arcs_equal(arc, solo)
 
     def test_mixed_aux_initials_fall_back_per_path(self, actuator):
-        # different r(0) breaks lockstep; results must still match lone runs
+        # different r(0) start separate lockstep groups; results must still match lone runs
         inits = [state(2.0, 0.0), state(2.0, 0.3)]
         ens = ha.simulate_ensemble(actuator, inits, 4, 9, ha.Horizon(2.5, 10))
         for i, arc in enumerate(ens):
@@ -221,7 +233,7 @@ class TestEnsemble:
             assert arcs_equal(arc, solo)
 
     def test_diverging_aux_jumps_fall_back_per_path(self, actuator):
-        # h spreads the timers by the draw: lockstep must detect and recover
+        # h spreads the timers by the draw: the lockstep group must split
         def spread_h(r, v):
             return 0.2 + 0.1 * np.asarray(v, dtype=float)
 
@@ -236,7 +248,46 @@ class TestEnsemble:
             return np.full_like(np.asarray(x, dtype=float), np.inf)
 
         spec = dataclasses.replace(actuator, f=blow_up)
-        # mixed aux initials force the per-path branch
+        # mixed aux initials start two groups; the one holding path 0 runs first
         inits = [state(1.0, 0.0), state(1.0, 0.3)]
         with pytest.raises(MapEvaluationError, match="path 0"):
             ha.simulate_ensemble(spec, inits, 3, 4, ha.Horizon(1.0, 10))
+
+    @pytest.mark.parametrize("r1", [0.3, 0.0], ids=["mixed-r0", "shared-r0"])
+    def test_jump_map_errors_name_the_failing_path(self, actuator, r1):
+        # g fails only for the negative start, path 2, which shares a group with path 0
+        def bad_g(x, r, v):
+            return np.where(np.asarray(x) < 0.0, np.inf, actuator.g(x, r, v))
+
+        spec = dataclasses.replace(actuator, g=bad_g)
+        inits = [state(1.0, 0.0), state(2.0, r1), state(-3.0, 0.0)]
+        with pytest.raises(MapEvaluationError, match=r"map 'g'.*path 2, seed 6\)"):
+            ha.simulate_ensemble(spec, inits, 3, 4, ha.Horizon(2.0, 10))
+
+
+class TestGroupingInvariant:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        starts=st.lists(st.tuples(st.floats(-3.0, 3.0),
+                                  st.sampled_from([0.0, 0.25, 0.6, 1.0]),
+                                  st.sampled_from([0.0, 0.5, 2.0])),
+                        min_size=1, max_size=4),
+        n_paths=st.integers(1, 8),
+        h_shift=st.floats(-0.2, 1.2),
+        h_gain=st.sampled_from([0.0, 0.1, -0.4]),
+        t_max=st.floats(0.0, 2.0),
+        j_max=st.integers(1, 4),
+    )
+    def test_every_member_matches_its_lone_path(self, starts, n_paths, h_shift, h_gain,
+                                                t_max, j_max):
+        # h = shift + gain*v splits groups at jumps, and may leave C u D
+        def h(r, v):
+            return h_shift + h_gain * np.asarray(v, dtype=float)
+
+        spec = dataclasses.replace(make_actuator(p=0.5, eps=0.1), h=h)
+        inits = [state(x, r, tau) for x, r, tau in starts]
+        horizon = ha.Horizon(t_max, j_max)
+        ens = ha.simulate_ensemble(spec, inits, n_paths, 3, horizon)
+        for i, arc in enumerate(ens):
+            solo = ha.simulate_path(spec, inits[i % len(inits)], 3 + i, horizon)
+            assert arcs_equal(arc, solo)
