@@ -30,7 +30,13 @@ from .expressions import (
     allowed_names,
     compile_expressions,
 )
-from .solver import Horizon, IntegratorConfig, simulate_ensemble, simulate_path
+from .solver import (
+    Horizon,
+    IntegratorConfig,
+    MapEvaluationError,
+    simulate_ensemble,
+    simulate_path,
+)
 from .stats import SweepParams, epsilon_sweep, recurrence_estimate
 from .svgplot import Curve, Panel, render_panels
 from .systems import JamParams, jammed_es, load_system
@@ -518,7 +524,7 @@ def main(argv=None) -> int:
     except (ConfigError, ExpressionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MapEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

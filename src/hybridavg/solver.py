@@ -66,8 +66,11 @@ class IntegratorConfig:
     substep_per_epsilon: float = 0.1
 
     def __post_init__(self):
-        if self.base_step <= 0.0 or self.substep_per_epsilon <= 0.0:
-            raise ValueError("step parameters must be positive")
+        for name in ("base_step", "substep_per_epsilon"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"step parameter {name} must be positive and finite, "
+                                 f"got {value!r}")
 
     def effective_step(self, epsilon: float) -> float:
         return min(self.base_step, epsilon * self.substep_per_epsilon)

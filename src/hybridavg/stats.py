@@ -1,15 +1,20 @@
 """Ensemble statistics: hitting times, recurrence certification, mean-envelope fits.
 
-These operations post-process immutable ensembles of arcs.  The recurrence
-budget tau_hat is the (1 - rho) order-statistic of hitting t + j sums; the
-exponential-in-the-mean fit anchors the envelope at the initial distance and
-finds the largest rate that keeps the weighted means below it at every
-evaluation time (a necessary-condition check on a deterministic grid, not a
-bound over all stopping times).
+These operations post-process immutable ensembles of arcs.  Hitting-time
+queries are served from a per-arc index of the record lows of the running
+minimum distance to the target set, cached on the arc and extended lazily one
+segment at a time, so repeated queries at shrinking radii (bisection) never
+recompute a distance.  The recurrence budget tau_hat is the (1 - rho)
+order-statistic of hitting t + j sums; the exponential-in-the-mean fit
+anchors the envelope at the initial distance and finds the largest rate that
+keeps the weighted means below it at every evaluation time (a
+necessary-condition check on a deterministic grid, not a bound over all
+stopping times).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,26 +34,96 @@ from .solver import Horizon, IntegratorConfig, simulate_ensemble
 
 _WILSON_Z = 1.96  # 95% binomial interval
 
+#: attribute of a HybridArc holding its hitting indexes, keyed by C u D; not a
+#: dataclass field, so the arc's equality and repr never see it
+_INDEX_ATTR = "_hitting_indexes"
 
-def _segment_distances(arc: HybridArc, spec: SystemSpec):
-    for seg in arc.segments:
-        yield seg, distances_to_target(seg.x, seg.r, spec)
+
+def _check_positive(name: str, value: float):
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+class _HittingIndex:
+    """Record lows of one arc's running-minimum distance to one target set.
+
+    A record is a sample where min(d[:k+1]) strictly drops.  The first sample
+    with d < radius is always a record, so the first hit of the open
+    radius-ball is the first record below radius: a searchsorted on the
+    negated lows, which increase strictly.  Segments are scanned in order and
+    only while the running minimum is still >= the radius asked for, so a
+    single query reads no further than a plain scan stopping at the hit.
+
+    Per record it keeps the negated low and the sample's index in its segment
+    (12 bytes); per scanned segment with records, the segment and the number
+    of records before it.
+    """
+
+    __slots__ = ("_segments", "_scanned", "_low", "_count", "_pending", "_neg_lows",
+                 "_where", "_first", "_owner")
+
+    def __init__(self, segments):
+        self._segments = segments
+        self._scanned = 0  # segments read so far
+        self._low = math.inf  # running minimum over them
+        self._count = 0  # records found
+        self._pending = []  # (negated lows, sample indexes) not yet merged
+        self._neg_lows = np.empty(0)
+        self._where = np.empty(0, dtype=np.int32)
+        self._first = []  # index of each owner segment's first record
+        self._owner = []  # the scanned segments that hold records
+
+    def _scan(self, seg, spec: SystemSpec):
+        d = distances_to_target(seg.x, seg.r, spec)
+        # fmin skips NaN distances, which then never count as a record
+        run = np.fmin.accumulate(np.concatenate(([self._low], d)))
+        drops = np.flatnonzero(run[1:] < run[:-1])
+        if drops.size:
+            self._first.append(self._count)
+            self._owner.append(seg)
+            self._count += drops.size
+            self._pending.append((-d[drops], drops.astype(np.int32)))
+            self._low = float(run[-1])
+
+    def first_below(self, radius: float, spec: SystemSpec) -> Optional[HybridTime]:
+        while self._low >= radius and self._scanned < len(self._segments):
+            self._scan(self._segments[self._scanned], spec)
+            self._scanned += 1
+        if not self._low < radius:
+            return None
+        if self._pending:
+            lows, where = zip(*self._pending)
+            self._neg_lows = np.concatenate((self._neg_lows,) + lows)
+            self._where = np.concatenate((self._where,) + where)
+            self._pending = []
+        k = int(np.searchsorted(self._neg_lows, -radius, side="right"))
+        seg = self._owner[bisect.bisect_right(self._first, k) - 1]
+        return HybridTime(float(seg.t[self._where[k]]), int(seg.j))
+
+
+def _hitting_index(arc: HybridArc, spec: SystemSpec) -> _HittingIndex:
+    """The arc's cached index for spec's C u D, the only part distances depend on."""
+    indexes = arc.__dict__.get(_INDEX_ATTR)
+    if indexes is None:
+        indexes = {}
+        object.__setattr__(arc, _INDEX_ATTR, indexes)
+    key = spec.flow_or_jump_set
+    index = indexes.get(key)
+    if index is None:
+        index = indexes[key] = _HittingIndex(arc.segments)
+    return index
 
 
 def hitting_time(arc: HybridArc, radius: float, spec: SystemSpec) -> Optional[HybridTime]:
     """First hybrid time at which the distance to the target set drops below radius.
 
-    Scans flow samples and jump post-states in hybrid-time order; the ball is
-    open (strict inequality).  Returns None when the arc never enters it.
+    The first flow sample or jump post-state, in hybrid-time order, whose
+    distance is < radius: the ball is open (strict inequality).  Returns None
+    when the arc never enters it.  Served from the arc's cached hitting index
+    (see _HittingIndex), which this call extends only as far as it must.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    for seg, dists in _segment_distances(arc, spec):
-        hits = np.where(dists < radius)[0]
-        if hits.size:
-            k = int(hits[0])
-            return HybridTime(float(seg.t[k]), int(seg.j))
-    return None
+    _check_positive("radius", radius)
+    return _hitting_index(arc, spec).first_below(radius, spec)
 
 
 def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z):
@@ -90,20 +165,25 @@ def recurrence_estimate(ensemble: Sequence[HybridArc], radius: float, rho: float
     domain, or when it stops (leaves the flow and jump sets) before the
     certified budget tau_hat.  tau_hat is the (1 - rho) order statistic of
     hitting t + j values among hitting paths and is only reported when the
-    success fraction reaches 1 - rho.
+    success fraction reaches 1 - rho.  Hitting times come from each arc's
+    cached hitting index, so a bisection over radii reads every distance once.
     """
     arcs = list(ensemble)
     if len(arcs) < 30:
         raise ValueError(f"ensemble too small for recurrence estimation ({len(arcs)} < 30)")
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
-    for arc in arcs:
-        s0 = arc.initial_state()
-        z0 = math.sqrt(float(np.sum(s0.x * s0.x) + np.sum(s0.r * s0.r)))
-        if z0 > R * (1.0 + 1e-12):
-            raise ValueError(f"initial condition with |z(0,0)| = {z0} lies outside R = {R}")
+    _check_positive("radius", radius)
+    _check_positive("R", R)
+    x0 = np.array([arc.segments[0].x[0] for arc in arcs])
+    r0 = np.array([arc.segments[0].r[0] for arc in arcs])
+    z0 = np.sqrt(np.sum(x0 * x0, axis=-1) + np.sum(r0 * r0, axis=-1))
+    outside = np.flatnonzero(~(z0 <= R * (1.0 + 1e-12)))
+    if outside.size:
+        raise ValueError(f"initial condition with |z(0,0)| = {float(z0[outside[0]])} "
+                         f"lies outside R = {R}")
 
-    hits = [hitting_time(arc, radius, spec) for arc in arcs]
+    hits = [_hitting_index(arc, spec).first_below(radius, spec) for arc in arcs]
     hit_sums = sorted(hybrid_time_sum(ht) for ht in hits if ht is not None)
     tau_hat = None
     if hit_sums:
@@ -145,62 +225,61 @@ class EnvelopeFit:
         return bool(np.all(self.weighted_means <= bound + 1e-12))
 
 
-def _samples_at(arc: HybridArc, t_eval: float, spec: SystemSpec):
-    """Distance, sample time, and jump count at the last sample with t <= t_eval."""
-    best = None
-    for seg, dists in _segment_distances(arc, spec):
-        idx = np.searchsorted(seg.t, t_eval, side="right") - 1
-        if idx >= 0:
-            best = (float(dists[idx]), float(seg.t[idx]), int(seg.j))
-        if seg.t[0] > t_eval:
-            break
-    if best is None:
-        seg0 = arc.segments[0]
-        d0 = distances_to_target(seg0.x[:1], seg0.r[:1], spec)[0]
-        best = (float(d0), float(seg0.t[0]), int(seg0.j))
-    return best
+def _last_samples(arc: HybridArc, t_eval: np.ndarray):
+    """Rows x and r at the first sample and at each t_eval; t + j at each t_eval.
+
+    The sample at t_eval is the last one with t <= t_eval, or the first sample
+    when there is none.  On a jump instant it is the post-jump sample, which
+    comes later in the concatenated, nondecreasing sample times.
+    """
+    segs = arc.segments
+    t = np.concatenate([s.t for s in segs])
+    j = np.repeat([s.j for s in segs], [s.t.shape[0] for s in segs])
+    idx = np.concatenate(([0], np.maximum(np.searchsorted(t, t_eval, side="right") - 1, 0)))
+    x = np.concatenate([s.x for s in segs])[idx]
+    r = np.concatenate([s.r for s in segs])[idx]
+    return x, r, t[idx[1:]] + j[idx[1:]]
 
 
 def uges_m_fit(ensemble: Sequence[HybridArc], eval_times, spec: SystemSpec,
                k2_cap: float = 50.0, tol: float = 1e-9) -> EnvelopeFit:
     """Fit the largest decay rate k2 keeping the weighted means anchored at t = 0.
 
-    For each evaluation time the statistic is mean_i[d_i * e^(k2*(t+j_i))];
-    the fitted k2 is the largest rate for which the maximum over the grid is
-    still attained at the first evaluation point, so k1 comes out ~1.  Paths
-    with zero initial distance are excluded with a warning.
+    For each evaluation time the statistic is mean_i[d_i * e^(k2*(t+j_i))]
+    at the last sample with t <= the evaluation time; the fitted k2 is the
+    largest rate for which the maximum over the grid is still attained at the
+    first evaluation point, so k1 comes out ~1.  Paths with zero initial
+    distance are excluded with a warning.
     """
     arcs = list(ensemble)
     t_eval = np.asarray(eval_times, dtype=float).ravel()
     if t_eval.size == 0:
         raise ValueError("need at least one evaluation time")
+    if not np.all(np.isfinite(t_eval)):
+        raise ValueError("evaluation times must be finite")
     t_eval = np.sort(t_eval)
+    if not arcs:
+        raise ValueError("need at least one path")
 
-    d0s = []
-    kept = []
-    for arc in arcs:
-        s0 = arc.initial_state()
-        seg0 = arc.segments[0]
-        d0 = float(distances_to_target(seg0.x[:1], seg0.r[:1], spec)[0])
-        if d0 == 0.0:
-            warnings.warn("excluding path with zero initial distance from envelope fit")
-            continue
-        d0s.append(d0)
-        kept.append(arc)
-    if not kept:
+    # one distance call over the sampled rows of every path: row 0 of each
+    # path is its initial sample, the rest its samples at t_eval
+    picked = [_last_samples(arc, t_eval) for arc in arcs]
+    x = np.concatenate([p[0] for p in picked])
+    r = np.concatenate([p[1] for p in picked])
+    d_all = distances_to_target(x, r, spec).reshape(len(arcs), t_eval.size + 1)
+    on_target = d_all[:, 0] == 0.0
+    for _ in range(int(np.sum(on_target))):
+        warnings.warn("excluding path with zero initial distance from envelope fit")
+    kept = np.flatnonzero(~on_target)
+    if not kept.size:
         raise ValueError("all paths start on the target set; nothing to fit")
-    d0 = d0s[0]
-    if any(abs(d - d0) > 1e-9 * max(1.0, d0) for d in d0s):
+    d0s = d_all[kept, 0]
+    d0 = float(d0s[0])
+    if np.any(np.abs(d0s - d0) > 1e-9 * max(1.0, d0)):
         raise ValueError("all paths must share one initial distance to the target set")
 
-    dist = np.zeros((len(kept), t_eval.size))
-    sums = np.zeros((len(kept), t_eval.size))  # per-path hybrid time t + j
-    for i, arc in enumerate(kept):
-        for k, te in enumerate(t_eval):
-            d, ts, j = _samples_at(arc, float(te), spec)
-            dist[i, k] = d
-            sums[i, k] = ts + j
-
+    dist = d_all[kept, 1:]
+    sums = np.stack([picked[i][2] for i in kept])  # per-path hybrid time t + j
     base = sums[:, :1]  # anchor at the first evaluation point
     with np.errstate(divide="ignore"):
         log_dist = np.log(dist)  # -inf where a path sits on the target set

@@ -209,6 +209,15 @@ class TestRecurCommand:
         assert float(summary["hit_fraction"]) == 1.0
         assert float(summary["tau_hat"]) == 0.0
 
+    @pytest.mark.parametrize("flag", ["--radius", "--bound"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_radius_or_bound_is_error(self, actuator_cfg, tmp_path, capsys,
+                                                 flag, value):
+        assert main(["recur", "--config", actuator_cfg, "--t-max", "0", flag, value,
+                     "--out", str(tmp_path / "o")]) == 1
+        name = "radius" if flag == "--radius" else "R"
+        assert capsys.readouterr().err.startswith(f"error: {name} must be positive and finite")
+
 
 class TestSweepCommand:
     def test_rows_and_summary(self, actuator_cfg, tmp_path):
@@ -278,7 +287,37 @@ class TestFig1Command:
         assert halves == {True, False}  # starts drawn from both -2 and +2
 
 
+OVERFLOWING_FLOW = TAU_FREE.replace("flow_x = -x_1", "flow_x = pow(x_1, 2000)") + """
+[simulate]
+n_paths = 3
+x0 = 2
+r0 = 0
+tau0 = 0
+t_max = 1.0
+j_max = 10
+"""
+
+
 class TestExitCodes:
+    def test_map_evaluation_error_is_one_line_exit_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, OVERFLOWING_FLOW)
+        assert main(["simulate", "--config", cfg, "--seed", "7",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # numpy's own overflow warning may come first; the error is one line
+        line = err.splitlines()[-1]
+        assert line.startswith("error: map 'f' returned a non-finite value (t=")
+        assert line.endswith("path 0, seed 7)")
+
+    def test_non_finite_step_in_config_is_error(self, tmp_path, capsys):
+        text = SMALL_ACTUATOR.format(p=0.1, t_values="1.0", eps_values="0.1")
+        text = text.replace("j_max = 100\n", "j_max = 100\nbase_step = nan\n", 1)
+        cfg = write_cfg(tmp_path, text)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "base_step" in capsys.readouterr().err
+
+
     def test_usage_error_is_one_not_two(self, capsys):
         assert main(["simulate"]) == 1  # missing --config
         capsys.readouterr()

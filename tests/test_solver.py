@@ -123,6 +123,14 @@ class TestSimulatePath:
             ha.simulate_path(spec, state(1.0, 0.0), 0, ha.Horizon(1.0, 10))
 
 
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("field", ["base_step", "substep_per_epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.01])
+    def test_rejects_non_positive_or_non_finite_steps(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            ha.IntegratorConfig(**{field: value})
+
+
 class TestArcStructure:
     def test_segments_abut_and_jumps_increment_j(self, actuator):
         arc = ha.simulate_path(actuator, state(2.0, 0.0), 11, ha.Horizon(4.5, 100))

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hybridavg as ha
+from hybridavg.core import TERMINAL_HORIZON_T, FlowSegment, distances_to_target
 
 from conftest import state
 
@@ -52,6 +55,158 @@ class TestHittingTime:
             prev = (radius, ht)
 
 
+def reference_hitting_time(arc, radius, spec):
+    """The hitting_time docstring as a plain scan: the first sample, in
+    hybrid-time order, whose distance to the target set is < radius."""
+    for seg in arc.segments:
+        for k in range(seg.t.shape[0]):
+            d = distances_to_target(seg.x[k:k + 1], seg.r[k:k + 1], spec)[0]
+            if d < radius:
+                return ha.HybridTime(float(seg.t[k]), int(seg.j))
+    return None
+
+
+def reference_samples_at(arc, t_eval, spec):
+    """Distance, sample time and jump count at the last sample with t <= t_eval
+    (the first sample when there is none), one segment scan per call."""
+    best = None
+    for seg in arc.segments:
+        dists = distances_to_target(seg.x, seg.r, spec)
+        idx = np.searchsorted(seg.t, t_eval, side="right") - 1
+        if idx >= 0:
+            best = (float(dists[idx]), float(seg.t[idx]), int(seg.j))
+        if seg.t[0] > t_eval:
+            break
+    if best is None:
+        seg0 = arc.segments[0]
+        d0 = distances_to_target(seg0.x[:1], seg0.r[:1], spec)[0]
+        best = (float(d0), float(seg0.t[0]), int(seg0.j))
+    return best
+
+
+def make_arc(pieces, n=1):
+    """An arc from (t, x, r) sample lists, one per jump count j = 0, 1, ...
+
+    Consecutive pieces should abut (a jump keeps t), as the solver's do.
+    """
+    segments = []
+    for j, (t, x, r) in enumerate(pieces):
+        t = np.asarray(t, dtype=float)
+        segments.append(FlowSegment(j, t, np.asarray(x, dtype=float).reshape(-1, n),
+                                    np.asarray(r, dtype=float).reshape(-1, 1),
+                                    np.zeros_like(t)))
+    return ha.HybridArc(tuple(segments), (), 0, TERMINAL_HORIZON_T)
+
+
+# few distinct coordinates, so distances repeat exactly and ties are common
+_COORD = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+
+
+@st.composite
+def random_arcs(draw, n=2, x0=None):
+    """Multi-jump arcs in R^n x R: r can leave C u D = [0, 1] of the actuator."""
+    pieces, t0 = [], 0.0
+    for j in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(1, 8))
+        steps = draw(st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]),
+                              min_size=k - 1, max_size=k - 1))
+        t = t0 + np.concatenate(([0.0], np.cumsum(steps)))
+        x = [[draw(_COORD) for _ in range(n)] for _ in range(k)]
+        r = [draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 3.0])) for _ in range(k)]
+        if j == 0 and x0 is not None:
+            x[0], r[0] = list(x0), 0.5
+        pieces.append((t, x, r))
+        t0 = float(t[-1])
+    return make_arc(pieces, n)
+
+
+def sample_distances(arc, spec):
+    return np.concatenate([distances_to_target(s.x, s.r, spec) for s in arc.segments])
+
+
+class TestHittingIndex:
+    """hitting_time's cached running-minimum index against a plain scan."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(random_arcs(), st.data())
+    def test_matches_reference_for_radii_in_any_order(self, actuator, arc, data):
+        exact = sorted(set(sample_distances(arc, actuator).tolist()) - {0.0})
+        others = data.draw(st.lists(st.floats(1e-3, 6.0), max_size=4))
+        radii = data.draw(st.permutations(exact + others))
+        for radius in radii:
+            assert (ha.hitting_time(arc, radius, actuator)
+                    == reference_hitting_time(arc, radius, actuator)), radius
+
+    def test_radius_equal_to_a_sample_distance_is_not_a_hit(self, actuator):
+        # distances 3, 2, 2, 1 | 2, 0.5: the ball of radius 2 is open
+        arc = make_arc([([0.0, 0.5, 1.0, 1.0], [3.0, 2.0, -2.0, 1.0], [0.5] * 4),
+                        ([1.0, 1.5], [2.0, 0.5], [0.5, 0.5])])
+        expect = {3.0: (0.5, 0), 2.0: (1.0, 0), 1.0: (1.5, 1), 0.5: None, 3.5: (0.0, 0)}
+        for radius in (1.0, 3.5, 0.5, 2.0, 3.0):
+            ht = ha.hitting_time(arc, radius, actuator)
+            want = expect[radius]
+            assert ht == (None if want is None else ha.HybridTime(*want)), radius
+            assert ht == reference_hitting_time(arc, radius, actuator)
+
+    def test_first_query_scans_only_up_to_the_hit(self, actuator, monkeypatch):
+        arc = make_arc([([0.0, 1.0], [2.0, 1.0], [0.5, 0.5]),
+                        ([1.0, 2.0], [0.5, 0.25], [0.5, 0.5]),
+                        ([2.0, 3.0], [0.1, 0.0], [0.5, 0.5])])
+        rows = []
+        counted = ha.stats.distances_to_target
+
+        def counting(x, r, spec):
+            rows.append(x.shape[0])
+            return counted(x, r, spec)
+
+        monkeypatch.setattr(ha.stats, "distances_to_target", counting)
+        assert ha.hitting_time(arc, 1.5, actuator) == ha.HybridTime(1.0, 0)
+        assert rows == [2]
+        assert ha.hitting_time(arc, 0.3, actuator) == ha.HybridTime(2.0, 1)
+        assert rows == [2, 2]
+        assert ha.hitting_time(arc, 1.0, actuator) == ha.HybridTime(1.0, 1)
+        assert ha.hitting_time(arc, 0.01, actuator) == ha.HybridTime(3.0, 2)
+        assert ha.hitting_time(arc, 1e-9, actuator) == ha.HybridTime(3.0, 2)
+        assert rows == [2, 2, 2]
+
+    def test_specs_with_different_target_sets_get_their_own_answers(self, actuator):
+        wide = dataclasses.replace(actuator, C=ha.SetDescriptor.box([-1.0], [2.5]))
+        # x = 0 throughout: the distance is r's distance to C u D, here
+        # 2, 1, 0.5 | 0.25, 0 under [0, 1] and 0.5, 0, 0 | 0, 0 under [-1, 2.5]
+        arc = make_arc([([0.0, 1.0, 2.0], [0.0] * 3, [3.0, 2.0, 1.5]),
+                        ([2.0, 3.0], [0.0] * 2, [1.25, 1.0])])
+        for spec, radius, want in ((actuator, 0.4, ha.HybridTime(2.0, 1)),
+                                   (wide, 0.4, ha.HybridTime(1.0, 0)),
+                                   (actuator, 0.6, ha.HybridTime(2.0, 0)),
+                                   (actuator, 0.1, ha.HybridTime(3.0, 1)),
+                                   (wide, 0.6, ha.HybridTime(0.0, 0)),
+                                   (wide, 1e-6, ha.HybridTime(1.0, 0))):
+            assert ha.hitting_time(arc, radius, spec) == want
+            assert want == reference_hitting_time(arc, radius, spec)
+
+    def test_cache_is_not_part_of_the_arc_value(self, actuator):
+        arc = make_arc([([0.0, 1.0], [2.0, 0.5], [0.5, 0.5])])
+        before = repr(arc)
+        ha.hitting_time(arc, 1.0, actuator)
+        assert repr(arc) == before
+        assert [f.name for f in dataclasses.fields(arc)] == [
+            "segments", "jumps", "seed", "terminal_reason"]
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_radius(self, actuator, radius):
+        arc = make_arc([([0.0], [1.0], [0.5])])
+        with pytest.raises(ValueError, match="radius must be positive"):
+            ha.hitting_time(arc, radius, actuator)
+
+    def test_simulated_ensemble_matches_reference(self, es_system):
+        inits = [state(2.0, 0.0), state(-1.5, 0.0)]
+        ens = ha.simulate_ensemble(es_system, inits, 6, 5, ha.Horizon(3.0, 1000))
+        for radius in (1.0, 0.05, 0.3, 0.1, 2.0):
+            for arc in ens:
+                assert (ha.hitting_time(arc, radius, es_system)
+                        == reference_hitting_time(arc, radius, es_system))
+
+
 class TestRecurrenceEstimate:
     def make_ensemble(self, spec, n=40, t_max=6.0, x0=(2.0, -2.0)):
         inits = [state(x, 0.0) for x in x0]
@@ -78,6 +233,13 @@ class TestRecurrenceEstimate:
         ens = self.make_ensemble(actuator)
         with pytest.raises(ValueError, match="outside"):
             ha.recurrence_estimate(ens, 0.1, 0.05, 1.0, actuator)
+
+    @pytest.mark.parametrize("radius, R", [(math.nan, 5.0), (math.inf, 5.0), (0.0, 5.0),
+                                           (0.1, math.nan), (0.1, math.inf), (0.1, -1.0)])
+    def test_rejects_non_finite_radius_and_bound(self, actuator, radius, R):
+        ens = self.make_ensemble(actuator, n=30, t_max=0.5)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            ha.recurrence_estimate(ens, radius, 0.05, R, actuator)
 
     def test_monotone_in_horizon(self, es_system):
         short = self.make_ensemble(es_system, t_max=1.5)
@@ -138,6 +300,51 @@ class TestUgesMFit:
             ens = ha.simulate_ensemble(actuator, inits, 60, 11, ha.Horizon(5.0, 1000))
             fits.append(ha.uges_m_fit(ens, grid, actuator))
         assert fits[0].k2 == pytest.approx(fits[1].k2, abs=1e-6)
+
+
+    def test_rejects_non_finite_evaluation_times(self, actuator):
+        ens = ha.simulate_ensemble(actuator, [state(2.0, 0.0)], 3, 3, ha.Horizon(1.0, 10))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ha.uges_m_fit(ens, np.array([0.0, bad, 1.0]), actuator)
+
+    @staticmethod
+    def assert_matches_reference(fit, ens, t_eval, spec):
+        """Pin the fit's inputs bit for bit through its outputs."""
+        t_eval = np.sort(np.asarray(t_eval, dtype=float))
+        ref = np.array([[reference_samples_at(arc, te, spec) for te in t_eval]
+                        for arc in ens])
+        dist, sums = ref[:, :, 0], ref[:, :, 1] + ref[:, :, 2]
+        seg0 = ens[0].segments[0]
+        assert fit.initial_distance == float(
+            distances_to_target(seg0.x[:1], seg0.r[:1], spec)[0])
+        assert np.array_equal(fit.empirical_means, np.mean(dist, axis=0))
+        with np.errstate(divide="ignore"):
+            expo = np.minimum(np.log(dist) + fit.k2 * (sums - sums[:, :1]), 700.0)
+        assert np.array_equal(fit.weighted_means, np.mean(np.exp(expo), axis=0))
+        if len(ens) > 1:
+            assert np.array_equal(fit.std_errors, np.std(np.exp(expo), axis=0, ddof=1)
+                                  / math.sqrt(len(ens)))
+
+    def test_matches_reference_on_jump_instants(self, actuator):
+        # the actuator's period-1 timer jumps exactly at t = 1, 2, ...: there
+        # the post-jump sample counts
+        inits = [state(2.0, 0.0), state(-2.0, 0.0)]
+        ens = ha.simulate_ensemble(actuator, inits, 8, 4, ha.Horizon(3.5, 1000))
+        assert all(arc.n_jumps == 3 and arc.jumps[0].time.t == 1.0 for arc in ens)
+        t_eval = [-0.5, 0.0, 1.0, 1.5, 2.0, 3.0, 3.5, 9.0]
+        fit = ha.uges_m_fit(ens, t_eval, actuator)
+        self.assert_matches_reference(fit, ens, t_eval, actuator)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.lists(random_arcs(x0=(1.0, -1.0)), min_size=1, max_size=4), st.data())
+    def test_matches_reference_on_random_arcs(self, actuator, ens, data):
+        instants = sorted({float(s.t[0]) for arc in ens for s in arc.segments}
+                          | {arc.t_end for arc in ens})
+        picks = data.draw(st.lists(st.sampled_from(instants), max_size=4))
+        t_eval = [-1.0] + picks + [max(instants) + 1.0]
+        fit = ha.uges_m_fit(ens, t_eval, actuator)
+        self.assert_matches_reference(fit, ens, t_eval, actuator)
 
 
 class TestEpsilonSweep:
