@@ -40,6 +40,14 @@ class CertGrid:
     r_points: int = 5
     radii: Optional[tuple] = None  # explicit radii override (e.g. nested grids)
 
+    def __post_init__(self):
+        if not (0.0 < self.radius_min < self.radius_max and math.isfinite(self.radius_max)):
+            raise ValueError("grid radii need 0 < radius_min < radius_max, both finite; "
+                             f"got {self.radius_min!r}, {self.radius_max!r}")
+        for name in ("radial_points", "r_points"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"grid {name} must be >= 1, got {getattr(self, name)!r}")
+
     def x_points(self, n: int) -> np.ndarray:
         if self.radii is not None:
             radii = np.asarray(self.radii, dtype=float)

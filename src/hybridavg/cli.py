@@ -520,7 +520,10 @@ def main(argv=None) -> int:
         # analysis verdict failures, so usage problems map to 1
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.fn(args)
+        # every map output is checked for finiteness where it is used, so
+        # numpy's floating-point warnings would only repeat the error line
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return args.fn(args)
     except (ConfigError, ExpressionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -77,9 +78,12 @@ class ConfigDocument:
         if raw is None:
             return float(default)
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
+        return value
 
     def get_int(self, section: str, key: str, default: Optional[int] = None) -> int:
         raw, default = self._get(section, key, default, default is None)
@@ -96,9 +100,12 @@ class ConfigDocument:
         if raw is None:
             return list(default)
         try:
-            return [float(tok) for tok in raw.split()]
+            values = [float(tok) for tok in raw.split()]
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: expected numbers: {raw!r}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"[{section}] {key}: expected finite numbers: {raw!r}")
+        return values
 
     def get_expr_list(self, section: str, key: str) -> list:
         raw, _ = self._get(section, key, None, True)

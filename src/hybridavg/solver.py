@@ -12,6 +12,13 @@ state array, which is bit-identical to running each path alone because every
 map operation is elementwise across the batch.  A group starts from paths
 with bitwise-equal initial (r, tau) and splits at a jump into sub-groups of
 bitwise-equal post-jump r; a single path is a group of one.
+
+The auxiliary state flows by w(r) alone and C, D constrain r alone, so the
+aux part of a flow step (event outcome, clipped step, the r stages of RK4 and
+the next r) depends only on r's bits and the step cap.  It is planned once per
+distinct (r, cap) from a single row and memoized for the run, and each
+lockstep step then integrates x only.  This relies on maps being pure: a map
+must return the same bits for the same arguments every time it is called.
 """
 
 from __future__ import annotations
@@ -94,23 +101,68 @@ def _check_finite(rows: np.ndarray, map_name: str, context: str, paths, seeds):
         )
 
 
-def _rk4(spec: SystemSpec, x, r, tau: float, dt: float):
-    """One classical 4th-order step of (f, w); tau handled analytically."""
-    f, w, eps = spec.f, spec.w, spec.epsilon
+def _rk4(spec: SystemSpec, x, r_stages, tau: float, dt: float):
+    """One classical 4th-order step of x under f, given the four r stages; tau analytic."""
+    f, eps = spec.f, spec.epsilon
+    r1, r2, r3, r4 = r_stages
     half = 0.5 * dt
     tau_h = tau + half / eps
     tau_f = tau + dt / eps
-    k1x = np.asarray(f(x, r, tau, eps), dtype=float)
-    k1r = np.asarray(w(r), dtype=float)
-    k2x = np.asarray(f(x + half * k1x, r + half * k1r, tau_h, eps), dtype=float)
-    k2r = np.asarray(w(r + half * k1r), dtype=float)
-    k3x = np.asarray(f(x + half * k2x, r + half * k2r, tau_h, eps), dtype=float)
-    k3r = np.asarray(w(r + half * k2r), dtype=float)
-    k4x = np.asarray(f(x + dt * k3x, r + dt * k3r, tau_f, eps), dtype=float)
-    k4r = np.asarray(w(r + dt * k3r), dtype=float)
-    x2 = x + (dt / 6.0) * (k1x + 2.0 * (k2x + k3x) + k4x)
-    r2 = r + (dt / 6.0) * (k1r + 2.0 * (k2r + k3r) + k4r)
-    return x2, r2
+    k1 = np.asarray(f(x, r1, tau, eps), dtype=float)
+    k2 = np.asarray(f(x + half * k1, r2, tau_h, eps), dtype=float)
+    k3 = np.asarray(f(x + half * k2, r3, tau_h, eps), dtype=float)
+    k4 = np.asarray(f(x + dt * k3, r4, tau_f, eps), dtype=float)
+    return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _plan_step(spec: SystemSpec, r, cap: float, context: str, paths, seeds):
+    """Aux part of one flow step from the single row r (1, p), step capped at cap.
+
+    Returns (dt, rows).  For a flow step, rows stacks r + dt/2 k1, r + dt/2 k2,
+    r + dt k3 and the next r (snapped onto its box when an event clipped the
+    step) as one (4, p) array.  dt is None when no flow is possible: rows is
+    then r snapped onto the D boundary it lies on, or None when r leaves C u D.
+    Events are located on Python floats, which is the same IEEE arithmetic as
+    on numpy scalars at a fraction of the cost for one row.
+    """
+    w = spec.w
+    k1 = np.asarray(w(r), dtype=float)
+    _check_finite(k1, "w", context, paths, seeds)
+    r_vals, w_vals = r[0].tolist(), k1.ravel().tolist()
+    dt = cap
+    snap_box = None
+    entry = _entry_time(r_vals, w_vals, spec.D, dt)
+    exit_end, exit_box = _exit_time(r_vals, w_vals, spec.flow_or_jump_set)
+    if exit_end is not None and exit_end <= 0.0:
+        # on the boundary of C u D and moving out, with no jump available
+        return None, None
+    if exit_end is not None and exit_end < dt:
+        dt = exit_end
+        snap_box = exit_box
+    if entry is not None and entry[0] <= dt:
+        dt = entry[0]
+        snap_box = (entry[1], entry[2])
+    if dt <= 0.0:
+        # r is bitwise on the D boundary without exact membership; snap it on
+        if snap_box is not None:
+            return None, _snap_into_box(r, snap_box[0], snap_box[1])
+        return None, None
+    half = 0.5 * dt
+    r2 = r + half * k1
+    k2 = np.asarray(w(r2), dtype=float)
+    r3 = r + half * k2
+    k3 = np.asarray(w(r3), dtype=float)
+    r4 = r + dt * k3
+    k4 = np.asarray(w(r4), dtype=float)
+    r_next = r + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    if snap_box is not None:
+        r_next = _snap_into_box(r_next, snap_box[0], snap_box[1])
+    return dt, np.concatenate((r2, r3, r4, r_next))
+
+
+def _spread(row, ones):
+    """The aux row (1, p) as the (B, p) block of a group; exact, since row * 1.0 == row."""
+    return row if ones is None else row * ones
 
 
 def _probe_nonfinite(spec: SystemSpec, x, r, tau: float):
@@ -124,7 +176,15 @@ def _probe_nonfinite(spec: SystemSpec, x, r, tau: float):
     return "f"  # overflowed mid-stage
 
 
-def _entry_interval(r: np.ndarray, w: np.ndarray, lo, hi):
+def _contains(region, r) -> bool:
+    """Exact membership of one point r (a sequence of floats) in a box union."""
+    for lo, hi in zip(region.lows, region.highs):
+        if all(a <= v <= b for a, v, b in zip(lo, r, hi)):
+            return True
+    return False
+
+
+def _entry_interval(r, w, lo, hi):
     """Time interval [a, b] during which r + s*w stays inside one box.
 
     Returns None when the affine path never visits the box.
@@ -146,7 +206,7 @@ def _entry_interval(r: np.ndarray, w: np.ndarray, lo, hi):
     return a, b
 
 
-def _entry_time(r: np.ndarray, w: np.ndarray, target, dt: float):
+def _entry_time(r, w, target, dt: float):
     best = None
     for lo, hi in zip(target.lows, target.highs):
         iv = _entry_interval(r, w, lo, hi)
@@ -161,7 +221,7 @@ def _entry_time(r: np.ndarray, w: np.ndarray, target, dt: float):
     return best
 
 
-def _exit_time(r: np.ndarray, w: np.ndarray, region) -> tuple:
+def _exit_time(r, w, region) -> tuple:
     """Time at which r + s*w leaves the union region, with the last box hit.
 
     The union exit is the right end of the merged membership interval
@@ -213,12 +273,18 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
     """Simulate path i from starts[i] under seeds[i]; returns one HybridArc per path.
 
     Paths advance in lockstep groups whose auxiliary rows are bitwise equal,
-    so the event logic runs once per group on its first row.  One work item
-    advances one group through one flow segment.  At the jump that ends the
-    segment the group splits into sub-groups of equal post-jump r, which join
-    the back of a FIFO worklist rather than a recursion, because a B-path
-    group may split B - 1 times.  Groups start in order of their lowest path
-    index; a failing map names the lowest failing path of its group.
+    so a group carries its aux state as one row r (1, p) next to its x block
+    (B, n).  One work item advances one group through one flow segment.  At
+    the jump that ends the segment the group splits into sub-groups of equal
+    post-jump r, which join the back of a FIFO worklist rather than a
+    recursion, because a B-path group may split B - 1 times.  Groups start in
+    order of their lowest path index; a failing map names the lowest failing
+    path of its group.
+
+    The aux part of each flow step comes from two memos shared by all groups
+    of the run: r's membership in (D, C) keyed by r's bits, and the step plan
+    of _plan_step keyed by (r's bits, step cap).  A step whose plan is known
+    costs four f calls and the x arithmetic of RK4.
     """
     for s in starts:
         if s.n != spec.n or s.p != spec.p:
@@ -226,6 +292,8 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
     cu = spec.flow_or_jump_set
     inv_eps = 1.0 / spec.epsilon
     dt_eff = cfg.effective_step(spec.epsilon)
+    memberships = {}
+    plans = {}
     segments = [[] for _ in starts]
     jumps = [[] for _ in starts]
     terminals = [None] * len(starts)
@@ -236,12 +304,12 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
             raise ValueError("dead initial condition: r(0) lies in neither C nor D "
                              f"(path {rows[0]}, seed {seeds[rows[0]]})")
         X = np.stack([starts[i].x for i in rows])
-        R = np.tile(first.r, (len(rows), 1))
-        work.append((np.array(rows), X, R, 0.0, 0, first.tau))
+        work.append((np.array(rows), X, first.r[None, :], 0.0, 0, first.tau))
 
     while work:
-        paths, X, R, t, j, tau_now = work.popleft()
-        rrow = R[0].copy()
+        paths, X, r, t, j, tau_now = work.popleft()
+        ones = np.ones((len(paths), 1)) if len(paths) > 1 else None
+        R = _spread(r, ones)
         t_anchor, tau_anchor = t, tau_now
         cur_t, cur_x, cur_r, cur_tau = [t], [X], [R], [tau_now]
         terminal = None
@@ -250,55 +318,54 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
                 terminal = TERMINAL_HORIZON_J
                 break
 
+            key = r.tobytes()
+            where = memberships.get(key)
+            if where is None:
+                r_vals = r[0].tolist()
+                where = memberships[key] = (_contains(spec.D, r_vals),
+                                            _contains(spec.C, r_vals))
+            in_d, in_c = where
+
             # jump priority first: jumps consume no flow time, so one firing at
             # exactly t = t_max still belongs to the truncated domain
-            if spec.D.contains(rrow):
+            if in_d:
                 break
 
             if t >= horizon.t_max:
                 terminal = TERMINAL_HORIZON_T
                 break
 
-            if not spec.C.contains(rrow):
+            if not in_c:
                 terminal = TERMINAL_LEFT_SETS
                 break
 
-            # flow: clip the step to the horizon, to entry into D, and to exit from C u D
+            # flow: the plan clips the step to the horizon, to entry into D and
+            # to exit from C u D
             remain = horizon.t_max - t
-            dt = min(dt_eff, remain)
-            wrow = np.asarray(spec.w(rrow[None, :]), dtype=float).ravel()
-            _check_finite(wrow, "w", f"t={t}", paths, seeds)
-            snap_box = None
-            entry = _entry_time(rrow, wrow, spec.D, dt)
-            exit_end, exit_box = _exit_time(rrow, wrow, cu)
-            if exit_end is not None and exit_end <= 0.0:
-                # on the boundary of C u D and moving out, with no jump available
+            cap = min(dt_eff, remain)
+            plan = plans.get((key, cap))
+            if plan is None:
+                plan = plans[key, cap] = _plan_step(spec, r, cap, f"t={t}", paths, seeds)
+            dt, rows = plan
+            if rows is None:
                 terminal = TERMINAL_LEFT_SETS
                 break
-            if exit_end is not None and exit_end < dt:
-                dt = exit_end
-                snap_box = exit_box
-            if entry is not None and entry[0] <= dt:
-                dt = entry[0]
-                snap_box = (entry[1], entry[2])
-            if dt <= 0.0:
-                # r is bitwise on the D boundary without exact membership; snap it on
-                if snap_box is not None:
-                    R = _snap_into_box(R, snap_box[0], snap_box[1])
-                    rrow = R[0].copy()
-                    continue
-                terminal = TERMINAL_LEFT_SETS
-                break
+            if dt is None:
+                # snapped onto the D boundary without flowing; jumps next
+                r = rows
+                R = _spread(r, ones)
+                continue
 
-            X2, R2 = _rk4(spec, X, R, tau_now, dt)
-            if not np.all(np.isfinite(X2)):
+            stages = (R, _spread(rows[0:1], ones), _spread(rows[1:2], ones),
+                      _spread(rows[2:3], ones))
+            X2 = _rk4(spec, X, stages, tau_now, dt)
+            if not np.isfinite(X2).all():
                 name = _probe_nonfinite(spec, X, R, tau_now)
                 _check_finite(X2, name, f"t={t}", paths, seeds)
-            if snap_box is not None:
-                R2 = _snap_into_box(R2, snap_box[0], snap_box[1])
             t = horizon.t_max if dt == remain else t + dt
             tau_now = tau_anchor + (t - t_anchor) * inv_eps
-            X, R, rrow = X2, R2, R2[0].copy()
+            X, r = X2, rows[3:4]
+            R = _spread(r, ones)
             cur_t.append(t)
             cur_x.append(X)
             cur_r.append(R)
@@ -327,7 +394,7 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
         for rows in _bitwise_groups(Rp):
             sub = paths[rows]
             if cu.contains(Rp[rows[0]]):
-                work.append((sub, Xp[rows], Rp[rows], t, k, tau_now))
+                work.append((sub, Xp[rows], Rp[rows[:1]], t, k, tau_now))
                 continue
             # a dead post-jump state ends these paths on a one-sample segment
             _store_segment(segments, sub, k, [t], [Xp[rows]], [Rp[rows]], [tau_now])
@@ -350,7 +417,9 @@ def simulate_ensemble(spec: SystemSpec, inits, n_paths: int, seed_base: int,
 
     Initial conditions are cycled from ``inits``.  Paths that share an
     auxiliary state run in lockstep as one group, and a group splits when
-    jumps send its paths to different auxiliary states.  Path i is
+    jumps send its paths to different auxiliary states.  The aux part of each
+    flow step is planned once per distinct (r, step cap) and shared by every
+    group of the run, which assumes the maps are pure.  Path i is
     bit-identical to simulate_path run alone.
     """
     if n_paths < 1:

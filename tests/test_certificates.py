@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,19 @@ def build_cert(p, V=V_quad, grid=None, **kw):
     spec = ha.jammed_actuator(ha.JamParams(T=1.0, p=p, epsilon=0.01))
     avg = ha.build_average_system(spec, average_flow_linear)
     return ha.foster_certificate(V, avg, grid, **kw)
+
+
+class TestCertGrid:
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 10.0), (1e-3, math.nan), (1e-3, math.inf),
+                                        (0.0, 10.0), (-1.0, 10.0), (2.0, 1.0), (1.0, 1.0)])
+    def test_rejects_bad_radii(self, lo, hi):
+        with pytest.raises(ValueError, match="0 < radius_min < radius_max, both finite"):
+            CertGrid(radius_min=lo, radius_max=hi)
+
+    @pytest.mark.parametrize("field", ["radial_points", "r_points"])
+    def test_rejects_empty_point_counts(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            CertGrid(**{field: 0})
 
 
 class TestSandwich:

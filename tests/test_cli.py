@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,16 @@ class TestCertifyCommand:
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_radius_is_exit_one(self, tmp_path, capsys, value):
+        text = SMALL_ACTUATOR.format(p=0.1, t_values="3.14", eps_values="0.1")
+        text = text.replace("radial_points = 9\n", f"radial_points = 9\nradius_min = {value}\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: [certify] radius_min: not a finite number: '{value}'\n")
+
+
 class TestRecurCommand:
     def test_summary_and_paths(self, actuator_cfg, tmp_path):
         out = tmp_path / "out"
@@ -301,14 +312,16 @@ j_max = 10
 class TestExitCodes:
     def test_map_evaluation_error_is_one_line_exit_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, OVERFLOWING_FLOW)
-        assert main(["simulate", "--config", cfg, "--seed", "7",
-                     "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        # numpy's own overflow warning may come first; the error is one line
-        line = err.splitlines()[-1]
-        assert line.startswith("error: map 'f' returned a non-finite value (t=")
-        assert line.endswith("path 0, seed 7)")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", cfg, "--seed", "7",
+                         "--out", str(tmp_path / "o")]) == 1
+        # no numpy warning ahead of the error: stderr is exactly its one line
+        assert [str(w.message) for w in caught] == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: map 'f' returned a non-finite value (t=")
+        assert lines[0].endswith("path 0, seed 7)")
 
     def test_non_finite_step_in_config_is_error(self, tmp_path, capsys):
         text = SMALL_ACTUATOR.format(p=0.1, t_values="1.0", eps_values="0.1")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridavg as ha
+from hybridavg import solver
+from hybridavg.core import (HybridArc, JumpNoise, JumpRecord, SetDescriptor, SystemSpec,
+                            TERMINAL_HORIZON_J, TERMINAL_HORIZON_T, TERMINAL_LEFT_SETS)
 from hybridavg.solver import MapEvaluationError
 
 from conftest import arcs_equal, state
@@ -299,3 +303,271 @@ class TestGroupingInvariant:
         for i, arc in enumerate(ens):
             solo = ha.simulate_path(spec, inits[i % len(inits)], 3 + i, horizon)
             assert arcs_equal(arc, solo)
+
+
+# --- reference: the per-step loop that evaluated the aux state on every step --
+
+def _reference_rk4(spec, x, r, tau, dt):
+    f, w, eps = spec.f, spec.w, spec.epsilon
+    half = 0.5 * dt
+    tau_h = tau + half / eps
+    tau_f = tau + dt / eps
+    k1x = np.asarray(f(x, r, tau, eps), dtype=float)
+    k1r = np.asarray(w(r), dtype=float)
+    k2x = np.asarray(f(x + half * k1x, r + half * k1r, tau_h, eps), dtype=float)
+    k2r = np.asarray(w(r + half * k1r), dtype=float)
+    k3x = np.asarray(f(x + half * k2x, r + half * k2r, tau_h, eps), dtype=float)
+    k3r = np.asarray(w(r + half * k2r), dtype=float)
+    k4x = np.asarray(f(x + dt * k3x, r + dt * k3r, tau_f, eps), dtype=float)
+    k4r = np.asarray(w(r + dt * k3r), dtype=float)
+    x2 = x + (dt / 6.0) * (k1x + 2.0 * (k2x + k3x) + k4x)
+    r2 = r + (dt / 6.0) * (k1r + 2.0 * (k2r + k3r) + k4r)
+    return x2, r2
+
+
+def _reference_simulate(spec, starts, seeds, horizon, cfg):
+    """Lockstep runner that recomputes membership, events and r stages every step."""
+    cu = spec.flow_or_jump_set
+    inv_eps = 1.0 / spec.epsilon
+    dt_eff = cfg.effective_step(spec.epsilon)
+    segments = [[] for _ in starts]
+    jumps = [[] for _ in starts]
+    terminals = [None] * len(starts)
+    work = deque()
+    for rows in solver._bitwise_groups([np.append(s.r, s.tau) for s in starts]):
+        first = starts[rows[0]]
+        if not cu.contains(first.r):
+            raise ValueError("dead initial condition: r(0) lies in neither C nor D "
+                             f"(path {rows[0]}, seed {seeds[rows[0]]})")
+        X = np.stack([starts[i].x for i in rows])
+        R = np.tile(first.r, (len(rows), 1))
+        work.append((np.array(rows), X, R, 0.0, 0, first.tau))
+
+    while work:
+        paths, X, R, t, j, tau_now = work.popleft()
+        rrow = R[0].copy()
+        t_anchor, tau_anchor = t, tau_now
+        cur_t, cur_x, cur_r, cur_tau = [t], [X], [R], [tau_now]
+        terminal = None
+        while True:
+            if j >= horizon.j_max:
+                terminal = TERMINAL_HORIZON_J
+                break
+            if spec.D.contains(rrow):
+                break
+            if t >= horizon.t_max:
+                terminal = TERMINAL_HORIZON_T
+                break
+            if not spec.C.contains(rrow):
+                terminal = TERMINAL_LEFT_SETS
+                break
+            remain = horizon.t_max - t
+            dt = min(dt_eff, remain)
+            wrow = np.asarray(spec.w(rrow[None, :]), dtype=float).ravel()
+            solver._check_finite(wrow, "w", f"t={t}", paths, seeds)
+            snap_box = None
+            entry = solver._entry_time(rrow, wrow, spec.D, dt)
+            exit_end, exit_box = solver._exit_time(rrow, wrow, cu)
+            if exit_end is not None and exit_end <= 0.0:
+                terminal = TERMINAL_LEFT_SETS
+                break
+            if exit_end is not None and exit_end < dt:
+                dt = exit_end
+                snap_box = exit_box
+            if entry is not None and entry[0] <= dt:
+                dt = entry[0]
+                snap_box = (entry[1], entry[2])
+            if dt <= 0.0:
+                if snap_box is not None:
+                    R = solver._snap_into_box(R, snap_box[0], snap_box[1])
+                    rrow = R[0].copy()
+                    continue
+                terminal = TERMINAL_LEFT_SETS
+                break
+            X2, R2 = _reference_rk4(spec, X, R, tau_now, dt)
+            if not np.all(np.isfinite(X2)):
+                name = solver._probe_nonfinite(spec, X, R, tau_now)
+                solver._check_finite(X2, name, f"t={t}", paths, seeds)
+            if snap_box is not None:
+                R2 = solver._snap_into_box(R2, snap_box[0], snap_box[1])
+            t = horizon.t_max if dt == remain else t + dt
+            tau_now = tau_anchor + (t - t_anchor) * inv_eps
+            X, R, rrow = X2, R2, R2[0].copy()
+            cur_t.append(t)
+            cur_x.append(X)
+            cur_r.append(R)
+            cur_tau.append(tau_now)
+
+        solver._store_segment(segments, paths, j, cur_t, cur_x, cur_r, cur_tau)
+        if terminal is not None:
+            for i in paths:
+                terminals[i] = terminal
+            continue
+
+        k = j + 1
+        B = len(paths)
+        V = np.stack([spec.noise.draw(seeds[i], k) for i in paths])
+        Xp = np.asarray(spec.g(X, R, V), dtype=float)
+        Rp = np.asarray(spec.h(R, V), dtype=float)
+        Xp = np.broadcast_to(Xp, (B, spec.n)).astype(float, copy=True)
+        Rp = np.broadcast_to(Rp, (B, spec.p)).astype(float, copy=True)
+        solver._check_finite(Xp, "g", f"jump {k} at t={t}", paths, seeds)
+        solver._check_finite(Rp, "h", f"jump {k} at t={t}", paths, seeds)
+        ht = ha.HybridTime(t, j)
+        for b, i in enumerate(paths):
+            jumps[i].append(JumpRecord(ht, X[b].copy(), R[b].copy(), tau_now, V[b].copy(),
+                                       Xp[b].copy(), Rp[b].copy()))
+        for rows in solver._bitwise_groups(Rp):
+            sub = paths[rows]
+            if cu.contains(Rp[rows[0]]):
+                work.append((sub, Xp[rows], Rp[rows], t, k, tau_now))
+                continue
+            solver._store_segment(segments, sub, k, [t], [Xp[rows]], [Rp[rows]], [tau_now])
+            for i in sub:
+                terminals[i] = TERMINAL_LEFT_SETS
+
+    return [HybridArc(tuple(segments[i]), tuple(jumps[i]), seeds[i], terminals[i])
+            for i in range(len(starts))]
+
+
+def _outcome(run, spec, starts, seeds, horizon, cfg):
+    """The arcs of a run, or the type and message of the error it raised."""
+    try:
+        return run(spec, starts, seeds, horizon, cfg)
+    except (MapEvaluationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(spec, starts, seeds, horizon, cfg=ha.IntegratorConfig()):
+    got = _outcome(solver._simulate, spec, starts, seeds, horizon, cfg)
+    want = _outcome(_reference_simulate, spec, starts, seeds, horizon, cfg)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert arcs_equal(a, b)
+        # arcs_equal does not compare pre-jump states
+        for ja, jb in zip(a.jumps, b.jumps):
+            assert np.array_equal(ja.x_pre, jb.x_pre) and np.array_equal(ja.r_pre, jb.r_pre)
+            assert ja.tau == jb.tau
+    return got
+
+
+def _r_dependent_spec(a, b, c, cuts, d_lo, h_shift, h_gain):
+    """p = 1: w = a + b r, f pulls x towards c r, C = abutting boxes [0, cuts...], D = [d_lo, 1]."""
+    def f(x, r, tau, eps):
+        return -(x * (1.0 + np.sin(tau))) + c * r
+
+    def w(r):
+        return a + b * np.asarray(r, dtype=float)
+
+    def g(x, r, v):
+        return (0.75 + v[..., :1]) * x
+
+    def h(r, v):
+        return h_shift + h_gain * np.asarray(v, dtype=float)
+
+    edges = [0.0] + sorted(cuts) + [1.0]
+    C = SetDescriptor.union_of([SetDescriptor.box([lo], [hi])
+                                for lo, hi in zip(edges, edges[1:])])
+    D = SetDescriptor.box([d_lo], [1.0])
+    noise = JumpNoise.finite([[0.75], [-0.75], [0.25]], [0.4, 0.4, 0.2])
+    return SystemSpec(n=1, p=1, m=1, f=f, w=w, g=g, h=h, C=C, D=D, noise=noise,
+                      epsilon=0.1)
+
+
+class TestAuxStepPlan:
+    """The memoized aux plan reproduces the per-step loop bit for bit."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        a=st.floats(0.3, 2.0),
+        b=st.sampled_from([0.0, 0.7, -0.4]),
+        c=st.floats(-1.0, 1.0),
+        cuts=st.lists(st.floats(0.05, 0.95), max_size=3),
+        d_lo=st.sampled_from([1.0, 0.9]),
+        h_shift=st.sampled_from([0.0, 0.3, 0.95]),
+        h_gain=st.sampled_from([0.0, 0.4, -0.2]),
+        starts=st.lists(st.tuples(st.floats(-3.0, 3.0),
+                                  st.sampled_from([0.0, 0.5, 0.999]),
+                                  st.sampled_from([0.0, 2.0])),
+                        min_size=1, max_size=3),
+        n_paths=st.integers(1, 7),
+        t_max=st.floats(0.0, 2.5),
+        j_max=st.integers(1, 6),
+    )
+    def test_matches_the_per_step_loop(self, a, b, c, cuts, d_lo, h_shift, h_gain, starts,
+                                       n_paths, t_max, j_max):
+        spec = _r_dependent_spec(a, b, c, cuts, d_lo, h_shift, h_gain)
+        inits = [state(x, r, tau) for x, r, tau in starts]
+        chosen = [inits[i % len(inits)] for i in range(n_paths)]
+        _assert_same_outcome(spec, chosen, list(range(3, 3 + n_paths)),
+                             ha.Horizon(t_max, j_max))
+
+    def test_snap_onto_the_jump_set_from_one_ulp_below(self):
+        # D = {1} inside C = [0, 2]: with w this large the entry time underflows
+        # to 0, so the row is snapped onto D without a flow step, then jumps
+        below = math.nextafter(1.0, 0.0)
+
+        def w(r):
+            return np.full_like(np.asarray(r, dtype=float), 1.7e308)
+
+        spec = dataclasses.replace(make_actuator(), w=w, C=SetDescriptor.box([0.0], [2.0]))
+        arcs = _assert_same_outcome(spec, [state(1.0, below)] * 2, [0, 1],
+                                    ha.Horizon(1.0, 1))
+        for arc in arcs:
+            assert arc.segments[0].r[-1, 0] == below
+            assert arc.jumps[0].time == ha.HybridTime(0.0, 0)
+            assert arc.jumps[0].r_pre[0] == 1.0
+
+    def test_non_finite_w_keeps_its_message(self):
+        # w fails only at the start of path 1, which runs as its own group
+        # after the group of paths 0 and 2 has planned its steps
+        def w(r):
+            r = np.asarray(r, dtype=float)
+            return np.where(r == 0.3, np.inf, 1.0)
+
+        spec = dataclasses.replace(make_actuator(), w=w)
+        inits = [state(1.0, 0.0), state(2.0, 0.3), state(-1.0, 0.0)]
+        _assert_same_outcome(spec, inits, [4, 5, 6], ha.Horizon(2.0, 10))
+        with pytest.raises(MapEvaluationError) as err:
+            ha.simulate_ensemble(spec, inits, 3, 4, ha.Horizon(2.0, 10))
+        assert str(err.value) == "map 'w' returned a non-finite value (t=0.0; path 1, seed 5)"
+
+    def test_non_finite_w_at_an_inner_stage_leaves_the_sets(self):
+        # only the RK4 stages reach r > 0.5 first: r turns inf and the path
+        # leaves C u D, as it did when every step evaluated w on the batch
+        def w(r):
+            r = np.asarray(r, dtype=float)
+            return np.where(r > 0.5, np.inf, 1.0)
+
+        spec = dataclasses.replace(make_actuator(), w=w)
+        inits = [state(1.0, 0.0), state(-1.0, 0.0)]
+        arcs = _assert_same_outcome(spec, inits, [4, 5], ha.Horizon(2.0, 10))
+        assert [arc.terminal_reason for arc in arcs] == [TERMINAL_LEFT_SETS] * 2
+        assert np.isinf(arcs[0].segments[0].r[-1, 0])
+
+    def test_w_is_planned_once_per_distinct_step(self):
+        calls = {"f": 0, "w": 0}
+        base = make_actuator()
+
+        def f(x, r, tau, eps):
+            calls["f"] += 1
+            return base.f(x, r, tau, eps)
+
+        def w(r):
+            calls["w"] += 1
+            return base.w(r)
+
+        spec = dataclasses.replace(base, f=f, w=w)
+        inits = [state(x, 0.0) for x in np.linspace(-2.0, 2.0, 10)]
+        ens = ha.simulate_ensemble(spec, inits, 10, 0, ha.Horizon(5.0, 100))
+        # one shared r0 and a timer reset to 0: the ten paths stay one group
+        steps = sum(len(seg.t) - 1 for seg in ens[0].segments)
+        assert calls["f"] == 4 * steps
+        # the timer repeats the same rows every period; the last step may be
+        # capped by t_max
+        distinct = len({row.tobytes() for seg in ens[0].segments for row in seg.r})
+        assert calls["w"] <= 4 * (distinct + 1)
+        assert steps == 5000 and calls["w"] <= 4100

@@ -160,3 +160,14 @@ class TestLoadSystem:
     def test_missing_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             ha.load_system("[system]\nepsilon = 0.1\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_names_its_key(self, value):
+        cfg = ACTUATOR_EXPR_CFG.replace("epsilon = 0.01", f"epsilon = {value}")
+        with pytest.raises(ConfigError, match=r"\[system\] epsilon: not a finite number"):
+            ha.load_system(cfg)
+
+    def test_non_finite_list_entry_names_its_key(self):
+        cfg = ACTUATOR_EXPR_CFG.replace("probs = 0.1 0.9", "probs = nan 0.9")
+        with pytest.raises(ConfigError, match=r"\[noise\] probs: expected finite numbers"):
+            ha.load_system(cfg)
