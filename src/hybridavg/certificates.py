@@ -47,6 +47,11 @@ class CertGrid:
         for name in ("radial_points", "r_points"):
             if getattr(self, name) < 1:
                 raise ValueError(f"grid {name} must be >= 1, got {getattr(self, name)!r}")
+        if self.radii is not None:
+            radii = np.asarray(self.radii, dtype=float)
+            if radii.ndim != 1 or not radii.size or not np.all(np.isfinite(radii) & (radii > 0)):
+                raise ValueError("grid radii must be a non-empty sequence of positive finite "
+                                 f"numbers, got {self.radii!r}")
 
     def x_points(self, n: int) -> np.ndarray:
         if self.radii is not None:
@@ -107,8 +112,10 @@ class FosterCertificate:
                          f"worst_residual={sc.worst_residual!r}")
             if sc.witness is not None and not sc.ok:
                 lines.append(f"      witness: {sc.witness}")
-        lines.append(f"grid: radii [{self.grid.radius_min}, {self.grid.radius_max}] "
-                     f"x {self.grid.radial_points} pts, r x {self.grid.r_points} pts")
+        g = self.grid
+        radii = (f"radii {[float(r) for r in g.radii]}" if g.radii is not None
+                 else f"radii [{g.radius_min}, {g.radius_max}] x {g.radial_points} pts")
+        lines.append(f"grid: {radii}, r x {g.r_points} pts")
         return "\n".join(lines)
 
 

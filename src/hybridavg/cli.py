@@ -1,9 +1,13 @@
 """Command-line front end: simulate | average | certify | recur | sweep | fig1.
 
-Every command reads one config document, writes CSV (and SVG) outputs plus a
-JSON run manifest into --out, and is deterministic for a fixed config digest
-and seed.  Exit codes: 0 success/pass, 1 usage or config error, 2 analysis
-verdict fail.  Floats are written with shortest round-trip formatting.
+Each command is a function (args, doc, spec) that computes its results and
+returns them as (exit code, seed, [(file name, lines)], digest override).  One
+runner, _run, does the rest for all six: it loads the config document and
+builds its system, creates --out once the command has returned, writes every
+output file and a JSON run manifest.  A run is deterministic for a fixed
+config digest and seed.  Exit codes: 0 success/pass, 1 usage or config error,
+2 analysis verdict fail.  Floats are written with shortest round-trip
+formatting.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from . import __version__
 from .averaging import build_average_system, check_jacobian_average, estimate_average_map, estimate_gamma
 from .certificates import CertGrid, foster_certificate
 from .config import ConfigDocument, ConfigError
-from .core import StateVec
+from .core import JumpNoise, StateVec
 from .expressions import (
     AverageField,
     ExpressionError,
@@ -40,7 +44,6 @@ from .solver import (
 from .stats import SweepParams, epsilon_sweep, recurrence_estimate
 from .svgplot import Curve, Panel, render_panels
 from .systems import JamParams, jammed_es, load_system
-from .core import JumpNoise
 
 
 def _f(v) -> str:
@@ -51,46 +54,31 @@ def _vec(v) -> str:
     return ";".join(_f(c) for c in np.atleast_1d(v))
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def _csv(header, rows):
+    """Lines of a CSV file, streamed: the header, then one line per row."""
+    yield ",".join(header)
+    for row in rows:
+        yield ",".join(row)
 
 
-def _write_manifest(outdir: Path, command: str, digest: str, seed: int,
-                    outputs, started: float):
-    manifest = {
-        "command": command,
-        "config_digest": digest,
-        "seed_base": int(seed),
-        "toolkit_version": __version__,
-        "duration_seconds": round(time.time() - started, 3),
-        "outputs": sorted(str(o) for o in outputs),
-    }
-    path = outdir / f"{command}_manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def _lookup(doc: ConfigDocument, sections, key: str, get, default):
+    """get(doc, section, key) from the first of sections that sets key, else default."""
+    for sec in sections:
+        if doc.has(sec, key):
+            return get(doc, sec, key)
+    return default
 
 
 def _parse_inits(doc: ConfigDocument, spec, sections) -> list:
     """Initial conditions: x0 as ';'-separated vectors (or scalars), shared r0/tau0."""
-    def lookup(key, default=None):
-        for sec in sections:
-            if doc.has(sec, key):
-                return doc.get_str(sec, key)
-        return default
-
-    raw_x0 = lookup("x0", "1")
+    get = ConfigDocument.get_str
+    raw_x0 = _lookup(doc, sections, "x0", get, "1")
     if ";" in raw_x0:
         x0s = [[float(t) for t in chunk.split()] for chunk in raw_x0.split(";") if chunk.strip()]
     else:
         x0s = [[float(t)] for t in raw_x0.split()]
-    raw_r0 = lookup("r0", "0")
-    r0 = [float(t) for t in raw_r0.split()]
-    tau0 = float(lookup("tau0", "0"))
+    r0 = [float(t) for t in _lookup(doc, sections, "r0", get, "0").split()]
+    tau0 = float(_lookup(doc, sections, "tau0", get, "0"))
     inits = []
     for x0 in x0s:
         if len(x0) != spec.n or len(r0) != spec.p:
@@ -102,25 +90,16 @@ def _parse_inits(doc: ConfigDocument, spec, sections) -> list:
 
 
 def _sim_numbers(doc: ConfigDocument, args, sections):
-    def lookup_float(key, default):
-        for sec in sections:
-            if doc.has(sec, key):
-                return doc.get_float(sec, key)
-        return default
-
-    def lookup_int(key, default):
-        for sec in sections:
-            if doc.has(sec, key):
-                return doc.get_int(sec, key)
-        return default
-
-    t_max = getattr(args, "t_max", None)
-    t_max = lookup_float("t_max", 10.0) if t_max is None else t_max
-    j_max = lookup_int("j_max", 10_000)
-    n_paths = getattr(args, "paths", None)
-    n_paths = lookup_int("n_paths", 100) if n_paths is None else n_paths
-    cfg = IntegratorConfig(lookup_float("base_step", 0.01),
-                           lookup_float("substep_per_epsilon", 0.1))
+    get_float, get_int = ConfigDocument.get_float, ConfigDocument.get_int
+    t_max = args.t_max
+    if t_max is None:
+        t_max = _lookup(doc, sections, "t_max", get_float, 10.0)
+    j_max = _lookup(doc, sections, "j_max", get_int, 10_000)
+    n_paths = args.paths
+    if n_paths is None:
+        n_paths = _lookup(doc, sections, "n_paths", get_int, 100)
+    cfg = IntegratorConfig(_lookup(doc, sections, "base_step", get_float, 0.01),
+                           _lookup(doc, sections, "substep_per_epsilon", get_float, 0.1))
     return n_paths, Horizon(t_max, j_max), cfg
 
 
@@ -143,26 +122,17 @@ def _arc_rows(arc, path_id: int, stride: int = 1, kind: str = None):
         yield last_row[:-1] + ["terminal"]
 
 
-def cmd_simulate(args) -> int:
-    started = time.time()
-    doc = ConfigDocument.load(args.config)
-    spec = load_system(doc)
+def cmd_simulate(args, doc, spec):
     n_paths, horizon, cfg = _sim_numbers(doc, args, ["simulate"])
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
     inits = _parse_inits(doc, spec, ["simulate"])
     seed = args.seed if args.seed is not None else doc.get_int("simulate", "seed", 0)
     ensemble = simulate_ensemble(spec, inits, n_paths, seed, horizon, cfg)
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     header = (["path_id", "t", "j"] + [f"x_{i+1}" for i in range(spec.n)]
               + [f"r_{i+1}" for i in range(spec.p)] + ["tau", "event"])
     rows = (row for pid, arc in enumerate(ensemble) for row in _arc_rows(arc, pid))
-    csv_path = outdir / "simulate.csv"
-    _write_csv(csv_path, header, rows)
-    _write_manifest(outdir, "simulate", doc.digest(), seed, [csv_path.name], started)
-    return 0
+    return 0, seed, [("simulate.csv", _csv(header, rows))], None
 
 
 def _favg_from_config(doc: ConfigDocument, spec):
@@ -206,10 +176,7 @@ def _average_grids(doc: ConfigDocument, spec):
     return x_axes, r_axes, tau_grid, T_grid, T_long
 
 
-def cmd_average(args) -> int:
-    started = time.time()
-    doc = ConfigDocument.load(args.config)
-    spec = load_system(doc)
+def cmd_average(args, doc, spec):
     x_axes, r_axes, tau_grid, T_grid, T_long = _average_grids(doc, spec)
     favg = _favg_from_config(doc, spec)
     avg = estimate_average_map(spec, x_axes, r_axes, T_long, f_ave=favg)
@@ -224,55 +191,38 @@ def cmd_average(args) -> int:
     jac = check_jacobian_average(spec, avg.f_ave, x_pts, r_pts, tau_grid, T_grid,
                                  state_gamma=gamma)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for k, T in enumerate(gamma.windows):
-        wit = gamma.witnesses[k]
-        rows.append([_f(T), _f(gamma.values[k]), _f(gamma.envelope[k]),
-                     _f(jac.values[k]), _vec(wit[0]), _vec(wit[1]), _f(wit[2])])
-    gamma_path = outdir / "average_gamma.csv"
-    _write_csv(gamma_path, ["T", "gamma_raw", "gamma_envelope", "jac_gamma_raw",
-                            "witness_x", "witness_r", "witness_tau"], rows)
-
-    table_path = outdir / "average_favg.csv"
-    table_rows = []
+    gamma_rows = ([_f(T), _f(gamma.values[k]), _f(gamma.envelope[k]), _f(jac.values[k]),
+                   _vec(gamma.witnesses[k][0]), _vec(gamma.witnesses[k][1]),
+                   _f(gamma.witnesses[k][2])]
+                  for k, T in enumerate(gamma.windows))
     tab = avg.table
     grid_nodes = np.stack([m.ravel() for m in np.meshgrid(*tab.axes, indexing="ij")],
                           axis=-1)
-    flat_table = tab.table.reshape(-1, spec.n)
-    for k in range(grid_nodes.shape[0]):
-        table_rows.append([_vec(grid_nodes[k, : spec.n]), _vec(grid_nodes[k, spec.n:]),
-                           _vec(flat_table[k])])
-    _write_csv(table_path, ["x", "r", "favg"], table_rows)
+    table_rows = ([_vec(z[: spec.n]), _vec(z[spec.n:]), _vec(fz)]
+                  for z, fz in zip(grid_nodes, tab.table.reshape(-1, spec.n)))
 
-    report_path = outdir / "average_report.txt"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"window length for the tabulated average: T_long = {_f(T_long)}\n")
-        fh.write(f"registered closed form: {'yes' if favg is not None else 'no'}\n")
-        fh.write(f"max nodal deviation from closed form: {_f(avg.nodal_residual)}\n")
-        if gamma.envelope[0] > 0.0:
-            trend = gamma.envelope[-1] / gamma.envelope[0]
-            fh.write(f"gamma trend envelope(T_last)/envelope(T_first) = {_f(trend)} "
-                     f"(diagnostic: <= 0.1 indicates a well-averaged field)\n")
-        fh.write("jacobian residual exceeds state gamma envelope at T values: ")
-        if jac.exceeds_state_envelope and any(jac.exceeds_state_envelope):
-            flagged = [str(float(T)) for T, bad
-                       in zip(jac.windows, jac.exceeds_state_envelope) if bad]
-            fh.write(", ".join(flagged) + "\n")
-        else:
-            fh.write("none\n")
-        fh.write("results are grid-certified suprema, not proofs\n")
+    report = [f"window length for the tabulated average: T_long = {_f(T_long)}",
+              f"registered closed form: {'yes' if favg is not None else 'no'}",
+              f"max nodal deviation from closed form: {_f(avg.nodal_residual)}"]
+    if gamma.envelope[0] > 0.0:
+        trend = gamma.envelope[-1] / gamma.envelope[0]
+        report.append(f"gamma trend envelope(T_last)/envelope(T_first) = {_f(trend)} "
+                      f"(diagnostic: <= 0.1 indicates a well-averaged field)")
+    flagged = [str(float(T)) for T, bad
+               in zip(jac.windows, jac.exceeds_state_envelope or ()) if bad]
+    report.append("jacobian residual exceeds state gamma envelope at T values: "
+                  + (", ".join(flagged) or "none"))
+    report.append("results are grid-certified suprema, not proofs")
     seed = args.seed if args.seed is not None else 0
-    _write_manifest(outdir, "average", doc.digest(), seed,
-                    [gamma_path.name, table_path.name, report_path.name], started)
-    return 0
+    return 0, seed, [
+        ("average_gamma.csv", _csv(["T", "gamma_raw", "gamma_envelope", "jac_gamma_raw",
+                                    "witness_x", "witness_r", "witness_tau"], gamma_rows)),
+        ("average_favg.csv", _csv(["x", "r", "favg"], table_rows)),
+        ("average_report.txt", report),
+    ], None
 
 
-def cmd_certify(args) -> int:
-    started = time.time()
-    doc = ConfigDocument.load(args.config)
-    spec = load_system(doc)
+def cmd_certify(args, doc, spec):
     raw_v = doc.get_str("certify", "V")
     if raw_v is None:
         raise ConfigError("missing [certify] V (certificate candidate expression)")
@@ -298,20 +248,11 @@ def cmd_certify(args) -> int:
                               safety_margin=margin)
     report = str(cert)
     print(report)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    report_path = outdir / "certify_report.txt"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report + "\n")
     seed = args.seed if args.seed is not None else 0
-    _write_manifest(outdir, "certify", doc.digest(), seed, [report_path.name], started)
-    return 0 if cert.verdict else 2
+    return (0 if cert.verdict else 2), seed, [("certify_report.txt", [report])], None
 
 
-def cmd_recur(args) -> int:
-    started = time.time()
-    doc = ConfigDocument.load(args.config)
-    spec = load_system(doc)
+def cmd_recur(args, doc, spec):
     sections = ["recur", "simulate"]
     n_paths, horizon, cfg = _sim_numbers(doc, args, sections)
     inits = _parse_inits(doc, spec, sections)
@@ -324,37 +265,25 @@ def cmd_recur(args) -> int:
     ensemble = simulate_ensemble(spec, inits, n_paths, seed, horizon, cfg)
     rep = recurrence_estimate(ensemble, radius, rho, bound, spec)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for pid, (arc, ht) in enumerate(zip(ensemble, rep.hitting_times)):
-        end = arc.end_time
-        rows.append([
-            str(pid), str(arc.seed), "1" if ht is not None else "0",
-            _f(ht.t) if ht is not None else "", str(ht.j) if ht is not None else "",
-            _f(ht.t + ht.j) if ht is not None else "",
-            _f(end.t), str(end.j), arc.terminal_reason,
-        ])
-    paths_path = outdir / "recur_paths.csv"
-    _write_csv(paths_path, ["path_id", "seed", "hit", "hit_t", "hit_j", "hit_sum",
-                            "end_t", "end_j", "terminal_reason"], rows)
-    summary_path = outdir / "recur_summary.csv"
-    _write_csv(summary_path,
-               ["radius", "rho", "R", "n_paths", "hit_fraction", "wilson_low",
-                "wilson_high", "tau_hat", "stopped_before_budget"],
-               [[_f(rep.target_radius), _f(rep.rho), _f(rep.R), str(rep.n_paths),
-                 _f(rep.hit_fraction), _f(rep.wilson_low), _f(rep.wilson_high),
-                 _f(rep.tau_hat) if rep.tau_hat is not None else "",
-                 str(rep.stopped_before_budget)]])
-    _write_manifest(outdir, "recur", doc.digest(), seed,
-                    [paths_path.name, summary_path.name], started)
-    return 0
+    rows = ([str(pid), str(arc.seed), "1" if ht is not None else "0",
+             _f(ht.t) if ht is not None else "", str(ht.j) if ht is not None else "",
+             _f(ht.t + ht.j) if ht is not None else "",
+             _f(arc.end_time.t), str(arc.end_time.j), arc.terminal_reason]
+            for pid, (arc, ht) in enumerate(zip(ensemble, rep.hitting_times)))
+    summary = [_f(rep.target_radius), _f(rep.rho), _f(rep.R), str(rep.n_paths),
+               _f(rep.hit_fraction), _f(rep.wilson_low), _f(rep.wilson_high),
+               _f(rep.tau_hat) if rep.tau_hat is not None else "",
+               str(rep.stopped_before_budget)]
+    return 0, seed, [
+        ("recur_paths.csv", _csv(["path_id", "seed", "hit", "hit_t", "hit_j", "hit_sum",
+                                  "end_t", "end_j", "terminal_reason"], rows)),
+        ("recur_summary.csv", _csv(["radius", "rho", "R", "n_paths", "hit_fraction",
+                                    "wilson_low", "wilson_high", "tau_hat",
+                                    "stopped_before_budget"], [summary])),
+    ], None
 
 
-def cmd_sweep(args) -> int:
-    started = time.time()
-    doc = ConfigDocument.load(args.config)
-    spec = load_system(doc)
+def cmd_sweep(args, doc, spec):
     sections = ["sweep", "recur", "simulate"]
     if args.eps:
         eps_list = [float(e) for e in args.eps]
@@ -377,33 +306,26 @@ def cmd_sweep(args) -> int:
 
     result = epsilon_sweep(family, eps_list, inits, seed, params)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for ent in result.entries:
-        rows.append([_f(ent.epsilon),
-                     _f(ent.certified_radius) if ent.certified_radius is not None else "",
-                     _f(ent.hit_fraction), str(ent.n_paths), ent.note])
-    sweep_path = outdir / "sweep.csv"
-    _write_csv(sweep_path, ["epsilon", "certified_radius", "hit_fraction",
-                            "n_paths", "note"], rows)
-    summary_path = outdir / "sweep_summary.txt"
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"radii nonincreasing as epsilon decreases: "
-                 f"{'yes' if result.monotone else 'NO'}\n")
-        for a, b in result.violations:
-            fh.write(f"  violation between epsilon={a} and epsilon={b}\n")
-    _write_manifest(outdir, "sweep", doc.digest(), seed,
-                    [sweep_path.name, summary_path.name], started)
-    return 0
+    rows = ([_f(ent.epsilon),
+             _f(ent.certified_radius) if ent.certified_radius is not None else "",
+             _f(ent.hit_fraction), str(ent.n_paths), ent.note]
+            for ent in result.entries)
+    summary = [f"radii nonincreasing as epsilon decreases: "
+               f"{'yes' if result.monotone else 'NO'}"]
+    summary += [f"  violation between epsilon={a} and epsilon={b}"
+                for a, b in result.violations]
+    return 0, seed, [
+        ("sweep.csv", _csv(["epsilon", "certified_radius", "hit_fraction", "n_paths",
+                            "note"], rows)),
+        ("sweep_summary.txt", summary),
+    ], None
 
 
 FIG1_DEFAULTS = dict(T=1.0, p=0.1, epsilon=0.01, delta=0.1, t_max=10.0,
                      j_max=10_000, n_paths=100, stride=25)
 
 
-def cmd_fig1(args) -> int:
-    started = time.time()
+def cmd_fig1(args, doc, spec):
     p = dict(FIG1_DEFAULTS)
     if args.paths is not None:
         p["n_paths"] = args.paths
@@ -421,8 +343,6 @@ def cmd_fig1(args) -> int:
     nominal_spec = dataclasses.replace(spec, noise=JumpNoise.finite([[0.25]], [1.0]))
     nominal = simulate_path(nominal_spec, inits[1], seed, horizon, cfg)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     header = ["path_id", "kind", "t", "j", "x_1", "r_1", "tau", "event"]
     stride = p["stride"]
 
@@ -430,9 +350,6 @@ def cmd_fig1(args) -> int:
         for pid, arc in enumerate(ensemble):
             yield from _arc_rows(arc, pid, stride=stride, kind="jammed")
         yield from _arc_rows(nominal, len(ensemble), stride=stride, kind="nominal")
-
-    csv_path = outdir / "fig1.csv"
-    _write_csv(csv_path, header, all_rows())
 
     def strided(seg_attr, arc):
         ts, ys = [], []
@@ -452,12 +369,8 @@ def cmd_fig1(args) -> int:
     clock_panel = Panel("resetting clock (jump instants)", "t", "r")
     ts, ys = strided("r", nominal)
     clock_panel.curves.append(Curve(ts, ys, "#1f4fbf", 0.9, 1.0))
-    svg_path = outdir / "fig1.svg"
-    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_panels([main_panel, clock_panel]))
-    _write_manifest(outdir, "fig1", digest, seed, [csv_path.name, svg_path.name],
-                    started)
-    return 0
+    svg = render_panels([main_panel, clock_panel]).splitlines()
+    return 0, seed, [("fig1.csv", _csv(header, all_rows())), ("fig1.svg", svg)], digest
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -467,48 +380,71 @@ def _build_parser() -> argparse.ArgumentParser:
                     "stability certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True):
-        if config_required:
+    def command(name, fn, summary, config=True, paths=False, t_max=False):
+        sp = sub.add_parser(name, help=summary)
+        if config:
             sp.add_argument("--config", required=True, help="path to the run config")
         sp.add_argument("--seed", type=int, default=None, help="base RNG seed")
         sp.add_argument("--out", default="out", help="output directory")
+        if paths:
+            sp.add_argument("--paths", type=int, default=None)
+        if t_max:
+            sp.add_argument("--t-max", dest="t_max", type=float, default=None)
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("simulate", help="run an ensemble and dump trajectories")
-    common(sp)
-    sp.add_argument("--paths", type=int, default=None)
-    sp.add_argument("--t-max", dest="t_max", type=float, default=None)
-    sp.set_defaults(fn=cmd_simulate)
-
-    sp = sub.add_parser("average", help="estimate the average map and gamma curve")
-    common(sp)
-    sp.set_defaults(fn=cmd_average)
-
-    sp = sub.add_parser("certify", help="check the stability certificate (exit 2 on fail)")
-    common(sp)
+    command("simulate", cmd_simulate, "run an ensemble and dump trajectories",
+            paths=True, t_max=True)
+    command("average", cmd_average, "estimate the average map and gamma curve")
+    sp = command("certify", cmd_certify, "check the stability certificate (exit 2 on fail)")
     sp.add_argument("--safety-margin", dest="safety_margin", type=float, default=None)
-    sp.set_defaults(fn=cmd_certify)
-
-    sp = sub.add_parser("recur", help="estimate recurrence of an inflated target ball")
-    common(sp)
-    sp.add_argument("--paths", type=int, default=None)
-    sp.add_argument("--t-max", dest="t_max", type=float, default=None)
+    sp = command("recur", cmd_recur, "estimate recurrence of an inflated target ball",
+                 paths=True, t_max=True)
     sp.add_argument("--radius", type=float, default=None)
     sp.add_argument("--rho", type=float, default=None)
     sp.add_argument("--bound", type=float, default=None, help="initial-condition bound R")
-    sp.set_defaults(fn=cmd_recur)
-
-    sp = sub.add_parser("sweep", help="certified recurrence radius per epsilon")
-    common(sp)
-    sp.add_argument("--paths", type=int, default=None)
-    sp.add_argument("--t-max", dest="t_max", type=float, default=None)
+    sp = command("sweep", cmd_sweep, "certified recurrence radius per epsilon",
+                 paths=True, t_max=True)
     sp.add_argument("--eps", nargs="+", default=None, help="epsilon values (decreasing)")
-    sp.set_defaults(fn=cmd_sweep)
-
-    sp = sub.add_parser("fig1", help="reproduce the jammed-optimizer ensemble figure")
-    common(sp, config_required=False)
-    sp.add_argument("--paths", type=int, default=None)
-    sp.set_defaults(fn=cmd_fig1)
+    command("fig1", cmd_fig1, "reproduce the jammed-optimizer ensemble figure",
+            config=False, paths=True)
     return parser
+
+
+def _run(args) -> int:
+    """Run one command and write its outputs and manifest into --out.
+
+    The command gets the loaded config and system (None for fig1, which
+    takes no --config) and returns (exit code, seed, [(file name, lines)],
+    digest override).  --out is created only after the command returns, so a
+    failing command leaves nothing behind; CSV lines stream from generators
+    while they are written.
+    """
+    started = time.time()
+    doc = spec = None
+    if getattr(args, "config", None) is not None:
+        doc = ConfigDocument.load(args.config)
+        spec = load_system(doc)
+    code, seed, outputs, digest = args.fn(args, doc, spec)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, lines in outputs:
+        with open(outdir / name, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    manifest = {
+        "command": args.command,
+        "config_digest": digest if digest is not None else doc.digest(),
+        "seed_base": int(seed),
+        "toolkit_version": __version__,
+        "duration_seconds": round(time.time() - started, 3),
+        "outputs": sorted(name for name, _ in outputs),
+    }
+    with open(outdir / f"{args.command}_manifest.json", "w", encoding="utf-8",
+              newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return code
 
 
 def main(argv=None) -> int:
@@ -523,7 +459,7 @@ def main(argv=None) -> int:
         # every map output is checked for finiteness where it is used, so
         # numpy's floating-point warnings would only repeat the error line
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return args.fn(args)
+            return _run(args)
     except (ConfigError, ExpressionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

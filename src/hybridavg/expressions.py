@@ -3,8 +3,10 @@
 Grammar: numbers, identifiers (x_i, r_i, v_i, tau, v, eps), the four infix
 operators + - * / with usual precedence, unary minus, parentheses, and the
 functions sin, cos, abs, min, max, pow.  Expressions compile to a small AST
-of plain dataclasses, so compiled maps are immutable, shareable across
-processes, and evaluate vectorized over batched numpy arrays.
+of plain dataclasses.  Every compiled map, whether a flow, aux flow, jump,
+average map or scalar candidate, is one CompiledMap keyed by the roles of its
+positional arguments; it evaluates vectorized over batched numpy arrays and
+pickles as plain data.
 """
 
 from __future__ import annotations
@@ -302,109 +304,51 @@ def compile_expressions(texts, allowed: set):
     return tuple(exprs)
 
 
-def _columns_env(env: dict, x=None, r=None, v=None, tau=None, eps=None) -> dict:
-    if x is not None:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        for i in range(x.shape[1]):
-            env[f"x_{i + 1}"] = x[:, i]
-    if r is not None:
-        r = np.atleast_2d(np.asarray(r, dtype=float))
-        for i in range(r.shape[1]):
-            env[f"r_{i + 1}"] = r[:, i]
-    if v is not None:
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        for i in range(v.shape[1]):
-            env[f"v_{i + 1}"] = v[:, i]
-        env["v"] = v[:, 0]
-    if tau is not None:
-        env["tau"] = tau
-    if eps is not None:
-        env["eps"] = eps
-    return env
+#: positional arguments whose columns bind as <role>_1, <role>_2, ...
+_ARRAY_ROLES = ("x", "r", "v")
 
 
-def _stack_columns(values, batch_shape) -> np.ndarray:
-    cols = []
-    for val in values:
-        arr = np.asarray(val, dtype=float)
-        cols.append(np.broadcast_to(arr, batch_shape))
-    return np.stack(cols, axis=-1)
+class CompiledMap:
+    """One compiled map, called with the positional arguments named by roles.
+
+    ``roles`` lists the arguments in call order, e.g. ("x", "r", "tau", "eps")
+    for a flow map f or ("r", "v") for an aux jump map h.  An array role binds
+    the columns of its last axis as x_i / r_i / v_i (plus the alias v for
+    v_1); tau and eps bind as given.  The batch B is the leading shape of the
+    first argument (all axes but the last).  A tuple of expressions gives one
+    output column each, shape (B, k); one bare expression gives a scalar map,
+    shape (B,).
+    """
+
+    def __init__(self, exprs, roles):
+        self.exprs = tuple(exprs) if isinstance(exprs, (list, tuple)) else exprs
+        self.roles = tuple(roles)
+
+    def __call__(self, *args):
+        env = {}
+        batch = None
+        for role, arg in zip(self.roles, args):
+            if role not in _ARRAY_ROLES:
+                env[role] = arg
+                continue
+            arg = np.atleast_2d(np.asarray(arg, dtype=float))
+            if batch is None:
+                batch = arg.shape[:-1]
+            for i in range(arg.shape[-1]):
+                env[f"{role}_{i + 1}"] = arg[..., i]
+            if role == "v":
+                env["v"] = arg[..., 0]
+        if not isinstance(self.exprs, tuple):
+            return np.broadcast_to(np.asarray(self.exprs.eval(env), dtype=float), batch)
+        return np.stack([np.broadcast_to(np.asarray(e.eval(env), dtype=float), batch)
+                         for e in self.exprs], axis=-1)
 
 
-class FlowField:
-    """Compiled flow map f(x, r, tau, eps) -> (B, n) from one expression per x-dim."""
-
-    def __init__(self, exprs, n: int, p: int):
-        self.exprs = tuple(exprs)
-        self.n = n
-        self.p = p
-
-    def __call__(self, x, r, tau, eps):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        env = _columns_env({}, x=x, r=r, tau=tau, eps=eps)
-        return _stack_columns([e.eval(env) for e in self.exprs], x.shape[:-1])
-
-
-class AuxField:
-    """Compiled auxiliary flow w(r) -> (B, p)."""
-
-    def __init__(self, exprs, p: int):
-        self.exprs = tuple(exprs)
-        self.p = p
-
-    def __call__(self, r):
-        r = np.atleast_2d(np.asarray(r, dtype=float))
-        env = _columns_env({}, r=r)
-        return _stack_columns([e.eval(env) for e in self.exprs], r.shape[:-1])
-
-
-class JumpFieldX:
-    """Compiled main jump map g(x, r, v) -> (B, n)."""
-
-    def __init__(self, exprs, n: int):
-        self.exprs = tuple(exprs)
-        self.n = n
-
-    def __call__(self, x, r, v):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        env = _columns_env({}, x=x, r=r, v=v)
-        return _stack_columns([e.eval(env) for e in self.exprs], x.shape[:-1])
-
-
-class JumpFieldR:
-    """Compiled auxiliary jump map h(r, v) -> (B, p)."""
-
-    def __init__(self, exprs, p: int):
-        self.exprs = tuple(exprs)
-        self.p = p
-
-    def __call__(self, r, v):
-        r = np.atleast_2d(np.asarray(r, dtype=float))
-        env = _columns_env({}, r=r, v=v)
-        return _stack_columns([e.eval(env) for e in self.exprs], r.shape[:-1])
-
-
-class AverageField:
+def AverageField(exprs, n: int) -> CompiledMap:
     """Compiled clock-free average map f_ave(x, r) -> (B, n)."""
-
-    def __init__(self, exprs, n: int):
-        self.exprs = tuple(exprs)
-        self.n = n
-
-    def __call__(self, x, r):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        env = _columns_env({}, x=x, r=r)
-        return _stack_columns([e.eval(env) for e in self.exprs], x.shape[:-1])
+    return CompiledMap(tuple(exprs), ("x", "r"))
 
 
-class ScalarField:
+def ScalarField(expr) -> CompiledMap:
     """Compiled scalar function of (x, r) -> (B,), e.g. a certificate candidate."""
-
-    def __init__(self, expr):
-        self.expr = expr
-
-    def __call__(self, x, r):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        env = _columns_env({}, x=x, r=r)
-        val = np.asarray(self.expr.eval(env), dtype=float)
-        return np.broadcast_to(val, x.shape[:-1])
+    return CompiledMap(expr, ("x", "r"))

@@ -16,15 +16,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .core import JumpNoise, SetDescriptor, SystemSpec
-from .expressions import (
-    AuxField,
-    ExpressionError,
-    FlowField,
-    JumpFieldR,
-    JumpFieldX,
-    allowed_names,
-    compile_expressions,
-)
+from .expressions import CompiledMap, ExpressionError, allowed_names, compile_expressions
 
 
 @dataclass(frozen=True)
@@ -163,21 +155,26 @@ def load_system(source) -> SystemSpec:
     m = doc.get_int("system", "noise_dim")
     epsilon = doc.get_float("system", "epsilon")
 
-    def compile_field(key: str, count: int, allowed: set):
+    dims = {"x": n, "r": p, "v": m}
+
+    def compile_map(key: str, roles: tuple):
+        # a map returns one column per dimension of its first argument
         texts = doc.get_expr_list("system", key)
-        if len(texts) != count:
+        if len(texts) != dims[roles[0]]:
             raise cfgmod.ConfigError(
-                f"[system] {key}: expected {count} expression(s) separated by ';', "
+                f"[system] {key}: expected {dims[roles[0]]} expression(s) separated by ';', "
                 f"got {len(texts)}")
+        allowed = allowed_names(*(dims[a] if a in roles else 0 for a in "xrv"),
+                                tau="tau" in roles, eps="eps" in roles)
         try:
-            return compile_expressions(texts, allowed)
+            return CompiledMap(compile_expressions(texts, allowed), roles)
         except ExpressionError as exc:
             raise cfgmod.ConfigError(f"[system] {key}: {exc}") from exc
 
-    f_exprs = compile_field("flow_x", n, allowed_names(n=n, p=p, tau=True, eps=True))
-    w_exprs = compile_field("flow_r", p, allowed_names(p=p))
-    g_exprs = compile_field("jump_x", n, allowed_names(n=n, p=p, m=m))
-    h_exprs = compile_field("jump_r", p, allowed_names(p=p, m=m))
+    f = compile_map("flow_x", ("x", "r", "tau", "eps"))
+    w = compile_map("flow_r", ("r",))
+    g = compile_map("jump_x", ("x", "r", "v"))
+    h = compile_map("jump_r", ("r", "v"))
 
     C = doc.get_set("system", "flow_set", p)
     D = doc.get_set("system", "jump_set", p)
@@ -206,10 +203,7 @@ def load_system(source) -> SystemSpec:
 
     return SystemSpec(
         n=n, p=p, m=m,
-        f=FlowField(f_exprs, n, p),
-        w=AuxField(w_exprs, p),
-        g=JumpFieldX(g_exprs, n),
-        h=JumpFieldR(h_exprs, p),
+        f=f, w=w, g=g, h=h,
         C=C, D=D,
         noise=noise,
         epsilon=epsilon,

@@ -29,6 +29,18 @@ class TestCertGrid:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             CertGrid(**{field: 0})
 
+    @pytest.mark.parametrize("radii", [(1.0, math.nan), (math.inf,), (0.0, 1.0), (-1.0,), ()],
+                             ids=["nan", "inf", "zero", "negative", "empty"])
+    def test_rejects_bad_explicit_radii(self, radii):
+        with pytest.raises(ValueError, match="grid radii must be a non-empty sequence"):
+            CertGrid(radii=radii)
+
+    def test_report_names_the_radii_in_use(self):
+        default = build_cert(0.1)
+        assert str(default).splitlines()[-1] == "grid: radii [0.001, 10.0] x 25 pts, r x 5 pts"
+        nested = build_cert(0.1, grid=CertGrid(radii=tuple(np.array([0.5, 1.0, 2.0]))))
+        assert str(nested).splitlines()[-1] == "grid: radii [0.5, 1.0, 2.0], r x 5 pts"
+
 
 class TestSandwich:
     def test_quadratic_gives_unit_constants(self, average_system):

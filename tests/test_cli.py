@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -5,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from hybridavg.cli import main
+from hybridavg import __version__
+from hybridavg.cli import FIG1_DEFAULTS, main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SMALL_ACTUATOR = """\
 [system]
@@ -129,6 +133,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_expression_config_matches_the_built_in_actuator(self, tmp_path):
+        outs = []
+        for name in ("actuator.cfg", "actuator_expr.cfg"):
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(CONFIGS / name), "--seed", "3",
+                         "--paths", "3", "--t-max", "1", "--out", str(out)]) == 0
+            outs.append((out / "simulate.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_manifest_lists_outputs(self, actuator_cfg, tmp_path):
         out = tmp_path / "out"
         main(["simulate", "--config", actuator_cfg, "--seed", "3", "--out", str(out)])
@@ -178,7 +191,8 @@ class TestCertifyCommand:
         text = text.replace("V = pow(x_1, 2)\n", "")
         cfg = write_cfg(tmp_path, text)
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-
+        # the runner creates --out only after the command has succeeded
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_radius_is_exit_one(self, tmp_path, capsys, value):
@@ -338,3 +352,56 @@ class TestExitCodes:
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+# config seeds: [simulate], [recur] and [sweep] read theirs; average and
+# certify always default to seed 0, even when their section sets one
+SEEDED = SMALL_ACTUATOR
+for _section, _seed in (("simulate", 11), ("recur", 12), ("sweep", 13), ("average", 14),
+                        ("certify", 15)):
+    SEEDED = SEEDED.replace(f"[{_section}]\n", f"[{_section}]\nseed = {_seed}\n")
+
+RUNNER_CASES = {
+    "simulate": (["--paths", "2", "--t-max", "0.5"], 11),
+    "average": ([], 0),
+    "certify": ([], 0),
+    "recur": (["--paths", "30", "--t-max", "0.5"], 12),
+    "sweep": (["--paths", "30", "--t-max", "0.5", "--eps", "0.1"], 13),
+    "fig1": (["--paths", "2"], 0),
+}
+
+
+class TestRunner:
+    @pytest.mark.parametrize("seed", [None, 5])
+    @pytest.mark.parametrize("command", list(RUNNER_CASES))
+    def test_manifest(self, tmp_path, capsys, command, seed):
+        extra, config_seed = RUNNER_CASES[command]
+        cfg = write_cfg(tmp_path, SEEDED.format(
+            p=0.1, t_values="3.141592653589793", eps_values="0.1"))
+        out = tmp_path / "out"
+        argv = [command, *extra, "--out", str(out)]
+        if command != "fig1":
+            argv += ["--config", cfg]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        path = out / f"{command}_manifest.json"
+        text = path.read_text(encoding="utf-8")
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        assert set(manifest) == {"command", "config_digest", "seed_base", "toolkit_version",
+                                 "duration_seconds", "outputs"}
+        assert manifest["command"] == command
+        assert manifest["toolkit_version"] == __version__
+        assert manifest["duration_seconds"] >= 0.0
+        assert manifest["outputs"] == sorted(f.name for f in out.iterdir() if f != path)
+        if command == "fig1":
+            params = dict(FIG1_DEFAULTS, n_paths=2)
+            source = "fig1:" + ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+            digest = hashlib.sha256(source.encode()).hexdigest()
+        else:
+            digest = hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
+        assert manifest["config_digest"] == digest
+        assert manifest["seed_base"] == (config_seed if seed is None else seed)

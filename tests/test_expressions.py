@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from hybridavg.expressions import (
+    AverageField,
+    CompiledMap,
     ExpressionError,
-    FlowField,
     ScalarField,
     allowed_names,
     bind_expression,
@@ -90,7 +91,7 @@ class TestErrors:
 class TestCompiledFields:
     def test_flow_field_shapes(self):
         exprs = compile_expressions(["-x_1*(1 + sin(tau))"], allowed_names(n=1, p=1, tau=True, eps=True))
-        f = FlowField(exprs, n=1, p=1)
+        f = CompiledMap(exprs, ("x", "r", "tau", "eps"))
         x = np.array([[1.0], [2.0]])
         r = np.zeros((2, 1))
         out = f(x, r, 0.0, 0.01)
@@ -99,9 +100,7 @@ class TestCompiledFields:
 
     def test_constant_expression_broadcasts(self):
         exprs = compile_expressions(["1"], allowed_names(p=1))
-        from hybridavg.expressions import AuxField
-
-        w = AuxField(exprs, p=1)
+        w = CompiledMap(exprs, ("r",))
         assert np.array_equal(w(np.zeros((5, 1))), np.ones((5, 1)))
 
     def test_scalar_field(self):
@@ -113,8 +112,104 @@ class TestCompiledFields:
     def test_compiled_fields_pickle_round_trip(self):
         exprs = compile_expressions(["-x_1*(1 + sin(tau))"],
                                     allowed_names(n=1, p=1, tau=True, eps=True))
-        f = FlowField(exprs, n=1, p=1)
+        f = CompiledMap(exprs, ("x", "r", "tau", "eps"))
         g = pickle.loads(pickle.dumps(f))
         x = np.array([[1.7]])
         r = np.zeros((1, 1))
         assert np.array_equal(f(x, r, 2.3, 0.01), g(x, r, 2.3, 0.01))
+
+
+# one compiled-map type for every role: n = 2, p = 1, m = 2
+DIMS = {"x": 2, "r": 1, "v": 2}
+ROLES = {
+    "f": ("x", "r", "tau", "eps"),
+    "w": ("r",),
+    "g": ("x", "r", "v"),
+    "h": ("r", "v"),
+    "favg": ("x", "r"),
+    "V": ("x", "r"),
+}
+
+
+def _names(roles):
+    return allowed_names(*(DIMS[a] if a in roles else 0 for a in "xrv"),
+                         tau="tau" in roles, eps="eps" in roles)
+
+
+def _compiled(role, texts):
+    """The compiled map of a role; V takes one bare expression, the others a tuple."""
+    roles = ROLES[role]
+    exprs = compile_expressions(texts, _names(roles))
+    return CompiledMap(exprs[0] if role == "V" else exprs, roles)
+
+
+def _args(role, batch):
+    rng = np.random.default_rng(batch)
+    return [rng.normal(size=(batch, DIMS[a])) if a in DIMS
+            else (np.linspace(0.0, 1.0, batch) if a == "tau" else 0.01)
+            for a in ROLES[role]]
+
+
+def _shape(role, batch):
+    return (batch,) if role == "V" else (batch, DIMS[ROLES[role][0]])
+
+
+class TestCompiledMap:
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("role", list(ROLES))
+    def test_shape_and_values(self, role, batch):
+        # output column i is (i + 1) times the sum of every bound name
+        names = sorted(_names(ROLES[role]))
+        k = 1 if role == "V" else DIMS[ROLES[role][0]]
+        fmap = _compiled(role, [f"{i + 1} * ({' + '.join(names)})" for i in range(k)])
+        args = _args(role, batch)
+        out = fmap(*args)
+        assert out.shape == _shape(role, batch)
+        total = sum(a.sum(axis=1) if np.ndim(a) == 2 else a for a in args)
+        if "v" in ROLES[role]:
+            total = total + args[ROLES[role].index("v")][:, 0]  # the alias v
+        want = total if role == "V" else total[:, None] * np.arange(1, k + 1)
+        assert np.allclose(out, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("role", ["g", "h"])
+    def test_v_aliases_v_1(self, role):
+        k = DIMS[ROLES[role][0]]
+        fmap = _compiled(role, ["v - v_1"] * k)
+        args = _args(role, 4)
+        args[ROLES[role].index("v")][:, 1] = np.nan  # v_2 is not the alias
+        assert np.array_equal(fmap(*args), np.zeros((4, k)))
+
+    @pytest.mark.parametrize("role", list(ROLES))
+    def test_constant_expression_broadcasts(self, role):
+        k = 1 if role == "V" else DIMS[ROLES[role][0]]
+        out = _compiled(role, ["2.5"] * k)(*_args(role, 3))
+        assert np.array_equal(out, np.full(_shape(role, 3), 2.5))
+
+    @pytest.mark.parametrize("role", list(ROLES))
+    def test_pickle_round_trip(self, role):
+        k = 1 if role == "V" else DIMS[ROLES[role][0]]
+        names = sorted(_names(ROLES[role]))
+        fmap = _compiled(role, [" * ".join(names)] * k)
+        copy = pickle.loads(pickle.dumps(fmap))
+        args = _args(role, 3)
+        assert copy.roles == fmap.roles
+        assert np.array_equal(copy(*args), fmap(*args))
+
+    def test_multi_axis_batch_binds_columns_of_the_last_axis(self):
+        fmap = _compiled("f", ["x_1 - 2 * x_2 + r_1", "tau"])
+        x = np.arange(12.0).reshape(2, 3, 2)
+        tau = np.arange(6.0).reshape(2, 3)
+        out = fmap(x, np.full((2, 3, 1), 0.5), tau, 0.01)
+        assert out.shape == (2, 3, 2)
+        assert np.array_equal(out[..., 0], x[..., 0] - 2 * x[..., 1] + 0.5)
+        assert np.array_equal(out[..., 1], tau)
+
+    def test_named_constructors_build_the_one_type(self):
+        exprs = compile_expressions(["-x_1", "r_1"], allowed_names(n=2, p=1))
+        favg = AverageField(exprs, 2)
+        V = ScalarField(exprs[0])
+        assert type(favg) is CompiledMap and type(V) is CompiledMap
+        assert favg.roles == V.roles == ("x", "r")
+        x, r = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.5], [0.25]])
+        assert np.array_equal(favg(x, r), np.array([[-1.0, 0.5], [-3.0, 0.25]]))
+        assert np.array_equal(V(x, r), np.array([-1.0, -3.0]))

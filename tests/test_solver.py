@@ -535,18 +535,21 @@ class TestAuxStepPlan:
             ha.simulate_ensemble(spec, inits, 3, 4, ha.Horizon(2.0, 10))
         assert str(err.value) == "map 'w' returned a non-finite value (t=0.0; path 1, seed 5)"
 
-    def test_non_finite_w_at_an_inner_stage_leaves_the_sets(self):
-        # only the RK4 stages reach r > 0.5 first: r turns inf and the path
-        # leaves C u D, as it did when every step evaluated w on the batch
+    @pytest.mark.parametrize("cut, bad", [(0.5, np.inf), (0.49925, np.nan)],
+                             ids=["k4-inf", "k2-nan"])
+    def test_non_finite_w_at_an_inner_stage_is_an_error(self, cut, bad):
+        # from r = 0.499 (dt = 1e-3) the stages visit 0.4995 and 0.5000...3: an
+        # inner stage is the first to pass the cut, never the planned row r
         def w(r):
             r = np.asarray(r, dtype=float)
-            return np.where(r > 0.5, np.inf, 1.0)
+            return np.where(r > cut, bad, 1.0)
 
         spec = dataclasses.replace(make_actuator(), w=w)
         inits = [state(1.0, 0.0), state(-1.0, 0.0)]
-        arcs = _assert_same_outcome(spec, inits, [4, 5], ha.Horizon(2.0, 10))
-        assert [arc.terminal_reason for arc in arcs] == [TERMINAL_LEFT_SETS] * 2
-        assert np.isinf(arcs[0].segments[0].r[-1, 0])
+        with pytest.raises(MapEvaluationError) as err:
+            ha.simulate_ensemble(spec, inits, 2, 4, ha.Horizon(2.0, 10))
+        assert str(err.value) == ("map 'w' returned a non-finite value "
+                                  "(t=0.4990000000000004; path 0, seed 4)")
 
     def test_w_is_planned_once_per_distinct_step(self):
         calls = {"f": 0, "w": 0}
