@@ -40,7 +40,6 @@ from .core import (
     SetDescriptor,
     StateVec,
     SystemSpec,
-    dist_to_target,
     hybrid_time_sum,
     validate_spec,
 )
@@ -68,7 +67,7 @@ __all__ = [
     "RecurrenceReport", "SamplingPlan", "SetDescriptor", "StateVec",
     "SweepParams", "SystemSpec", "build_average_system", "check_flow_decrease",
     "check_gradient_bound", "check_jacobian_average", "check_jump_condition",
-    "check_sandwich", "dist_to_target", "epsilon_sweep", "estimate_average_map",
+    "check_sandwich", "epsilon_sweep", "estimate_average_map",
     "estimate_gamma", "estimate_lipschitz", "expected_jump_value",
     "foster_certificate", "hitting_time", "hybrid_time_sum", "jammed_actuator",
     "jammed_es", "load_system", "recurrence_estimate", "simulate_ensemble",

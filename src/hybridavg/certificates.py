@@ -326,8 +326,9 @@ def foster_certificate(V: Callable, avg: AverageSpec,
     lambda = (c2/c1)*c5 < 1/2 - safety_margin (strict; the margin can only
     tighten the gate, never loosen it).
     """
-    if safety_margin < 0.0:
-        raise ValueError("safety_margin can tighten the gate only (must be >= 0)")
+    if not (safety_margin >= 0.0 and math.isfinite(safety_margin)):
+        raise ValueError("safety_margin can tighten the gate only (must be finite and >= 0), "
+                         f"got {safety_margin!r}")
     grid = grid or CertGrid()
     sandwich = check_sandwich(V, avg, grid)
     gradb = check_gradient_bound(V, avg, grid, grad_V)

@@ -16,8 +16,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -103,23 +105,27 @@ def _sim_numbers(doc: ConfigDocument, args, sections):
     return n_paths, Horizon(t_max, j_max), cfg
 
 
-def _arc_rows(arc, path_id: int, stride: int = 1, kind: str = None):
-    """CSV rows for one arc: flow samples (strided), jump post-states, terminal."""
-    prefix = [str(path_id)] + ([kind] if kind is not None else [])
-    last_row = None
+def _arc_lines(arc, path_id: int, stride: int = 1, kind: str = None):
+    """CSV lines for one arc: flow samples (strided), jump post-states, terminal.
+
+    Each segment is formatted column by column and then joined row by row, so
+    lines stream out one segment at a time.
+    """
+    head = [str(path_id)] + ([kind] if kind is not None else [])
+    last = None
     for si, seg in enumerate(arc.segments):
         count = seg.t.shape[0]
-        for k in range(count):
-            event = "jump" if (si > 0 and k == 0) else "flow"
-            if event == "flow" and stride > 1 and k % stride and k != count - 1:
-                continue
-            row = prefix + [_f(seg.t[k]), str(int(seg.j)),
-                            *(_f(c) for c in seg.x[k]), *(_f(c) for c in seg.r[k]),
-                            _f(seg.tau[k]), event]
-            yield row
-            last_row = row
-    if last_row is not None:
-        yield last_row[:-1] + ["terminal"]
+        keep = slice(None)
+        if stride > 1:
+            keep = list(range(0, count, stride)) + ([count - 1] if (count - 1) % stride else [])
+        t, *rest = (list(map(repr, col.tolist()))
+                    for col in (seg.t[keep], *seg.x[keep].T, *seg.r[keep].T, seg.tau[keep]))
+        j = str(int(seg.j))
+        events = ["jump" if si > 0 else "flow"] + ["flow"] * (len(t) - 1)
+        yield from map(",".join, zip(*map(repeat, head), t, repeat(j), *rest, events))
+        last = [*head, t[-1], j, *(col[-1] for col in rest)]
+    if last is not None:
+        yield ",".join(last + ["terminal"])
 
 
 def cmd_simulate(args, doc, spec):
@@ -131,8 +137,8 @@ def cmd_simulate(args, doc, spec):
     ensemble = simulate_ensemble(spec, inits, n_paths, seed, horizon, cfg)
     header = (["path_id", "t", "j"] + [f"x_{i+1}" for i in range(spec.n)]
               + [f"r_{i+1}" for i in range(spec.p)] + ["tau", "event"])
-    rows = (row for pid, arc in enumerate(ensemble) for row in _arc_rows(arc, pid))
-    return 0, seed, [("simulate.csv", _csv(header, rows))], None
+    lines = (line for pid, arc in enumerate(ensemble) for line in _arc_lines(arc, pid))
+    return 0, seed, [("simulate.csv", chain([",".join(header)], lines))], None
 
 
 def _favg_from_config(doc: ConfigDocument, spec):
@@ -223,6 +229,11 @@ def cmd_average(args, doc, spec):
 
 
 def cmd_certify(args, doc, spec):
+    margin = args.safety_margin
+    if margin is None:
+        margin = doc.get_float("certify", "safety_margin", 0.0)
+    elif not (margin >= 0.0 and math.isfinite(margin)):
+        raise ConfigError(f"--safety-margin must be a finite number >= 0, got {margin!r}")
     raw_v = doc.get_str("certify", "V")
     if raw_v is None:
         raise ConfigError("missing [certify] V (certificate candidate expression)")
@@ -241,8 +252,6 @@ def cmd_certify(args, doc, spec):
         radial_points=doc.get_int("certify", "radial_points", 25),
         r_points=doc.get_int("certify", "r_points", 5),
     )
-    margin = args.safety_margin if args.safety_margin is not None \
-        else doc.get_float("certify", "safety_margin", 0.0)
     cert = foster_certificate(V, avg, grid,
                               mc_samples=doc.get_int("certify", "mc_samples", 100_000),
                               safety_margin=margin)
@@ -346,10 +355,11 @@ def cmd_fig1(args, doc, spec):
     header = ["path_id", "kind", "t", "j", "x_1", "r_1", "tau", "event"]
     stride = p["stride"]
 
-    def all_rows():
+    def all_lines():
+        yield ",".join(header)
         for pid, arc in enumerate(ensemble):
-            yield from _arc_rows(arc, pid, stride=stride, kind="jammed")
-        yield from _arc_rows(nominal, len(ensemble), stride=stride, kind="nominal")
+            yield from _arc_lines(arc, pid, stride=stride, kind="jammed")
+        yield from _arc_lines(nominal, len(ensemble), stride=stride, kind="nominal")
 
     def strided(seg_attr, arc):
         ts, ys = [], []
@@ -370,7 +380,7 @@ def cmd_fig1(args, doc, spec):
     ts, ys = strided("r", nominal)
     clock_panel.curves.append(Curve(ts, ys, "#1f4fbf", 0.9, 1.0))
     svg = render_panels([main_panel, clock_panel]).splitlines()
-    return 0, seed, [("fig1.csv", _csv(header, all_rows())), ("fig1.svg", svg)], digest
+    return 0, seed, [("fig1.csv", all_lines()), ("fig1.svg", svg)], digest
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -365,20 +365,11 @@ class HybridArc:
         return StateVec(s1.x[-1], s1.r[-1], float(s1.tau[-1]))
 
 
-def dist_to_target(s: StateVec, spec: SystemSpec) -> float:
-    """Euclidean distance of (x, r) to the target set A = {0} x (C u D).
-
-    Equals |x| whenever r lies in C u D, which holds along every solution.
-    """
-    if s.n != spec.n or s.p != spec.p:
-        raise ValueError(
-            f"state dims (n={s.n}, p={s.p}) do not match spec (n={spec.n}, p={spec.p})"
-        )
-    return float(distances_to_target(s.x[None, :], s.r[None, :], spec)[0])
-
-
 def distances_to_target(x: np.ndarray, r: np.ndarray, spec: SystemSpec) -> np.ndarray:
-    """Vectorized dist_to_target over rows of x (K, n) and r (K, p)."""
+    """Euclidean distances of rows (x (K, n), r (K, p)) to the target set A = {0} x (C u D).
+
+    A row's distance is |x| whenever r lies in C u D, which holds along every solution.
+    """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
     dr = spec.flow_or_jump_set.distance(r)

@@ -2,11 +2,15 @@
 
 Grammar: numbers, identifiers (x_i, r_i, v_i, tau, v, eps), the four infix
 operators + - * / with usual precedence, unary minus, parentheses, and the
-functions sin, cos, abs, min, max, pow.  Expressions compile to a small AST
-of plain dataclasses.  Every compiled map, whether a flow, aux flow, jump,
+functions sin, cos, abs, min, max, pow.  Expressions parse to a small AST of
+plain dataclasses.  Every compiled map, whether a flow, aux flow, jump,
 average map or scalar candidate, is one CompiledMap keyed by the roles of its
-positional arguments; it evaluates vectorized over batched numpy arrays and
-pickles as plain data.
+positional arguments.  When it is built, a map translates its AST into the
+source of one Python function, one numpy operation per node, and compiles it
+once.  That source is made from the AST alone: its names come from the roles
+and a fixed table of numpy functions, literals are bound as constants, and no
+user text is ever evaluated.  Maps run vectorized over batched numpy arrays
+and pickle as plain data.
 """
 
 from __future__ import annotations
@@ -25,25 +29,20 @@ class ExpressionError(ValueError):
         self.column = column
 
 
+#: name -> (min args, max args or None, numpy ufunc); min and max fold left
 _FUNCTIONS = {
-    "sin": (1, 1),
-    "cos": (1, 1),
-    "abs": (1, 1),
-    "min": (2, None),
-    "max": (2, None),
-    "pow": (2, 2),
+    "sin": (1, 1, np.sin),
+    "cos": (1, 1, np.cos),
+    "abs": (1, 1, np.abs),
+    "min": (2, None, np.minimum),
+    "max": (2, None, np.maximum),
+    "pow": (2, 2, np.power),
 }
 
 
 @dataclass(frozen=True)
 class Num:
     value: float
-
-    def eval(self, env):
-        return self.value
-
-    def names(self, out):
-        pass
 
 
 @dataclass(frozen=True)
@@ -52,22 +51,10 @@ class Var:
     line: int = 0
     column: int = 0
 
-    def eval(self, env):
-        return env[self.name]
-
-    def names(self, out):
-        out.append(self)
-
 
 @dataclass(frozen=True)
 class Neg:
     a: object
-
-    def eval(self, env):
-        return -self.a.eval(env)
-
-    def names(self, out):
-        self.a.names(out)
 
 
 @dataclass(frozen=True)
@@ -76,45 +63,20 @@ class Bin:
     a: object
     b: object
 
-    def eval(self, env):
-        x = self.a.eval(env)
-        y = self.b.eval(env)
-        if self.op == "+":
-            return x + y
-        if self.op == "-":
-            return x - y
-        if self.op == "*":
-            return x * y
-        return x / y
-
-    def names(self, out):
-        self.a.names(out)
-        self.b.names(out)
-
 
 @dataclass(frozen=True)
 class Call:
     fn: str
     args: tuple
 
-    def eval(self, env):
-        vals = [a.eval(env) for a in self.args]
-        if self.fn == "sin":
-            return np.sin(vals[0])
-        if self.fn == "cos":
-            return np.cos(vals[0])
-        if self.fn == "abs":
-            return np.abs(vals[0])
-        if self.fn == "pow":
-            return np.power(vals[0], vals[1])
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = np.minimum(acc, v) if self.fn == "min" else np.maximum(acc, v)
-        return acc
 
-    def names(self, out):
-        for a in self.args:
-            a.names(out)
+def _variables(node) -> list:
+    """Every Var of an expression tree, left to right."""
+    if isinstance(node, Var):
+        return [node]
+    kids = (() if isinstance(node, Num) else node.args if isinstance(node, Call)
+            else (node.a, node.b) if isinstance(node, Bin) else (node.a,))
+    return [var for kid in kids for var in _variables(kid)]
 
 
 @dataclass(frozen=True)
@@ -255,7 +217,7 @@ class _Parser:
                     self.next()
                     args.append(self.expr())
                 self.expect("rparen", "')'")
-                lo, hi = _FUNCTIONS[tok.text]
+                lo, hi, _ = _FUNCTIONS[tok.text]
                 if len(args) < lo or (hi is not None and len(args) > hi):
                     raise ExpressionError(
                         f"function {tok.text!r} takes "
@@ -274,38 +236,51 @@ def parse_expression(text: str):
 
 def allowed_names(n: int = 0, p: int = 0, m: int = 0, tau: bool = False,
                   eps: bool = False) -> set:
-    names = set()
-    names.update(f"x_{i + 1}" for i in range(n))
-    names.update(f"r_{i + 1}" for i in range(p))
-    names.update(f"v_{i + 1}" for i in range(m))
-    if m >= 1:
-        names.add("v")  # alias for v_1
-    if tau:
-        names.add("tau")
-    if eps:
-        names.add("eps")
-    return names
+    names = {f"{role}_{i + 1}" for role, k in (("x", n), ("r", p), ("v", m)) for i in range(k)}
+    # v aliases v_1
+    return names | {name for name, on in (("v", m >= 1), ("tau", tau), ("eps", eps)) if on}
 
 
 def bind_expression(node, allowed: set):
     """Verify every identifier is known; raises ExpressionError naming strays."""
-    found = []
-    node.names(found)
-    for var in found:
+    for var in _variables(node):
         if var.name not in allowed:
             raise ExpressionError(f"unknown symbol {var.name!r}", var.line, var.column)
     return node
 
 
 def compile_expressions(texts, allowed: set):
-    exprs = []
-    for text in texts:
-        exprs.append(bind_expression(parse_expression(text), allowed))
-    return tuple(exprs)
+    return tuple(bind_expression(parse_expression(text), allowed) for text in texts)
 
 
 #: positional arguments whose columns bind as <role>_1, <role>_2, ...
 _ARRAY_ROLES = ("x", "r", "v")
+_SCALAR_ROLES = ("tau", "eps")
+
+
+def _emit(node, slot: int, lines: list, consts: list) -> str:
+    """Append the lines computing node (an inner node assigns _s<slot> after its
+    operands, left to right, in slots from slot up); return the name holding it."""
+    if isinstance(node, Num):
+        consts.append(node.value)
+        return f"_c{len(consts) - 1}"
+    if isinstance(node, Var):
+        return "v_1" if node.name == "v" else node.name  # checked by CompiledMap
+    if isinstance(node, Neg):
+        value = f"-{_emit(node.a, slot, lines, consts)}"
+    elif isinstance(node, Bin) and node.op in ("+", "-", "*", "/"):
+        a = _emit(node.a, slot, lines, consts)
+        value = f"{a} {node.op} {_emit(node.b, slot + 1, lines, consts)}"
+    elif isinstance(node, Call) and node.fn in _FUNCTIONS:
+        args = [_emit(a, slot + i, lines, consts) for i, a in enumerate(node.args)]
+        value = f"_{node.fn}({', '.join(args[:2])})"
+        for arg in args[2:]:
+            lines.append(f"_s{slot} = {value}")
+            value = f"_{node.fn}(_s{slot}, {arg})"
+    else:
+        raise ValueError(f"not an expression node: {node!r}")
+    lines.append(f"_s{slot} = {value}")
+    return f"_s{slot}"
 
 
 class CompiledMap:
@@ -315,33 +290,58 @@ class CompiledMap:
     for a flow map f or ("r", "v") for an aux jump map h.  An array role binds
     the columns of its last axis as x_i / r_i / v_i (plus the alias v for
     v_1); tau and eps bind as given.  The batch B is the leading shape of the
-    first argument (all axes but the last).  A tuple of expressions gives one
-    output column each, shape (B, k); one bare expression gives a scalar map,
-    shape (B,).
+    first array argument (all axes but the last).  A tuple of expressions
+    gives one output column each, written into a fresh (B, k) array; one bare
+    expression gives a scalar map, a fresh (B,) array.  ``source`` is the text
+    of the generated function.
     """
 
     def __init__(self, exprs, roles):
         self.exprs = tuple(exprs) if isinstance(exprs, (list, tuple)) else exprs
         self.roles = tuple(roles)
+        arrays = [a for a in self.roles if a in _ARRAY_ROLES]
+        if not arrays or len(set(self.roles)) != len(self.roles) \
+                or not set(self.roles) <= {*_ARRAY_ROLES, *_SCALAR_ROLES}:
+            raise ValueError(f"roles must be distinct, known and include an array role: "
+                             f"{self.roles}")
+        scalar = not isinstance(self.exprs, tuple)
+        exprs = (self.exprs,) if scalar else self.exprs
+        columns = set()  # (array role, 1-based column) pairs read
+        for var in (var for expr in exprs for var in _variables(expr)):
+            name = "v_1" if var.name == "v" else var.name
+            role, _, idx = name.partition("_")
+            column = role in _ARRAY_ROLES and idx.isascii() and idx.isdigit() and idx[0] != "0"
+            if role not in self.roles or not (column or name in _SCALAR_ROLES):
+                raise ExpressionError(f"unknown symbol {var.name!r}", var.line, var.column)
+            if column:
+                columns.add((role, int(idx)))
+        lines = [f"def _map({', '.join(self.roles)}):"]
+        for a in arrays:
+            if a == arrays[0] or any(role == a for role, _ in columns):
+                lines += [f"if {a}.__class__ is not _ndarray or {a}.dtype is not _float64"
+                          f" or {a}.ndim < 2:",
+                          f"    {a} = _atleast_2d(_asarray({a}, dtype=_float64))"]
+        lines += [f"{a}_{i} = {a}[..., {i - 1}]" for a, i in sorted(columns)]
+        batch = f"{arrays[0]}.shape[:-1]"
+        lines.append(f"_out = _empty({batch if scalar else f'(*{batch}, {len(exprs)})'})")
+        consts = []
+        for k, expr in enumerate(exprs):
+            value = _emit(expr, 0, lines, consts)
+            lines.append(f"_out[{'...' if scalar else f'..., {k}'}] = {value}")
+        self.source = "\n    ".join(lines + ["return _out"]) + "\n"
+        scope = {"__builtins__": {}, "__name__": __name__, "_ndarray": np.ndarray,
+                 "_float64": np.dtype(np.float64), "_asarray": np.asarray,
+                 "_atleast_2d": np.atleast_2d, "_empty": np.empty}
+        scope.update((f"_{fn}", ufunc) for fn, (_, _, ufunc) in _FUNCTIONS.items())
+        scope.update((f"_c{i}", c) for i, c in enumerate(consts))
+        exec(compile(self.source, f"<CompiledMap {self.roles}>", "exec"), scope)
+        self._fn = scope["_map"]
 
     def __call__(self, *args):
-        env = {}
-        batch = None
-        for role, arg in zip(self.roles, args):
-            if role not in _ARRAY_ROLES:
-                env[role] = arg
-                continue
-            arg = np.atleast_2d(np.asarray(arg, dtype=float))
-            if batch is None:
-                batch = arg.shape[:-1]
-            for i in range(arg.shape[-1]):
-                env[f"{role}_{i + 1}"] = arg[..., i]
-            if role == "v":
-                env["v"] = arg[..., 0]
-        if not isinstance(self.exprs, tuple):
-            return np.broadcast_to(np.asarray(self.exprs.eval(env), dtype=float), batch)
-        return np.stack([np.broadcast_to(np.asarray(e.eval(env), dtype=float), batch)
-                         for e in self.exprs], axis=-1)
+        return self._fn(*args)
+
+    def __reduce__(self):
+        return CompiledMap, (self.exprs, self.roles)
 
 
 def AverageField(exprs, n: int) -> CompiledMap:

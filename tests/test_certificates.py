@@ -202,6 +202,12 @@ class TestFosterCertificate:
         with pytest.raises(ValueError):
             build_cert(0.2, safety_margin=-0.05)
 
+    @pytest.mark.parametrize("margin", [math.nan, math.inf])
+    def test_non_finite_safety_margin_is_rejected(self, margin):
+        # a NaN margin once slipped past a `< 0` guard and failed every gate
+        with pytest.raises(ValueError, match="safety_margin"):
+            build_cert(0.2, safety_margin=margin)
+
     def test_scaling_invariance(self):
         base = build_cert(0.1)
         for alpha in (0.5, 3.0):

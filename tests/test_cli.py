@@ -204,6 +204,16 @@ class TestCertifyCommand:
             f"config error: [certify] radius_min: not a finite number: '{value}'\n")
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+    def test_bad_safety_margin_flag_is_exit_one(self, actuator_cfg, tmp_path, capsys, value):
+        assert main(["certify", "--config", actuator_cfg, "--safety-margin", value,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("config error: --safety-margin must be a finite number >= 0, "
+                       f"got {float(value)!r}\n")
+        assert not (tmp_path / "o").exists()
+
+
 class TestRecurCommand:
     def test_summary_and_paths(self, actuator_cfg, tmp_path):
         out = tmp_path / "out"

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hybridavg as ha
-from hybridavg.core import SamplingPlan
+from hybridavg.core import SamplingPlan, distances_to_target
 
 from conftest import state
 
@@ -27,32 +27,31 @@ class TestHybridTime:
             ha.HybridTime(t, j)
 
 
+def dist(x, r, spec) -> float:
+    """distances_to_target of the single row (x, r)."""
+    return float(distances_to_target(np.array([[x]]), np.array([[r]]), spec)[0])
+
+
 class TestDistToTarget:
     def test_r_inside_set_distance_is_abs_x(self, actuator):
-        assert ha.dist_to_target(state(3.0, 0.5), actuator) == 3.0
+        assert dist(3.0, 0.5, actuator) == 3.0
 
     def test_point_on_target_set(self, actuator):
-        assert ha.dist_to_target(state(0.0, 0.2), actuator) == 0.0
+        assert dist(0.0, 0.2, actuator) == 0.0
 
     def test_box_projection_closed_form(self, actuator):
         # r = 2 projects onto C u D = [0, 1] at 1: distance sqrt(3^2 + 1^2)
-        assert ha.dist_to_target(state(3.0, 2.0), actuator) == pytest.approx(
-            math.sqrt(10.0), abs=1e-12)
+        assert dist(3.0, 2.0, actuator) == pytest.approx(math.sqrt(10.0), abs=1e-12)
 
     def test_against_dense_enumeration_oracle(self, actuator):
         # brute force: min distance to points densely sampled from {0} x [0, 1]
         rng = np.random.default_rng(0)
         grid_r = np.linspace(0.0, 1.0, 20001)
-        for _ in range(25):
-            x = float(rng.uniform(-4, 4))
-            r = float(rng.uniform(-2, 3))
-            brute = np.min(np.sqrt(x * x + (r - grid_r) ** 2))
-            got = ha.dist_to_target(state(x, r), actuator)
-            assert got == pytest.approx(brute, abs=1e-7)
-
-    def test_dimension_mismatch_is_hard_error(self, actuator):
-        with pytest.raises(ValueError):
-            ha.dist_to_target(ha.StateVec(np.array([1.0, 2.0]), np.array([0.0])), actuator)
+        x = rng.uniform(-4, 4, size=25)
+        r = rng.uniform(-2, 3, size=25)
+        brute = [np.min(np.sqrt(xi * xi + (ri - grid_r) ** 2)) for xi, ri in zip(x, r)]
+        got = distances_to_target(x[:, None], r[:, None], actuator)
+        assert got == pytest.approx(brute, abs=1e-7)
 
 
 class TestSetDescriptor:

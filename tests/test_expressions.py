@@ -1,23 +1,71 @@
+import functools
 import math
+import operator
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridavg.expressions import (
     AverageField,
+    Bin,
+    Call,
     CompiledMap,
     ExpressionError,
+    Neg,
+    Num,
     ScalarField,
+    Var,
     allowed_names,
     bind_expression,
     compile_expressions,
     parse_expression,
 )
 
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "pow": np.power,
+           "min": np.minimum, "max": np.maximum}
+
+
+def reference(node, env):
+    """Evaluate an AST by walking the tree, one numpy operation per node."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -reference(node.a, env)
+    if isinstance(node, Bin):
+        return _OPS[node.op](reference(node.a, env), reference(node.b, env))
+    vals = [reference(a, env) for a in node.args]
+    return functools.reduce(_UFUNCS[node.fn], vals) if len(vals) > 1 else _UFUNCS[node.fn](vals[0])
+
+
+def reference_map(exprs, roles, *args):
+    """A compiled map's value by the reference walk: columns bound, broadcast, stacked."""
+    env, batch = {}, None
+    for role, arg in zip(roles, args):
+        if role not in ("x", "r", "v"):
+            env[role] = arg
+            continue
+        arg = np.atleast_2d(np.asarray(arg, dtype=float))
+        batch = arg.shape[:-1] if batch is None else batch
+        env.update((f"{role}_{i + 1}", arg[..., i]) for i in range(arg.shape[-1]))
+        if role == "v":
+            env["v"] = arg[..., 0]
+
+    def column(expr):
+        return np.broadcast_to(np.asarray(reference(expr, env), dtype=float), batch)
+
+    if not isinstance(exprs, tuple):
+        return column(exprs)
+    return np.stack([column(e) for e in exprs], axis=-1)
+
 
 def ev(text, **env):
-    return parse_expression(text).eval(env)
+    return reference(parse_expression(text), env)
 
 
 class TestParsing:
@@ -213,3 +261,99 @@ class TestCompiledMap:
         x, r = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.5], [0.25]])
         assert np.array_equal(favg(x, r), np.array([[-1.0, 0.5], [-3.0, 0.25]]))
         assert np.array_equal(V(x, r), np.array([-1.0, -3.0]))
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _trees(names):
+    """ASTs over the given names with every operator and function, n-ary min/max."""
+    leaves = st.one_of(st.sampled_from(sorted(names)).map(Var),
+                       st.floats(-4.0, 4.0).map(Num),
+                       st.sampled_from([0.0, 0.5, 2.0, 1e999]).map(Num))
+
+    def inner(kids):
+        return st.one_of(
+            kids.map(Neg),
+            st.builds(Bin, st.sampled_from(sorted(_OPS)), kids, kids),
+            st.builds(lambda fn, a: Call(fn, (a,)), st.sampled_from(["sin", "cos", "abs"]), kids),
+            st.builds(lambda a, b: Call("pow", (a, b)), kids, kids),
+            st.builds(lambda fn, args: Call(fn, tuple(args)), st.sampled_from(["min", "max"]),
+                      st.lists(kids, min_size=2, max_size=4)))
+
+    return st.recursive(leaves, inner, max_leaves=10)
+
+
+class TestGeneratedCode:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), role=st.sampled_from(sorted(ROLES)),
+           batch=st.sampled_from([1, 100, 500]), tau_rows=st.booleans())
+    def test_generated_map_matches_reference_bit_for_bit(self, data, role, batch, tau_rows):
+        roles = ROLES[role]
+        k = 1 if role == "V" else DIMS[roles[0]]
+        trees = data.draw(st.lists(_trees(_names(roles)), min_size=k, max_size=k))
+        exprs = trees[0] if role == "V" else tuple(trees)
+        args = _args(role, batch)
+        if "tau" in roles and not tau_rows:
+            args[roles.index("tau")] = 0.7  # a scalar tau, shared by every row
+        with np.errstate(all="ignore"):
+            try:
+                want = reference_map(exprs, roles, *args)
+            except ZeroDivisionError:  # a literal-only quotient such as 1/0
+                with pytest.raises(ZeroDivisionError):
+                    CompiledMap(exprs, roles)(*args)
+                return
+            got = CompiledMap(exprs, roles)(*args)
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("text", ["2.5", "x_1", "r_1"])
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_output_is_fresh_and_never_aliases_an_input(self, text, scalar):
+        exprs = compile_expressions([text], allowed_names(n=1, p=1))
+        fmap = CompiledMap(exprs[0] if scalar else exprs, ("x", "r"))
+        x, r = np.array([[1.5], [2.5]]), np.array([[0.25], [0.75]])
+        out = fmap(x, r)
+        assert out.flags.writeable and out.flags.owndata
+        assert not np.shares_memory(out, x) and not np.shares_memory(out, r)
+        out[...] = -9.0
+        assert np.array_equal(x, [[1.5], [2.5]]) and np.array_equal(r, [[0.25], [0.75]])
+        assert not np.shares_memory(fmap(x, r), out)
+
+    @pytest.mark.parametrize("text,roles", [
+        ("y", ("x", "r")),
+        ("tau", ("r",)),
+        ("v", ("x", "r")),
+        ("r_1", ("x", "tau")),
+        ("x", ("x", "r")),
+        ("x_0", ("x", "r")),
+        ("x_01", ("x", "r")),
+        ("x_1_2", ("x", "r")),
+        ("tau_1", ("x", "tau")),
+    ])
+    def test_unbound_name_fails_when_the_map_is_built(self, text, roles):
+        with pytest.raises(ExpressionError, match="unknown symbol") as err:
+            CompiledMap((parse_expression(f"1 + {text}"),), roles)
+        assert "column 5" in str(err.value)
+
+    @pytest.mark.parametrize("roles", [("x", "x"), ("tau", "eps"), ("x", "y")])
+    def test_roles_must_be_distinct_known_and_include_an_array(self, roles):
+        with pytest.raises(ValueError, match="roles"):
+            CompiledMap((Num(1.0),), roles)
+
+    def test_literals_are_bound_not_spliced(self):
+        exprs = compile_expressions(["1e999 - x_1", "-1e999"], allowed_names(n=2))
+        fmap = CompiledMap(exprs, ("x",))
+        assert "1e999" not in fmap.source and "inf" not in fmap.source
+        assert np.array_equal(fmap(np.zeros((2, 2))), [[np.inf, -np.inf]] * 2)
+
+    def test_pickle_regenerates_an_equal_function(self):
+        exprs = compile_expressions(["max(x_1, r_1, -v) * pow(abs(v_2), 0.5)", "cos(v)"],
+                                    allowed_names(n=2, p=1, m=2))
+        fmap = CompiledMap(exprs, ("x", "r", "v"))
+        copy = pickle.loads(pickle.dumps(fmap))
+        assert copy.exprs == fmap.exprs and copy.roles == fmap.roles
+        assert copy.source == fmap.source
+        args = _args("g", 7)
+        assert _same_bits(copy(*args), fmap(*args))
+        assert _same_bits(copy(*args), reference_map(exprs, ("x", "r", "v"), *args))
