@@ -24,11 +24,6 @@ from .averaging import (
 from .certificates import (
     CertGrid,
     FosterCertificate,
-    check_flow_decrease,
-    check_gradient_bound,
-    check_jump_condition,
-    check_sandwich,
-    expected_jump_value,
     foster_certificate,
 )
 from .config import ConfigDocument, ConfigError
@@ -65,11 +60,10 @@ __all__ = [
     "FosterCertificate", "GammaCurve", "Horizon", "HybridArc", "HybridTime",
     "IntegratorConfig", "JamParams", "JumpNoise", "LipschitzEstimates",
     "RecurrenceReport", "SamplingPlan", "SetDescriptor", "StateVec",
-    "SweepParams", "SystemSpec", "build_average_system", "check_flow_decrease",
-    "check_gradient_bound", "check_jacobian_average", "check_jump_condition",
-    "check_sandwich", "epsilon_sweep", "estimate_average_map",
-    "estimate_gamma", "estimate_lipschitz", "expected_jump_value",
-    "foster_certificate", "hitting_time", "hybrid_time_sum", "jammed_actuator",
-    "jammed_es", "load_system", "recurrence_estimate", "simulate_ensemble",
+    "SweepParams", "SystemSpec", "build_average_system",
+    "check_jacobian_average", "epsilon_sweep", "estimate_average_map",
+    "estimate_gamma", "estimate_lipschitz", "foster_certificate",
+    "hitting_time", "hybrid_time_sum", "jammed_actuator", "jammed_es",
+    "load_system", "recurrence_estimate", "simulate_ensemble",
     "simulate_path", "uges_m_fit", "validate_spec", "window_average",
 ]

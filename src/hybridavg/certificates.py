@@ -9,9 +9,15 @@ constants are extracted on a deterministic grid:
     c5     : jump contraction     E[V(G_ave(z, v))] <= c5*V on the jump set
 
 and the composite rate lambda = (c2/c1)*c5 must be strictly below 1/2 for a
-pass.  Max/min reductions over a grid can only certify at grid resolution;
-the verdict is a "grid-certified" pass, never a proof, and every inequality
-carries its worst witness point.
+pass.  The grid is one product of the C u D r-grid (C rows first) with the
+radial x points, in r-major order, and it is evaluated in one pass: d, V and
+V's central-difference gradient over all of it, F_ave over its C rows, and the
+jump maps over its D rows, with the jump draws made once per certificate.
+Max/min reductions over a grid can only certify at grid resolution; the
+verdict is a "grid-certified" pass, never a proof, and every inequality
+carries its worst witness point, the first in r-major, then x, order.  A
+sub-check that meets a non-finite value fails, with the first such point as
+its witness.
 """
 
 from __future__ import annotations
@@ -119,227 +125,120 @@ class FosterCertificate:
         return "\n".join(lines)
 
 
-def _distances(avg: AverageSpec, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    dr = union_descriptor(avg.C, avg.D).distance(r)
-    return np.sqrt(np.sum(x * x, axis=-1) + dr * dr)
-
-
 def _eval_V(V: Callable, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     out = np.asarray(V(x, r), dtype=float)
     return out.reshape(x.shape[0])
 
 
-def numeric_gradient(V: Callable, x: np.ndarray, r: np.ndarray,
-                     fd_scale: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of V over (x, r), step 1e-5*max(1,|coord|)."""
-    B = x.shape[0]
-    n, p = x.shape[1], r.shape[1]
-    grad = np.zeros((B, n + p))
-    z = np.concatenate([x, r], axis=-1)
-    for d in range(n + p):
-        h = fd_scale * np.maximum(1.0, np.abs(z[:, d]))
-        zp = z.copy()
-        zm = z.copy()
-        zp[:, d] += h
-        zm[:, d] -= h
-        vp = _eval_V(V, zp[:, :n], zp[:, n:])
-        vm = _eval_V(V, zm[:, :n], zm[:, n:])
-        grad[:, d] = (vp - vm) / (2.0 * h)
-    return grad
+def _jumped_V(V: Callable, avg: AverageSpec, x: np.ndarray, r: np.ndarray,
+              v: np.ndarray) -> np.ndarray:
+    """V(G_ave(z, v)) row by row for z = (x, r)."""
+    xp = np.asarray(avg.g(x, r, v), dtype=float)
+    rp = np.broadcast_to(np.asarray(avg.h(r, v), dtype=float), (x.shape[0], avg.p))
+    return _eval_V(V, xp, rp)
 
 
-def check_sandwich(V: Callable, avg: AverageSpec, grid: CertGrid) -> SubcheckResult:
-    """c1 = min V/d^2 and c2 = max V/d^2 over grid points with d > 0."""
-    x = grid.x_points(avg.n)
-    r_pts = _cu_grid(avg, grid)
-    c1, c2 = math.inf, -math.inf
-    worst = -math.inf
-    witness = None
-    ok = True
-    for rr in r_pts:
-        r_tile = np.broadcast_to(rr, (x.shape[0], avg.p))
-        d = _distances(avg, x, r_tile)
-        mask = d > 0.0
-        if not np.any(mask):
-            continue
-        vals = _eval_V(V, x[mask], r_tile[mask])
-        if np.any(vals <= 0.0):
-            k = int(np.argmin(vals))
-            ok = False
-            witness = (tuple(x[mask][k]), tuple(rr), float(vals[k]))
-            worst = max(worst, float(-np.min(vals)))
-        ratio = vals / (d[mask] ** 2)
-        c1 = min(c1, float(np.min(ratio)))
-        c2 = max(c2, float(np.max(ratio)))
-    if ok:
-        worst = 0.0
-    return SubcheckResult("sandwich c1*d^2 <= V <= c2*d^2", ok and c1 > 0.0,
-                          (c1, c2), worst, witness)
-
-
-def _cu_grid(avg: AverageSpec, grid: CertGrid) -> np.ndarray:
-    return union_descriptor(avg.C, avg.D).grid(grid.r_points)
-
-
-def check_gradient_bound(V: Callable, avg: AverageSpec, grid: CertGrid,
-                         grad_V: Optional[Callable] = None,
-                         fd_scale: float = 1e-5) -> SubcheckResult:
-    """c3 = max |grad V| / d over the grid (central differences by default)."""
-    x = grid.x_points(avg.n)
-    r_pts = _cu_grid(avg, grid)
-    c3 = -math.inf
-    witness = None
-    for rr in r_pts:
-        r_tile = np.broadcast_to(rr, (x.shape[0], avg.p)).copy()
-        d = _distances(avg, x, r_tile)
-        mask = d > 0.0
-        if not np.any(mask):
-            continue
-        if grad_V is not None:
-            grads = np.asarray(grad_V(x[mask], r_tile[mask]), dtype=float)
-        else:
-            grads = numeric_gradient(V, x[mask], r_tile[mask], fd_scale)
-        mags = np.sqrt(np.sum(grads * grads, axis=-1))
-        ratio = mags / d[mask]
-        k = int(np.argmax(ratio))
-        if ratio[k] > c3:
-            c3 = float(ratio[k])
-            witness = (tuple(x[mask][k]), tuple(rr))
-    return SubcheckResult("gradient bound |grad V| <= c3*d", math.isfinite(c3),
-                          (c3,), 0.0, witness)
-
-
-def check_flow_decrease(V: Callable, avg: AverageSpec, grid: CertGrid,
-                        grad_V: Optional[Callable] = None,
-                        fd_scale: float = 1e-5,
-                        include_jump_set: bool = False) -> SubcheckResult:
-    """c4 = min of -<grad V, F_ave>/V over the flow-set grid; pass needs c4 > 0.
-
-    Sampling is over R^n x C by default; ``include_jump_set`` extends it to
-    C u D for certificates meant to decrease there too.
-    """
-    x = grid.x_points(avg.n)
-    region = union_descriptor(avg.C, avg.D) if include_jump_set else avg.C
-    r_pts = region.grid(grid.r_points)
-    c4 = math.inf
-    worst = -math.inf
-    witness = None
-    ok = True
-    for rr in r_pts:
-        r_tile = np.broadcast_to(rr, (x.shape[0], avg.p)).copy()
-        d = _distances(avg, x, r_tile)
-        mask = d > 0.0
-        if not np.any(mask):
-            continue
-        xs, rs = x[mask], r_tile[mask]
-        vals = _eval_V(V, xs, rs)
-        if grad_V is not None:
-            grads = np.asarray(grad_V(xs, rs), dtype=float)
-        else:
-            grads = numeric_gradient(V, xs, rs, fd_scale)
-        flow = avg.flow(xs, rs)
-        dot = np.sum(grads * flow, axis=-1)
-        ratio = -dot / vals
-        k = int(np.argmin(ratio))
-        if ratio[k] < c4:
-            c4 = float(ratio[k])
-            witness = (tuple(xs[k]), tuple(rr), float(dot[k]))
-        worst = max(worst, float(np.max(dot)))
-        if np.any(dot > 0.0):
-            ok = False
-    return SubcheckResult("flow decrease <grad V, F_ave> <= -c4*V",
-                          ok and c4 > 0.0, (c4,), max(worst, 0.0), witness)
-
-
-@dataclass(frozen=True)
-class JumpExpectation:
-    value: float
-    std_error: float
-    n_samples: int
-
-
-def expected_jump_value(V: Callable, avg: AverageSpec, x: np.ndarray,
-                        r: np.ndarray, noise: JumpNoise,
-                        mc_samples: int = 100_000,
-                        mc_seed: int = 0) -> JumpExpectation:
-    """E[V(G_ave(z, v))] at one jump-set point z = (x, r).
-
-    Finite-support noise gives the exact weighted sum; sampler-only noise is
-    estimated by Monte Carlo with a reported standard error.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if noise.kind == "finite-support":
-        total = 0.0
-        for v, prob in zip(noise.values, noise.probs):
-            xp = np.asarray(avg.g(x[None, :], r[None, :], v[None, :]), dtype=float)
-            rp = np.asarray(avg.h(r[None, :], v[None, :]), dtype=float)
-            rp = np.broadcast_to(rp, (1, avg.p))
-            total += float(prob) * float(_eval_V(V, xp, rp)[0])
-        return JumpExpectation(total, 0.0, noise.values.shape[0])
-    draws = np.stack([noise.draw(mc_seed, k + 1) for k in range(mc_samples)])
-    x_tile = np.broadcast_to(x, (mc_samples, x.shape[0]))
-    r_tile = np.broadcast_to(r, (mc_samples, r.shape[0]))
-    xp = np.asarray(avg.g(x_tile, r_tile, draws), dtype=float)
-    rp = np.asarray(avg.h(r_tile, draws), dtype=float)
-    rp = np.broadcast_to(rp, (mc_samples, avg.p))
-    vals = _eval_V(V, xp, rp)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(mc_samples)) if mc_samples > 1 else 0.0
-    return JumpExpectation(mean, se, mc_samples)
-
-
-def check_jump_condition(V: Callable, avg: AverageSpec, grid: CertGrid,
-                         noise: Optional[JumpNoise] = None,
-                         mc_samples: int = 100_000) -> SubcheckResult:
-    """c5 = max over the jump-set grid of E[V(G_ave(z, v))] / V(z)."""
-    noise = noise or avg.noise
-    x = grid.x_points(avg.n)
-    r_pts = avg.D.grid(grid.r_points)
-    c5 = -math.inf
-    witness = None
-    for rr in r_pts:
-        for k in range(x.shape[0]):
-            vz = float(_eval_V(V, x[k][None, :], rr[None, :])[0])
-            if vz <= 0.0:
-                continue
-            ev = expected_jump_value(V, avg, x[k], rr, noise, mc_samples)
-            ratio = ev.value / vz
-            if ratio > c5:
-                c5 = ratio
-                witness = (tuple(x[k]), tuple(rr), ev.value)
-    # c5 = 0 (always-absorbing jumps) only strengthens contraction: accept >= 0
-    return SubcheckResult("jump contraction E[V+] <= c5*V",
-                          math.isfinite(c5) and c5 >= 0.0, (c5,), 0.0, witness)
+def _subcheck(name: str, rates: np.ndarray, ok: bool, constants: tuple, worst: float,
+              witness: Optional[tuple], witness_at: Callable) -> SubcheckResult:
+    """The sub-check's result; a non-finite rate fails it at the first such point."""
+    bad = np.flatnonzero(~np.isfinite(rates))
+    if bad.size:
+        ok, worst, witness = False, math.nan, witness_at(int(bad[0]))
+    return SubcheckResult(name, bool(ok), constants, worst, witness)
 
 
 def foster_certificate(V: Callable, avg: AverageSpec,
                        grid: Optional[CertGrid] = None,
                        noise: Optional[JumpNoise] = None,
-                       grad_V: Optional[Callable] = None,
                        mc_samples: int = 100_000,
-                       safety_margin: float = 0.0,
-                       include_jump_set_in_flow: bool = False) -> FosterCertificate:
-    """Run all sub-checks and compose the verdict.
+                       safety_margin: float = 0.0) -> FosterCertificate:
+    """Evaluate the grid once, reduce it to c1..c5 and compose the verdict.
 
-    Pass requires every inequality to hold on the grid and
-    lambda = (c2/c1)*c5 < 1/2 - safety_margin (strict; the margin can only
-    tighten the gate, never loosen it).
+    Pass requires every inequality to hold, with finite values, on the grid
+    and lambda = (c2/c1)*c5 < 1/2 - safety_margin (strict; the margin can
+    only tighten the gate, never loosen it).  Sampler-only noise is averaged
+    over the draws (0, 1) .. (0, mc_samples), the same draws at every point.
     """
     if not (safety_margin >= 0.0 and math.isfinite(safety_margin)):
         raise ValueError("safety_margin can tighten the gate only (must be finite and >= 0), "
                          f"got {safety_margin!r}")
     grid = grid or CertGrid()
-    sandwich = check_sandwich(V, avg, grid)
-    gradb = check_gradient_bound(V, avg, grid, grad_V)
-    flow = check_flow_decrease(V, avg, grid, grad_V,
-                               include_jump_set=include_jump_set_in_flow)
-    jump = check_jump_condition(V, avg, grid, noise, mc_samples)
-    c1, c2 = sandwich.constants
-    c3 = gradb.constants[0]
-    c4 = flow.constants[0]
-    c5 = jump.constants[0]
-    lam = (c2 / c1) * c5
+    noise = noise or avg.noise
+    n, p = avg.n, avg.p
+    x_pts = grid.x_points(n)
+    r_flow, r_jump = avg.C.grid(grid.r_points), avg.D.grid(grid.r_points)
+    r_rows = np.concatenate([r_flow, r_jump])
+    xs = np.tile(x_pts, (r_rows.shape[0], 1))
+    rs = np.repeat(r_rows, x_pts.shape[0], axis=0)
+    n_flow = r_flow.shape[0] * x_pts.shape[0]  # the C rows come first
+    dr = union_descriptor(avg.C, avg.D).distance(rs)
+    d = np.sqrt(np.sum(xs * xs, axis=-1) + dr * dr)  # >= |x| > 0
+
+    def at(k, *values):
+        return (tuple(map(float, xs[k])), tuple(map(float, rs[k]))) + tuple(map(float, values))
+
+    # V at every point and at its central-difference probes, in one call
+    z = np.concatenate([xs, rs], axis=-1)
+    step = 1e-5 * np.maximum(1.0, np.abs(z))
+    probes = [z]
+    for col in range(n + p):
+        up, down = z.copy(), z.copy()
+        up[:, col] += step[:, col]
+        down[:, col] -= step[:, col]
+        probes += [up, down]
+    zz = np.concatenate(probes)
+    vz = _eval_V(V, zz[:, :n], zz[:, n:]).reshape(len(probes), -1)
+    vals = vz[0]
+    grads = (vz[1::2] - vz[2::2]).T / (2.0 * step)
+
+    ratio = vals / d ** 2
+    c1, c2 = float(np.min(ratio)), float(np.max(ratio))
+    k = int(np.argmin(vals))
+    low = vals[k] <= 0.0
+    worst = 0.0 - float(vals[k]) if low else 0.0  # not -V: a zero V reads 0.0, not -0.0
+    sandwich = _subcheck("sandwich c1*d^2 <= V <= c2*d^2", ratio, not low and c1 > 0.0,
+                         (c1, c2), worst, at(k, vals[k]) if low else None,
+                         lambda i: at(i, vals[i]))
+
+    gain = np.sqrt(np.sum(grads * grads, axis=-1)) / d
+    k = int(np.argmax(gain))
+    c3 = float(gain[k])
+    gradb = _subcheck("gradient bound |grad V| <= c3*d", gain, True, (c3,), 0.0, at(k), at)
+
+    dot = np.sum(grads[:n_flow] * avg.flow(xs[:n_flow], rs[:n_flow]), axis=-1)
+    decay = -dot / vals[:n_flow]
+    k = int(np.argmin(decay))
+    c4 = float(decay[k])
+    flow = _subcheck("flow decrease <grad V, F_ave> <= -c4*V", decay,
+                     not np.any(dot > 0.0) and c4 > 0.0, (c4,), max(float(np.max(dot)), 0.0),
+                     at(k, dot[k]), lambda i: at(i, dot[i]))
+
+    # jump-set points where V > 0; a NaN V stays in and fails the check
+    rows = n_flow + np.flatnonzero(~(vals[n_flow:] <= 0.0))
+    xj, rj = xs[rows], rs[rows]
+    if not rows.size:
+        expect = np.zeros(0)
+    elif noise.kind == "finite-support":
+        expect = 0.0
+        for v, prob in zip(noise.values, noise.probs):
+            v_rows = np.broadcast_to(v, (rows.size, noise.m))
+            expect = expect + float(prob) * _jumped_V(V, avg, xj, rj, v_rows)
+    else:
+        draws = np.stack([noise.draw(0, k + 1) for k in range(mc_samples)])
+        expect = np.array([np.mean(_jumped_V(V, avg, np.broadcast_to(x, (mc_samples, n)),
+                                             np.broadcast_to(r, (mc_samples, p)), draws))
+                           for x, r in zip(xj, rj)])
+    contraction = expect / vals[rows]
+    c5, witness = -math.inf, None
+    if rows.size:
+        k = int(np.argmax(contraction))
+        c5, witness = float(contraction[k]), at(rows[k], expect[k])
+    # c5 = 0 (always-absorbing jumps) only strengthens contraction: accept >= 0
+    jump = _subcheck("jump contraction E[V+] <= c5*V", contraction,
+                     math.isfinite(c5) and c5 >= 0.0, (c5,), 0.0, witness,
+                     lambda i: at(rows[i], expect[i]))
+
+    lam = (c2 / c1) * c5 if c1 else math.nan
     verdict = (sandwich.ok and gradb.ok and flow.ok and jump.ok
                and lam < 0.5 - safety_margin)
     return FosterCertificate(c1, c2, c3, c4, c5, lam, bool(verdict),

@@ -187,12 +187,9 @@ def cmd_average(args, doc, spec):
     favg = _favg_from_config(doc, spec)
     avg = estimate_average_map(spec, x_axes, r_axes, T_long, f_ave=favg)
 
-    mesh = np.meshgrid(*x_axes, *r_axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    keep = np.linalg.norm(nodes[:, : spec.n], axis=-1) > 0.0
-    x_pts = nodes[keep][:, : spec.n]
-    r_pts = np.stack(np.meshgrid(*r_axes, indexing="ij"),
-                     axis=-1).reshape(-1, spec.p)
+    x_pts = np.stack(np.meshgrid(*x_axes, indexing="ij"), axis=-1).reshape(-1, spec.n)
+    x_pts = x_pts[np.linalg.norm(x_pts, axis=-1) > 0.0]
+    r_pts = np.stack(np.meshgrid(*r_axes, indexing="ij"), axis=-1).reshape(-1, spec.p)
     gamma = estimate_gamma(spec, avg.f_ave, x_pts, r_pts, tau_grid, T_grid)
     jac = check_jacobian_average(spec, avg.f_ave, x_pts, r_pts, tau_grid, T_grid,
                                  state_gamma=gamma)

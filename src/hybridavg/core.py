@@ -372,6 +372,9 @@ def distances_to_target(x: np.ndarray, r: np.ndarray, spec: SystemSpec) -> np.nd
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
+    if x.shape[-1] != spec.n or r.shape[-1] != spec.p:
+        raise ValueError(f"rows need {spec.n} x and {spec.p} r column(s), "
+                         f"got {x.shape[-1]} and {r.shape[-1]}")
     dr = spec.flow_or_jump_set.distance(r)
     dx2 = np.sum(x * x, axis=-1)
     return np.sqrt(dx2 + dr * dr)

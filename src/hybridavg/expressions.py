@@ -87,6 +87,9 @@ class _Token:
     column: int
 
 
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes '²' and '٣'
+
+
 def _tokenize(text: str):
     tokens = []
     line, col = 1, 1
@@ -104,18 +107,18 @@ def _tokenize(text: str):
             col += 1
             continue
         start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                 seen_dot = seen_dot or text[j] == "."
                 j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
+                if k < n and text[k] in _DIGITS:
+                    while k < n and text[k] in _DIGITS:
                         k += 1
                     j = k
             tokens.append(_Token("num", text[i:j], line, start_col))

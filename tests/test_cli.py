@@ -4,9 +4,10 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hybridavg import __version__
+from hybridavg import __version__, cli
 from hybridavg.cli import FIG1_DEFAULTS, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -166,6 +167,20 @@ class TestAverageCommand:
         nodal = float(report.split("max nodal deviation from closed form: ")[1].split()[0])
         assert nodal <= 1e-6
 
+    def test_each_x_point_is_averaged_once(self, actuator_cfg, tmp_path, monkeypatch):
+        # the x points once repeated for every r node, then met r_pts again
+        seen = []
+        estimate_gamma = cli.estimate_gamma
+
+        def recording(spec, f_ave, x_pts, r_pts, *args, **kw):
+            seen.append(np.array(x_pts))
+            return estimate_gamma(spec, f_ave, x_pts, r_pts, *args, **kw)
+
+        monkeypatch.setattr(cli, "estimate_gamma", recording)
+        assert main(["average", "--config", actuator_cfg, "--out", str(tmp_path / "o")]) == 0
+        (x_pts,) = seen
+        assert x_pts.tolist() == [[-2.0], [-1.0], [1.0], [2.0]]
+
     def test_tau_independent_gamma_is_zero(self, tmp_path):
         cfg = write_cfg(tmp_path, TAU_FREE)
         out = tmp_path / "out"
@@ -185,6 +200,17 @@ class TestCertifyCommand:
         cfg = write_cfg(tmp_path, SMALL_ACTUATOR.format(
             p=0.3, t_values="3.14", eps_values="0.1"))
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_nan_V_is_exit_two_with_a_non_finite_witness(self, tmp_path):
+        # the square root is NaN on the r = 0.5 grid row only
+        text = SMALL_ACTUATOR.format(p=0.1, t_values="3.14", eps_values="0.1").replace(
+            "V = pow(x_1, 2)\n",
+            "V = pow(x_1, 2) + 0 * pow((r_1 - 0.3) * (r_1 - 0.7), 0.5)\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        report = (tmp_path / "o" / "certify_report.txt").read_text()
+        assert "verdict: FAIL" in report
+        assert "      witness: ((0.001,), (0.5,), nan)" in report.splitlines()
 
     def test_missing_V_is_exit_one(self, tmp_path):
         text = SMALL_ACTUATOR.format(p=0.1, t_values="3.14", eps_values="0.1")

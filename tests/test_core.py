@@ -53,6 +53,13 @@ class TestDistToTarget:
         got = distances_to_target(x[:, None], r[:, None], actuator)
         assert got == pytest.approx(brute, abs=1e-7)
 
+    @pytest.mark.parametrize("x, r", [([[1.0, 2.0]], [[0.0]]), ([[1.0]], [[0.0, 0.5]])],
+                             ids=["two-x-columns", "two-r-columns"])
+    def test_rejects_rows_of_the_wrong_dimension(self, actuator, x, r):
+        # a 2-column x once read as |x| = 2.236 on the 1-D actuator
+        with pytest.raises(ValueError, match="rows need 1 x and 1 r column"):
+            distances_to_target(np.array(x), np.array(r), actuator)
+
 
 class TestSetDescriptor:
     def test_membership_is_exact_closed(self):

@@ -114,6 +114,16 @@ class TestErrors:
         with pytest.raises(ExpressionError, match="'%'"):
             parse_expression("1 % 2")
 
+    @pytest.mark.parametrize("text, column", [("-x_1*\u00b2", 6), ("x_1 + \u0663", 7),
+                                              ("1.\u0663", 3), ("2e\u00b3", 2)],
+                             ids=["superscript-two", "arabic-indic-three", "after-dot",
+                                  "exponent"])
+    def test_only_ascii_digits_make_numbers(self, text, column):
+        # str.isdigit accepts these: they once reached float() as a bare
+        # ValueError, or were read as the digit they stand for
+        with pytest.raises(ExpressionError, match=f"^line 1, column {column}: "):
+            parse_expression(text)
+
     def test_unknown_function(self):
         with pytest.raises(ExpressionError, match="tan"):
             parse_expression("tan(1)")
