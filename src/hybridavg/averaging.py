@@ -9,7 +9,9 @@ computed by composite Simpson quadrature.  From it we estimate the average
 map f_ave on a grid, the convergence-rate curve gamma(T) bounding
 |avg - f_ave| / |x|, the matching curve for the Jacobian of the residual,
 and sampled lower bounds on the Lipschitz constants the theory requires.
-All suprema are grid suprema: results are grid-certified, not proofs.
+All suprema are grid suprema: results are grid-certified, not proofs.  Each
+is reduced by core.grid_extreme, so a non-finite sample is never skipped: an
+estimate that meets one raises ValueError naming the quantity and its point.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import JumpNoise, SetDescriptor, SystemSpec
+from .core import JumpNoise, SetDescriptor, SystemSpec, _noise_samples, grid_extreme
 
 #: default Simpson panel density: panels per 2*pi of the fast clock
 PANELS_PER_PERIOD = 40
@@ -34,20 +36,16 @@ def _simpson_weights(panels: int) -> np.ndarray:
     return w
 
 
-def _panels_for(T: float, quad_points: Optional[int]) -> int:
-    if quad_points is not None:
-        return max(2, int(quad_points))
+def _panels_for(T: float) -> int:
     return max(2, int(math.ceil(PANELS_PER_PERIOD * T / (2.0 * math.pi))))
 
 
 def window_average(spec: SystemSpec, x, r, tau0: float, T: float,
                    quad_points: Optional[int] = None) -> np.ndarray:
     """Window mean of f(x, r, ., 0) over [tau0, tau0 + T] (Simpson, quad_points panels)."""
-    if T <= 0.0:
-        raise ValueError("window length T must be positive")
-    panels = _panels_for(T, quad_points)
-    if panels < 2:
-        raise ValueError("need at least 2 quadrature panels")
+    if not (T > 0.0 and math.isfinite(T)):
+        raise ValueError(f"window length T must be finite and positive, got {T!r}")
+    panels = _panels_for(T) if quad_points is None else max(2, int(quad_points))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
     s = tau0 + np.arange(2 * panels + 1) * (T / (2 * panels))
@@ -184,15 +182,29 @@ class _TableFlow:
 
 def _as_axes(grid, what: str):
     if isinstance(grid, np.ndarray) and grid.ndim == 1:
-        return [np.asarray(grid, dtype=float)]
-    axes = [np.asarray(a, dtype=float).ravel() for a in grid]
-    if not axes:
-        raise ValueError(f"{what} must contain at least one axis")
+        axes = [np.asarray(grid, dtype=float)]
+    else:
+        axes = [np.asarray(a, dtype=float).ravel() for a in grid]
+    if not axes or not all(a.size for a in axes):
+        raise ValueError(f"{what} needs at least one axis and no empty axis")
     return axes
 
 
+def _grid_sup(values, what: str, layout: tuple, point: Callable) -> tuple:
+    """(maximum, witness) of an estimate's samples by grid_extreme.
+
+    The witness is point(*grid index), a tuple of the coordinates named by
+    layout.  A non-finite sample is an error naming the quantity and point.
+    """
+    value, k = grid_extreme(values)
+    witness = point(*np.unravel_index(k, np.shape(values)))
+    if not math.isfinite(value):
+        at = ", ".join(f"{name} = {np.asarray(c).tolist()!r}" for name, c in zip(layout, witness))
+        raise ValueError(f"{what} is non-finite ({value!r}) at {at}")
+    return value, witness
+
+
 def estimate_average_map(spec: SystemSpec, x_grid, r_grid, T_long: float,
-                         quad_points: Optional[int] = None,
                          f_ave: Optional[Callable] = None) -> AverageSpec:
     """Tabulate the long-window mean of the flow map and package the average system.
 
@@ -201,12 +213,13 @@ def estimate_average_map(spec: SystemSpec, x_grid, r_grid, T_long: float,
     against it and the returned AverageSpec wraps the closed form; otherwise
     the AverageSpec interpolates the table multilinearly, and an error is
     raised when midpoint interpolation residuals betray a too-coarse grid.
+    A non-finite deviation from the table is an error naming its (x, r) node.
     """
     x_axes = _as_axes(x_grid, "x_grid")
     r_axes = _as_axes(r_grid, "r_grid")
     if len(x_axes) != spec.n or len(r_axes) != spec.p:
         raise ValueError("grid axes do not match system dimensions")
-    panels = _panels_for(T_long, quad_points)
+    panels = _panels_for(T_long)
     axes = x_axes + r_axes
     shape = tuple(len(a) for a in axes)
     table = np.zeros(shape + (spec.n,))
@@ -221,8 +234,10 @@ def estimate_average_map(spec: SystemSpec, x_grid, r_grid, T_long: float,
     nodal = 0.0
     if f_ave is not None:
         closed = np.asarray(f_ave(flat[:, : spec.n], flat[:, spec.n:]), dtype=float)
-        nodal = float(np.max(np.sqrt(np.sum((closed - table.reshape(-1, spec.n)) ** 2,
-                                            axis=-1)))) if flat.shape[0] else 0.0
+        nodal, _ = _grid_sup(np.sqrt(np.sum((closed - table.reshape(-1, spec.n)) ** 2,
+                                            axis=-1)),
+                             "deviation of favg from the window mean", ("x", "r"),
+                             lambda k: (flat[k, : spec.n], flat[k, spec.n:]))
         return AverageSpec(spec.n, spec.p, f_ave, spec.w, spec.g, spec.h,
                            spec.C, spec.D, spec.noise, table=tab, nodal_residual=nodal)
 
@@ -237,17 +252,17 @@ def estimate_average_map(spec: SystemSpec, x_grid, r_grid, T_long: float,
                 q = row.copy()
                 q[k] = c
                 mids.append(q)
-    floor = 1e-8 * max(1.0, float(np.max(np.abs(table))) if table.size else 1.0)
-    worst_mid = 0.0
-    for q in mids:
-        direct = window_average(spec, q[: spec.n], q[spec.n:], 0.0, T_long, panels)
-        interp = tab(q[None, :])[0]
-        worst_mid = max(worst_mid, float(np.linalg.norm(direct - interp)))
-    if worst_mid > 10.0 * max(nodal, floor):
-        raise ValueError(
-            f"average-map grid too coarse: midpoint interpolation residual {worst_mid:g} "
-            f"exceeds 10x the nodal residual; refine the x/r grid"
-        )
+    floor = 1e-8 * max(1.0, float(np.max(np.abs(table))))
+    if mids:
+        resid = [np.linalg.norm(window_average(spec, q[: spec.n], q[spec.n:], 0.0, T_long,
+                                               panels) - tab(q[None, :])[0]) for q in mids]
+        worst_mid, _ = _grid_sup(resid, "midpoint interpolation residual", ("x", "r"),
+                                 lambda k: (mids[k][: spec.n], mids[k][spec.n:]))
+        if worst_mid > 10.0 * max(nodal, floor):
+            raise ValueError(
+                f"average-map grid too coarse: midpoint interpolation residual {worst_mid:g} "
+                f"exceeds 10x the nodal residual; refine the x/r grid"
+            )
     return AverageSpec(spec.n, spec.p, _TableFlow(tab, spec.n, spec.p), spec.w,
                        spec.g, spec.h, spec.C, spec.D, spec.noise, table=tab,
                        nodal_residual=nodal)
@@ -260,15 +275,13 @@ class GammaCurve:
     ``values`` are raw grid suprema; ``envelope`` is the least nonincreasing
     majorant (running max from the right), matching the required monotone
     convergence-function shape.  ``witnesses`` holds the (x, r, tau0) sample
-    achieving each supremum.
+    achieving each supremum, the first in (x, r, tau0) order.
     """
 
     windows: np.ndarray
     values: np.ndarray
     envelope: np.ndarray
     witnesses: tuple
-    kind: str = "state"
-    values_normalized: Optional[np.ndarray] = None
     exceeds_state_envelope: Optional[tuple] = None
 
 
@@ -276,22 +289,29 @@ def _envelope(values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(values[::-1])[::-1]
 
 
+def _sample_grids(spec: SystemSpec, x_grid, r_grid, tau_grid, T_grid) -> tuple:
+    """(x points (K, n), r points (L, p), window starts, window lengths), all non-empty."""
+    x_pts = np.atleast_2d(np.asarray(x_grid, dtype=float)).reshape(-1, spec.n)
+    r_pts = np.atleast_2d(np.asarray(r_grid, dtype=float)).reshape(-1, spec.p)
+    tau0s = np.asarray(tau_grid, dtype=float).ravel()
+    Ts = np.asarray(T_grid, dtype=float).ravel()
+    if not (x_pts.size and r_pts.size and tau0s.size and Ts.size):
+        raise ValueError("x, r, tau and T grids must be non-empty")
+    if not np.all(np.isfinite(Ts) & (Ts > 0.0)):
+        raise ValueError(f"window lengths T must be finite and positive, got {Ts.tolist()}")
+    return x_pts, r_pts, tau0s, Ts
+
+
 def estimate_gamma(spec: SystemSpec, f_ave: Callable, x_grid, r_grid,
-                   tau_grid, T_grid, quad_points: Optional[int] = None) -> GammaCurve:
+                   tau_grid, T_grid) -> GammaCurve:
     """Grid supremum of |window mean - f_ave| / |x| per window length T.
 
     Every x in the grid must be nonzero (the bound is normalized by |x|).
     The result is a Definition-style certificate at grid resolution: at every
-    grid point the window residual is <= gamma(T) * |x| by construction.
+    grid point the window residual is <= gamma(T) * |x| by construction.  A
+    non-finite residual is an error naming its (x, r, tau0) point.
     """
-    x_pts = np.atleast_2d(np.asarray(x_grid, dtype=float))
-    if x_pts.shape[1] != spec.n:
-        x_pts = x_pts.reshape(-1, spec.n)
-    r_pts = np.atleast_2d(np.asarray(r_grid, dtype=float))
-    if r_pts.shape[1] != spec.p:
-        r_pts = r_pts.reshape(-1, spec.p)
-    tau0s = np.asarray(tau_grid, dtype=float).ravel()
-    Ts = np.asarray(T_grid, dtype=float).ravel()
+    x_pts, r_pts, tau0s, Ts = _sample_grids(spec, x_grid, r_grid, tau_grid, T_grid)
     norms = np.sqrt(np.sum(x_pts * x_pts, axis=-1))
     if np.any(norms == 0.0):
         raise ValueError("x grid must exclude 0 (residuals are normalized by |x|)")
@@ -299,89 +319,68 @@ def estimate_gamma(spec: SystemSpec, f_ave: Callable, x_grid, r_grid,
     values = np.zeros(Ts.shape[0])
     witnesses = []
     for ti, T in enumerate(Ts):
-        panels = _panels_for(float(T), quad_points)
-        best = -1.0
-        wit = None
+        panels = _panels_for(float(T))
+        resid = []  # grid (x, r, tau0)
         for xi in range(x_pts.shape[0]):
             for ri in range(r_pts.shape[0]):
                 means = _window_means_batch(spec, x_pts[xi], r_pts[ri], tau0s,
                                             float(T), panels)
                 ref = np.asarray(f_ave(x_pts[xi][None, :], r_pts[ri][None, :]),
                                  dtype=float)[0]
-                resid = np.sqrt(np.sum((means - ref) ** 2, axis=-1)) / norms[xi]
-                k = int(np.argmax(resid))
-                if resid[k] > best:
-                    best = float(resid[k])
-                    wit = (x_pts[xi].copy(), r_pts[ri].copy(), float(tau0s[k]))
-        values[ti] = best
-        witnesses.append(wit)
+                resid.append(np.sqrt(np.sum((means - ref) ** 2, axis=-1)) / norms[xi])
+        values[ti], witness = _grid_sup(
+            np.reshape(resid, (x_pts.shape[0], r_pts.shape[0], -1)),
+            f"window-mean residual of f against favg (T = {float(T)!r})", ("x", "r", "tau0"),
+            lambda i, j, k: (x_pts[i].copy(), r_pts[j].copy(), float(tau0s[k])))
+        witnesses.append(witness)
     return GammaCurve(Ts, values, _envelope(values), tuple(witnesses))
 
 
-def fd_step_for(x: np.ndarray, scale: float = 1e-5) -> float:
-    """Central-difference step: scale * max(1, |x|)."""
-    return scale * max(1.0, float(np.linalg.norm(x)))
+def _residual_jacobian_norms(spec: SystemSpec, f_ave: Callable, z0: np.ndarray,
+                             tau0s: np.ndarray, T: float, panels: int) -> np.ndarray:
+    """Frobenius norms, per window start, of the windowed Jacobian of f(., 0) - f_ave at z0."""
+    h = 1e-5 * max(1.0, float(np.linalg.norm(z0)))
+    cols = []
+    for d in range(spec.n + spec.p):
+        zp = z0.copy()
+        zm = z0.copy()
+        zp[d] += h
+        zm[d] -= h
+        mp = _window_means_batch(spec, zp[: spec.n], zp[spec.n:], tau0s, T, panels)
+        mm = _window_means_batch(spec, zm[: spec.n], zm[spec.n:], tau0s, T, panels)
+        fp = np.asarray(f_ave(zp[None, : spec.n], zp[None, spec.n:]), dtype=float)[0]
+        fm = np.asarray(f_ave(zm[None, : spec.n], zm[None, spec.n:]), dtype=float)[0]
+        cols.append(((mp - mm) - (fp - fm)[None, :]) / (2.0 * h))
+    jac = np.stack(cols, axis=-1)  # (ntau, n, n+p)
+    return np.sqrt(np.sum(jac * jac, axis=(1, 2)))
 
 
 def check_jacobian_average(spec: SystemSpec, f_ave: Callable, x_grid, r_grid,
-                           tau_grid, T_grid, fd_step: Optional[float] = None,
-                           quad_points: Optional[int] = None,
+                           tau_grid, T_grid,
                            state_gamma: Optional[GammaCurve] = None) -> GammaCurve:
     """Window-averaged Jacobian of the residual d = f(., 0) - f_ave, per T.
 
-    The Jacobian over (x, r) is taken by central differences; because
-    quadrature is linear, differencing the window means equals window-
-    averaging the Jacobian.  Values are raw Frobenius magnitudes (the
-    theoretical bound carries no |x| factor); the |x|-normalized variant is
-    reported alongside, and T values whose raw magnitude exceeds a provided
-    state-residual envelope are flagged.
+    The Jacobian over (x, r) is taken by central differences with step
+    1e-5 * max(1, |(x, r)|); because quadrature is linear, differencing the
+    window means equals window-averaging the Jacobian.  Values are raw
+    Frobenius magnitudes (the theoretical bound carries no |x| factor), and
+    T values whose magnitude exceeds a provided state-residual envelope are
+    flagged.  A non-finite magnitude is an error naming its (x, r, tau0) point.
     """
-    x_pts = np.atleast_2d(np.asarray(x_grid, dtype=float)).reshape(-1, spec.n)
-    r_pts = np.atleast_2d(np.asarray(r_grid, dtype=float)).reshape(-1, spec.p)
-    tau0s = np.asarray(tau_grid, dtype=float).ravel()
-    Ts = np.asarray(T_grid, dtype=float).ravel()
+    x_pts, r_pts, tau0s, Ts = _sample_grids(spec, x_grid, r_grid, tau_grid, T_grid)
 
     values = np.zeros(Ts.shape[0])
-    values_norm = np.zeros(Ts.shape[0])
     witnesses = []
     for ti, T in enumerate(Ts):
-        panels = _panels_for(float(T), quad_points)
-        best, best_norm = -1.0, -1.0
-        wit = None
-        for xi in range(x_pts.shape[0]):
-            x0 = x_pts[xi]
-            xnorm = float(np.linalg.norm(x0))
-            for ri in range(r_pts.shape[0]):
-                r0 = r_pts[ri]
-                h = fd_step if fd_step is not None else fd_step_for(np.concatenate([x0, r0]))
-                cols = []
-                z0 = np.concatenate([x0, r0])
-                for d in range(spec.n + spec.p):
-                    zp = z0.copy()
-                    zm = z0.copy()
-                    zp[d] += h
-                    zm[d] -= h
-                    mp = _window_means_batch(spec, zp[: spec.n], zp[spec.n:], tau0s,
-                                             float(T), panels)
-                    mm = _window_means_batch(spec, zm[: spec.n], zm[spec.n:], tau0s,
-                                             float(T), panels)
-                    fp = np.asarray(f_ave(zp[None, : spec.n], zp[None, spec.n:]),
-                                    dtype=float)[0]
-                    fm = np.asarray(f_ave(zm[None, : spec.n], zm[None, spec.n:]),
-                                    dtype=float)[0]
-                    cols.append(((mp - mm) - (fp - fm)[None, :]) / (2.0 * h))
-                jac = np.stack(cols, axis=-1)  # (ntau, n, n+p)
-                frob = np.sqrt(np.sum(jac * jac, axis=(1, 2)))
-                k = int(np.argmax(frob))
-                if frob[k] > best:
-                    best = float(frob[k])
-                    wit = (x0.copy(), r0.copy(), float(tau0s[k]))
-                if xnorm > 0.0:
-                    kn = int(np.argmax(frob / xnorm))
-                    best_norm = max(best_norm, float(frob[kn] / xnorm))
-        values[ti] = best
-        values_norm[ti] = best_norm
-        witnesses.append(wit)
+        panels = _panels_for(float(T))
+        frob = [_residual_jacobian_norms(spec, f_ave, np.concatenate([x0, r0]), tau0s,
+                                         float(T), panels)
+                for x0 in x_pts for r0 in r_pts]  # grid (x, r, tau0)
+        values[ti], witness = _grid_sup(
+            np.reshape(frob, (x_pts.shape[0], r_pts.shape[0], -1)),
+            f"Jacobian residual of f against favg (T = {float(T)!r})", ("x", "r", "tau0"),
+            lambda i, j, k: (x_pts[i].copy(), r_pts[j].copy(), float(tau0s[k])))
+        witnesses.append(witness)
 
     flags = None
     if state_gamma is not None:
@@ -389,7 +388,6 @@ def check_jacobian_average(spec: SystemSpec, f_ave: Callable, x_grid, r_grid,
         # slack absorbs finite-difference noise when the curves coincide
         flags = tuple(bool(v > e * (1.0 + 1e-6) + 1e-9) for v, e in zip(values, env))
     return GammaCurve(Ts, values, _envelope(values), tuple(witnesses),
-                      kind="jacobian", values_normalized=values_norm,
                       exceeds_state_envelope=flags)
 
 
@@ -414,91 +412,67 @@ def _pairs(k: int):
 
 def estimate_lipschitz(spec: SystemSpec, f_ave: Optional[Callable], x_grid,
                        r_grid, tau_grid, eps_grid=None) -> LipschitzEstimates:
-    """Max difference quotients of f in x, f in eps (|x|-normalized), g in x, f_ave in x."""
+    """Max difference quotients of f in x, f in eps (|x|-normalized), g in x, f_ave in x.
+
+    Each constant is a grid maximum with its witness; a non-finite quotient
+    is an error naming the map and its point.  L_ave is 0.0 without f_ave.
+    """
     x_pts = np.atleast_2d(np.asarray(x_grid, dtype=float)).reshape(-1, spec.n)
     r_pts = np.atleast_2d(np.asarray(r_grid, dtype=float)).reshape(-1, spec.p)
     taus = np.asarray(tau_grid, dtype=float).ravel()
-    if x_pts.shape[0] < 2:
+    pair_idx = [(i, j) for i, j in _pairs(x_pts.shape[0])
+                if not np.array_equal(x_pts[i], x_pts[j])]
+    if not pair_idx:
         raise ValueError("need at least 2 distinct x grid points")
     if eps_grid is None:
         eps_grid = np.array([0.0, 0.5 * spec.epsilon, spec.epsilon])
     eps_grid = np.asarray(eps_grid, dtype=float).ravel()
+    eps_pairs = [(float(a), float(b)) for i, a in enumerate(eps_grid)
+                 for b in eps_grid[i + 1:] if a != b]
+    if not eps_pairs:
+        raise ValueError("need at least 2 distinct eps grid values")
 
-    pair_idx = [(i, j) for i, j in _pairs(x_pts.shape[0])
-                if not np.array_equal(x_pts[i], x_pts[j])]
     A = np.stack([x_pts[i] for i, _ in pair_idx])
     Bm = np.stack([x_pts[j] for _, j in pair_idx])
     gaps = np.sqrt(np.sum((A - Bm) ** 2, axis=-1))
 
+    def along(a, rows):
+        return np.broadcast_to(a, (rows.shape[0], a.shape[-1]))
+
+    def quotient(fa, fb, scale):
+        fa, fb = np.asarray(fa, dtype=float), np.asarray(fb, dtype=float)
+        return np.sqrt(np.sum((fa - fb) ** 2, axis=-1)) / scale
+
     witnesses = {}
+    pts = [(rr, float(tau), float(eps)) for rr in r_pts for eps in eps_grid for tau in taus]
+    q = [quotient(spec.f(A, along(rr, A), tau, eps), spec.f(Bm, along(rr, A), tau, eps), gaps)
+         for rr, tau, eps in pts]
+    L_x, witnesses["L_x"] = _grid_sup(
+        q, "difference quotient of f in x", ("x", "x'", "r", "tau", "eps"),
+        lambda g, k: (tuple(A[k]), tuple(Bm[k]), tuple(pts[g][0])) + pts[g][1:])
 
-    L_x = 0.0
-    for rr in r_pts:
-        r_tile = np.broadcast_to(rr, (A.shape[0], spec.p))
-        for eps in eps_grid:
-            for tau in taus:
-                fa = np.asarray(spec.f(A, r_tile, float(tau), float(eps)), dtype=float)
-                fb = np.asarray(spec.f(Bm, r_tile, float(tau), float(eps)), dtype=float)
-                q = np.sqrt(np.sum((fa - fb) ** 2, axis=-1)) / gaps
-                k = int(np.argmax(q))
-                if q[k] > L_x:
-                    L_x = float(q[k])
-                    witnesses["L_x"] = (tuple(A[k]), tuple(Bm[k]), tuple(rr),
-                                        float(tau), float(eps))
+    xs = x_pts[np.sqrt(np.sum(x_pts * x_pts, axis=-1)) > 0.0]
+    xnorms = np.sqrt(np.sum(xs * xs, axis=-1))
+    pts = [(rr, float(tau), a, b) for a, b in eps_pairs for rr in r_pts for tau in taus]
+    q = [quotient(spec.f(xs, along(rr, xs), tau, a), spec.f(xs, along(rr, xs), tau, b),
+                  xnorms * abs(b - a)) for rr, tau, a, b in pts]
+    L_eps, witnesses["L_eps"] = _grid_sup(
+        q, "difference quotient of f in eps", ("x", "r", "tau", "eps", "eps'"),
+        lambda g, k: (tuple(xs[k]), tuple(pts[g][0])) + pts[g][1:])
 
-    L_eps = 0.0
-    xnorms = np.sqrt(np.sum(x_pts * x_pts, axis=-1))
-    for ei in range(len(eps_grid) - 1):
-        for ej in range(ei + 1, len(eps_grid)):
-            de = abs(float(eps_grid[ej] - eps_grid[ei]))
-            if de == 0.0:
-                continue
-            for rr in r_pts:
-                r_tile = np.broadcast_to(rr, (x_pts.shape[0], spec.p))
-                for tau in taus:
-                    fa = np.asarray(spec.f(x_pts, r_tile, float(tau),
-                                           float(eps_grid[ei])), dtype=float)
-                    fb = np.asarray(spec.f(x_pts, r_tile, float(tau),
-                                           float(eps_grid[ej])), dtype=float)
-                    diff = np.sqrt(np.sum((fa - fb) ** 2, axis=-1))
-                    mask = xnorms > 0.0
-                    if not np.any(mask):
-                        continue
-                    q = diff[mask] / (xnorms[mask] * de)
-                    k = int(np.argmax(q))
-                    if q[k] > L_eps:
-                        L_eps = float(q[k])
-                        witnesses["L_eps"] = (tuple(x_pts[mask][k]), tuple(rr),
-                                              float(tau), float(eps_grid[ei]),
-                                              float(eps_grid[ej]))
-
-    v_samp = spec.noise.values if spec.noise.kind == "finite-support" else \
-        np.stack([spec.noise.draw(0, k + 1) for k in range(8)])
-    d_pts = spec.D.grid(3)
-    L_g = 0.0
-    for rr in d_pts:
-        r_tile = np.broadcast_to(rr, (A.shape[0], spec.p))
-        for v in v_samp:
-            v_tile = np.broadcast_to(v, (A.shape[0], spec.m))
-            ga = np.asarray(spec.g(A, r_tile, v_tile), dtype=float)
-            gb = np.asarray(spec.g(Bm, r_tile, v_tile), dtype=float)
-            q = np.sqrt(np.sum((ga - gb) ** 2, axis=-1)) / gaps
-            k = int(np.argmax(q))
-            if q[k] > L_g:
-                L_g = float(q[k])
-                witnesses["L_g"] = (tuple(A[k]), tuple(Bm[k]), tuple(rr), tuple(v))
+    pts = [(rr, v) for rr in spec.D.grid(3) for v in _noise_samples(spec.noise, 8)]
+    q = [quotient(spec.g(A, along(rr, A), along(v, A)), spec.g(Bm, along(rr, A), along(v, A)),
+                  gaps) for rr, v in pts]
+    L_g, witnesses["L_g"] = _grid_sup(
+        q, "difference quotient of g in x", ("x", "x'", "r", "v"),
+        lambda g, k: (tuple(A[k]), tuple(Bm[k]), tuple(pts[g][0]), tuple(pts[g][1])))
 
     L_ave = 0.0
     if f_ave is not None:
-        for rr in r_pts:
-            r_tile = np.broadcast_to(rr, (A.shape[0], spec.p))
-            fa = np.asarray(f_ave(A, r_tile), dtype=float)
-            fb = np.asarray(f_ave(Bm, r_tile), dtype=float)
-            q = np.sqrt(np.sum((fa - fb) ** 2, axis=-1)) / gaps
-            k = int(np.argmax(q))
-            if q[k] > L_ave:
-                L_ave = float(q[k])
-                witnesses["L_ave"] = (tuple(A[k]), tuple(Bm[k]), tuple(rr))
+        q = [quotient(f_ave(A, along(rr, A)), f_ave(Bm, along(rr, A)), gaps) for rr in r_pts]
+        L_ave, witnesses["L_ave"] = _grid_sup(
+            q, "difference quotient of favg in x", ("x", "x'", "r"),
+            lambda g, k: (tuple(A[k]), tuple(Bm[k]), tuple(r_pts[g])))
 
     n_samples = len(pair_idx) * r_pts.shape[0] * len(taus) * len(eps_grid)
     return LipschitzEstimates(L_x, L_eps, L_g, L_ave, n_samples, witnesses)

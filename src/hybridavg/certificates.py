@@ -15,9 +15,9 @@ V's central-difference gradient over all of it, F_ave over its C rows, and the
 jump maps over its D rows, with the jump draws made once per certificate.
 Max/min reductions over a grid can only certify at grid resolution; the
 verdict is a "grid-certified" pass, never a proof, and every inequality
-carries its worst witness point, the first in r-major, then x, order.  A
-sub-check that meets a non-finite value fails, with the first such point as
-its witness.
+carries its worst witness point, the first in r-major, then x, order.  Every
+reduction is core.grid_extreme's, so a sub-check that meets a non-finite
+value fails, with the first such point as its witness.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .averaging import AverageSpec
-from .core import JumpNoise, union_descriptor
+from .core import JumpNoise, grid_extreme, union_descriptor
 
 
 @dataclass(frozen=True)
@@ -138,12 +138,11 @@ def _jumped_V(V: Callable, avg: AverageSpec, x: np.ndarray, r: np.ndarray,
     return _eval_V(V, xp, rp)
 
 
-def _subcheck(name: str, rates: np.ndarray, ok: bool, constants: tuple, worst: float,
-              witness: Optional[tuple], witness_at: Callable) -> SubcheckResult:
-    """The sub-check's result; a non-finite rate fails it at the first such point."""
-    bad = np.flatnonzero(~np.isfinite(rates))
-    if bad.size:
-        ok, worst, witness = False, math.nan, witness_at(int(bad[0]))
+def _subcheck(name: str, ok: bool, constants: tuple, worst: float, witness: Optional[tuple],
+              value: float, witness_at_value: Optional[tuple]) -> SubcheckResult:
+    """The sub-check's result; a non-finite grid extreme value fails it at its point."""
+    if not math.isfinite(value):
+        ok, worst, witness = False, math.nan, witness_at_value
     return SubcheckResult(name, bool(ok), constants, worst, witness)
 
 
@@ -192,26 +191,21 @@ def foster_certificate(V: Callable, avg: AverageSpec,
     grads = (vz[1::2] - vz[2::2]).T / (2.0 * step)
 
     ratio = vals / d ** 2
-    c1, c2 = float(np.min(ratio)), float(np.max(ratio))
-    k = int(np.argmin(vals))
-    low = vals[k] <= 0.0
-    worst = 0.0 - float(vals[k]) if low else 0.0  # not -V: a zero V reads 0.0, not -0.0
-    sandwich = _subcheck("sandwich c1*d^2 <= V <= c2*d^2", ratio, not low and c1 > 0.0,
-                         (c1, c2), worst, at(k, vals[k]) if low else None,
-                         lambda i: at(i, vals[i]))
+    (c1, k), (c2, _) = grid_extreme(ratio, lowest=True), grid_extreme(ratio)
+    v_min, kv = grid_extreme(vals, lowest=True)
+    low = v_min <= 0.0
+    sandwich = _subcheck("sandwich c1*d^2 <= V <= c2*d^2", not low and c1 > 0.0, (c1, c2),
+                         0.0 - v_min if low else 0.0,  # not -V: a zero V reads 0.0, not -0.0
+                         at(kv, v_min) if low else None, c1, at(k, vals[k]))
 
-    gain = np.sqrt(np.sum(grads * grads, axis=-1)) / d
-    k = int(np.argmax(gain))
-    c3 = float(gain[k])
-    gradb = _subcheck("gradient bound |grad V| <= c3*d", gain, True, (c3,), 0.0, at(k), at)
+    c3, k = grid_extreme(np.sqrt(np.sum(grads * grads, axis=-1)) / d)
+    gradb = _subcheck("gradient bound |grad V| <= c3*d", True, (c3,), 0.0, at(k), c3, at(k))
 
     dot = np.sum(grads[:n_flow] * avg.flow(xs[:n_flow], rs[:n_flow]), axis=-1)
-    decay = -dot / vals[:n_flow]
-    k = int(np.argmin(decay))
-    c4 = float(decay[k])
-    flow = _subcheck("flow decrease <grad V, F_ave> <= -c4*V", decay,
-                     not np.any(dot > 0.0) and c4 > 0.0, (c4,), max(float(np.max(dot)), 0.0),
-                     at(k, dot[k]), lambda i: at(i, dot[i]))
+    c4, k = grid_extreme(-dot / vals[:n_flow], lowest=True)
+    top, _ = grid_extreme(dot)
+    flow = _subcheck("flow decrease <grad V, F_ave> <= -c4*V", top <= 0.0 and c4 > 0.0,
+                     (c4,), max(top, 0.0), at(k, dot[k]), c4, at(k, dot[k]))
 
     # jump-set points where V > 0; a NaN V stays in and fails the check
     rows = n_flow + np.flatnonzero(~(vals[n_flow:] <= 0.0))
@@ -228,15 +222,14 @@ def foster_certificate(V: Callable, avg: AverageSpec,
         expect = np.array([np.mean(_jumped_V(V, avg, np.broadcast_to(x, (mc_samples, n)),
                                              np.broadcast_to(r, (mc_samples, p)), draws))
                            for x, r in zip(xj, rj)])
-    contraction = expect / vals[rows]
-    c5, witness = -math.inf, None
+    # no jump-set point with V > 0 leaves c5 undefined (NaN), which fails the check
+    c5, witness = math.nan, None
     if rows.size:
-        k = int(np.argmax(contraction))
-        c5, witness = float(contraction[k]), at(rows[k], expect[k])
+        c5, k = grid_extreme(expect / vals[rows])
+        witness = at(rows[k], expect[k])
     # c5 = 0 (always-absorbing jumps) only strengthens contraction: accept >= 0
-    jump = _subcheck("jump contraction E[V+] <= c5*V", contraction,
-                     math.isfinite(c5) and c5 >= 0.0, (c5,), 0.0, witness,
-                     lambda i: at(rows[i], expect[i]))
+    jump = _subcheck("jump contraction E[V+] <= c5*V", c5 >= 0.0, (c5,), 0.0, witness,
+                     c5, witness)
 
     lam = (c2 / c1) * c5 if c1 else math.nan
     verdict = (sandwich.ok and gradb.ok and flow.ok and jump.ok

@@ -72,15 +72,12 @@ def _lookup(doc: ConfigDocument, sections, key: str, get, default):
 
 
 def _parse_inits(doc: ConfigDocument, spec, sections) -> list:
-    """Initial conditions: x0 as ';'-separated vectors (or scalars), shared r0/tau0."""
-    get = ConfigDocument.get_str
-    raw_x0 = _lookup(doc, sections, "x0", get, "1")
-    if ";" in raw_x0:
-        x0s = [[float(t) for t in chunk.split()] for chunk in raw_x0.split(";") if chunk.strip()]
-    else:
-        x0s = [[float(t)] for t in raw_x0.split()]
-    r0 = [float(t) for t in _lookup(doc, sections, "r0", get, "0").split()]
-    tau0 = float(_lookup(doc, sections, "tau0", get, "0"))
+    """Initial conditions: x0 as ';'-separated vectors (scalars when n = 1), shared r0/tau0."""
+    x0s = _lookup(doc, sections, "x0", ConfigDocument.get_float_groups, [[1.0]])
+    if spec.n == 1:
+        x0s = [[value] for group in x0s for value in group]
+    r0 = _lookup(doc, sections, "r0", ConfigDocument.get_float_list, [0.0])
+    tau0 = _lookup(doc, sections, "tau0", ConfigDocument.get_float, 0.0)
     inits = []
     for x0 in x0s:
         if len(x0) != spec.n or len(r0) != spec.p:
@@ -155,30 +152,44 @@ def _favg_from_config(doc: ConfigDocument, spec):
     return AverageField(exprs, spec.n)
 
 
+def _average_count(doc: ConfigDocument, key: str, default: int) -> int:
+    value = doc.get_int("average", key, default)
+    if value < 1:
+        raise ConfigError(f"[average] {key} must be >= 1, got {value}")
+    return value
+
+
 def _average_grids(doc: ConfigDocument, spec):
-    x_raw = doc.get_str("average", "x_values", "-3 -2 -1 1 2 3")
-    if ";" in x_raw:
-        x_axes = [np.array([float(t) for t in chunk.split()])
-                  for chunk in x_raw.split(";") if chunk.strip()]
-    else:
-        x_axes = [np.array([float(t) for t in x_raw.split()])]
+    """The [average] grids; a grid that cannot be averaged over is a config error."""
+    x_axes = [np.array(axis) for axis in
+              doc.get_float_groups("average", "x_values", [[-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]])]
     if len(x_axes) != spec.n:
         raise ConfigError(f"[average] x_values needs {spec.n} axis/axes")
-    r_points = doc.get_int("average", "r_points", 3)
+    if not any(np.any(axis != 0.0) for axis in x_axes):
+        raise ConfigError("[average] x_values: the x grid needs a nonzero point "
+                          "(gamma is normalized by |x|)")
+    r_points = _average_count(doc, "r_points", 3)
     lo, hi = spec.flow_or_jump_set.bounding_box()
     r_axes = [np.linspace(lo[d], hi[d], r_points) if lo[d] < hi[d]
               else np.array([lo[d]]) for d in range(spec.p)]
     period = doc.get_float("average", "tau_period", 2.0 * np.pi)
-    tau_points = doc.get_int("average", "tau_points", 256)
+    tau_points = _average_count(doc, "tau_points", 256)
     tau_grid = np.linspace(0.0, period, tau_points, endpoint=False)
     if doc.has("average", "T_values"):
         T_grid = np.array(doc.get_float_list("average", "T_values"))
+        T_keys, T_set = "T_values", T_grid.tolist()
     else:
         T_min = doc.get_float("average", "T_min", 0.5)
         T_max = doc.get_float("average", "T_max", 4.0 * np.pi)
-        T_points = doc.get_int("average", "T_points", 20)
-        T_grid = np.linspace(T_min, T_max, T_points)
+        T_grid = np.linspace(T_min, T_max, _average_count(doc, "T_points", 20))
+        T_keys, T_set = "T_min, T_max", [T_min, T_max]
+    if not (T_grid.size and T_grid[0] > 0.0 and np.all(np.diff(T_grid) > 0.0)):
+        raise ConfigError(f"[average] {T_keys}: window lengths T must be > 0 and strictly "
+                          f"increasing, got {T_set}")
     T_long = doc.get_float("average", "T_long_periods", 20.0) * period
+    if not (T_long > 0.0 and math.isfinite(T_long)):
+        raise ConfigError(f"[average] T_long_periods, tau_period: the long window "
+                          f"T_long_periods * tau_period must be finite and > 0, got {T_long!r}")
     return x_axes, r_axes, tau_grid, T_grid, T_long
 
 

@@ -94,18 +94,30 @@ class ConfigDocument:
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from exc
 
+    @staticmethod
+    def _floats(section: str, key: str, text: str) -> list:
+        try:
+            values = [float(tok) for tok in text.split()]
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: expected numbers: {text!r}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"[{section}] {key}: expected finite numbers: {text!r}")
+        return values
+
     def get_float_list(self, section: str, key: str,
                        default: Optional[list] = None) -> list:
         raw, default = self._get(section, key, default, default is None)
         if raw is None:
             return list(default)
-        try:
-            values = [float(tok) for tok in raw.split()]
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: expected numbers: {raw!r}") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"[{section}] {key}: expected finite numbers: {raw!r}")
-        return values
+        return self._floats(section, key, raw)
+
+    def get_float_groups(self, section: str, key: str,
+                         default: Optional[list] = None) -> list:
+        """';'-separated groups of numbers (one vector or axis each); empty groups are skipped."""
+        raw, default = self._get(section, key, default, default is None)
+        if raw is None:
+            return [list(group) for group in default]
+        return [self._floats(section, key, chunk) for chunk in raw.split(";") if chunk.strip()]
 
     def get_expr_list(self, section: str, key: str) -> list:
         raw, _ = self._get(section, key, None, True)

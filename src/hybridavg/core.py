@@ -17,6 +17,11 @@ callables on batched float64 arrays,
 
 and must be broadcast-safe and free of cross-batch reductions, so that each
 batch element sees exactly the IEEE operations it would see alone.
+
+Every bound sampled on a grid, here and in ``averaging`` and
+``certificates``, is reduced by grid_extreme: the first extreme in C order,
+or the first non-finite sample when there is one, so that a NaN a map
+returned is never skipped.
 """
 
 from __future__ import annotations
@@ -123,10 +128,16 @@ class SetDescriptor:
         return len(self.lows)
 
     def contains(self, r) -> bool:
-        """Exact membership of a single point r (shape (dim,))."""
-        r = np.asarray(r, dtype=float)
+        """Exact membership of one point r: a sequence of floats or an array (dim,).
+
+        A NaN coordinate is never a member.
+        """
+        if isinstance(r, np.ndarray):
+            r = r.tolist()
+        if len(r) != len(self.lows[0]):
+            raise ValueError(f"point has {len(r)} coordinate(s), the set {self.dim}")
         for lo, hi in zip(self.lows, self.highs):
-            if np.all(r >= lo) and np.all(r <= hi):
+            if all(a <= v <= b for a, v, b in zip(lo, r, hi)):
                 return True
         return False
 
@@ -427,6 +438,39 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def grid_extreme(values, lowest: bool = False) -> tuple:
+    """The largest (with lowest, the smallest) sample of a grid and its flat index.
+
+    Ties go to the first sample in C order.  A non-finite sample (NaN or
+    +-inf) outranks every finite one: when there is one, the first in C order
+    is returned, so a bound taken over a grid never skips a point where a map
+    could not be evaluated.  An empty grid has no extreme and raises ValueError.
+    """
+    flat = np.asarray(values, dtype=float).ravel()
+    if not flat.size:
+        raise ValueError("cannot reduce an empty grid")
+    bad = ~np.isfinite(flat)
+    k = int(np.argmax(bad)) if bad.any() else int(flat.argmin() if lowest else flat.argmax())
+    return float(flat[k]), k
+
+
+def _norms(vals) -> np.ndarray:
+    vals = np.asarray(vals, dtype=float)
+    return np.sqrt(np.sum(vals * vals, axis=-1))
+
+
+def _grid_item(name: str, mags: np.ndarray, witness_at: Callable, tol: float = math.inf,
+               detail: str = "") -> ValidationItem:
+    """An item judged by its grid maximum: it passes when that is finite and <= tol.
+
+    The witness is the maximum's point, witness_at(*grid index), which is the
+    first non-finite sample when there is one.
+    """
+    worst, k = grid_extreme(mags)
+    return ValidationItem(name, math.isfinite(worst) and worst <= tol, worst,
+                          witness_at(*np.unravel_index(k, mags.shape)), detail)
+
+
 def _noise_samples(noise: JumpNoise, count: int) -> np.ndarray:
     if noise.kind == "finite-support":
         return noise.values
@@ -439,7 +483,8 @@ def validate_spec(spec: SystemSpec, plan: Optional[SamplingPlan] = None) -> Vali
     Items: (i) the flow map vanishes at x = 0 (or stays linearly bounded on a
     shell when plan.x_shell > 0), (ii) the jump map vanishes at x = 0,
     (iii) jumps land back in C u D, (iv) sup |h| is finite, reported as the
-    H estimate.  Failures are report entries with witness points, not errors.
+    H estimate.  Failures are report entries with witness points, not errors;
+    an item that meets a non-finite value fails with that point as witness.
     """
     plan = plan or SamplingPlan()
     cu = spec.flow_or_jump_set
@@ -451,74 +496,56 @@ def validate_spec(spec: SystemSpec, plan: Optional[SamplingPlan] = None) -> Vali
     v_samp = _noise_samples(spec.noise, plan.v_samples)
     items = []
 
-    # (i) flow map at the origin
-    worst = -np.inf
-    witness = None
+    # (i) flow map at the origin, grid (eps, tau, r)
+    x0 = np.zeros((r_grid.shape[0], spec.n))
     if plan.x_shell <= 0.0:
-        x0 = np.zeros((r_grid.shape[0], spec.n))
-        for eps in eps_vals:
-            for tau in taus:
-                vals = np.asarray(spec.f(x0, r_grid, float(tau), float(eps)), dtype=float)
-                mags = np.sqrt(np.sum(vals * vals, axis=-1))
-                k = int(np.argmax(mags))
-                if mags[k] > worst:
-                    worst = float(mags[k])
-                    witness = (0.0, tuple(r_grid[k]), float(tau), float(eps))
-        items.append(ValidationItem("f(0, r, tau, eps) = 0", worst <= STRUCT_TOL,
-                                    worst, witness, f"tol={STRUCT_TOL}"))
+        mags = np.array([[_norms(spec.f(x0, r_grid, float(tau), float(eps))) for tau in taus]
+                         for eps in eps_vals])
+        items.append(_grid_item(
+            "f(0, r, tau, eps) = 0", mags,
+            lambda e, t, k: (0.0, tuple(r_grid[k]), float(taus[t]), float(eps_vals[e])),
+            STRUCT_TOL, f"tol={STRUCT_TOL}"))
     else:
+        # grid (eps, tau, r, x) over the shell
         radii = np.geomspace(plan.x_shell, plan.x_shell_max, plan.shell_points)
         xs = np.concatenate([radii, -radii])
         x_shell = np.zeros((xs.shape[0], spec.n))
         x_shell[:, 0] = xs
-        bound = -np.inf
-        for eps in eps_vals:
-            for tau in taus:
-                for rr in r_grid:
-                    r_tile = np.broadcast_to(rr, (xs.shape[0], spec.p))
-                    vals = np.asarray(spec.f(x_shell, r_tile, float(tau), float(eps)), dtype=float)
-                    mags = np.sqrt(np.sum(vals * vals, axis=-1)) / np.abs(xs)
-                    k = int(np.argmax(mags))
-                    if mags[k] > bound:
-                        bound = float(mags[k])
-                        witness = (float(xs[k]), tuple(rr), float(tau), float(eps))
-        items.append(ValidationItem("sup |f(x,..)|/|x| on shell", math.isfinite(bound),
-                                    bound, witness,
-                                    f"shell |x| in [{plan.x_shell}, {plan.x_shell_max}]"))
 
-    # (ii) jump map at the origin
-    worst = -np.inf
-    witness = None
-    x0 = np.zeros((r_grid.shape[0], spec.n))
-    for v in v_samp:
-        v_tile = np.broadcast_to(v, (r_grid.shape[0], spec.m))
-        vals = np.asarray(spec.g(x0, r_grid, v_tile), dtype=float)
-        mags = np.sqrt(np.sum(vals * vals, axis=-1))
-        k = int(np.argmax(mags))
-        if mags[k] > worst:
-            worst = float(mags[k])
-            witness = (0.0, tuple(r_grid[k]), tuple(v))
-    items.append(ValidationItem("g(0, r, v) = 0", worst <= STRUCT_TOL, worst,
-                                witness, f"tol={STRUCT_TOL}"))
+        def gains(tau, eps):
+            return [_norms(spec.f(x_shell, np.broadcast_to(rr, (xs.shape[0], spec.p)), tau, eps))
+                    / np.abs(xs) for rr in r_grid]
 
-    # (iii) jumps land in C u D; (iv) H = sup |h|
+        mags = np.array([[gains(float(tau), float(eps)) for tau in taus] for eps in eps_vals])
+        items.append(_grid_item(
+            "sup |f(x,..)|/|x| on shell", mags,
+            lambda e, t, k, i: (float(xs[i]), tuple(r_grid[k]), float(taus[t]),
+                                float(eps_vals[e])),
+            detail=f"shell |x| in [{plan.x_shell}, {plan.x_shell_max}]"))
+
+    # (ii) jump map at the origin, grid (v, r)
+    v_tiles = [np.broadcast_to(v, (r_grid.shape[0], spec.m)) for v in v_samp]
+    mags = np.array([_norms(spec.g(x0, r_grid, v_tile)) for v_tile in v_tiles])
+    items.append(_grid_item("g(0, r, v) = 0", mags,
+                            lambda i, k: (0.0, tuple(r_grid[k]), tuple(v_samp[i])),
+                            STRUCT_TOL, f"tol={STRUCT_TOL}"))
+
+    # (iii) jumps land in C u D; (iv) H = sup |h|, grid (v, r in D)
     d_grid = spec.D.grid(plan.r_points)
-    h_sup = 0.0
-    closure_ok = True
-    witness = None
-    for v in v_samp:
+
+    def landing(v):
         v_tile = np.broadcast_to(v, (d_grid.shape[0], spec.m))
         post = np.asarray(spec.h(d_grid, v_tile), dtype=float)
-        post = np.broadcast_to(post, (d_grid.shape[0], spec.p))
-        mags = np.sqrt(np.sum(post * post, axis=-1))
-        h_sup = max(h_sup, float(np.max(mags)))
-        for k in range(post.shape[0]):
-            if not cu.contains(post[k]):
-                closure_ok = False
-                if witness is None:
-                    witness = (tuple(d_grid[k]), tuple(v), tuple(post[k]))
-    items.append(ValidationItem("h(r, v) lands in C u D", closure_ok,
-                                0.0 if closure_ok else 1.0, witness))
-    items.append(ValidationItem("sup |h| finite (H bound)", math.isfinite(h_sup), h_sup))
+        return np.broadcast_to(post, (d_grid.shape[0], spec.p))
 
-    return ValidationReport(tuple(items), h_sup)
+    def jump_at(i, k):
+        return (tuple(d_grid[k]), tuple(v_samp[i]), tuple(post[i, k]))
+
+    post = np.array([landing(v) for v in v_samp])
+    outside = np.flatnonzero([not cu.contains(row) for row in post.reshape(-1, spec.p)])
+    witness = jump_at(*np.unravel_index(outside[0], post.shape[:2])) if outside.size else None
+    items.append(ValidationItem("h(r, v) lands in C u D", not outside.size,
+                                1.0 if outside.size else 0.0, witness))
+    h_bound = _grid_item("sup |h| finite (H bound)", _norms(post), jump_at)
+    items.append(h_bound)
+    return ValidationReport(tuple(items), h_bound.worst)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -169,14 +170,6 @@ def _spread(row, ones):
     return row if ones is None else row * ones
 
 
-def _contains(region, r) -> bool:
-    """Exact membership of one point r (a sequence of floats) in a box union."""
-    for lo, hi in zip(region.lows, region.highs):
-        if all(a <= v <= b for a, v, b in zip(lo, r, hi)):
-            return True
-    return False
-
-
 def _entry_interval(r, w, lo, hi):
     """Time interval [a, b] during which r + s*w stays inside one box.
 
@@ -200,18 +193,16 @@ def _entry_interval(r, w, lo, hi):
 
 
 def _entry_time(r, w, target, dt: float):
-    best = None
+    """(s, lo, hi): the earliest s in [0, dt] at which r + s*w is in a box of target.
+
+    Ties go to the first box; None when no box is reached within dt.
+    """
+    hits = []
     for lo, hi in zip(target.lows, target.highs):
         iv = _entry_interval(r, w, lo, hi)
-        if iv is None:
-            continue
-        a, b = iv
-        if b < 0.0 or a > dt:
-            continue
-        cand = max(a, 0.0)
-        if best is None or cand < best[0]:
-            best = (cand, lo, hi)
-    return best
+        if iv is not None and not (iv[1] < 0.0 or iv[0] > dt):
+            hits.append((max(iv[0], 0.0), lo, hi))
+    return min(hits, key=itemgetter(0)) if hits else None
 
 
 def _exit_time(r, w, region) -> tuple:
@@ -315,8 +306,8 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
             where = memberships.get(key)
             if where is None:
                 r_vals = r[0].tolist()
-                where = memberships[key] = (_contains(spec.D, r_vals),
-                                            _contains(spec.C, r_vals))
+                where = memberships[key] = (spec.D.contains(r_vals),
+                                            spec.C.contains(r_vals))
             in_d, in_c = where
 
             # jump priority first: jumps consume no flow time, so one firing at

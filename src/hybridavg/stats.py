@@ -297,21 +297,12 @@ def uges_m_fit(ensemble: Sequence[HybridArc], eval_times, spec: SystemSpec,
 
     if t_eval.size == 1:
         k2 = k2_cap
-    elif excess(0.0) > 0.0:
-        lo, hi = -k2_cap, 0.0
+    else:
+        # bracket the sign change of the excess on the side of 0 where it lies
+        lo, hi = (-k2_cap, 0.0) if excess(0.0) > 0.0 else (0.0, k2_cap)
         if excess(lo) > 0.0:
             k2 = lo
-        else:
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if excess(mid) > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            k2 = lo
-    else:
-        lo, hi = 0.0, k2_cap
-        if excess(hi) <= 0.0:
+        elif excess(hi) <= 0.0:
             k2 = hi
         else:
             while hi - lo > tol:

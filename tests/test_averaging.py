@@ -48,6 +48,12 @@ class TestWindowAverage:
         with pytest.raises(ValueError):
             ha.window_average(actuator, [1.0], [0.5], 0.0, 0.0)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_rejects_non_finite_window(self, actuator, T):
+        # these once failed converting the panel count, inf with an OverflowError
+        with pytest.raises(ValueError, match="window length T must be finite and positive"):
+            ha.window_average(actuator, [1.0], [0.5], 0.0, T)
+
     def test_nonfinite_integrand_is_hard_error(self, actuator):
         def blow_up(x, r, tau, eps):
             return np.full_like(np.asarray(x, dtype=float), np.nan)
@@ -162,6 +168,34 @@ class TestEstimateGamma:
                         assert resid <= curve.values[ti] + 1e-12
 
 
+@pytest.mark.parametrize("estimate", [ha.estimate_gamma, ha.check_jacobian_average])
+class TestSampledEstimateGrids:
+    X_PTS = np.array([[1.0], [-2.0]])
+    R_PTS = np.array([[0.0]])
+
+    @pytest.mark.parametrize("Ts", [[0.0], [1.0, -1.0], [math.nan]])
+    def test_rejects_nonpositive_windows(self, actuator, favg, estimate, Ts):
+        with pytest.raises(ValueError, match="window lengths T must be finite and positive"):
+            estimate(actuator, favg, self.X_PTS, self.R_PTS, TAUS[:8], np.array(Ts))
+
+    @pytest.mark.parametrize("empty", ["x", "r", "tau", "T"])
+    def test_rejects_empty_grids(self, actuator, favg, estimate, empty):
+        grids = {"x": self.X_PTS, "r": self.R_PTS, "tau": TAUS[:8], "T": np.array([1.0])}
+        grids[empty] = np.zeros((0, 1))
+        with pytest.raises(ValueError, match="must be non-empty"):
+            estimate(actuator, favg, grids["x"], grids["r"], grids["tau"], grids["T"])
+
+    def test_non_finite_favg_is_an_error_naming_the_point(self, actuator, estimate):
+        # x/0 once left jac_gamma_raw at its -1.0 start value: NaN never beat it
+        def over_zero(x, r):
+            return np.asarray(x, dtype=float) / 0.0
+
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match=r"against favg .* is non-finite .* "
+                                                r"at x = \[1\.0\], r = \[0\.0\], tau0 = 0\.0"):
+            estimate(actuator, over_zero, self.X_PTS, self.R_PTS, TAUS[:8], np.array([1.0]))
+
+
 class TestJacobianAverage:
     def test_matches_state_curve_for_linear_field(self, actuator, favg):
         # d = -x sin(tau): both the state residual and d(d)/dx average to the
@@ -194,7 +228,6 @@ class TestJacobianAverage:
                                         state_gamma=state_curve)
         assert jac.exceeds_state_envelope is not None
         assert not any(jac.exceeds_state_envelope)
-        assert jac.values_normalized is not None
 
 
 class TestEstimateLipschitz:
@@ -212,6 +245,19 @@ class TestEstimateLipschitz:
         with pytest.raises(ValueError):
             ha.estimate_lipschitz(actuator, favg, np.array([[1.0]]),
                                   np.array([[0.0]]), np.array([0.0]))
+
+    @pytest.mark.parametrize("which", ["f", "g", "favg"])
+    def test_nan_map_is_an_error_naming_it(self, actuator, favg, which):
+        # nan > L is False: the running maxima once returned 0.0 for NaN maps
+        def nan_map(*args):
+            return np.full(np.shape(args[0]), math.nan)
+
+        spec = actuator if which == "favg" else dataclasses.replace(actuator, **{which: nan_map})
+        with pytest.raises(ValueError, match=rf"quotient of {which} in x is non-finite \(nan\) "
+                                             r"at x = \[-2\.0\], x' = \[1\.0\], r = "):
+            ha.estimate_lipschitz(spec, nan_map if which == "favg" else favg,
+                                  np.array([[-2.0], [1.0], [3.0]]), np.array([[0.5]]),
+                                  np.linspace(0.0, 6.0, 7))
 
     def test_estimates_are_lower_bounds(self, actuator, favg):
         est = ha.estimate_lipschitz(actuator, favg, np.array([[-2.0], [1.0], [3.0]]),

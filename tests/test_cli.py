@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -187,6 +188,35 @@ class TestAverageCommand:
         assert main(["average", "--config", cfg, "--out", str(out)]) == 0
         _, rows = read_csv(out / "average_gamma.csv")
         assert all(float(r[1]) <= 1e-12 for r in rows)
+
+    @pytest.mark.parametrize("line, key", [
+        ("T_min = 0", "T_min"), ("T_values = 1 0", "T_values"), ("T_min = -1", "T_min"),
+        ("T_values = 4 1 2", "T_values"), ("x_values = 0", "x_values"),
+        ("r_points = 0", "r_points"), ("tau_points = 0", "tau_points"),
+        ("T_long_periods = 0", "T_long_periods"), ("T_long_periods = 1e308", "T_long_periods")])
+    def test_bad_grid_is_a_config_error_naming_its_key(self, tmp_path, capsys, line, key):
+        # each once crashed with a traceback, ran negative windows, or took the
+        # gamma envelope in list order
+        text = SMALL_ACTUATOR.format(p=0.1, t_values="3.14", eps_values="0.1")
+        text = text.replace("T_values = 3.14\n", "")
+        cfg = write_cfg(tmp_path, re.sub(rf"(?m)^{line.split()[0]} = .*\n", "",
+                                         text).replace("[average]\n", f"[average]\n{line}\n"))
+        assert main(["average", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [average] {key}") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("favg", ["pow(x_1, 0.5)", "x_1/0"])
+    def test_non_finite_favg_is_exit_one_naming_favg(self, tmp_path, capsys, favg):
+        # pow once printed "max nodal deviation: nan" and x_1/0 wrote
+        # jac_gamma_raw = -1.0, both with exit 0
+        text = SMALL_ACTUATOR.format(p=0.1, t_values="3.14", eps_values="0.1")
+        cfg = write_cfg(tmp_path, text.replace("favg = -x_1\n", f"favg = {favg}\n"))
+        assert main(["average", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: deviation of favg from the window mean is non-finite")
+        assert "at x = [-2.0], r = [" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCertifyCommand:
@@ -380,6 +410,11 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "base_step" in capsys.readouterr().err
 
+    def test_unparsable_x0_names_its_section_and_key(self, tmp_path, capsys):
+        text = SMALL_ACTUATOR.format(p=0.1, t_values="1.0", eps_values="0.1")
+        cfg = write_cfg(tmp_path, text.replace("x0 = -2 2\n", "x0 = abc\n"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "config error: [simulate] x0: expected numbers: 'abc'\n"
 
     def test_usage_error_is_one_not_two(self, capsys):
         assert main(["simulate"]) == 1  # missing --config

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hybridavg as ha
-from hybridavg.core import SamplingPlan, distances_to_target
+from hybridavg.core import SamplingPlan, distances_to_target, grid_extreme
 
 from conftest import state
 
@@ -68,6 +69,15 @@ class TestSetDescriptor:
         assert not box.contains([1.0 + 1e-15])
         pt = ha.SetDescriptor.point([1.0])
         assert pt.contains([1.0]) and not pt.contains([1.0 - 1e-15])
+
+    def test_membership_takes_arrays_and_never_admits_nan(self):
+        box = ha.SetDescriptor.union_of([ha.SetDescriptor.box([0.0, 0.0], [1.0, 1.0]),
+                                         ha.SetDescriptor.point([2.0, 2.0])])
+        assert box.contains(np.array([2.0, 2.0])) and box.contains((0.5, 1.0))
+        assert not box.contains(np.array([0.5, math.nan]))
+        assert not box.contains([math.nan, math.nan])
+        with pytest.raises(ValueError, match="3 coordinate"):
+            box.contains(np.array([0.5, 0.5, 9.0]))
 
     def test_union_distance_is_min_over_parts(self):
         u = ha.SetDescriptor.union_of([ha.SetDescriptor.box([0.0], [1.0]),
@@ -140,8 +150,52 @@ class TestValidateSpec:
         assert not item.passed
         assert item.witness[0] == 0.0  # witness carries the x = 0 sample
 
+    @pytest.mark.parametrize("which, item", [("f", "f(0, r"), ("g", "g(0, r"),
+                                             ("h", "sup |h|")])
+    def test_nan_map_fails_its_item_with_a_witness(self, actuator, which, item):
+        # nan > worst is False: the running maxima once skipped NaN and passed
+        def nan_map(*args):
+            return np.full(np.shape(args[0]), math.nan)
+
+        report = ha.validate_spec(dataclasses.replace(actuator, **{which: nan_map}))
+        assert not report.passed
+        failed = next(it for it in report.items if it.name.startswith(item))
+        assert not failed.passed and math.isnan(failed.worst)
+        assert failed.witness is not None
+
     def test_es_passes_on_shell_fails_at_origin(self, es_system):
         shell = ha.validate_spec(es_system, SamplingPlan(x_shell=0.1))
         assert shell.passed
         exact = ha.validate_spec(es_system)
         assert not exact.passed  # the regularized field is not zero at x = 0
+
+
+@st.composite
+def grids(draw):
+    """A 1-3-d float array with repeated values and up to three injected non-finite entries."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    size = int(np.prod(shape))
+    value = st.sampled_from([-2.0, -0.0, 0.0, 1.0, 3.0]) | st.floats(-1e3, 1e3)
+    values = draw(st.lists(value, min_size=size, max_size=size))
+    for k in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        values[k] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return np.array(values).reshape(shape)
+
+
+class TestGridExtreme:
+    @given(grids(), st.booleans())
+    def test_first_extreme_in_c_order_or_first_non_finite(self, values, lowest):
+        flat = values.ravel().tolist()  # C order
+        bad = [k for k, v in enumerate(flat) if not math.isfinite(v)]
+        want = bad[0] if bad else 0
+        if not bad:
+            for k, v in enumerate(flat):
+                if (v < flat[want]) if lowest else (v > flat[want]):
+                    want = k
+        value, k = grid_extreme(values, lowest=lowest)
+        assert k == want
+        assert value == flat[want] or (math.isnan(value) and math.isnan(flat[want]))
+
+    def test_empty_grid_has_no_extreme(self):
+        with pytest.raises(ValueError, match="empty grid"):
+            grid_extreme(np.zeros((2, 0)))
