@@ -31,7 +31,6 @@ from .core import (
     HybridArc,
     HybridTime,
     JumpNoise,
-    SamplingPlan,
     SetDescriptor,
     StateVec,
     SystemSpec,
@@ -59,7 +58,7 @@ __all__ = [
     "AverageSpec", "CertGrid", "ConfigDocument", "ConfigError", "EnvelopeFit",
     "FosterCertificate", "GammaCurve", "Horizon", "HybridArc", "HybridTime",
     "IntegratorConfig", "JamParams", "JumpNoise", "LipschitzEstimates",
-    "RecurrenceReport", "SamplingPlan", "SetDescriptor", "StateVec",
+    "RecurrenceReport", "SetDescriptor", "StateVec",
     "SweepParams", "SystemSpec", "build_average_system",
     "check_jacobian_average", "epsilon_sweep", "estimate_average_map",
     "estimate_gamma", "estimate_lipschitz", "foster_certificate",

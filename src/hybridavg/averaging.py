@@ -9,6 +9,9 @@ computed by composite Simpson quadrature.  From it we estimate the average
 map f_ave on a grid, the convergence-rate curve gamma(T) bounding
 |avg - f_ave| / |x|, the matching curve for the Jacobian of the residual,
 and sampled lower bounds on the Lipschitz constants the theory requires.
+The average system, an AverageSpec, is a SystemSpec of the same class with
+no fast clock: the solver, the certificate and the target distance take it
+as they take any system.
 All suprema are grid suprema: results are grid-certified, not proofs.  Each
 is reduced by core.grid_extreme, so a non-finite sample is never skipped: an
 estimate that meets one raises ValueError naming the quantity and its point.
@@ -17,12 +20,12 @@ estimate that meets one raises ValueError naming the quantity and its point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import JumpNoise, SetDescriptor, SystemSpec, _noise_samples, grid_extreme
+from .core import SystemSpec, _float_tuple, _noise_samples, grid_extreme
 
 #: default Simpson panel density: panels per 2*pi of the fast clock
 PANELS_PER_PERIOD = 40
@@ -40,20 +43,33 @@ def _panels_for(T: float) -> int:
     return max(2, int(math.ceil(PANELS_PER_PERIOD * T / (2.0 * math.pi))))
 
 
+def _sample_window(spec: SystemSpec, x, r, s: np.ndarray) -> np.ndarray:
+    """f(x, r, s, 0) at the window samples s, shape (len(s), n).
+
+    A non-finite value is an error naming f, x, r and the first such tau.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    xt = np.broadcast_to(x, (s.shape[0], x.shape[0]))
+    rt = np.broadcast_to(r, (s.shape[0], r.shape[0]))
+    vals = np.asarray(spec.f(xt, rt, s, 0.0), dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"map 'f' returned a non-finite value ({float(vals[k])!r}) inside the "
+                         f"window at x = {x.tolist()!r}, r = {r.tolist()!r}, "
+                         f"tau = {float(s[k[0]])!r}")
+    return vals
+
+
 def window_average(spec: SystemSpec, x, r, tau0: float, T: float,
                    quad_points: Optional[int] = None) -> np.ndarray:
     """Window mean of f(x, r, ., 0) over [tau0, tau0 + T] (Simpson, quad_points panels)."""
     if not (T > 0.0 and math.isfinite(T)):
         raise ValueError(f"window length T must be finite and positive, got {T!r}")
     panels = _panels_for(T) if quad_points is None else max(2, int(quad_points))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r = np.atleast_1d(np.asarray(r, dtype=float))
     s = tau0 + np.arange(2 * panels + 1) * (T / (2 * panels))
-    xt = np.broadcast_to(x, (s.shape[0], x.shape[0]))
-    rt = np.broadcast_to(r, (s.shape[0], r.shape[0]))
-    vals = np.asarray(spec.f(xt, rt, s, 0.0), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("flow map returned a non-finite value inside the window")
+    vals = _sample_window(spec, x, r, s)
     h = T / (2 * panels)
     integral = (h / 3.0) * (_simpson_weights(panels) @ vals)
     return integral / T
@@ -62,17 +78,10 @@ def window_average(spec: SystemSpec, x, r, tau0: float, T: float,
 def _window_means_batch(spec: SystemSpec, x, r, tau0s: np.ndarray, T: float,
                         panels: int) -> np.ndarray:
     """Window means for one (x, r) and many window starts; shape (len(tau0s), n)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r = np.atleast_1d(np.asarray(r, dtype=float))
     h = T / (2 * panels)
     offs = np.arange(2 * panels + 1) * h
     s = (tau0s[:, None] + offs[None, :]).ravel()
-    xt = np.broadcast_to(x, (s.shape[0], x.shape[0]))
-    rt = np.broadcast_to(r, (s.shape[0], r.shape[0]))
-    vals = np.asarray(spec.f(xt, rt, s, 0.0), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("flow map returned a non-finite value inside the window")
-    vals = vals.reshape(tau0s.shape[0], offs.shape[0], -1)
+    vals = _sample_window(spec, x, r, s).reshape(tau0s.shape[0], offs.shape[0], -1)
     w = _simpson_weights(panels)
     return (h / 3.0) * np.einsum("q,tqn->tn", w, vals) / T
 
@@ -91,8 +100,11 @@ class TabulatedMap:
         if self.table.shape[:-1] != expect:
             raise ValueError(f"table shape {self.table.shape} does not match axes {expect}")
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    def __call__(self, x, r) -> np.ndarray:
+        """Interpolated values at the rows (x (B, n), r (B, p) or (p,)), as f_ave(x, r)."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        r = np.atleast_2d(np.asarray(r, dtype=float))
+        pts = np.concatenate([x, np.broadcast_to(r, (x.shape[0], r.shape[-1]))], axis=-1)
         B, d = pts.shape
         if d != len(self.axes):
             raise ValueError("query dimension does not match the table axes")
@@ -123,39 +135,6 @@ class TabulatedMap:
         return out
 
 
-@dataclass(frozen=True)
-class AverageSpec:
-    """The averaged system: flow (f_ave(x, r), w(r)), jumps reused verbatim.
-
-    There is no fast clock and no epsilon dependence.  ``f_ave`` follows the
-    batched convention f_ave(x, r) -> (B, n).
-    """
-
-    n: int
-    p: int
-    f_ave: Callable
-    w: Callable
-    g: Callable
-    h: Callable
-    C: SetDescriptor
-    D: SetDescriptor
-    noise: JumpNoise
-    table: Optional[TabulatedMap] = None
-    nodal_residual: float = 0.0
-
-    def flow(self, x, r) -> np.ndarray:
-        """Combined average vector field (f_ave(x, r), w(r)), batched."""
-        fx = np.asarray(self.f_ave(x, r), dtype=float)
-        wr = np.asarray(self.w(r), dtype=float)
-        wr = np.broadcast_to(wr, (fx.shape[0], self.p))
-        return np.concatenate([fx, wr], axis=-1)
-
-    def to_system(self, epsilon: float = 1.0) -> SystemSpec:
-        """Wrap as a SystemSpec (the clock becomes inert) so the solver can run it."""
-        return SystemSpec(self.n, self.p, self.noise.m, _AveFlowAdapter(self.f_ave),
-                          self.w, self.g, self.h, self.C, self.D, self.noise, epsilon)
-
-
 class _AveFlowAdapter:
     """Presents a clock-free average map under the (x, r, tau, eps) signature."""
 
@@ -166,18 +145,34 @@ class _AveFlowAdapter:
         return self.f_ave(x, r)
 
 
-class _TableFlow:
-    """Adapter turning a TabulatedMap over (x, r) into an f_ave(x, r) callable."""
+@dataclass(frozen=True)
+class AverageSpec(SystemSpec):
+    """The average system: flow (f_ave(x, r), w(r)) on C, the original jumps on D.
 
-    def __init__(self, table: TabulatedMap, n: int, p: int):
-        self.table = table
-        self.n = n
-        self.p = p
+    There is no fast clock: ``f`` is f_ave under the (x, r, tau, eps)
+    signature and ``epsilon`` is 1.0, both derived, so
+    dataclasses.replace(avg, f_ave=...) never leaves a stale f.  ``f_ave``
+    follows the batched convention f_ave(x, r) -> (B, n).
+    estimate_average_map also sets the window-mean ``table`` and its
+    ``nodal_residual`` against a closed form.
+    """
 
-    def __call__(self, x, r):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.broadcast_to(np.atleast_2d(np.asarray(r, dtype=float)), (x.shape[0], self.p))
-        return self.table(np.concatenate([x, r], axis=-1))
+    f: Callable = field(init=False, compare=False)
+    epsilon: float = field(init=False, default=1.0)
+    f_ave: Callable
+    table: Optional[TabulatedMap] = None
+    nodal_residual: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "f", _AveFlowAdapter(self.f_ave))
+        super().__post_init__()
+
+    def flow(self, x, r) -> np.ndarray:
+        """Combined average vector field (f_ave(x, r), w(r)), batched."""
+        fx = np.asarray(self.f_ave(x, r), dtype=float)
+        wr = np.asarray(self.w(r), dtype=float)
+        wr = np.broadcast_to(wr, (fx.shape[0], self.p))
+        return np.concatenate([fx, wr], axis=-1)
 
 
 def _as_axes(grid, what: str):
@@ -231,15 +226,13 @@ def estimate_average_map(spec: SystemSpec, x_grid, r_grid, T_long: float,
         table[np.unravel_index(row, shape)] = val
 
     tab = TabulatedMap(axes, table.reshape(shape + (spec.n,)))
-    nodal = 0.0
     if f_ave is not None:
         closed = np.asarray(f_ave(flat[:, : spec.n], flat[:, spec.n:]), dtype=float)
         nodal, _ = _grid_sup(np.sqrt(np.sum((closed - table.reshape(-1, spec.n)) ** 2,
                                             axis=-1)),
                              "deviation of favg from the window mean", ("x", "r"),
                              lambda k: (flat[k, : spec.n], flat[k, spec.n:]))
-        return AverageSpec(spec.n, spec.p, f_ave, spec.w, spec.g, spec.h,
-                           spec.C, spec.D, spec.noise, table=tab, nodal_residual=nodal)
+        return replace(build_average_system(spec, f_ave), table=tab, nodal_residual=nodal)
 
     # tabulated fallback: check cell midpoints against fresh window means
     mids = []
@@ -254,18 +247,17 @@ def estimate_average_map(spec: SystemSpec, x_grid, r_grid, T_long: float,
                 mids.append(q)
     floor = 1e-8 * max(1.0, float(np.max(np.abs(table))))
     if mids:
-        resid = [np.linalg.norm(window_average(spec, q[: spec.n], q[spec.n:], 0.0, T_long,
-                                               panels) - tab(q[None, :])[0]) for q in mids]
+        resid = [np.linalg.norm(window_average(spec, x, r, 0.0, T_long, panels) - tab(x, r)[0])
+                 for x, r in ((q[: spec.n], q[spec.n:]) for q in mids)]
         worst_mid, _ = _grid_sup(resid, "midpoint interpolation residual", ("x", "r"),
                                  lambda k: (mids[k][: spec.n], mids[k][spec.n:]))
-        if worst_mid > 10.0 * max(nodal, floor):
+        if worst_mid > 10.0 * floor:
             raise ValueError(
                 f"average-map grid too coarse: midpoint interpolation residual {worst_mid:g} "
-                f"exceeds 10x the nodal residual; refine the x/r grid"
+                f"exceeds 10x the floor {floor:g} (1e-8 of the largest table value); "
+                f"refine the x/r grid"
             )
-    return AverageSpec(spec.n, spec.p, _TableFlow(tab, spec.n, spec.p), spec.w,
-                       spec.g, spec.h, spec.C, spec.D, spec.noise, table=tab,
-                       nodal_residual=nodal)
+    return replace(build_average_system(spec, tab), table=tab)
 
 
 @dataclass(frozen=True)
@@ -411,11 +403,13 @@ def _pairs(k: int):
 
 
 def estimate_lipschitz(spec: SystemSpec, f_ave: Optional[Callable], x_grid,
-                       r_grid, tau_grid, eps_grid=None) -> LipschitzEstimates:
+                       r_grid, tau_grid) -> LipschitzEstimates:
     """Max difference quotients of f in x, f in eps (|x|-normalized), g in x, f_ave in x.
 
-    Each constant is a grid maximum with its witness; a non-finite quotient
-    is an error naming the map and its point.  L_ave is 0.0 without f_ave.
+    f is sampled at eps in [0, epsilon/2, epsilon].  Each constant is a grid
+    maximum with its witness, whose coordinates are Python floats; a
+    non-finite quotient is an error naming the map and its point.  L_ave is
+    0.0 without f_ave.
     """
     x_pts = np.atleast_2d(np.asarray(x_grid, dtype=float)).reshape(-1, spec.n)
     r_pts = np.atleast_2d(np.asarray(r_grid, dtype=float)).reshape(-1, spec.p)
@@ -424,13 +418,8 @@ def estimate_lipschitz(spec: SystemSpec, f_ave: Optional[Callable], x_grid,
                 if not np.array_equal(x_pts[i], x_pts[j])]
     if not pair_idx:
         raise ValueError("need at least 2 distinct x grid points")
-    if eps_grid is None:
-        eps_grid = np.array([0.0, 0.5 * spec.epsilon, spec.epsilon])
-    eps_grid = np.asarray(eps_grid, dtype=float).ravel()
-    eps_pairs = [(float(a), float(b)) for i, a in enumerate(eps_grid)
-                 for b in eps_grid[i + 1:] if a != b]
-    if not eps_pairs:
-        raise ValueError("need at least 2 distinct eps grid values")
+    eps_grid = [0.0, 0.5 * spec.epsilon, spec.epsilon]
+    eps_pairs = [(a, b) for i, a in enumerate(eps_grid) for b in eps_grid[i + 1:] if a != b]
 
     A = np.stack([x_pts[i] for i, _ in pair_idx])
     Bm = np.stack([x_pts[j] for _, j in pair_idx])
@@ -444,12 +433,12 @@ def estimate_lipschitz(spec: SystemSpec, f_ave: Optional[Callable], x_grid,
         return np.sqrt(np.sum((fa - fb) ** 2, axis=-1)) / scale
 
     witnesses = {}
-    pts = [(rr, float(tau), float(eps)) for rr in r_pts for eps in eps_grid for tau in taus]
+    pts = [(rr, float(tau), eps) for rr in r_pts for eps in eps_grid for tau in taus]
     q = [quotient(spec.f(A, along(rr, A), tau, eps), spec.f(Bm, along(rr, A), tau, eps), gaps)
          for rr, tau, eps in pts]
     L_x, witnesses["L_x"] = _grid_sup(
         q, "difference quotient of f in x", ("x", "x'", "r", "tau", "eps"),
-        lambda g, k: (tuple(A[k]), tuple(Bm[k]), tuple(pts[g][0])) + pts[g][1:])
+        lambda g, k: tuple(map(_float_tuple, (A[k], Bm[k], pts[g][0]))) + pts[g][1:])
 
     xs = x_pts[np.sqrt(np.sum(x_pts * x_pts, axis=-1)) > 0.0]
     xnorms = np.sqrt(np.sum(xs * xs, axis=-1))
@@ -458,21 +447,21 @@ def estimate_lipschitz(spec: SystemSpec, f_ave: Optional[Callable], x_grid,
                   xnorms * abs(b - a)) for rr, tau, a, b in pts]
     L_eps, witnesses["L_eps"] = _grid_sup(
         q, "difference quotient of f in eps", ("x", "r", "tau", "eps", "eps'"),
-        lambda g, k: (tuple(xs[k]), tuple(pts[g][0])) + pts[g][1:])
+        lambda g, k: (_float_tuple(xs[k]), _float_tuple(pts[g][0])) + pts[g][1:])
 
     pts = [(rr, v) for rr in spec.D.grid(3) for v in _noise_samples(spec.noise, 8)]
     q = [quotient(spec.g(A, along(rr, A), along(v, A)), spec.g(Bm, along(rr, A), along(v, A)),
                   gaps) for rr, v in pts]
     L_g, witnesses["L_g"] = _grid_sup(
         q, "difference quotient of g in x", ("x", "x'", "r", "v"),
-        lambda g, k: (tuple(A[k]), tuple(Bm[k]), tuple(pts[g][0]), tuple(pts[g][1])))
+        lambda g, k: tuple(map(_float_tuple, (A[k], Bm[k]) + pts[g])))
 
     L_ave = 0.0
     if f_ave is not None:
         q = [quotient(f_ave(A, along(rr, A)), f_ave(Bm, along(rr, A)), gaps) for rr in r_pts]
         L_ave, witnesses["L_ave"] = _grid_sup(
             q, "difference quotient of favg in x", ("x", "x'", "r"),
-            lambda g, k: (tuple(A[k]), tuple(Bm[k]), tuple(r_pts[g])))
+            lambda g, k: tuple(map(_float_tuple, (A[k], Bm[k], r_pts[g]))))
 
     n_samples = len(pair_idx) * r_pts.shape[0] * len(taus) * len(eps_grid)
     return LipschitzEstimates(L_x, L_eps, L_g, L_ave, n_samples, witnesses)
@@ -480,5 +469,5 @@ def estimate_lipschitz(spec: SystemSpec, f_ave: Optional[Callable], x_grid,
 
 def build_average_system(spec: SystemSpec, f_ave: Callable) -> AverageSpec:
     """Assemble the average system: flow (f_ave, w), jump maps and sets reused verbatim."""
-    return AverageSpec(spec.n, spec.p, f_ave, spec.w, spec.g, spec.h,
-                       spec.C, spec.D, spec.noise)
+    return AverageSpec(n=spec.n, p=spec.p, m=spec.m, w=spec.w, g=spec.g, h=spec.h,
+                       C=spec.C, D=spec.D, noise=spec.noise, f_ave=f_ave)

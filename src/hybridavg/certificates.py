@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .averaging import AverageSpec
-from .core import JumpNoise, grid_extreme, union_descriptor
+from .core import JumpNoise, _float_tuple, distances_to_target, grid_extreme
 
 
 @dataclass(frozen=True)
@@ -170,11 +170,10 @@ def foster_certificate(V: Callable, avg: AverageSpec,
     xs = np.tile(x_pts, (r_rows.shape[0], 1))
     rs = np.repeat(r_rows, x_pts.shape[0], axis=0)
     n_flow = r_flow.shape[0] * x_pts.shape[0]  # the C rows come first
-    dr = union_descriptor(avg.C, avg.D).distance(rs)
-    d = np.sqrt(np.sum(xs * xs, axis=-1) + dr * dr)  # >= |x| > 0
+    d = distances_to_target(xs, rs, avg)  # >= |x| > 0
 
     def at(k, *values):
-        return (tuple(map(float, xs[k])), tuple(map(float, rs[k]))) + tuple(map(float, values))
+        return (_float_tuple(xs[k]), _float_tuple(rs[k])) + _float_tuple(values)
 
     # V at every point and at its central-difference probes, in one call
     z = np.concatenate([xs, rs], axis=-1)

@@ -99,9 +99,9 @@ class ConfigDocument:
         try:
             values = [float(tok) for tok in text.split()]
         except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: expected numbers: {text!r}") from exc
+            raise ConfigError(f"[{section}] {key}: expected numbers: {text.strip()!r}") from exc
         if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"[{section}] {key}: expected finite numbers: {text!r}")
+            raise ConfigError(f"[{section}] {key}: expected finite numbers: {text.strip()!r}")
         return values
 
     def get_float_list(self, section: str, key: str,
@@ -131,16 +131,16 @@ class ConfigDocument:
             toks = chunk.split()
             if not toks:
                 continue
-            shape, nums = toks[0], toks[1:]
-            try:
-                vals = [float(v) for v in nums]
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: expected numbers in {chunk!r}") from exc
+            shape, vals = toks[0], self._floats(section, key, " ".join(toks[1:]))
             if shape == "box":
                 if len(vals) != 2 * dim:
                     raise ConfigError(
                         f"[{section}] {key}: box needs {2 * dim} numbers (lo hi per dim)")
-                parts.append(SetDescriptor.box(vals[0::2], vals[1::2]))
+                lo, hi = vals[0::2], vals[1::2]
+                if not all(a <= b for a, b in zip(lo, hi)):
+                    raise ConfigError(f"[{section}] {key}: box needs lo <= hi per dim, "
+                                      f"got {chunk.strip()!r}")
+                parts.append(SetDescriptor.box(lo, hi))
             elif shape == "point":
                 if len(vals) != dim:
                     raise ConfigError(f"[{section}] {key}: point needs {dim} number(s)")

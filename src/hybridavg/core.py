@@ -27,7 +27,7 @@ returned is never skipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from typing import Callable, Optional, Sequence
 
@@ -81,13 +81,10 @@ class SetDescriptor:
     degenerate box.  Membership is exact (closed intervals, no tolerance).
     """
 
-    kind: str  # 'interval-box' | 'singleton' | 'finite-union-of-boxes'
     lows: tuple  # tuple of per-box lower-bound tuples
     highs: tuple  # tuple of per-box upper-bound tuples
 
     def __post_init__(self):
-        if self.kind not in ("interval-box", "singleton", "finite-union-of-boxes"):
-            raise ValueError(f"unknown set kind {self.kind!r}")
         if len(self.lows) != len(self.highs) or not self.lows:
             raise ValueError("descriptor needs at least one (lo, hi) box")
         dim = len(self.lows[0])
@@ -100,32 +97,21 @@ class SetDescriptor:
 
     @staticmethod
     def box(lo: Sequence[float], hi: Sequence[float]) -> "SetDescriptor":
-        return SetDescriptor("interval-box", (tuple(float(v) for v in lo),),
-                             (tuple(float(v) for v in hi),))
+        return SetDescriptor((tuple(float(v) for v in lo),), (tuple(float(v) for v in hi),))
 
     @staticmethod
     def point(values: Sequence[float]) -> "SetDescriptor":
         vals = tuple(float(v) for v in values)
-        return SetDescriptor("singleton", (vals,), (vals,))
+        return SetDescriptor((vals,), (vals,))
 
     @staticmethod
     def union_of(parts: Sequence["SetDescriptor"]) -> "SetDescriptor":
-        lows, highs = [], []
-        for part in parts:
-            lows.extend(part.lows)
-            highs.extend(part.highs)
-        if len(lows) == 1:
-            only = parts[0]
-            return SetDescriptor(only.kind, tuple(lows), tuple(highs))
-        return SetDescriptor("finite-union-of-boxes", tuple(lows), tuple(highs))
+        return SetDescriptor(tuple(lo for part in parts for lo in part.lows),
+                             tuple(hi for part in parts for hi in part.highs))
 
     @property
     def dim(self) -> int:
         return len(self.lows[0])
-
-    @property
-    def n_boxes(self) -> int:
-        return len(self.lows)
 
     def contains(self, r) -> bool:
         """Exact membership of one point r: a sequence of floats or an array (dim,).
@@ -175,13 +161,6 @@ class SetDescriptor:
         return lo, hi
 
 
-def union_descriptor(c: SetDescriptor, d: SetDescriptor) -> SetDescriptor:
-    """Descriptor for C union D (used for the target set A = {0} x (C u D))."""
-    if c.dim != d.dim:
-        raise ValueError("C and D must share a dimension")
-    return SetDescriptor.union_of([c, d])
-
-
 @dataclass(frozen=True)
 class JumpNoise:
     """Distribution of the i.i.d. jump input v in R^m.
@@ -205,7 +184,9 @@ class JumpNoise:
             pr = np.asarray(self.probs, dtype=float).ravel()
             if vals.shape[0] != pr.shape[0]:
                 raise ValueError("support values and probabilities disagree in length")
-            if np.any(pr < 0.0):
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"support values must be finite, got {vals.tolist()!r}")
+            if not np.all(pr >= 0.0):
                 raise ValueError("probabilities must be nonnegative")
             total = float(np.sum(pr))
             if abs(total - 1.0) > 1e-12:
@@ -307,7 +288,7 @@ class SystemSpec:
 
     @cached_property
     def flow_or_jump_set(self) -> SetDescriptor:
-        return union_descriptor(self.C, self.D)
+        return SetDescriptor.union_of([self.C, self.D])
 
 
 @dataclass(frozen=True)
@@ -391,22 +372,13 @@ def distances_to_target(x: np.ndarray, r: np.ndarray, spec: SystemSpec) -> np.nd
     return np.sqrt(dx2 + dr * dr)
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Where validate_spec evaluates the structural conditions.
-
-    ``x_shell`` > 0 replaces the exact origin condition on f by a shell
-    consistency check sup |f(x,..)|/|x| over |x| in [x_shell, x_shell_max]
-    (for systems whose regularity holds only outside a small ball).
-    """
-
-    r_points: int = 9
-    tau_values: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 4.0 * np.pi, 25))
-    eps_values: Optional[np.ndarray] = None  # default [0, spec.epsilon]
-    v_samples: int = 8  # draws when the noise is sampler-only
-    x_shell: float = 0.0
-    x_shell_max: float = 3.0
-    shell_points: int = 16
+#: where validate_spec samples: r points per set dimension, fast-clock values,
+#: draws of sampler-only noise, and the outer radius and points of the |x| shell
+VALIDATE_R_POINTS = 9
+VALIDATE_TAUS = _readonly(np.linspace(0.0, 4.0 * np.pi, 25))
+VALIDATE_V_SAMPLES = 8
+SHELL_X_MAX = 3.0
+SHELL_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -477,61 +449,65 @@ def _noise_samples(noise: JumpNoise, count: int) -> np.ndarray:
     return np.stack([noise.draw(0, k + 1) for k in range(count)])
 
 
-def validate_spec(spec: SystemSpec, plan: Optional[SamplingPlan] = None) -> ValidationReport:
+def _float_tuple(row) -> tuple:
+    """A witness coordinate: the entries of row as Python floats."""
+    return tuple(map(float, row))
+
+
+def validate_spec(spec: SystemSpec, x_shell: float = 0.0) -> ValidationReport:
     """Grid-check the structural conditions a well-posed system must satisfy.
 
-    Items: (i) the flow map vanishes at x = 0 (or stays linearly bounded on a
-    shell when plan.x_shell > 0), (ii) the jump map vanishes at x = 0,
-    (iii) jumps land back in C u D, (iv) sup |h| is finite, reported as the
-    H estimate.  Failures are report entries with witness points, not errors;
-    an item that meets a non-finite value fails with that point as witness.
+    Items: (i) the flow map vanishes at x = 0 (or, when x_shell > 0, for
+    systems whose regularity holds only outside a small ball, stays linearly
+    bounded: sup |f(x,..)|/|x| over |x| in [x_shell, SHELL_X_MAX]), (ii) the
+    jump map vanishes at x = 0, (iii) jumps land back in C u D, (iv) sup |h|
+    is finite, reported as the H estimate.  Failures are report entries with
+    witness points, not errors; an item that meets a non-finite value fails
+    with that point as witness.
     """
-    plan = plan or SamplingPlan()
     cu = spec.flow_or_jump_set
-    r_grid = cu.grid(plan.r_points)
-    taus = np.asarray(plan.tau_values, dtype=float)
-    eps_vals = plan.eps_values
-    if eps_vals is None:
-        eps_vals = np.array([0.0, spec.epsilon])
-    v_samp = _noise_samples(spec.noise, plan.v_samples)
+    r_grid = cu.grid(VALIDATE_R_POINTS)
+    taus = VALIDATE_TAUS
+    eps_vals = np.array([0.0, spec.epsilon])
+    v_samp = _noise_samples(spec.noise, VALIDATE_V_SAMPLES)
     items = []
 
     # (i) flow map at the origin, grid (eps, tau, r)
     x0 = np.zeros((r_grid.shape[0], spec.n))
-    if plan.x_shell <= 0.0:
+    if x_shell <= 0.0:
         mags = np.array([[_norms(spec.f(x0, r_grid, float(tau), float(eps))) for tau in taus]
                          for eps in eps_vals])
         items.append(_grid_item(
             "f(0, r, tau, eps) = 0", mags,
-            lambda e, t, k: (0.0, tuple(r_grid[k]), float(taus[t]), float(eps_vals[e])),
+            lambda e, t, k: (0.0, _float_tuple(r_grid[k]), float(taus[t]), float(eps_vals[e])),
             STRUCT_TOL, f"tol={STRUCT_TOL}"))
     else:
         # grid (eps, tau, r, x) over the shell
-        radii = np.geomspace(plan.x_shell, plan.x_shell_max, plan.shell_points)
+        radii = np.geomspace(x_shell, SHELL_X_MAX, SHELL_POINTS)
         xs = np.concatenate([radii, -radii])
-        x_shell = np.zeros((xs.shape[0], spec.n))
-        x_shell[:, 0] = xs
+        x_ring = np.zeros((xs.shape[0], spec.n))
+        x_ring[:, 0] = xs
 
         def gains(tau, eps):
-            return [_norms(spec.f(x_shell, np.broadcast_to(rr, (xs.shape[0], spec.p)), tau, eps))
+            return [_norms(spec.f(x_ring, np.broadcast_to(rr, (xs.shape[0], spec.p)), tau, eps))
                     / np.abs(xs) for rr in r_grid]
 
         mags = np.array([[gains(float(tau), float(eps)) for tau in taus] for eps in eps_vals])
         items.append(_grid_item(
             "sup |f(x,..)|/|x| on shell", mags,
-            lambda e, t, k, i: (float(xs[i]), tuple(r_grid[k]), float(taus[t]),
+            lambda e, t, k, i: (float(xs[i]), _float_tuple(r_grid[k]), float(taus[t]),
                                 float(eps_vals[e])),
-            detail=f"shell |x| in [{plan.x_shell}, {plan.x_shell_max}]"))
+            detail=f"shell |x| in [{x_shell}, {SHELL_X_MAX}]"))
 
     # (ii) jump map at the origin, grid (v, r)
     v_tiles = [np.broadcast_to(v, (r_grid.shape[0], spec.m)) for v in v_samp]
     mags = np.array([_norms(spec.g(x0, r_grid, v_tile)) for v_tile in v_tiles])
     items.append(_grid_item("g(0, r, v) = 0", mags,
-                            lambda i, k: (0.0, tuple(r_grid[k]), tuple(v_samp[i])),
+                            lambda i, k: (0.0, _float_tuple(r_grid[k]), _float_tuple(v_samp[i])),
                             STRUCT_TOL, f"tol={STRUCT_TOL}"))
 
     # (iii) jumps land in C u D; (iv) H = sup |h|, grid (v, r in D)
-    d_grid = spec.D.grid(plan.r_points)
+    d_grid = spec.D.grid(VALIDATE_R_POINTS)
 
     def landing(v):
         v_tile = np.broadcast_to(v, (d_grid.shape[0], spec.m))
@@ -539,7 +515,7 @@ def validate_spec(spec: SystemSpec, plan: Optional[SamplingPlan] = None) -> Vali
         return np.broadcast_to(post, (d_grid.shape[0], spec.p))
 
     def jump_at(i, k):
-        return (tuple(d_grid[k]), tuple(v_samp[i]), tuple(post[i, k]))
+        return (_float_tuple(d_grid[k]), _float_tuple(v_samp[i]), _float_tuple(post[i, k]))
 
     post = np.array([landing(v) for v in v_samp])
     outside = np.flatnonzero([not cu.contains(row) for row in post.reshape(-1, spec.p)])

@@ -56,12 +56,18 @@ def _reset_timer(r, v):
     return np.zeros_like(np.asarray(r, dtype=float))
 
 
-def _jam_noise(p: float) -> JumpNoise:
-    return JumpNoise.finite([[0.75], [-0.75]], [p, 1.0 - p])
-
-
-def _timer_sets(T: float):
-    return SetDescriptor.box([0.0], [T]), SetDescriptor.point([T])
+def _jammed(params: JamParams, f) -> SystemSpec:
+    """The shared skeleton: flow f, a unit-rate timer over [0, T], jams at r = T."""
+    return SystemSpec(
+        n=1, p=1, m=1,
+        f=f,
+        w=_unit_rate,
+        g=_jam_gain,
+        h=_reset_timer,
+        C=SetDescriptor.box([0.0], [params.T]), D=SetDescriptor.point([params.T]),
+        noise=JumpNoise.finite([[0.75], [-0.75]], [params.p, 1.0 - params.p]),
+        epsilon=params.epsilon,
+    )
 
 
 def jammed_actuator(params: JamParams, u: float = 0.0) -> SystemSpec:
@@ -70,17 +76,7 @@ def jammed_actuator(params: JamParams, u: float = 0.0) -> SystemSpec:
     The certificate pipeline assumes u = 0 (the default); a nonzero constant
     input is available for simulation experiments only.
     """
-    C, D = _timer_sets(params.T)
-    return SystemSpec(
-        n=1, p=1, m=1,
-        f=partial(_actuator_flow, float(u)),
-        w=_unit_rate,
-        g=_jam_gain,
-        h=_reset_timer,
-        C=C, D=D,
-        noise=_jam_noise(params.p),
-        epsilon=params.epsilon,
-    )
+    return _jammed(params, partial(_actuator_flow, float(u)))
 
 
 def _es_flow(delta, x, r, tau, eps):
@@ -105,17 +101,7 @@ def jammed_es(params: JamParams, delta: float) -> SystemSpec:
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    C, D = _timer_sets(params.T)
-    return SystemSpec(
-        n=1, p=1, m=1,
-        f=partial(_es_flow, float(delta)),
-        w=_unit_rate,
-        g=_jam_gain,
-        h=_reset_timer,
-        C=C, D=D,
-        noise=_jam_noise(params.p),
-        epsilon=params.epsilon,
-    )
+    return _jammed(params, partial(_es_flow, float(delta)))
 
 
 def average_flow_linear(x, r):
@@ -184,14 +170,11 @@ def load_system(source) -> SystemSpec:
     if nkind != "finite":
         raise cfgmod.ConfigError(
             "config noise must be kind = finite; samplers are registered in code")
-    atoms = doc.get_expr_list("noise", "values")
-    values = []
-    for atom in atoms:
-        row = [float(tok) for tok in atom.split()]
+    values = doc.get_float_groups("noise", "values")
+    for row in values:
         if len(row) != m:
             raise cfgmod.ConfigError(
-                f"[noise] values: atom {atom!r} has {len(row)} component(s), expected {m}")
-        values.append(row)
+                f"[noise] values: atom {row!r} has {len(row)} component(s), expected {m}")
     probs = doc.get_float_list("noise", "probs")
     if len(probs) != len(values):
         raise cfgmod.ConfigError(
@@ -199,7 +182,7 @@ def load_system(source) -> SystemSpec:
     try:
         noise = JumpNoise.finite(values, probs)
     except ValueError as exc:
-        raise cfgmod.ConfigError(str(exc)) from exc
+        raise cfgmod.ConfigError(f"[noise] probs: {exc}") from exc
 
     return SystemSpec(
         n=n, p=p, m=m,

@@ -116,7 +116,7 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_solver_order_and_clock(self, average_system):
-        sys = average_system.to_system()
+        sys = average_system
         errs = []
         for base in (0.1, 0.05, 0.025, 0.0125):
             cfg = ha.IntegratorConfig(base_step=base, substep_per_epsilon=1e12)
@@ -138,7 +138,7 @@ class TestCriterion4:
 class TestCriterion5:
     def test_trajectory_closeness_in_epsilon(self, average_system):
         # jump-free window: reset period 2 > horizon 1
-        sys = average_system.to_system()
+        sys = average_system
         avg_arc = ha.simulate_path(sys, state(1.0, 0.0), 0, ha.Horizon(1.0, 5),
                                    ha.IntegratorConfig(base_step=0.001,
                                                        substep_per_epsilon=1e12))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hybridavg as ha
 
-from conftest import state
+from conftest import V_quad, state
 
 
 def gamma_oracle(T):
@@ -61,6 +61,18 @@ class TestWindowAverage:
         spec = dataclasses.replace(actuator, f=blow_up)
         with pytest.raises(ValueError, match="non-finite"):
             ha.window_average(spec, [1.0], [0.5], 0.0, 1.0)
+
+    def test_non_finite_sample_names_f_x_r_and_the_first_tau(self, actuator):
+        def late_blow_up(x, r, tau, eps):
+            return np.where(np.asarray(tau)[..., None] >= 1.0, math.inf, -np.asarray(x))
+
+        spec = dataclasses.replace(actuator, f=late_blow_up)
+        msg = (r"^map 'f' returned a non-finite value \(inf\) inside the window at "
+               r"x = \[1\.5\], r = \[0\.5\], tau = 1\.0$")
+        with pytest.raises(ValueError, match=msg):
+            ha.window_average(spec, [1.5], [0.5], 0.0, 2.0, 4)
+        with pytest.raises(ValueError, match=msg):  # the batched window means
+            ha.estimate_gamma(spec, lambda x, r: -x, [[1.5]], [[0.5]], [0.0, 0.5], [0.5])
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.0, 10.0), st.floats(0.3, 5.0), st.floats(0.3, 5.0))
@@ -259,6 +271,16 @@ class TestEstimateLipschitz:
                                   np.array([[-2.0], [1.0], [3.0]]), np.array([[0.5]]),
                                   np.linspace(0.0, 6.0, 7))
 
+    def test_witness_coordinates_are_plain_floats(self, actuator, favg):
+        est = ha.estimate_lipschitz(actuator, favg, np.array([[-2.0], [1.0], [3.0]]),
+                                    np.array([[0.5]]), np.linspace(0.0, 6.0, 7))
+        assert set(est.witnesses) == {"L_x", "L_eps", "L_g", "L_ave"}
+        for witness in est.witnesses.values():
+            coords = [c for part in witness
+                      for c in (part if isinstance(part, tuple) else (part,))]
+            assert all(type(c) is float for c in coords), witness
+        assert est.witnesses["L_ave"] == ((-2.0,), (1.0,), (0.5,))
+
     def test_estimates_are_lower_bounds(self, actuator, favg):
         est = ha.estimate_lipschitz(actuator, favg, np.array([[-2.0], [1.0], [3.0]]),
                                     np.array([[0.5]]), np.linspace(0.0, 6.0, 31))
@@ -274,10 +296,32 @@ class TestBuildAverageSystem:
         assert avg.noise is actuator.noise
 
     def test_average_flow_matches_closed_form_solution(self, average_system):
-        sys = average_system.to_system()
+        sys = average_system
         arc = ha.simulate_path(sys, state(1.0, 0.0), 0, ha.Horizon(1.0, 5))
         seg = arc.segments[0]
         assert np.max(np.abs(seg.x[:, 0] - np.exp(-seg.t))) <= 1e-10
+
+    def test_is_a_system_spec_the_solver_runs_at_epsilon_one(self, average_system):
+        assert isinstance(average_system, ha.SystemSpec)
+        assert average_system.epsilon == 1.0
+        x, r = np.array([[2.0], [-0.5]]), np.array([[0.25], [0.75]])
+        assert np.array_equal(average_system.f(x, r, 3.0, 0.5), average_system.f_ave(x, r))
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(average_system, f=average_system.f)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(average_system, epsilon=0.5)
+
+    def test_replaced_f_ave_drives_the_solver_and_the_certificate(self, average_system):
+        def slower(x, r):
+            return -0.5 * np.asarray(x, dtype=float)
+
+        avg = dataclasses.replace(average_system, f_ave=slower)
+        assert avg.f_ave is slower and avg.g is average_system.g
+        seg = ha.simulate_path(avg, state(1.0, 0.0), 0, ha.Horizon(0.9, 5)).segments[0]
+        assert np.max(np.abs(seg.x[:, 0] - np.exp(-0.5 * seg.t))) <= 1e-10
+        # <grad V, f_ave> = -c4 V: c4 = 2 for -x, 1 for -x/2
+        assert ha.foster_certificate(V_quad, average_system).c4 == pytest.approx(2.0, rel=1e-8)
+        assert ha.foster_certificate(V_quad, avg).c4 == pytest.approx(1.0, rel=1e-8)
 
     def test_tau_independent_average_equals_flow_at_eps_zero(self, actuator):
         spec = tau_independent_spec(actuator)

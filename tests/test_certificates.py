@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import hybridavg as ha
 from hybridavg.certificates import CertGrid, FosterCertificate, SubcheckResult
-from hybridavg.core import union_descriptor
 from hybridavg.systems import average_flow_linear
 
 from conftest import V_quad
@@ -266,7 +265,7 @@ def reference_certificate(V, avg, grid, noise=None, mc_samples=100_000):
     This is the row-by-row scan the one-pass foster_certificate replaced,
     kept as its reference; the sandwich witness is the global worst point.
     """
-    union = union_descriptor(avg.C, avg.D)
+    union = avg.flow_or_jump_set
     noise = noise or avg.noise
     x = grid.x_points(avg.n)
 

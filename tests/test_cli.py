@@ -218,6 +218,17 @@ class TestAverageCommand:
         assert "at x = [-2.0], r = [" in err
         assert not (tmp_path / "o").exists()
 
+    def test_non_finite_window_mean_names_f_and_its_point(self, tmp_path, capsys):
+        # once "flow map returned a non-finite value inside the window", naming no point
+        text = (CONFIGS / "actuator_expr.cfg").read_text(encoding="utf-8")
+        cfg = write_cfg(tmp_path, text.replace("flow_x = -x_1*(1 + sin(tau))",
+                                               "flow_x = pow(x_1, 0.5)*(1 + sin(tau))"))
+        assert main(["average", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: map 'f' returned a non-finite value (nan) inside the window at "
+            "x = [-3.0], r = [0.0], tau = 0.0\n")
+        assert not (tmp_path / "o").exists()
+
 
 class TestCertifyCommand:
     def test_pass_is_exit_zero(self, actuator_cfg, tmp_path):
@@ -415,6 +426,22 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, text.replace("x0 = -2 2\n", "x0 = abc\n"))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "config error: [simulate] x0: expected numbers: 'abc'\n"
+
+    @pytest.mark.parametrize("line, err", [
+        ("values = 0.75; nan", "[noise] values: expected finite numbers: 'nan'"),
+        ("values = 0.75; abc", "[noise] values: expected numbers: 'abc'"),
+        ("flow_set = box 0 nan", "[system] flow_set: expected finite numbers: '0 nan'"),
+        ("flow_set = box 1 0", "[system] flow_set: box needs lo <= hi per dim, got 'box 1 0'"),
+        ("probs = -0.5 1.5", "[noise] probs: probabilities must be nonnegative")])
+    def test_bad_number_in_the_system_names_its_key(self, tmp_path, capsys, line, err):
+        # a NaN atom once ran with exit 0, and the others named no key
+        text = (CONFIGS / "actuator_expr.cfg").read_text(encoding="utf-8")
+        key = line.split(" = ")[0]
+        cfg = write_cfg(tmp_path, re.sub(rf"(?m)^{key} = .*$", line, text))
+        assert main(["simulate", "--config", cfg, "--t-max", "0.1",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"config error: {err}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_usage_error_is_one_not_two(self, capsys):
         assert main(["simulate"]) == 1  # missing --config

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hybridavg as ha
-from hybridavg.core import SamplingPlan, distances_to_target, grid_extreme
+from hybridavg.core import distances_to_target, grid_extreme
 
 from conftest import state
 
@@ -112,6 +112,15 @@ class TestJumpNoise:
         se = math.sqrt(p * (1 - p) / n)
         assert abs(freq - p) <= 3 * se
 
+    @pytest.mark.parametrize("atom", [math.nan, math.inf, -math.inf])
+    def test_non_finite_atom_rejected(self, atom):
+        with pytest.raises(ValueError, match="support values must be finite"):
+            ha.JumpNoise.finite([[0.75], [atom]], [0.5, 0.5])
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ha.JumpNoise.finite([[0.75], [-0.75]], [math.nan, 1.0])
+
     def test_sampler_contract_shape_checked(self):
         noise = ha.JumpNoise.from_sampler(lambda seed, k: np.array([1.0, 2.0]), m=2)
         assert noise.draw(0, 1).shape == (2,)
@@ -150,6 +159,19 @@ class TestValidateSpec:
         assert not item.passed
         assert item.witness[0] == 0.0  # witness carries the x = 0 sample
 
+    def test_witnesses_print_as_plain_floats(self, actuator):
+        # numpy 2 once printed (0.0, (np.float64(0.0),), (np.float64(0.75),))
+        def unit_g(x, r, v):
+            return np.ones_like(np.asarray(x, dtype=float))
+
+        def far_h(r, v):
+            return np.full_like(np.asarray(r, dtype=float), 2.0)
+
+        bad = dataclasses.replace(actuator, g=unit_g, h=far_h)
+        lines = str(ha.validate_spec(bad)).splitlines()
+        assert "        witness: (0.0, (0.0,), (0.75,))" in lines
+        assert "        witness: ((1.0,), (0.75,), (2.0,))" in lines
+
     @pytest.mark.parametrize("which, item", [("f", "f(0, r"), ("g", "g(0, r"),
                                              ("h", "sup |h|")])
     def test_nan_map_fails_its_item_with_a_witness(self, actuator, which, item):
@@ -164,7 +186,7 @@ class TestValidateSpec:
         assert failed.witness is not None
 
     def test_es_passes_on_shell_fails_at_origin(self, es_system):
-        shell = ha.validate_spec(es_system, SamplingPlan(x_shell=0.1))
+        shell = ha.validate_spec(es_system, x_shell=0.1)
         assert shell.passed
         exact = ha.validate_spec(es_system)
         assert not exact.passed  # the regularized field is not zero at x = 0

@@ -24,7 +24,7 @@ class TestFlowStep:
     """Single integrator steps, observed through simulate_path."""
 
     def test_linear_decay_matches_exponential(self, average_system):
-        sys = average_system.to_system()
+        sys = average_system
         cfg = ha.IntegratorConfig(base_step=0.01, substep_per_epsilon=1.0)
         arc = ha.simulate_path(sys, state(1.0), 0, ha.Horizon(0.01, 10), cfg)
         assert arc.segments[0].t.shape == (2,)
@@ -67,7 +67,7 @@ class TestSimulatePath:
     def test_average_flow_then_boosting_jump(self, average_system):
         # flow to x(1,0) = e^{-1}, then jump with v = +0.75 (p = 1): gain 1.5
         spec = ha.build_average_system(make_actuator(p=1.0), average_system.f_ave)
-        arc = ha.simulate_path(spec.to_system(), state(1.0, 0.0), 0, ha.Horizon(1.0, 10))
+        arc = ha.simulate_path(spec, state(1.0, 0.0), 0, ha.Horizon(1.0, 10))
         assert arc.n_jumps == 1
         jump = arc.jumps[0]
         assert jump.time.t == pytest.approx(1.0, abs=1e-12)
@@ -77,7 +77,7 @@ class TestSimulatePath:
 
     def test_absorbing_jump_then_zero_forever(self, average_system):
         spec = ha.build_average_system(make_actuator(p=0.0), average_system.f_ave)
-        arc = ha.simulate_path(spec.to_system(), state(1.0, 0.0), 0, ha.Horizon(3.0, 10))
+        arc = ha.simulate_path(spec, state(1.0, 0.0), 0, ha.Horizon(3.0, 10))
         assert arc.jumps[0].x_post[0] == 0.0
         for seg in arc.segments[1:]:
             assert np.all(seg.x == 0.0)
@@ -200,7 +200,7 @@ class TestTrajectoryCloseness:
 
 class TestConvergenceOrder:
     def test_step_halving_gains_a_factor_of_eight(self, average_system):
-        sys = average_system.to_system()
+        sys = average_system
         errs = []
         for base in [0.1, 0.05, 0.025, 0.0125]:
             cfg = ha.IntegratorConfig(base_step=base, substep_per_epsilon=1e12)

@@ -16,8 +16,7 @@ from conftest import state
 def decay_system(average_system):
     """Average actuator dynamics with the reset period pushed past every horizon."""
     spec = ha.jammed_actuator(ha.JamParams(T=1000.0, p=0.1, epsilon=0.01))
-    avg = ha.build_average_system(spec, average_system.f_ave)
-    return avg.to_system()
+    return ha.build_average_system(spec, average_system.f_ave)
 
 
 class TestHittingTime:
@@ -33,10 +32,10 @@ class TestHittingTime:
         assert ht.t == pytest.approx(math.log(4.0), abs=0.011)
 
     def test_diverging_arc_never_hits(self, decay_system):
-        def growing(x, r, tau, eps):
+        def growing(x, r):
             return np.asarray(x, dtype=float)
 
-        spec = dataclasses.replace(decay_system, f=growing)
+        spec = dataclasses.replace(decay_system, f_ave=growing)
         arc = ha.simulate_path(spec, state(2.0, 0.0), 0, ha.Horizon(3.0, 5))
         assert ha.hitting_time(arc, 0.5, spec) is None
 
@@ -386,11 +385,13 @@ class TestEpsilonSweep:
         assert max(radii) - min(radii) <= 2 * slack + 1e-12
         assert res.monotone
 
-    def test_uncertifiable_radius_is_marked(self, decay_system):
+    def test_uncertifiable_radius_is_marked(self):
         def growing(x, r, tau, eps):
             return np.asarray(x, dtype=float)
 
-        spec = dataclasses.replace(decay_system, f=growing, epsilon=0.05)
+        # the decay system's maps and sets, in a system whose epsilon the sweep replaces
+        decay = ha.jammed_actuator(ha.JamParams(T=1000.0, p=0.1, epsilon=0.05))
+        spec = dataclasses.replace(decay, f=growing)
         res = ha.epsilon_sweep(self.family(spec), [0.05], [state(2.0, 0.0)], 3,
                                self.params(radius_max=0.5))
         assert res.entries[0].certified_radius is None

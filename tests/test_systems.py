@@ -5,7 +5,6 @@ import pytest
 
 import hybridavg as ha
 from hybridavg.config import ConfigError
-from hybridavg.core import SamplingPlan
 
 from conftest import arcs_equal, state
 
@@ -105,7 +104,7 @@ class TestJammedEs:
             assert outer == pytest.approx(inner, abs=1e-14)
 
     def test_shell_validation_passes(self, es_system):
-        assert ha.validate_spec(es_system, SamplingPlan(x_shell=0.1)).passed
+        assert ha.validate_spec(es_system, x_shell=0.1).passed
 
     def test_same_average_system_as_actuator(self, actuator, es_system, favg):
         axes = (np.array([-3.0, -1.0, 1.0, 3.0]), np.array([0.0, 1.0]))
