@@ -173,6 +173,8 @@ def _average_grids(doc: ConfigDocument, spec):
     r_axes = [np.linspace(lo[d], hi[d], r_points) if lo[d] < hi[d]
               else np.array([lo[d]]) for d in range(spec.p)]
     period = doc.get_float("average", "tau_period", 2.0 * np.pi)
+    if not period > 0.0:
+        raise ConfigError(f"[average] tau_period: the clock period must be > 0, got {period!r}")
     tau_points = _average_count(doc, "tau_points", 256)
     tau_grid = np.linspace(0.0, period, tau_points, endpoint=False)
     if doc.has("average", "T_values"):

@@ -68,9 +68,8 @@ class ConfigDocument:
             return None, default
         return sec[key], default
 
-    def get_str(self, section: str, key: str, default: Optional[str] = None,
-                required: bool = False) -> Optional[str]:
-        raw, default = self._get(section, key, default, required)
+    def get_str(self, section: str, key: str, default: Optional[str] = None) -> Optional[str]:
+        raw, default = self._get(section, key, default, False)
         return default if raw is None else raw.strip()
 
     def get_float(self, section: str, key: str, default: Optional[float] = None) -> float:
@@ -154,13 +153,9 @@ class ConfigDocument:
 
 
 def as_document(source) -> ConfigDocument:
-    """Coerce a path, text, or ConfigDocument into a ConfigDocument."""
+    """Coerce a ConfigDocument, config text (a str with a newline) or a path."""
     if isinstance(source, ConfigDocument):
         return source
-    if isinstance(source, bytes):
-        return ConfigDocument.from_bytes(source)
-    if isinstance(source, str) and "\n" not in source and "[" not in source:
-        return ConfigDocument.load(source)
-    if isinstance(source, str):
+    if isinstance(source, str) and "\n" in source:
         return ConfigDocument.from_text(source)
     return ConfigDocument.load(source)

@@ -336,14 +336,6 @@ class HybridArc:
     terminal_reason: str
 
     @property
-    def n_jumps(self) -> int:
-        return len(self.jumps)
-
-    @property
-    def t_end(self) -> float:
-        return float(self.segments[-1].t[-1])
-
-    @property
     def end_time(self) -> HybridTime:
         last = self.segments[-1]
         return HybridTime(float(last.t[-1]), int(last.j))

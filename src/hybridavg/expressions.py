@@ -348,8 +348,11 @@ class CompiledMap:
 
 
 def AverageField(exprs, n: int) -> CompiledMap:
-    """Compiled clock-free average map f_ave(x, r) -> (B, n)."""
-    return CompiledMap(tuple(exprs), ("x", "r"))
+    """Compiled clock-free average map f_ave(x, r) -> (B, n), one expression per x_i."""
+    exprs = tuple(exprs)
+    if len(exprs) != n:
+        raise ValueError(f"an average map in R^{n} needs {n} expression(s), got {len(exprs)}")
+    return CompiledMap(exprs, ("x", "r"))
 
 
 def ScalarField(expr) -> CompiledMap:

@@ -2,19 +2,18 @@
 
 These operations post-process immutable ensembles of arcs.  Hitting-time
 queries are served from a per-arc index of the record lows of the running
-minimum distance to the target set, cached on the arc and extended lazily one
-segment at a time, so repeated queries at shrinking radii (bisection) never
-recompute a distance.  The recurrence budget tau_hat is the (1 - rho)
-order-statistic of hitting t + j sums; the exponential-in-the-mean fit
-anchors the envelope at the initial distance and finds the largest rate that
-keeps the weighted means below it at every evaluation time (a
+minimum distance to the target set, kept per segment, cached on the arc and
+extended lazily one segment at a time, so repeated queries at shrinking radii
+(bisection) never recompute a distance.  The recurrence budget tau_hat is the
+(1 - rho) order-statistic of hitting t + j sums; the exponential-in-the-mean
+fit anchors the envelope at the initial distance and finds the largest rate
+that keeps the weighted means below it at every evaluation time (a
 necessary-condition check on a deterministic grid, not a bound over all
 stopping times).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +32,12 @@ from .core import (
 from .solver import Horizon, IntegratorConfig, simulate_ensemble
 
 _WILSON_Z = 1.96  # 95% binomial interval
+#: envelope fit: k2 is searched in [-cap, cap] and bisected to this width
+_K2_CAP = 50.0
+_K2_TOL = 1e-9
+#: epsilon_sweep bisects a radius to max(abs, rel * radius)
+_RADIUS_REL_TOL = 0.01
+_RADIUS_ABS_TOL = 1e-4
 
 #: attribute of a HybridArc holding its hitting indexes, keyed by C u D; not a
 #: dataclass field, so the arc's equality and repr never see it
@@ -47,58 +52,44 @@ def _check_positive(name: str, value: float):
 class _HittingIndex:
     """Record lows of one arc's running-minimum distance to one target set.
 
-    A record is a sample where min(d[:k+1]) strictly drops.  The first sample
-    with d < radius is always a record, so the first hit of the open
-    radius-ball is the first record below radius: a searchsorted on the
-    negated lows, which increase strictly.  Segments are scanned in order and
-    only while the running minimum is still >= the radius asked for, so a
-    single query reads no further than a plain scan stopping at the hit.
+    A record is a sample where min(d[:k+1]) strictly drops; a NaN distance
+    never is one.  The first sample with d < radius is always a record, so
+    the first hit of the open radius-ball is the first record below radius.
+    Records fall strictly along the arc, so that is a searchsorted inside the
+    first scanned segment whose lowest record is < radius.  Segments are
+    scanned in order and only while the running minimum is still >= the
+    radius asked for, so a single query reads no further than a plain scan
+    stopping at the hit.
 
-    Per record it keeps the negated low and the sample's index in its segment
-    (12 bytes); per scanned segment with records, the segment and the number
-    of records before it.
+    One entry per scanned segment that holds records: (lowest record, the
+    segment, the negated lows, which increase strictly, and the records'
+    sample indexes in the segment).
     """
 
-    __slots__ = ("_segments", "_scanned", "_low", "_count", "_pending", "_neg_lows",
-                 "_where", "_first", "_owner")
+    __slots__ = ("_segments", "_scanned", "_low", "_records")
 
     def __init__(self, segments):
         self._segments = segments
         self._scanned = 0  # segments read so far
         self._low = math.inf  # running minimum over them
-        self._count = 0  # records found
-        self._pending = []  # (negated lows, sample indexes) not yet merged
-        self._neg_lows = np.empty(0)
-        self._where = np.empty(0, dtype=np.int32)
-        self._first = []  # index of each owner segment's first record
-        self._owner = []  # the scanned segments that hold records
-
-    def _scan(self, seg, spec: SystemSpec):
-        d = distances_to_target(seg.x, seg.r, spec)
-        # fmin skips NaN distances, which then never count as a record
-        run = np.fmin.accumulate(np.concatenate(([self._low], d)))
-        drops = np.flatnonzero(run[1:] < run[:-1])
-        if drops.size:
-            self._first.append(self._count)
-            self._owner.append(seg)
-            self._count += drops.size
-            self._pending.append((-d[drops], drops.astype(np.int32)))
-            self._low = float(run[-1])
+        self._records = []
 
     def first_below(self, radius: float, spec: SystemSpec) -> Optional[HybridTime]:
         while self._low >= radius and self._scanned < len(self._segments):
-            self._scan(self._segments[self._scanned], spec)
+            seg = self._segments[self._scanned]
             self._scanned += 1
+            d = distances_to_target(seg.x, seg.r, spec)
+            # fmin skips NaN distances, which then never count as a record
+            run = np.fmin.accumulate(np.concatenate(([self._low], d)))
+            drops = np.flatnonzero(run[1:] < run[:-1])
+            if drops.size:
+                self._low = float(run[-1])
+                self._records.append((self._low, seg, -d[drops], drops.astype(np.int32)))
         if not self._low < radius:
             return None
-        if self._pending:
-            lows, where = zip(*self._pending)
-            self._neg_lows = np.concatenate((self._neg_lows,) + lows)
-            self._where = np.concatenate((self._where,) + where)
-            self._pending = []
-        k = int(np.searchsorted(self._neg_lows, -radius, side="right"))
-        seg = self._owner[bisect.bisect_right(self._first, k) - 1]
-        return HybridTime(float(seg.t[self._where[k]]), int(seg.j))
+        seg, neg_lows, where = next(rec[1:] for rec in self._records if rec[0] < radius)
+        k = int(np.searchsorted(neg_lows, -radius, side="right"))
+        return HybridTime(float(seg.t[where[k]]), int(seg.j))
 
 
 def _hitting_index(arc: HybridArc, spec: SystemSpec) -> _HittingIndex:
@@ -126,8 +117,9 @@ def hitting_time(arc: HybridArc, radius: float, spec: SystemSpec) -> Optional[Hy
     return _hitting_index(arc, spec).first_below(radius, spec)
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z):
-    """Wilson score interval for a binomial proportion (small-sample-safe)."""
+def wilson_interval(successes: int, trials: int):
+    """95% Wilson score interval for a binomial proportion (small-sample-safe)."""
+    z = _WILSON_Z
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
@@ -241,8 +233,7 @@ def _last_samples(arc: HybridArc, t_eval: np.ndarray):
     return x, r, t[idx[1:]] + j[idx[1:]]
 
 
-def uges_m_fit(ensemble: Sequence[HybridArc], eval_times, spec: SystemSpec,
-               k2_cap: float = 50.0, tol: float = 1e-9) -> EnvelopeFit:
+def uges_m_fit(ensemble: Sequence[HybridArc], eval_times, spec: SystemSpec) -> EnvelopeFit:
     """Fit the largest decay rate k2 keeping the weighted means anchored at t = 0.
 
     For each evaluation time the statistic is mean_i[d_i * e^(k2*(t+j_i))]
@@ -284,9 +275,11 @@ def uges_m_fit(ensemble: Sequence[HybridArc], eval_times, spec: SystemSpec,
     with np.errstate(divide="ignore"):
         log_dist = np.log(dist)  # -inf where a path sits on the target set
 
+    def contributions(k2: float) -> np.ndarray:
+        return np.exp(np.minimum(log_dist + k2 * (sums - base), 700.0))
+
     def weighted(k2: float) -> np.ndarray:
-        expo = np.minimum(log_dist + k2 * (sums - base), 700.0)
-        return np.mean(np.exp(expo), axis=0)
+        return np.mean(contributions(k2), axis=0)
 
     means = np.mean(dist, axis=0)
     anchor = means[0]
@@ -296,16 +289,16 @@ def uges_m_fit(ensemble: Sequence[HybridArc], eval_times, spec: SystemSpec,
         return float(np.max(w[1:]) - anchor) if w.size > 1 else -1.0
 
     if t_eval.size == 1:
-        k2 = k2_cap
+        k2 = _K2_CAP
     else:
         # bracket the sign change of the excess on the side of 0 where it lies
-        lo, hi = (-k2_cap, 0.0) if excess(0.0) > 0.0 else (0.0, k2_cap)
+        lo, hi = (-_K2_CAP, 0.0) if excess(0.0) > 0.0 else (0.0, _K2_CAP)
         if excess(lo) > 0.0:
             k2 = lo
         elif excess(hi) <= 0.0:
             k2 = hi
         else:
-            while hi - lo > tol:
+            while hi - lo > _K2_TOL:
                 mid = 0.5 * (lo + hi)
                 if excess(mid) > 0.0:
                     hi = mid
@@ -315,9 +308,7 @@ def uges_m_fit(ensemble: Sequence[HybridArc], eval_times, spec: SystemSpec,
 
     wm = weighted(k2)
     k1 = float(np.max(wm) / d0)
-    with np.errstate(over="ignore"):
-        contrib = np.exp(np.minimum(log_dist + k2 * (sums - base), 700.0))
-    ses = np.std(contrib, axis=0, ddof=1) / math.sqrt(len(kept)) \
+    ses = np.std(contributions(k2), axis=0, ddof=1) / math.sqrt(len(kept)) \
         if len(kept) > 1 else np.zeros_like(wm)
     return EnvelopeFit(k1, float(k2), t_eval, means, wm, ses, d0, len(kept))
 
@@ -347,8 +338,6 @@ class SweepParams:
     n_paths: int = 200
     horizon: Horizon = Horizon(10.0, 10_000)
     cfg: IntegratorConfig = IntegratorConfig()
-    radius_rel_tol: float = 0.01
-    radius_abs_tol: float = 1e-4
 
 
 def epsilon_sweep(spec_family: Callable[[float], SystemSpec], eps_list,
@@ -382,7 +371,7 @@ def epsilon_sweep(spec_family: Callable[[float], SystemSpec], eps_list,
                                       "not certified at horizon"))
             continue
         lo = 0.0
-        while hi - lo > max(params.radius_abs_tol, params.radius_rel_tol * hi):
+        while hi - lo > max(_RADIUS_ABS_TOL, _RADIUS_REL_TOL * hi):
             mid = 0.5 * (lo + hi)
             rep = certified(mid)
             if rep.certified:

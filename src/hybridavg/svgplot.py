@@ -9,6 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+_WIDTH = 720.0
+_PANEL_HEIGHT = 260.0
+
 
 def _fmt(v: float) -> str:
     return format(float(v), ".3f")
@@ -85,17 +88,17 @@ def _panel_svg(panel: Panel, ox: float, oy: float, width: float, height: float) 
     return "\n".join(out)
 
 
-def render_panels(panels: Sequence[Panel], width: float = 720.0,
-                  panel_height: float = 260.0) -> str:
-    total_h = panel_height * len(panels)
+def render_panels(panels: Sequence[Panel]) -> str:
+    """The panels stacked top to bottom, each 720 wide and 260 high."""
+    total_h = _PANEL_HEIGHT * len(panels)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(total_h)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(total_h)}">',
-        f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(total_h)}" fill="#ffffff"/>',
+        f'width="{_fmt(_WIDTH)}" height="{_fmt(total_h)}" '
+        f'viewBox="0 0 {_fmt(_WIDTH)} {_fmt(total_h)}">',
+        f'<rect x="0" y="0" width="{_fmt(_WIDTH)}" height="{_fmt(total_h)}" fill="#ffffff"/>',
     ]
     for k, panel in enumerate(panels):
-        parts.append(_panel_svg(panel, 0.0, k * panel_height, width, panel_height))
+        parts.append(_panel_svg(panel, 0.0, k * _PANEL_HEIGHT, _WIDTH, _PANEL_HEIGHT))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

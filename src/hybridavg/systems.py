@@ -110,7 +110,7 @@ def average_flow_linear(x, r):
 
 
 def load_system(source) -> SystemSpec:
-    """Build a SystemSpec from a config document (path, text, or ConfigDocument).
+    """Build a SystemSpec from a config path, text (a str with a newline) or document.
 
     ``[system] kind`` selects a built-in (``jammed-actuator``, ``jammed-es``)
     or ``custom``, in which case the maps are compiled from expressions and

@@ -193,7 +193,9 @@ class TestAverageCommand:
         ("T_min = 0", "T_min"), ("T_values = 1 0", "T_values"), ("T_min = -1", "T_min"),
         ("T_values = 4 1 2", "T_values"), ("x_values = 0", "x_values"),
         ("r_points = 0", "r_points"), ("tau_points = 0", "tau_points"),
-        ("T_long_periods = 0", "T_long_periods"), ("T_long_periods = 1e308", "T_long_periods")])
+        ("T_long_periods = 0", "T_long_periods"), ("T_long_periods = 1e308", "T_long_periods"),
+        # both negative once gave a positive long window and exit 0
+        ("T_long_periods = -20\ntau_period = -6.283185307179586", "tau_period")])
     def test_bad_grid_is_a_config_error_naming_its_key(self, tmp_path, capsys, line, key):
         # each once crashed with a traceback, ran negative windows, or took the
         # gamma envelope in list order

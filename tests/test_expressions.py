@@ -272,6 +272,12 @@ class TestCompiledMap:
         assert np.array_equal(favg(x, r), np.array([[-1.0, 0.5], [-3.0, 0.25]]))
         assert np.array_equal(V(x, r), np.array([-1.0, -3.0]))
 
+    def test_average_field_needs_one_expression_per_x_coordinate(self):
+        # two expressions with n = 1 once built a map returning (B, 2)
+        exprs = compile_expressions(["-x_1", "r_1"], allowed_names(n=1, p=1))
+        with pytest.raises(ValueError, match="needs 1 expression"):
+            AverageField(exprs, 1)
+
 
 def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

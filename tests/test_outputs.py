@@ -2,8 +2,9 @@
 
 The digests are those of benchmarks/references.json (workload "shipped"):
 simulate on the built-in and on the expression-defined actuator, whose CSVs
-must be the same bytes, and the fig1 CSV and SVG, all at the recorded seed;
-and average and certify on the actuator, which draw no seed.
+must be the same bytes, recur and sweep on the extremum-seeking system, whose
+outputs come from the arcs' hitting indexes, and the fig1 CSV and SVG, all at
+the recorded seed; and average and certify on the actuator, which draw no seed.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ from hybridavg.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = json.loads((ROOT / "benchmarks" / "references.json").read_text())["shipped"]
 ACTUATOR = str(ROOT / "configs" / "actuator.cfg")
+ES = str(ROOT / "configs" / "es.cfg")
 SEED = ["--seed", str(SHIPPED["seed"])]
 
 
@@ -27,6 +29,8 @@ SEED = ["--seed", str(SHIPPED["seed"])]
     ("fig1", ["fig1"] + SEED),
     ("average", ["average", "--config", ACTUATOR]),
     ("certify", ["certify", "--config", ACTUATOR]),
+    ("recur", ["recur", "--config", ES] + SEED),
+    ("sweep", ["sweep", "--config", ES] + SEED),
 ])
 def test_shipped_outputs_match_reference_digests(label, argv, tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == 0

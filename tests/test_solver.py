@@ -56,7 +56,7 @@ class TestTimerCrossing:
 
     def test_no_crossing_inside_window(self, actuator):
         arc = ha.simulate_path(actuator, state(1.0, 0.5), 0, ha.Horizon(0.1, 10))
-        assert arc.n_jumps == 0
+        assert len(arc.jumps) == 0
 
     def test_already_on_boundary(self, actuator):
         arc = ha.simulate_path(actuator, state(1.0, 1.0), 0, ha.Horizon(0.1, 10))
@@ -68,7 +68,7 @@ class TestSimulatePath:
         # flow to x(1,0) = e^{-1}, then jump with v = +0.75 (p = 1): gain 1.5
         spec = ha.build_average_system(make_actuator(p=1.0), average_system.f_ave)
         arc = ha.simulate_path(spec, state(1.0, 0.0), 0, ha.Horizon(1.0, 10))
-        assert arc.n_jumps == 1
+        assert len(arc.jumps) == 1
         jump = arc.jumps[0]
         assert jump.time.t == pytest.approx(1.0, abs=1e-12)
         assert jump.x_pre[0] == pytest.approx(math.exp(-1.0), abs=1e-9)
@@ -99,13 +99,13 @@ class TestSimulatePath:
     def test_jump_count_matches_timer_periods(self):
         spec = make_actuator(T=1.0)
         arc = ha.simulate_path(spec, state(2.0, 0.0), 3, ha.Horizon(5.5, 100))
-        assert arc.n_jumps == 5
+        assert len(arc.jumps) == 5
         assert arc.terminal_reason == "horizon_t"
 
     def test_j_max_truncates(self):
         spec = make_actuator(T=1.0)
         arc = ha.simulate_path(spec, state(2.0, 0.0), 3, ha.Horizon(50.0, 3))
-        assert arc.n_jumps == 3
+        assert len(arc.jumps) == 3
         assert arc.terminal_reason == "horizon_j"
 
     def test_left_sets_is_recorded_terminal(self, actuator):
@@ -116,7 +116,7 @@ class TestSimulatePath:
         spec = dataclasses.replace(actuator, h=bad_h)
         arc = ha.simulate_path(spec, state(1.0, 0.0), 0, ha.Horizon(5.0, 10))
         assert arc.terminal_reason == "left_flow_jump_sets"
-        assert arc.n_jumps == 1
+        assert len(arc.jumps) == 1
 
     def test_nonfinite_flow_names_the_map(self, actuator):
         def blow_up(x, r, tau, eps):
@@ -138,7 +138,7 @@ class TestIntegratorConfig:
 class TestArcStructure:
     def test_segments_abut_and_jumps_increment_j(self, actuator):
         arc = ha.simulate_path(actuator, state(2.0, 0.0), 11, ha.Horizon(4.5, 100))
-        assert arc.n_jumps == 4
+        assert len(arc.jumps) == 4
         for k, seg in enumerate(arc.segments):
             assert seg.j == k
         for k in range(len(arc.segments) - 1):

@@ -108,15 +108,19 @@ def actuator_2d(actuator):
 
 
 @st.composite
-def random_arcs(draw, n=2, x0=None):
-    """Multi-jump arcs in R^n x R: r can leave C u D = [0, 1] of the actuator."""
+def random_arcs(draw, n=2, x0=None, nan=False):
+    """Multi-jump arcs in R^n x R: r can leave C u D = [0, 1] of the actuator.
+
+    With nan, some x coordinates may be NaN, and so their samples' distances.
+    """
+    coord = st.one_of(_COORD, st.just(math.nan)) if nan else _COORD
     pieces, t0 = [], 0.0
     for j in range(draw(st.integers(1, 5))):
         k = draw(st.integers(1, 8))
         steps = draw(st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]),
                               min_size=k - 1, max_size=k - 1))
         t = t0 + np.concatenate(([0.0], np.cumsum(steps)))
-        x = [[draw(_COORD) for _ in range(n)] for _ in range(k)]
+        x = [[draw(coord) for _ in range(n)] for _ in range(k)]
         r = [draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 3.0])) for _ in range(k)]
         if j == 0 and x0 is not None:
             x[0], r[0] = list(x0), 0.5
@@ -133,9 +137,11 @@ class TestHittingIndex:
     """hitting_time's cached running-minimum index against a plain scan."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(random_arcs(), st.data())
+    @given(random_arcs(nan=True), st.data())
     def test_matches_reference_for_radii_in_any_order(self, actuator_2d, arc, data):
-        exact = sorted(set(sample_distances(arc, actuator_2d).tolist()) - {0.0})
+        # a NaN distance is never a record nor a hit
+        d = sample_distances(arc, actuator_2d)
+        exact = sorted(set(d[~np.isnan(d)].tolist()) - {0.0})
         others = data.draw(st.lists(st.floats(1e-3, 6.0), max_size=4))
         radii = data.draw(st.permutations(exact + others))
         for radius in radii:
@@ -336,7 +342,7 @@ class TestUgesMFit:
         # the post-jump sample counts
         inits = [state(2.0, 0.0), state(-2.0, 0.0)]
         ens = ha.simulate_ensemble(actuator, inits, 8, 4, ha.Horizon(3.5, 1000))
-        assert all(arc.n_jumps == 3 and arc.jumps[0].time.t == 1.0 for arc in ens)
+        assert all(len(arc.jumps) == 3 and arc.jumps[0].time.t == 1.0 for arc in ens)
         t_eval = [-0.5, 0.0, 1.0, 1.5, 2.0, 3.0, 3.5, 9.0]
         fit = ha.uges_m_fit(ens, t_eval, actuator)
         self.assert_matches_reference(fit, ens, t_eval, actuator)
@@ -345,7 +351,7 @@ class TestUgesMFit:
     @given(st.lists(random_arcs(x0=(1.0, -1.0)), min_size=1, max_size=4), st.data())
     def test_matches_reference_on_random_arcs(self, actuator_2d, ens, data):
         instants = sorted({float(s.t[0]) for arc in ens for s in arc.segments}
-                          | {arc.t_end for arc in ens})
+                          | {arc.end_time.t for arc in ens})
         picks = data.draw(st.lists(st.sampled_from(instants), max_size=4))
         t_eval = [-1.0] + picks + [max(instants) + 1.0]
         fit = ha.uges_m_fit(ens, t_eval, actuator_2d)

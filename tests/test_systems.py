@@ -152,6 +152,16 @@ class TestLoadSystem:
         with pytest.raises(ConfigError, match="expected 1 expression"):
             ha.load_system(cfg)
 
+    def test_path_with_a_bracket_is_read_as_a_path(self, tmp_path, actuator):
+        # a '[' once made the path parse as INI text: "no section headers"
+        cfg = tmp_path / "[v2]" / "a.cfg"
+        cfg.parent.mkdir()
+        cfg.write_text(ACTUATOR_EXPR_CFG)
+        spec = ha.load_system(str(cfg))
+        hz = ha.Horizon(2.0, 100)
+        assert arcs_equal(ha.simulate_path(spec, state(2.0, 0.0), 3, hz),
+                          ha.simulate_path(actuator, state(2.0, 0.0), 3, hz))
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown system kind"):
             ha.load_system("[system]\nkind = nonsense\n")
