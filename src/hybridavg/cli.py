@@ -4,10 +4,11 @@ Each command is a function (args, doc, spec) that computes its results and
 returns them as (exit code, seed, [(file name, lines)], digest override).  One
 runner, _run, does the rest for all six: it loads the config document and
 builds its system, creates --out once the command has returned, writes every
-output file and a JSON run manifest.  A run is deterministic for a fixed
-config digest and seed.  Exit codes: 0 success/pass, 1 usage or config error,
-2 analysis verdict fail.  Floats are written with shortest round-trip
-formatting.
+output file and a JSON run manifest.  Config values, with their defaults and
+fallbacks, come from the typed accessors of ConfigDocument; a command-line
+flag overrides its key.  A run is deterministic for a fixed config digest and
+seed.  Exit codes: 0 success/pass, 1 usage or config error, 2 analysis verdict
+fail.  Floats are written with shortest round-trip formatting.
 """
 
 from __future__ import annotations
@@ -63,43 +64,32 @@ def _csv(header, rows):
         yield ",".join(row)
 
 
-def _lookup(doc: ConfigDocument, sections, key: str, get, default):
-    """get(doc, section, key) from the first of sections that sets key, else default."""
-    for sec in sections:
-        if doc.has(sec, key):
-            return get(doc, sec, key)
-    return default
+def _ensemble_inputs(doc: ConfigDocument, args, spec, section: str):
+    """(inits, n_paths, horizon, integrator config, seed) of [section]; flags override.
 
-
-def _parse_inits(doc: ConfigDocument, spec, sections) -> list:
-    """Initial conditions: x0 as ';'-separated vectors (scalars when n = 1), shared r0/tau0."""
-    x0s = _lookup(doc, sections, "x0", ConfigDocument.get_float_groups, [[1.0]])
+    Initial conditions are x0 as ';'-separated vectors (scalars when n = 1)
+    with a shared r0 and tau0.
+    """
+    t_max = args.t_max if args.t_max is not None else doc.get_float(section, "t_max")
+    horizon = Horizon(t_max, doc.get_int(section, "j_max"))
+    n_paths = args.paths if args.paths is not None else doc.get_int(section, "n_paths")
+    cfg = IntegratorConfig(doc.get_float(section, "base_step"),
+                           doc.get_float(section, "substep_per_epsilon"))
+    x0s = doc.get_float_groups(section, "x0")
     if spec.n == 1:
         x0s = [[value] for group in x0s for value in group]
-    r0 = _lookup(doc, sections, "r0", ConfigDocument.get_float_list, [0.0])
-    tau0 = _lookup(doc, sections, "tau0", ConfigDocument.get_float, 0.0)
+    r0 = doc.get_float_list(section, "r0")
+    tau0 = doc.get_float(section, "tau0")
     inits = []
     for x0 in x0s:
         if len(x0) != spec.n or len(r0) != spec.p:
+            key = "r0" if len(r0) != spec.p else "x0"
             raise ConfigError(
-                f"initial condition dims (x:{len(x0)}, r:{len(r0)}) do not match "
-                f"system (n={spec.n}, p={spec.p})")
+                f"[{doc.origin(section, key) or section}] {key}: initial condition dims "
+                f"(x:{len(x0)}, r:{len(r0)}) do not match system (n={spec.n}, p={spec.p})")
         inits.append(StateVec(np.array(x0), np.array(r0), tau0))
-    return inits
-
-
-def _sim_numbers(doc: ConfigDocument, args, sections):
-    get_float, get_int = ConfigDocument.get_float, ConfigDocument.get_int
-    t_max = args.t_max
-    if t_max is None:
-        t_max = _lookup(doc, sections, "t_max", get_float, 10.0)
-    j_max = _lookup(doc, sections, "j_max", get_int, 10_000)
-    n_paths = args.paths
-    if n_paths is None:
-        n_paths = _lookup(doc, sections, "n_paths", get_int, 100)
-    cfg = IntegratorConfig(_lookup(doc, sections, "base_step", get_float, 0.01),
-                           _lookup(doc, sections, "substep_per_epsilon", get_float, 0.1))
-    return n_paths, Horizon(t_max, j_max), cfg
+    seed = args.seed if args.seed is not None else doc.get_int(section, "seed")
+    return inits, n_paths, horizon, cfg, seed
 
 
 def _arc_lines(arc, path_id: int, stride: int = 1, kind: str = None):
@@ -126,11 +116,9 @@ def _arc_lines(arc, path_id: int, stride: int = 1, kind: str = None):
 
 
 def cmd_simulate(args, doc, spec):
-    n_paths, horizon, cfg = _sim_numbers(doc, args, ["simulate"])
+    inits, n_paths, horizon, cfg, seed = _ensemble_inputs(doc, args, spec, "simulate")
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
-    inits = _parse_inits(doc, spec, ["simulate"])
-    seed = args.seed if args.seed is not None else doc.get_int("simulate", "seed", 0)
     ensemble = simulate_ensemble(spec, inits, n_paths, seed, horizon, cfg)
     header = (["path_id", "t", "j"] + [f"x_{i+1}" for i in range(spec.n)]
               + [f"r_{i+1}" for i in range(spec.p)] + ["tau", "event"])
@@ -139,12 +127,11 @@ def cmd_simulate(args, doc, spec):
 
 
 def _favg_from_config(doc: ConfigDocument, spec):
-    raw = doc.get_str("average", "favg")
-    if raw is None:
+    texts = doc.get_expr_list("average", "favg")
+    if texts is None:
         return None
     try:
-        exprs = compile_expressions([p for p in raw.split(";") if p.strip()],
-                                    allowed_names(n=spec.n, p=spec.p))
+        exprs = compile_expressions(texts, allowed_names(n=spec.n, p=spec.p))
     except ExpressionError as exc:
         raise ConfigError(f"[average] favg: {exc}") from exc
     if len(exprs) != spec.n:
@@ -152,43 +139,30 @@ def _favg_from_config(doc: ConfigDocument, spec):
     return AverageField(exprs, spec.n)
 
 
-def _average_count(doc: ConfigDocument, key: str, default: int) -> int:
-    value = doc.get_int("average", key, default)
-    if value < 1:
-        raise ConfigError(f"[average] {key} must be >= 1, got {value}")
-    return value
-
-
 def _average_grids(doc: ConfigDocument, spec):
     """The [average] grids; a grid that cannot be averaged over is a config error."""
-    x_axes = [np.array(axis) for axis in
-              doc.get_float_groups("average", "x_values", [[-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]])]
+    x_axes = [np.array(axis) for axis in doc.get_float_groups("average", "x_values")]
     if len(x_axes) != spec.n:
         raise ConfigError(f"[average] x_values needs {spec.n} axis/axes")
-    if not any(np.any(axis != 0.0) for axis in x_axes):
-        raise ConfigError("[average] x_values: the x grid needs a nonzero point "
-                          "(gamma is normalized by |x|)")
-    r_points = _average_count(doc, "r_points", 3)
+    r_points = doc.get_int("average", "r_points")
     lo, hi = spec.flow_or_jump_set.bounding_box()
     r_axes = [np.linspace(lo[d], hi[d], r_points) if lo[d] < hi[d]
               else np.array([lo[d]]) for d in range(spec.p)]
-    period = doc.get_float("average", "tau_period", 2.0 * np.pi)
-    if not period > 0.0:
-        raise ConfigError(f"[average] tau_period: the clock period must be > 0, got {period!r}")
-    tau_points = _average_count(doc, "tau_points", 256)
-    tau_grid = np.linspace(0.0, period, tau_points, endpoint=False)
-    if doc.has("average", "T_values"):
-        T_grid = np.array(doc.get_float_list("average", "T_values"))
-        T_keys, T_set = "T_values", T_grid.tolist()
+    period = doc.get_float("average", "tau_period")
+    tau_grid = np.linspace(0.0, period, doc.get_int("average", "tau_points"), endpoint=False)
+    T_values = doc.get_float_list("average", "T_values")
+    if T_values is not None:
+        T_grid = np.array(T_values)
+        T_keys, T_set = "T_values", T_values
     else:
-        T_min = doc.get_float("average", "T_min", 0.5)
-        T_max = doc.get_float("average", "T_max", 4.0 * np.pi)
-        T_grid = np.linspace(T_min, T_max, _average_count(doc, "T_points", 20))
+        T_min = doc.get_float("average", "T_min")
+        T_max = doc.get_float("average", "T_max")
+        T_grid = np.linspace(T_min, T_max, doc.get_int("average", "T_points"))
         T_keys, T_set = "T_min, T_max", [T_min, T_max]
     if not (T_grid.size and T_grid[0] > 0.0 and np.all(np.diff(T_grid) > 0.0)):
         raise ConfigError(f"[average] {T_keys}: window lengths T must be > 0 and strictly "
                           f"increasing, got {T_set}")
-    T_long = doc.get_float("average", "T_long_periods", 20.0) * period
+    T_long = doc.get_float("average", "T_long_periods") * period
     if not (T_long > 0.0 and math.isfinite(T_long)):
         raise ConfigError(f"[average] T_long_periods, tau_period: the long window "
                           f"T_long_periods * tau_period must be finite and > 0, got {T_long!r}")
@@ -241,14 +215,12 @@ def cmd_average(args, doc, spec):
 def cmd_certify(args, doc, spec):
     margin = args.safety_margin
     if margin is None:
-        margin = doc.get_float("certify", "safety_margin", 0.0)
+        margin = doc.get_float("certify", "safety_margin")
     elif not (margin >= 0.0 and math.isfinite(margin)):
         raise ConfigError(f"--safety-margin must be a finite number >= 0, got {margin!r}")
-    raw_v = doc.get_str("certify", "V")
-    if raw_v is None:
-        raise ConfigError("missing [certify] V (certificate candidate expression)")
     try:
-        v_expr = compile_expressions([raw_v], allowed_names(n=spec.n, p=spec.p))[0]
+        v_expr = compile_expressions([doc.get_str("certify", "V")],
+                                     allowed_names(n=spec.n, p=spec.p))[0]
     except ExpressionError as exc:
         raise ConfigError(f"[certify] V: {exc}") from exc
     V = ScalarField(v_expr)
@@ -256,15 +228,11 @@ def cmd_certify(args, doc, spec):
     if favg is None:
         raise ConfigError("certification needs [average] favg (registered average map)")
     avg = build_average_system(spec, favg)
-    grid = CertGrid(
-        radius_min=doc.get_float("certify", "radius_min", 1e-3),
-        radius_max=doc.get_float("certify", "radius_max", 10.0),
-        radial_points=doc.get_int("certify", "radial_points", 25),
-        r_points=doc.get_int("certify", "r_points", 5),
-    )
-    cert = foster_certificate(V, avg, grid,
-                              mc_samples=doc.get_int("certify", "mc_samples", 100_000),
-                              safety_margin=margin)
+    grid = CertGrid(radius_min=doc.get_float("certify", "radius_min"),
+                    radius_max=doc.get_float("certify", "radius_max"),
+                    radial_points=doc.get_int("certify", "radial_points"),
+                    r_points=doc.get_int("certify", "r_points"))
+    cert = foster_certificate(V, avg, grid, safety_margin=margin)
     report = str(cert)
     print(report)
     seed = args.seed if args.seed is not None else 0
@@ -272,14 +240,10 @@ def cmd_certify(args, doc, spec):
 
 
 def cmd_recur(args, doc, spec):
-    sections = ["recur", "simulate"]
-    n_paths, horizon, cfg = _sim_numbers(doc, args, sections)
-    inits = _parse_inits(doc, spec, sections)
-    radius = args.radius if args.radius is not None \
-        else doc.get_float("recur", "radius", 0.1)
-    rho = args.rho if args.rho is not None else doc.get_float("recur", "rho", 0.05)
-    bound = args.bound if args.bound is not None else doc.get_float("recur", "R", 5.0)
-    seed = args.seed if args.seed is not None else doc.get_int("recur", "seed", 0)
+    inits, n_paths, horizon, cfg, seed = _ensemble_inputs(doc, args, spec, "recur")
+    radius = args.radius if args.radius is not None else doc.get_float("recur", "radius")
+    rho = args.rho if args.rho is not None else doc.get_float("recur", "rho")
+    bound = args.bound if args.bound is not None else doc.get_float("recur", "R")
 
     ensemble = simulate_ensemble(spec, inits, n_paths, seed, horizon, cfg)
     rep = recurrence_estimate(ensemble, radius, rho, bound, spec)
@@ -303,18 +267,15 @@ def cmd_recur(args, doc, spec):
 
 
 def cmd_sweep(args, doc, spec):
-    sections = ["sweep", "recur", "simulate"]
     if args.eps:
         eps_list = [float(e) for e in args.eps]
     else:
         eps_list = doc.get_float_list("sweep", "eps_values")
-    n_paths, horizon, cfg = _sim_numbers(doc, args, sections)
-    inits = _parse_inits(doc, spec, sections)
-    seed = args.seed if args.seed is not None else doc.get_int("sweep", "seed", 0)
+    inits, n_paths, horizon, cfg, seed = _ensemble_inputs(doc, args, spec, "sweep")
     params = SweepParams(
-        radius_max=doc.get_float("sweep", "radius_max", 2.0),
-        rho=doc.get_float("sweep", "rho", 0.05),
-        R=doc.get_float("sweep", "R", 5.0),
+        radius_max=doc.get_float("sweep", "radius_max"),
+        rho=doc.get_float("sweep", "rho"),
+        R=doc.get_float("sweep", "R"),
         n_paths=n_paths,
         horizon=horizon,
         cfg=cfg,

@@ -1,7 +1,13 @@
-"""Structured run configuration: one INI-style document with typed accessors.
+"""Structured run configuration: one INI-style document checked against SCHEMA.
 
-The raw bytes are kept alongside the parsed sections so run manifests can
-record a content hash that changes exactly when the config bytes change.
+SCHEMA declares every section and key a config may hold, per ``[system]
+kind``: section -> key -> Key(type reader, default text, guard).  Loading a
+document rejects an unknown section or key and a value that does not read as
+its key's type.  The typed accessors return a value, or the default when no
+section in FALLBACK order sets it, checked by the key's guard; an error names
+the section that set the value.  Guards run on read, so a command-line flag
+still overrides a file value.  The raw bytes are kept so run manifests can
+record a content hash of the config.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import SetDescriptor
 
@@ -20,14 +26,213 @@ class ConfigError(ValueError):
     """A malformed or incomplete run configuration (CLI exit code 1)."""
 
 
+def _float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+
+
+def _floats(text: str) -> list:
+    try:
+        values = [float(tok) for tok in text.split()]
+    except ValueError:
+        raise ValueError(f"expected numbers: {text.strip()!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"expected finite numbers: {text.strip()!r}")
+    return values
+
+
+def _groups(text: str) -> list:
+    """';'-separated groups of numbers (one vector or axis each); empty groups are skipped."""
+    return [_floats(chunk) for chunk in text.split(";") if chunk.strip()]
+
+
+def _exprs(text: str) -> list:
+    return [part.strip() for part in text.split(";") if part.strip()]
+
+
+def _set(text: str) -> SetDescriptor:
+    """The union of '|'-joined parts 'box lo hi ...' (lo hi per dim) and 'point v ...'."""
+    parts = []
+    for chunk in filter(str.split, text.split("|")):
+        shape, *numbers = chunk.split()
+        vals = _floats(" ".join(numbers))
+        lo, hi = (vals[0::2], vals[1::2]) if shape == "box" else (vals, vals)
+        if shape not in ("box", "point"):
+            raise ValueError(f"unknown set shape {shape!r} (use box/point)")
+        if len(lo) != len(hi) or not all(a <= b for a, b in zip(lo, hi)):
+            raise ValueError(f"box needs lo <= hi per dim, got {chunk.strip()!r}")
+        parts.append(SetDescriptor.box(lo, hi))
+    if not parts:
+        raise ValueError("empty set description")
+    return SetDescriptor.union_of(parts)
+
+
+#: default of a key that must be set
+REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """A key's reader, the text read when it is unset (None: read as None) and
+    its guard: (predicate on the value, what the value must be)."""
+
+    read: Callable
+    default: object = None
+    guard: Optional[tuple] = None
+
+
+def _at_least(bound):
+    return (lambda v: v >= bound, f"must be >= {bound}")
+
+
+_COUNT = _at_least(1)
+_POSITIVE = (lambda v: v > 0.0, "must be > 0")
+
+#: the keys of one simulated ensemble; [recur] and [sweep] fall back for them
+_SIMULATION = {
+    "n_paths": Key(_int, "100", _COUNT),
+    "t_max": Key(_float, "10.0", _at_least(0)),
+    "j_max": Key(_int, "10000", _COUNT),
+    "base_step": Key(_float, "0.01", _POSITIVE),
+    "substep_per_epsilon": Key(_float, "0.1", _POSITIVE),
+    "x0": Key(_groups, "1"),
+    "r0": Key(_floats, "0"),
+    "tau0": Key(_float, "0"),
+}
+_SEED = Key(_int, "0")
+_RHO = Key(_float, "0.05", (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"))
+_R = Key(_float, "5.0", _POSITIVE)
+
+_COMMANDS = {
+    "simulate": {**_SIMULATION, "seed": _SEED},
+    "average": {
+        "x_values": Key(_groups, "-3 -2 -1 1 2 3", (
+            lambda axes: any(v != 0.0 for axis in axes for v in axis),
+            "the x grid needs a nonzero point (gamma is normalized by |x|)")),
+        "r_points": Key(_int, "3", _COUNT),
+        "tau_period": Key(_float, "6.283185307179586", _POSITIVE),  # 2 pi
+        "tau_points": Key(_int, "256", _COUNT),
+        "T_values": Key(_floats),
+        "T_min": Key(_float, "0.5"),
+        "T_max": Key(_float, "12.566370614359172"),  # 4 pi
+        "T_points": Key(_int, "20", _COUNT),
+        "T_long_periods": Key(_float, "20"),
+        "favg": Key(_exprs),
+    },
+    "certify": {
+        "V": Key(str.strip, REQUIRED),
+        "radius_min": Key(_float, "0.001", _POSITIVE),
+        "radius_max": Key(_float, "10.0", _POSITIVE),
+        "radial_points": Key(_int, "25", _COUNT),
+        "r_points": Key(_int, "5", _COUNT),
+        "safety_margin": Key(_float, "0.0", _at_least(0)),
+    },
+    "recur": {**_SIMULATION, "seed": _SEED, "radius": Key(_float, "0.1", _POSITIVE),
+              "rho": _RHO, "R": _R},
+    "sweep": {**_SIMULATION, "seed": _SEED, "eps_values": Key(_floats, REQUIRED),
+              "radius_max": Key(_float, "2.0", _POSITIVE), "rho": _RHO, "R": _R},
+}
+
+#: sections a simulation key is read from, in order, after its own
+FALLBACK = {"recur": ("simulate",), "sweep": ("recur", "simulate")}
+
+_JAMMED = {
+    "kind": Key(str.strip, REQUIRED),
+    "period": Key(_float, "1.0", _POSITIVE),
+    "jam_prob": Key(_float, "0.1", (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
+    "epsilon": Key(_float, "0.01", _POSITIVE),
+}
+_SYSTEMS = {
+    "jammed-actuator": {**_JAMMED, "u": Key(_float, "0.0")},
+    "jammed-es": {**_JAMMED, "delta": Key(_float, "0.1", _POSITIVE)},
+    "custom": {
+        "kind": Key(str.strip, REQUIRED),
+        **{name: Key(_int, REQUIRED, _COUNT) for name in ("state_dim", "aux_dim", "noise_dim")},
+        "epsilon": Key(_float, REQUIRED, _POSITIVE),
+        **{name: Key(_exprs, REQUIRED) for name in ("flow_x", "flow_r", "jump_x", "jump_r")},
+        "flow_set": Key(_set, REQUIRED),
+        "jump_set": Key(_set, REQUIRED),
+    },
+}
+_NOISE = {
+    "kind": Key(str.strip, "finite",
+                (lambda v: v == "finite", "must be finite (samplers are registered in code)")),
+    "values": Key(_groups, REQUIRED),
+    "probs": Key(_floats, REQUIRED),
+}
+
+#: [system] kind -> section -> key -> Key; only custom systems read [noise]
+SCHEMA = {kind: {"system": keys, **({"noise": _NOISE} if kind == "custom" else {}),
+                 **_COMMANDS}
+          for kind, keys in _SYSTEMS.items()}
+
+
+def _suggest(name: str, known, form: str = "{}") -> str:
+    import difflib
+
+    close = difflib.get_close_matches(name, list(known), n=1)
+    return f" (did you mean {form.format(close[0])}?)" if close else ""
+
+
+def _parse(section: str, key: str, read: Callable, text: str, guard=None):
+    """read(text), checked by guard; a ValueError is a ConfigError naming [section] key."""
+    try:
+        value = read(text)
+        if guard is not None and not guard[0](value):
+            raise ValueError(f"{guard[1]}, got {value!r}")
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    return value
+
+
+def _check(sections: dict) -> None:
+    """Raise ConfigError for a missing or unknown kind, section or key, or a value
+    that does not read as its key's type."""
+    kind = sections.get("system", {}).get("kind")
+    if kind is None:
+        raise ConfigError("[system] section needs a 'kind'")
+    if kind not in SCHEMA:
+        raise ConfigError(f"[system] kind: unknown system kind {kind!r}{_suggest(kind, SCHEMA)}")
+    table = SCHEMA[kind]
+    for name, keys in sections.items():
+        if name == "noise" and name not in table:
+            raise ConfigError(f"[noise]: unknown section for kind = {kind} "
+                              f"(only kind = custom reads [noise])")
+        if name not in table:
+            raise ConfigError(f"[{name}]: unknown section{_suggest(name, table, '[{}]')}")
+        for key, text in keys.items():
+            if key not in table[name]:
+                raise ConfigError(f"[{name}] {key}: unknown key{_suggest(key, table[name])}")
+            _parse(name, key, table[name][key].read, text)
+
+
+def _accessor(read: Callable):
+    """doc.get_<type>(section, key): [section] key read with read, defaulted and guarded.
+
+    read may differ from the declared reader where the text reads both ways,
+    e.g. get_float_list of a vectors key such as x0 gives its numbers flat.
+    """
+    return lambda doc, section, key: doc._get(section, key, read)
+
+
 @dataclass(frozen=True)
 class ConfigDocument:
     raw: bytes
     sections: dict
-    path: Optional[str] = None
 
     @staticmethod
-    def from_bytes(raw: bytes, path: Optional[str] = None) -> "ConfigDocument":
+    def from_bytes(raw: bytes) -> "ConfigDocument":
         parser = configparser.ConfigParser(interpolation=None,
                                            inline_comment_prefixes=("#",))
         parser.optionxform = str
@@ -35,12 +240,11 @@ class ConfigDocument:
             parser.read_string(raw.decode("utf-8"))
         except (UnicodeDecodeError, configparser.Error) as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
+        if parser.defaults():  # configparser would copy these keys into every section
+            raise ConfigError(f"[{parser.default_section}]: unknown section")
         sections = {name: dict(parser.items(name)) for name in parser.sections()}
-        return ConfigDocument(raw, sections, path)
-
-    @staticmethod
-    def from_text(text: str) -> "ConfigDocument":
-        return ConfigDocument.from_bytes(text.encode("utf-8"))
+        _check(sections)
+        return ConfigDocument(raw, sections)
 
     @staticmethod
     def load(path) -> "ConfigDocument":
@@ -49,107 +253,31 @@ class ConfigDocument:
             raw = p.read_bytes()
         except OSError as exc:
             raise ConfigError(f"cannot read config {p}: {exc}") from exc
-        return ConfigDocument.from_bytes(raw, str(p))
+        return ConfigDocument.from_bytes(raw)
 
     def digest(self) -> str:
         return hashlib.sha256(self.raw).hexdigest()
 
-    def section(self, name: str) -> dict:
-        return self.sections.get(name, {})
+    def origin(self, section: str, key: str) -> Optional[str]:
+        """The section [section] key is read from, or None when its default applies."""
+        order = (section, *FALLBACK.get(section, ())) if key in _SIMULATION else (section,)
+        return next((name for name in order if key in self.sections.get(name, {})), None)
 
-    def has(self, section: str, key: str) -> bool:
-        return key in self.sections.get(section, {})
+    def _get(self, section: str, key: str, read: Callable):
+        entry = SCHEMA[self.sections["system"]["kind"]][section][key]
+        where = self.origin(section, key)
+        text = entry.default if where is None else self.sections[where][key]
+        if text is REQUIRED:
+            raise ConfigError(f"missing [{section}] {key}")
+        return None if text is None else _parse(where or section, key, read, text, entry.guard)
 
-    def _get(self, section: str, key: str, default, required: bool):
-        sec = self.sections.get(section, {})
-        if key not in sec:
-            if required:
-                raise ConfigError(f"missing [{section}] {key}")
-            return None, default
-        return sec[key], default
-
-    def get_str(self, section: str, key: str, default: Optional[str] = None) -> Optional[str]:
-        raw, default = self._get(section, key, default, False)
-        return default if raw is None else raw.strip()
-
-    def get_float(self, section: str, key: str, default: Optional[float] = None) -> float:
-        raw, default = self._get(section, key, default, default is None)
-        if raw is None:
-            return float(default)
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
-        return value
-
-    def get_int(self, section: str, key: str, default: Optional[int] = None) -> int:
-        raw, default = self._get(section, key, default, default is None)
-        if raw is None:
-            return int(default)
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from exc
-
-    @staticmethod
-    def _floats(section: str, key: str, text: str) -> list:
-        try:
-            values = [float(tok) for tok in text.split()]
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: expected numbers: {text.strip()!r}") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"[{section}] {key}: expected finite numbers: {text.strip()!r}")
-        return values
-
-    def get_float_list(self, section: str, key: str,
-                       default: Optional[list] = None) -> list:
-        raw, default = self._get(section, key, default, default is None)
-        if raw is None:
-            return list(default)
-        return self._floats(section, key, raw)
-
-    def get_float_groups(self, section: str, key: str,
-                         default: Optional[list] = None) -> list:
-        """';'-separated groups of numbers (one vector or axis each); empty groups are skipped."""
-        raw, default = self._get(section, key, default, default is None)
-        if raw is None:
-            return [list(group) for group in default]
-        return [self._floats(section, key, chunk) for chunk in raw.split(";") if chunk.strip()]
-
-    def get_expr_list(self, section: str, key: str) -> list:
-        raw, _ = self._get(section, key, None, True)
-        parts = [part.strip() for part in raw.split(";")]
-        return [p for p in parts if p]
-
-    def get_set(self, section: str, key: str, dim: int) -> SetDescriptor:
-        raw, _ = self._get(section, key, None, True)
-        parts = []
-        for chunk in raw.split("|"):
-            toks = chunk.split()
-            if not toks:
-                continue
-            shape, vals = toks[0], self._floats(section, key, " ".join(toks[1:]))
-            if shape == "box":
-                if len(vals) != 2 * dim:
-                    raise ConfigError(
-                        f"[{section}] {key}: box needs {2 * dim} numbers (lo hi per dim)")
-                lo, hi = vals[0::2], vals[1::2]
-                if not all(a <= b for a, b in zip(lo, hi)):
-                    raise ConfigError(f"[{section}] {key}: box needs lo <= hi per dim, "
-                                      f"got {chunk.strip()!r}")
-                parts.append(SetDescriptor.box(lo, hi))
-            elif shape == "point":
-                if len(vals) != dim:
-                    raise ConfigError(f"[{section}] {key}: point needs {dim} number(s)")
-                parts.append(SetDescriptor.point(vals))
-            else:
-                raise ConfigError(
-                    f"[{section}] {key}: unknown set shape {shape!r} (use box/point)")
-        if not parts:
-            raise ConfigError(f"[{section}] {key}: empty set description")
-        return SetDescriptor.union_of(parts)
+    get_str = _accessor(str.strip)
+    get_float = _accessor(_float)
+    get_int = _accessor(_int)
+    get_float_list = _accessor(_floats)
+    get_float_groups = _accessor(_groups)
+    get_expr_list = _accessor(_exprs)
+    get_set = _accessor(_set)
 
 
 def as_document(source) -> ConfigDocument:
@@ -157,5 +285,5 @@ def as_document(source) -> ConfigDocument:
     if isinstance(source, ConfigDocument):
         return source
     if isinstance(source, str) and "\n" in source:
-        return ConfigDocument.from_text(source)
+        return ConfigDocument.from_bytes(source.encode("utf-8"))
     return ConfigDocument.load(source)

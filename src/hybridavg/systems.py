@@ -32,8 +32,8 @@ class JamParams:
             raise ValueError("reset period T must be positive")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("jam probability p must lie in [0, 1]")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be positive and finite")
 
 
 def _actuator_flow(u, x, r, tau, eps):
@@ -99,8 +99,8 @@ def jammed_es(params: JamParams, delta: float) -> SystemSpec:
     regularity conditions outside the delta-ball, so only recurrence to a
     delta-neighborhood of the target set is expected.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise ValueError("delta must be positive and finite")
     return _jammed(params, partial(_es_flow, float(delta)))
 
 
@@ -114,27 +114,19 @@ def load_system(source) -> SystemSpec:
 
     ``[system] kind`` selects a built-in (``jammed-actuator``, ``jammed-es``)
     or ``custom``, in which case the maps are compiled from expressions and
-    the noise from the ``[noise]`` section.  Raises ConfigError with a
-    location for parse errors, unknown symbols, and dimension mismatches.
+    the noise from the ``[noise]`` section; ``config.SCHEMA`` declares the
+    keys of each kind.  Raises ConfigError with a location for parse errors,
+    unknown keys and symbols, and dimension mismatches.
     """
     doc = cfgmod.as_document(source)
-    sec = doc.section("system")
-    kind = sec.get("kind")
-    if kind is None:
-        raise cfgmod.ConfigError("[system] section needs a 'kind'")
-
-    if kind in ("jammed-actuator", "jammed-es"):
-        params = JamParams(
-            T=doc.get_float("system", "period", 1.0),
-            p=doc.get_float("system", "jam_prob", 0.1),
-            epsilon=doc.get_float("system", "epsilon", 0.01),
-        )
-        if kind == "jammed-actuator":
-            return jammed_actuator(params, u=doc.get_float("system", "u", 0.0))
-        return jammed_es(params, delta=doc.get_float("system", "delta", 0.1))
-
+    kind = doc.get_str("system", "kind")
     if kind != "custom":
-        raise cfgmod.ConfigError(f"unknown system kind {kind!r}")
+        params = JamParams(T=doc.get_float("system", "period"),
+                           p=doc.get_float("system", "jam_prob"),
+                           epsilon=doc.get_float("system", "epsilon"))
+        if kind == "jammed-actuator":
+            return jammed_actuator(params, u=doc.get_float("system", "u"))
+        return jammed_es(params, delta=doc.get_float("system", "delta"))
 
     n = doc.get_int("system", "state_dim")
     p = doc.get_int("system", "aux_dim")
@@ -162,14 +154,13 @@ def load_system(source) -> SystemSpec:
     g = compile_map("jump_x", ("x", "r", "v"))
     h = compile_map("jump_r", ("r", "v"))
 
-    C = doc.get_set("system", "flow_set", p)
-    D = doc.get_set("system", "jump_set", p)
+    C, D = doc.get_set("system", "flow_set"), doc.get_set("system", "jump_set")
+    for key, region in (("flow_set", C), ("jump_set", D)):
+        if region.dim != p:
+            raise cfgmod.ConfigError(
+                f"[system] {key}: a set over r needs {p} coordinate(s), got {region.dim}")
 
-    noise_sec = doc.section("noise")
-    nkind = noise_sec.get("kind", "finite")
-    if nkind != "finite":
-        raise cfgmod.ConfigError(
-            "config noise must be kind = finite; samplers are registered in code")
+    doc.get_str("noise", "kind")  # its guard admits finite noise only
     values = doc.get_float_groups("noise", "values")
     for row in values:
         if len(row) != m:

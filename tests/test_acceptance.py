@@ -221,13 +221,15 @@ class TestCriterion9:
                    "for alpha in {0.5, 3}", ok)
 
 
+RERUN_CFG = ("[system]\nkind = jammed-actuator\nperiod = 1.0\njam_prob = 0.1\n"
+             "epsilon = 0.05\n\n[simulate]\nn_paths = 6\nx0 = -2 2\nr0 = 0\n"
+             "tau0 = 0\nt_max = 3.0\nj_max = 100\n")
+
+
 class TestCriterion10:
     def test_command_outputs_are_byte_identical(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "[system]\nkind = jammed-actuator\nperiod = 1.0\njam_prob = 0.1\n"
-            "epsilon = 0.05\n\n[simulate]\nn_paths = 6\nx0 = -2 2\nr0 = 0\n"
-            "tau0 = 0\nt_max = 3.0\nj_max = 100\n", encoding="utf-8")
+        cfg.write_text(RERUN_CFG, encoding="utf-8")
         ok = True
         for run in ("a", "b"):
             assert main(["simulate", "--config", str(cfg), "--seed", "9",

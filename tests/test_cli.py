@@ -83,6 +83,14 @@ favg = -x_1
 """
 
 
+def with_line(text, section, line):
+    """Config text with line set in [section], in place of that key's own line."""
+    head, header, rest = text.partition(f"[{section}]\n")
+    body, next_header, tail = rest.partition("\n[")
+    body = re.sub(rf"(?m)^{line.split(' = ')[0]} = .*\n", "", body)
+    return head + header + line + "\n" + body + next_header + tail
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -445,6 +453,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {err}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, section, line, err", [
+        ("recur", "recur", "rho = 1.5", "[recur] rho: must lie in (0, 1), got 1.5"),
+        ("recur", "recur", "radius = -1", "[recur] radius: must be > 0, got -1.0"),
+        ("recur", "recur", "n_paths = 0", "[recur] n_paths: must be >= 1, got 0"),
+        ("simulate", "simulate", "t_max = -1", "[simulate] t_max: must be >= 0, got -1.0"),
+        ("simulate", "simulate", "j_max = 0", "[simulate] j_max: must be >= 1, got 0"),
+        ("certify", "certify", "radial_points = 0",
+         "[certify] radial_points: must be >= 1, got 0"),
+        ("simulate", "simulate", "r0 = 0 0", "[simulate] r0: initial condition dims "
+         "(x:1, r:2) do not match system (n=1, p=1)"),
+        # [recur] and [sweep] read these from [simulate], which the error names
+        ("recur", "simulate", "j_max = 0", "[simulate] j_max: must be >= 1, got 0"),
+        ("sweep", "simulate", "r0 = 0 0", "[simulate] r0: initial condition dims "
+         "(x:1, r:2) do not match system (n=1, p=1)")])
+    def test_bad_value_names_the_section_that_set_it(self, tmp_path, capsys, command,
+                                                      section, line, err):
+        # each once exited 1 with a message that named no key
+        text = SMALL_ACTUATOR.format(p=0.1, t_values="3.14", eps_values="0.1")
+        cfg = write_cfg(tmp_path, with_line(text, section, line))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"config error: {err}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error_is_one_not_two(self, capsys):
         assert main(["simulate"]) == 1  # missing --config
         capsys.readouterr()
@@ -455,10 +486,9 @@ class TestExitCodes:
 
 
 # config seeds: [simulate], [recur] and [sweep] read theirs; average and
-# certify always default to seed 0, even when their section sets one
+# certify take no config seed and default to seed 0
 SEEDED = SMALL_ACTUATOR
-for _section, _seed in (("simulate", 11), ("recur", 12), ("sweep", 13), ("average", 14),
-                        ("certify", 15)):
+for _section, _seed in (("simulate", 11), ("recur", 12), ("sweep", 13)):
     SEEDED = SEEDED.replace(f"[{_section}]\n", f"[{_section}]\nseed = {_seed}\n")
 
 RUNNER_CASES = {
@@ -505,3 +535,46 @@ class TestRunner:
             digest = hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
         assert manifest["config_digest"] == digest
         assert manifest["seed_base"] == (config_seed if seed is None else seed)
+
+
+class TestConfigSchema:
+    def test_misspelt_key_is_an_error_with_a_suggestion(self, tmp_path, capsys):
+        # n_pathz was once ignored: simulate exited 0 with the default 100 paths
+        text = (CONFIGS / "actuator.cfg").read_text(encoding="utf-8")
+        cfg = write_cfg(tmp_path, text.replace("n_paths = 10\n", "n_pathz = 3\n"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: [simulate] n_pathz: unknown key (did you mean n_paths?)\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, err", [
+        ("simualte", "[simualte]: unknown section (did you mean [simulate]?)"),
+        # configparser copies its keys into every section, which once read them
+        ("DEFAULT", "[DEFAULT]: unknown section")])
+    def test_unknown_section_is_an_error(self, tmp_path, capsys, section, err):
+        text = (CONFIGS / "actuator.cfg").read_text(encoding="utf-8")
+        cfg = write_cfg(tmp_path, text.replace("[simulate]", f"[{section}]"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"config error: {err}\n"
+
+    @pytest.mark.parametrize("name", ["actuator.cfg", "es.cfg"])
+    def test_noise_section_under_a_built_in_kind_is_an_error(self, tmp_path, capsys, name):
+        # the built-ins fix their own noise: certify once passed with these values
+        text = (CONFIGS / name).read_text(encoding="utf-8")
+        cfg = write_cfg(tmp_path, text + "\n[noise]\nvalues = 5\n")
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        kind = "jammed-actuator" if name == "actuator.cfg" else "jammed-es"
+        assert capsys.readouterr().err == (
+            f"config error: [noise]: unknown section for kind = {kind} "
+            "(only kind = custom reads [noise])\n")
+
+    @pytest.mark.parametrize("command, line", [
+        ("average", "seed = 14"), ("certify", "seed = 15"), ("certify", "mc_samples = 0")])
+    def test_key_the_command_never_reads_is_unknown(self, tmp_path, capsys, command, line):
+        # each was once ignored with exit 0
+        text = SMALL_ACTUATOR.format(p=0.1, t_values="3.14", eps_values="0.1")
+        cfg = write_cfg(tmp_path, with_line(text, command, line))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err.startswith(
+            f"config error: [{command}] {key}: unknown key")

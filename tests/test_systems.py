@@ -38,6 +38,11 @@ class TestJamParams:
         with pytest.raises(ValueError):
             ha.JamParams(T=1.0, p=0.1, epsilon=0.0)
 
+    def test_infinite_epsilon_is_rejected(self):
+        # once accepted here, failing only later inside SystemSpec
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            ha.JamParams(T=1.0, p=0.1, epsilon=math.inf)
+
 
 class TestJammedActuator:
     def test_structure(self, actuator):
@@ -116,6 +121,10 @@ class TestJammedEs:
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
             ha.jammed_es(ha.JamParams(T=1.0, p=0.1, epsilon=0.01), delta=0.0)
+
+    def test_nan_delta_is_rejected(self):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            ha.jammed_es(ha.JamParams(T=1.0, p=0.1, epsilon=0.01), delta=math.nan)
 
 
 class TestLoadSystem:
