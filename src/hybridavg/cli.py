@@ -1,21 +1,22 @@
 """Command-line front end: simulate | average | certify | recur | sweep | fig1.
 
-Each command is a function (args, doc, spec) that computes its results and
-returns them as (exit code, seed, [(file name, lines)], digest override).  One
-runner, _run, does the rest for all six: it loads the config document and
-builds its system, creates --out once the command has returned, writes every
-output file and a JSON run manifest.  Config values, with their defaults and
-fallbacks, come from the typed accessors of ConfigDocument; a command-line
-flag overrides its key.  A run is deterministic for a fixed config digest and
-seed.  Exit codes: 0 success/pass, 1 usage or config error, 2 analysis verdict
-fail.  Floats are written with shortest round-trip formatting.
+Each command is a function (doc, spec) of the config document and its
+system; it never sees the parsed arguments, computes its results and returns
+(exit code, seed, [(file name, lines)]).  One runner, _run, does the rest for
+all six: it loads the config (fig1's is FIG1_CONFIG), hands it the flags
+given as its first layer and builds its system, creates --out once the
+command has returned, writes every output file and a JSON run manifest.
+FLAGS maps each flag to the config key it sets, and its text goes through
+that key's reader and guard, so a bad value is a config error naming the
+flag.  A run is deterministic for a fixed config digest and seed.  Exit codes:
+0 success/pass, 1 usage or config error, 2 analysis verdict fail.  Floats are
+written with shortest round-trip formatting.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from .averaging import build_average_system, check_jacobian_average, estimate_average_map, estimate_gamma
 from .certificates import CertGrid, foster_certificate
-from .config import ConfigDocument, ConfigError
+from .config import ConfigDocument, ConfigError, as_document
 from .core import JumpNoise, StateVec
 from .expressions import (
     AverageField,
@@ -46,7 +47,17 @@ from .solver import (
 )
 from .stats import SweepParams, epsilon_sweep, recurrence_estimate
 from .svgplot import Curve, Panel, render_panels
-from .systems import JamParams, jammed_es, load_system
+# jammed_es stays a name of this module: benchmarks/tracing.py wraps cli.jammed_es
+from .systems import jammed_es, load_system  # noqa: F401
+
+#: each command-line flag and the config key it sets
+FLAGS = {"--paths": "n_paths", "--t-max": "t_max", "--seed": "seed", "--radius": "radius",
+         "--rho": "rho", "--bound": "R", "--safety-margin": "safety_margin",
+         "--eps": "eps_values"}
+
+#: fig1's run; every value it does not set is the schema default: period 1,
+#: jam_prob 0.1, epsilon 0.01, delta 0.1, 100 paths, t_max 10, j_max 10000
+FIG1_CONFIG = "[system]\nkind = jammed-es\n\n[simulate]\nx0 = -2 2\n"
 
 
 def _f(v) -> str:
@@ -64,15 +75,14 @@ def _csv(header, rows):
         yield ",".join(row)
 
 
-def _ensemble_inputs(doc: ConfigDocument, args, spec, section: str):
-    """(inits, n_paths, horizon, integrator config, seed) of [section]; flags override.
+def _ensemble_inputs(doc: ConfigDocument, spec, section: str):
+    """(inits, n_paths, horizon, integrator config, seed) of [section].
 
     Initial conditions are x0 as ';'-separated vectors (scalars when n = 1)
     with a shared r0 and tau0.
     """
-    t_max = args.t_max if args.t_max is not None else doc.get_float(section, "t_max")
-    horizon = Horizon(t_max, doc.get_int(section, "j_max"))
-    n_paths = args.paths if args.paths is not None else doc.get_int(section, "n_paths")
+    horizon = Horizon(doc.get_float(section, "t_max"), doc.get_int(section, "j_max"))
+    n_paths = doc.get_int(section, "n_paths")
     cfg = IntegratorConfig(doc.get_float(section, "base_step"),
                            doc.get_float(section, "substep_per_epsilon"))
     x0s = doc.get_float_groups(section, "x0")
@@ -88,8 +98,7 @@ def _ensemble_inputs(doc: ConfigDocument, args, spec, section: str):
                 f"[{doc.origin(section, key) or section}] {key}: initial condition dims "
                 f"(x:{len(x0)}, r:{len(r0)}) do not match system (n={spec.n}, p={spec.p})")
         inits.append(StateVec(np.array(x0), np.array(r0), tau0))
-    seed = args.seed if args.seed is not None else doc.get_int(section, "seed")
-    return inits, n_paths, horizon, cfg, seed
+    return inits, n_paths, horizon, cfg, doc.get_int(section, "seed")
 
 
 def _arc_lines(arc, path_id: int, stride: int = 1, kind: str = None):
@@ -115,15 +124,13 @@ def _arc_lines(arc, path_id: int, stride: int = 1, kind: str = None):
         yield ",".join(last + ["terminal"])
 
 
-def cmd_simulate(args, doc, spec):
-    inits, n_paths, horizon, cfg, seed = _ensemble_inputs(doc, args, spec, "simulate")
-    if n_paths < 1:
-        raise ConfigError("n_paths must be >= 1")
+def cmd_simulate(doc, spec):
+    inits, n_paths, horizon, cfg, seed = _ensemble_inputs(doc, spec, "simulate")
     ensemble = simulate_ensemble(spec, inits, n_paths, seed, horizon, cfg)
     header = (["path_id", "t", "j"] + [f"x_{i+1}" for i in range(spec.n)]
               + [f"r_{i+1}" for i in range(spec.p)] + ["tau", "event"])
     lines = (line for pid, arc in enumerate(ensemble) for line in _arc_lines(arc, pid))
-    return 0, seed, [("simulate.csv", chain([",".join(header)], lines))], None
+    return 0, seed, [("simulate.csv", chain([",".join(header)], lines))]
 
 
 def _favg_from_config(doc: ConfigDocument, spec):
@@ -169,7 +176,7 @@ def _average_grids(doc: ConfigDocument, spec):
     return x_axes, r_axes, tau_grid, T_grid, T_long
 
 
-def cmd_average(args, doc, spec):
+def cmd_average(doc, spec):
     x_axes, r_axes, tau_grid, T_grid, T_long = _average_grids(doc, spec)
     favg = _favg_from_config(doc, spec)
     avg = estimate_average_map(spec, x_axes, r_axes, T_long, f_ave=favg)
@@ -203,21 +210,20 @@ def cmd_average(args, doc, spec):
     report.append("jacobian residual exceeds state gamma envelope at T values: "
                   + (", ".join(flagged) or "none"))
     report.append("results are grid-certified suprema, not proofs")
-    seed = args.seed if args.seed is not None else 0
-    return 0, seed, [
+    return 0, None, [
         ("average_gamma.csv", _csv(["T", "gamma_raw", "gamma_envelope", "jac_gamma_raw",
                                     "witness_x", "witness_r", "witness_tau"], gamma_rows)),
         ("average_favg.csv", _csv(["x", "r", "favg"], table_rows)),
         ("average_report.txt", report),
-    ], None
+    ]
 
 
-def cmd_certify(args, doc, spec):
-    margin = args.safety_margin
-    if margin is None:
-        margin = doc.get_float("certify", "safety_margin")
-    elif not (margin >= 0.0 and math.isfinite(margin)):
-        raise ConfigError(f"--safety-margin must be a finite number >= 0, got {margin!r}")
+def cmd_certify(doc, spec):
+    radius_min = doc.get_float("certify", "radius_min")
+    radius_max = doc.get_float("certify", "radius_max")
+    if radius_min >= radius_max:
+        raise ConfigError(f"[certify] radius_min, radius_max: radius_min must be < "
+                          f"radius_max, got {radius_min!r} >= {radius_max!r}")
     try:
         v_expr = compile_expressions([doc.get_str("certify", "V")],
                                      allowed_names(n=spec.n, p=spec.p))[0]
@@ -228,22 +234,19 @@ def cmd_certify(args, doc, spec):
     if favg is None:
         raise ConfigError("certification needs [average] favg (registered average map)")
     avg = build_average_system(spec, favg)
-    grid = CertGrid(radius_min=doc.get_float("certify", "radius_min"),
-                    radius_max=doc.get_float("certify", "radius_max"),
+    grid = CertGrid(radius_min=radius_min, radius_max=radius_max,
                     radial_points=doc.get_int("certify", "radial_points"),
                     r_points=doc.get_int("certify", "r_points"))
-    cert = foster_certificate(V, avg, grid, safety_margin=margin)
+    cert = foster_certificate(V, avg, grid,
+                              safety_margin=doc.get_float("certify", "safety_margin"))
     report = str(cert)
     print(report)
-    seed = args.seed if args.seed is not None else 0
-    return (0 if cert.verdict else 2), seed, [("certify_report.txt", [report])], None
+    return (0 if cert.verdict else 2), None, [("certify_report.txt", [report])]
 
 
-def cmd_recur(args, doc, spec):
-    inits, n_paths, horizon, cfg, seed = _ensemble_inputs(doc, args, spec, "recur")
-    radius = args.radius if args.radius is not None else doc.get_float("recur", "radius")
-    rho = args.rho if args.rho is not None else doc.get_float("recur", "rho")
-    bound = args.bound if args.bound is not None else doc.get_float("recur", "R")
+def cmd_recur(doc, spec):
+    inits, n_paths, horizon, cfg, seed = _ensemble_inputs(doc, spec, "recur")
+    radius, rho, bound = (doc.get_float("recur", key) for key in ("radius", "rho", "R"))
 
     ensemble = simulate_ensemble(spec, inits, n_paths, seed, horizon, cfg)
     rep = recurrence_estimate(ensemble, radius, rho, bound, spec)
@@ -263,15 +266,12 @@ def cmd_recur(args, doc, spec):
         ("recur_summary.csv", _csv(["radius", "rho", "R", "n_paths", "hit_fraction",
                                     "wilson_low", "wilson_high", "tau_hat",
                                     "stopped_before_budget"], [summary])),
-    ], None
+    ]
 
 
-def cmd_sweep(args, doc, spec):
-    if args.eps:
-        eps_list = [float(e) for e in args.eps]
-    else:
-        eps_list = doc.get_float_list("sweep", "eps_values")
-    inits, n_paths, horizon, cfg, seed = _ensemble_inputs(doc, args, spec, "sweep")
+def cmd_sweep(doc, spec):
+    eps_list = doc.get_float_list("sweep", "eps_values")
+    inits, n_paths, horizon, cfg, seed = _ensemble_inputs(doc, spec, "sweep")
     params = SweepParams(
         radius_max=doc.get_float("sweep", "radius_max"),
         rho=doc.get_float("sweep", "rho"),
@@ -298,33 +298,18 @@ def cmd_sweep(args, doc, spec):
         ("sweep.csv", _csv(["epsilon", "certified_radius", "hit_fraction", "n_paths",
                             "note"], rows)),
         ("sweep_summary.txt", summary),
-    ], None
+    ]
 
 
-FIG1_DEFAULTS = dict(T=1.0, p=0.1, epsilon=0.01, delta=0.1, t_max=10.0,
-                     j_max=10_000, n_paths=100, stride=25)
-
-
-def cmd_fig1(args, doc, spec):
-    p = dict(FIG1_DEFAULTS)
-    if args.paths is not None:
-        p["n_paths"] = args.paths
-    seed = args.seed if args.seed is not None else 0
-    digest_src = "fig1:" + ",".join(f"{k}={v}" for k, v in sorted(p.items()))
-    digest = hashlib.sha256(digest_src.encode()).hexdigest()
-
-    spec = jammed_es(JamParams(p["T"], p["p"], p["epsilon"]), p["delta"])
-    inits = [StateVec(np.array([-2.0]), np.array([0.0]), 0.0),
-             StateVec(np.array([2.0]), np.array([0.0]), 0.0)]
-    horizon = Horizon(p["t_max"], p["j_max"])
-    cfg = IntegratorConfig()
-    ensemble = simulate_ensemble(spec, inits, p["n_paths"], seed, horizon, cfg)
+def cmd_fig1(doc, spec):
+    inits, n_paths, horizon, cfg, seed = _ensemble_inputs(doc, spec, "simulate")
+    ensemble = simulate_ensemble(spec, inits, n_paths, seed, horizon, cfg)
     # nominal run: same dynamics, jamming disabled by a unit-gain point mass
     nominal_spec = dataclasses.replace(spec, noise=JumpNoise.finite([[0.25]], [1.0]))
     nominal = simulate_path(nominal_spec, inits[1], seed, horizon, cfg)
 
     header = ["path_id", "kind", "t", "j", "x_1", "r_1", "tau", "event"]
-    stride = p["stride"]
+    stride = 25
 
     def all_lines():
         yield ",".join(header)
@@ -351,7 +336,7 @@ def cmd_fig1(args, doc, spec):
     ts, ys = strided("r", nominal)
     clock_panel.curves.append(Curve(ts, ys, "#1f4fbf", 0.9, 1.0))
     svg = render_panels([main_panel, clock_panel]).splitlines()
-    return 0, seed, [("fig1.csv", all_lines()), ("fig1.svg", svg)], digest
+    return 0, seed, [("fig1.csv", all_lines()), ("fig1.svg", svg)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -361,52 +346,49 @@ def _build_parser() -> argparse.ArgumentParser:
                     "stability certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, summary, config=True, paths=False, t_max=False):
+    def command(name, fn, summary, *flags):
+        # a flag is kept as text: its config key's reader and guard check it
         sp = sub.add_parser(name, help=summary)
-        if config:
-            sp.add_argument("--config", required=True, help="path to the run config")
-        sp.add_argument("--seed", type=int, default=None, help="base RNG seed")
+        for flag in ("--seed", *flags):
+            sp.add_argument(flag, dest=FLAGS[flag], nargs="+" if flag == "--eps" else None,
+                            help=f"sets the config key {FLAGS[flag]}")
         sp.add_argument("--out", default="out", help="output directory")
-        if paths:
-            sp.add_argument("--paths", type=int, default=None)
-        if t_max:
-            sp.add_argument("--t-max", dest="t_max", type=float, default=None)
         sp.set_defaults(fn=fn)
         return sp
 
-    command("simulate", cmd_simulate, "run an ensemble and dump trajectories",
-            paths=True, t_max=True)
-    command("average", cmd_average, "estimate the average map and gamma curve")
-    sp = command("certify", cmd_certify, "check the stability certificate (exit 2 on fail)")
-    sp.add_argument("--safety-margin", dest="safety_margin", type=float, default=None)
-    sp = command("recur", cmd_recur, "estimate recurrence of an inflated target ball",
-                 paths=True, t_max=True)
-    sp.add_argument("--radius", type=float, default=None)
-    sp.add_argument("--rho", type=float, default=None)
-    sp.add_argument("--bound", type=float, default=None, help="initial-condition bound R")
-    sp = command("sweep", cmd_sweep, "certified recurrence radius per epsilon",
-                 paths=True, t_max=True)
-    sp.add_argument("--eps", nargs="+", default=None, help="epsilon values (decreasing)")
+    for name, fn, summary, *flags in (
+            ("simulate", cmd_simulate, "run an ensemble and dump trajectories",
+             "--paths", "--t-max"),
+            ("average", cmd_average, "estimate the average map and gamma curve"),
+            ("certify", cmd_certify, "check the stability certificate (exit 2 on fail)",
+             "--safety-margin"),
+            ("recur", cmd_recur, "estimate recurrence of an inflated target ball",
+             "--paths", "--t-max", "--radius", "--rho", "--bound"),
+            ("sweep", cmd_sweep, "certified recurrence radius per epsilon",
+             "--paths", "--t-max", "--eps")):
+        command(name, fn, summary, *flags).add_argument(
+            "--config", required=True, type=Path, help="path to the run config")
     command("fig1", cmd_fig1, "reproduce the jammed-optimizer ensemble figure",
-            config=False, paths=True)
+            "--paths").set_defaults(config=FIG1_CONFIG)
     return parser
 
 
 def _run(args) -> int:
     """Run one command and write its outputs and manifest into --out.
 
-    The command gets the loaded config and system (None for fig1, which
-    takes no --config) and returns (exit code, seed, [(file name, lines)],
-    digest override).  --out is created only after the command returns, so a
-    failing command leaves nothing behind; CSV lines stream from generators
-    while they are written.
+    The command gets the config document, with the flags given as its first
+    layer, and its system, and returns (exit code, seed, [(file name, lines)]).
+    --out is created only after the command returns, so a failing command
+    leaves nothing behind; CSV lines stream from generators while they are
+    written.
     """
     started = time.time()
-    doc = spec = None
-    if getattr(args, "config", None) is not None:
-        doc = ConfigDocument.load(args.config)
-        spec = load_system(doc)
-    code, seed, outputs, digest = args.fn(args, doc, spec)
+    given = {key: (flag, value if isinstance(value, str) else " ".join(value))
+             for flag, key in FLAGS.items() if (value := getattr(args, key, None)) is not None}
+    doc = dataclasses.replace(as_document(args.config), flags=given)
+    spec = load_system(doc)
+    code, seed, outputs = args.fn(doc, spec)
+    seed = int(args.seed or 0) if seed is None else seed  # average and certify draw none
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, lines in outputs:
@@ -415,7 +397,7 @@ def _run(args) -> int:
                 fh.write(line + "\n")
     manifest = {
         "command": args.command,
-        "config_digest": digest if digest is not None else doc.digest(),
+        "config_digest": doc.digest(),
         "seed_base": int(seed),
         "toolkit_version": __version__,
         "duration_seconds": round(time.time() - started, 3),

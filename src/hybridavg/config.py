@@ -3,11 +3,12 @@
 SCHEMA declares every section and key a config may hold, per ``[system]
 kind``: section -> key -> Key(type reader, default text, guard).  Loading a
 document rejects an unknown section or key and a value that does not read as
-its key's type.  The typed accessors return a value, or the default when no
-section in FALLBACK order sets it, checked by the key's guard; an error names
-the section that set the value.  Guards run on read, so a command-line flag
-still overrides a file value.  The raw bytes are kept so run manifests can
-record a content hash of the config.
+its key's type.  A document's first layer holds command-line flags, each
+setting one key: the typed accessors return a key's flag, else its value from
+the first section in FALLBACK order that sets it, else its default, checked
+by the guard of the section read; an error names the flag or the section that
+set the value.  The raw bytes are kept so run manifests can record a content
+hash of the config.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -111,8 +112,10 @@ _SIMULATION = {
     "tau0": Key(_float, "0"),
 }
 _SEED = Key(_int, "0")
-_RHO = Key(_float, "0.05", (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"))
-_R = Key(_float, "5.0", _POSITIVE)
+#: [recur] and [sweep] estimate recurrence, which needs at least 30 paths
+_RECURRENCE = {**_SIMULATION, "n_paths": Key(_int, "100", _at_least(30)), "seed": _SEED,
+               "rho": Key(_float, "0.05", (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
+               "R": Key(_float, "5.0", _POSITIVE)}
 
 _COMMANDS = {
     "simulate": {**_SIMULATION, "seed": _SEED},
@@ -138,10 +141,11 @@ _COMMANDS = {
         "r_points": Key(_int, "5", _COUNT),
         "safety_margin": Key(_float, "0.0", _at_least(0)),
     },
-    "recur": {**_SIMULATION, "seed": _SEED, "radius": Key(_float, "0.1", _POSITIVE),
-              "rho": _RHO, "R": _R},
-    "sweep": {**_SIMULATION, "seed": _SEED, "eps_values": Key(_floats, REQUIRED),
-              "radius_max": Key(_float, "2.0", _POSITIVE), "rho": _RHO, "R": _R},
+    "recur": {**_RECURRENCE, "radius": Key(_float, "0.1", _POSITIVE)},
+    "sweep": {**_RECURRENCE, "radius_max": Key(_float, "2.0", _POSITIVE),
+              "eps_values": Key(_floats, REQUIRED, (
+                  lambda v: v and v[-1] > 0.0 and all(a > b for a, b in zip(v, v[1:])),
+                  "must be > 0 and strictly decreasing"))},
 }
 
 #: sections a simulation key is read from, in order, after its own
@@ -185,14 +189,15 @@ def _suggest(name: str, known, form: str = "{}") -> str:
     return f" (did you mean {form.format(close[0])}?)" if close else ""
 
 
-def _parse(section: str, key: str, read: Callable, text: str, guard=None):
-    """read(text), checked by guard; a ValueError is a ConfigError naming [section] key."""
+def _parse(where: str, read: Callable, text: str, guard=None):
+    """read(text), checked by guard; a ValueError is a ConfigError naming where
+    the text was set: '[section] key' or a flag."""
     try:
         value = read(text)
         if guard is not None and not guard[0](value):
             raise ValueError(f"{guard[1]}, got {value!r}")
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
     return value
 
 
@@ -214,7 +219,7 @@ def _check(sections: dict) -> None:
         for key, text in keys.items():
             if key not in table[name]:
                 raise ConfigError(f"[{name}] {key}: unknown key{_suggest(key, table[name])}")
-            _parse(name, key, table[name][key].read, text)
+            _parse(f"[{name}] {key}", table[name][key].read, text)
 
 
 def _accessor(read: Callable):
@@ -230,6 +235,14 @@ def _accessor(read: Callable):
 class ConfigDocument:
     raw: bytes
     sections: dict
+    #: key -> (flag, text) of the command-line flags given, read before any section
+    flags: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # a flag's text must read as its key's type; its guard runs where the key is read
+        for key, (flag, text) in self.flags.items():
+            table = SCHEMA[self.sections["system"]["kind"]].values()
+            _parse(flag, next(keys[key].read for keys in table if key in keys), text)
 
     @staticmethod
     def from_bytes(raw: bytes) -> "ConfigDocument":
@@ -265,11 +278,15 @@ class ConfigDocument:
 
     def _get(self, section: str, key: str, read: Callable):
         entry = SCHEMA[self.sections["system"]["kind"]][section][key]
-        where = self.origin(section, key)
-        text = entry.default if where is None else self.sections[where][key]
+        if key in self.flags:
+            where, text = self.flags[key]
+        else:
+            origin = self.origin(section, key)
+            text = entry.default if origin is None else self.sections[origin][key]
+            where = f"[{origin or section}] {key}"
         if text is REQUIRED:
             raise ConfigError(f"missing [{section}] {key}")
-        return None if text is None else _parse(where or section, key, read, text, entry.guard)
+        return None if text is None else _parse(where, read, text, entry.guard)
 
     get_str = _accessor(str.strip)
     get_float = _accessor(_float)

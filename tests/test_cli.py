@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hybridavg import __version__, cli
-from hybridavg.cli import FIG1_DEFAULTS, main
+from hybridavg.cli import FIG1_CONFIG, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -286,8 +286,9 @@ class TestCertifyCommand:
         assert main(["certify", "--config", actuator_cfg, "--safety-margin", value,
                      "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err == ("config error: --safety-margin must be a finite number >= 0, "
-                       f"got {float(value)!r}\n")
+        assert err == ("config error: --safety-margin: must be >= 0, got -0.1\n"
+                       if value == "-0.1" else
+                       f"config error: --safety-margin: not a finite number: '{value}'\n")
         assert not (tmp_path / "o").exists()
 
 
@@ -327,8 +328,9 @@ class TestRecurCommand:
                                                  flag, value):
         assert main(["recur", "--config", actuator_cfg, "--t-max", "0", flag, value,
                      "--out", str(tmp_path / "o")]) == 1
-        name = "radius" if flag == "--radius" else "R"
-        assert capsys.readouterr().err.startswith(f"error: {name} must be positive and finite")
+        assert capsys.readouterr().err == (
+            f"config error: {flag}: not a finite number: '{value}'\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestSweepCommand:
@@ -456,7 +458,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, section, line, err", [
         ("recur", "recur", "rho = 1.5", "[recur] rho: must lie in (0, 1), got 1.5"),
         ("recur", "recur", "radius = -1", "[recur] radius: must be > 0, got -1.0"),
-        ("recur", "recur", "n_paths = 0", "[recur] n_paths: must be >= 1, got 0"),
+        ("recur", "recur", "n_paths = 0", "[recur] n_paths: must be >= 30, got 0"),
         ("simulate", "simulate", "t_max = -1", "[simulate] t_max: must be >= 0, got -1.0"),
         ("simulate", "simulate", "j_max = 0", "[simulate] j_max: must be >= 1, got 0"),
         ("certify", "certify", "radial_points = 0",
@@ -473,6 +475,46 @@ class TestExitCodes:
         text = SMALL_ACTUATOR.format(p=0.1, t_values="3.14", eps_values="0.1")
         cfg = write_cfg(tmp_path, with_line(text, section, line))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"config error: {err}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, section, line, err", [
+        (["simulate", "--paths", "2.5"], None, None, "--paths: not an integer: '2.5'"),
+        (["simulate", "--t-max", "-1"], None, None, "--t-max: must be >= 0, got -1.0"),
+        (["simulate", "--seed", "abc"], None, None, "--seed: not an integer: 'abc'"),
+        # average and certify draw no seed but record it in the manifest
+        (["average", "--seed", "1.5"], None, None, "--seed: not an integer: '1.5'"),
+        (["recur", "--radius", "0"], None, None, "--radius: must be > 0, got 0.0"),
+        (["recur", "--rho", "1.5"], None, None, "--rho: must lie in (0, 1), got 1.5"),
+        (["recur", "--bound", "-1"], None, None, "--bound: must be > 0, got -1.0"),
+        (["recur", "--paths", "10"], None, None, "--paths: must be >= 30, got 10"),
+        (["sweep", "--paths", "10"], None, None, "--paths: must be >= 30, got 10"),
+        (["sweep", "--eps", "0.01", "0.1"], None, None,
+         "--eps: must be > 0 and strictly decreasing, got [0.01, 0.1]"),
+        (["sweep", "--eps", "0.1", "0"], None, None,
+         "--eps: must be > 0 and strictly decreasing, got [0.1, 0.0]"),
+        (["sweep", "--t-max", "nan"], None, None, "--t-max: not a finite number: 'nan'"),
+        (["fig1", "--paths", "0"], None, None, "--paths: must be >= 1, got 0"),
+        # recur and sweep once simulated the whole ensemble before these failed
+        (["recur"], "recur", "n_paths = 10", "[recur] n_paths: must be >= 30, got 10"),
+        (["sweep"], "sweep", "n_paths = 29", "[sweep] n_paths: must be >= 30, got 29"),
+        (["sweep"], "sweep", "eps_values = 0.1 0",
+         "[sweep] eps_values: must be > 0 and strictly decreasing, got [0.1, 0.0]"),
+        (["certify"], "certify", "radius_min = 10",
+         "[certify] radius_min, radius_max: radius_min must be < radius_max, "
+         "got 10.0 >= 10.0")])
+    def test_bad_flag_or_key_fails_before_any_path_is_simulated(
+            self, tmp_path, capsys, monkeypatch, argv, section, line, err):
+        def simulated(*args, **kwargs):
+            raise AssertionError("a path was simulated")
+
+        for name in ("simulate_ensemble", "simulate_path", "epsilon_sweep"):
+            monkeypatch.setattr(cli, name, simulated)
+        text = SMALL_ACTUATOR.format(p=0.1, t_values="3.14", eps_values="0.1")
+        if section is not None:
+            text = with_line(text, section, line)
+        config = [] if argv[0] == "fig1" else ["--config", write_cfg(tmp_path, text)]
+        assert main(argv + config + ["--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"config error: {err}\n"
         assert not (tmp_path / "o").exists()
 
@@ -527,12 +569,8 @@ class TestRunner:
         assert manifest["toolkit_version"] == __version__
         assert manifest["duration_seconds"] >= 0.0
         assert manifest["outputs"] == sorted(f.name for f in out.iterdir() if f != path)
-        if command == "fig1":
-            params = dict(FIG1_DEFAULTS, n_paths=2)
-            source = "fig1:" + ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-            digest = hashlib.sha256(source.encode()).hexdigest()
-        else:
-            digest = hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
+        source = FIG1_CONFIG.encode() if command == "fig1" else Path(cfg).read_bytes()
+        digest = hashlib.sha256(source).hexdigest()
         assert manifest["config_digest"] == digest
         assert manifest["seed_base"] == (config_seed if seed is None else seed)
 
