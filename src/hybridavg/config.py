@@ -111,7 +111,7 @@ _SIMULATION = {
     "r0": Key(_floats, "0"),
     "tau0": Key(_float, "0"),
 }
-_SEED = Key(_int, "0")
+_SEED = Key(_int, "0", _at_least(0))
 #: [recur] and [sweep] estimate recurrence, which needs at least 30 paths
 _RECURRENCE = {**_SIMULATION, "n_paths": Key(_int, "100", _at_least(30)), "seed": _SEED,
                "rho": Key(_float, "0.05", (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
@@ -239,10 +239,13 @@ class ConfigDocument:
     flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # a flag's text must read as its key's type; its guard runs where the key is read
+        # a flag's text must read as its key's type and pass the key's guard in
+        # the first section declaring it, the loosest ([recur] and [sweep] only
+        # tighten n_paths); the guard of the section read runs again there
         for key, (flag, text) in self.flags.items():
             table = SCHEMA[self.sections["system"]["kind"]].values()
-            _parse(flag, next(keys[key].read for keys in table if key in keys), text)
+            entry = next(keys[key] for keys in table if key in keys)
+            _parse(flag, entry.read, text, entry.guard)
 
     @staticmethod
     def from_bytes(raw: bytes) -> "ConfigDocument":

@@ -149,10 +149,19 @@ def _tokenize(text: str):
     return tokens
 
 
+#: deepest expression tree, and deepest nesting of parentheses, that parsing
+#: accepts; parsing, code generation, comparison and pickling of a tree all
+#: recurse once per level, so deeper input is an ExpressionError instead
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, depth of its tree)."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # parentheses open around the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -169,8 +178,22 @@ class _Parser:
                                   tok.line, tok.column)
         return tok
 
+    def level(self, tok: _Token, *depths) -> int:
+        """Depth of a node built at tok over subtrees of the given depths."""
+        depth = 1 + max(depths)
+        if depth > MAX_DEPTH:
+            raise ExpressionError(f"expression nested more than {MAX_DEPTH} levels deep",
+                                  tok.line, tok.column)
+        return depth
+
+    def enter(self, tok: _Token) -> None:
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise ExpressionError(f"parentheses nested more than {MAX_DEPTH} deep",
+                                  tok.line, tok.column)
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ExpressionError(f"unexpected trailing input {tok.text!r}",
@@ -178,56 +201,64 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            node = Bin(op, node, self.term())
-        return node
+            tok = self.next()
+            b, b_depth = self.term()
+            node, depth = Bin(tok.text, node, b), self.level(tok, depth, b_depth)
+        return node, depth
 
     def term(self):
-        node = self.unary()
+        node, depth = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            node = Bin(op, node, self.unary())
-        return node
+            tok = self.next()
+            b, b_depth = self.unary()
+            node, depth = Bin(tok.text, node, b), self.level(tok, depth, b_depth)
+        return node, depth
 
     def unary(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
-            return Neg(self.unary())
-        if tok.kind == "op" and tok.text == "+":
-            self.next()
-            return self.unary()
-        return self.atom()
+        # a run of signs is read in a loop, not by recursion; '+' is dropped
+        signs = []
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            tok = self.next()
+            if tok.text == "-":
+                signs.append(tok)
+        node, depth = self.atom()
+        for tok in reversed(signs):
+            node, depth = Neg(node), self.level(tok, depth)
+        return node, depth
 
     def atom(self):
         tok = self.next()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 1
         if tok.kind == "lparen":
+            self.enter(tok)
             node = self.expr()
             self.expect("rparen", "')'")
+            self.open -= 1
             return node
         if tok.kind == "ident":
             if self.peek().kind == "lparen":
                 if tok.text not in _FUNCTIONS:
                     raise ExpressionError(f"unknown function {tok.text!r}",
                                           tok.line, tok.column)
-                self.next()
+                self.enter(self.next())
                 args = [self.expr()]
                 while self.peek().kind == "comma":
                     self.next()
                     args.append(self.expr())
                 self.expect("rparen", "')'")
+                self.open -= 1
                 lo, hi, _ = _FUNCTIONS[tok.text]
                 if len(args) < lo or (hi is not None and len(args) > hi):
                     raise ExpressionError(
                         f"function {tok.text!r} takes "
                         f"{lo if hi == lo else f'{lo}+'} argument(s), got {len(args)}",
                         tok.line, tok.column)
-                return Call(tok.text, tuple(args))
-            return Var(tok.text, tok.line, tok.column)
+                return (Call(tok.text, tuple(node for node, _ in args)),
+                        self.level(tok, *(depth for _, depth in args)))
+            return Var(tok.text, tok.line, tok.column), 1
         raise ExpressionError(f"unexpected {tok.text or 'end of input'!r}",
                               tok.line, tok.column)
 

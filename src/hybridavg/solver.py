@@ -13,12 +13,13 @@ map operation is elementwise across the batch.  A group starts from paths
 with bitwise-equal initial (r, tau) and splits at a jump into sub-groups of
 bitwise-equal post-jump r; a single path is a group of one.
 
-The auxiliary state flows by w(r) alone and C, D constrain r alone, so the
-aux part of a flow step (event outcome, clipped step, the r stages of RK4 and
-the next r) depends only on r's bits and the step cap.  It is planned once per
-distinct (r, cap) from a single row and memoized for the run, and each
-lockstep step then integrates x only.  This relies on maps being pure: a map
-must return the same bits for the same arguments every time it is called.
+The auxiliary state flows by w(r) alone and C, D constrain r alone, so every
+step outcome (a jump, the horizon, leaving C u D, a snap onto D, or a flow
+step with its clipped dt, the r stages of RK4 and the next r) depends only on
+r's bits and the step cap.  A group therefore carries r as one row, each
+outcome is planned once per distinct (r, cap) and memoized for the run, and
+each lockstep step then integrates x only.  This relies on maps being pure: a
+map must return the same bits for the same arguments every time it is called.
 """
 
 from __future__ import annotations
@@ -117,26 +118,36 @@ def _rk4(spec: SystemSpec, x, r_stages, tau: float, dt: float):
 
 
 def _plan_step(spec: SystemSpec, r, cap: float, context: str, paths, seeds):
-    """Aux part of one flow step from the single row r (1, p), step capped at cap.
+    """Outcome of one step of a group whose aux row is r (1, p), step capped at cap.
 
     Returns (dt, rows).  For a flow step, rows stacks r + dt/2 k1, r + dt/2 k2,
     r + dt k3 and the next r (snapped onto its box when an event clipped the
     step) as one (4, p) array.  dt is None when no flow is possible: rows is
-    then r snapped onto the D boundary it lies on, or None when r leaves C u D.
-    Events are located on Python floats, which is the same IEEE arithmetic as
-    on numpy scalars at a fraction of the cost for one row.
+    then r snapped onto the D boundary it lies on, or the segment's end: None
+    for a jump, else its terminal reason.  Events are located on Python
+    floats, which is the same IEEE arithmetic as on numpy scalars at a
+    fraction of the cost for one row.
     """
+    r_vals = r[0].tolist()
+    # jump priority first: jumps consume no flow time, so one firing at
+    # exactly t = t_max still belongs to the truncated domain
+    if spec.D.contains(r_vals):
+        return None, None
+    if cap <= 0.0:
+        return None, TERMINAL_HORIZON_T
+    if not spec.C.contains(r_vals):
+        return None, TERMINAL_LEFT_SETS
     w = spec.w
     k1 = np.asarray(w(r), dtype=float)
     _check_finite(k1, "w", context, paths, seeds)
-    r_vals, w_vals = r[0].tolist(), k1.ravel().tolist()
+    w_vals = k1.ravel().tolist()
     dt = cap
     snap_box = None
     entry = _entry_time(r_vals, w_vals, spec.D, dt)
     exit_end, exit_box = _exit_time(r_vals, w_vals, spec.flow_or_jump_set)
     if exit_end is not None and exit_end <= 0.0:
         # on the boundary of C u D and moving out, with no jump available
-        return None, None
+        return None, TERMINAL_LEFT_SETS
     if exit_end is not None and exit_end < dt:
         dt = exit_end
         snap_box = exit_box
@@ -147,7 +158,7 @@ def _plan_step(spec: SystemSpec, r, cap: float, context: str, paths, seeds):
         # r is bitwise on the D boundary without exact membership; snap it on
         if snap_box is not None:
             return None, _snap_into_box(r, snap_box[0], snap_box[1])
-        return None, None
+        return None, TERMINAL_LEFT_SETS
     half = 0.5 * dt
     r2 = r + half * k1
     k2 = np.asarray(w(r2), dtype=float)
@@ -166,7 +177,7 @@ def _plan_step(spec: SystemSpec, r, cap: float, context: str, paths, seeds):
 
 
 def _spread(row, ones):
-    """The aux row (1, p) as the (B, p) block of a group; exact, since row * 1.0 == row."""
+    """The aux row (1, p) as a (B, p) map argument; exact, since row * 1.0 == row."""
     return row if ones is None else row * ones
 
 
@@ -241,15 +252,20 @@ def _bitwise_groups(rows) -> list:
 
 
 def _store_segment(segments, paths, j, ts, xs, rs, taus):
-    """Stack one finished flow segment of a group and give each path its view."""
+    """Stack one finished flow segment of a group and give each path its share.
+
+    rs holds the group's aux row (1, p) per sample.  Every member's segment
+    shares one read-only t, tau and (k, p) r array; x is a view of one (k, B, n)
+    stack.
+    """
     t_arr = np.asarray(ts, dtype=float)
     tau_arr = np.asarray(taus, dtype=float)
     x_arr = np.stack(xs, axis=0)  # (k, B, n)
-    r_arr = np.stack(rs, axis=0)  # (k, B, p)
+    r_arr = np.concatenate(rs, axis=0)  # (k, p)
     for a in (t_arr, tau_arr, x_arr, r_arr):
         a.flags.writeable = False
     for b, i in enumerate(paths):
-        segments[i].append(FlowSegment(j, t_arr, x_arr[:, b, :], r_arr[:, b, :], tau_arr))
+        segments[i].append(FlowSegment(j, t_arr, x_arr[:, b, :], r_arr, tau_arr))
 
 
 def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
@@ -258,16 +274,16 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
 
     Paths advance in lockstep groups whose auxiliary rows are bitwise equal,
     so a group carries its aux state as one row r (1, p) next to its x block
-    (B, n).  One work item advances one group through one flow segment.  At
-    the jump that ends the segment the group splits into sub-groups of equal
-    post-jump r, which join the back of a FIFO worklist rather than a
-    recursion, because a B-path group may split B - 1 times.  Groups start in
-    order of their lowest path index; a failing map names the lowest failing
-    path of its group.
+    (B, n), spreads r to (B, p) only to call a map, and its members share the
+    read-only t, tau and r arrays of each segment.  One work item advances one
+    group through one flow segment.  At the jump that ends the segment the
+    group splits into sub-groups of equal post-jump r, which join the back of
+    a FIFO worklist rather than a recursion, because a B-path group may split
+    B - 1 times.  Groups start in order of their lowest path index; a failing
+    map names the lowest failing path of its group.
 
-    The aux part of each flow step comes from two memos shared by all groups
-    of the run: r's membership in (D, C) keyed by r's bits, and the step plan
-    of _plan_step keyed by (r's bits, step cap).  A step whose plan is known
+    Every step outcome comes from one plan memo shared by all groups of the
+    run: _plan_step keyed by (r's bits, step cap).  A step whose plan is known
     costs four f calls and the x arithmetic of RK4.
     """
     for s in starts:
@@ -276,7 +292,6 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
     cu = spec.flow_or_jump_set
     inv_eps = 1.0 / spec.epsilon
     dt_eff = cfg.effective_step(spec.epsilon)
-    memberships = {}
     plans = {}
     segments = [[] for _ in starts]
     jumps = [[] for _ in starts]
@@ -293,65 +308,41 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
     while work:
         paths, X, r, t, j, tau_now = work.popleft()
         ones = np.ones((len(paths), 1)) if len(paths) > 1 else None
-        R = _spread(r, ones)
         t_anchor, tau_anchor = t, tau_now
-        cur_t, cur_x, cur_r, cur_tau = [t], [X], [R], [tau_now]
-        terminal = None
+        cur_t, cur_x, cur_r, cur_tau = [t], [X], [r], [tau_now]
         while True:
             if j >= horizon.j_max:
                 terminal = TERMINAL_HORIZON_J
                 break
 
-            key = r.tobytes()
-            where = memberships.get(key)
-            if where is None:
-                r_vals = r[0].tolist()
-                where = memberships[key] = (spec.D.contains(r_vals),
-                                            spec.C.contains(r_vals))
-            in_d, in_c = where
-
-            # jump priority first: jumps consume no flow time, so one firing at
-            # exactly t = t_max still belongs to the truncated domain
-            if in_d:
-                break
-
-            if t >= horizon.t_max:
-                terminal = TERMINAL_HORIZON_T
-                break
-
-            if not in_c:
-                terminal = TERMINAL_LEFT_SETS
-                break
-
-            # flow: the plan clips the step to the horizon, to entry into D and
-            # to exit from C u D
+            # the plan decides, in order: a jump, the horizon, leaving C u D,
+            # a snap onto D, or a flow step clipped to the horizon, to entry
+            # into D and to exit from C u D
             remain = horizon.t_max - t
             cap = min(dt_eff, remain)
-            plan = plans.get((key, cap))
+            key = (r.tobytes(), cap)
+            plan = plans.get(key)
             if plan is None:
-                plan = plans[key, cap] = _plan_step(spec, r, cap, f"t={t}", paths, seeds)
+                plan = plans[key] = _plan_step(spec, r, cap, f"t={t}", paths, seeds)
             dt, rows = plan
-            if rows is None:
-                terminal = TERMINAL_LEFT_SETS
-                break
             if dt is None:
+                if not isinstance(rows, np.ndarray):
+                    terminal = rows  # a terminal reason, or None: a jump
+                    break
                 # snapped onto the D boundary without flowing; jumps next
                 r = rows
-                R = _spread(r, ones)
                 continue
 
-            stages = (R, _spread(rows[0:1], ones), _spread(rows[1:2], ones),
-                      _spread(rows[2:3], ones))
+            stages = [_spread(row, ones) for row in (r, rows[0:1], rows[1:2], rows[2:3])]
             X2 = _rk4(spec, X, stages, tau_now, dt)
             # the r stages were checked when the plan was made, and maps are pure
             _check_finite(X2, "f", f"t={t}", paths, seeds)
             t = horizon.t_max if dt == remain else t + dt
             tau_now = tau_anchor + (t - t_anchor) * inv_eps
             X, r = X2, rows[3:4]
-            R = _spread(r, ones)
             cur_t.append(t)
             cur_x.append(X)
-            cur_r.append(R)
+            cur_r.append(r)
             cur_tau.append(tau_now)
 
         _store_segment(segments, paths, j, cur_t, cur_x, cur_r, cur_tau)
@@ -364,6 +355,7 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
         k = j + 1
         B = len(paths)
         V = np.stack([spec.noise.draw(seeds[i], k) for i in paths])
+        R = _spread(r, ones)
         Xp = np.asarray(spec.g(X, R, V), dtype=float)
         Rp = np.asarray(spec.h(R, V), dtype=float)
         Xp = np.broadcast_to(Xp, (B, spec.n)).astype(float, copy=True)
@@ -372,15 +364,16 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
         _check_finite(Rp, "h", f"jump {k} at t={t}", paths, seeds)
         ht = HybridTime(t, j)
         for b, i in enumerate(paths):
-            jumps[i].append(JumpRecord(ht, X[b].copy(), R[b].copy(), tau_now, V[b].copy(),
+            jumps[i].append(JumpRecord(ht, X[b].copy(), r[0].copy(), tau_now, V[b].copy(),
                                        Xp[b].copy(), Rp[b].copy()))
         for rows in _bitwise_groups(Rp):
             sub = paths[rows]
-            if cu.contains(Rp[rows[0]]):
-                work.append((sub, Xp[rows], Rp[rows[:1]], t, k, tau_now))
+            row = Rp[rows[:1]]
+            if cu.contains(row[0]):
+                work.append((sub, Xp[rows], row, t, k, tau_now))
                 continue
             # a dead post-jump state ends these paths on a one-sample segment
-            _store_segment(segments, sub, k, [t], [Xp[rows]], [Rp[rows]], [tau_now])
+            _store_segment(segments, sub, k, [t], [Xp[rows]], [row], [tau_now])
             for i in sub:
                 terminals[i] = TERMINAL_LEFT_SETS
 
@@ -400,10 +393,11 @@ def simulate_ensemble(spec: SystemSpec, inits, n_paths: int, seed_base: int,
 
     Initial conditions are cycled from ``inits``.  Paths that share an
     auxiliary state run in lockstep as one group, and a group splits when
-    jumps send its paths to different auxiliary states.  The aux part of each
-    flow step is planned once per distinct (r, step cap) and shared by every
-    group of the run, which assumes the maps are pure.  Path i is
-    bit-identical to simulate_path run alone.
+    jumps send its paths to different auxiliary states; the members of one
+    group share their read-only t, tau and r arrays in each segment.  Every
+    step outcome comes from one plan memo, filled once per distinct (r, step
+    cap) and shared by every group of the run, which assumes the maps are
+    pure.  Path i is bit-identical to simulate_path run alone.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")

@@ -455,6 +455,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {err}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flow_x, err", [
+        ("-" * 3000 + "x_1", "column 2901: expression nested more than 100 levels deep"),
+        ("(" * 400 + "x_1" + ")" * 400, "column 101: parentheses nested more than 100 deep"),
+        ("+".join(["x_1"] * 5000), "column 400: expression nested more than 100 levels deep")],
+        ids=["signs", "parentheses", "sum"])
+    def test_deep_expression_is_one_config_error_line(self, tmp_path, capsys, flow_x, err):
+        # each once ended in a RecursionError traceback
+        text = (CONFIGS / "actuator_expr.cfg").read_text(encoding="utf-8")
+        cfg = write_cfg(tmp_path, re.sub(r"(?m)^flow_x = .*$", f"flow_x = {flow_x}", text))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"config error: [system] flow_x: line 1, {err}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, section, line, err", [
         ("recur", "recur", "rho = 1.5", "[recur] rho: must lie in (0, 1), got 1.5"),
         ("recur", "recur", "radius = -1", "[recur] radius: must be > 0, got -1.0"),
@@ -502,7 +515,12 @@ class TestExitCodes:
          "[sweep] eps_values: must be > 0 and strictly decreasing, got [0.1, 0.0]"),
         (["certify"], "certify", "radius_min = 10",
          "[certify] radius_min, radius_max: radius_min must be < radius_max, "
-         "got 10.0 >= 10.0")])
+         "got 10.0 >= 10.0"),
+        # a negative seed once reached numpy at the first jump, or was recorded
+        (["simulate", "--seed", "-5"], None, None, "--seed: must be >= 0, got -5"),
+        (["average", "--seed", "-5"], None, None, "--seed: must be >= 0, got -5"),
+        (["simulate"], "simulate", "seed = -5", "[simulate] seed: must be >= 0, got -5"),
+        (["sweep"], "sweep", "seed = -1", "[sweep] seed: must be >= 0, got -1")])
     def test_bad_flag_or_key_fails_before_any_path_is_simulated(
             self, tmp_path, capsys, monkeypatch, argv, section, line, err):
         def simulated(*args, **kwargs):

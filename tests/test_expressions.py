@@ -14,6 +14,7 @@ from hybridavg.expressions import (
     Call,
     CompiledMap,
     ExpressionError,
+    MAX_DEPTH,
     Neg,
     Num,
     ScalarField,
@@ -122,6 +123,30 @@ class TestErrors:
         # str.isdigit accepts these: they once reached float() as a bare
         # ValueError, or were read as the digit they stand for
         with pytest.raises(ExpressionError, match=f"^line 1, column {column}: "):
+            parse_expression(text)
+
+    @pytest.mark.parametrize("text", [
+        "-" * (MAX_DEPTH - 1) + "x_1",
+        "(" * MAX_DEPTH + "x_1" + ")" * MAX_DEPTH,
+        "+".join(["x_1"] * MAX_DEPTH),
+        "sin(" * (MAX_DEPTH - 1) + "x_1" + ")" * (MAX_DEPTH - 1)],
+        ids=["signs", "parentheses", "sum", "calls"])
+    def test_tree_at_the_nesting_limit_compiles_and_pickles(self, text):
+        fmap = CompiledMap((parse_expression(text),), ("x",))
+        copy = pickle.loads(pickle.dumps(fmap))
+        x = np.array([[0.5]])
+        assert np.array_equal(copy(x), fmap(x))
+
+    @pytest.mark.parametrize("text, column, what", [
+        ("-" * MAX_DEPTH + "x_1", 1, "expression nested"),
+        ("(" * (MAX_DEPTH + 1) + "x_1" + ")" * (MAX_DEPTH + 1), MAX_DEPTH + 1,
+         "parentheses nested"),
+        ("+".join(["x_1"] * (MAX_DEPTH + 1)), 4 * MAX_DEPTH, "expression nested")],
+        ids=["signs", "parentheses", "sum"])
+    def test_one_level_past_the_nesting_limit_is_an_error(self, text, column, what):
+        # deeper input once recursed until Python's recursion limit
+        with pytest.raises(ExpressionError,
+                           match=f"^line 1, column {column}: {what} more than {MAX_DEPTH} "):
             parse_expression(text)
 
     def test_unknown_function(self):

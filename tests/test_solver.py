@@ -236,6 +236,16 @@ class TestEnsemble:
                                     ha.Horizon(3.5, 100))
             assert arcs_equal(arc, solo)
 
+    def test_members_share_read_only_segment_arrays(self, actuator):
+        # one shared r0 and a timer reset to 0: both paths stay one group
+        ens = ha.simulate_ensemble(actuator, [state(-2.0, 0.0), state(2.0, 0.0)],
+                                   2, 50, ha.Horizon(3.5, 100))
+        assert len(ens[0].segments) == len(ens[1].segments) == 4
+        for a, b in zip(ens[0].segments, ens[1].segments):
+            for name in ("t", "tau", "r"):
+                assert getattr(a, name) is getattr(b, name)
+                assert not getattr(a, name).flags.writeable
+
     def test_mixed_aux_initials_fall_back_per_path(self, actuator):
         # different r(0) start separate lockstep groups; results must still match lone runs
         inits = [state(2.0, 0.0), state(2.0, 0.3)]
@@ -385,9 +395,7 @@ def _reference_simulate(spec, starts, seeds, horizon, cfg):
                 terminal = TERMINAL_LEFT_SETS
                 break
             X2, R2 = _reference_rk4(spec, X, R, tau_now, dt)
-            if not np.all(np.isfinite(X2)):
-                name = solver._probe_nonfinite(spec, X, R, tau_now)
-                solver._check_finite(X2, name, f"t={t}", paths, seeds)
+            solver._check_finite(X2, "f", f"t={t}", paths, seeds)
             if snap_box is not None:
                 R2 = solver._snap_into_box(R2, snap_box[0], snap_box[1])
             t = horizon.t_max if dt == remain else t + dt
@@ -398,7 +406,9 @@ def _reference_simulate(spec, starts, seeds, horizon, cfg):
             cur_r.append(R)
             cur_tau.append(tau_now)
 
-        solver._store_segment(segments, paths, j, cur_t, cur_x, cur_r, cur_tau)
+        # a group's members share one aux row per sample
+        solver._store_segment(segments, paths, j, cur_t, cur_x, [R[:1] for R in cur_r],
+                              cur_tau)
         if terminal is not None:
             for i in paths:
                 terminals[i] = terminal
@@ -422,7 +432,7 @@ def _reference_simulate(spec, starts, seeds, horizon, cfg):
             if cu.contains(Rp[rows[0]]):
                 work.append((sub, Xp[rows], Rp[rows], t, k, tau_now))
                 continue
-            solver._store_segment(segments, sub, k, [t], [Xp[rows]], [Rp[rows]], [tau_now])
+            solver._store_segment(segments, sub, k, [t], [Xp[rows]], [Rp[rows[:1]]], [tau_now])
             for i in sub:
                 terminals[i] = TERMINAL_LEFT_SETS
 
@@ -534,6 +544,22 @@ class TestAuxStepPlan:
         with pytest.raises(MapEvaluationError) as err:
             ha.simulate_ensemble(spec, inits, 3, 4, ha.Horizon(2.0, 10))
         assert str(err.value) == "map 'w' returned a non-finite value (t=0.0; path 1, seed 5)"
+
+    def test_non_finite_f_mid_run_keeps_its_message(self):
+        # f turns infinite once x passes 3, which path 1 (x0 = 2) reaches first,
+        # at t ~ 0.4 and before the first jump
+        def f(x, r, tau, eps):
+            x = np.asarray(x, dtype=float)
+            return np.where(x > 3.0, np.inf, x)
+
+        spec = dataclasses.replace(_r_dependent_spec(1.0, 0.0, 0.0, [], 1.0, 0.0, 0.0), f=f)
+        inits = [state(1.0), state(2.0), state(-1.0)]
+        horizon = ha.Horizon(2.0, 10)
+        _assert_same_outcome(spec, inits, [4, 5, 6], horizon)
+        with pytest.raises(MapEvaluationError,
+                           match=r"^map 'f' returned a non-finite value \(t=0\.4\d*; "
+                                 r"path 1, seed 5\)$"):
+            solver._simulate(spec, inits, [4, 5, 6], horizon, ha.IntegratorConfig())
 
     @pytest.mark.parametrize("cut, bad", [(0.5, np.inf), (0.49925, np.nan)],
                              ids=["k4-inf", "k2-nan"])
