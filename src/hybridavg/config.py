@@ -27,9 +27,17 @@ class ConfigError(ValueError):
     """A malformed or incomplete run configuration (CLI exit code 1)."""
 
 
+def _number(kind, text: str):
+    """kind(text) for ASCII text without '_', where Python alone would also read
+    other scripts' digits and digit separators."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return kind(text)
+
+
 def _float(text: str) -> float:
     try:
-        value = float(text)
+        value = _number(float, text)
     except ValueError:
         raise ValueError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
@@ -39,14 +47,14 @@ def _float(text: str) -> float:
 
 def _int(text: str) -> int:
     try:
-        return int(text)
+        return _number(int, text)
     except ValueError:
         raise ValueError(f"not an integer: {text!r}") from None
 
 
 def _floats(text: str) -> list:
     try:
-        values = [float(tok) for tok in text.split()]
+        values = [_number(float, tok) for tok in text.split()]
     except ValueError:
         raise ValueError(f"expected numbers: {text.strip()!r}") from None
     if not all(math.isfinite(v) for v in values):
@@ -158,7 +166,7 @@ _JAMMED = {
     "epsilon": Key(_float, "0.01", _POSITIVE),
 }
 _SYSTEMS = {
-    "jammed-actuator": {**_JAMMED, "u": Key(_float, "0.0")},
+    "jammed-actuator": _JAMMED,
     "jammed-es": {**_JAMMED, "delta": Key(_float, "0.1", _POSITIVE)},
     "custom": {
         "kind": Key(str.strip, REQUIRED),

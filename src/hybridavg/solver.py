@@ -1,11 +1,13 @@
 """Execution of random hybrid solutions.
 
 Flows are integrated with a fixed-step classical 4th-order scheme while r is
-in C; entry of the (affine) auxiliary state into D is located exactly and the
-step is clipped to land on the boundary; jumps then fire with jump priority
-and a noise draw keyed by (seed, jump index).  The clock tau is never
-integrated numerically: within each flow segment it is reconstructed as
-tau_anchor + (t - t_anchor)/epsilon, which is exact up to a few ulps.
+in C.  _events is the one place where events are located: one scan of the
+intervals of s during which the affine r + s*w(r) lies in each box of C u D
+gives both the exit from the run of boxes holding r and the entry into D, so
+the step is clipped to land exactly on that boundary.  Jumps then fire with
+jump priority and a noise draw keyed by (seed, jump index).  The clock tau is
+never integrated numerically: within each flow segment it is reconstructed
+as tau_anchor + (t - t_anchor)/epsilon, which is exact up to a few ulps.
 
 Paths that share an auxiliary state are advanced in lockstep as one batched
 state array, which is bit-identical to running each path alone because every
@@ -124,9 +126,9 @@ def _plan_step(spec: SystemSpec, r, cap: float, context: str, paths, seeds):
     r + dt k3 and the next r (snapped onto its box when an event clipped the
     step) as one (4, p) array.  dt is None when no flow is possible: rows is
     then r snapped onto the D boundary it lies on, or the segment's end: None
-    for a jump, else its terminal reason.  Events are located on Python
-    floats, which is the same IEEE arithmetic as on numpy scalars at a
-    fraction of the cost for one row.
+    for a jump, else its terminal reason.  _events locates every event; the
+    plan applies them in order: a jump, the horizon, leaving C u D, then the
+    step clipped to exit from C u D and to entry into D, entry winning a tie.
     """
     r_vals = r[0].tolist()
     # jump priority first: jumps consume no flow time, so one firing at
@@ -140,25 +142,16 @@ def _plan_step(spec: SystemSpec, r, cap: float, context: str, paths, seeds):
     w = spec.w
     k1 = np.asarray(w(r), dtype=float)
     _check_finite(k1, "w", context, paths, seeds)
-    w_vals = k1.ravel().tolist()
-    dt = cap
-    snap_box = None
-    entry = _entry_time(r_vals, w_vals, spec.D, dt)
-    exit_end, exit_box = _exit_time(r_vals, w_vals, spec.flow_or_jump_set)
-    if exit_end is not None and exit_end <= 0.0:
+    leave, entry = _events(r_vals, k1.ravel().tolist(), spec, cap)
+    if leave[0] <= 0.0:
         # on the boundary of C u D and moving out, with no jump available
         return None, TERMINAL_LEFT_SETS
-    if exit_end is not None and exit_end < dt:
-        dt = exit_end
-        snap_box = exit_box
+    dt, box = leave if leave[0] < cap else (cap, None)
     if entry is not None and entry[0] <= dt:
-        dt = entry[0]
-        snap_box = (entry[1], entry[2])
+        dt, box = entry
     if dt <= 0.0:
         # r is bitwise on the D boundary without exact membership; snap it on
-        if snap_box is not None:
-            return None, _snap_into_box(r, snap_box[0], snap_box[1])
-        return None, TERMINAL_LEFT_SETS
+        return None, np.clip(r, *box)
     half = 0.5 * dt
     r2 = r + half * k1
     k2 = np.asarray(w(r2), dtype=float)
@@ -168,79 +161,53 @@ def _plan_step(spec: SystemSpec, r, cap: float, context: str, paths, seeds):
     k4 = np.asarray(w(r4), dtype=float)
     r_next = r + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     # k2, k3 and k4 enter r_next with positive weights, so r_next is non-finite
-    # whenever one of them is; on one row Python floats test that 4x cheaper
-    if not all(map(math.isfinite, r_next.ravel().tolist())):
-        _check_finite(r_next, "w", context, paths, seeds)
-    if snap_box is not None:
-        r_next = _snap_into_box(r_next, snap_box[0], snap_box[1])
+    # whenever one of them is
+    _check_finite(r_next, "w", context, paths, seeds)
+    if box is not None:
+        r_next = np.clip(r_next, *box)
     return dt, np.concatenate((r2, r3, r4, r_next))
+
+
+def _events(r, w, spec: SystemSpec, cap: float):
+    """Where the affine path r + s*w, s >= 0, leaves C u D and enters D.
+
+    Each box of C u D (C's boxes first, D's boxes the tail) gives the closed
+    interval of s during which the path lies in it, computed once.  Returns
+    (leave, entry), each an (s, (lo, hi)) pair of a time and a box.  leave ends
+    the merged run of intervals that contains s = 0, with the first box to
+    reach that end; abutting boxes chain because shared faces give
+    bitwise-equal endpoints.  It is None when r lies outside C u D.  entry is
+    the earliest D-box start in [0, cap], ties going to the first box, or None
+    when no D box is reached by cap.
+    """
+    cu = spec.flow_or_jump_set
+    first_d = len(spec.C.lows)
+    spans = []
+    for k, (lo, hi) in enumerate(zip(cu.lows, cu.highs)):
+        a, b = -math.inf, math.inf
+        for rd, wd, lod, hid in zip(r, w, lo, hi):
+            if wd != 0.0:
+                s1, s2 = sorted(((lod - rd) / wd, (hid - rd) / wd))
+                a, b = max(a, s1), min(b, s2)
+            elif not lod <= rd <= hid:
+                b = -math.inf
+        # a box met only behind the path can neither hold r nor be entered
+        if a <= b and b >= 0.0:
+            spans.append((a, b, k, (lo, hi)))
+    entry = min(((max(a, 0.0), box) for a, _, k, box in spans if k >= first_d and a <= cap),
+                key=itemgetter(0), default=None)
+    leave = None
+    for a, b, _, box in sorted(spans):
+        if a > (0.0 if leave is None else leave[0]):
+            break
+        if leave is None or b > leave[0]:
+            leave = (b, box)
+    return leave, entry
 
 
 def _spread(row, ones):
     """The aux row (1, p) as a (B, p) map argument; exact, since row * 1.0 == row."""
     return row if ones is None else row * ones
-
-
-def _entry_interval(r, w, lo, hi):
-    """Time interval [a, b] during which r + s*w stays inside one box.
-
-    Returns None when the affine path never visits the box.
-    """
-    a, b = -np.inf, np.inf
-    for rd, wd, lod, hid in zip(r, w, lo, hi):
-        if wd == 0.0:
-            if rd < lod or rd > hid:
-                return None
-            continue
-        s1 = (lod - rd) / wd
-        s2 = (hid - rd) / wd
-        if s1 > s2:
-            s1, s2 = s2, s1
-        a = max(a, s1)
-        b = min(b, s2)
-        if a > b:
-            return None
-    return a, b
-
-
-def _entry_time(r, w, target, dt: float):
-    """(s, lo, hi): the earliest s in [0, dt] at which r + s*w is in a box of target.
-
-    Ties go to the first box; None when no box is reached within dt.
-    """
-    hits = []
-    for lo, hi in zip(target.lows, target.highs):
-        iv = _entry_interval(r, w, lo, hi)
-        if iv is not None and not (iv[1] < 0.0 or iv[0] > dt):
-            hits.append((max(iv[0], 0.0), lo, hi))
-    return min(hits, key=itemgetter(0)) if hits else None
-
-
-def _exit_time(r, w, region) -> tuple:
-    """Time at which r + s*w leaves the union region, with the last box hit.
-
-    The union exit is the right end of the merged membership interval
-    containing s = 0; abutting boxes chain exactly because shared faces
-    produce bitwise-equal interval endpoints.
-    """
-    intervals = []
-    for lo, hi in zip(region.lows, region.highs):
-        iv = _entry_interval(r, w, lo, hi)
-        if iv is not None:
-            intervals.append((iv[0], iv[1], lo, hi))
-    intervals.sort(key=lambda q: (q[0], q[1]))
-    end = None
-    box = None
-    for a, b, lo, hi in intervals:
-        if a <= 0.0 and end is None:
-            end, box = b, (lo, hi)
-        elif end is not None and a <= end and b > end:
-            end, box = b, (lo, hi)
-    return end, box
-
-
-def _snap_into_box(rows: np.ndarray, lo, hi) -> np.ndarray:
-    return np.clip(rows, np.asarray(lo), np.asarray(hi))
 
 
 def _bitwise_groups(rows) -> list:

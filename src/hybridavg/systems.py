@@ -36,11 +36,9 @@ class JamParams:
             raise ValueError("epsilon must be positive and finite")
 
 
-def _actuator_flow(u, x, r, tau, eps):
+def _actuator_flow(x, r, tau, eps):
     xc = x[..., 0]
     out = -(xc * (1.0 + np.sin(tau)))
-    if u != 0.0:
-        out = out + u
     return out[..., None]
 
 
@@ -70,13 +68,9 @@ def _jammed(params: JamParams, f) -> SystemSpec:
     )
 
 
-def jammed_actuator(params: JamParams, u: float = 0.0) -> SystemSpec:
-    """Scalar actuator xdot = -x(1 + sin tau) + u under periodic random jamming.
-
-    The certificate pipeline assumes u = 0 (the default); a nonzero constant
-    input is available for simulation experiments only.
-    """
-    return _jammed(params, partial(_actuator_flow, float(u)))
+def jammed_actuator(params: JamParams) -> SystemSpec:
+    """Scalar actuator xdot = -x(1 + sin tau) under periodic random jamming."""
+    return _jammed(params, _actuator_flow)
 
 
 def _es_flow(delta, x, r, tau, eps):
@@ -125,7 +119,7 @@ def load_system(source) -> SystemSpec:
                            p=doc.get_float("system", "jam_prob"),
                            epsilon=doc.get_float("system", "epsilon"))
         if kind == "jammed-actuator":
-            return jammed_actuator(params, u=doc.get_float("system", "u"))
+            return jammed_actuator(params)
         return jammed_es(params, delta=doc.get_float("system", "delta"))
 
     n = doc.get_int("system", "state_dim")

@@ -520,7 +520,15 @@ class TestExitCodes:
         (["simulate", "--seed", "-5"], None, None, "--seed: must be >= 0, got -5"),
         (["average", "--seed", "-5"], None, None, "--seed: must be >= 0, got -5"),
         (["simulate"], "simulate", "seed = -5", "[simulate] seed: must be >= 0, got -5"),
-        (["sweep"], "sweep", "seed = -1", "[sweep] seed: must be >= 0, got -1")])
+        (["sweep"], "sweep", "seed = -1", "[sweep] seed: must be >= 0, got -1"),
+        # Python's int() and float() also read other scripts' digits and '_'
+        (["simulate", "--seed", "\u0663"], None, None, "--seed: not an integer: '\u0663'"),
+        (["simulate", "--paths", "1_0"], None, None, "--paths: not an integer: '1_0'"),
+        (["simulate", "--t-max", "\uff15"], None, None, "--t-max: not a number: '\uff15'"),
+        (["sweep", "--eps", "0.1", "0.0_1"], None, None,
+         "--eps: expected numbers: '0.1 0.0_1'"),
+        (["simulate"], "simulate", "t_max = 1_0", "[simulate] t_max: not a number: '1_0'"),
+        (["simulate"], "simulate", "x0 = \u0663", "[simulate] x0: expected numbers: '\u0663'")])
     def test_bad_flag_or_key_fails_before_any_path_is_simulated(
             self, tmp_path, capsys, monkeypatch, argv, section, line, err):
         def simulated(*args, **kwargs):

@@ -376,28 +376,23 @@ def _reference_simulate(spec, starts, seeds, horizon, cfg):
             wrow = np.asarray(spec.w(rrow[None, :]), dtype=float).ravel()
             solver._check_finite(wrow, "w", f"t={t}", paths, seeds)
             snap_box = None
-            entry = solver._entry_time(rrow, wrow, spec.D, dt)
-            exit_end, exit_box = solver._exit_time(rrow, wrow, cu)
-            if exit_end is not None and exit_end <= 0.0:
+            (exit_end, exit_box), entry = solver._events(rrow, wrow, spec, dt)
+            if exit_end <= 0.0:
                 terminal = TERMINAL_LEFT_SETS
                 break
-            if exit_end is not None and exit_end < dt:
+            if exit_end < dt:
                 dt = exit_end
                 snap_box = exit_box
             if entry is not None and entry[0] <= dt:
-                dt = entry[0]
-                snap_box = (entry[1], entry[2])
+                dt, snap_box = entry
             if dt <= 0.0:
-                if snap_box is not None:
-                    R = solver._snap_into_box(R, snap_box[0], snap_box[1])
-                    rrow = R[0].copy()
-                    continue
-                terminal = TERMINAL_LEFT_SETS
-                break
+                R = np.clip(R, *snap_box)
+                rrow = R[0].copy()
+                continue
             X2, R2 = _reference_rk4(spec, X, R, tau_now, dt)
             solver._check_finite(X2, "f", f"t={t}", paths, seeds)
             if snap_box is not None:
-                R2 = solver._snap_into_box(R2, snap_box[0], snap_box[1])
+                R2 = np.clip(R2, *snap_box)
             t = horizon.t_max if dt == remain else t + dt
             tau_now = tau_anchor + (t - t_anchor) * inv_eps
             X, R, rrow = X2, R2, R2[0].copy()
@@ -600,3 +595,117 @@ class TestAuxStepPlan:
         distinct = len({row.tobytes() for seg in ens[0].segments for row in seg.r})
         assert calls["w"] <= 4 * (distinct + 1)
         assert steps == 5000 and calls["w"] <= 4100
+
+
+# C = [0, 0.2] u [0.4, 1] with a gap behind r0 = 0.5; the timer flows to D = {1}
+# and jumps back to 0.5
+GAP_CONFIG = """\
+[system]
+kind = custom
+state_dim = 1
+aux_dim = 1
+noise_dim = 1
+epsilon = 0.01
+flow_x = -x_1*(1 + sin(tau))
+flow_r = 1
+jump_x = (0.75 + v)*x_1
+jump_r = 0.5
+flow_set = box 0 0.2 | box 0.4 1
+jump_set = point 1
+
+[noise]
+kind = finite
+values = 0.75; -0.75
+probs = 0.1 0.9
+"""
+
+#: steps and face values on a grid of 1/4, so that every s, midpoint and point
+#: r + s*w below is exact
+_QUARTERS = st.integers(0, 4).map(lambda k: 0.25 * k)
+_RATES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _event_cases(draw):
+    """(spec, r, w, cap): C and D of 1 to 3 boxes each, laid along r_1 with drawn
+    gaps, overlaps or shared faces, and r on the grid, inside a box or not."""
+    p = draw(st.sampled_from([1, 2]))
+    boxes, start = [], 0.0
+    for _ in range(draw(st.integers(2, 6))):
+        lo = [start] + [draw(_QUARTERS) for _ in range(p - 1)]
+        hi = [v + draw(_QUARTERS) for v in lo]
+        boxes.append((lo, hi))
+        start = hi[0] + draw(st.sampled_from([-0.25, 0.0, 0.25, 0.5]))
+    boxes = draw(st.permutations(boxes))
+    n_c = draw(st.integers(max(1, len(boxes) - 3), min(3, len(boxes) - 1)))
+    C, D = (SetDescriptor.union_of([SetDescriptor.box(lo, hi) for lo, hi in part])
+            for part in (boxes[:n_c], boxes[n_c:]))
+    if draw(st.booleans()):
+        lo, hi = draw(st.sampled_from(boxes))
+        r = [a + 0.25 * draw(st.integers(0, round(4 * (b - a)))) for a, b in zip(lo, hi)]
+    else:
+        r = [0.25 * draw(st.integers(-2, 4 * int(start) + 4)) for _ in range(p)]
+    w = [draw(_RATES) for _ in range(p)]
+    spec = dataclasses.replace(make_actuator(), p=p, C=C, D=D)
+    return spec, r, w, draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]))
+
+
+def _breakpoints(spec, r, w):
+    """Every s at which r + s*w crosses a face of a box of C u D."""
+    cu = spec.flow_or_jump_set
+    return sorted({(face - rd) / wd for lo, hi in zip(cu.lows, cu.highs)
+                   for rd, wd, a, b in zip(r, w, lo, hi) if wd != 0.0 for face in (a, b)})
+
+
+def _probes(points):
+    """The points and the midpoint of each consecutive pair."""
+    points = sorted(set(points))
+    return points + [0.5 * (a + b) for a, b in zip(points, points[1:])]
+
+
+class TestEventScan:
+    """_events, the one scan that locates leaving C u D and entering D."""
+
+    def test_a_gap_behind_the_path_does_not_end_it(self):
+        # the box [0, 0.2] lies behind r0 = 0.5, across a gap: it must not end
+        # the run of boxes that holds r
+        spec = ha.load_system(GAP_CONFIG)
+        arcs = ha.simulate_ensemble(spec, [state(1.0, 0.5)], 2, 0, ha.Horizon(2.0, 10000))
+        for arc in arcs:
+            assert [jump.r_pre[0] for jump in arc.jumps] == [1.0] * 4
+            assert arc.terminal_reason == TERMINAL_HORIZON_T
+            assert arc.end_time == ha.HybridTime(2.0, 4)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_event_cases())
+    def test_matches_membership_along_the_path(self, case):
+        spec, r, w, cap = case
+        cu, D = spec.flow_or_jump_set, spec.D
+
+        def at(s):
+            return [rd + s * wd for rd, wd in zip(r, w)]
+
+        leave, entry = solver._events(r, w, spec, cap)
+        cuts = _breakpoints(spec, r, w)
+        if not cu.contains(r):
+            assert leave is None
+        elif not cuts:
+            assert leave[0] == math.inf
+        else:
+            end, (lo, hi) = leave
+            assert end >= 0.0 and SetDescriptor((lo,), (hi,)).contains(at(end))
+            inside = [s for s in cuts if 0.0 < s < end]
+            assert all(cu.contains(at(s)) for s in _probes([0.0, *inside, end]))
+            past = [s for s in cuts if s > end]
+            assert not cu.contains(at(0.5 * (end + past[0]) if past else end + 1.0))
+        if entry is None:
+            window = [0.0, cap, *(s for s in cuts if 0.0 <= s <= cap)]
+            assert not any(D.contains(at(s)) for s in _probes(window))
+            return
+        start, (lo, hi) = entry
+        assert 0.0 <= start <= cap and D.contains(at(start))
+        before = [0.0, start, *(s for s in cuts if 0.0 <= s < start)]
+        assert not any(D.contains(at(s)) for s in _probes(before) if s < start)
+        first = next(box for box in zip(D.lows, D.highs)
+                     if SetDescriptor((box[0],), (box[1],)).contains(at(start)))
+        assert (lo, hi) == first

@@ -70,11 +70,6 @@ class TestJammedActuator:
         assert cert.lam == pytest.approx(2.25, abs=1e-12)
         assert not cert.verdict
 
-    def test_constant_input_variant(self):
-        spec = ha.jammed_actuator(ha.JamParams(T=1.0, p=0.1, epsilon=0.01), u=0.5)
-        out = np.asarray(spec.f(np.array([[0.0]]), np.array([[0.0]]), 0.0, 0.01))
-        assert out[0, 0] == 0.5
-
 
 class TestJammedEs:
     def test_field_values_outside_ball(self, es_system):
