@@ -2,32 +2,29 @@
 
 Flows are integrated with a fixed-step classical 4th-order scheme while r is
 in C.  _events is the one place where events are located: one scan of the
-intervals of s during which the affine r + s*w(r) lies in each box of C u D
-gives both the exit from the run of boxes holding r and the entry into D, so
-the step is clipped to land exactly on that boundary.  Jumps then fire with
-jump priority and a noise draw keyed by (seed, jump index).  The clock tau is
-never integrated numerically: within each flow segment it is reconstructed
-as tau_anchor + (t - t_anchor)/epsilon, which is exact up to a few ulps.
+intervals of s during which r + s*w(r) lies in each box of C u D gives both
+the exit from the run of boxes holding r and the entry into D, and the step
+is clipped to land exactly there.  Jumps fire with jump priority and a draw
+keyed by (seed, jump index).  The clock tau is never integrated: within a
+flow segment it is tau_anchor + (t - t_anchor)/epsilon, exact to a few ulps.
 
-Paths that share an auxiliary state are advanced in lockstep as one batched
-state array, which is bit-identical to running each path alone because every
-map operation is elementwise across the batch.  A group starts from paths
-with bitwise-equal initial (r, tau) and splits at a jump into sub-groups of
-bitwise-equal post-jump r; a single path is a group of one.
+Paths with bitwise-equal aux rows form a lockstep group, which splits at a
+jump into sub-groups of equal post-jump r.  The run advances in waves, each
+moving every live group one step; flowing groups whose step has the same
+(tau, dt) bits share one stacked RK4 step, so maps always see a scalar tau.
+Maps act elementwise across the batch, so this is bit-identical to running
+each path alone.
 
-The auxiliary state flows by w(r) alone and C, D constrain r alone, so every
-step outcome (a jump, the horizon, leaving C u D, a snap onto D, or a flow
-step with its clipped dt, the r stages of RK4 and the next r) depends only on
-r's bits and the step cap.  A group therefore carries r as one row, each
-outcome is planned once per distinct (r, cap) and memoized for the run, and
-each lockstep step then integrates x only.  This relies on maps being pure: a
-map must return the same bits for the same arguments every time it is called.
+w and the sets C, D involve r alone, so a step's outcome (a jump, the
+horizon, leaving C u D, a snap onto D, or a flow step with its dt and r
+stages) depends only on r's bits and the step cap: it is planned once per
+distinct (r, cap) and memoized for the run.  This relies on maps being pure:
+a map must return the same bits for the same arguments every time it is called.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -91,81 +88,104 @@ class MapEvaluationError(RuntimeError):
     """A registered map produced a non-finite value during integration."""
 
 
-def _check_finite(rows: np.ndarray, map_name: str, context: str, paths, seeds):
-    """Raise MapEvaluationError naming the first path whose row is non-finite.
+def _check_finite(map_name: str, parts, seeds):
+    """Raise MapEvaluationError naming the lowest path whose row is non-finite.
 
-    rows holds one row per member of the group whose ensemble indices are
-    ``paths``; a single row shared by the whole group names its lowest path.
+    parts holds (rows, paths, where) per group: one row per path of ``paths``
+    (ascending) or one row shared by all of them, and where the group's own t.
     """
-    if not np.isfinite(rows).all():
-        ok = np.all(np.isfinite(np.atleast_2d(rows)), axis=-1)
-        i = int(paths[np.argmin(ok)])
-        raise MapEvaluationError(
-            f"map '{map_name}' returned a non-finite value ({context}; path {i}, seed {seeds[i]})"
-        )
+    bad = [(int(paths[np.argmin(ok)]), where) for rows, paths, where in parts
+           if not (ok := np.isfinite(np.atleast_2d(rows)).all(axis=-1)).all()]
+    if bad:
+        i, where = min(bad)
+        raise MapEvaluationError(f"map '{map_name}' returned a non-finite value "
+                                 f"({where}; path {i}, seed {seeds[i]})")
 
 
-def _rk4(spec: SystemSpec, x, r_stages, tau: float, dt: float):
-    """One classical 4th-order step of x under f, given the four r stages; tau analytic."""
+def _rk4(spec: SystemSpec, x, rs, tau: float, dt: float):
+    """One classical 4th-order step of x under f, given the r stages rs[0:4], each (B, p)."""
     f, eps = spec.f, spec.epsilon
-    r1, r2, r3, r4 = r_stages
     half = 0.5 * dt
     tau_h = tau + half / eps
     tau_f = tau + dt / eps
-    k1 = np.asarray(f(x, r1, tau, eps), dtype=float)
-    k2 = np.asarray(f(x + half * k1, r2, tau_h, eps), dtype=float)
-    k3 = np.asarray(f(x + half * k2, r3, tau_h, eps), dtype=float)
-    k4 = np.asarray(f(x + dt * k3, r4, tau_f, eps), dtype=float)
+    k1 = np.asarray(f(x, rs[0], tau, eps), dtype=float)
+    k2 = np.asarray(f(x + half * k1, rs[1], tau_h, eps), dtype=float)
+    k3 = np.asarray(f(x + half * k2, rs[2], tau_h, eps), dtype=float)
+    k4 = np.asarray(f(x + dt * k3, rs[3], tau_f, eps), dtype=float)
     return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _plan_step(spec: SystemSpec, r, cap: float, context: str, paths, seeds):
-    """Outcome of one step of a group whose aux row is r (1, p), step capped at cap.
+def _plan_steps(spec: SystemSpec, asks, seeds) -> list:
+    """Outcomes of a wave's unplanned steps, one per ask (group, step cap).
 
-    Returns (dt, rows).  For a flow step, rows stacks r + dt/2 k1, r + dt/2 k2,
-    r + dt k3 and the next r (snapped onto its box when an event clipped the
-    step) as one (4, p) array.  dt is None when no flow is possible: rows is
-    then r snapped onto the D boundary it lies on, or the segment's end: None
-    for a jump, else its terminal reason.  _events locates every event; the
-    plan applies them in order: a jump, the horizon, leaving C u D, then the
-    step clipped to exit from C u D and to entry into D, entry winning a tie.
+    An outcome is None for a jump, a terminal reason, r snapped onto the D
+    boundary it lies on, or a flow step (dt, rows, r_next): rows (5, 1, p)
+    stacks RK4's four r stages and r_next, the next r (1, p), snapped onto its
+    box when an event clipped the step.  Membership and _events decide each row
+    on Python floats; w is called once per RK4 stage over the flowing rows, with
+    an (M, 1) column of their dts, or one float when shared (the same bits).
     """
-    r_vals = r[0].tolist()
-    # jump priority first: jumps consume no flow time, so one firing at
-    # exactly t = t_max still belongs to the truncated domain
-    if spec.D.contains(r_vals):
-        return None, None
-    if cap <= 0.0:
-        return None, TERMINAL_HORIZON_T
-    if not spec.C.contains(r_vals):
-        return None, TERMINAL_LEFT_SETS
-    w = spec.w
-    k1 = np.asarray(w(r), dtype=float)
-    _check_finite(k1, "w", context, paths, seeds)
-    leave, entry = _events(r_vals, k1.ravel().tolist(), spec, cap)
-    if leave[0] <= 0.0:
-        # on the boundary of C u D and moving out, with no jump available
-        return None, TERMINAL_LEFT_SETS
-    dt, box = leave if leave[0] < cap else (cap, None)
-    if entry is not None and entry[0] <= dt:
-        dt, box = entry
-    if dt <= 0.0:
-        # r is bitwise on the D boundary without exact membership; snap it on
-        return None, np.clip(r, *box)
+    def check(values, g):  # asks come by lowest path, so the first row to fail names it
+        if not all(map(math.isfinite, values)):
+            _check_finite("w", [(values, g.paths[:1], f"t={g.t}")], seeds)
+
+    plans, flowing = [None] * len(asks), []
+    for m, (g, cap) in enumerate(asks):
+        r_vals = g.r[0].tolist()
+        # jump priority first: jumps consume no flow time, so one firing at
+        # exactly t = t_max still belongs to the truncated domain
+        if spec.D.contains(r_vals):
+            continue
+        if cap <= 0.0:
+            plans[m] = TERMINAL_HORIZON_T
+        elif not spec.C.contains(r_vals):
+            plans[m] = TERMINAL_LEFT_SETS
+        else:
+            flowing.append((m, r_vals))
+    if not flowing:
+        return plans
+    R = asks[flowing[0][0]][0].r if len(flowing) == 1 else np.array([r for _, r in flowing])
+    K1 = np.asarray(spec.w(R), dtype=float)
+    K1 = K1 if K1.shape == R.shape else np.broadcast_to(K1, R.shape)  # a broadcastable w
+    steps = []
+    for q, ((m, r_vals), k1) in enumerate(zip(flowing, K1.tolist())):
+        g, cap = asks[m]
+        check(k1, g)
+        leave, entry = _events(r_vals, k1, spec, cap)
+        if leave[0] <= 0.0:
+            # on the boundary of C u D and moving out, with no jump available
+            plans[m] = TERMINAL_LEFT_SETS
+            continue
+        dt, box = leave if leave[0] < cap else (cap, None)
+        if entry is not None and entry[0] <= dt:
+            dt, box = entry
+        if dt <= 0.0:
+            # r is bitwise on the D boundary without exact membership; snap it on
+            plans[m] = np.clip(g.r, *box)
+        else:
+            steps.append((q, m, dt, box))
+    if not steps:
+        return plans
+    if len(steps) < len(flowing):
+        R, K1 = R[[q for q, _, _, _ in steps]], K1[[q for q, _, _, _ in steps]]
+    dts = [dt for _, _, dt, _ in steps]
+    dt = dts[0] if dts.count(dts[0]) == len(dts) else np.array(dts)[:, None]
     half = 0.5 * dt
-    r2 = r + half * k1
-    k2 = np.asarray(w(r2), dtype=float)
-    r3 = r + half * k2
-    k3 = np.asarray(w(r3), dtype=float)
-    r4 = r + dt * k3
-    k4 = np.asarray(w(r4), dtype=float)
-    r_next = r + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    # k2, k3 and k4 enter r_next with positive weights, so r_next is non-finite
-    # whenever one of them is
-    _check_finite(r_next, "w", context, paths, seeds)
-    if box is not None:
-        r_next = np.clip(r_next, *box)
-    return dt, np.concatenate((r2, r3, r4, r_next))
+    R2 = R + half * K1
+    K2 = np.asarray(spec.w(R2), dtype=float)
+    R3 = R + half * K2
+    K3 = np.asarray(spec.w(R3), dtype=float)
+    R4 = R + dt * K3
+    K4 = np.asarray(spec.w(R4), dtype=float)
+    R_next = R + (dt / 6.0) * (K1 + 2.0 * (K2 + K3) + K4)
+    rows, M = np.concatenate((R, R2, R3, R4, R_next)), len(steps)
+    for q, ((_, m, dt, box), r_vals) in enumerate(zip(steps, R_next.tolist())):
+        # r_next is non-finite whenever a k is: every k enters it with a positive weight
+        check(r_vals, asks[m][0])
+        if box is not None:
+            rows[4 * M + q] = np.clip(R_next[q], *box)
+        plans[m] = (dt, rows[q::M, None], rows[4 * M + q:4 * M + q + 1])
+    return plans
 
 
 def _events(r, w, spec: SystemSpec, cap: float):
@@ -205,11 +225,6 @@ def _events(r, w, spec: SystemSpec, cap: float):
     return leave, entry
 
 
-def _spread(row, ones):
-    """The aux row (1, p) as a (B, p) map argument; exact, since row * 1.0 == row."""
-    return row if ones is None else row * ones
-
-
 def _bitwise_groups(rows) -> list:
     """Indices of bitwise-equal rows, one list per distinct row, in first-seen order."""
     groups = {}
@@ -235,114 +250,140 @@ def _store_segment(segments, paths, j, ts, xs, rs, taus):
         segments[i].append(FlowSegment(j, t_arr, x_arr[:, b, :], r_arr, tau_arr))
 
 
+class _Group:
+    """A lockstep group: paths (ascending), x (B, n), aux row r (1, p), t, j, tau, its
+    step's plan key and plan, and its segment's t, x, r, tau samples since (t0, tau0)."""
+
+    __slots__ = ("paths", "x", "r", "t", "j", "tau", "key", "plan", "t0", "tau0", "samples")
+
+    def __init__(self, paths, x, r, t, j, tau):
+        self.paths, self.x, self.r, self.t, self.j, self.tau = paths, x, r, t, j, tau
+        self.t0, self.tau0, self.samples = t, tau, ([t], [x], [r], [tau])
+
+
 def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
               cfg: IntegratorConfig) -> list:
     """Simulate path i from starts[i] under seeds[i]; returns one HybridArc per path.
 
-    Paths advance in lockstep groups whose auxiliary rows are bitwise equal,
-    so a group carries its aux state as one row r (1, p) next to its x block
-    (B, n), spreads r to (B, p) only to call a map, and its members share the
-    read-only t, tau and r arrays of each segment.  One work item advances one
-    group through one flow segment.  At the jump that ends the segment the
-    group splits into sub-groups of equal post-jump r, which join the back of
-    a FIFO worklist rather than a recursion, because a B-path group may split
-    B - 1 times.  Groups start in order of their lowest path index; a failing
-    map names the lowest failing path of its group.
+    Groups start from paths with bitwise-equal initial (r, tau); members share
+    the read-only t, tau and r arrays of each segment.  Each wave moves every
+    live group one step: a flow step, a snap onto D, a jump, or the end of its
+    paths.  A (tau, dt) cohort stacks its groups' x blocks into one RK4 step,
+    each group's r stages repeated over its rows, with a scalar tau.  Every
+    outcome comes from one plan memo keyed by (r's bits, step cap) and shared
+    by all groups of the run; _plan_steps fills a wave's misses together.
 
-    Every step outcome comes from one plan memo shared by all groups of the
-    run: _plan_step keyed by (r's bits, step cap).  A step whose plan is known
-    costs four f calls and the x arithmetic of RK4.
+    Errors: the first wave in which a map returns a non-finite value raises
+    MapEvaluationError.  Its checks follow the calls (w, then f, g and h), and
+    the first that fails names the lowest failing path at that path's own t.
     """
-    for s in starts:
-        if s.n != spec.n or s.p != spec.p:
-            raise ValueError("initial state dimensions do not match the system")
+    if any(s.n != spec.n or s.p != spec.p for s in starts):
+        raise ValueError("initial state dimensions do not match the system")
     cu = spec.flow_or_jump_set
     inv_eps = 1.0 / spec.epsilon
     dt_eff = cfg.effective_step(spec.epsilon)
+    t_max = horizon.t_max
     plans = {}
-    segments = [[] for _ in starts]
-    jumps = [[] for _ in starts]
-    terminals = [None] * len(starts)
-    work = deque()
+    segments, jumps, terminals = [[] for _ in starts], [[] for _ in starts], [None] * len(starts)
+
+    def end(g, terminal):
+        _store_segment(segments, g.paths, g.j, *g.samples)
+        for i in g.paths:
+            terminals[i] = terminal
+
+    live = []
     for rows in _bitwise_groups([np.append(s.r, s.tau) for s in starts]):
         first = starts[rows[0]]
         if not cu.contains(first.r):
             raise ValueError("dead initial condition: r(0) lies in neither C nor D "
                              f"(path {rows[0]}, seed {seeds[rows[0]]})")
         X = np.stack([starts[i].x for i in rows])
-        work.append((np.array(rows), X, first.r[None, :], 0.0, 0, first.tau))
+        live.append(_Group(np.array(rows), X, first.r[None, :], 0.0, 0, first.tau))
 
-    while work:
-        paths, X, r, t, j, tau_now = work.popleft()
-        ones = np.ones((len(paths), 1)) if len(paths) > 1 else None
-        t_anchor, tau_anchor = t, tau_now
-        cur_t, cur_x, cur_r, cur_tau = [t], [X], [r], [tau_now]
-        while True:
-            if j >= horizon.j_max:
-                terminal = TERMINAL_HORIZON_J
-                break
+    while live:
+        # the plan decides, in order: a jump, the horizon, leaving C u D, a snap
+        # onto D, or a flow step clipped to the horizon, to entry into D and to
+        # exit from C u D; live is sorted by lowest path, as an ask names it
+        asks = {}
+        for g in live:
+            g.key = key = (g.r.tobytes(), min(dt_eff, t_max - g.t))
+            if key not in plans and key not in asks:
+                asks[key] = (g, key[1])
+        if asks:
+            plans.update(zip(asks, _plan_steps(spec, list(asks.values()), seeds)))
 
-            # the plan decides, in order: a jump, the horizon, leaving C u D,
-            # a snap onto D, or a flow step clipped to the horizon, to entry
-            # into D and to exit from C u D
-            remain = horizon.t_max - t
-            cap = min(dt_eff, remain)
-            key = (r.tobytes(), cap)
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = _plan_step(spec, r, cap, f"t={t}", paths, seeds)
-            dt, rows = plan
-            if dt is None:
-                if not isinstance(rows, np.ndarray):
-                    terminal = rows  # a terminal reason, or None: a jump
-                    break
-                # snapped onto the D boundary without flowing; jumps next
-                r = rows
-                continue
+        cohorts, jumping, nxt = {}, [], []
+        for g in live:
+            g.plan = plan = plans[g.key]
+            if type(plan) is tuple:
+                # 0.0 == -0.0 as a key, but a map may tell them apart
+                cohorts.setdefault((g.tau or str(g.tau), plan[0]), []).append(g)
+                nxt.append(g)
+            elif isinstance(plan, np.ndarray):
+                g.r = plan  # snapped onto the D boundary without flowing; jumps next
+                nxt.append(g)
+            elif plan is None:
+                jumping.append(g)
+            else:
+                end(g, plan)
 
-            stages = [_spread(row, ones) for row in (r, rows[0:1], rows[1:2], rows[2:3])]
-            X2 = _rk4(spec, X, stages, tau_now, dt)
-            # the r stages were checked when the plan was made, and maps are pure
-            _check_finite(X2, "f", f"t={t}", paths, seeds)
-            t = horizon.t_max if dt == remain else t + dt
-            tau_now = tau_anchor + (t - t_anchor) * inv_eps
-            X, r = X2, rows[3:4]
-            cur_t.append(t)
-            cur_x.append(X)
-            cur_r.append(r)
-            cur_tau.append(tau_now)
+        bad = []
+        for members in cohorts.values():
+            g = members[0]
+            (dt, rows, _), X = g.plan, g.x
+            if len(members) > 1:
+                X = np.concatenate([g.x for g in members])
+                rows = np.concatenate([g.plan[1] for g in members], axis=1)
+            if len(X) > len(members):
+                rows = rows.repeat([len(g.paths) for g in members], axis=1)
+            X2 = _rk4(spec, X, rows, g.tau, dt)
+            # the r stages were checked when the plan was made, and maps are pure;
+            # a sum of finite terms that overflows only sends the check to the rows
+            finite, o = math.isfinite(X2.sum()), 0
+            for g in members:
+                # one group keeps X2 itself: the samples would keep a view per step
+                x = X2 if len(members) == 1 else X2[o:o + len(g.paths)]
+                o += len(x)
+                if not finite:
+                    bad.append((x, g.paths, f"t={g.t}"))
+                g.t = t_max if dt == t_max - g.t else g.t + dt
+                g.tau = g.tau0 + (g.t - g.t0) * inv_eps
+                g.x, g.r = x, g.plan[2]
+                ts, xs, rs, taus = g.samples
+                ts.append(g.t)
+                xs.append(x)
+                rs.append(g.r)
+                taus.append(g.tau)
+        if bad:
+            _check_finite("f", bad, seeds)
 
-        _store_segment(segments, paths, j, cur_t, cur_x, cur_r, cur_tau)
-        if terminal is not None:
-            for i in paths:
-                terminals[i] = terminal
-            continue
-
-        # jump priority: fire immediately, draw keyed by jump index
-        k = j + 1
-        B = len(paths)
-        V = np.stack([spec.noise.draw(seeds[i], k) for i in paths])
-        R = _spread(r, ones)
-        Xp = np.asarray(spec.g(X, R, V), dtype=float)
-        Rp = np.asarray(spec.h(R, V), dtype=float)
-        Xp = np.broadcast_to(Xp, (B, spec.n)).astype(float, copy=True)
-        Rp = np.broadcast_to(Rp, (B, spec.p)).astype(float, copy=True)
-        _check_finite(Xp, "g", f"jump {k} at t={t}", paths, seeds)
-        _check_finite(Rp, "h", f"jump {k} at t={t}", paths, seeds)
-        ht = HybridTime(t, j)
-        for b, i in enumerate(paths):
-            jumps[i].append(JumpRecord(ht, X[b].copy(), r[0].copy(), tau_now, V[b].copy(),
-                                       Xp[b].copy(), Rp[b].copy()))
-        for rows in _bitwise_groups(Rp):
-            sub = paths[rows]
-            row = Rp[rows[:1]]
-            if cu.contains(row[0]):
-                work.append((sub, Xp[rows], row, t, k, tau_now))
-                continue
-            # a dead post-jump state ends these paths on a one-sample segment
-            _store_segment(segments, sub, k, [t], [Xp[rows]], [row], [tau_now])
-            for i in sub:
-                terminals[i] = TERMINAL_LEFT_SETS
+        if jumping:  # jump priority: fire immediately, draw keyed by jump index
+            fired = []
+            for g in jumping:
+                k, B = g.j + 1, len(g.paths)
+                V = np.stack([spec.noise.draw(seeds[i], k) for i in g.paths])
+                R = np.repeat(g.r, B, axis=0)
+                Xp = np.broadcast_to(np.asarray(spec.g(g.x, R, V), dtype=float), (B, spec.n))
+                Rp = np.broadcast_to(np.asarray(spec.h(R, V), dtype=float), (B, spec.p))
+                fired.append((g, k, V, Xp.astype(float), Rp.astype(float), f"jump {k} at t={g.t}"))
+            _check_finite("g", [(Xp, g.paths, where) for g, _, _, Xp, _, where in fired], seeds)
+            _check_finite("h", [(Rp, g.paths, where) for g, _, _, _, Rp, where in fired], seeds)
+            for g, k, V, Xp, Rp, _ in fired:
+                end(g, None)
+                ht = HybridTime(g.t, g.j)
+                for b, i in enumerate(g.paths):
+                    jumps[i].append(JumpRecord(ht, g.x[b].copy(), g.r[0].copy(), g.tau,
+                                               V[b].copy(), Xp[b].copy(), Rp[b].copy()))
+                for rows in _bitwise_groups(Rp):
+                    sub = _Group(g.paths[rows], Xp[rows], Rp[rows[:1]], g.t, k, g.tau)
+                    # a dead post-jump state ends these paths on a one-sample segment
+                    if not cu.contains(sub.r[0]):
+                        end(sub, TERMINAL_LEFT_SETS)
+                    elif k >= horizon.j_max:
+                        end(sub, TERMINAL_HORIZON_J)
+                    else:
+                        nxt.append(sub)
+        live = sorted(nxt, key=lambda g: g.paths[0]) if jumping else nxt
 
     return [HybridArc(tuple(segments[i]), tuple(jumps[i]), seeds[i], terminals[i])
             for i in range(len(starts))]
@@ -358,13 +399,11 @@ def simulate_ensemble(spec: SystemSpec, inits, n_paths: int, seed_base: int,
                       horizon: Horizon, cfg: IntegratorConfig | None = None):
     """Simulate n_paths solutions with seeds seed_base .. seed_base + n_paths - 1.
 
-    Initial conditions are cycled from ``inits``.  Paths that share an
-    auxiliary state run in lockstep as one group, and a group splits when
-    jumps send its paths to different auxiliary states; the members of one
-    group share their read-only t, tau and r arrays in each segment.  Every
-    step outcome comes from one plan memo, filled once per distinct (r, step
-    cap) and shared by every group of the run, which assumes the maps are
-    pure.  Path i is bit-identical to simulate_path run alone.
+    Initial conditions are cycled from ``inits``.  Paths with equal auxiliary
+    states run in lockstep groups, which split when jumps separate them; each
+    wave steps every group once, groups whose step shares (tau, dt) share one
+    RK4 step, and maps see a scalar tau.  Path i is bit-identical to
+    simulate_path run alone, which assumes the maps are pure.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")

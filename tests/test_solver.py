@@ -315,6 +315,84 @@ class TestGroupingInvariant:
             assert arcs_equal(arc, solo)
 
 
+class TestWaves:
+    """Each wave steps every live group once; groups that share (tau, dt) share f calls."""
+
+    def test_split_groups_share_one_f_and_w_call_per_stage(self):
+        # a shared r0 = 0.95 jumps at t = 0.05, where h gives every path its own
+        # timer: the 30 one-path groups then step as one (tau, dt) cohort
+        base = make_actuator()
+        calls = {"f": 0, "w": 0, "f_rows": 0}
+
+        def f(x, r, tau, eps):
+            calls["f"] += 1
+            calls["f_rows"] += len(x)
+            return base.f(x, r, tau, eps)
+
+        def w(r):
+            calls["w"] += 1
+            return base.w(r)
+
+        def h(r, v):
+            return 0.5 * np.asarray(v, dtype=float)[..., 1:2]
+
+        noise = JumpNoise.from_sampler(lambda seed, k: np.array([0.75, seed / 97.0]), 2)
+        spec = dataclasses.replace(base, f=f, w=w, h=h, m=2, noise=noise)
+        inits = [state(x, 0.95) for x in (-2.0, 1.0, 2.0)]
+        ens = ha.simulate_ensemble(spec, inits, 30, 0, ha.Horizon(0.1, 10))
+        assert len({arc.jumps[0].r_post.tobytes() for arc in ens}) == 30
+        steps = [sum(len(seg.t) - 1 for seg in arc.segments) for arc in ens]
+        # no padding rows: f sees each path's four stages of each step once
+        assert calls["f_rows"] == 4 * sum(steps)
+        assert calls["f"] <= 4 * (max(steps) + 2)
+        assert calls["w"] <= 4 * (max(steps) + 2)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        starts=st.lists(st.tuples(st.floats(-3.0, 3.0),
+                                  st.sampled_from([0.0, 0.25, 0.6, 0.95]),
+                                  st.sampled_from([0.0, 0.5])),
+                        min_size=1, max_size=5),
+        n_paths=st.integers(1, 10),
+        h_shift=st.floats(0.0, 0.9),
+        h_gain=st.sampled_from([0.0, 0.1, -0.4]),
+        t_max=st.floats(0.0, 2.0),
+    )
+    def test_maps_see_a_scalar_tau(self, starts, n_paths, h_shift, h_gain, t_max):
+        base = make_actuator(p=0.5, eps=0.1)
+
+        def f(x, r, tau, eps):
+            assert np.ndim(tau) == 0
+            return base.f(x, r, tau, eps)
+
+        def h(r, v):
+            return h_shift + h_gain * np.asarray(v, dtype=float)
+
+        spec = dataclasses.replace(base, f=f, h=h)
+        inits = [state(x, r, tau) for x, r, tau in starts]
+        horizon = ha.Horizon(t_max, 6)
+        ens = ha.simulate_ensemble(spec, inits, n_paths, 3, horizon)
+        for i, arc in enumerate(ens):
+            solo = ha.simulate_path(spec, inits[i % len(inits)], 3 + i, horizon)
+            assert arcs_equal(arc, solo)
+
+    @pytest.mark.parametrize("x2", [2.0, 2.5], ids=["later", "same-wave"])
+    def test_the_first_failing_wave_names_its_lowest_failing_path(self, x2):
+        # f turns infinite once x passes 3: path 1 (x0 = 2.5, its own group) gets
+        # there at t ~ 0.18, and path 2 (grouped with path 0) at t ~ 0.41 from
+        # x0 = 2 or in the same wave from x0 = 2.5
+        def f(x, r, tau, eps):
+            x = np.asarray(x, dtype=float)
+            return np.where(x > 3.0, np.inf, x)
+
+        spec = dataclasses.replace(_r_dependent_spec(1.0, 0.0, 0.0, [], 1.0, 0.0, 0.0), f=f)
+        inits = [state(1.0, 0.0), state(2.5, 0.3), state(x2, 0.0)]
+        with pytest.raises(MapEvaluationError,
+                           match=r"^map 'f' returned a non-finite value \(t=0\.18\d*; "
+                                 r"path 1, seed 5\)$"):
+            solver._simulate(spec, inits, [4, 5, 6], ha.Horizon(2.0, 10), ha.IntegratorConfig())
+
+
 # --- reference: the per-step loop that evaluated the aux state on every step --
 
 def _reference_rk4(spec, x, r, tau, dt):
@@ -374,7 +452,7 @@ def _reference_simulate(spec, starts, seeds, horizon, cfg):
             remain = horizon.t_max - t
             dt = min(dt_eff, remain)
             wrow = np.asarray(spec.w(rrow[None, :]), dtype=float).ravel()
-            solver._check_finite(wrow, "w", f"t={t}", paths, seeds)
+            solver._check_finite("w", [(wrow, paths, f"t={t}")], seeds)
             snap_box = None
             (exit_end, exit_box), entry = solver._events(rrow, wrow, spec, dt)
             if exit_end <= 0.0:
@@ -390,7 +468,7 @@ def _reference_simulate(spec, starts, seeds, horizon, cfg):
                 rrow = R[0].copy()
                 continue
             X2, R2 = _reference_rk4(spec, X, R, tau_now, dt)
-            solver._check_finite(X2, "f", f"t={t}", paths, seeds)
+            solver._check_finite("f", [(X2, paths, f"t={t}")], seeds)
             if snap_box is not None:
                 R2 = np.clip(R2, *snap_box)
             t = horizon.t_max if dt == remain else t + dt
@@ -416,8 +494,8 @@ def _reference_simulate(spec, starts, seeds, horizon, cfg):
         Rp = np.asarray(spec.h(R, V), dtype=float)
         Xp = np.broadcast_to(Xp, (B, spec.n)).astype(float, copy=True)
         Rp = np.broadcast_to(Rp, (B, spec.p)).astype(float, copy=True)
-        solver._check_finite(Xp, "g", f"jump {k} at t={t}", paths, seeds)
-        solver._check_finite(Rp, "h", f"jump {k} at t={t}", paths, seeds)
+        solver._check_finite("g", [(Xp, paths, f"jump {k} at t={t}")], seeds)
+        solver._check_finite("h", [(Rp, paths, f"jump {k} at t={t}")], seeds)
         ht = ha.HybridTime(t, j)
         for b, i in enumerate(paths):
             jumps[i].append(JumpRecord(ht, X[b].copy(), R[b].copy(), tau_now, V[b].copy(),
