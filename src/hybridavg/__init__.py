@@ -19,7 +19,6 @@ from .averaging import (
     estimate_average_map,
     estimate_gamma,
     estimate_lipschitz,
-    window_average,
 )
 from .certificates import (
     CertGrid,
@@ -34,7 +33,6 @@ from .core import (
     SetDescriptor,
     StateVec,
     SystemSpec,
-    hybrid_time_sum,
     validate_spec,
 )
 from .solver import (
@@ -48,7 +46,6 @@ from .stats import (
     RecurrenceReport,
     SweepParams,
     epsilon_sweep,
-    hitting_time,
     recurrence_estimate,
     uges_m_fit,
 )
@@ -62,7 +59,6 @@ __all__ = [
     "SweepParams", "SystemSpec", "build_average_system",
     "check_jacobian_average", "epsilon_sweep", "estimate_average_map",
     "estimate_gamma", "estimate_lipschitz", "foster_certificate",
-    "hitting_time", "hybrid_time_sum", "jammed_actuator", "jammed_es",
-    "load_system", "recurrence_estimate", "simulate_ensemble",
-    "simulate_path", "uges_m_fit", "validate_spec", "window_average",
+    "jammed_actuator", "jammed_es", "load_system", "recurrence_estimate",
+    "simulate_ensemble", "simulate_path", "uges_m_fit", "validate_spec",
 ]

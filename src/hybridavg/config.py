@@ -115,7 +115,7 @@ _SIMULATION = {
     "j_max": Key(_int, "10000", _COUNT),
     "base_step": Key(_float, "0.01", _POSITIVE),
     "substep_per_epsilon": Key(_float, "0.1", _POSITIVE),
-    "x0": Key(_groups, "1"),
+    "x0": Key(_groups, "1", (bool, "needs at least one initial condition")),
     "r0": Key(_floats, "0"),
     "tau0": Key(_float, "0"),
 }

@@ -340,14 +340,6 @@ class HybridArc:
         last = self.segments[-1]
         return HybridTime(float(last.t[-1]), int(last.j))
 
-    def initial_state(self) -> StateVec:
-        s0 = self.segments[0]
-        return StateVec(s0.x[0], s0.r[0], float(s0.tau[0]))
-
-    def final_state(self) -> StateVec:
-        s1 = self.segments[-1]
-        return StateVec(s1.x[-1], s1.r[-1], float(s1.tau[-1]))
-
 
 def distances_to_target(x: np.ndarray, r: np.ndarray, spec: SystemSpec) -> np.ndarray:
     """Euclidean distances of rows (x (K, n), r (K, p)) to the target set A = {0} x (C u D).

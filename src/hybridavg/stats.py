@@ -105,18 +105,6 @@ def _hitting_index(arc: HybridArc, spec: SystemSpec) -> _HittingIndex:
     return index
 
 
-def hitting_time(arc: HybridArc, radius: float, spec: SystemSpec) -> Optional[HybridTime]:
-    """First hybrid time at which the distance to the target set drops below radius.
-
-    The first flow sample or jump post-state, in hybrid-time order, whose
-    distance is < radius: the ball is open (strict inequality).  Returns None
-    when the arc never enters it.  Served from the arc's cached hitting index
-    (see _HittingIndex), which this call extends only as far as it must.
-    """
-    _check_positive("radius", radius)
-    return _hitting_index(arc, spec).first_below(radius, spec)
-
-
 def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial proportion (small-sample-safe)."""
     z = _WILSON_Z

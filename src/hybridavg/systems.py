@@ -4,18 +4,28 @@ Both built-ins share one skeleton: a scalar plant whose state is jammed every
 T seconds through ``x+ = (0.75 + v) x`` with v = +0.75 (gain 1.5) with
 probability p and v = -0.75 (reset to 0) otherwise, driven by a unit-rate
 timer r in [0, T] that resets at T.
+
+A built-in is rendered expression text: its schema keys fill in a ``kind =
+custom`` config, each number written as ``repr(float)``, which compiles like
+any user config (see _jammed).  The flow of ``jammed-actuator`` is
+``-(x_1*(1.0 + sin(tau)))``.  That of ``jammed-es`` with delta = 0.1 is::
+
+    ifge(abs(x_1), 0.1,
+         -(x_1*sin(tau)) - 2.0*x_1*(sin(tau)*sin(tau)) - abs(x_1)*(sin(tau)*sin(tau)*sin(tau)),
+         -((x_1 + 0.1*sin(tau))*(x_1 + 0.1*sin(tau)))*sin(tau)/0.1)
+
+a gradient-seeking field with quadratic cost and dither amplitude
+a(x) = max(delta, |x|): outside the delta-ball the normalized form, inside the
+raw field with a = delta (locally Lipschitz, origin not invariant there).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-
-import numpy as np
 
 from . import config as cfgmod
-from .core import JumpNoise, SetDescriptor, SystemSpec
+from .core import JumpNoise, SystemSpec
 from .expressions import CompiledMap, ExpressionError, allowed_names, compile_expressions
 
 
@@ -36,54 +46,20 @@ class JamParams:
             raise ValueError("epsilon must be positive and finite")
 
 
-def _actuator_flow(x, r, tau, eps):
-    xc = x[..., 0]
-    out = -(xc * (1.0 + np.sin(tau)))
-    return out[..., None]
-
-
-def _unit_rate(r):
-    return np.ones_like(np.asarray(r, dtype=float))
-
-
-def _jam_gain(x, r, v):
-    return ((0.75 + v[..., 0]) * x[..., 0])[..., None]
-
-
-def _reset_timer(r, v):
-    return np.zeros_like(np.asarray(r, dtype=float))
-
-
-def _jammed(params: JamParams, f) -> SystemSpec:
-    """The shared skeleton: flow f, a unit-rate timer over [0, T], jams at r = T."""
-    return SystemSpec(
-        n=1, p=1, m=1,
-        f=f,
-        w=_unit_rate,
-        g=_jam_gain,
-        h=_reset_timer,
-        C=SetDescriptor.box([0.0], [params.T]), D=SetDescriptor.point([params.T]),
-        noise=JumpNoise.finite([[0.75], [-0.75]], [params.p, 1.0 - params.p]),
-        epsilon=params.epsilon,
-    )
+def _jammed(params: JamParams, flow_x: str) -> SystemSpec:
+    """The shared skeleton around flow_x, compiled from its custom-kind text."""
+    T, eps, p, q = (repr(float(v)) for v in (params.T, params.epsilon, params.p,
+                                               1.0 - params.p))
+    return load_system(
+        f"[system]\nkind = custom\nstate_dim = 1\naux_dim = 1\nnoise_dim = 1\n"
+        f"epsilon = {eps}\nflow_x = {flow_x}\nflow_r = 1.0\njump_x = (0.75 + v)*x_1\n"
+        f"jump_r = 0.0\nflow_set = box 0.0 {T}\njump_set = point {T}\n\n"
+        f"[noise]\nvalues = 0.75; -0.75\nprobs = {p} {q}\n")
 
 
 def jammed_actuator(params: JamParams) -> SystemSpec:
     """Scalar actuator xdot = -x(1 + sin tau) under periodic random jamming."""
-    return _jammed(params, _actuator_flow)
-
-
-def _es_flow(delta, x, r, tau, eps):
-    # gradient-seeking field with quadratic cost and dither amplitude
-    # a(x) = max(delta, |x|): outside the delta-ball the normalized form,
-    # inside the raw field with a = delta (locally Lipschitz, origin not
-    # invariant there).
-    xc = x[..., 0]
-    s = np.sin(tau)
-    outer = -(xc * s) - 2.0 * xc * (s * s) - np.abs(xc) * (s * s * s)
-    inner = -((xc + delta * s) * (xc + delta * s)) * s / delta
-    out = np.where(np.abs(xc) >= delta, outer, inner)
-    return out[..., None]
+    return _jammed(params, "-(x_1*(1.0 + sin(tau)))")
 
 
 def jammed_es(params: JamParams, delta: float) -> SystemSpec:
@@ -95,12 +71,10 @@ def jammed_es(params: JamParams, delta: float) -> SystemSpec:
     """
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError("delta must be positive and finite")
-    return _jammed(params, partial(_es_flow, float(delta)))
-
-
-def average_flow_linear(x, r):
-    """The shared average flow of both built-ins: f_ave(x) = -x."""
-    return -np.atleast_2d(np.asarray(x, dtype=float))
+    d, s = repr(float(delta)), "sin(tau)"
+    outer = f"-(x_1*{s}) - 2.0*x_1*({s}*{s}) - abs(x_1)*({s}*{s}*{s})"
+    inner = f"-((x_1 + {d}*{s})*(x_1 + {d}*{s}))*{s}/{d}"
+    return _jammed(params, f"ifge(abs(x_1), {d}, {outer}, {inner})")
 
 
 def load_system(source) -> SystemSpec:
@@ -114,7 +88,7 @@ def load_system(source) -> SystemSpec:
     """
     doc = cfgmod.as_document(source)
     kind = doc.get_str("system", "kind")
-    if kind != "custom":
+    if kind != "custom":  # rendered as custom-kind text by _jammed
         params = JamParams(T=doc.get_float("system", "period"),
                            p=doc.get_float("system", "jam_prob"),
                            epsilon=doc.get_float("system", "epsilon"))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hybridavg as ha
-from hybridavg.systems import average_flow_linear
+from hybridavg.expressions import AverageField, allowed_names, compile_expressions
 
 
 def V_quad(x, r):
@@ -19,9 +19,14 @@ def es_system():
     return ha.jammed_es(ha.JamParams(T=1.0, p=0.1, epsilon=0.01), delta=0.1)
 
 
+def average_flow_linear():
+    """The shared average flow of both built-ins: f_ave(x) = -x."""
+    return AverageField(compile_expressions(["-x_1"], allowed_names(n=1, p=1)), 1)
+
+
 @pytest.fixture(scope="session")
 def favg():
-    return average_flow_linear
+    return average_flow_linear()
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,7 @@ import numpy as np
 
 import hybridavg as ha
 from hybridavg.cli import main
-from hybridavg.systems import average_flow_linear
-
-from conftest import V_quad, state
+from conftest import V_quad, average_flow_linear, state
 
 
 def verdict(num: int, description: str, ok: bool):
@@ -39,7 +37,7 @@ V = pow(x_1, 2)
 
 def certificate_for(p: float):
     spec = ha.jammed_actuator(ha.JamParams(T=1.0, p=p, epsilon=0.01))
-    return ha.foster_certificate(V_quad, ha.build_average_system(spec, average_flow_linear))
+    return ha.foster_certificate(V_quad, ha.build_average_system(spec, average_flow_linear()))
 
 
 class TestCriterion1:
@@ -212,7 +210,7 @@ class TestCriterion9:
         ok = True
         for alpha in (0.5, 3.0):
             spec = ha.jammed_actuator(ha.JamParams(T=1.0, p=0.1, epsilon=0.01))
-            avg = ha.build_average_system(spec, average_flow_linear)
+            avg = ha.build_average_system(spec, average_flow_linear())
             scaled = ha.foster_certificate(
                 lambda x, r, a=alpha: a * V_quad(x, r), avg)
             ok = ok and abs(scaled.lam - base.lam) <= 1e-12

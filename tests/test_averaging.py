@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridavg as ha
+from hybridavg.averaging import window_average
 
 from conftest import V_quad, state
 
@@ -29,30 +30,30 @@ TAUS = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
 
 class TestWindowAverage:
     def test_full_period_gives_minus_x(self, actuator):
-        got = ha.window_average(actuator, [1.0], [0.5], 0.0, 2.0 * math.pi)
+        got = window_average(actuator, [1.0], [0.5], 0.0, 2.0 * math.pi)
         assert got[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_vanishes_at_origin(self, actuator):
-        got = ha.window_average(actuator, [0.0], [0.5], 1.3, 5.0)
+        got = window_average(actuator, [0.0], [0.5], 1.3, 5.0)
         assert got[0] == 0.0
 
     def test_half_period_closed_form(self, actuator):
         # (1/pi) * int_0^pi (1 + sin s) ds = (pi + 2)/pi, so mean = -(1 + 2/pi)
         expected = -(1.0 + 2.0 / math.pi)
-        got = ha.window_average(actuator, [1.0], [0.5], 0.0, math.pi)
+        got = window_average(actuator, [1.0], [0.5], 0.0, math.pi)
         assert got[0] == pytest.approx(expected, abs=1e-6)
-        fine = ha.window_average(actuator, [1.0], [0.5], 0.0, math.pi, quad_points=400)
+        fine = window_average(actuator, [1.0], [0.5], 0.0, math.pi, quad_points=400)
         assert fine[0] == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_nonpositive_window(self, actuator):
         with pytest.raises(ValueError):
-            ha.window_average(actuator, [1.0], [0.5], 0.0, 0.0)
+            window_average(actuator, [1.0], [0.5], 0.0, 0.0)
 
     @pytest.mark.parametrize("T", [math.nan, math.inf])
     def test_rejects_non_finite_window(self, actuator, T):
         # these once failed converting the panel count, inf with an OverflowError
         with pytest.raises(ValueError, match="window length T must be finite and positive"):
-            ha.window_average(actuator, [1.0], [0.5], 0.0, T)
+            window_average(actuator, [1.0], [0.5], 0.0, T)
 
     def test_nonfinite_integrand_is_hard_error(self, actuator):
         def blow_up(x, r, tau, eps):
@@ -60,7 +61,7 @@ class TestWindowAverage:
 
         spec = dataclasses.replace(actuator, f=blow_up)
         with pytest.raises(ValueError, match="non-finite"):
-            ha.window_average(spec, [1.0], [0.5], 0.0, 1.0)
+            window_average(spec, [1.0], [0.5], 0.0, 1.0)
 
     def test_non_finite_sample_names_f_x_r_and_the_first_tau(self, actuator):
         def late_blow_up(x, r, tau, eps):
@@ -70,7 +71,7 @@ class TestWindowAverage:
         msg = (r"^map 'f' returned a non-finite value \(inf\) inside the window at "
                r"x = \[1\.5\], r = \[0\.5\], tau = 1\.0$")
         with pytest.raises(ValueError, match=msg):
-            ha.window_average(spec, [1.5], [0.5], 0.0, 2.0, 4)
+            window_average(spec, [1.5], [0.5], 0.0, 2.0, 4)
         with pytest.raises(ValueError, match=msg):  # the batched window means
             ha.estimate_gamma(spec, lambda x, r: -x, [[1.5]], [[0.5]], [0.0, 0.5], [0.5])
 
@@ -79,9 +80,9 @@ class TestWindowAverage:
     def test_splicing_identity(self, tau0, T1, T2):
         spec = ha.jammed_actuator(ha.JamParams(T=1.0, p=0.1, epsilon=0.01))
         q = 300
-        a = ha.window_average(spec, [1.7], [0.5], tau0, T1, q)[0]
-        b = ha.window_average(spec, [1.7], [0.5], tau0 + T1, T2, q)[0]
-        c = ha.window_average(spec, [1.7], [0.5], tau0, T1 + T2, q)[0]
+        a = window_average(spec, [1.7], [0.5], tau0, T1, q)[0]
+        b = window_average(spec, [1.7], [0.5], tau0 + T1, T2, q)[0]
+        c = window_average(spec, [1.7], [0.5], tau0, T1 + T2, q)[0]
         assert T1 * a + T2 * b == pytest.approx((T1 + T2) * c, abs=1e-8)
 
 
@@ -161,7 +162,7 @@ class TestEstimateGamma:
         wx, wr, wtau = curve.witnesses[0]
 
         def normalized(xv):
-            mean = ha.window_average(actuator, xv, wr, wtau, float(Ts[0]))
+            mean = window_average(actuator, xv, wr, wtau, float(Ts[0]))
             ref = favg(np.atleast_2d(xv), np.atleast_2d(wr))[0]
             return np.linalg.norm(mean - ref) / np.linalg.norm(xv)
 
@@ -174,7 +175,7 @@ class TestEstimateGamma:
             for xv in self.X_PTS:
                 for rv in self.R_PTS:
                     for tau0 in TAUS[:64]:
-                        mean = ha.window_average(actuator, xv, rv, float(tau0), float(T))
+                        mean = window_average(actuator, xv, rv, float(tau0), float(T))
                         ref = favg(np.atleast_2d(xv), np.atleast_2d(rv))[0]
                         resid = np.linalg.norm(mean - ref) / np.linalg.norm(xv)
                         assert resid <= curve.values[ti] + 1e-12

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 import hybridavg as ha
 from hybridavg.certificates import CertGrid, FosterCertificate, SubcheckResult
-from hybridavg.systems import average_flow_linear
-
-from conftest import V_quad
+from conftest import V_quad, average_flow_linear
 
 
 def jam_average(p):
     spec = ha.jammed_actuator(ha.JamParams(T=1.0, p=p, epsilon=0.01))
-    return ha.build_average_system(spec, average_flow_linear)
+    return ha.build_average_system(spec, average_flow_linear())
 
 
 def build_cert(p, V=V_quad, grid=None, **kw):

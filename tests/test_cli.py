@@ -478,6 +478,8 @@ class TestExitCodes:
          "[certify] radial_points: must be >= 1, got 0"),
         ("simulate", "simulate", "r0 = 0 0", "[simulate] r0: initial condition dims "
          "(x:1, r:2) do not match system (n=1, p=1)"),
+        ("simulate", "simulate", "x0 = ",
+         "[simulate] x0: needs at least one initial condition, got []"),
         # [recur] and [sweep] read these from [simulate], which the error names
         ("recur", "simulate", "j_max = 0", "[simulate] j_max: must be >= 1, got 0"),
         ("sweep", "simulate", "r0 = 0 0", "[simulate] r0: initial condition dims "

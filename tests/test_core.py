@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hybridavg as ha
-from hybridavg.core import distances_to_target, grid_extreme
+from hybridavg.core import distances_to_target, grid_extreme, hybrid_time_sum
 
 from conftest import state
 
@@ -15,7 +15,7 @@ from conftest import state
 class TestHybridTime:
     @pytest.mark.parametrize("t,j,expected", [(0.0, 0, 0.0), (2.5, 3, 5.5), (1.0, 0, 1.0)])
     def test_sum(self, t, j, expected):
-        assert ha.hybrid_time_sum(ha.HybridTime(t, j)) == expected
+        assert hybrid_time_sum(ha.HybridTime(t, j)) == expected
 
     @given(st.floats(0, 1e6), st.integers(0, 1000), st.floats(0, 1e6), st.integers(0, 1000))
     def test_ordering_matches_domain_order(self, t1, j1, t2, j2):

@@ -30,6 +30,10 @@ _UFUNCS = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "pow": np.power,
            "min": np.minimum, "max": np.maximum}
 
 
+def _ifge(a, b, then, other):
+    return np.where(a >= b, then, other)
+
+
 def reference(node, env):
     """Evaluate an AST by walking the tree, one numpy operation per node."""
     if isinstance(node, Num):
@@ -41,6 +45,8 @@ def reference(node, env):
     if isinstance(node, Bin):
         return _OPS[node.op](reference(node.a, env), reference(node.b, env))
     vals = [reference(a, env) for a in node.args]
+    if node.fn == "ifge":
+        return _ifge(*vals)
     return functools.reduce(_UFUNCS[node.fn], vals) if len(vals) > 1 else _UFUNCS[node.fn](vals[0])
 
 
@@ -91,6 +97,7 @@ class TestParsing:
         assert ev("min(3, 1, 2)") == 1.0
         assert ev("max(3, 1, 2)") == 3.0
         assert ev("pow(2, 10)") == 1024.0
+        assert ev("ifge(2, 2, 5, 7)") == 5.0 and ev("ifge(1, 2, 5, 7)") == 7.0
 
     def test_variables(self):
         assert ev("x_1*2 + r_1", x_1=3.0, r_1=0.5) == 6.5
@@ -129,9 +136,13 @@ class TestErrors:
         "-" * (MAX_DEPTH - 1) + "x_1",
         "(" * MAX_DEPTH + "x_1" + ")" * MAX_DEPTH,
         "+".join(["x_1"] * MAX_DEPTH),
-        "sin(" * (MAX_DEPTH - 1) + "x_1" + ")" * (MAX_DEPTH - 1)],
-        ids=["signs", "parentheses", "sum", "calls"])
+        "sin(" * (MAX_DEPTH - 1) + "x_1" + ")" * (MAX_DEPTH - 1),
+        "min(" + ", ".join(f"x_1 * {k}" for k in range(300)) + ")",
+        "ifge(x_1, 0.25, " * (MAX_DEPTH - 2) + "x_1" + ", -x_1)" * (MAX_DEPTH - 2)],
+        ids=["signs", "parentheses", "sum", "calls", "min-300", "ifge-chain"])
     def test_tree_at_the_nesting_limit_compiles_and_pickles(self, text):
+        # a fold of min written as nested calls once passed Python's limit of
+        # 200 nested parentheses
         fmap = CompiledMap((parse_expression(text),), ("x",))
         copy = pickle.loads(pickle.dumps(fmap))
         x = np.array([[0.5]])
@@ -156,6 +167,8 @@ class TestErrors:
     def test_wrong_arity(self):
         with pytest.raises(ExpressionError, match="pow"):
             parse_expression("pow(2)")
+        with pytest.raises(ExpressionError, match="'ifge' takes 4 argument"):
+            parse_expression("ifge(x_1, 0, 1)")
 
     def test_unknown_symbol_named_with_location(self):
         node = parse_expression("x_1 + y")
@@ -309,10 +322,12 @@ def _same_bits(a, b) -> bool:
 
 
 def _trees(names):
-    """ASTs over the given names with every operator and function, n-ary min/max."""
+    """ASTs over the given names with every operator and function, n-ary min/max,
+    and subtrees that repeat, at equal or at different source positions."""
     leaves = st.one_of(st.sampled_from(sorted(names)).map(Var),
+                       st.sampled_from(sorted(names)).map(lambda name: Var(name, 1, 9)),
                        st.floats(-4.0, 4.0).map(Num),
-                       st.sampled_from([0.0, 0.5, 2.0, 1e999]).map(Num))
+                       st.sampled_from([0.0, -0.0, 0.5, 2.0, 1e999]).map(Num))
 
     def inner(kids):
         return st.one_of(
@@ -321,7 +336,12 @@ def _trees(names):
             st.builds(lambda fn, a: Call(fn, (a,)), st.sampled_from(["sin", "cos", "abs"]), kids),
             st.builds(lambda a, b: Call("pow", (a, b)), kids, kids),
             st.builds(lambda fn, args: Call(fn, tuple(args)), st.sampled_from(["min", "max"]),
-                      st.lists(kids, min_size=2, max_size=4)))
+                      st.lists(kids, min_size=2, max_size=4)),
+            st.builds(lambda args: Call("ifge", tuple(args)), st.lists(kids, min_size=4,
+                                                                       max_size=4)),
+            # a repeated subtree: computed once into a name
+            st.builds(lambda op, a: Bin(op, a, Neg(a)), st.sampled_from(sorted(_OPS)), kids),
+            st.builds(lambda a, b: Call("ifge", (a, b, Bin("*", a, b), a)), kids, kids))
 
     return st.recursive(leaves, inner, max_leaves=10)
 
@@ -348,7 +368,7 @@ class TestGeneratedCode:
             got = CompiledMap(exprs, roles)(*args)
         assert _same_bits(got, want)
 
-    @pytest.mark.parametrize("text", ["2.5", "x_1", "r_1"])
+    @pytest.mark.parametrize("text", ["2.5", "x_1", "r_1", "-x_1", "ifge(x_1, 2, r_1, x_1)"])
     @pytest.mark.parametrize("scalar", [True, False])
     def test_output_is_fresh_and_never_aliases_an_input(self, text, scalar):
         exprs = compile_expressions([text], allowed_names(n=1, p=1))
@@ -387,6 +407,21 @@ class TestGeneratedCode:
         fmap = CompiledMap(exprs, ("x",))
         assert "1e999" not in fmap.source and "inf" not in fmap.source
         assert np.array_equal(fmap(np.zeros((2, 2))), [[np.inf, -np.inf]] * 2)
+
+    def test_constants_are_shared_by_their_bits(self):
+        # -0.0 == 0.0, but x / -0.0 is not x / 0.0
+        exprs = (Bin("/", Var("x_1"), Num(-0.0)), Bin("/", Var("x_1"), Num(0.0)), Num(0.0))
+        fmap = CompiledMap(exprs, ("x",))
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(fmap(np.ones((2, 1))), [[-np.inf, np.inf, 0.0]] * 2)
+        assert "_c1" in fmap.source and "_c2" not in fmap.source
+
+    def test_a_repeated_subtree_is_computed_once(self):
+        text = "ifge(abs(x_1), 0.5, sin(tau) * sin(tau), abs(x_1) * (sin(tau) * sin(tau)))"
+        fmap = _compiled("f", [text, "sin(tau) - x_2"])
+        assert fmap.source.count("_sin(tau)") == 1 and fmap.source.count("_abs(x_1)") == 1
+        args = _args("f", 50)
+        assert _same_bits(fmap(*args), reference_map(fmap.exprs, ROLES["f"], *args))
 
     def test_pickle_regenerates_an_equal_function(self):
         exprs = compile_expressions(["max(x_1, r_1, -v) * pow(abs(v_2), 0.5)", "cos(v)"],

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import hybridavg as ha
+from hybridavg.averaging import window_average
 
 PLANAR_CFG = """\
 [system]
@@ -53,7 +54,7 @@ def test_structural_checks_pass(planar):
 
 
 def test_window_average_recovers_minus_x(planar):
-    got = ha.window_average(planar, [1.0, -0.5], [0.2], 0.3, 2.0 * math.pi)
+    got = window_average(planar, [1.0, -0.5], [0.2], 0.3, 2.0 * math.pi)
     assert np.allclose(got, [-1.0, 0.5], atol=1e-12)
 
 

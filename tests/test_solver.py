@@ -28,7 +28,7 @@ class TestFlowStep:
         cfg = ha.IntegratorConfig(base_step=0.01, substep_per_epsilon=1.0)
         arc = ha.simulate_path(sys, state(1.0), 0, ha.Horizon(0.01, 10), cfg)
         assert arc.segments[0].t.shape == (2,)
-        assert arc.final_state().x[0] == pytest.approx(math.exp(-0.01), abs=1e-10)
+        assert arc.segments[-1].x[-1, 0] == pytest.approx(math.exp(-0.01), abs=1e-10)
 
     def test_origin_is_invariant(self, actuator):
         arc = ha.simulate_path(actuator, state(0.0, 0.5), 0, ha.Horizon(0.0005, 10))
@@ -40,7 +40,7 @@ class TestFlowStep:
         cfg = ha.IntegratorConfig(base_step=0.02, substep_per_epsilon=2.0)
         arc = ha.simulate_path(spec, state(1.0, 0.0), 0, ha.Horizon(0.02, 10), cfg)
         assert arc.segments[0].t.shape == (2,)
-        assert arc.final_state().tau == 2.0
+        assert arc.segments[-1].tau[-1] == 2.0
 
     def test_requires_r_in_flow_set(self, actuator):
         with pytest.raises(ValueError, match="dead initial condition"):
@@ -215,7 +215,7 @@ class TestEnsemble:
     def test_initial_conditions_cycle(self, actuator):
         ens = ha.simulate_ensemble(actuator, [state(-2.0, 0.0), state(2.0, 0.0)],
                                    100, 0, ha.Horizon(0.5, 10))
-        starts = [arc.initial_state().x[0] for arc in ens]
+        starts = [arc.segments[0].x[0, 0] for arc in ens]
         assert starts.count(-2.0) == 50 and starts.count(2.0) == 50
 
     def test_singleton_matches_simulate_path(self, actuator):
@@ -232,7 +232,8 @@ class TestEnsemble:
         ens = ha.simulate_ensemble(actuator, [state(-2.0, 0.0), state(2.0, 0.0)],
                                    6, 50, ha.Horizon(3.5, 100))
         for i, arc in enumerate(ens):
-            solo = ha.simulate_path(actuator, arc.initial_state(), 50 + i,
+            s0 = arc.segments[0]
+            solo = ha.simulate_path(actuator, state(s0.x[0], s0.r[0], float(s0.tau[0])), 50 + i,
                                     ha.Horizon(3.5, 100))
             assert arcs_equal(arc, solo)
 

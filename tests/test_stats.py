@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridavg as ha
-from hybridavg.core import TERMINAL_HORIZON_T, FlowSegment, distances_to_target
+from hybridavg.core import TERMINAL_HORIZON_T, FlowSegment, distances_to_target, hybrid_time_sum
+from hybridavg.stats import _hitting_index
 
 from conftest import state
 
@@ -19,15 +20,20 @@ def decay_system(average_system):
     return ha.build_average_system(spec, average_system.f_ave)
 
 
+def hitting_time(arc, radius, spec):
+    """First hybrid time at which the distance to the target set is < radius."""
+    return _hitting_index(arc, spec).first_below(radius, spec)
+
+
 class TestHittingTime:
     def test_start_inside_hits_immediately(self, decay_system):
         arc = ha.simulate_path(decay_system, state(0.1, 0.0), 0, ha.Horizon(1.0, 5))
-        assert ha.hitting_time(arc, 0.5, decay_system) == ha.HybridTime(0.0, 0)
+        assert hitting_time(arc, 0.5, decay_system) == ha.HybridTime(0.0, 0)
 
     def test_exponential_decay_crossing(self, decay_system):
         # x(t) = 2 e^{-t} crosses 0.5 at t = ln 4, up to sampling resolution
         arc = ha.simulate_path(decay_system, state(2.0, 0.0), 0, ha.Horizon(3.0, 5))
-        ht = ha.hitting_time(arc, 0.5, decay_system)
+        ht = hitting_time(arc, 0.5, decay_system)
         assert ht is not None and ht.j == 0
         assert ht.t == pytest.approx(math.log(4.0), abs=0.011)
 
@@ -37,25 +43,25 @@ class TestHittingTime:
 
         spec = dataclasses.replace(decay_system, f_ave=growing)
         arc = ha.simulate_path(spec, state(2.0, 0.0), 0, ha.Horizon(3.0, 5))
-        assert ha.hitting_time(arc, 0.5, spec) is None
+        assert hitting_time(arc, 0.5, spec) is None
 
     def test_strict_inequality_open_ball(self, decay_system):
         arc = ha.simulate_path(decay_system, state(2.0, 0.0), 0, ha.Horizon(0.5, 5))
-        assert ha.hitting_time(arc, 2.0, decay_system) != ha.HybridTime(0.0, 0)
+        assert hitting_time(arc, 2.0, decay_system) != ha.HybridTime(0.0, 0)
 
     def test_monotone_in_radius(self, actuator):
         arc = ha.simulate_path(actuator, state(2.0, 0.0), 3, ha.Horizon(6.0, 100))
         prev = None
         for radius in [0.05, 0.1, 0.5, 1.0, 2.5]:
-            ht = ha.hitting_time(arc, radius, actuator)
+            ht = hitting_time(arc, radius, actuator)
             if prev is not None and prev[1] is not None:
                 assert ht is not None
-                assert ha.hybrid_time_sum(ht) <= ha.hybrid_time_sum(prev[1])
+                assert hybrid_time_sum(ht) <= hybrid_time_sum(prev[1])
             prev = (radius, ht)
 
 
 def reference_hitting_time(arc, radius, spec):
-    """The hitting_time docstring as a plain scan: the first sample, in
+    """hitting_time as a plain scan: the first sample, in
     hybrid-time order, whose distance to the target set is < radius."""
     for seg in arc.segments:
         for k in range(seg.t.shape[0]):
@@ -145,7 +151,7 @@ class TestHittingIndex:
         others = data.draw(st.lists(st.floats(1e-3, 6.0), max_size=4))
         radii = data.draw(st.permutations(exact + others))
         for radius in radii:
-            assert (ha.hitting_time(arc, radius, actuator_2d)
+            assert (hitting_time(arc, radius, actuator_2d)
                     == reference_hitting_time(arc, radius, actuator_2d)), radius
 
     def test_radius_equal_to_a_sample_distance_is_not_a_hit(self, actuator):
@@ -154,7 +160,7 @@ class TestHittingIndex:
                         ([1.0, 1.5], [2.0, 0.5], [0.5, 0.5])])
         expect = {3.0: (0.5, 0), 2.0: (1.0, 0), 1.0: (1.5, 1), 0.5: None, 3.5: (0.0, 0)}
         for radius in (1.0, 3.5, 0.5, 2.0, 3.0):
-            ht = ha.hitting_time(arc, radius, actuator)
+            ht = hitting_time(arc, radius, actuator)
             want = expect[radius]
             assert ht == (None if want is None else ha.HybridTime(*want)), radius
             assert ht == reference_hitting_time(arc, radius, actuator)
@@ -171,13 +177,13 @@ class TestHittingIndex:
             return counted(x, r, spec)
 
         monkeypatch.setattr(ha.stats, "distances_to_target", counting)
-        assert ha.hitting_time(arc, 1.5, actuator) == ha.HybridTime(1.0, 0)
+        assert hitting_time(arc, 1.5, actuator) == ha.HybridTime(1.0, 0)
         assert rows == [2]
-        assert ha.hitting_time(arc, 0.3, actuator) == ha.HybridTime(2.0, 1)
+        assert hitting_time(arc, 0.3, actuator) == ha.HybridTime(2.0, 1)
         assert rows == [2, 2]
-        assert ha.hitting_time(arc, 1.0, actuator) == ha.HybridTime(1.0, 1)
-        assert ha.hitting_time(arc, 0.01, actuator) == ha.HybridTime(3.0, 2)
-        assert ha.hitting_time(arc, 1e-9, actuator) == ha.HybridTime(3.0, 2)
+        assert hitting_time(arc, 1.0, actuator) == ha.HybridTime(1.0, 1)
+        assert hitting_time(arc, 0.01, actuator) == ha.HybridTime(3.0, 2)
+        assert hitting_time(arc, 1e-9, actuator) == ha.HybridTime(3.0, 2)
         assert rows == [2, 2, 2]
 
     def test_specs_with_different_target_sets_get_their_own_answers(self, actuator):
@@ -192,29 +198,30 @@ class TestHittingIndex:
                                    (actuator, 0.1, ha.HybridTime(3.0, 1)),
                                    (wide, 0.6, ha.HybridTime(0.0, 0)),
                                    (wide, 1e-6, ha.HybridTime(1.0, 0))):
-            assert ha.hitting_time(arc, radius, spec) == want
+            assert hitting_time(arc, radius, spec) == want
             assert want == reference_hitting_time(arc, radius, spec)
 
     def test_cache_is_not_part_of_the_arc_value(self, actuator):
         arc = make_arc([([0.0, 1.0], [2.0, 0.5], [0.5, 0.5])])
         before = repr(arc)
-        ha.hitting_time(arc, 1.0, actuator)
+        hitting_time(arc, 1.0, actuator)
         assert repr(arc) == before
         assert [f.name for f in dataclasses.fields(arc)] == [
             "segments", "jumps", "seed", "terminal_reason"]
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_radius(self, actuator, radius):
+        # recurrence_estimate guards the radius its hitting index is asked for
         arc = make_arc([([0.0], [1.0], [0.5])])
         with pytest.raises(ValueError, match="radius must be positive"):
-            ha.hitting_time(arc, radius, actuator)
+            ha.recurrence_estimate([arc] * 30, radius, 0.05, 5.0, actuator)
 
     def test_simulated_ensemble_matches_reference(self, es_system):
         inits = [state(2.0, 0.0), state(-1.5, 0.0)]
         ens = ha.simulate_ensemble(es_system, inits, 6, 5, ha.Horizon(3.0, 1000))
         for radius in (1.0, 0.05, 0.3, 0.1, 2.0):
             for arc in ens:
-                assert (ha.hitting_time(arc, radius, es_system)
+                assert (hitting_time(arc, radius, es_system)
                         == reference_hitting_time(arc, radius, es_system))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import hybridavg as ha
 from hybridavg.config import ConfigError
+from hybridavg.expressions import CompiledMap
 
 from conftest import arcs_equal, state
 
@@ -139,6 +140,12 @@ class TestLoadSystem:
         es = ha.load_system("[system]\nkind = jammed-es\ndelta = 0.2\n")
         out = np.asarray(es.f(np.array([[0.0]]), np.array([[0.0]]), math.pi / 2, 0.0))
         assert out[0, 0] == pytest.approx(-0.2, abs=1e-12)
+
+    def test_builtin_kinds_compile_from_rendered_text(self, es_system):
+        # the dither field's sin(tau) appears eight times in its text
+        for spec in (ha.load_system("[system]\nkind = jammed-actuator\n"), es_system):
+            assert all(type(fn) is CompiledMap for fn in (spec.f, spec.w, spec.g, spec.h))
+        assert es_system.f.source.count("_sin(tau)") == 1
 
     def test_unknown_symbol_is_named(self):
         cfg = ACTUATOR_EXPR_CFG.replace("-x_1*(1 + sin(tau))", "-y*(1 + sin(tau))")
