@@ -13,12 +13,10 @@ __version__ = "0.1.0"
 from .averaging import (
     AverageSpec,
     GammaCurve,
-    LipschitzEstimates,
     build_average_system,
     check_jacobian_average,
     estimate_average_map,
     estimate_gamma,
-    estimate_lipschitz,
 )
 from .certificates import (
     CertGrid,
@@ -54,11 +52,11 @@ from .systems import JamParams, jammed_actuator, jammed_es, load_system
 __all__ = [
     "AverageSpec", "CertGrid", "ConfigDocument", "ConfigError", "EnvelopeFit",
     "FosterCertificate", "GammaCurve", "Horizon", "HybridArc", "HybridTime",
-    "IntegratorConfig", "JamParams", "JumpNoise", "LipschitzEstimates",
+    "IntegratorConfig", "JamParams", "JumpNoise",
     "RecurrenceReport", "SetDescriptor", "StateVec",
     "SweepParams", "SystemSpec", "build_average_system",
     "check_jacobian_average", "epsilon_sweep", "estimate_average_map",
-    "estimate_gamma", "estimate_lipschitz", "foster_certificate",
+    "estimate_gamma", "foster_certificate",
     "jammed_actuator", "jammed_es", "load_system", "recurrence_estimate",
     "simulate_ensemble", "simulate_path", "uges_m_fit", "validate_spec",
 ]

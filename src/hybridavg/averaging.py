@@ -7,8 +7,7 @@ epsilon = 0,
 
 computed by composite Simpson quadrature.  From it we estimate the average
 map f_ave on a grid, the convergence-rate curve gamma(T) bounding
-|avg - f_ave| / |x|, the matching curve for the Jacobian of the residual,
-and sampled lower bounds on the Lipschitz constants the theory requires.
+|avg - f_ave| / |x|, and the matching curve for the Jacobian of the residual.
 The average system, an AverageSpec, is a SystemSpec of the same class with
 no fast clock: the solver, the certificate and the target distance take it
 as they take any system.
@@ -25,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import SystemSpec, _float_tuple, _noise_samples, grid_extreme
+from .core import SystemSpec, grid_extreme
 
 #: default Simpson panel density: panels per 2*pi of the fast clock
 PANELS_PER_PERIOD = 40
@@ -153,8 +152,9 @@ class AverageSpec(SystemSpec):
     signature and ``epsilon`` is 1.0, both derived, so
     dataclasses.replace(avg, f_ave=...) never leaves a stale f.  ``f_ave``
     follows the batched convention f_ave(x, r) -> (B, n).
-    estimate_average_map also sets the window-mean ``table`` and its
-    ``nodal_residual`` against a closed form.
+    estimate_average_map also sets the window-mean ``table`` and, against a
+    closed form, its largest deviation ``nodal_residual`` and the (x, r) node
+    ``nodal_witness`` where it occurs.
     """
 
     f: Callable = field(init=False, compare=False)
@@ -162,6 +162,7 @@ class AverageSpec(SystemSpec):
     f_ave: Callable
     table: Optional[TabulatedMap] = None
     nodal_residual: float = 0.0
+    nodal_witness: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "f", _AveFlowAdapter(self.f_ave))
@@ -204,8 +205,8 @@ def estimate_average_map(spec: SystemSpec, x_grid, r_grid, T_long: float,
     """Tabulate the long-window mean of the flow map and package the average system.
 
     ``x_grid`` / ``r_grid`` are per-dimension 1-D axes (a single array is one
-    axis).  With a registered closed-form ``f_ave`` the table is verified
-    against it and the returned AverageSpec wraps the closed form; otherwise
+    axis).  With a registered closed-form ``f_ave`` the table is compared
+    with it and the returned AverageSpec wraps the closed form; otherwise
     the AverageSpec interpolates the table multilinearly, and an error is
     raised when midpoint interpolation residuals betray a too-coarse grid.
     A non-finite deviation from the table is an error naming its (x, r) node.
@@ -228,11 +229,12 @@ def estimate_average_map(spec: SystemSpec, x_grid, r_grid, T_long: float,
     tab = TabulatedMap(axes, table.reshape(shape + (spec.n,)))
     if f_ave is not None:
         closed = np.asarray(f_ave(flat[:, : spec.n], flat[:, spec.n:]), dtype=float)
-        nodal, _ = _grid_sup(np.sqrt(np.sum((closed - table.reshape(-1, spec.n)) ** 2,
-                                            axis=-1)),
-                             "deviation of favg from the window mean", ("x", "r"),
-                             lambda k: (flat[k, : spec.n], flat[k, spec.n:]))
-        return replace(build_average_system(spec, f_ave), table=tab, nodal_residual=nodal)
+        nodal, node = _grid_sup(np.sqrt(np.sum((closed - table.reshape(-1, spec.n)) ** 2,
+                                               axis=-1)),
+                                "deviation of favg from the window mean", ("x", "r"),
+                                lambda k: (flat[k, : spec.n], flat[k, spec.n:]))
+        return replace(build_average_system(spec, f_ave), table=tab, nodal_residual=nodal,
+                       nodal_witness=node)
 
     # tabulated fallback: check cell midpoints against fresh window means
     mids = []
@@ -381,90 +383,6 @@ def check_jacobian_average(spec: SystemSpec, f_ave: Callable, x_grid, r_grid,
         flags = tuple(bool(v > e * (1.0 + 1e-6) + 1e-9) for v, e in zip(values, env))
     return GammaCurve(Ts, values, _envelope(values), tuple(witnesses),
                       exceeds_state_envelope=flags)
-
-
-@dataclass(frozen=True)
-class LipschitzEstimates:
-    """Sampled max difference quotients: lower bounds on the true constants."""
-
-    L_x: float
-    L_eps: float
-    L_g: float
-    L_ave: float
-    n_samples: int
-    witnesses: dict = field(default_factory=dict)
-
-
-def _pairs(k: int):
-    for i in range(k - 1):
-        yield i, i + 1
-    for i in range(2, k):
-        yield 0, i
-
-
-def estimate_lipschitz(spec: SystemSpec, f_ave: Optional[Callable], x_grid,
-                       r_grid, tau_grid) -> LipschitzEstimates:
-    """Max difference quotients of f in x, f in eps (|x|-normalized), g in x, f_ave in x.
-
-    f is sampled at eps in [0, epsilon/2, epsilon].  Each constant is a grid
-    maximum with its witness, whose coordinates are Python floats; a
-    non-finite quotient is an error naming the map and its point.  L_ave is
-    0.0 without f_ave.
-    """
-    x_pts = np.atleast_2d(np.asarray(x_grid, dtype=float)).reshape(-1, spec.n)
-    r_pts = np.atleast_2d(np.asarray(r_grid, dtype=float)).reshape(-1, spec.p)
-    taus = np.asarray(tau_grid, dtype=float).ravel()
-    pair_idx = [(i, j) for i, j in _pairs(x_pts.shape[0])
-                if not np.array_equal(x_pts[i], x_pts[j])]
-    if not pair_idx:
-        raise ValueError("need at least 2 distinct x grid points")
-    eps_grid = [0.0, 0.5 * spec.epsilon, spec.epsilon]
-    eps_pairs = [(a, b) for i, a in enumerate(eps_grid) for b in eps_grid[i + 1:] if a != b]
-
-    A = np.stack([x_pts[i] for i, _ in pair_idx])
-    Bm = np.stack([x_pts[j] for _, j in pair_idx])
-    gaps = np.sqrt(np.sum((A - Bm) ** 2, axis=-1))
-
-    def along(a, rows):
-        return np.broadcast_to(a, (rows.shape[0], a.shape[-1]))
-
-    def quotient(fa, fb, scale):
-        fa, fb = np.asarray(fa, dtype=float), np.asarray(fb, dtype=float)
-        return np.sqrt(np.sum((fa - fb) ** 2, axis=-1)) / scale
-
-    witnesses = {}
-    pts = [(rr, float(tau), eps) for rr in r_pts for eps in eps_grid for tau in taus]
-    q = [quotient(spec.f(A, along(rr, A), tau, eps), spec.f(Bm, along(rr, A), tau, eps), gaps)
-         for rr, tau, eps in pts]
-    L_x, witnesses["L_x"] = _grid_sup(
-        q, "difference quotient of f in x", ("x", "x'", "r", "tau", "eps"),
-        lambda g, k: tuple(map(_float_tuple, (A[k], Bm[k], pts[g][0]))) + pts[g][1:])
-
-    xs = x_pts[np.sqrt(np.sum(x_pts * x_pts, axis=-1)) > 0.0]
-    xnorms = np.sqrt(np.sum(xs * xs, axis=-1))
-    pts = [(rr, float(tau), a, b) for a, b in eps_pairs for rr in r_pts for tau in taus]
-    q = [quotient(spec.f(xs, along(rr, xs), tau, a), spec.f(xs, along(rr, xs), tau, b),
-                  xnorms * abs(b - a)) for rr, tau, a, b in pts]
-    L_eps, witnesses["L_eps"] = _grid_sup(
-        q, "difference quotient of f in eps", ("x", "r", "tau", "eps", "eps'"),
-        lambda g, k: (_float_tuple(xs[k]), _float_tuple(pts[g][0])) + pts[g][1:])
-
-    pts = [(rr, v) for rr in spec.D.grid(3) for v in _noise_samples(spec.noise, 8)]
-    q = [quotient(spec.g(A, along(rr, A), along(v, A)), spec.g(Bm, along(rr, A), along(v, A)),
-                  gaps) for rr, v in pts]
-    L_g, witnesses["L_g"] = _grid_sup(
-        q, "difference quotient of g in x", ("x", "x'", "r", "v"),
-        lambda g, k: tuple(map(_float_tuple, (A[k], Bm[k]) + pts[g])))
-
-    L_ave = 0.0
-    if f_ave is not None:
-        q = [quotient(f_ave(A, along(rr, A)), f_ave(Bm, along(rr, A)), gaps) for rr in r_pts]
-        L_ave, witnesses["L_ave"] = _grid_sup(
-            q, "difference quotient of favg in x", ("x", "x'", "r"),
-            lambda g, k: tuple(map(_float_tuple, (A[k], Bm[k], r_pts[g]))))
-
-    n_samples = len(pair_idx) * r_pts.shape[0] * len(taus) * len(eps_grid)
-    return LipschitzEstimates(L_x, L_eps, L_g, L_ave, n_samples, witnesses)
 
 
 def build_average_system(spec: SystemSpec, f_ave: Callable) -> AverageSpec:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .averaging import build_average_system, check_jacobian_average, estimate_average_map, estimate_gamma
+from .averaging import check_jacobian_average, estimate_average_map, estimate_gamma
 from .certificates import CertGrid, foster_certificate
 from .config import ConfigDocument, ConfigError, as_document
 from .core import JumpNoise, StateVec
@@ -146,8 +146,19 @@ def _favg_from_config(doc: ConfigDocument, spec):
     return AverageField(exprs, spec.n)
 
 
-def _average_grids(doc: ConfigDocument, spec):
-    """The [average] grids; a grid that cannot be averaged over is a config error."""
+#: a registered favg may deviate from the long-window mean at an [average]
+#: grid node by at most this share of max(1, the largest |window mean|)
+FAVG_REL_TOL = 1e-6
+
+
+def _average_system(doc: ConfigDocument, spec):
+    """The [average] grids, the average system and its failed favg check's line, or None.
+
+    A grid that cannot be averaged over is a config error.  The average
+    system wraps the registered favg, or interpolates the window means when
+    there is none.  A favg that deviates from a window mean by more than
+    FAVG_REL_TOL * max(1, max |window mean|) fails: it is not the flow's average.
+    """
     x_axes = [np.array(axis) for axis in doc.get_float_groups("average", "x_values")]
     if len(x_axes) != spec.n:
         raise ConfigError(f"[average] x_values needs {spec.n} axis/axes")
@@ -173,13 +184,20 @@ def _average_grids(doc: ConfigDocument, spec):
     if not (T_long > 0.0 and math.isfinite(T_long)):
         raise ConfigError(f"[average] T_long_periods, tau_period: the long window "
                           f"T_long_periods * tau_period must be finite and > 0, got {T_long!r}")
-    return x_axes, r_axes, tau_grid, T_grid, T_long
+    grids = x_axes, r_axes, tau_grid, T_grid, T_long
+    favg = _favg_from_config(doc, spec)
+    avg = estimate_average_map(spec, x_axes, r_axes, T_long, f_ave=favg)
+    tol = FAVG_REL_TOL * max(1.0, float(np.max(np.abs(avg.table.table))))
+    if favg is None or avg.nodal_residual <= tol:
+        return grids, avg, None
+    x, r = (c.tolist() for c in avg.nodal_witness)
+    return grids, avg, (f"[average] favg: deviation {_f(avg.nodal_residual)} from the window "
+                        f"mean at x = {x!r}, r = {r!r} exceeds the tolerance {tol:.3g} "
+                        f"({FAVG_REL_TOL:g} * max(1, max |window mean|))")
 
 
 def cmd_average(doc, spec):
-    x_axes, r_axes, tau_grid, T_grid, T_long = _average_grids(doc, spec)
-    favg = _favg_from_config(doc, spec)
-    avg = estimate_average_map(spec, x_axes, r_axes, T_long, f_ave=favg)
+    (x_axes, r_axes, tau_grid, T_grid, T_long), avg, failure = _average_system(doc, spec)
 
     x_pts = np.stack(np.meshgrid(*x_axes, indexing="ij"), axis=-1).reshape(-1, spec.n)
     x_pts = x_pts[np.linalg.norm(x_pts, axis=-1) > 0.0]
@@ -199,7 +217,7 @@ def cmd_average(doc, spec):
                   for z, fz in zip(grid_nodes, tab.table.reshape(-1, spec.n)))
 
     report = [f"window length for the tabulated average: T_long = {_f(T_long)}",
-              f"registered closed form: {'yes' if favg is not None else 'no'}",
+              f"registered closed form: {'yes' if avg.nodal_witness is not None else 'no'}",
               f"max nodal deviation from closed form: {_f(avg.nodal_residual)}"]
     if gamma.envelope[0] > 0.0:
         trend = gamma.envelope[-1] / gamma.envelope[0]
@@ -210,7 +228,10 @@ def cmd_average(doc, spec):
     report.append("jacobian residual exceeds state gamma envelope at T values: "
                   + (", ".join(flagged) or "none"))
     report.append("results are grid-certified suprema, not proofs")
-    return 0, None, [
+    if failure:
+        print(failure)
+        report.append(failure)
+    return (2 if failure else 0), None, [
         ("average_gamma.csv", _csv(["T", "gamma_raw", "gamma_envelope", "jac_gamma_raw",
                                     "witness_x", "witness_r", "witness_tau"], gamma_rows)),
         ("average_favg.csv", _csv(["x", "r", "favg"], table_rows)),
@@ -230,10 +251,12 @@ def cmd_certify(doc, spec):
     except ExpressionError as exc:
         raise ConfigError(f"[certify] V: {exc}") from exc
     V = ScalarField(v_expr)
-    favg = _favg_from_config(doc, spec)
-    if favg is None:
+    if doc.get_expr_list("average", "favg") is None:
         raise ConfigError("certification needs [average] favg (registered average map)")
-    avg = build_average_system(spec, favg)
+    _, avg, failure = _average_system(doc, spec)
+    if failure:
+        print(failure)
+        return 2, None, [("certify_report.txt", [failure])]
     grid = CertGrid(radius_min=radius_min, radius_max=radius_max,
                     radial_points=doc.get_int("certify", "radial_points"),
                     r_points=doc.get_int("certify", "r_points"))
@@ -280,11 +303,7 @@ def cmd_sweep(doc, spec):
         horizon=horizon,
         cfg=cfg,
     )
-
-    def family(eps: float):
-        return dataclasses.replace(spec, epsilon=eps)
-
-    result = epsilon_sweep(family, eps_list, inits, seed, params)
+    result = epsilon_sweep(spec, eps_list, inits, seed, params)
 
     rows = ([_f(ent.epsilon),
              _f(ent.certified_radius) if ent.certified_radius is not None else "",
@@ -426,7 +445,7 @@ def main(argv=None) -> int:
     except (ConfigError, ExpressionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, MapEvaluationError) as exc:
+    except (ValueError, OSError, MemoryError, MapEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -279,8 +279,8 @@ _ARRAY_ROLES = ("x", "r", "v")
 _SCALAR_ROLES = ("tau", "eps")
 
 
-def _emit(exprs, lines: list, consts: list) -> list:
-    """Append the lines computing the trees exprs; return the name of each value.
+def _emit(exprs, lines: list, consts: list):
+    """Yield the text of each tree's value, once the lines it reads are appended.
 
     Subtrees are hash-consed: they compare by structure without source
     positions, constants by their exact bits (-0.0 is not 0.0).  An inner
@@ -332,7 +332,8 @@ def _emit(exprs, lines: list, consts: list) -> list:
 
     roots = [intern(expr) for expr in exprs]
     uses = Counter(roots + [kid for _, kids in table for kid in kids])
-    return [text if text.isidentifier() else assign(text) for text, _ in map(value, roots)]
+    for root in roots:
+        yield value(root)[0]
 
 
 class CompiledMap:
@@ -378,15 +379,18 @@ class CompiledMap:
         consts = []
         values = _emit(exprs, lines, consts)
         shape = batch if scalar else f"(*{batch}, {len(exprs)})"
-        if len(values) == 1 and values[0].startswith("_t"):  # one column, computed here:
-            # a float array over the batch is fresh, so it is the output; a copy into a
-            # second batch-sized buffer made averaging's large batches 1.2x slower
-            v = values[0]
-            lines += [f"if {v}.__class__ is _ndarray and {v}.dtype is _float64 and "
-                      f"{v}.shape == {batch}:", f"    {v}.shape = {shape}", f"    return {v}"]
-        lines.append(f"_out = _empty({shape})")
-        lines += [f"_out[{'...' if scalar else f'..., {k}'}] = {value}"
-                  for k, value in enumerate(values)]
+        if len(exprs) == 1:
+            (v,) = values
+            if not v.isidentifier():  # one column, computed here: a float array over the
+                # batch is fresh, so it is the output; a copy into a second batch-sized
+                # buffer made averaging's large batches 1.2x slower
+                lines += [f"_v = {v}", f"if _v.__class__ is _ndarray and _v.dtype is _float64"
+                          f" and _v.shape == {batch}:", f"    _v.shape = {shape}", "    return _v"]
+                v = "_v"
+            values = [v]
+        lines.append(f"_out = _empty({shape})")  # more columns are written straight into it
+        for k, value in enumerate(values):
+            lines.append(f"_out[{'...' if scalar else f'..., {k}'}] = {value}")
         self.source = "\n    ".join(lines + ["return _out"]) + "\n"
         scope = {"__builtins__": {}, "__name__": __name__, "_ndarray": np.ndarray,
                  "_float64": np.dtype(np.float64), "_asarray": np.asarray,

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -328,13 +328,14 @@ class SweepParams:
     cfg: IntegratorConfig = IntegratorConfig()
 
 
-def epsilon_sweep(spec_family: Callable[[float], SystemSpec], eps_list,
-                  inits, seed_base: int, params: SweepParams) -> SweepResult:
+def epsilon_sweep(spec: SystemSpec, eps_list, inits, seed_base: int,
+                  params: SweepParams) -> SweepResult:
     """Smallest grid-certified recurrent radius per epsilon, by bisection.
 
-    One ensemble is simulated per epsilon and reused across radii (hitting
-    times are pure post-processing).  Radii should be nondecreasing in
-    epsilon; violations beyond one bisection step of slack are flagged.
+    Per epsilon, one ensemble of spec with that epsilon is simulated and
+    reused across radii (hitting times are pure post-processing).  Radii
+    should be nondecreasing in epsilon; violations beyond one bisection step
+    of slack are flagged.
     """
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) == 0:
@@ -344,12 +345,12 @@ def epsilon_sweep(spec_family: Callable[[float], SystemSpec], eps_list,
 
     entries = []
     for eps in eps_arr:
-        spec = spec_family(eps)
-        ensemble = simulate_ensemble(spec, inits, params.n_paths, seed_base,
+        spec_eps = replace(spec, epsilon=eps)
+        ensemble = simulate_ensemble(spec_eps, inits, params.n_paths, seed_base,
                                      params.horizon, params.cfg)
 
         def certified(radius: float):
-            return recurrence_estimate(ensemble, radius, params.rho, params.R, spec)
+            return recurrence_estimate(ensemble, radius, params.rho, params.R, spec_eps)
 
         hi = params.radius_max
         rep_hi = certified(hi)

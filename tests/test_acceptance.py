@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines.  Tolerances are fixed here, not configurable.
 """
 
-import dataclasses
 import math
 import time
 
@@ -190,8 +189,7 @@ class TestCriterion8:
         started = time.perf_counter()
         params = ha.SweepParams(radius_max=2.0, rho=0.05, R=5.0, n_paths=200,
                                 horizon=ha.Horizon(10.0, 10_000))
-        family = lambda eps: dataclasses.replace(es_system, epsilon=eps)
-        result = ha.epsilon_sweep(family, [0.1, 0.05, 0.01],
+        result = ha.epsilon_sweep(es_system, [0.1, 0.05, 0.01],
                                   [state(-2.0, 0.0), state(2.0, 0.0)], 7, params)
         elapsed = time.perf_counter() - started
         radii = [e.certified_radius for e in result.entries]

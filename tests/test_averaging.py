@@ -243,52 +243,6 @@ class TestJacobianAverage:
         assert not any(jac.exceeds_state_envelope)
 
 
-class TestEstimateLipschitz:
-    def test_actuator_constants(self, actuator, favg):
-        est = ha.estimate_lipschitz(actuator, favg,
-                                    np.array([[-3.0], [-1.0], [0.5], [2.0], [3.0]]),
-                                    np.array([[0.0], [0.5], [1.0]]),
-                                    np.linspace(0.0, 2.0 * math.pi, 201))
-        assert est.L_x == pytest.approx(2.0, rel=0.01)  # sup |1 + sin|
-        assert est.L_g == pytest.approx(1.5, abs=1e-12)  # max |0.75 + v|
-        assert est.L_ave == pytest.approx(1.0, abs=1e-12)
-        assert est.L_eps == 0.0  # no epsilon dependence
-
-    def test_needs_two_x_points(self, actuator, favg):
-        with pytest.raises(ValueError):
-            ha.estimate_lipschitz(actuator, favg, np.array([[1.0]]),
-                                  np.array([[0.0]]), np.array([0.0]))
-
-    @pytest.mark.parametrize("which", ["f", "g", "favg"])
-    def test_nan_map_is_an_error_naming_it(self, actuator, favg, which):
-        # nan > L is False: the running maxima once returned 0.0 for NaN maps
-        def nan_map(*args):
-            return np.full(np.shape(args[0]), math.nan)
-
-        spec = actuator if which == "favg" else dataclasses.replace(actuator, **{which: nan_map})
-        with pytest.raises(ValueError, match=rf"quotient of {which} in x is non-finite \(nan\) "
-                                             r"at x = \[-2\.0\], x' = \[1\.0\], r = "):
-            ha.estimate_lipschitz(spec, nan_map if which == "favg" else favg,
-                                  np.array([[-2.0], [1.0], [3.0]]), np.array([[0.5]]),
-                                  np.linspace(0.0, 6.0, 7))
-
-    def test_witness_coordinates_are_plain_floats(self, actuator, favg):
-        est = ha.estimate_lipschitz(actuator, favg, np.array([[-2.0], [1.0], [3.0]]),
-                                    np.array([[0.5]]), np.linspace(0.0, 6.0, 7))
-        assert set(est.witnesses) == {"L_x", "L_eps", "L_g", "L_ave"}
-        for witness in est.witnesses.values():
-            coords = [c for part in witness
-                      for c in (part if isinstance(part, tuple) else (part,))]
-            assert all(type(c) is float for c in coords), witness
-        assert est.witnesses["L_ave"] == ((-2.0,), (1.0,), (0.5,))
-
-    def test_estimates_are_lower_bounds(self, actuator, favg):
-        est = ha.estimate_lipschitz(actuator, favg, np.array([[-2.0], [1.0], [3.0]]),
-                                    np.array([[0.5]]), np.linspace(0.0, 6.0, 31))
-        assert est.L_x <= 2.0 + 1e-12
-        assert est.L_g <= 1.5 + 1e-12
-
-
 class TestBuildAverageSystem:
     def test_jump_maps_and_sets_are_reused_verbatim(self, actuator, favg):
         avg = ha.build_average_system(actuator, favg)

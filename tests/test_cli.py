@@ -292,6 +292,58 @@ class TestCertifyCommand:
         assert not (tmp_path / "o").exists()
 
 
+#: the shipped expression actuator with a flow whose true average is +x,
+#: while its registered favg stays -x_1
+WRONG_FAVG = (CONFIGS / "actuator_expr.cfg").read_text(encoding="utf-8").replace(
+    "flow_x = -x_1*(1 + sin(tau))", "flow_x = x_1*(1 + sin(tau))")
+WRONG_FAVG_LINE = ("[average] favg: deviation 6.0 from the window mean at x = [-3.0], "
+                   "r = [0.0] exceeds the tolerance 3e-06 "
+                   "(1e-06 * max(1, max |window mean|))")
+
+
+class TestFavgCheck:
+    def test_certify_on_a_wrong_favg_is_exit_two_with_its_witness(
+            self, tmp_path, capsys, monkeypatch):
+        # certify once built its average system without the check and passed
+        # with lambda = 0.225
+        def certified(*args, **kwargs):
+            raise AssertionError("a certificate was computed")
+
+        monkeypatch.setattr(cli, "foster_certificate", certified)
+        cfg = write_cfg(tmp_path, WRONG_FAVG)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().out == WRONG_FAVG_LINE + "\n"
+        assert (tmp_path / "o" / "certify_report.txt").read_text() == WRONG_FAVG_LINE + "\n"
+
+    def test_average_on_a_wrong_favg_is_exit_two_and_writes_its_files(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, WRONG_FAVG)
+        out = tmp_path / "o"
+        assert main(["average", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == WRONG_FAVG_LINE + "\n"
+        report = (out / "average_report.txt").read_text().splitlines()
+        assert "max nodal deviation from closed form: 6.0" in report
+        assert report[-1] == WRONG_FAVG_LINE
+        assert {f.name for f in out.iterdir()} == {
+            "average_gamma.csv", "average_favg.csv", "average_report.txt",
+            "average_manifest.json"}
+
+    @pytest.mark.parametrize("name", ["actuator.cfg", "actuator_expr.cfg", "es.cfg"])
+    def test_shipped_configs_pass(self, tmp_path, capsys, name):
+        assert main(["certify", "--config", str(CONFIGS / name),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+
+    def test_tolerance_scales_with_the_largest_window_mean(self, tmp_path, capsys):
+        # favg = -x_1 + 1e-6 deviates by 1e-6 everywhere: within 1e-6 * max(1, 3)
+        text = (CONFIGS / "actuator_expr.cfg").read_text(encoding="utf-8")
+        cfg = write_cfg(tmp_path, text.replace("favg = -x_1", "favg = -x_1 + 0.000001"))
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        cfg = write_cfg(tmp_path, text.replace("favg = -x_1", "favg = -x_1 + 0.00001"))
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().out.splitlines()[-1].startswith(
+            "[average] favg: deviation 1.000000000")
+
+
 class TestRecurCommand:
     def test_summary_and_paths(self, actuator_cfg, tmp_path):
         out = tmp_path / "out"
@@ -425,6 +477,17 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("error: map 'f' returned a non-finite value (t=")
         assert lines[0].endswith("path 0, seed 7)")
+
+    def test_out_of_memory_is_one_line_exit_one(self, actuator_cfg, tmp_path, capsys,
+                                                 monkeypatch):
+        # numpy's allocation failure once ended average in a traceback
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 596. GiB for an array")
+
+        monkeypatch.setattr(cli, "estimate_average_map", too_large)
+        assert main(["average", "--config", actuator_cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 596. GiB for an array\n"
+        assert not (tmp_path / "o").exists()
 
     def test_non_finite_step_in_config_is_error(self, tmp_path, capsys):
         text = SMALL_ACTUATOR.format(p=0.1, t_values="1.0", eps_values="0.1")

@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,6 +423,24 @@ class TestGeneratedCode:
         assert fmap.source.count("_sin(tau)") == 1 and fmap.source.count("_abs(x_1)") == 1
         args = _args("f", 50)
         assert _same_bits(fmap(*args), reference_map(fmap.exprs, ROLES["f"], *args))
+
+    @pytest.mark.parametrize("tau", [0.3, "rows"])
+    def test_columns_are_written_straight_into_the_output(self, tau):
+        # each column was once computed into its own batch-sized array and then
+        # copied: four batch-sized buffers live at the peak instead of three
+        fmap = _compiled("f", ["-(x_1*(1.0 + sin(tau)))", "-(x_2*(1.0 + cos(tau)))"])
+        batch = 35_000  # past numpy's threshold for reusing temporaries in place
+        x = np.random.default_rng(5).normal(size=(batch, 2))
+        tau = np.linspace(0.0, 1.0, batch) if tau == "rows" else tau
+        args = (x, np.zeros((batch, 1)), tau, 0.0)
+        tracemalloc.start()
+        try:
+            out = fmap(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (batch * 8) < 3.5
+        assert _same_bits(out, reference_map(fmap.exprs, ROLES["f"], *args))
 
     def test_pickle_regenerates_an_equal_function(self):
         exprs = compile_expressions(["max(x_1, r_1, -v) * pow(abs(v_2), 0.5)", "cos(v)"],

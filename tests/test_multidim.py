@@ -76,15 +76,6 @@ def test_average_map_tabulates_cleanly(planar):
     assert avg.nodal_residual <= 1e-6
 
 
-def test_lipschitz_constant_is_sqrt_two(planar):
-    est = ha.estimate_lipschitz(planar, favg,
-                                np.array([[1.0, 0.0], [2.0, 1.0], [0.5, -1.0]]),
-                                np.array([[0.2]]),
-                                np.linspace(0.0, 2.0 * math.pi, 201))
-    assert est.L_x == pytest.approx(math.sqrt(2.0), rel=0.01)
-    assert est.L_g == pytest.approx(1.0, abs=1e-12)
-
-
 def test_paths_and_certificate(planar):
     init = ha.StateVec(np.array([1.0, -0.5]), np.array([0.0]))
     arc = ha.simulate_path(planar, init, 3, ha.Horizon(3.5, 50))

@@ -366,9 +366,6 @@ class TestUgesMFit:
 
 
 class TestEpsilonSweep:
-    def family(self, spec):
-        return lambda eps: dataclasses.replace(spec, epsilon=eps)
-
     def params(self, **kw):
         defaults = dict(radius_max=2.0, rho=0.05, R=5.0, n_paths=40,
                         horizon=ha.Horizon(6.0, 1000))
@@ -376,14 +373,14 @@ class TestEpsilonSweep:
         return ha.SweepParams(**defaults)
 
     def test_single_epsilon(self, es_system):
-        res = ha.epsilon_sweep(self.family(es_system), [0.05],
+        res = ha.epsilon_sweep(es_system, [0.05],
                                [state(2.0, 0.0), state(-2.0, 0.0)], 3, self.params())
         assert len(res.entries) == 1
         assert res.monotone
 
     def test_requires_strictly_decreasing(self, es_system):
         with pytest.raises(ValueError, match="strictly decreasing"):
-            ha.epsilon_sweep(self.family(es_system), [0.01, 0.05],
+            ha.epsilon_sweep(es_system, [0.01, 0.05],
                              [state(2.0, 0.0)], 3, self.params())
 
     def test_tau_independent_system_is_epsilon_free(self, actuator):
@@ -391,7 +388,7 @@ class TestEpsilonSweep:
             return -np.asarray(x, dtype=float)
 
         spec = dataclasses.replace(actuator, f=flat_flow)
-        res = ha.epsilon_sweep(self.family(spec), [0.1, 0.05, 0.01],
+        res = ha.epsilon_sweep(spec, [0.1, 0.05, 0.01],
                                [state(2.0, 0.0), state(-2.0, 0.0)], 3, self.params())
         radii = [e.certified_radius for e in res.entries]
         slack = max(e.bisection_slack for e in res.entries)
@@ -405,7 +402,7 @@ class TestEpsilonSweep:
         # the decay system's maps and sets, in a system whose epsilon the sweep replaces
         decay = ha.jammed_actuator(ha.JamParams(T=1000.0, p=0.1, epsilon=0.05))
         spec = dataclasses.replace(decay, f=growing)
-        res = ha.epsilon_sweep(self.family(spec), [0.05], [state(2.0, 0.0)], 3,
+        res = ha.epsilon_sweep(spec, [0.05], [state(2.0, 0.0)], 3,
                                self.params(radius_max=0.5))
         assert res.entries[0].certified_radius is None
         assert res.entries[0].note == "not certified at horizon"

@@ -55,14 +55,6 @@ class TestJammedActuator:
         report = ha.validate_spec(actuator)
         assert report.passed and report.h_estimate == 0.0
 
-    def test_lipschitz_constants_are_finite_and_expected(self, actuator, favg):
-        est = ha.estimate_lipschitz(actuator, favg,
-                                    np.array([[-3.0], [1.0], [2.0]]),
-                                    np.array([[0.5]]),
-                                    np.linspace(0.0, 2.0 * math.pi, 201))
-        assert est.L_x == pytest.approx(2.0, rel=0.01)
-        assert est.L_g == pytest.approx(1.5, abs=1e-12)
-
     def test_deterministic_jamming_fails_certificate(self, favg):
         from conftest import V_quad
 
