@@ -31,7 +31,6 @@ from .core import (
     SetDescriptor,
     StateVec,
     SystemSpec,
-    validate_spec,
 )
 from .solver import (
     Horizon,
@@ -58,5 +57,5 @@ __all__ = [
     "check_jacobian_average", "epsilon_sweep", "estimate_average_map",
     "estimate_gamma", "foster_certificate",
     "jammed_actuator", "jammed_es", "load_system", "recurrence_estimate",
-    "simulate_ensemble", "simulate_path", "uges_m_fit", "validate_spec",
+    "simulate_ensemble", "simulate_path", "uges_m_fit",
 ]

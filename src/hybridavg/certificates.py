@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .averaging import AverageSpec
-from .core import JumpNoise, _float_tuple, distances_to_target, grid_extreme
+from .core import JumpNoise, distances_to_target, grid_extreme
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,11 @@ class FosterCertificate:
                  else f"radii [{g.radius_min}, {g.radius_max}] x {g.radial_points} pts")
         lines.append(f"grid: {radii}, r x {g.r_points} pts")
         return "\n".join(lines)
+
+
+def _float_tuple(row) -> tuple:
+    """A witness coordinate: the entries of row as Python floats."""
+    return tuple(map(float, row))
 
 
 def _eval_V(V: Callable, x: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ from .solver import (
     simulate_ensemble,
     simulate_path,
 )
-from .stats import SweepParams, epsilon_sweep, recurrence_estimate
+from .stats import SweepParams, epsilon_sweep, first_start_outside, recurrence_estimate
 from .svgplot import Curve, Panel, render_panels
 # jammed_es stays a name of this module: benchmarks/tracing.py wraps cli.jammed_es
 from .systems import jammed_es, load_system  # noqa: F401
@@ -95,10 +95,19 @@ def _ensemble_inputs(doc: ConfigDocument, spec, section: str):
         if len(x0) != spec.n or len(r0) != spec.p:
             key = "r0" if len(r0) != spec.p else "x0"
             raise ConfigError(
-                f"[{doc.origin(section, key) or section}] {key}: initial condition dims "
+                f"{doc.where(section, key)}: initial condition dims "
                 f"(x:{len(x0)}, r:{len(r0)}) do not match system (n={spec.n}, p={spec.p})")
         inits.append(StateVec(np.array(x0), np.array(r0), tau0))
     return inits, n_paths, horizon, cfg, doc.get_int(section, "seed")
+
+
+def _check_starts(doc: ConfigDocument, section: str, inits, R: float):
+    """A config error naming [section] R, before any path runs, when a start lies outside it."""
+    outside = first_start_outside([s.x for s in inits], [s.r for s in inits], R)
+    if outside is not None:
+        k, z0 = outside
+        raise ConfigError(f"{doc.where(section, 'R')}: the start x0 = {inits[k].x.tolist()}, "
+                          f"r0 = {inits[k].r.tolist()} has |z(0,0)| = {z0!r} > R = {R!r}")
 
 
 def _arc_lines(arc, path_id: int, stride: int = 1, kind: str = None):
@@ -270,7 +279,7 @@ def cmd_certify(doc, spec):
 def cmd_recur(doc, spec):
     inits, n_paths, horizon, cfg, seed = _ensemble_inputs(doc, spec, "recur")
     radius, rho, bound = (doc.get_float("recur", key) for key in ("radius", "rho", "R"))
-
+    _check_starts(doc, "recur", inits, bound)
     ensemble = simulate_ensemble(spec, inits, n_paths, seed, horizon, cfg)
     rep = recurrence_estimate(ensemble, radius, rho, bound, spec)
 
@@ -303,6 +312,7 @@ def cmd_sweep(doc, spec):
         horizon=horizon,
         cfg=cfg,
     )
+    _check_starts(doc, "sweep", inits, params.R)
     result = epsilon_sweep(spec, eps_list, inits, seed, params)
 
     rows = ([_f(ent.epsilon),

@@ -287,14 +287,20 @@ class ConfigDocument:
         order = (section, *FALLBACK.get(section, ())) if key in _SIMULATION else (section,)
         return next((name for name in order if key in self.sections.get(name, {})), None)
 
+    def where(self, section: str, key: str) -> str:
+        """How a message names [section] key: the flag that set it, or where it is read."""
+        if key in self.flags:
+            return self.flags[key][0]
+        return f"[{self.origin(section, key) or section}] {key}"
+
     def _get(self, section: str, key: str, read: Callable):
         entry = SCHEMA[self.sections["system"]["kind"]][section][key]
         if key in self.flags:
-            where, text = self.flags[key]
+            text = self.flags[key][1]
         else:
             origin = self.origin(section, key)
             text = entry.default if origin is None else self.sections[origin][key]
-            where = f"[{origin or section}] {key}"
+        where = self.where(section, key)
         if text is REQUIRED:
             raise ConfigError(f"missing [{section}] {key}")
         return None if text is None else _parse(where, read, text, entry.guard)

@@ -18,10 +18,10 @@ callables on batched float64 arrays,
 and must be broadcast-safe and free of cross-batch reductions, so that each
 batch element sees exactly the IEEE operations it would see alone.
 
-Every bound sampled on a grid, here and in ``averaging`` and
-``certificates``, is reduced by grid_extreme: the first extreme in C order,
-or the first non-finite sample when there is one, so that a NaN a map
-returned is never skipped.
+Every bound sampled on a grid, in ``averaging`` and ``certificates``, is
+reduced by grid_extreme: the first extreme in C order, or the first
+non-finite sample when there is one, so that a NaN a map returned is never
+skipped.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ from functools import cached_property, total_ordering
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-#: slack admitted on exact-zero structural conditions (floating point only)
-STRUCT_TOL = 1e-9
-
 
 def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -356,44 +352,6 @@ def distances_to_target(x: np.ndarray, r: np.ndarray, spec: SystemSpec) -> np.nd
     return np.sqrt(dx2 + dr * dr)
 
 
-#: where validate_spec samples: r points per set dimension, fast-clock values,
-#: draws of sampler-only noise, and the outer radius and points of the |x| shell
-VALIDATE_R_POINTS = 9
-VALIDATE_TAUS = _readonly(np.linspace(0.0, 4.0 * np.pi, 25))
-VALIDATE_V_SAMPLES = 8
-SHELL_X_MAX = 3.0
-SHELL_POINTS = 16
-
-
-@dataclass(frozen=True)
-class ValidationItem:
-    name: str
-    passed: bool
-    worst: float
-    witness: Optional[tuple] = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    items: tuple
-    h_estimate: float
-
-    @property
-    def passed(self) -> bool:
-        return all(it.passed for it in self.items)
-
-    def __str__(self) -> str:
-        lines = []
-        for it in self.items:
-            status = "pass" if it.passed else "FAIL"
-            lines.append(f"[{status}] {it.name}: worst={it.worst!r} {it.detail}")
-            if not it.passed and it.witness is not None:
-                lines.append(f"        witness: {it.witness}")
-        lines.append(f"H estimate (sup |h|): {self.h_estimate!r}")
-        return "\n".join(lines)
-
-
 def grid_extreme(values, lowest: bool = False) -> tuple:
     """The largest (with lowest, the smallest) sample of a grid and its flat index.
 
@@ -408,104 +366,3 @@ def grid_extreme(values, lowest: bool = False) -> tuple:
     bad = ~np.isfinite(flat)
     k = int(np.argmax(bad)) if bad.any() else int(flat.argmin() if lowest else flat.argmax())
     return float(flat[k]), k
-
-
-def _norms(vals) -> np.ndarray:
-    vals = np.asarray(vals, dtype=float)
-    return np.sqrt(np.sum(vals * vals, axis=-1))
-
-
-def _grid_item(name: str, mags: np.ndarray, witness_at: Callable, tol: float = math.inf,
-               detail: str = "") -> ValidationItem:
-    """An item judged by its grid maximum: it passes when that is finite and <= tol.
-
-    The witness is the maximum's point, witness_at(*grid index), which is the
-    first non-finite sample when there is one.
-    """
-    worst, k = grid_extreme(mags)
-    return ValidationItem(name, math.isfinite(worst) and worst <= tol, worst,
-                          witness_at(*np.unravel_index(k, mags.shape)), detail)
-
-
-def _noise_samples(noise: JumpNoise, count: int) -> np.ndarray:
-    if noise.kind == "finite-support":
-        return noise.values
-    return np.stack([noise.draw(0, k + 1) for k in range(count)])
-
-
-def _float_tuple(row) -> tuple:
-    """A witness coordinate: the entries of row as Python floats."""
-    return tuple(map(float, row))
-
-
-def validate_spec(spec: SystemSpec, x_shell: float = 0.0) -> ValidationReport:
-    """Grid-check the structural conditions a well-posed system must satisfy.
-
-    Items: (i) the flow map vanishes at x = 0 (or, when x_shell > 0, for
-    systems whose regularity holds only outside a small ball, stays linearly
-    bounded: sup |f(x,..)|/|x| over |x| in [x_shell, SHELL_X_MAX]), (ii) the
-    jump map vanishes at x = 0, (iii) jumps land back in C u D, (iv) sup |h|
-    is finite, reported as the H estimate.  Failures are report entries with
-    witness points, not errors; an item that meets a non-finite value fails
-    with that point as witness.
-    """
-    cu = spec.flow_or_jump_set
-    r_grid = cu.grid(VALIDATE_R_POINTS)
-    taus = VALIDATE_TAUS
-    eps_vals = np.array([0.0, spec.epsilon])
-    v_samp = _noise_samples(spec.noise, VALIDATE_V_SAMPLES)
-    items = []
-
-    # (i) flow map at the origin, grid (eps, tau, r)
-    x0 = np.zeros((r_grid.shape[0], spec.n))
-    if x_shell <= 0.0:
-        mags = np.array([[_norms(spec.f(x0, r_grid, float(tau), float(eps))) for tau in taus]
-                         for eps in eps_vals])
-        items.append(_grid_item(
-            "f(0, r, tau, eps) = 0", mags,
-            lambda e, t, k: (0.0, _float_tuple(r_grid[k]), float(taus[t]), float(eps_vals[e])),
-            STRUCT_TOL, f"tol={STRUCT_TOL}"))
-    else:
-        # grid (eps, tau, r, x) over the shell
-        radii = np.geomspace(x_shell, SHELL_X_MAX, SHELL_POINTS)
-        xs = np.concatenate([radii, -radii])
-        x_ring = np.zeros((xs.shape[0], spec.n))
-        x_ring[:, 0] = xs
-
-        def gains(tau, eps):
-            return [_norms(spec.f(x_ring, np.broadcast_to(rr, (xs.shape[0], spec.p)), tau, eps))
-                    / np.abs(xs) for rr in r_grid]
-
-        mags = np.array([[gains(float(tau), float(eps)) for tau in taus] for eps in eps_vals])
-        items.append(_grid_item(
-            "sup |f(x,..)|/|x| on shell", mags,
-            lambda e, t, k, i: (float(xs[i]), _float_tuple(r_grid[k]), float(taus[t]),
-                                float(eps_vals[e])),
-            detail=f"shell |x| in [{x_shell}, {SHELL_X_MAX}]"))
-
-    # (ii) jump map at the origin, grid (v, r)
-    v_tiles = [np.broadcast_to(v, (r_grid.shape[0], spec.m)) for v in v_samp]
-    mags = np.array([_norms(spec.g(x0, r_grid, v_tile)) for v_tile in v_tiles])
-    items.append(_grid_item("g(0, r, v) = 0", mags,
-                            lambda i, k: (0.0, _float_tuple(r_grid[k]), _float_tuple(v_samp[i])),
-                            STRUCT_TOL, f"tol={STRUCT_TOL}"))
-
-    # (iii) jumps land in C u D; (iv) H = sup |h|, grid (v, r in D)
-    d_grid = spec.D.grid(VALIDATE_R_POINTS)
-
-    def landing(v):
-        v_tile = np.broadcast_to(v, (d_grid.shape[0], spec.m))
-        post = np.asarray(spec.h(d_grid, v_tile), dtype=float)
-        return np.broadcast_to(post, (d_grid.shape[0], spec.p))
-
-    def jump_at(i, k):
-        return (_float_tuple(d_grid[k]), _float_tuple(v_samp[i]), _float_tuple(post[i, k]))
-
-    post = np.array([landing(v) for v in v_samp])
-    outside = np.flatnonzero([not cu.contains(row) for row in post.reshape(-1, spec.p)])
-    witness = jump_at(*np.unravel_index(outside[0], post.shape[:2])) if outside.size else None
-    items.append(ValidationItem("h(r, v) lands in C u D", not outside.size,
-                                1.0 if outside.size else 0.0, witness))
-    h_bound = _grid_item("sup |h| finite (H bound)", _norms(post), jump_at)
-    items.append(h_bound)
-    return ValidationReport(tuple(items), h_bound.worst)

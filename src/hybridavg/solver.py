@@ -276,6 +276,7 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
     Errors: the first wave in which a map returns a non-finite value raises
     MapEvaluationError.  Its checks follow the calls (w, then f, g and h), and
     the first that fails names the lowest failing path at that path's own t.
+    A step too small to advance t (2 dt_eff <= ulp(t_max)) is a ValueError.
     """
     if any(s.n != spec.n or s.p != spec.p for s in starts):
         raise ValueError("initial state dimensions do not match the system")
@@ -283,6 +284,11 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
     inv_eps = 1.0 / spec.epsilon
     dt_eff = cfg.effective_step(spec.epsilon)
     t_max = horizon.t_max
+    if not 2.0 * dt_eff > math.ulp(t_max):  # then t + dt > t for every t <= t_max
+        raise ValueError(f"step too small to advance t: dt_eff = min(base_step "
+                         f"{cfg.base_step!r}, epsilon {spec.epsilon!r} * substep_per_epsilon "
+                         f"{cfg.substep_per_epsilon!r}) = {dt_eff!r} is at most half of "
+                         f"ulp(t_max) at t_max = {t_max!r}")
     plans = {}
     segments, jumps, terminals = [[] for _ in starts], [[] for _ in starts], [None] * len(starts)
 

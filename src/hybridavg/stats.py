@@ -137,6 +137,17 @@ class RecurrenceReport:
         return self.hit_fraction >= 1.0 - self.rho
 
 
+def first_start_outside(x0, r0, R: float) -> Optional[tuple]:
+    """(index, |z(0,0)|) of the first start (x0 (K, n), r0 (K, p) rows) outside the R-ball.
+
+    A start is inside when |z(0,0)| <= R * (1 + 1e-12); a NaN norm is outside.
+    """
+    x0, r0 = np.asarray(x0, dtype=float), np.asarray(r0, dtype=float)
+    z0 = np.sqrt(np.sum(x0 * x0, axis=-1) + np.sum(r0 * r0, axis=-1))
+    outside = np.flatnonzero(~(z0 <= R * (1.0 + 1e-12)))
+    return (int(outside[0]), float(z0[outside[0]])) if outside.size else None
+
+
 def recurrence_estimate(ensemble: Sequence[HybridArc], radius: float, rho: float,
                         R: float, spec: SystemSpec) -> RecurrenceReport:
     """Certify recurrence of the open radius-ball around the target set.
@@ -155,12 +166,10 @@ def recurrence_estimate(ensemble: Sequence[HybridArc], radius: float, rho: float
         raise ValueError("rho must lie in (0, 1)")
     _check_positive("radius", radius)
     _check_positive("R", R)
-    x0 = np.array([arc.segments[0].x[0] for arc in arcs])
-    r0 = np.array([arc.segments[0].r[0] for arc in arcs])
-    z0 = np.sqrt(np.sum(x0 * x0, axis=-1) + np.sum(r0 * r0, axis=-1))
-    outside = np.flatnonzero(~(z0 <= R * (1.0 + 1e-12)))
-    if outside.size:
-        raise ValueError(f"initial condition with |z(0,0)| = {float(z0[outside[0]])} "
+    outside = first_start_outside([arc.segments[0].x[0] for arc in arcs],
+                                  [arc.segments[0].r[0] for arc in arcs], R)
+    if outside is not None:
+        raise ValueError(f"initial condition with |z(0,0)| = {outside[1]} "
                          f"lies outside R = {R}")
 
     hits = [_hitting_index(arc, spec).first_below(radius, spec) for arc in arcs]

@@ -39,6 +39,24 @@ def state(x, r=0.0, tau=0.0):
                        np.atleast_1d(np.asarray(r, dtype=float)), tau)
 
 
+def assert_origin_rest_and_timer_reset(spec):
+    """f(0, r, tau, eps) and g(0, r, v) vanish on C u D, and h sends D to r = 0 in C u D.
+
+    f is sampled at tau in [0, 4 pi] and eps in {0, spec.epsilon}, g and h at
+    every atom of the noise.
+    """
+    r = spec.flow_or_jump_set.grid(9)
+    d = spec.D.grid(9)
+    x0 = np.zeros((r.shape[0], spec.n))
+    for eps in (0.0, spec.epsilon):
+        for tau in np.linspace(0.0, 4.0 * np.pi, 25):
+            assert np.all(np.asarray(spec.f(x0, r, float(tau), eps)) == 0.0), (tau, eps)
+    for v in spec.noise.values:
+        assert np.all(np.asarray(spec.g(x0, r, np.tile(v, (r.shape[0], 1)))) == 0.0), v
+        post = np.broadcast_to(spec.h(d, np.tile(v, (d.shape[0], 1))), d.shape)
+        assert np.all(post == 0.0) and all(map(spec.flow_or_jump_set.contains, post)), v
+
+
 def arcs_equal(a, b) -> bool:
     """Bitwise equality of two arcs (values, jump draws, and bookkeeping)."""
     if len(a.segments) != len(b.segments) or len(a.jumps) != len(b.jumps):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridavg import __version__, cli
+from hybridavg import __version__, cli, solver
 from hybridavg.cli import FIG1_CONFIG, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -593,7 +593,14 @@ class TestExitCodes:
         (["sweep", "--eps", "0.1", "0.0_1"], None, None,
          "--eps: expected numbers: '0.1 0.0_1'"),
         (["simulate"], "simulate", "t_max = 1_0", "[simulate] t_max: not a number: '1_0'"),
-        (["simulate"], "simulate", "x0 = \u0663", "[simulate] x0: expected numbers: '\u0663'")])
+        (["simulate"], "simulate", "x0 = \u0663", "[simulate] x0: expected numbers: '\u0663'"),
+        # recur and sweep once simulated every path before a start outside R failed
+        (["recur"], "recur", "R = 1.0",
+         "[recur] R: the start x0 = [-2.0], r0 = [0.0] has |z(0,0)| = 2.0 > R = 1.0"),
+        (["sweep"], "sweep", "R = 1.5",
+         "[sweep] R: the start x0 = [-2.0], r0 = [0.0] has |z(0,0)| = 2.0 > R = 1.5"),
+        (["recur", "--bound", "1.0"], None, None,
+         "--bound: the start x0 = [-2.0], r0 = [0.0] has |z(0,0)| = 2.0 > R = 1.0")])
     def test_bad_flag_or_key_fails_before_any_path_is_simulated(
             self, tmp_path, capsys, monkeypatch, argv, section, line, err):
         def simulated(*args, **kwargs):
@@ -608,6 +615,28 @@ class TestExitCodes:
         assert main(argv + config + ["--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"config error: {err}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, section, line", [
+        ("simulate", "system", "epsilon = 1e-300"), ("sweep", "sweep", "eps_values = 1e-300")])
+    def test_step_too_small_to_advance_t_is_an_error(self, tmp_path, capsys, monkeypatch,
+                                                      command, section, line):
+        # t + 1e-301 rounds back to t once ulp(t) > 2e-301: the run never ended
+        rk4, calls = solver._rk4, []
+
+        def counted(*args):
+            calls.append(None)
+            if len(calls) > 1000:
+                raise AssertionError("t stopped advancing")
+            return rk4(*args)
+
+        monkeypatch.setattr(solver, "_rk4", counted)
+        text = with_line(SMALL_ACTUATOR.format(p=0.1, t_values="3.14", eps_values="0.1"),
+                         section, line)
+        assert main([command, "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: step too small to advance t")
+        assert "dt_eff" in err[0] and "t_max = " in err[0] and not calls
 
     def test_usage_error_is_one_not_two(self, capsys):
         assert main(["simulate"]) == 1  # missing --config

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -138,58 +137,6 @@ class TestStateVec:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             ha.StateVec(np.array([1.0]), np.array([0.0]), -1.0)
-
-
-class TestValidateSpec:
-    def test_actuator_passes_with_zero_h_bound(self, actuator):
-        report = ha.validate_spec(actuator)
-        assert report.passed
-        assert report.h_estimate == 0.0  # timer resets to 0 at jumps
-
-    def test_planted_jump_violation_fails_with_witness(self, actuator):
-        import dataclasses
-
-        def bad_g(x, r, v):
-            return np.ones_like(np.asarray(x, dtype=float))
-
-        bad = dataclasses.replace(actuator, g=bad_g)
-        report = ha.validate_spec(bad)
-        assert not report.passed
-        item = next(it for it in report.items if it.name.startswith("g(0"))
-        assert not item.passed
-        assert item.witness[0] == 0.0  # witness carries the x = 0 sample
-
-    def test_witnesses_print_as_plain_floats(self, actuator):
-        # numpy 2 once printed (0.0, (np.float64(0.0),), (np.float64(0.75),))
-        def unit_g(x, r, v):
-            return np.ones_like(np.asarray(x, dtype=float))
-
-        def far_h(r, v):
-            return np.full_like(np.asarray(r, dtype=float), 2.0)
-
-        bad = dataclasses.replace(actuator, g=unit_g, h=far_h)
-        lines = str(ha.validate_spec(bad)).splitlines()
-        assert "        witness: (0.0, (0.0,), (0.75,))" in lines
-        assert "        witness: ((1.0,), (0.75,), (2.0,))" in lines
-
-    @pytest.mark.parametrize("which, item", [("f", "f(0, r"), ("g", "g(0, r"),
-                                             ("h", "sup |h|")])
-    def test_nan_map_fails_its_item_with_a_witness(self, actuator, which, item):
-        # nan > worst is False: the running maxima once skipped NaN and passed
-        def nan_map(*args):
-            return np.full(np.shape(args[0]), math.nan)
-
-        report = ha.validate_spec(dataclasses.replace(actuator, **{which: nan_map}))
-        assert not report.passed
-        failed = next(it for it in report.items if it.name.startswith(item))
-        assert not failed.passed and math.isnan(failed.worst)
-        assert failed.witness is not None
-
-    def test_es_passes_on_shell_fails_at_origin(self, es_system):
-        shell = ha.validate_spec(es_system, x_shell=0.1)
-        assert shell.passed
-        exact = ha.validate_spec(es_system)
-        assert not exact.passed  # the regularized field is not zero at x = 0
 
 
 @st.composite

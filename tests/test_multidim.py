@@ -18,6 +18,8 @@ import pytest
 import hybridavg as ha
 from hybridavg.averaging import window_average
 
+from conftest import assert_origin_rest_and_timer_reset
+
 PLANAR_CFG = """\
 [system]
 kind = custom
@@ -49,8 +51,7 @@ def favg(x, r):
 
 
 def test_structural_checks_pass(planar):
-    report = ha.validate_spec(planar)
-    assert report.passed and report.h_estimate == 0.0
+    assert_origin_rest_and_timer_reset(planar)
 
 
 def test_window_average_recovers_minus_x(planar):

@@ -135,6 +135,21 @@ class TestIntegratorConfig:
             ha.IntegratorConfig(**{field: value})
 
 
+class TestStepAdvance:
+    def test_half_ulp_step_is_rejected_before_any_step(self, monkeypatch):
+        # t + ulp(1) / 2 rounds back to t = 1: the wave loop would never reach t_max
+        monkeypatch.setattr(solver, "_rk4", None)
+        cfg = ha.IntegratorConfig(base_step=math.ulp(1.0) / 2.0, substep_per_epsilon=1.0)
+        with pytest.raises(ValueError, match=r"= 1\.1102230246251565e-16 is at most half "
+                                             r"of ulp\(t_max\) at t_max = 1\.0"):
+            ha.simulate_path(make_actuator(eps=1.0), state(1.0), 0, ha.Horizon(1.0, 10), cfg)
+
+    def test_zero_horizon_takes_no_step_at_any_epsilon(self):
+        arc = ha.simulate_path(make_actuator(eps=1e-300), state(1.0), 0, ha.Horizon(0.0, 10))
+        assert arc.segments[0].t.tolist() == [0.0]
+        assert arc.terminal_reason == TERMINAL_HORIZON_T
+
+
 class TestArcStructure:
     def test_segments_abut_and_jumps_increment_j(self, actuator):
         arc = ha.simulate_path(actuator, state(2.0, 0.0), 11, ha.Horizon(4.5, 100))

@@ -7,7 +7,7 @@ import hybridavg as ha
 from hybridavg.config import ConfigError
 from hybridavg.expressions import CompiledMap
 
-from conftest import arcs_equal, state
+from conftest import arcs_equal, assert_origin_rest_and_timer_reset, state
 
 ACTUATOR_EXPR_CFG = """\
 [system]
@@ -52,8 +52,7 @@ class TestJammedActuator:
         assert actuator.D.contains([1.0]) and not actuator.D.contains([0.999])
 
     def test_satisfies_structural_conditions(self, actuator):
-        report = ha.validate_spec(actuator)
-        assert report.passed and report.h_estimate == 0.0
+        assert_origin_rest_and_timer_reset(actuator)
 
     def test_deterministic_jamming_fails_certificate(self, favg):
         from conftest import V_quad
@@ -97,7 +96,15 @@ class TestJammedEs:
             assert outer == pytest.approx(inner, abs=1e-14)
 
     def test_shell_validation_passes(self, es_system):
-        assert ha.validate_spec(es_system, x_shell=0.1).passed
+        # outside the delta-ball |f(x)| / |x| = |s + 2 s^2 + sgn(x) s^3| <= 4, s = sin(tau)
+        radii = np.geomspace(0.1, 3.0, 16)
+        xs = np.concatenate([radii, -radii])[:, None]
+        for r in es_system.flow_or_jump_set.grid(9):
+            rs = np.broadcast_to(r, xs.shape)
+            for eps in (0.0, es_system.epsilon):
+                for tau in np.linspace(0.0, 4.0 * np.pi, 25):
+                    gain = np.abs(np.asarray(es_system.f(xs, rs, float(tau), eps))) / np.abs(xs)
+                    assert np.all(gain <= 4.0 + 1e-12), (r, tau, eps)
 
     def test_same_average_system_as_actuator(self, actuator, es_system, favg):
         axes = (np.array([-3.0, -1.0, 1.0, 3.0]), np.array([0.0, 1.0]))
