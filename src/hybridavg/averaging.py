@@ -8,6 +8,9 @@ epsilon = 0,
 computed by composite Simpson quadrature.  From it we estimate the average
 map f_ave on a grid, the convergence-rate curve gamma(T) bounding
 |avg - f_ave| / |x|, and the matching curve for the Jacobian of the residual.
+One sampler evaluates f over the windows of many (x, r) rows in one 2-D
+batch, so the table and its midpoint check are one f call each; gamma and
+the Jacobian check share one sweep over the (x, r, tau0) grid per T.
 The average system, an AverageSpec, is a SystemSpec of the same class with
 no fast clock: the solver, the certificate and the target distance take it
 as they take any system.
@@ -42,23 +45,36 @@ def _panels_for(T: float) -> int:
     return max(2, int(math.ceil(PANELS_PER_PERIOD * T / (2.0 * math.pi))))
 
 
-def _sample_window(spec: SystemSpec, x, r, s: np.ndarray) -> np.ndarray:
-    """f(x, r, s, 0) at the window samples s, shape (len(s), n).
+def _sample_window(spec: SystemSpec, x: np.ndarray, r: np.ndarray,
+                   s: np.ndarray) -> np.ndarray:
+    """f(x, r, s, 0) at the window samples s for K rows x (K, n), r (K, p); shape (K, len(s), n).
 
-    A non-finite value is an error naming f, x, r and the first such tau.
+    f gets one 2-D batch, each row repeated over s (one row as stride-0 views
+    beside s itself).  A non-finite value is an error naming f, x, r and the
+    first such tau.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    xt = np.broadcast_to(x, (s.shape[0], x.shape[0]))
-    rt = np.broadcast_to(r, (s.shape[0], r.shape[0]))
-    vals = np.asarray(spec.f(xt, rt, s, 0.0), dtype=float)
+    K, S = x.shape[0], s.shape[0]
+
+    def rows(a):  # (K * S, a's width): each row of a repeated over s
+        return np.broadcast_to(a[:, None], (K, S, a.shape[1])).reshape(K * S, -1)
+
+    taus = np.broadcast_to(s, (K, S)).reshape(-1)
+    vals = np.asarray(spec.f(rows(x), rows(r), taus, 0.0), dtype=float).reshape(K, S, -1)
     bad = ~np.isfinite(vals)
     if bad.any():
-        k = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ValueError(f"map 'f' returned a non-finite value ({float(vals[k])!r}) inside the "
-                         f"window at x = {x.tolist()!r}, r = {r.tolist()!r}, "
-                         f"tau = {float(s[k[0]])!r}")
+        i, k, c = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"map 'f' returned a non-finite value ({float(vals[i, k, c])!r}) inside "
+                         f"the window at x = {x[i].tolist()!r}, r = {r[i].tolist()!r}, "
+                         f"tau = {float(s[k])!r}")
     return vals
+
+
+def _window_means(spec: SystemSpec, x: np.ndarray, r: np.ndarray, tau0: float, T: float,
+                  panels: int) -> np.ndarray:
+    """Window means over [tau0, tau0 + T] for K rows x (K, n), r (K, p); shape (K, n)."""
+    h = T / (2 * panels)
+    s = tau0 + np.arange(2 * panels + 1) * h
+    return (h / 3.0) * (_simpson_weights(panels) @ _sample_window(spec, x, r, s)) / T
 
 
 def window_average(spec: SystemSpec, x, r, tau0: float, T: float,
@@ -67,22 +83,8 @@ def window_average(spec: SystemSpec, x, r, tau0: float, T: float,
     if not (T > 0.0 and math.isfinite(T)):
         raise ValueError(f"window length T must be finite and positive, got {T!r}")
     panels = _panels_for(T) if quad_points is None else max(2, int(quad_points))
-    s = tau0 + np.arange(2 * panels + 1) * (T / (2 * panels))
-    vals = _sample_window(spec, x, r, s)
-    h = T / (2 * panels)
-    integral = (h / 3.0) * (_simpson_weights(panels) @ vals)
-    return integral / T
-
-
-def _window_means_batch(spec: SystemSpec, x, r, tau0s: np.ndarray, T: float,
-                        panels: int) -> np.ndarray:
-    """Window means for one (x, r) and many window starts; shape (len(tau0s), n)."""
-    h = T / (2 * panels)
-    offs = np.arange(2 * panels + 1) * h
-    s = (tau0s[:, None] + offs[None, :]).ravel()
-    vals = _sample_window(spec, x, r, s).reshape(tau0s.shape[0], offs.shape[0], -1)
-    w = _simpson_weights(panels)
-    return (h / 3.0) * np.einsum("q,tqn->tn", w, vals) / T
+    return _window_means(spec, np.atleast_1d(np.asarray(x, dtype=float))[None],
+                         np.atleast_1d(np.asarray(r, dtype=float))[None], tau0, T, panels)[0]
 
 
 class TabulatedMap:
@@ -107,29 +109,22 @@ class TabulatedMap:
         B, d = pts.shape
         if d != len(self.axes):
             raise ValueError("query dimension does not match the table axes")
-        idx, frac = [], []
-        for k, ax in enumerate(self.axes):
-            if len(ax) == 1:
-                idx.append(np.zeros(B, dtype=int))
-                frac.append(np.zeros(B))
-                continue
-            q = np.clip(pts[:, k], ax[0], ax[-1])
-            i = np.clip(np.searchsorted(ax, q, side="right") - 1, 0, len(ax) - 2)
-            idx.append(i)
-            frac.append((q - ax[i]) / (ax[i + 1] - ax[i]))
+        # a one-point axis is one cell of width 1 whose high corner is its
+        # low one, reached with frac = 0
+        cells = []  # per axis: (low corner, high corner, frac)
+        for ax, q in zip(self.axes, pts.T):
+            q = np.clip(q, ax[0], ax[-1])
+            i = np.clip(np.searchsorted(ax, q, side="right") - 1, 0, max(len(ax) - 2, 0))
+            cells.append((i, np.minimum(i + 1, len(ax) - 1),
+                          (q - ax[i]) / np.append(np.diff(ax), 1.0)[i]))
         out = np.zeros((B, self.table.shape[-1]))
         for corner in range(1 << d):
             wgt = np.ones(B)
             sel = []
-            for k in range(d):
-                hi = (corner >> k) & 1
-                if len(self.axes[k]) == 1:
-                    sel.append(idx[k])
-                    if hi:
-                        wgt = wgt * 0.0
-                    continue
-                sel.append(idx[k] + hi)
-                wgt = wgt * (frac[k] if hi else (1.0 - frac[k]))
+            for k, (lo, hi, frac) in enumerate(cells):
+                up = (corner >> k) & 1
+                sel.append(hi if up else lo)
+                wgt = wgt * (frac if up else (1.0 - frac))
             out += wgt[:, None] * self.table[tuple(sel)]
         return out
 
@@ -218,41 +213,33 @@ def estimate_average_map(spec: SystemSpec, x_grid, r_grid, T_long: float,
     panels = _panels_for(T_long)
     axes = x_axes + r_axes
     shape = tuple(len(a) for a in axes)
-    table = np.zeros(shape + (spec.n,))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=-1)
-    for row in range(flat.shape[0]):
-        pt = flat[row]
-        val = window_average(spec, pt[: spec.n], pt[spec.n:], 0.0, T_long, panels)
-        table[np.unravel_index(row, shape)] = val
-
-    tab = TabulatedMap(axes, table.reshape(shape + (spec.n,)))
+    flat = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    n = spec.n
+    table = _window_means(spec, flat[:, :n], flat[:, n:], 0.0, T_long, panels)
+    tab = TabulatedMap(axes, table.reshape(shape + (n,)))
     if f_ave is not None:
-        closed = np.asarray(f_ave(flat[:, : spec.n], flat[:, spec.n:]), dtype=float)
-        nodal, node = _grid_sup(np.sqrt(np.sum((closed - table.reshape(-1, spec.n)) ** 2,
-                                               axis=-1)),
+        closed = np.asarray(f_ave(flat[:, :n], flat[:, n:]), dtype=float)
+        nodal, node = _grid_sup(np.sqrt(np.sum((closed - table) ** 2, axis=-1)),
                                 "deviation of favg from the window mean", ("x", "r"),
-                                lambda k: (flat[k, : spec.n], flat[k, spec.n:]))
+                                lambda k: (flat[k, :n], flat[k, n:]))
         return replace(build_average_system(spec, f_ave), table=tab, nodal_residual=nodal,
                        nodal_witness=node)
 
-    # tabulated fallback: check cell midpoints against fresh window means
+    # tabulated fallback: check cell midpoints against fresh window means, up
+    # to 5 centers per axis, each at every node of a stride through the grid
+    rows = flat[:: max(1, flat.shape[0] // 4)]
     mids = []
     for k, ax in enumerate(axes):
-        if len(ax) < 2:
-            continue
-        centers = 0.5 * (ax[:-1] + ax[1:])
-        for c in centers[: min(len(centers), 5)]:
-            for row in flat[:: max(1, flat.shape[0] // 4)]:
-                q = row.copy()
-                q[k] = c
-                mids.append(q)
+        centers = (0.5 * (ax[:-1] + ax[1:]))[:5]
+        mids.append(np.tile(rows, (len(centers), 1)))
+        mids[-1][:, k] = np.repeat(centers, len(rows))
+    mids = np.concatenate(mids)
     floor = 1e-8 * max(1.0, float(np.max(np.abs(table))))
-    if mids:
-        resid = [np.linalg.norm(window_average(spec, x, r, 0.0, T_long, panels) - tab(x, r)[0])
-                 for x, r in ((q[: spec.n], q[spec.n:]) for q in mids)]
-        worst_mid, _ = _grid_sup(resid, "midpoint interpolation residual", ("x", "r"),
-                                 lambda k: (mids[k][: spec.n], mids[k][spec.n:]))
+    if len(mids):
+        means = _window_means(spec, mids[:, :n], mids[:, n:], 0.0, T_long, panels)
+        worst_mid, _ = _grid_sup(np.linalg.norm(means - tab(mids[:, :n], mids[:, n:]), axis=-1),
+                                 "midpoint interpolation residual", ("x", "r"),
+                                 lambda k: (mids[k, :n], mids[k, n:]))
         if worst_mid > 10.0 * floor:
             raise ValueError(
                 f"average-map grid too coarse: midpoint interpolation residual {worst_mid:g} "
@@ -283,8 +270,15 @@ def _envelope(values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(values[::-1])[::-1]
 
 
-def _sample_grids(spec: SystemSpec, x_grid, r_grid, tau_grid, T_grid) -> tuple:
-    """(x points (K, n), r points (L, p), window starts, window lengths), all non-empty."""
+def _sweep(spec: SystemSpec, x_grid, r_grid, tau_grid, T_grid, what: str,
+           residual: Callable) -> tuple:
+    """(windows, values, witnesses): per window length T, the grid supremum of
+    residual over (x, r, tau0) and the (x, r, tau0) sample achieving it.
+
+    residual(i, x, r, means) gives one value per window start at the i-th x
+    point, where means(x', r') are the window means of f(x', r', ., 0) of
+    length T from every start, shape (len(tau_grid), n).
+    """
     x_pts = np.atleast_2d(np.asarray(x_grid, dtype=float)).reshape(-1, spec.n)
     r_pts = np.atleast_2d(np.asarray(r_grid, dtype=float)).reshape(-1, spec.p)
     tau0s = np.asarray(tau_grid, dtype=float).ravel()
@@ -293,7 +287,26 @@ def _sample_grids(spec: SystemSpec, x_grid, r_grid, tau_grid, T_grid) -> tuple:
         raise ValueError("x, r, tau and T grids must be non-empty")
     if not np.all(np.isfinite(Ts) & (Ts > 0.0)):
         raise ValueError(f"window lengths T must be finite and positive, got {Ts.tolist()}")
-    return x_pts, r_pts, tau0s, Ts
+
+    values = np.zeros(Ts.shape[0])
+    witnesses = []
+    for ti, T in enumerate(Ts.tolist()):
+        panels = _panels_for(T)
+        h = T / (2 * panels)
+        s = (tau0s[:, None] + (np.arange(2 * panels + 1) * h)[None, :]).ravel()
+        w = _simpson_weights(panels)
+
+        def means(x, r):
+            vals = _sample_window(spec, x[None], r[None], s).reshape(tau0s.shape[0], -1, spec.n)
+            return (h / 3.0) * np.einsum("q,tqn->tn", w, vals) / T
+
+        resid = [residual(i, x, r, means) for i, x in enumerate(x_pts) for r in r_pts]
+        values[ti], witness = _grid_sup(
+            np.reshape(resid, (x_pts.shape[0], r_pts.shape[0], -1)), f"{what} (T = {T!r})",
+            ("x", "r", "tau0"), lambda i, j, k: (x_pts[i].copy(), r_pts[j].copy(),
+                                                 float(tau0s[k])))
+        witnesses.append(witness)
+    return Ts, values, tuple(witnesses)
 
 
 def estimate_gamma(spec: SystemSpec, f_ave: Callable, x_grid, r_grid,
@@ -305,48 +318,19 @@ def estimate_gamma(spec: SystemSpec, f_ave: Callable, x_grid, r_grid,
     grid point the window residual is <= gamma(T) * |x| by construction.  A
     non-finite residual is an error naming its (x, r, tau0) point.
     """
-    x_pts, r_pts, tau0s, Ts = _sample_grids(spec, x_grid, r_grid, tau_grid, T_grid)
+    x_pts = np.reshape(np.asarray(x_grid, dtype=float), (-1, spec.n))
     norms = np.sqrt(np.sum(x_pts * x_pts, axis=-1))
     if np.any(norms == 0.0):
         raise ValueError("x grid must exclude 0 (residuals are normalized by |x|)")
 
-    values = np.zeros(Ts.shape[0])
-    witnesses = []
-    for ti, T in enumerate(Ts):
-        panels = _panels_for(float(T))
-        resid = []  # grid (x, r, tau0)
-        for xi in range(x_pts.shape[0]):
-            for ri in range(r_pts.shape[0]):
-                means = _window_means_batch(spec, x_pts[xi], r_pts[ri], tau0s,
-                                            float(T), panels)
-                ref = np.asarray(f_ave(x_pts[xi][None, :], r_pts[ri][None, :]),
-                                 dtype=float)[0]
-                resid.append(np.sqrt(np.sum((means - ref) ** 2, axis=-1)) / norms[xi])
-        values[ti], witness = _grid_sup(
-            np.reshape(resid, (x_pts.shape[0], r_pts.shape[0], -1)),
-            f"window-mean residual of f against favg (T = {float(T)!r})", ("x", "r", "tau0"),
-            lambda i, j, k: (x_pts[i].copy(), r_pts[j].copy(), float(tau0s[k])))
-        witnesses.append(witness)
-    return GammaCurve(Ts, values, _envelope(values), tuple(witnesses))
+    def residual(i, x, r, means):
+        mean = means(x, r)
+        ref = np.asarray(f_ave(x[None, :], r[None, :]), dtype=float)[0]
+        return np.sqrt(np.sum((mean - ref) ** 2, axis=-1)) / norms[i]
 
-
-def _residual_jacobian_norms(spec: SystemSpec, f_ave: Callable, z0: np.ndarray,
-                             tau0s: np.ndarray, T: float, panels: int) -> np.ndarray:
-    """Frobenius norms, per window start, of the windowed Jacobian of f(., 0) - f_ave at z0."""
-    h = 1e-5 * max(1.0, float(np.linalg.norm(z0)))
-    cols = []
-    for d in range(spec.n + spec.p):
-        zp = z0.copy()
-        zm = z0.copy()
-        zp[d] += h
-        zm[d] -= h
-        mp = _window_means_batch(spec, zp[: spec.n], zp[spec.n:], tau0s, T, panels)
-        mm = _window_means_batch(spec, zm[: spec.n], zm[spec.n:], tau0s, T, panels)
-        fp = np.asarray(f_ave(zp[None, : spec.n], zp[None, spec.n:]), dtype=float)[0]
-        fm = np.asarray(f_ave(zm[None, : spec.n], zm[None, spec.n:]), dtype=float)[0]
-        cols.append(((mp - mm) - (fp - fm)[None, :]) / (2.0 * h))
-    jac = np.stack(cols, axis=-1)  # (ntau, n, n+p)
-    return np.sqrt(np.sum(jac * jac, axis=(1, 2)))
+    Ts, values, witnesses = _sweep(spec, x_pts, r_grid, tau_grid, T_grid,
+                                   "window-mean residual of f against favg", residual)
+    return GammaCurve(Ts, values, _envelope(values), witnesses)
 
 
 def check_jacobian_average(spec: SystemSpec, f_ave: Callable, x_grid, r_grid,
@@ -361,27 +345,32 @@ def check_jacobian_average(spec: SystemSpec, f_ave: Callable, x_grid, r_grid,
     T values whose magnitude exceeds a provided state-residual envelope are
     flagged.  A non-finite magnitude is an error naming its (x, r, tau0) point.
     """
-    x_pts, r_pts, tau0s, Ts = _sample_grids(spec, x_grid, r_grid, tau_grid, T_grid)
+    n = spec.n
 
-    values = np.zeros(Ts.shape[0])
-    witnesses = []
-    for ti, T in enumerate(Ts):
-        panels = _panels_for(float(T))
-        frob = [_residual_jacobian_norms(spec, f_ave, np.concatenate([x0, r0]), tau0s,
-                                         float(T), panels)
-                for x0 in x_pts for r0 in r_pts]  # grid (x, r, tau0)
-        values[ti], witness = _grid_sup(
-            np.reshape(frob, (x_pts.shape[0], r_pts.shape[0], -1)),
-            f"Jacobian residual of f against favg (T = {float(T)!r})", ("x", "r", "tau0"),
-            lambda i, j, k: (x_pts[i].copy(), r_pts[j].copy(), float(tau0s[k])))
-        witnesses.append(witness)
+    def residual(i, x, r, means):
+        """Frobenius norms, per window start, of the windowed Jacobian at (x, r)."""
+        z0 = np.concatenate([x, r])
+        h = 1e-5 * max(1.0, float(np.linalg.norm(z0)))
+        cols = []
+        for d in range(n + spec.p):
+            zp, zm = z0.copy(), z0.copy()
+            zp[d] += h
+            zm[d] -= h
+            mp, mm = means(zp[:n], zp[n:]), means(zm[:n], zm[n:])
+            fp = np.asarray(f_ave(zp[None, :n], zp[None, n:]), dtype=float)[0]
+            fm = np.asarray(f_ave(zm[None, :n], zm[None, n:]), dtype=float)[0]
+            cols.append(((mp - mm) - (fp - fm)[None, :]) / (2.0 * h))
+        jac = np.stack(cols, axis=-1)  # (ntau, n, n+p)
+        return np.sqrt(np.sum(jac * jac, axis=(1, 2)))
 
+    Ts, values, witnesses = _sweep(spec, x_grid, r_grid, tau_grid, T_grid,
+                                   "Jacobian residual of f against favg", residual)
     flags = None
     if state_gamma is not None:
         env = np.interp(Ts, state_gamma.windows, state_gamma.envelope)
         # slack absorbs finite-difference noise when the curves coincide
         flags = tuple(bool(v > e * (1.0 + 1e-6) + 1e-9) for v, e in zip(values, env))
-    return GammaCurve(Ts, values, _envelope(values), tuple(witnesses),
+    return GammaCurve(Ts, values, _envelope(values), witnesses,
                       exceeds_state_envelope=flags)
 
 

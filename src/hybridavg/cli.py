@@ -79,7 +79,7 @@ def _ensemble_inputs(doc: ConfigDocument, spec, section: str):
     """(inits, n_paths, horizon, integrator config, seed) of [section].
 
     Initial conditions are x0 as ';'-separated vectors (scalars when n = 1)
-    with a shared r0 and tau0.
+    with a shared r0 in C or D and tau0.
     """
     horizon = Horizon(doc.get_float(section, "t_max"), doc.get_int(section, "j_max"))
     n_paths = doc.get_int(section, "n_paths")
@@ -98,6 +98,8 @@ def _ensemble_inputs(doc: ConfigDocument, spec, section: str):
                 f"{doc.where(section, key)}: initial condition dims "
                 f"(x:{len(x0)}, r:{len(r0)}) do not match system (n={spec.n}, p={spec.p})")
         inits.append(StateVec(np.array(x0), np.array(r0), tau0))
+    if not spec.flow_or_jump_set.contains(r0):
+        raise ConfigError(f"{doc.where(section, 'r0')}: r0 = {r0} lies in neither C nor D")
     return inits, n_paths, horizon, cfg, doc.get_int(section, "seed")
 
 

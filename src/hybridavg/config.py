@@ -117,7 +117,7 @@ _SIMULATION = {
     "substep_per_epsilon": Key(_float, "0.1", _POSITIVE),
     "x0": Key(_groups, "1", (bool, "needs at least one initial condition")),
     "r0": Key(_floats, "0"),
-    "tau0": Key(_float, "0"),
+    "tau0": Key(_float, "0", _at_least(0)),
 }
 _SEED = Key(_int, "0", _at_least(0))
 #: [recur] and [sweep] estimate recurrence, which needs at least 30 paths

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,14 +39,9 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
-@total_ordering
 @dataclass(frozen=True)
 class HybridTime:
-    """A point (t, j) of a hybrid time domain: elapsed time and jump count.
-
-    Ordered by (t + j, t), which matches the order in which a hybrid arc
-    visits its domain.
-    """
+    """A point (t, j) of a hybrid time domain: elapsed time and jump count."""
 
     t: float
     j: int
@@ -56,12 +51,6 @@ class HybridTime:
             raise ValueError(f"t must be finite and >= 0, got {self.t}")
         if not (isinstance(self.j, (int, np.integer)) and self.j >= 0):
             raise ValueError(f"j must be a nonnegative integer, got {self.j}")
-
-    def _key(self):
-        return (self.t + self.j, self.t)
-
-    def __lt__(self, other: "HybridTime") -> bool:
-        return self._key() < other._key()
 
 
 def hybrid_time_sum(ht: HybridTime) -> float:

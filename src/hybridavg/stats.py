@@ -343,8 +343,9 @@ def epsilon_sweep(spec: SystemSpec, eps_list, inits, seed_base: int,
 
     Per epsilon, one ensemble of spec with that epsilon is simulated and
     reused across radii (hitting times are pure post-processing).  Radii
-    should be nondecreasing in epsilon; violations beyond one bisection step
-    of slack are flagged.
+    should be nondecreasing in epsilon: each certified radius is compared
+    with the last certified one, across any epsilon not certified at
+    radius_max, and violations beyond one bisection step of slack are flagged.
     """
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) == 0:
@@ -381,10 +382,9 @@ def epsilon_sweep(spec: SystemSpec, eps_list, inits, seed_base: int,
                                   hi - lo))
 
     violations = []
-    prev = None
+    prev = None  # the last certified entry
     for ent in entries:
         if ent.certified_radius is None:
-            prev = None
             continue
         if prev is not None:
             slack = max(prev.bisection_slack, ent.bisection_slack)

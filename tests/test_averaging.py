@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -109,6 +110,23 @@ class TestEstimateAverageMap:
         got = avg.f_ave(pts, r)
         assert np.allclose(got, -pts, atol=1e-9)
 
+    def test_table_and_midpoints_match_one_window_per_node(self, actuator):
+        # the nodes and midpoints are sampled in one f call each; every row
+        # keeps the bits of its own window mean
+        calls = []
+
+        def counted(x, r, tau, eps):
+            calls.append(np.shape(x)[0])
+            return actuator.f(x, r, tau, eps)
+
+        spec = dataclasses.replace(actuator, f=counted)
+        avg = ha.estimate_average_map(spec, self.X_AXIS, self.R_AXIS, T_long=7.3)
+        assert len(calls) == 2
+        for (i, xv), (j, rv) in itertools.product(enumerate(self.X_AXIS),
+                                                  enumerate(self.R_AXIS)):
+            one = window_average(actuator, [xv], [rv], 0.0, 7.3)
+            assert np.array_equal(avg.table.table[i, j], one)
+
     def test_coarse_grid_for_curved_map_raises(self, actuator):
         def cubic_flow(x, r, tau, eps):
             x = np.asarray(x, dtype=float)
@@ -179,6 +197,24 @@ class TestEstimateGamma:
                         ref = favg(np.atleast_2d(xv), np.atleast_2d(rv))[0]
                         resid = np.linalg.norm(mean - ref) / np.linalg.norm(xv)
                         assert resid <= curve.values[ti] + 1e-12
+
+
+def test_flow_map_gets_only_2d_batches(actuator, favg):
+    # the documented map convention: x (B, n) and r (B, p); a map may index x[:, 0]
+    def strict(x, r, tau, eps):
+        if np.ndim(x) != 2 or np.ndim(r) != 2:
+            raise TypeError(f"x and r must be 2-D, got {np.shape(x)} and {np.shape(r)}")
+        return actuator.f(x, r, tau, eps) + 0.0 * x[:, 0:1]
+
+    spec = dataclasses.replace(actuator, f=strict)
+    xs, rs = np.array([-2.0, -1.0, 1.0, 2.0]), np.array([0.0, 0.5])
+    closed = ha.estimate_average_map(spec, xs, rs, T_long=4 * math.pi, f_ave=favg)
+    assert closed.nodal_residual <= 1e-6
+    tabulated = ha.estimate_average_map(spec, xs, rs, T_long=4 * math.pi)
+    assert np.allclose(tabulated.f_ave(np.array([[1.5]]), np.array([[0.25]])), -1.5)
+    grids = (np.array([[1.0], [-2.0]]), np.array([[0.0], [0.5]]), TAUS[:8], np.array([1.0, 2.0]))
+    assert ha.estimate_gamma(spec, favg, *grids).values.shape == (2,)
+    assert ha.check_jacobian_average(spec, favg, *grids).values.shape == (2,)
 
 
 @pytest.mark.parametrize("estimate", [ha.estimate_gamma, ha.check_jacobian_average])

@@ -600,7 +600,12 @@ class TestExitCodes:
         (["sweep"], "sweep", "R = 1.5",
          "[sweep] R: the start x0 = [-2.0], r0 = [0.0] has |z(0,0)| = 2.0 > R = 1.5"),
         (["recur", "--bound", "1.0"], None, None,
-         "--bound: the start x0 = [-2.0], r0 = [0.0] has |z(0,0)| = 2.0 > R = 1.0")])
+         "--bound: the start x0 = [-2.0], r0 = [0.0] has |z(0,0)| = 2.0 > R = 1.0"),
+        # a start outside the system's domain: tau0 once failed in StateVec, and r0
+        # in the solver, with messages naming no key
+        (["simulate"], "simulate", "tau0 = -1", "[simulate] tau0: must be >= 0, got -1.0"),
+        (["simulate"], "simulate", "r0 = 2", "[simulate] r0: r0 = [2.0] lies in neither C nor D"),
+        (["recur"], "recur", "r0 = 2", "[recur] r0: r0 = [2.0] lies in neither C nor D")])
     def test_bad_flag_or_key_fails_before_any_path_is_simulated(
             self, tmp_path, capsys, monkeypatch, argv, section, line, err):
         def simulated(*args, **kwargs):

@@ -16,11 +16,6 @@ class TestHybridTime:
     def test_sum(self, t, j, expected):
         assert hybrid_time_sum(ha.HybridTime(t, j)) == expected
 
-    @given(st.floats(0, 1e6), st.integers(0, 1000), st.floats(0, 1e6), st.integers(0, 1000))
-    def test_ordering_matches_domain_order(self, t1, j1, t2, j2):
-        a, b = ha.HybridTime(t1, j1), ha.HybridTime(t2, j2)
-        assert (a < b) == ((t1 + j1, t1) < (t2 + j2, t2))
-
     @pytest.mark.parametrize("t,j", [(-1.0, 0), (0.0, -1), (math.nan, 0)])
     def test_rejects_invalid(self, t, j):
         with pytest.raises(ValueError):

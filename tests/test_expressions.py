@@ -369,6 +369,28 @@ class TestGeneratedCode:
             got = CompiledMap(exprs, roles)(*args)
         assert _same_bits(got, want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), role=st.sampled_from(sorted(ROLES)), tau_rows=st.booleans())
+    def test_batch_rows_equal_lone_rows_and_reruns_bit_for_bit(self, data, role, tau_rows):
+        # the map contract every solver memo and lockstep group relies on: each
+        # row sees the IEEE operations it would see alone, and a call is pure
+        roles = ROLES[role]
+        k = 1 if role == "V" else DIMS[roles[0]]
+        trees = data.draw(st.lists(_trees(_names(roles)), min_size=k, max_size=k))
+        args = _args(role, 64)
+        if "tau" in roles and not tau_rows:
+            args[roles.index("tau")] = 0.7
+        with np.errstate(all="ignore"):
+            try:
+                fmap = CompiledMap(trees[0] if role == "V" else tuple(trees), roles)
+                batch = fmap(*args)
+            except ZeroDivisionError:  # a literal-only quotient such as 1/0
+                return
+            assert _same_bits(fmap(*args), batch)
+            for i in range(batch.shape[0]):
+                lone = fmap(*(a[i:i + 1] if np.ndim(a) else a for a in args))
+                assert _same_bits(lone, batch[i:i + 1])
+
     @pytest.mark.parametrize("text", ["2.5", "x_1", "r_1", "-x_1", "ifge(x_1, 2, r_1, x_1)"])
     @pytest.mark.parametrize("scalar", [True, False])
     def test_output_is_fresh_and_never_aliases_an_input(self, text, scalar):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -406,3 +407,17 @@ class TestEpsilonSweep:
                                self.params(radius_max=0.5))
         assert res.entries[0].certified_radius is None
         assert res.entries[0].note == "not certified at horizon"
+
+    def test_uncertified_epsilon_does_not_hide_a_violation(self, es_system, monkeypatch):
+        # radius_max is not certified at 0.05, and 0.91 at 0.01 exceeds 0.30 at
+        # 0.1: the check once restarted after 0.05 and read monotone
+        smallest = {0.1: 0.30, 0.05: math.inf, 0.01: 0.91}
+        monkeypatch.setattr(ha.stats, "simulate_ensemble",
+                            lambda spec, *args: spec.epsilon)
+        monkeypatch.setattr(ha.stats, "recurrence_estimate",
+                            lambda eps, radius, *args: types.SimpleNamespace(
+                                certified=radius >= smallest[eps], hit_fraction=1.0))
+        res = ha.epsilon_sweep(es_system, [0.1, 0.05, 0.01], [state(2.0, 0.0)], 3,
+                               self.params())
+        assert [e.certified_radius is None for e in res.entries] == [False, True, False]
+        assert not res.monotone and res.violations == ((0.1, 0.01),)
