@@ -10,7 +10,9 @@ FLAGS maps each flag to the config key it sets, and its text goes through
 that key's reader and guard, so a bad value is a config error naming the
 flag.  A run is deterministic for a fixed config digest and seed.  Exit codes:
 0 success/pass, 1 usage or config error, 2 analysis verdict fail.  Floats are
-written with shortest round-trip formatting.
+written with shortest round-trip formatting.  The t, r and tau columns that
+lockstep paths share are formatted once per command and reused for every path
+holding them; the output is the same as formatting each path alone.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -112,27 +115,49 @@ def _check_starts(doc: ConfigDocument, section: str, inits, R: float):
                           f"r0 = {inits[k].r.tolist()} has |z(0,0)| = {z0!r} > R = {R!r}")
 
 
-def _arc_lines(arc, path_id: int, stride: int = 1, kind: str = None):
-    """CSV lines for one arc: flow samples (strided), jump post-states, terminal.
+def _columns(a):
+    """The repr of every float in each column of a; a 1-D array is one column."""
+    return [list(map(repr, col.tolist())) for col in (a.T if a.ndim == 2 else [a])]
+
+
+def _arc_lines(arcs, stride: int = 1, kinds=None):
+    """CSV lines for arcs as paths 0, 1, ...: flow samples (strided), jump post-states, terminal.
 
     Each segment is formatted column by column and then joined row by row, so
-    lines stream out one segment at a time.
+    lines stream out one segment at a time.  Lockstep members share one t, r
+    and tau array per segment: such an array is formatted once, on its first
+    use, and its strings are kept, with the array (so its id stays its own),
+    until the last segment holding it is written.  x is formatted per path.
     """
-    head = [str(path_id)] + ([kind] if kind is not None else [])
-    last = None
-    for si, seg in enumerate(arc.segments):
-        count = seg.t.shape[0]
-        keep = slice(None)
-        if stride > 1:
-            keep = list(range(0, count, stride)) + ([count - 1] if (count - 1) % stride else [])
-        t, *rest = (list(map(repr, col.tolist()))
-                    for col in (seg.t[keep], *seg.x[keep].T, *seg.r[keep].T, seg.tau[keep]))
-        j = str(int(seg.j))
-        events = ["jump" if si > 0 else "flow"] + ["flow"] * (len(t) - 1)
-        yield from map(",".join, zip(*map(repeat, head), t, repeat(j), *rest, events))
-        last = [*head, t[-1], j, *(col[-1] for col in rest)]
-    if last is not None:
-        yield ",".join(last + ["terminal"])
+    arcs = list(arcs)
+    left = Counter(id(a) for arc in arcs for seg in arc.segments for a in (seg.t, seg.r, seg.tau))
+    memo = {}
+
+    def shared(a, keep):
+        hit = memo.pop(id(a), None)
+        if hit is None or hit[0] is not a:
+            hit = (a, _columns(a[keep]))
+        left[id(a)] -= 1
+        if left[id(a)]:
+            memo[id(a)] = hit
+        return hit[1]
+
+    for path_id, arc in enumerate(arcs):
+        head = [str(path_id)] + ([kinds[path_id]] if kinds is not None else [])
+        last = None
+        for si, seg in enumerate(arc.segments):
+            count = seg.t.shape[0]
+            keep = slice(None)
+            if stride > 1:
+                keep = list(range(0, count, stride)) + ([count - 1] if (count - 1) % stride else [])
+            (t,), r, (tau,) = (shared(a, keep) for a in (seg.t, seg.r, seg.tau))
+            rest = [*_columns(seg.x[keep]), *r, tau]
+            j = str(int(seg.j))
+            events = ["jump" if si > 0 else "flow"] + ["flow"] * (len(t) - 1)
+            yield from map(",".join, zip(*map(repeat, head), t, repeat(j), *rest, events))
+            last = [*head, t[-1], j, *(col[-1] for col in rest)]
+        if last is not None:
+            yield ",".join(last + ["terminal"])
 
 
 def cmd_simulate(doc, spec):
@@ -140,8 +165,7 @@ def cmd_simulate(doc, spec):
     ensemble = simulate_ensemble(spec, inits, n_paths, seed, horizon, cfg)
     header = (["path_id", "t", "j"] + [f"x_{i+1}" for i in range(spec.n)]
               + [f"r_{i+1}" for i in range(spec.p)] + ["tau", "event"])
-    lines = (line for pid, arc in enumerate(ensemble) for line in _arc_lines(arc, pid))
-    return 0, seed, [("simulate.csv", chain([",".join(header)], lines))]
+    return 0, seed, [("simulate.csv", chain([",".join(header)], _arc_lines(ensemble)))]
 
 
 def _favg_from_config(doc: ConfigDocument, spec):
@@ -342,12 +366,6 @@ def cmd_fig1(doc, spec):
     header = ["path_id", "kind", "t", "j", "x_1", "r_1", "tau", "event"]
     stride = 25
 
-    def all_lines():
-        yield ",".join(header)
-        for pid, arc in enumerate(ensemble):
-            yield from _arc_lines(arc, pid, stride=stride, kind="jammed")
-        yield from _arc_lines(nominal, len(ensemble), stride=stride, kind="nominal")
-
     def strided(seg_attr, arc):
         ts, ys = [], []
         for seg in arc.segments:
@@ -367,7 +385,8 @@ def cmd_fig1(doc, spec):
     ts, ys = strided("r", nominal)
     clock_panel.curves.append(Curve(ts, ys, "#1f4fbf", 0.9, 1.0))
     svg = render_panels([main_panel, clock_panel]).splitlines()
-    return 0, seed, [("fig1.csv", all_lines()), ("fig1.svg", svg)]
+    lines = _arc_lines([*ensemble, nominal], stride, ["jammed"] * len(ensemble) + ["nominal"])
+    return 0, seed, [("fig1.csv", chain([",".join(header)], lines)), ("fig1.svg", svg)]
 
 
 def _build_parser() -> argparse.ArgumentParser:

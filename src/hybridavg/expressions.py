@@ -314,7 +314,8 @@ def _emit(exprs, lines: list, consts: list):
         if i in names or isinstance(node, Var):
             return names.get(i) or _name(node), False
         args = [value(kid) for kid in kids]
-        if isinstance(node, Call):
+        infix = not isinstance(node, Call)
+        if not infix:
             args = [text for text, _ in args]
             if node.fn == "ifge":
                 text = f"_ifge({args[0]} >= {args[1]}, {args[2]}, {args[3]})"
@@ -322,13 +323,17 @@ def _emit(exprs, lines: list, consts: list):
                 text = f"_{node.fn}({', '.join(args[:2])})"
                 for arg in args[2:]:  # a min or max folds left, one line per step
                     text = f"_{node.fn}({assign(text)}, {arg})"
+        elif getattr(node, "op", None) == "/" and not _variables(node):
+            # literals alone are Python floats, whose quotient raises on a zero
+            # divisor; numpy's is the IEEE inf or nan the caller's check reports
+            text, infix = f"_divide({args[0][0]}, {args[1][0]})", False
         else:  # an infix operand is parenthesized
-            ops = [f"({text})" if infix else text for text, infix in args]
+            ops = [f"({text})" if paren else text for text, paren in args]
             text = f"-{ops[0]}" if isinstance(node, Neg) else f"{ops[0]} {node.op} {ops[1]}"
         if uses[i] > 1:
             names[i] = assign(text)
             return names[i], False
-        return text, not isinstance(node, Call)
+        return text, infix
 
     roots = [intern(expr) for expr in exprs]
     uses = Counter(roots + [kid for _, kids in table for kid in kids])
@@ -394,7 +399,7 @@ class CompiledMap:
         self.source = "\n    ".join(lines + ["return _out"]) + "\n"
         scope = {"__builtins__": {}, "__name__": __name__, "_ndarray": np.ndarray,
                  "_float64": np.dtype(np.float64), "_asarray": np.asarray,
-                 "_atleast_2d": np.atleast_2d, "_empty": np.empty}
+                 "_atleast_2d": np.atleast_2d, "_empty": np.empty, "_divide": np.divide}
         scope.update((f"_{fn}", ufunc) for fn, (_, _, ufunc) in _FUNCTIONS.items())
         scope.update((f"_c{i}", c) for i, c in enumerate(consts))
         exec(_compile(self.source, f"<CompiledMap {self.roles}>", "exec"), scope)

@@ -453,6 +453,124 @@ class TestFig1Command:
         assert halves == {True, False}  # starts drawn from both -2 and +2
 
 
+#: n = 2, p = 2, and jump_r reads v: lockstep rows share every column until
+#: the first jump, whose draws split them into groups with distinct r rows
+SPLITTING_PLANAR = """\
+[system]
+kind = custom
+state_dim = 2
+aux_dim = 2
+noise_dim = 1
+epsilon = 0.05
+flow_x = -x_1 + x_2*sin(tau); -x_2
+flow_r = 1; 0
+jump_x = (0.5 + v)*x_1; x_2
+jump_r = 0; 0.5*v
+flow_set = box 0 1 0 1
+jump_set = box 1 1 0 1
+
+[noise]
+kind = finite
+values = 0; 1
+probs = 0.5 0.5
+
+[simulate]
+n_paths = 6
+x0 = 1 -2; -1 0.5
+r0 = 0 0
+tau0 = 0
+t_max = 2.5
+j_max = 100
+"""
+
+
+def naive_arc_lines(arcs, stride=1, kinds=None):
+    """The CSV lines of arcs: repr of every float, row by row and path by path."""
+    for pid, arc in enumerate(arcs):
+        head = [str(pid)] + ([kinds[pid]] if kinds else [])
+        row = None
+        for si, seg in enumerate(arc.segments):
+            count = len(seg.t)
+            keep = [i for i in range(count) if i % stride == 0 or i == count - 1]
+            for k, i in enumerate(keep):
+                row = [*head, repr(float(seg.t[i])), str(seg.j),
+                       *(repr(float(c)) for c in (*seg.x[i], *seg.r[i], seg.tau[i]))]
+                yield ",".join(row + ["jump" if k == 0 and si > 0 else "flow"])
+        if row is not None:
+            yield ",".join(row + ["terminal"])
+
+
+def assert_csv_is(path, header, lines):
+    """The file at path is header and lines, each ended by a newline, byte for byte."""
+    got = path.read_bytes().decode("utf-8").split("\n")
+    want = [header, *lines, ""]
+    bad = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, f"line {bad + 1}: {got[bad]!r} != {want[bad]!r}"
+    assert len(got) == len(want)
+
+
+def recording(monkeypatch, name, arcs):
+    """Patch cli.<name> to append what it returns (one arc or a list) to arcs."""
+    run = getattr(cli, name)
+
+    def record(*args, **kwargs):
+        result = run(*args, **kwargs)
+        arcs.extend(result if isinstance(result, list) else [result])
+        return result
+
+    monkeypatch.setattr(cli, name, record)
+
+
+def shared(arcs, column):
+    """How many segments hold a column array that another path's segment holds too."""
+    owners = {}
+    for pid, arc in enumerate(arcs):
+        for seg in arc.segments:
+            owners.setdefault(id(getattr(seg, column)), set()).add(pid)
+    return sum(len(pids) for pids in owners.values() if len(pids) > 1)
+
+
+class TestSharedColumnsFormattedOnce:
+    """Lockstep members share t, r and tau arrays, which are formatted once per
+    command; the CSV must equal a per-path repr of every float."""
+
+    def run_simulate(self, tmp_path, monkeypatch, cfg, *flags):
+        arcs = []
+        recording(monkeypatch, "simulate_ensemble", arcs)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--seed", "3", *flags,
+                     "--out", str(out)]) == 0
+        return arcs, out / "simulate.csv"
+
+    def test_es_members_share_every_column(self, tmp_path, monkeypatch):
+        arcs, csv = self.run_simulate(
+            tmp_path, monkeypatch, str(CONFIGS / "es.cfg"), "--paths", "6", "--t-max", "2")
+        assert len(arcs) == 6
+        assert all(shared(arcs, c) == sum(len(a.segments) for a in arcs)
+                   for c in ("t", "r", "tau"))
+        assert_csv_is(csv, "path_id,t,j,x_1,r_1,tau,event", naive_arc_lines(arcs))
+
+    def test_groups_split_by_a_jump_and_two_columns_each(self, tmp_path, monkeypatch):
+        arcs, csv = self.run_simulate(tmp_path, monkeypatch, write_cfg(tmp_path, SPLITTING_PLANAR))
+        # one shared r array before the first jump, one per group after it
+        assert len({id(arc.segments[0].r) for arc in arcs}) == 1
+        assert len({id(arc.segments[-1].r) for arc in arcs}) >= 2
+        assert {arc.segments[-1].r[0, 1] for arc in arcs} == {0.0, 0.5}
+        assert_csv_is(csv, "path_id,t,j,x_1,x_2,r_1,r_2,tau,event", naive_arc_lines(arcs))
+
+    def test_fig1_strided_lines(self, tmp_path, monkeypatch):
+        arcs = []
+        recording(monkeypatch, "simulate_ensemble", arcs)
+        recording(monkeypatch, "simulate_path", arcs)
+        out = tmp_path / "out"
+        assert main(["fig1", "--paths", "4", "--seed", "4", "--out", str(out)]) == 0
+        assert len(arcs) == 5
+        assert shared(arcs, "t") > 0
+        assert any((len(seg.t) - 1) % 25 for arc in arcs for seg in arc.segments)
+        assert_csv_is(out / "fig1.csv", "path_id,kind,t,j,x_1,r_1,tau,event",
+                      naive_arc_lines(arcs, 25, ["jammed"] * 4 + ["nominal"]))
+
+
 OVERFLOWING_FLOW = TAU_FREE.replace("flow_x = -x_1", "flow_x = pow(x_1, 2000)") + """
 [simulate]
 n_paths = 3
@@ -477,6 +595,15 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("error: map 'f' returned a non-finite value (t=")
         assert lines[0].endswith("path 0, seed 7)")
+
+    def test_literal_only_quotient_is_one_line_exit_one(self, tmp_path, capsys):
+        # 0/0 among literals once raised ZeroDivisionError out of the map
+        text = (CONFIGS / "actuator_expr.cfg").read_text(encoding="utf-8")
+        cfg = write_cfg(tmp_path, text.replace("flow_r = 1\n", "flow_r = 1 + 0/0\n"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: map 'w' returned a non-finite value (t=0.0; path 0, seed 0)\n")
+        assert not (tmp_path / "o").exists()
 
     def test_out_of_memory_is_one_line_exit_one(self, actuator_cfg, tmp_path, capsys,
                                                  monkeypatch):

@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import pickle
+import struct
 import tracemalloc
 
 import numpy as np
@@ -36,9 +37,13 @@ def _ifge(a, b, then, other):
 
 
 def reference(node, env):
-    """Evaluate an AST by walking the tree, one numpy operation per node."""
+    """Evaluate an AST by walking the tree, one numpy operation per node.
+
+    A literal is a float64 scalar, so a literal-only 0/0 is nan, as in a compiled
+    map, not a ZeroDivisionError.
+    """
     if isinstance(node, Num):
-        return node.value
+        return np.float64(node.value)
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Neg):
@@ -282,6 +287,28 @@ class TestCompiledMap:
         out = _compiled(role, ["2.5"] * k)(*_args(role, 3))
         assert np.array_equal(out, np.full(_shape(role, 3), 2.5))
 
+    @pytest.mark.parametrize("text, want", [("1 + 0/0", np.nan), ("1/0", np.inf),
+                                            ("-1/0 + x_1", -np.inf)])
+    def test_literal_only_quotient_is_ieee_not_an_error(self, text, want):
+        fmap = ScalarField(compile_expressions([text], allowed_names(n=1, p=1))[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = fmap(np.array([[1.0], [2.0]]), np.array([[0.0], [0.0]]))
+        assert np.array_equal(out, np.full(2, want), equal_nan=True)
+
+    @given(a=st.floats(allow_nan=False), b=st.floats(allow_nan=False),
+           op=st.sampled_from(sorted(_OPS)))
+    def test_numpy_literal_arithmetic_gives_python_float_bits(self, a, b, op):
+        # a compiled map takes a literal-only quotient from numpy, and the reference
+        # walk binds every literal as float64: wherever Python's + - * / do not
+        # raise, numpy's must give the same bits, so no map's output moves
+        try:
+            want = _OPS[op](a, b)
+        except ZeroDivisionError:
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = np.divide(a, b) if op == "/" else _OPS[op](np.float64(a), np.float64(b))
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
     @pytest.mark.parametrize("role", list(ROLES))
     def test_pickle_round_trip(self, role):
         k = 1 if role == "V" else DIMS[ROLES[role][0]]
@@ -359,13 +386,8 @@ class TestGeneratedCode:
         args = _args(role, batch)
         if "tau" in roles and not tau_rows:
             args[roles.index("tau")] = 0.7  # a scalar tau, shared by every row
-        with np.errstate(all="ignore"):
-            try:
-                want = reference_map(exprs, roles, *args)
-            except ZeroDivisionError:  # a literal-only quotient such as 1/0
-                with pytest.raises(ZeroDivisionError):
-                    CompiledMap(exprs, roles)(*args)
-                return
+        with np.errstate(all="ignore"):  # a literal-only quotient such as 1/0 is inf
+            want = reference_map(exprs, roles, *args)
             got = CompiledMap(exprs, roles)(*args)
         assert _same_bits(got, want)
 
@@ -380,12 +402,9 @@ class TestGeneratedCode:
         args = _args(role, 64)
         if "tau" in roles and not tau_rows:
             args[roles.index("tau")] = 0.7
-        with np.errstate(all="ignore"):
-            try:
-                fmap = CompiledMap(trees[0] if role == "V" else tuple(trees), roles)
-                batch = fmap(*args)
-            except ZeroDivisionError:  # a literal-only quotient such as 1/0
-                return
+        with np.errstate(all="ignore"):  # a literal-only quotient such as 1/0 is inf
+            fmap = CompiledMap(trees[0] if role == "V" else tuple(trees), roles)
+            batch = fmap(*args)
             assert _same_bits(fmap(*args), batch)
             for i in range(batch.shape[0]):
                 lone = fmap(*(a[i:i + 1] if np.ndim(a) else a for a in args))
