@@ -126,21 +126,19 @@ def _arc_lines(arcs, stride: int = 1, kinds=None):
     Each segment is formatted column by column and then joined row by row, so
     lines stream out one segment at a time.  Lockstep members share one t, r
     and tau array per segment: such an array is formatted once, on its first
-    use, and its strings are kept, with the array (so its id stays its own),
-    until the last segment holding it is written.  x is formatted per path.
+    use, and its strings are kept until the last segment holding it is
+    written.  x is formatted per path.
     """
-    arcs = list(arcs)
+    arcs = list(arcs)  # keeps every keyed array alive, so no id is reused
     left = Counter(id(a) for arc in arcs for seg in arc.segments for a in (seg.t, seg.r, seg.tau))
     memo = {}
 
     def shared(a, keep):
-        hit = memo.pop(id(a), None)
-        if hit is None or hit[0] is not a:
-            hit = (a, _columns(a[keep]))
+        cols = memo.pop(id(a), None) or _columns(a[keep])
         left[id(a)] -= 1
         if left[id(a)]:
-            memo[id(a)] = hit
-        return hit[1]
+            memo[id(a)] = cols
+        return cols
 
     for path_id, arc in enumerate(arcs):
         head = [str(path_id)] + ([kinds[path_id]] if kinds is not None else [])

@@ -323,9 +323,11 @@ def _emit(exprs, lines: list, consts: list):
                 text = f"_{node.fn}({', '.join(args[:2])})"
                 for arg in args[2:]:  # a min or max folds left, one line per step
                     text = f"_{node.fn}({assign(text)}, {arg})"
-        elif getattr(node, "op", None) == "/" and not _variables(node):
-            # literals alone are Python floats, whose quotient raises on a zero
-            # divisor; numpy's is the IEEE inf or nan the caller's check reports
+        elif getattr(node, "op", None) == "/" and all(
+                _name(var) in _SCALAR_ROLES for var in _variables(node)):
+            # literals, and tau or eps given as numbers, are Python floats, whose
+            # quotient raises on a zero divisor; numpy's is the IEEE inf or nan
+            # the caller's check reports
             text, infix = f"_divide({args[0][0]}, {args[1][0]})", False
         else:  # an infix operand is parenthesized
             ops = [f"({text})" if paren else text for text, paren in args]

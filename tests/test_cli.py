@@ -596,13 +596,19 @@ class TestExitCodes:
         assert lines[0].startswith("error: map 'f' returned a non-finite value (t=")
         assert lines[0].endswith("path 0, seed 7)")
 
-    def test_literal_only_quotient_is_one_line_exit_one(self, tmp_path, capsys):
-        # 0/0 among literals once raised ZeroDivisionError out of the map
+    @pytest.mark.parametrize("key, value, name", [
+        ("flow_r", "1 + 0/0", "w"),
+        ("flow_x", "-x_1*(1 + sin(tau)) + 1/tau", "f"),  # tau0 = 0
+        ("flow_x", "-x_1*(1 + sin(tau)) + eps/0", "f")])
+    def test_quotient_of_numbers_is_one_line_exit_one(self, tmp_path, capsys, key, value, name):
+        # a zero divisor among literals, tau and eps once raised ZeroDivisionError
+        # out of the map
         text = (CONFIGS / "actuator_expr.cfg").read_text(encoding="utf-8")
-        cfg = write_cfg(tmp_path, text.replace("flow_r = 1\n", "flow_r = 1 + 0/0\n"))
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+        cfg = write_cfg(tmp_path, text)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
-            "error: map 'w' returned a non-finite value (t=0.0; path 0, seed 0)\n")
+            f"error: map '{name}' returned a non-finite value (t=0.0; path 0, seed 0)\n")
         assert not (tmp_path / "o").exists()
 
     def test_out_of_memory_is_one_line_exit_one(self, actuator_cfg, tmp_path, capsys,

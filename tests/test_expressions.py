@@ -2,7 +2,6 @@ import functools
 import math
 import operator
 import pickle
-import struct
 import tracemalloc
 
 import numpy as np
@@ -39,8 +38,9 @@ def _ifge(a, b, then, other):
 def reference(node, env):
     """Evaluate an AST by walking the tree, one numpy operation per node.
 
-    A literal is a float64 scalar, so a literal-only 0/0 is nan, as in a compiled
-    map, not a ZeroDivisionError.
+    A literal is a float64 scalar, and reference_map binds a number given for
+    tau or eps as one, so 0/0 or eps/(tau - tau) is nan or inf, as in a
+    compiled map, not a ZeroDivisionError.
     """
     if isinstance(node, Num):
         return np.float64(node.value)
@@ -61,7 +61,7 @@ def reference_map(exprs, roles, *args):
     env, batch = {}, None
     for role, arg in zip(roles, args):
         if role not in ("x", "r", "v"):
-            env[role] = arg
+            env[role] = np.float64(arg) if np.ndim(arg) == 0 else arg
             continue
         arg = np.atleast_2d(np.asarray(arg, dtype=float))
         batch = arg.shape[:-1] if batch is None else batch
@@ -287,27 +287,16 @@ class TestCompiledMap:
         out = _compiled(role, ["2.5"] * k)(*_args(role, 3))
         assert np.array_equal(out, np.full(_shape(role, 3), 2.5))
 
-    @pytest.mark.parametrize("text, want", [("1 + 0/0", np.nan), ("1/0", np.inf),
-                                            ("-1/0 + x_1", -np.inf)])
-    def test_literal_only_quotient_is_ieee_not_an_error(self, text, want):
-        fmap = ScalarField(compile_expressions([text], allowed_names(n=1, p=1))[0])
+    @pytest.mark.parametrize("text, tau, want", [
+        ("1 + 0/0", 0.7, np.nan), ("1/0", 0.7, np.inf), ("-1/0 + x_1", 0.7, -np.inf),
+        ("eps/0", 0.7, np.inf), ("1/tau", 0.0, np.inf), ("tau/-0.0", 0.7, -np.inf),
+        ("x_1 + eps/(tau - tau)", 0.3, np.inf)])
+    def test_quotient_of_numbers_is_ieee_not_an_error(self, text, tau, want):
+        # literals, and tau and eps given as Python floats, are numbers, not arrays
+        fmap = CompiledMap(compile_expressions([text], _names(ROLES["f"]))[0], ROLES["f"])
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = fmap(np.array([[1.0], [2.0]]), np.array([[0.0], [0.0]]))
+            out = fmap(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros((2, 1)), tau, 0.01)
         assert np.array_equal(out, np.full(2, want), equal_nan=True)
-
-    @given(a=st.floats(allow_nan=False), b=st.floats(allow_nan=False),
-           op=st.sampled_from(sorted(_OPS)))
-    def test_numpy_literal_arithmetic_gives_python_float_bits(self, a, b, op):
-        # a compiled map takes a literal-only quotient from numpy, and the reference
-        # walk binds every literal as float64: wherever Python's + - * / do not
-        # raise, numpy's must give the same bits, so no map's output moves
-        try:
-            want = _OPS[op](a, b)
-        except ZeroDivisionError:
-            return
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = np.divide(a, b) if op == "/" else _OPS[op](np.float64(a), np.float64(b))
-        assert struct.pack("<d", got) == struct.pack("<d", want)
 
     @pytest.mark.parametrize("role", list(ROLES))
     def test_pickle_round_trip(self, role):
@@ -377,32 +366,33 @@ def _trees(names):
 class TestGeneratedCode:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), role=st.sampled_from(sorted(ROLES)),
-           batch=st.sampled_from([1, 100, 500]), tau_rows=st.booleans())
-    def test_generated_map_matches_reference_bit_for_bit(self, data, role, batch, tau_rows):
+           batch=st.sampled_from([1, 100, 500]), tau=st.sampled_from(["rows", 0.7, 0.0]))
+    def test_generated_map_matches_reference_bit_for_bit(self, data, role, batch, tau):
         roles = ROLES[role]
         k = 1 if role == "V" else DIMS[roles[0]]
         trees = data.draw(st.lists(_trees(_names(roles)), min_size=k, max_size=k))
         exprs = trees[0] if role == "V" else tuple(trees)
         args = _args(role, batch)
-        if "tau" in roles and not tau_rows:
-            args[roles.index("tau")] = 0.7  # a scalar tau, shared by every row
-        with np.errstate(all="ignore"):  # a literal-only quotient such as 1/0 is inf
+        if "tau" in roles and tau != "rows":
+            args[roles.index("tau")] = tau  # a scalar tau, shared by every row
+        with np.errstate(all="ignore"):  # a quotient of numbers such as 1/tau is inf
             want = reference_map(exprs, roles, *args)
             got = CompiledMap(exprs, roles)(*args)
         assert _same_bits(got, want)
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), role=st.sampled_from(sorted(ROLES)), tau_rows=st.booleans())
-    def test_batch_rows_equal_lone_rows_and_reruns_bit_for_bit(self, data, role, tau_rows):
+    @given(data=st.data(), role=st.sampled_from(sorted(ROLES)),
+           tau=st.sampled_from(["rows", 0.7, 0.0]))
+    def test_batch_rows_equal_lone_rows_and_reruns_bit_for_bit(self, data, role, tau):
         # the map contract every solver memo and lockstep group relies on: each
         # row sees the IEEE operations it would see alone, and a call is pure
         roles = ROLES[role]
         k = 1 if role == "V" else DIMS[roles[0]]
         trees = data.draw(st.lists(_trees(_names(roles)), min_size=k, max_size=k))
         args = _args(role, 64)
-        if "tau" in roles and not tau_rows:
-            args[roles.index("tau")] = 0.7
-        with np.errstate(all="ignore"):  # a literal-only quotient such as 1/0 is inf
+        if "tau" in roles and tau != "rows":
+            args[roles.index("tau")] = tau
+        with np.errstate(all="ignore"):  # a quotient of numbers such as 1/tau is inf
             fmap = CompiledMap(trees[0] if role == "V" else tuple(trees), roles)
             batch = fmap(*args)
             assert _same_bits(fmap(*args), batch)
