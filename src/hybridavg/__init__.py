@@ -41,19 +41,18 @@ from .solver import (
 from .stats import (
     EnvelopeFit,
     RecurrenceReport,
-    SweepParams,
     epsilon_sweep,
     recurrence_estimate,
     uges_m_fit,
 )
-from .systems import JamParams, jammed_actuator, jammed_es, load_system
+from .systems import jammed_actuator, jammed_es, load_system
 
 __all__ = [
     "AverageSpec", "CertGrid", "ConfigDocument", "ConfigError", "EnvelopeFit",
     "FosterCertificate", "GammaCurve", "Horizon", "HybridArc", "HybridTime",
-    "IntegratorConfig", "JamParams", "JumpNoise",
+    "IntegratorConfig", "JumpNoise",
     "RecurrenceReport", "SetDescriptor", "StateVec",
-    "SweepParams", "SystemSpec", "build_average_system",
+    "SystemSpec", "build_average_system",
     "check_jacobian_average", "epsilon_sweep", "estimate_average_map",
     "estimate_gamma", "foster_certificate",
     "jammed_actuator", "jammed_es", "load_system", "recurrence_estimate",

@@ -90,8 +90,10 @@ def window_average(spec: SystemSpec, x, r, tau0: float, T: float,
 class TabulatedMap:
     """Multilinear interpolant of a tabulated vector field over a product grid.
 
-    Queries outside the grid are clamped to its hull.  Instances are plain
-    data and safe to share or pickle.
+    A query outside the grid's hull is extrapolated linearly from the edge
+    cell, so differences taken across a hull node read the edge cell's slope;
+    along a one-point axis the table is constant.  Instances are plain data
+    and safe to share or pickle.
     """
 
     def __init__(self, axes: Sequence[np.ndarray], table: np.ndarray):
@@ -109,14 +111,13 @@ class TabulatedMap:
         B, d = pts.shape
         if d != len(self.axes):
             raise ValueError("query dimension does not match the table axes")
-        # a one-point axis is one cell of width 1 whose high corner is its
-        # low one, reached with frac = 0
         cells = []  # per axis: (low corner, high corner, frac)
         for ax, q in zip(self.axes, pts.T):
-            q = np.clip(q, ax[0], ax[-1])
-            i = np.clip(np.searchsorted(ax, q, side="right") - 1, 0, max(len(ax) - 2, 0))
-            cells.append((i, np.minimum(i + 1, len(ax) - 1),
-                          (q - ax[i]) / np.append(np.diff(ax), 1.0)[i]))
+            if len(ax) == 1:  # one node: both corners, reached with frac = 0
+                cells.append((0, 0, np.zeros(B)))
+                continue
+            i = np.clip(np.searchsorted(ax, q, side="right") - 1, 0, len(ax) - 2)
+            cells.append((i, i + 1, (q - ax[i]) / (ax[i + 1] - ax[i])))
         out = np.zeros((B, self.table.shape[-1]))
         for corner in range(1 << d):
             wgt = np.ones(B)

@@ -23,7 +23,6 @@ import json
 import math
 import sys
 import time
-from collections import Counter
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -48,7 +47,7 @@ from .solver import (
     simulate_ensemble,
     simulate_path,
 )
-from .stats import SweepParams, epsilon_sweep, first_start_outside, recurrence_estimate
+from .stats import epsilon_sweep, first_start_outside, recurrence_estimate
 from .svgplot import Curve, Panel, render_panels
 # jammed_es stays a name of this module: benchmarks/tracing.py wraps cli.jammed_es
 from .systems import jammed_es, load_system  # noqa: F401
@@ -126,18 +125,16 @@ def _arc_lines(arcs, stride: int = 1, kinds=None):
     Each segment is formatted column by column and then joined row by row, so
     lines stream out one segment at a time.  Lockstep members share one t, r
     and tau array per segment: such an array is formatted once, on its first
-    use, and its strings are kept until the last segment holding it is
-    written.  x is formatted per path.
+    use, and its strings are kept while the lines are written.  x is
+    formatted per path.
     """
     arcs = list(arcs)  # keeps every keyed array alive, so no id is reused
-    left = Counter(id(a) for arc in arcs for seg in arc.segments for a in (seg.t, seg.r, seg.tau))
     memo = {}
 
     def shared(a, keep):
-        cols = memo.pop(id(a), None) or _columns(a[keep])
-        left[id(a)] -= 1
-        if left[id(a)]:
-            memo[id(a)] = cols
+        cols = memo.get(id(a))
+        if cols is None:
+            cols = memo[id(a)] = _columns(a[keep])
         return cols
 
     for path_id, arc in enumerate(arcs):
@@ -328,16 +325,10 @@ def cmd_recur(doc, spec):
 def cmd_sweep(doc, spec):
     eps_list = doc.get_float_list("sweep", "eps_values")
     inits, n_paths, horizon, cfg, seed = _ensemble_inputs(doc, spec, "sweep")
-    params = SweepParams(
-        radius_max=doc.get_float("sweep", "radius_max"),
-        rho=doc.get_float("sweep", "rho"),
-        R=doc.get_float("sweep", "R"),
-        n_paths=n_paths,
-        horizon=horizon,
-        cfg=cfg,
-    )
-    _check_starts(doc, "sweep", inits, params.R)
-    result = epsilon_sweep(spec, eps_list, inits, seed, params)
+    radius_max, rho, R = (doc.get_float("sweep", key) for key in ("radius_max", "rho", "R"))
+    _check_starts(doc, "sweep", inits, R)
+    result = epsilon_sweep(spec, eps_list, inits, seed, radius_max=radius_max, rho=rho, R=R,
+                           n_paths=n_paths, horizon=horizon, cfg=cfg)
 
     rows = ([_f(ent.epsilon),
              _f(ent.certified_radius) if ent.certified_radius is not None else "",

@@ -327,25 +327,20 @@ class SweepResult:
     violations: tuple
 
 
-@dataclass(frozen=True)
-class SweepParams:
-    radius_max: float
-    rho: float = 0.05
-    R: float = 5.0
-    n_paths: int = 200
-    horizon: Horizon = Horizon(10.0, 10_000)
-    cfg: IntegratorConfig = IntegratorConfig()
-
-
-def epsilon_sweep(spec: SystemSpec, eps_list, inits, seed_base: int,
-                  params: SweepParams) -> SweepResult:
+def epsilon_sweep(spec: SystemSpec, eps_list, inits, seed_base: int, *, radius_max: float,
+                  rho: float, R: float, n_paths: int, horizon: Horizon,
+                  cfg: Optional[IntegratorConfig] = None) -> SweepResult:
     """Smallest grid-certified recurrent radius per epsilon, by bisection.
 
-    Per epsilon, one ensemble of spec with that epsilon is simulated and
-    reused across radii (hitting times are pure post-processing).  Radii
-    should be nondecreasing in epsilon: each certified radius is compared
-    with the last certified one, across any epsilon not certified at
-    radius_max, and violations beyond one bisection step of slack are flagged.
+    Per epsilon, one ensemble of n_paths paths of spec with that epsilon is
+    simulated over horizon and reused across radii (hitting times are pure
+    post-processing); a radius is certified as recurrence_estimate(ensemble,
+    radius, rho, R) certifies it, bisected from radius_max down.  The
+    parameters are those of a config's ``[sweep]``, whose schema holds their
+    defaults and guards.  Radii should be nondecreasing in epsilon: each
+    certified radius is compared with the last certified one, across any
+    epsilon not certified at radius_max, and violations beyond one bisection
+    step of slack are flagged.
     """
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) == 0:
@@ -356,17 +351,15 @@ def epsilon_sweep(spec: SystemSpec, eps_list, inits, seed_base: int,
     entries = []
     for eps in eps_arr:
         spec_eps = replace(spec, epsilon=eps)
-        ensemble = simulate_ensemble(spec_eps, inits, params.n_paths, seed_base,
-                                     params.horizon, params.cfg)
+        ensemble = simulate_ensemble(spec_eps, inits, n_paths, seed_base, horizon, cfg)
 
         def certified(radius: float):
-            return recurrence_estimate(ensemble, radius, params.rho, params.R, spec_eps)
+            return recurrence_estimate(ensemble, radius, rho, R, spec_eps)
 
-        hi = params.radius_max
+        hi = radius_max
         rep_hi = certified(hi)
         if not rep_hi.certified:
-            entries.append(SweepEntry(eps, None, rep_hi.hit_fraction,
-                                      params.n_paths, math.inf,
+            entries.append(SweepEntry(eps, None, rep_hi.hit_fraction, n_paths, math.inf,
                                       "not certified at horizon"))
             continue
         lo = 0.0
@@ -378,8 +371,7 @@ def epsilon_sweep(spec: SystemSpec, eps_list, inits, seed_base: int,
                 rep_hi = rep
             else:
                 lo = mid
-        entries.append(SweepEntry(eps, hi, rep_hi.hit_fraction, params.n_paths,
-                                  hi - lo))
+        entries.append(SweepEntry(eps, hi, rep_hi.hit_fraction, n_paths, hi - lo))
 
     violations = []
     prev = None  # the last certified entry

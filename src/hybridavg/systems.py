@@ -5,9 +5,13 @@ T seconds through ``x+ = (0.75 + v) x`` with v = +0.75 (gain 1.5) with
 probability p and v = -0.75 (reset to 0) otherwise, driven by a unit-rate
 timer r in [0, T] that resets at T.
 
-A built-in is rendered expression text: its schema keys fill in a ``kind =
-custom`` config, each number written as ``repr(float)``, which compiles like
-any user config (see _jammed).  The flow of ``jammed-actuator`` is
+The constructors take the built-in's ``[system]`` keys (``period``,
+``jam_prob``, ``epsilon``, and ``delta`` for ``jammed-es``), which
+``config.SCHEMA`` declares with their defaults and guards: a constructor
+writes them into ``kind = jammed-*`` text for load_system.  A built-in is
+rendered expression text: its keys fill in a ``kind = custom`` config, each
+number written as ``repr(float)``, which compiles like any user config (see
+_custom_text).  The flow of ``jammed-actuator`` is
 ``-(x_1*(1.0 + sin(tau)))``.  That of ``jammed-es`` with delta = 0.1 is::
 
     ifge(abs(x_1), 0.1,
@@ -21,60 +25,51 @@ raw field with a = delta (locally Lipschitz, origin not invariant there).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from . import config as cfgmod
 from .core import JumpNoise, SystemSpec
 from .expressions import CompiledMap, ExpressionError, allowed_names, compile_expressions
 
 
-@dataclass(frozen=True)
-class JamParams:
-    """Reset period T (seconds), gain-1.5 probability p, time-scale epsilon."""
-
-    T: float
-    p: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError("reset period T must be positive")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("jam probability p must lie in [0, 1]")
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be positive and finite")
+def _builtin(kind: str, keys: dict) -> SystemSpec:
+    """load_system of [system] kind = <kind> with keys, each number written as repr(float)."""
+    return load_system(f"[system]\nkind = {kind}\n"
+                       + "".join(f"{key} = {float(v)!r}\n" for key, v in keys.items()))
 
 
-def _jammed(params: JamParams, flow_x: str) -> SystemSpec:
-    """The shared skeleton around flow_x, compiled from its custom-kind text."""
-    T, eps, p, q = (repr(float(v)) for v in (params.T, params.epsilon, params.p,
-                                               1.0 - params.p))
-    return load_system(
-        f"[system]\nkind = custom\nstate_dim = 1\naux_dim = 1\nnoise_dim = 1\n"
-        f"epsilon = {eps}\nflow_x = {flow_x}\nflow_r = 1.0\njump_x = (0.75 + v)*x_1\n"
-        f"jump_r = 0.0\nflow_set = box 0.0 {T}\njump_set = point {T}\n\n"
-        f"[noise]\nvalues = 0.75; -0.75\nprobs = {p} {q}\n")
+def jammed_actuator(**keys) -> SystemSpec:
+    """Scalar actuator xdot = -x(1 + sin tau) under periodic random jamming.
+
+    ``keys`` are the ``[system]`` keys ``period``, ``jam_prob`` and
+    ``epsilon``; one left out takes its schema default, and an unknown key or
+    a value its guard rejects is a ConfigError.
+    """
+    return _builtin("jammed-actuator", keys)
 
 
-def jammed_actuator(params: JamParams) -> SystemSpec:
-    """Scalar actuator xdot = -x(1 + sin tau) under periodic random jamming."""
-    return _jammed(params, "-(x_1*(1.0 + sin(tau)))")
-
-
-def jammed_es(params: JamParams, delta: float) -> SystemSpec:
+def jammed_es(**keys) -> SystemSpec:
     """Dither-based optimizer of a quadratic cost under periodic random jamming.
 
-    ``delta`` is the regularization radius: the field satisfies the global
-    regularity conditions outside the delta-ball, so only recurrence to a
-    delta-neighborhood of the target set is expected.
+    ``keys`` are those of jammed_actuator plus ``delta``, the regularization
+    radius: the field satisfies the global regularity conditions outside the
+    delta-ball, so only recurrence to a delta-neighborhood of the target set
+    is expected.
     """
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise ValueError("delta must be positive and finite")
-    d, s = repr(float(delta)), "sin(tau)"
-    outer = f"-(x_1*{s}) - 2.0*x_1*({s}*{s}) - abs(x_1)*({s}*{s}*{s})"
-    inner = f"-((x_1 + {d}*{s})*(x_1 + {d}*{s}))*{s}/{d}"
-    return _jammed(params, f"ifge(abs(x_1), {d}, {outer}, {inner})")
+    return _builtin("jammed-es", keys)
+
+
+def _custom_text(doc, kind: str) -> str:
+    """The kind = custom text of a built-in's document: the shared skeleton around its flow."""
+    T, p, eps = (doc.get_float("system", key) for key in ("period", "jam_prob", "epsilon"))
+    flow_x = "-(x_1*(1.0 + sin(tau)))"
+    if kind == "jammed-es":
+        d, s = repr(doc.get_float("system", "delta")), "sin(tau)"
+        outer = f"-(x_1*{s}) - 2.0*x_1*({s}*{s}) - abs(x_1)*({s}*{s}*{s})"
+        inner = f"-((x_1 + {d}*{s})*(x_1 + {d}*{s}))*{s}/{d}"
+        flow_x = f"ifge(abs(x_1), {d}, {outer}, {inner})"
+    return (f"[system]\nkind = custom\nstate_dim = 1\naux_dim = 1\nnoise_dim = 1\n"
+            f"epsilon = {eps!r}\nflow_x = {flow_x}\nflow_r = 1.0\njump_x = (0.75 + v)*x_1\n"
+            f"jump_r = 0.0\nflow_set = box 0.0 {T!r}\njump_set = point {T!r}\n\n"
+            f"[noise]\nvalues = 0.75; -0.75\nprobs = {p!r} {1.0 - p!r}\n")
 
 
 def load_system(source) -> SystemSpec:
@@ -88,13 +83,8 @@ def load_system(source) -> SystemSpec:
     """
     doc = cfgmod.as_document(source)
     kind = doc.get_str("system", "kind")
-    if kind != "custom":  # rendered as custom-kind text by _jammed
-        params = JamParams(T=doc.get_float("system", "period"),
-                           p=doc.get_float("system", "jam_prob"),
-                           epsilon=doc.get_float("system", "epsilon"))
-        if kind == "jammed-actuator":
-            return jammed_actuator(params)
-        return jammed_es(params, delta=doc.get_float("system", "delta"))
+    if kind != "custom":
+        return load_system(_custom_text(doc, kind))
 
     n = doc.get_int("system", "state_dim")
     p = doc.get_int("system", "aux_dim")

@@ -11,12 +11,12 @@ def V_quad(x, r):
 
 @pytest.fixture(scope="session")
 def actuator():
-    return ha.jammed_actuator(ha.JamParams(T=1.0, p=0.1, epsilon=0.01))
+    return ha.jammed_actuator(period=1.0, jam_prob=0.1, epsilon=0.01)
 
 
 @pytest.fixture(scope="session")
 def es_system():
-    return ha.jammed_es(ha.JamParams(T=1.0, p=0.1, epsilon=0.01), delta=0.1)
+    return ha.jammed_es(period=1.0, jam_prob=0.1, epsilon=0.01, delta=0.1)
 
 
 def average_flow_linear():

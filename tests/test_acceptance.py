@@ -35,7 +35,7 @@ V = pow(x_1, 2)
 
 
 def certificate_for(p: float):
-    spec = ha.jammed_actuator(ha.JamParams(T=1.0, p=p, epsilon=0.01))
+    spec = ha.jammed_actuator(period=1.0, jam_prob=p, epsilon=0.01)
     return ha.foster_certificate(V_quad, ha.build_average_system(spec, average_flow_linear()))
 
 
@@ -123,7 +123,7 @@ class TestCriterion4:
         ratios = [a / b for a, b in zip(errs, errs[1:])]
         ok = all(r >= 8.0 for r in ratios)
 
-        spec = ha.jammed_actuator(ha.JamParams(T=1.0, p=0.1, epsilon=0.01))
+        spec = ha.jammed_actuator(period=1.0, jam_prob=0.1, epsilon=0.01)
         arc = ha.simulate_path(spec, state(2.0, 0.0), 5, ha.Horizon(4.5, 100))
         drift = max(float(np.max(np.abs(seg.tau - (seg.tau[0] + (seg.t - seg.t[0]) / 0.01))))
                     for seg in arc.segments)
@@ -146,7 +146,7 @@ class TestCriterion5:
         ok = True
         for eps in (0.1, 0.05, 0.01):
             t0 = time.perf_counter()
-            spec = ha.jammed_actuator(ha.JamParams(T=2.0, p=0.1, epsilon=eps))
+            spec = ha.jammed_actuator(period=2.0, jam_prob=0.1, epsilon=eps)
             arc = ha.simulate_path(spec, state(1.0, 0.0), 0, ha.Horizon(1.0, 5))
             seg = arc.segments[0]
             avg_on_grid = np.interp(seg.t, avg_seg.t, avg_seg.x[:, 0])
@@ -187,10 +187,10 @@ class TestCriterion7:
 class TestCriterion8:
     def test_certified_radius_monotone_in_epsilon(self, es_system):
         started = time.perf_counter()
-        params = ha.SweepParams(radius_max=2.0, rho=0.05, R=5.0, n_paths=200,
-                                horizon=ha.Horizon(10.0, 10_000))
         result = ha.epsilon_sweep(es_system, [0.1, 0.05, 0.01],
-                                  [state(-2.0, 0.0), state(2.0, 0.0)], 7, params)
+                                  [state(-2.0, 0.0), state(2.0, 0.0)], 7,
+                                  radius_max=2.0, rho=0.05, R=5.0, n_paths=200,
+                                  horizon=ha.Horizon(10.0, 10_000))
         elapsed = time.perf_counter() - started
         radii = [e.certified_radius for e in result.entries]
         ok = all(r is not None for r in radii)
@@ -207,7 +207,7 @@ class TestCriterion9:
         base = certificate_for(0.1)
         ok = True
         for alpha in (0.5, 3.0):
-            spec = ha.jammed_actuator(ha.JamParams(T=1.0, p=0.1, epsilon=0.01))
+            spec = ha.jammed_actuator(period=1.0, jam_prob=0.1, epsilon=0.01)
             avg = ha.build_average_system(spec, average_flow_linear())
             scaled = ha.foster_certificate(
                 lambda x, r, a=alpha: a * V_quad(x, r), avg)

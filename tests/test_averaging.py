@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridavg as ha
-from hybridavg.averaging import window_average
+from hybridavg.averaging import TabulatedMap, window_average
 
 from conftest import V_quad, state
 
@@ -79,7 +79,7 @@ class TestWindowAverage:
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.0, 10.0), st.floats(0.3, 5.0), st.floats(0.3, 5.0))
     def test_splicing_identity(self, tau0, T1, T2):
-        spec = ha.jammed_actuator(ha.JamParams(T=1.0, p=0.1, epsilon=0.01))
+        spec = ha.jammed_actuator(period=1.0, jam_prob=0.1, epsilon=0.01)
         q = 300
         a = window_average(spec, [1.7], [0.5], tau0, T1, q)[0]
         b = window_average(spec, [1.7], [0.5], tau0 + T1, T2, q)[0]
@@ -245,7 +245,36 @@ class TestSampledEstimateGrids:
             estimate(actuator, over_zero, self.X_PTS, self.R_PTS, TAUS[:8], np.array([1.0]))
 
 
+class TestTabulatedMap:
+    def test_extrapolates_linearly_beyond_the_hull(self):
+        # a multilinear table of a linear field reproduces it off the grid too;
+        # queries were once clamped to the hull, reading a constant there
+        axes = (np.array([-3.0, -1.0, 2.0]), np.array([0.0, 1.0]))
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        tab = TabulatedMap(axes, 2.0 * grid[..., :1] - 3.0 * grid[..., 1:] + 1.0)
+        x = np.array([[-5.0], [-3.0 - 1e-5], [2.5], [0.0]])
+        r = np.array([[-0.5], [0.3], [1.5], [2.0]])
+        assert np.allclose(tab(x, r), 2.0 * x - 3.0 * r + 1.0, rtol=0.0, atol=1e-12)
+
+    def test_one_point_axis_is_constant(self):
+        tab = TabulatedMap((np.array([-1.0, 1.0]), np.array([0.5])), np.array([[[2.0]], [[4.0]]]))
+        got = tab(np.array([[-3.0], [0.0], [3.0]]), np.array([[7.0], [-2.0], [0.5]]))
+        assert np.array_equal(got, [[0.0], [3.0], [6.0]])
+
+
 class TestJacobianAverage:
+    def test_tabulated_average_reads_the_edge_slope_at_a_hull_node(self, actuator, favg):
+        # without favg, the central difference at x = -3 once probed a clamped
+        # interpolant and read half the slope: every T was flagged
+        tab = ha.estimate_average_map(actuator, TestEstimateAverageMap.X_AXIS,
+                                      TestEstimateAverageMap.R_AXIS,
+                                      T_long=20 * 2 * math.pi).f_ave
+        Ts = np.array([0.5, 3.3])
+        args = (np.array([[-3.0]]), np.array([[0.0]]), TAUS[:64], Ts)
+        closed, tabulated = (ha.check_jacobian_average(actuator, f_ave, *args).values
+                             for f_ave in (favg, tab))
+        assert np.max(np.abs(tabulated - closed)) <= 1e-6
+
     def test_matches_state_curve_for_linear_field(self, actuator, favg):
         # d = -x sin(tau): both the state residual and d(d)/dx average to the
         # same closed-form magnitude

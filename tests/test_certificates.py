@@ -12,7 +12,7 @@ from conftest import V_quad, average_flow_linear
 
 
 def jam_average(p):
-    spec = ha.jammed_actuator(ha.JamParams(T=1.0, p=p, epsilon=0.01))
+    spec = ha.jammed_actuator(period=1.0, jam_prob=p, epsilon=0.01)
     return ha.build_average_system(spec, average_flow_linear())
 
 

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import math
 import re
+import types
 import warnings
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hybridavg import __version__, cli, solver
 from hybridavg.cli import FIG1_CONFIG, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
 SMALL_ACTUATOR = """\
 [system]
@@ -874,3 +877,28 @@ class TestConfigSchema:
         key = line.split(" = ")[0]
         assert capsys.readouterr().err.startswith(
             f"config error: [{command}] {key}: unknown key")
+
+
+class TestBenchmarkTracerNames:
+    MODULES = ("config", "systems", "expressions", "core", "solver", "averaging",
+               "certificates", "stats", "svgplot", "cli")
+
+    def test_tracer_swaps_and_restores_every_name(self):
+        # the benchmark's tracer wraps module attributes (cli.jammed_es,
+        # stats.simulate_ensemble, ...) by name: one renamed or deleted fails
+        # here, not only in a traced benchmark run
+        spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        hv = types.SimpleNamespace(**{name: importlib.import_module(f"hybridavg.{name}")
+                                      for name in self.MODULES})
+        owners = [*vars(hv).values(), hv.config.ConfigDocument]
+        before = [dict(vars(owner)) for owner in owners]
+        with tracing.Tracer(hv).active():
+            swapped = [(owner, name) for owner, names in zip(owners, before)
+                       for name, value in names.items() if vars(owner)[name] is not value]
+            for owner, name in ((hv.cli, "jammed_es"), (hv.cli, "load_system"),
+                                (hv.stats, "simulate_ensemble"), (hv.cli, "epsilon_sweep")):
+                assert (owner, name) in swapped
+        assert all(vars(owner)[name] is value
+                   for owner, names in zip(owners, before) for name, value in names.items())

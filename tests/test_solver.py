@@ -17,7 +17,7 @@ from conftest import arcs_equal, state
 
 
 def make_actuator(p=0.1, T=1.0, eps=0.01):
-    return ha.jammed_actuator(ha.JamParams(T=T, p=p, epsilon=eps))
+    return ha.jammed_actuator(period=T, jam_prob=p, epsilon=eps)
 
 
 class TestFlowStep:

@@ -17,7 +17,7 @@ from conftest import state
 @pytest.fixture(scope="module")
 def decay_system(average_system):
     """Average actuator dynamics with the reset period pushed past every horizon."""
-    spec = ha.jammed_actuator(ha.JamParams(T=1000.0, p=0.1, epsilon=0.01))
+    spec = ha.jammed_actuator(period=1000.0, jam_prob=0.1, epsilon=0.01)
     return ha.build_average_system(spec, average_system.f_ave)
 
 
@@ -368,21 +368,28 @@ class TestUgesMFit:
 
 class TestEpsilonSweep:
     def params(self, **kw):
-        defaults = dict(radius_max=2.0, rho=0.05, R=5.0, n_paths=40,
-                        horizon=ha.Horizon(6.0, 1000))
-        defaults.update(kw)
-        return ha.SweepParams(**defaults)
+        return {"radius_max": 2.0, "rho": 0.05, "R": 5.0, "n_paths": 40,
+                "horizon": ha.Horizon(6.0, 1000), **kw}
 
     def test_single_epsilon(self, es_system):
         res = ha.epsilon_sweep(es_system, [0.05],
-                               [state(2.0, 0.0), state(-2.0, 0.0)], 3, self.params())
+                               [state(2.0, 0.0), state(-2.0, 0.0)], 3, **self.params())
         assert len(res.entries) == 1
         assert res.monotone
+
+    def test_parameters_are_keyword_only_without_defaults(self, es_system):
+        # the [sweep] schema alone holds their defaults
+        kw = self.params()
+        with pytest.raises(TypeError):
+            ha.epsilon_sweep(es_system, [0.05], [state(2.0, 0.0)], 3, *kw.values())
+        del kw["n_paths"]
+        with pytest.raises(TypeError, match="n_paths"):
+            ha.epsilon_sweep(es_system, [0.05], [state(2.0, 0.0)], 3, **kw)
 
     def test_requires_strictly_decreasing(self, es_system):
         with pytest.raises(ValueError, match="strictly decreasing"):
             ha.epsilon_sweep(es_system, [0.01, 0.05],
-                             [state(2.0, 0.0)], 3, self.params())
+                             [state(2.0, 0.0)], 3, **self.params())
 
     def test_tau_independent_system_is_epsilon_free(self, actuator):
         def flat_flow(x, r, tau, eps):
@@ -390,7 +397,7 @@ class TestEpsilonSweep:
 
         spec = dataclasses.replace(actuator, f=flat_flow)
         res = ha.epsilon_sweep(spec, [0.1, 0.05, 0.01],
-                               [state(2.0, 0.0), state(-2.0, 0.0)], 3, self.params())
+                               [state(2.0, 0.0), state(-2.0, 0.0)], 3, **self.params())
         radii = [e.certified_radius for e in res.entries]
         slack = max(e.bisection_slack for e in res.entries)
         assert max(radii) - min(radii) <= 2 * slack + 1e-12
@@ -401,10 +408,10 @@ class TestEpsilonSweep:
             return np.asarray(x, dtype=float)
 
         # the decay system's maps and sets, in a system whose epsilon the sweep replaces
-        decay = ha.jammed_actuator(ha.JamParams(T=1000.0, p=0.1, epsilon=0.05))
+        decay = ha.jammed_actuator(period=1000.0, jam_prob=0.1, epsilon=0.05)
         spec = dataclasses.replace(decay, f=growing)
         res = ha.epsilon_sweep(spec, [0.05], [state(2.0, 0.0)], 3,
-                               self.params(radius_max=0.5))
+                               **self.params(radius_max=0.5))
         assert res.entries[0].certified_radius is None
         assert res.entries[0].note == "not certified at horizon"
 
@@ -418,6 +425,6 @@ class TestEpsilonSweep:
                             lambda eps, radius, *args: types.SimpleNamespace(
                                 certified=radius >= smallest[eps], hit_fraction=1.0))
         res = ha.epsilon_sweep(es_system, [0.1, 0.05, 0.01], [state(2.0, 0.0)], 3,
-                               self.params())
+                               **self.params())
         assert [e.certified_radius is None for e in res.entries] == [False, True, False]
         assert not res.monotone and res.violations == ((0.1, 0.01),)

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hybridavg as ha
 from hybridavg.config import ConfigError
@@ -30,19 +33,64 @@ probs = 0.1 0.9
 """
 
 
-class TestJamParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ha.JamParams(T=0.0, p=0.1, epsilon=0.01)
-        with pytest.raises(ValueError):
-            ha.JamParams(T=1.0, p=1.5, epsilon=0.01)
-        with pytest.raises(ValueError):
-            ha.JamParams(T=1.0, p=0.1, epsilon=0.0)
+def compiled(spec):
+    """Each map's generated source and the reprs of its bound constants _c<i>."""
+    return [(fn.source, {k: repr(v) for k, v in fn._fn.__globals__.items()
+                         if re.fullmatch(r"_c\d+", k)})
+            for fn in (spec.f, spec.w, spec.g, spec.h)]
 
-    def test_infinite_epsilon_is_rejected(self):
-        # once accepted here, failing only later inside SystemSpec
-        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
-            ha.JamParams(T=1.0, p=0.1, epsilon=math.inf)
+
+def rendered(period=1.0, jam_prob=0.1, epsilon=0.01, delta=None):
+    """The README's rendering rule, written out: the custom-kind text of a built-in
+    (jammed-es when delta is given), every number Python's repr of the float."""
+    T, p, q, eps = (repr(float(v)) for v in (period, jam_prob, 1.0 - jam_prob, epsilon))
+    flow_x = "-(x_1*(1.0 + sin(tau)))"
+    if delta is not None:
+        d, s = repr(float(delta)), "sin(tau)"
+        flow_x = (f"ifge(abs(x_1), {d}, -(x_1*{s}) - 2.0*x_1*({s}*{s}) - abs(x_1)*({s}*{s}*{s}), "
+                  f"-((x_1 + {d}*{s})*(x_1 + {d}*{s}))*{s}/{d})")
+    return (f"[system]\nkind = custom\nstate_dim = 1\naux_dim = 1\nnoise_dim = 1\n"
+            f"epsilon = {eps}\nflow_x = {flow_x}\nflow_r = 1.0\njump_x = (0.75 + v)*x_1\n"
+            f"jump_r = 0.0\nflow_set = box 0.0 {T}\njump_set = point {T}\n\n"
+            f"[noise]\nvalues = 0.75; -0.75\nprobs = {p} {q}\n")
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_JAM_KEYS = {"period": _POSITIVE, "jam_prob": st.floats(min_value=0.0, max_value=1.0),
+             "epsilon": _POSITIVE}
+
+
+class TestBuiltinKeys:
+    @pytest.mark.parametrize("make, keys, err", [
+        pytest.param(ha.jammed_actuator, dict(period=0.0),
+                     "[system] period: must be > 0, got 0.0", id="period"),
+        pytest.param(ha.jammed_actuator, dict(jam_prob=1.5),
+                     "[system] jam_prob: must lie in [0, 1], got 1.5", id="jam_prob"),
+        pytest.param(ha.jammed_es, dict(epsilon=0.0),
+                     "[system] epsilon: must be > 0, got 0.0", id="epsilon"),
+        pytest.param(ha.jammed_actuator, dict(epsilon=math.inf),
+                     "[system] epsilon: not a finite number: 'inf'", id="inf_epsilon"),
+        pytest.param(ha.jammed_actuator, dict(delta=0.1),
+                     "[system] delta: unknown key", id="actuator_delta"),
+        pytest.param(ha.jammed_es, dict(T=1.0), "[system] T: unknown key", id="unknown_key")])
+    def test_guards_are_the_schema_guards(self, make, keys, err):
+        with pytest.raises(ConfigError) as exc:
+            make(**keys)
+        assert str(exc.value) == err
+
+    def test_left_out_keys_take_the_schema_defaults(self, actuator, es_system):
+        assert compiled(ha.jammed_actuator()) == compiled(actuator)
+        assert compiled(ha.jammed_es()) == compiled(es_system)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.fixed_dictionaries({}, optional=_JAM_KEYS), st.one_of(st.none(), _POSITIVE))
+    def test_constructors_compile_the_rendered_custom_text(self, keys, delta):
+        expect = ha.load_system(rendered(**keys, delta=delta))
+        spec = (ha.jammed_actuator(**keys) if delta is None
+                else ha.jammed_es(**keys, delta=delta))
+        assert compiled(spec) == compiled(expect)
+        assert (spec.C, spec.D, spec.epsilon) == (expect.C, expect.D, expect.epsilon)
+        assert repr(spec.noise) == repr(expect.noise)
 
 
 class TestJammedActuator:
@@ -57,7 +105,7 @@ class TestJammedActuator:
     def test_deterministic_jamming_fails_certificate(self, favg):
         from conftest import V_quad
 
-        spec = ha.jammed_actuator(ha.JamParams(T=1.0, p=1.0, epsilon=0.01))
+        spec = ha.jammed_actuator(period=1.0, jam_prob=1.0, epsilon=0.01)
         cert = ha.foster_certificate(V_quad, ha.build_average_system(spec, favg))
         assert cert.lam == pytest.approx(2.25, abs=1e-12)
         assert not cert.verdict
@@ -114,12 +162,12 @@ class TestJammedEs:
             assert avg.nodal_residual <= 1e-6
 
     def test_delta_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ha.jammed_es(ha.JamParams(T=1.0, p=0.1, epsilon=0.01), delta=0.0)
+        with pytest.raises(ConfigError, match=r"\[system\] delta: must be > 0, got 0.0"):
+            ha.jammed_es(period=1.0, jam_prob=0.1, epsilon=0.01, delta=0.0)
 
     def test_nan_delta_is_rejected(self):
-        with pytest.raises(ValueError, match="delta must be positive and finite"):
-            ha.jammed_es(ha.JamParams(T=1.0, p=0.1, epsilon=0.01), delta=math.nan)
+        with pytest.raises(ConfigError, match=r"\[system\] delta: not a finite number: 'nan'"):
+            ha.jammed_es(period=1.0, jam_prob=0.1, epsilon=0.01, delta=math.nan)
 
 
 class TestLoadSystem:
