@@ -9,15 +9,20 @@ whether a flow, aux flow, jump, average map or scalar candidate, is one
 CompiledMap keyed by the roles of its positional arguments.  When it is
 built, a map translates its AST into the source of one Python function, one
 numpy operation per distinct subtree (a repeated subtree is computed once),
-and compiles it once.  That source is made from the AST alone: its names
-come from the roles and a fixed table of numpy functions, literals are bound
-as constants, and no user text is ever evaluated.  Maps run vectorized over batched numpy arrays
-and pickle as plain data.
+and compiles it once.  An ifge computes each branch only for a batch in
+which some row takes it, with the values of where(a >= b, then, else).  That
+source is made from the AST alone: its names come from the roles and a fixed
+table of numpy functions, literals, and subtrees of literals alone computed
+once when the map is built, are bound as constants, and no user text is ever
+evaluated.  Maps run vectorized over batched numpy arrays and pickle as plain
+data.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import re
 import struct
 from collections import Counter, namedtuple
@@ -36,7 +41,8 @@ class ExpressionError(ValueError):
 
 
 #: name -> (min args, max args or None, numpy function); min and max fold left,
-#: and ifge(a, b, then, else) is where(a >= b, then, else)
+#: and ifge(a, b, then, else) has the values of where(a >= b, then, else), each
+#: branch computed only for a batch in which some row takes it (see _emit)
 _FUNCTIONS = {
     "sin": (1, 1, np.sin),
     "cos": (1, 1, np.cos),
@@ -279,17 +285,49 @@ _ARRAY_ROLES = ("x", "r", "v")
 _SCALAR_ROLES = ("tau", "eps")
 
 
+#: nested ``if`` blocks CPython compiles in one function body
+_MAX_BLOCKS = 98
+
+#: the operator of each Bin and Neg node, applied to float64 numbers
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+              "neg": operator.neg}
+
+
+def _common(a: tuple, b: tuple) -> tuple:
+    """The longest common prefix of two tuples."""
+    n = 0
+    while n < min(len(a), len(b)) and a[n] == b[n]:
+        n += 1
+    return a[:n]
+
+
 def _emit(exprs, lines: list, consts: list):
-    """Yield the text of each tree's value, once the lines it reads are appended.
+    """Yield (text, whether it is a fresh array) of each tree's value, once the
+    lines it reads are appended.
 
     Subtrees are hash-consed: they compare by structure without source
-    positions, constants by their exact bits (-0.0 is not 0.0).  An inner
-    subtree held by two or more operands or columns of the distinct subtrees
-    is computed once, into a name, where it is first needed; any other is
-    written inline, so numpy can reuse its temporaries.  Each fold step of a
-    variadic min or max has its own line, so calls nest no deeper than the tree.
+    positions, constants by their exact bits (-0.0 is not 0.0).  A subtree of
+    literals alone is computed here, once, by the numpy operations a call
+    would apply, and bound as a constant.  An inner subtree held by two or more
+    operands or columns of the distinct subtrees is computed once, into a
+    name; any other is written inline, so numpy can reuse its temporaries.
+    Each fold step of a variadic min or max has its own line, so calls nest no
+    deeper than the tree.
+
+    An ifge whose condition and both branches read an array column, so that
+    each is a float array over the batch, computes a branch only for a batch
+    in which some row takes it: its mask and the count of true rows are
+    computed once, each branch's lines sit in an ``if`` block, and where both
+    ran the value is where(mask, then, else), so the bits are those of where.
+    Any other ifge, and one already inside _MAX_BLOCKS blocks, is
+    where(a >= b, then, else).  A named subtree is computed
+    in the innermost branch that holds all of its uses, before the first
+    block that reads it, so no name is read unset.
     """
     ids, table, names = {}, [], {}  # structure -> id; id -> (node, child ids); id -> name
+    reads, literal = [], []  # id -> it reads an array column; it reads no name at all
+    serial, fresh = itertools.count(), set()  # names of arrays allocated by the call
+    depth = 0  # blocks open around the next line
 
     def intern(node) -> int:
         kids = tuple(map(intern, _children(node)))
@@ -299,23 +337,78 @@ def _emit(exprs, lines: list, consts: list):
         i = ids.setdefault((type(node), label, kids), len(table))
         if i == len(table):
             table.append((node, kids))
+            role = label.partition("_")[0] if isinstance(node, Var) else None
+            reads.append(role in _ARRAY_ROLES or any(map(reads.__getitem__, kids)))
+            literal.append(role is None and all(map(literal.__getitem__, kids)))
         return i
 
+    def line(text: str) -> None:
+        lines.append("    " * depth + text)
+
     def assign(text: str) -> str:
-        lines.append(f"_t{len(lines)} = {text}")
-        return f"_t{len(lines) - 1}"
+        name = f"_t{next(serial)}"
+        line(f"{name} = {text}")
+        fresh.add(name)
+        return name
+
+    def is_fresh(text: str) -> bool:
+        return not text.isidentifier() or text in fresh
+
+    def fold(i: int):
+        """Subtree i of literals alone, by the float64 operations of a call."""
+        node, kids = table[i]
+        if isinstance(node, Num):
+            return np.float64(node.value)
+        args = [fold(kid) for kid in kids]
+        if not isinstance(node, Call):
+            return _OPERATORS[getattr(node, "op", "neg")](*args)
+        fn = _FUNCTIONS[node.fn][2]
+        if node.fn == "ifge":
+            return fn(args[0] >= args[1], *args[2:])
+        return functools.reduce(fn, args[2:], fn(*args[:2]))  # min and max fold left
+
+    def branches(i: int) -> str:
+        """The lines of lazy ifge i; the name of its value."""
+        nonlocal depth
+        kids = table[i][1]
+        a, b = (value(kid)[0] for kid in kids[:2])
+        for j in sorted(hoist.get(i, ())):  # shared subtrees the blocks read
+            value(j)
+        mask = assign(f"{a} >= {b}")
+        count = assign(f"_count_nonzero({mask})")
+        out = f"_t{next(serial)}"
+        line(f"if {count}:")
+        depth += 1
+        then = value(kids[2])[0]
+        line(f"{out} = {then}")
+        depth -= 1
+        line(f"if not {count} or {count} != {mask}.size:")  # some row false, or no row
+        depth += 1
+        other = value(kids[3])[0]
+        other = other if other.isidentifier() else assign(other)
+        line(f"{out} = _ifge({mask}, {out}, {other}) if {count} else {other}")
+        depth -= 1
+        if is_fresh(then) and is_fresh(other):
+            fresh.add(out)
+        return out
 
     def value(i: int):
         """(text, whether it is infix) of subtree i."""
         node, kids = table[i]
-        if isinstance(node, Num) and i not in names:
-            consts.append(node.value)
+        if literal[i] and i not in names:
+            if isinstance(node, Num):
+                consts.append(node.value)
+            else:
+                with np.errstate(all="ignore"):  # a call reports a non-finite value
+                    consts.append(float(fold(i)))
             names[i] = f"_c{len(consts) - 1}"
         if i in names or isinstance(node, Var):
             return names.get(i) or _name(node), False
-        args = [value(kid) for kid in kids]
+        args = [] if i in lazy else [value(kid) for kid in kids]
         infix = not isinstance(node, Call)
-        if not infix:
+        if i in lazy:
+            text = branches(i)
+        elif not infix:
             args = [text for text, _ in args]
             if node.fn == "ifge":
                 text = f"_ifge({args[0]} >= {args[1]}, {args[2]}, {args[3]})"
@@ -323,24 +416,45 @@ def _emit(exprs, lines: list, consts: list):
                 text = f"_{node.fn}({', '.join(args[:2])})"
                 for arg in args[2:]:  # a min or max folds left, one line per step
                     text = f"_{node.fn}({assign(text)}, {arg})"
-        elif getattr(node, "op", None) == "/" and all(
-                _name(var) in _SCALAR_ROLES for var in _variables(node)):
-            # literals, and tau or eps given as numbers, are Python floats, whose
-            # quotient raises on a zero divisor; numpy's is the IEEE inf or nan
-            # the caller's check reports
+        elif getattr(node, "op", None) == "/" and not reads[i]:
+            # tau or eps given as numbers are Python floats, whose quotient
+            # raises on a zero divisor; numpy's is the IEEE inf or nan the
+            # caller's check reports
             text, infix = f"_divide({args[0][0]}, {args[1][0]})", False
         else:  # an infix operand is parenthesized
             ops = [f"({text})" if paren else text for text, paren in args]
             text = f"-{ops[0]}" if isinstance(node, Neg) else f"{ops[0]} {node.op} {ops[1]}"
         if uses[i] > 1:
-            names[i] = assign(text)
+            names[i] = text if text.isidentifier() else assign(text)
             return names[i], False
         return text, infix
 
     roots = [intern(expr) for expr in exprs]
     uses = Counter(roots + [kid for _, kids in table for kid in kids])
+    # the branch a subtree is computed in: a path of (lazy ifge, argument) pairs
+    # from the function body, the longest that holds every use of it
+    region, lazy, needs = dict.fromkeys(roots, ()), set(), []
+    for i in reversed(range(len(table))):  # a node's id is above those of its kids
+        node, kids = table[i]
+        if literal[i]:
+            continue
+        if (getattr(node, "fn", None) == "ifge" and (reads[kids[0]] or reads[kids[1]])
+                and reads[kids[2]] and reads[kids[3]] and len(region[i]) < _MAX_BLOCKS):
+            lazy.add(i)
+        for k, kid in enumerate(kids):
+            need = region[i] + ((i, k),) if i in lazy and k >= 2 else region[i]
+            old = region.setdefault(kid, need)
+            if old != need:
+                region[kid] = _common(old, need)
+            if need:  # a use inside a branch, maybe of a subtree computed outside it
+                needs.append((kid, need))
+    hoist = {}  # lazy ifge -> subtrees computed before its blocks, read inside them
+    for kid, need in needs:
+        if len(need) > len(region[kid]):
+            hoist.setdefault(need[len(region[kid])][0], set()).add(kid)
     for root in roots:
-        yield value(root)[0]
+        text = value(root)[0]
+        yield text, is_fresh(text)
 
 
 class CompiledMap:
@@ -387,21 +501,22 @@ class CompiledMap:
         values = _emit(exprs, lines, consts)
         shape = batch if scalar else f"(*{batch}, {len(exprs)})"
         if len(exprs) == 1:
-            (v,) = values
-            if not v.isidentifier():  # one column, computed here: a float array over the
-                # batch is fresh, so it is the output; a copy into a second batch-sized
-                # buffer made averaging's large batches 1.2x slower
+            ((v, fresh),) = values
+            if fresh:  # one column, allocated by the call: a float array over the batch
+                # is the output; a copy into a second batch-sized buffer made
+                # averaging's large batches 1.2x slower
                 lines += [f"_v = {v}", f"if _v.__class__ is _ndarray and _v.dtype is _float64"
                           f" and _v.shape == {batch}:", f"    _v.shape = {shape}", "    return _v"]
                 v = "_v"
-            values = [v]
+            values = [(v, fresh)]
         lines.append(f"_out = _empty({shape})")  # more columns are written straight into it
-        for k, value in enumerate(values):
+        for k, (value, _) in enumerate(values):
             lines.append(f"_out[{'...' if scalar else f'..., {k}'}] = {value}")
         self.source = "\n    ".join(lines + ["return _out"]) + "\n"
         scope = {"__builtins__": {}, "__name__": __name__, "_ndarray": np.ndarray,
                  "_float64": np.dtype(np.float64), "_asarray": np.asarray,
-                 "_atleast_2d": np.atleast_2d, "_empty": np.empty, "_divide": np.divide}
+                 "_atleast_2d": np.atleast_2d, "_empty": np.empty, "_divide": np.divide,
+                 "_count_nonzero": np.count_nonzero}
         scope.update((f"_{fn}", ufunc) for fn, (_, _, ufunc) in _FUNCTIONS.items())
         scope.update((f"_c{i}", c) for i, c in enumerate(consts))
         exec(_compile(self.source, f"<CompiledMap {self.roles}>", "exec"), scope)

@@ -32,16 +32,21 @@ from .expressions import CompiledMap, ExpressionError, allowed_names, compile_ex
 
 def _builtin(kind: str, keys: dict) -> SystemSpec:
     """load_system of [system] kind = <kind> with keys, each number written as repr(float)."""
-    return load_system(f"[system]\nkind = {kind}\n"
-                       + "".join(f"{key} = {float(v)!r}\n" for key, v in keys.items()))
+    text = f"[system]\nkind = {kind}\n"
+    for key, v in keys.items():
+        try:
+            text += f"{key} = {float(v)!r}\n"
+        except (TypeError, ValueError):
+            raise cfgmod.ConfigError(f"[system] {key}: not a number: {v!r}") from None
+    return load_system(text)
 
 
 def jammed_actuator(**keys) -> SystemSpec:
     """Scalar actuator xdot = -x(1 + sin tau) under periodic random jamming.
 
     ``keys`` are the ``[system]`` keys ``period``, ``jam_prob`` and
-    ``epsilon``; one left out takes its schema default, and an unknown key or
-    a value its guard rejects is a ConfigError.
+    ``epsilon``; one left out takes its schema default, and an unknown key, a
+    value that is not a number or one its guard rejects is a ConfigError.
     """
     return _builtin("jammed-actuator", keys)
 

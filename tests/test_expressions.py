@@ -144,8 +144,11 @@ class TestErrors:
         "+".join(["x_1"] * MAX_DEPTH),
         "sin(" * (MAX_DEPTH - 1) + "x_1" + ")" * (MAX_DEPTH - 1),
         "min(" + ", ".join(f"x_1 * {k}" for k in range(300)) + ")",
-        "ifge(x_1, 0.25, " * (MAX_DEPTH - 2) + "x_1" + ", -x_1)" * (MAX_DEPTH - 2)],
-        ids=["signs", "parentheses", "sum", "calls", "min-300", "ifge-chain"])
+        "ifge(x_1, 0.25, " * (MAX_DEPTH - 2) + "x_1" + ", -x_1)" * (MAX_DEPTH - 2),
+        "ifge(x_1, 0.25, -x_1, " * (MAX_DEPTH - 2) + "x_1" + ")" * (MAX_DEPTH - 2),
+        "ifge(x_1, 0.25, " * (MAX_DEPTH - 1) + "x_1" + ", x_1)" * (MAX_DEPTH - 1)],
+        ids=["signs", "parentheses", "sum", "calls", "min-300", "ifge-chain",
+             "ifge-else-chain", "ifge-chain-99"])
     def test_tree_at_the_nesting_limit_compiles_and_pickles(self, text):
         # a fold of min written as nested calls once passed Python's limit of
         # 200 nested parentheses
@@ -400,18 +403,61 @@ class TestGeneratedCode:
                 lone = fmap(*(a[i:i + 1] if np.ndim(a) else a for a in args))
                 assert _same_bits(lone, batch[i:i + 1])
 
-    @pytest.mark.parametrize("text", ["2.5", "x_1", "r_1", "-x_1", "ifge(x_1, 2, r_1, x_1)"])
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), role=st.sampled_from(["favg", "V"]),
+           batch=st.sampled_from([1, 64, 500]),
+           mask=st.sampled_from(["all-true", "all-false", "mixed", "nan"]))
+    def test_lazy_ifge_matches_where_bit_for_bit(self, data, role, batch, mask):
+        # ifge(x_1 + 0, c, then, else) with branches that read a column computes
+        # a branch only where some row takes it; nested ifge in the drawn trees
+        # get masks of their own
+        roles = ROLES[role]
+        trees = _trees(_names(roles))
+        then, other = (Bin("-", data.draw(trees), Var("x_2")) for _ in range(2))
+        c = {"all-true": -1.0, "all-false": 2.0, "mixed": 0.5, "nan": 0.5}[mask]
+        root = Call("ifge", (Bin("+", Var("x_1"), Num(0.0)), Num(c), then, other))
+        exprs = root if role == "V" else (root, data.draw(trees))
+        x, r = _args(role, batch)
+        x[:, 0] = np.linspace(0.0, 1.0, batch)
+        if mask == "nan":
+            x[::3, 0] = np.nan  # a NaN condition is false, as in where
+        fmap = CompiledMap(exprs, roles)
+        assert "_count_nonzero" in fmap.source
+        with np.errstate(all="ignore"):
+            assert _same_bits(fmap(x, r), reference_map(exprs, roles, x, r))
+
+    @pytest.mark.parametrize("text", ["ifge(x_1, 2, -r_1, -x_1)", "ifge(x_1, 2, r_1, x_1)"])
+    def test_lazy_ifge_on_an_empty_batch(self, text):
+        fmap = CompiledMap(compile_expressions([text], allowed_names(n=1, p=1)), ("x", "r"))
+        assert fmap(np.empty((0, 1)), np.empty((0, 1))).shape == (0, 1)
+
+    def test_literal_subtrees_are_computed_once_when_the_map_is_built(self):
+        # the inner sum is a nan; in Python float arithmetic per call, its sum
+        # with its negation gave nans of either sign between calls
+        tree = parse_expression("(1e999 + -1e999) + -(1e999 + -1e999) + x_1")
+        fmap = CompiledMap((tree,), ("x",))
+        x = np.array([[0.5]])
+        with np.errstate(invalid="ignore"):
+            want = reference_map((tree,), ("x",), x)
+        signs = {bool(np.signbit(fmap(x)[0, 0])) for _ in range(20_000)}
+        assert signs == {bool(np.signbit(want[0, 0]))}
+
+    @pytest.mark.parametrize("text", ["2.5", "x_1", "r_1", "-x_1", "ifge(x_1, 2, r_1, x_1)",
+                                      "ifge(x_1, 2, -x_1, r_1)", "ifge(x_1, 2, -r_1, -x_1)"])
     @pytest.mark.parametrize("scalar", [True, False])
     def test_output_is_fresh_and_never_aliases_an_input(self, text, scalar):
         exprs = compile_expressions([text], allowed_names(n=1, p=1))
         fmap = CompiledMap(exprs[0] if scalar else exprs, ("x", "r"))
-        x, r = np.array([[1.5], [2.5]]), np.array([[0.25], [0.75]])
-        out = fmap(x, r)
-        assert out.flags.writeable and out.flags.owndata
-        assert not np.shares_memory(out, x) and not np.shares_memory(out, r)
-        out[...] = -9.0
-        assert np.array_equal(x, [[1.5], [2.5]]) and np.array_equal(r, [[0.25], [0.75]])
-        assert not np.shares_memory(fmap(x, r), out)
+        # x_1 >= 2 in some, every or no row: a branch that is an input's column
+        # is copied when it alone is taken
+        for x_1 in ([1.5, 2.5], [2.5, 3.5], [0.5, 1.5]):
+            x, r = np.array(x_1)[:, None], np.array([[0.25], [0.75]])
+            out = fmap(x, r)
+            assert out.flags.writeable and out.flags.owndata
+            assert not np.shares_memory(out, x) and not np.shares_memory(out, r)
+            out[...] = -9.0
+            assert np.array_equal(x[:, 0], x_1) and np.array_equal(r, [[0.25], [0.75]])
+            assert not np.shares_memory(fmap(x, r), out)
 
     @pytest.mark.parametrize("text,roles", [
         ("y", ("x", "r")),

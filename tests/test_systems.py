@@ -78,6 +78,12 @@ class TestBuiltinKeys:
             make(**keys)
         assert str(exc.value) == err
 
+    @pytest.mark.parametrize("delta", [None, "abc", [0.1, 0.2]], ids=["none", "text", "list"])
+    def test_a_value_that_is_not_a_number_names_its_key(self, delta):
+        with pytest.raises(ConfigError) as exc:
+            ha.jammed_es(delta=delta)
+        assert str(exc.value) == f"[system] delta: not a number: {delta!r}"
+
     def test_left_out_keys_take_the_schema_defaults(self, actuator, es_system):
         assert compiled(ha.jammed_actuator()) == compiled(actuator)
         assert compiled(ha.jammed_es()) == compiled(es_system)
