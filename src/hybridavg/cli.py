@@ -33,13 +33,7 @@ from .averaging import check_jacobian_average, estimate_average_map, estimate_ga
 from .certificates import CertGrid, foster_certificate
 from .config import ConfigDocument, ConfigError, as_document
 from .core import JumpNoise, StateVec
-from .expressions import (
-    AverageField,
-    ExpressionError,
-    ScalarField,
-    allowed_names,
-    compile_expressions,
-)
+from .expressions import AverageField, ExpressionError, ScalarField
 from .solver import (
     Horizon,
     IntegratorConfig,
@@ -50,7 +44,7 @@ from .solver import (
 from .stats import epsilon_sweep, first_start_outside, recurrence_estimate
 from .svgplot import Curve, Panel, render_panels
 # jammed_es stays a name of this module: benchmarks/tracing.py wraps cli.jammed_es
-from .systems import jammed_es, load_system  # noqa: F401
+from .systems import compile_key, jammed_es, load_system  # noqa: F401
 
 #: each command-line flag and the config key it sets
 FLAGS = {"--paths": "n_paths", "--t-max": "t_max", "--seed": "seed", "--radius": "radius",
@@ -163,19 +157,6 @@ def cmd_simulate(doc, spec):
     return 0, seed, [("simulate.csv", chain([",".join(header)], _arc_lines(ensemble)))]
 
 
-def _favg_from_config(doc: ConfigDocument, spec):
-    texts = doc.get_expr_list("average", "favg")
-    if texts is None:
-        return None
-    try:
-        exprs = compile_expressions(texts, allowed_names(n=spec.n, p=spec.p))
-    except ExpressionError as exc:
-        raise ConfigError(f"[average] favg: {exc}") from exc
-    if len(exprs) != spec.n:
-        raise ConfigError(f"[average] favg needs {spec.n} expression(s)")
-    return AverageField(exprs, spec.n)
-
-
 #: a registered favg may deviate from the long-window mean at an [average]
 #: grid node by at most this share of max(1, the largest |window mean|)
 FAVG_REL_TOL = 1e-6
@@ -215,7 +196,8 @@ def _average_system(doc: ConfigDocument, spec):
         raise ConfigError(f"[average] T_long_periods, tau_period: the long window "
                           f"T_long_periods * tau_period must be finite and > 0, got {T_long!r}")
     grids = x_axes, r_axes, tau_grid, T_grid, T_long
-    favg = _favg_from_config(doc, spec)
+    exprs = compile_key(doc, "average", "favg", ("x", "r"), spec.n, {"x": spec.n, "r": spec.p})
+    favg = None if exprs is None else AverageField(exprs, spec.n)
     avg = estimate_average_map(spec, x_axes, r_axes, T_long, f_ave=favg)
     tol = FAVG_REL_TOL * max(1.0, float(np.max(np.abs(avg.table.table))))
     if favg is None or avg.nodal_residual <= tol:
@@ -275,11 +257,7 @@ def cmd_certify(doc, spec):
     if radius_min >= radius_max:
         raise ConfigError(f"[certify] radius_min, radius_max: radius_min must be < "
                           f"radius_max, got {radius_min!r} >= {radius_max!r}")
-    try:
-        v_expr = compile_expressions([doc.get_str("certify", "V")],
-                                     allowed_names(n=spec.n, p=spec.p))[0]
-    except ExpressionError as exc:
-        raise ConfigError(f"[certify] V: {exc}") from exc
+    (v_expr,) = compile_key(doc, "certify", "V", ("x", "r"), 1, {"x": spec.n, "r": spec.p})
     V = ScalarField(v_expr)
     if doc.get_expr_list("average", "favg") is None:
         raise ConfigError("certification needs [average] favg (registered average map)")

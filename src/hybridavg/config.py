@@ -142,7 +142,7 @@ _COMMANDS = {
         "favg": Key(_exprs),
     },
     "certify": {
-        "V": Key(str.strip, REQUIRED),
+        "V": Key(_exprs, REQUIRED),
         "radius_min": Key(_float, "0.001", _POSITIVE),
         "radius_max": Key(_float, "10.0", _POSITIVE),
         "radial_points": Key(_int, "25", _COUNT),

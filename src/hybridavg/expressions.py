@@ -14,8 +14,9 @@ which some row takes it, with the values of where(a >= b, then, else).  That
 source is made from the AST alone: its names come from the roles and a fixed
 table of numpy functions, literals, and subtrees of literals alone computed
 once when the map is built, are bound as constants, and no user text is ever
-evaluated.  Maps run vectorized over batched numpy arrays and pickle as plain
-data.
+evaluated.  tau and eps enter a map as float64, so every subtree, even one of
+them alone, is numpy float64 arithmetic (a zero divisor gives inf or nan).
+Maps run vectorized over batched numpy arrays and pickle as plain data.
 """
 
 from __future__ import annotations
@@ -416,11 +417,6 @@ def _emit(exprs, lines: list, consts: list):
                 text = f"_{node.fn}({', '.join(args[:2])})"
                 for arg in args[2:]:  # a min or max folds left, one line per step
                     text = f"_{node.fn}({assign(text)}, {arg})"
-        elif getattr(node, "op", None) == "/" and not reads[i]:
-            # tau or eps given as numbers are Python floats, whose quotient
-            # raises on a zero divisor; numpy's is the IEEE inf or nan the
-            # caller's check reports
-            text, infix = f"_divide({args[0][0]}, {args[1][0]})", False
         else:  # an infix operand is parenthesized
             ops = [f"({text})" if paren else text for text, paren in args]
             text = f"-{ops[0]}" if isinstance(node, Neg) else f"{ops[0]} {node.op} {ops[1]}"
@@ -463,7 +459,8 @@ class CompiledMap:
     ``roles`` lists the arguments in call order, e.g. ("x", "r", "tau", "eps")
     for a flow map f or ("r", "v") for an aux jump map h.  An array role binds
     the columns of its last axis as x_i / r_i / v_i (plus the alias v for
-    v_1); tau and eps bind as given.  The batch B is the leading shape of the
+    v_1); tau and eps, where read, bind as np.float64 of the argument (an
+    array passes through uncopied).  The batch B is the leading shape of the
     first array argument (all axes but the last).  A tuple of expressions
     gives one output column each, written into a fresh (B, k) array; one bare
     expression gives a scalar map, a fresh (B,) array.  ``source`` is the text
@@ -480,13 +477,14 @@ class CompiledMap:
                              f"{self.roles}")
         scalar = not isinstance(self.exprs, tuple)
         exprs = (self.exprs,) if scalar else self.exprs
-        columns = set()  # (array role, 1-based column) pairs read
+        columns, read = set(), set()  # (array role, 1-based column) pairs read; names read
         for var in (var for expr in exprs for var in _variables(expr)):
             name = _name(var)
             role, _, idx = name.partition("_")
             column = role in _ARRAY_ROLES and idx.isascii() and idx.isdigit() and idx[0] != "0"
             if role not in self.roles or not (column or name in _SCALAR_ROLES):
                 raise ExpressionError(f"unknown symbol {var.name!r}", var.line, var.column)
+            read.add(name)
             if column:
                 columns.add((role, int(idx)))
         lines = [f"def _map({', '.join(self.roles)}):"]
@@ -496,6 +494,7 @@ class CompiledMap:
                           f" or {a}.ndim < 2:",
                           f"    {a} = _atleast_2d(_asarray({a}, dtype=_float64))"]
         lines += [f"{a}_{i} = {a}[..., {i - 1}]" for a, i in sorted(columns)]
+        lines += [f"{a} = _as_float64({a})" for a in _SCALAR_ROLES if a in read]
         batch = f"{arrays[0]}.shape[:-1]"
         consts = []
         values = _emit(exprs, lines, consts)
@@ -515,7 +514,7 @@ class CompiledMap:
         self.source = "\n    ".join(lines + ["return _out"]) + "\n"
         scope = {"__builtins__": {}, "__name__": __name__, "_ndarray": np.ndarray,
                  "_float64": np.dtype(np.float64), "_asarray": np.asarray,
-                 "_atleast_2d": np.atleast_2d, "_empty": np.empty, "_divide": np.divide,
+                 "_atleast_2d": np.atleast_2d, "_empty": np.empty, "_as_float64": np.float64,
                  "_count_nonzero": np.count_nonzero}
         scope.update((f"_{fn}", ufunc) for fn, (_, _, ufunc) in _FUNCTIONS.items())
         scope.update((f"_c{i}", c) for i, c in enumerate(consts))

@@ -371,7 +371,7 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
                 R = np.repeat(g.r, B, axis=0)
                 Xp = np.broadcast_to(np.asarray(spec.g(g.x, R, V), dtype=float), (B, spec.n))
                 Rp = np.broadcast_to(np.asarray(spec.h(R, V), dtype=float), (B, spec.p))
-                fired.append((g, k, V, Xp.astype(float), Rp.astype(float), f"jump {k} at t={g.t}"))
+                fired.append((g, k, V, Xp, Rp, f"jump {k} at t={g.t}"))
             _check_finite("g", [(Xp, g.paths, where) for g, _, _, Xp, _, where in fired], seeds)
             _check_finite("h", [(Rp, g.paths, where) for g, _, _, _, Rp, where in fired], seeds)
             for g, k, V, Xp, Rp, _ in fired:

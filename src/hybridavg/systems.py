@@ -11,8 +11,10 @@ The constructors take the built-in's ``[system]`` keys (``period``,
 writes them into ``kind = jammed-*`` text for load_system.  A built-in is
 rendered expression text: its keys fill in a ``kind = custom`` config, each
 number written as ``repr(float)``, which compiles like any user config (see
-_custom_text).  The flow of ``jammed-actuator`` is
-``-(x_1*(1.0 + sin(tau)))``.  That of ``jammed-es`` with delta = 0.1 is::
+_custom_text).  Every config expression key, the four maps here and
+``[average] favg`` and ``[certify] V``, compiles through compile_key.  The
+flow of ``jammed-actuator`` is ``-(x_1*(1.0 + sin(tau)))``.  That of
+``jammed-es`` with delta = 0.1 is::
 
     ifge(abs(x_1), 0.1,
          -(x_1*sin(tau)) - 2.0*x_1*(sin(tau)*sin(tau)) - abs(x_1)*(sin(tau)*sin(tau)*sin(tau)),
@@ -77,6 +79,27 @@ def _custom_text(doc, kind: str) -> str:
             f"[noise]\nvalues = 0.75; -0.75\nprobs = {p!r} {1.0 - p!r}\n")
 
 
+def compile_key(doc, section: str, key: str, roles: tuple, count: int, dims: dict):
+    """The parsed expressions of [section] key over the names of roles, or None if unset.
+
+    ``dims`` gives the number of columns of each array role.  A key that does
+    not hold exactly ``count`` ';'-separated expressions, or holds one that
+    does not parse or reads a name outside roles, is a ConfigError naming it.
+    """
+    texts = doc.get_expr_list(section, key)
+    if texts is None:
+        return None
+    if len(texts) != count:
+        raise cfgmod.ConfigError(f"[{section}] {key}: expected {count} expression(s) "
+                                 f"separated by ';', got {len(texts)}")
+    allowed = allowed_names(*(dims[a] if a in roles else 0 for a in "xrv"),
+                            tau="tau" in roles, eps="eps" in roles)
+    try:
+        return compile_expressions(texts, allowed)
+    except ExpressionError as exc:
+        raise cfgmod.ConfigError(f"[{section}] {key}: {exc}") from exc
+
+
 def load_system(source) -> SystemSpec:
     """Build a SystemSpec from a config path, text (a str with a newline) or document.
 
@@ -98,19 +121,9 @@ def load_system(source) -> SystemSpec:
 
     dims = {"x": n, "r": p, "v": m}
 
-    def compile_map(key: str, roles: tuple):
+    def compile_map(key: str, roles: tuple) -> CompiledMap:
         # a map returns one column per dimension of its first argument
-        texts = doc.get_expr_list("system", key)
-        if len(texts) != dims[roles[0]]:
-            raise cfgmod.ConfigError(
-                f"[system] {key}: expected {dims[roles[0]]} expression(s) separated by ';', "
-                f"got {len(texts)}")
-        allowed = allowed_names(*(dims[a] if a in roles else 0 for a in "xrv"),
-                                tau="tau" in roles, eps="eps" in roles)
-        try:
-            return CompiledMap(compile_expressions(texts, allowed), roles)
-        except ExpressionError as exc:
-            raise cfgmod.ConfigError(f"[system] {key}: {exc}") from exc
+        return CompiledMap(compile_key(doc, "system", key, roles, dims[roles[0]], dims), roles)
 
     f = compile_map("flow_x", ("x", "r", "tau", "eps"))
     w = compile_map("flow_r", ("r",))

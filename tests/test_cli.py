@@ -266,11 +266,24 @@ class TestCertifyCommand:
         assert "verdict: FAIL" in report
         assert "      witness: ((0.001,), (0.5,), nan)" in report.splitlines()
 
-    def test_missing_V_is_exit_one(self, tmp_path):
+    @pytest.mark.parametrize("old, new, error", [
+        pytest.param("V = pow(x_1, 2)\n", "", "missing [certify] V", id="V-missing"),
+        pytest.param("V = pow(x_1, 2)\n", "V = pow(x_1, 2); x_1\n",
+                     "[certify] V: expected 1 expression(s) separated by ';', got 2",
+                     id="V-two"),
+        pytest.param("V = pow(x_1, 2)\n", "V = tau\n",
+                     "[certify] V: line 1, column 1: unknown symbol 'tau'", id="V-tau"),
+        pytest.param("favg = -x_1\n", "favg = -x_1; -x_1\n",
+                     "[average] favg: expected 1 expression(s) separated by ';', got 2",
+                     id="favg-two")])
+    def test_bad_expression_key_is_one_config_error_line(self, tmp_path, capsys, old, new,
+                                                         error):
+        # every expression key is read, counted and compiled by one helper,
+        # so every key reports in one wording
         text = SMALL_ACTUATOR.format(p=0.1, t_values="3.14", eps_values="0.1")
-        text = text.replace("V = pow(x_1, 2)\n", "")
-        cfg = write_cfg(tmp_path, text)
+        cfg = write_cfg(tmp_path, text.replace(old, new))
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"config error: {error}\n"
         # the runner creates --out only after the command has succeeded
         assert not (tmp_path / "o").exists()
 

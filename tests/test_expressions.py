@@ -293,9 +293,10 @@ class TestCompiledMap:
     @pytest.mark.parametrize("text, tau, want", [
         ("1 + 0/0", 0.7, np.nan), ("1/0", 0.7, np.inf), ("-1/0 + x_1", 0.7, -np.inf),
         ("eps/0", 0.7, np.inf), ("1/tau", 0.0, np.inf), ("tau/-0.0", 0.7, -np.inf),
-        ("x_1 + eps/(tau - tau)", 0.3, np.inf)])
+        ("x_1 + eps/(tau - tau)", 0.3, np.inf), ("1/tau", 0, np.inf)])
     def test_quotient_of_numbers_is_ieee_not_an_error(self, text, tau, want):
-        # literals, and tau and eps given as Python floats, are numbers, not arrays
+        # literals are numbers, not arrays, and so are tau and eps given as
+        # Python floats or ints; a map binds tau and eps as float64
         fmap = CompiledMap(compile_expressions([text], _names(ROLES["f"]))[0], ROLES["f"])
         with np.errstate(divide="ignore", invalid="ignore"):
             out = fmap(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros((2, 1)), tau, 0.01)
@@ -441,6 +442,20 @@ class TestGeneratedCode:
             want = reference_map((tree,), ("x",), x)
         signs = {bool(np.signbit(fmap(x)[0, 0])) for _ in range(20_000)}
         assert signs == {bool(np.signbit(want[0, 0]))}
+
+    @pytest.mark.parametrize("scalar", ["tau", "eps"])
+    def test_subtrees_of_tau_or_eps_alone_are_float64_arithmetic(self, scalar):
+        # the inner product is a nan at 0; in Python float arithmetic per call,
+        # its sum with its negation gave nans of either sign between calls
+        tree = parse_expression(f"({scalar}*1e999) + -({scalar}*1e999) + x_1")
+        fmap = CompiledMap((tree,), ("x", "tau", "eps"))
+        x = np.linspace(-1.0, 1.0, 8)[:, None]
+        with np.errstate(invalid="ignore"):
+            signs = {bool(np.signbit(fmap(x[:1], 0.0, 0.0)[0, 0])) for _ in range(20_000)}
+            batch = fmap(x, 0.0, 0.0)
+            lone = [fmap(x[i:i + 1], 0.0, 0.0) for i in range(len(x))]
+        assert len(signs) == 1
+        assert all(_same_bits(row, batch[i:i + 1]) for i, row in enumerate(lone))
 
     @pytest.mark.parametrize("text", ["2.5", "x_1", "r_1", "-x_1", "ifge(x_1, 2, r_1, x_1)",
                                       "ifge(x_1, 2, -x_1, r_1)", "ifge(x_1, 2, -r_1, -x_1)"])
