@@ -31,18 +31,30 @@ from .core import SystemSpec, grid_extreme
 
 #: default Simpson panel density: panels per 2*pi of the fast clock
 PANELS_PER_PERIOD = 40
+#: most panels a window may take, so that its 2 * panels + 1 samples are indexable
+_MAX_PANELS = np.iinfo(np.intp).max // 2
 
 
-def _simpson_weights(panels: int) -> np.ndarray:
-    n_sub = 2 * panels
+def _window(T: float, panels: Optional[int] = None) -> tuple:
+    """(h, sample offsets k * h, Simpson weights) of a window of length T.
+
+    The only check of a window's length: finite, positive and short enough to
+    sample.  It has max(2, panels) panels, by default PANELS_PER_PERIOD per
+    2*pi, and its mean is (h / 3) * (weights @ samples) / T.
+    """
+    if not (T > 0.0 and math.isfinite(T)):
+        raise ValueError(f"window length T must be finite and positive, got {T!r}")
+    if panels is None:
+        panels = PANELS_PER_PERIOD * T / (2.0 * math.pi)
+        if not panels <= _MAX_PANELS:
+            raise ValueError(f"window length T = {T!r} is too long to sample")
+        panels = math.ceil(panels)
+    n_sub = 2 * max(2, int(panels))
     w = np.ones(n_sub + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w
-
-
-def _panels_for(T: float) -> int:
-    return max(2, int(math.ceil(PANELS_PER_PERIOD * T / (2.0 * math.pi))))
+    h = T / n_sub
+    return h, np.arange(n_sub + 1) * h, w
 
 
 def _sample_window(spec: SystemSpec, x: np.ndarray, r: np.ndarray,
@@ -70,21 +82,18 @@ def _sample_window(spec: SystemSpec, x: np.ndarray, r: np.ndarray,
 
 
 def _window_means(spec: SystemSpec, x: np.ndarray, r: np.ndarray, tau0: float, T: float,
-                  panels: int) -> np.ndarray:
+                  panels: Optional[int] = None) -> np.ndarray:
     """Window means over [tau0, tau0 + T] for K rows x (K, n), r (K, p); shape (K, n)."""
-    h = T / (2 * panels)
-    s = tau0 + np.arange(2 * panels + 1) * h
-    return (h / 3.0) * (_simpson_weights(panels) @ _sample_window(spec, x, r, s)) / T
+    h, offsets, w = _window(T, panels)
+    return (h / 3.0) * (w @ _sample_window(spec, x, r, tau0 + offsets)) / T
 
 
 def window_average(spec: SystemSpec, x, r, tau0: float, T: float,
                    quad_points: Optional[int] = None) -> np.ndarray:
     """Window mean of f(x, r, ., 0) over [tau0, tau0 + T] (Simpson, quad_points panels)."""
-    if not (T > 0.0 and math.isfinite(T)):
-        raise ValueError(f"window length T must be finite and positive, got {T!r}")
-    panels = _panels_for(T) if quad_points is None else max(2, int(quad_points))
     return _window_means(spec, np.atleast_1d(np.asarray(x, dtype=float))[None],
-                         np.atleast_1d(np.asarray(r, dtype=float))[None], tau0, T, panels)[0]
+                         np.atleast_1d(np.asarray(r, dtype=float))[None], tau0, T,
+                         quad_points)[0]
 
 
 class TabulatedMap:
@@ -211,12 +220,11 @@ def estimate_average_map(spec: SystemSpec, x_grid, r_grid, T_long: float,
     r_axes = _as_axes(r_grid, "r_grid")
     if len(x_axes) != spec.n or len(r_axes) != spec.p:
         raise ValueError("grid axes do not match system dimensions")
-    panels = _panels_for(T_long)
     axes = x_axes + r_axes
     shape = tuple(len(a) for a in axes)
     flat = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     n = spec.n
-    table = _window_means(spec, flat[:, :n], flat[:, n:], 0.0, T_long, panels)
+    table = _window_means(spec, flat[:, :n], flat[:, n:], 0.0, T_long)
     tab = TabulatedMap(axes, table.reshape(shape + (n,)))
     if f_ave is not None:
         closed = np.asarray(f_ave(flat[:, :n], flat[:, n:]), dtype=float)
@@ -237,7 +245,7 @@ def estimate_average_map(spec: SystemSpec, x_grid, r_grid, T_long: float,
     mids = np.concatenate(mids)
     floor = 1e-8 * max(1.0, float(np.max(np.abs(table))))
     if len(mids):
-        means = _window_means(spec, mids[:, :n], mids[:, n:], 0.0, T_long, panels)
+        means = _window_means(spec, mids[:, :n], mids[:, n:], 0.0, T_long)
         worst_mid, _ = _grid_sup(np.linalg.norm(means - tab(mids[:, :n], mids[:, n:]), axis=-1),
                                  "midpoint interpolation residual", ("x", "r"),
                                  lambda k: (mids[k, :n], mids[k, n:]))
@@ -292,10 +300,8 @@ def _sweep(spec: SystemSpec, x_grid, r_grid, tau_grid, T_grid, what: str,
     values = np.zeros(Ts.shape[0])
     witnesses = []
     for ti, T in enumerate(Ts.tolist()):
-        panels = _panels_for(T)
-        h = T / (2 * panels)
-        s = (tau0s[:, None] + (np.arange(2 * panels + 1) * h)[None, :]).ravel()
-        w = _simpson_weights(panels)
+        h, offsets, w = _window(T)
+        s = (tau0s[:, None] + offsets[None, :]).ravel()
 
         def means(x, r):
             vals = _sample_window(spec, x[None], r[None], s).reshape(tau0s.shape[0], -1, spec.n)

@@ -166,6 +166,8 @@ def foster_certificate(V: Callable, avg: AverageSpec,
     if not (safety_margin >= 0.0 and math.isfinite(safety_margin)):
         raise ValueError("safety_margin can tighten the gate only (must be finite and >= 0), "
                          f"got {safety_margin!r}")
+    if not mc_samples >= 1:
+        raise ValueError(f"mc_samples must be >= 1, got {mc_samples!r}")
     grid = grid or CertGrid()
     noise = noise or avg.noise
     n, p = avg.n, avg.p

@@ -9,13 +9,15 @@ whether a flow, aux flow, jump, average map or scalar candidate, is one
 CompiledMap keyed by the roles of its positional arguments.  When it is
 built, a map translates its AST into the source of one Python function, one
 numpy operation per distinct subtree (a repeated subtree is computed once),
-and compiles it once.  An ifge computes each branch only for a batch in
-which some row takes it, with the values of where(a >= b, then, else).  That
-source is made from the AST alone: its names come from the roles and a fixed
-table of numpy functions, literals, and subtrees of literals alone computed
-once when the map is built, are bound as constants, and no user text is ever
-evaluated.  tau and eps enter a map as float64, so every subtree, even one of
-them alone, is numpy float64 arithmetic (a zero divisor gives inf or nan).
+and compiles it once.  An ifge has the values of where(a >= b, then, else).
+When its condition and both branches read an array column and it sits inside
+fewer than 98 such branches, it computes each branch only for a batch in which
+some row takes it; otherwise it computes both branches.  That source is made
+from the AST alone: its names come from the roles and a fixed table of numpy
+functions, literals, and subtrees of literals alone computed once when the
+map is built, are bound as constants, and no user text is ever evaluated.
+tau and eps enter a map as float64, so every subtree, even one of them alone,
+is numpy float64 arithmetic (a zero divisor gives inf or nan).
 Maps run vectorized over batched numpy arrays and pickle as plain data.
 """
 
@@ -42,8 +44,10 @@ class ExpressionError(ValueError):
 
 
 #: name -> (min args, max args or None, numpy function); min and max fold left,
-#: and ifge(a, b, then, else) has the values of where(a >= b, then, else), each
-#: branch computed only for a batch in which some row takes it (see _emit)
+#: and ifge(a, b, then, else) has the values of where(a >= b, then, else); _emit
+#: computes a branch only for a batch in which some row takes it when the
+#: condition and both branches read an array column and the ifge sits inside
+#: fewer than _MAX_BLOCKS blocks, and both branches otherwise
 _FUNCTIONS = {
     "sin": (1, 1, np.sin),
     "cos": (1, 1, np.cos),

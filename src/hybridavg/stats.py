@@ -1,11 +1,11 @@
 """Ensemble statistics: hitting times, recurrence certification, mean-envelope fits.
 
 These operations post-process immutable ensembles of arcs.  Hitting-time
-queries are served from a per-arc index of the record lows of the running
-minimum distance to the target set, kept per segment, cached on the arc and
-extended lazily one segment at a time, so repeated queries at shrinking radii
-(bisection) never recompute a distance.  The recurrence budget tau_hat is the
-(1 - rho) order-statistic of hitting t + j sums; the exponential-in-the-mean
+queries are served from a per-arc index of the running minimum distance to
+the target set, kept per segment, cached on the arc and extended lazily one
+segment at a time, so repeated queries at shrinking radii (bisection) never
+recompute a distance.  The recurrence budget tau_hat is the (1 - rho)
+order-statistic of hitting t + j sums; the exponential-in-the-mean
 fit anchors the envelope at the initial distance and finds the largest rate
 that keeps the weighted means below it at every evaluation time (a
 necessary-condition check on a deterministic grid, not a bound over all
@@ -50,54 +50,46 @@ def _check_positive(name: str, value: float):
 
 
 class _HittingIndex:
-    """Record lows of one arc's running-minimum distance to one target set.
+    """One arc's running-minimum distance to one target set, kept per segment.
 
-    A record is a sample where min(d[:k+1]) strictly drops; a NaN distance
-    never is one.  The first sample with d < radius is always a record, so
-    the first hit of the open radius-ball is the first record below radius.
-    Records fall strictly along the arc, so that is a searchsorted inside the
-    first scanned segment whose lowest record is < radius.  Segments are
-    scanned in order and only while the running minimum is still >= the
-    radius asked for, so a single query reads no further than a plain scan
-    stopping at the hit.
-
-    One entry per scanned segment that holds records: (lowest record, the
-    segment, the negated lows, which increase strictly, and the records'
-    sample indexes in the segment).
+    The first hit of the open radius-ball is the first sample whose running
+    minimum is < radius (a NaN distance never lowers it): one searchsorted on
+    the negated running minimum, which never decreases, inside the first
+    scanned segment whose minimum is < radius.  Segments are scanned in order
+    and only while the running minimum is still >= the radius asked for, so
+    a single query reads no further than a plain scan stopping at the hit.
+    Only segments that lower the minimum can hold a first hit; each is kept
+    as (its minimum, the segment, its negated running minimum).
     """
 
-    __slots__ = ("_segments", "_scanned", "_low", "_records")
+    __slots__ = ("_segments", "_scanned", "_low", "_lows")
 
     def __init__(self, segments):
         self._segments = segments
         self._scanned = 0  # segments read so far
         self._low = math.inf  # running minimum over them
-        self._records = []
+        self._lows = []
 
     def first_below(self, radius: float, spec: SystemSpec) -> Optional[HybridTime]:
         while self._low >= radius and self._scanned < len(self._segments):
             seg = self._segments[self._scanned]
             self._scanned += 1
             d = distances_to_target(seg.x, seg.r, spec)
-            # fmin skips NaN distances, which then never count as a record
+            # fmin skips NaN distances, which then never lower the minimum
             run = np.fmin.accumulate(np.concatenate(([self._low], d)))
-            drops = np.flatnonzero(run[1:] < run[:-1])
-            if drops.size:
+            if run[-1] < self._low:
                 self._low = float(run[-1])
-                self._records.append((self._low, seg, -d[drops], drops.astype(np.int32)))
+                self._lows.append((self._low, seg, -run[1:]))
         if not self._low < radius:
             return None
-        seg, neg_lows, where = next(rec[1:] for rec in self._records if rec[0] < radius)
-        k = int(np.searchsorted(neg_lows, -radius, side="right"))
-        return HybridTime(float(seg.t[where[k]]), int(seg.j))
+        seg, neg_run = next(low[1:] for low in self._lows if low[0] < radius)
+        k = int(np.searchsorted(neg_run, -radius, side="right"))
+        return HybridTime(float(seg.t[k]), int(seg.j))
 
 
 def _hitting_index(arc: HybridArc, spec: SystemSpec) -> _HittingIndex:
     """The arc's cached index for spec's C u D, the only part distances depend on."""
-    indexes = arc.__dict__.get(_INDEX_ATTR)
-    if indexes is None:
-        indexes = {}
-        object.__setattr__(arc, _INDEX_ATTR, indexes)
+    indexes = arc.__dict__.setdefault(_INDEX_ATTR, {})
     key = spec.flow_or_jump_set
     index = indexes.get(key)
     if index is None:
@@ -176,8 +168,7 @@ def recurrence_estimate(ensemble: Sequence[HybridArc], radius: float, rho: float
     hit_sums = sorted(hybrid_time_sum(ht) for ht in hits if ht is not None)
     tau_hat = None
     if hit_sums:
-        k = max(0, math.ceil((1.0 - rho) * len(hit_sums)) - 1)
-        tau_hat = float(hit_sums[min(k, len(hit_sums) - 1)])
+        tau_hat = float(hit_sums[math.ceil((1.0 - rho) * len(hit_sums)) - 1])
 
     stopped = 0
     successes = 0
@@ -285,23 +276,21 @@ def uges_m_fit(ensemble: Sequence[HybridArc], eval_times, spec: SystemSpec) -> E
         w = weighted(k2)
         return float(np.max(w[1:]) - anchor) if w.size > 1 else -1.0
 
-    if t_eval.size == 1:
-        k2 = _K2_CAP
+    # bracket the sign change of the excess on the side of 0 where it lies;
+    # with one evaluation time the excess is -1 and k2 ends at the cap
+    lo, hi = (-_K2_CAP, 0.0) if excess(0.0) > 0.0 else (0.0, _K2_CAP)
+    if excess(lo) > 0.0:
+        k2 = lo
+    elif excess(hi) <= 0.0:
+        k2 = hi
     else:
-        # bracket the sign change of the excess on the side of 0 where it lies
-        lo, hi = (-_K2_CAP, 0.0) if excess(0.0) > 0.0 else (0.0, _K2_CAP)
-        if excess(lo) > 0.0:
-            k2 = lo
-        elif excess(hi) <= 0.0:
-            k2 = hi
-        else:
-            while hi - lo > _K2_TOL:
-                mid = 0.5 * (lo + hi)
-                if excess(mid) > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            k2 = lo
+        while hi - lo > _K2_TOL:
+            mid = 0.5 * (lo + hi)
+            if excess(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        k2 = lo
 
     wm = weighted(k2)
     k1 = float(np.max(wm) / d0)

@@ -137,6 +137,16 @@ class TestEstimateAverageMap:
             ha.estimate_average_map(spec, np.array([-3.0, 0.0, 3.0]),
                                     np.array([0.0]), T_long=5.0)
 
+    @pytest.mark.parametrize("T_long, error", [
+        (-2.0 * math.pi, "finite and positive"), (0.0, "finite and positive"),
+        (math.inf, "finite and positive"), (math.nan, "finite and positive"),
+        (1e306, "too long to sample")])
+    def test_rejects_a_bad_window_length(self, actuator, favg, T_long, error):
+        # these once gave a table of backward windows, a non-finite deviation,
+        # an OverflowError and a failed NaN-to-integer conversion
+        with pytest.raises(ValueError, match=f"window length T.* {error}"):
+            ha.estimate_average_map(actuator, self.X_AXIS, self.R_AXIS, T_long, f_ave=favg)
+
 
 class TestEstimateGamma:
     X_PTS = np.array([[1.0], [2.0], [-3.0]])

@@ -197,6 +197,13 @@ class TestExpectedJumpValue:
                               mc_samples=50)
         assert calls == [(0, k) for k in range(1, 51)]
 
+    @pytest.mark.parametrize("mc_samples", [0, -3])
+    def test_nonpositive_mc_samples_is_rejected(self, average_system, mc_samples):
+        # these once failed inside numpy: "need at least one array to stack"
+        with pytest.raises(ValueError, match="mc_samples must be >= 1"):
+            ha.foster_certificate(V_quad, average_system, CertGrid(radial_points=4),
+                                  noise=jam_sampler(0.3), mc_samples=mc_samples)
+
     def test_finite_support_makes_one_jump_call_per_atom(self, average_system):
         calls = []
 

@@ -219,6 +219,29 @@ class TestAverageCommand:
         assert err.startswith(f"config error: [average] {key}") and len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("old, new", [
+        ("T_max = 12.566370614359172", "T_max = 1e308"),
+        ("T_long_periods = 20", "T_long_periods = 1e306")])
+    def test_window_too_long_to_sample_is_one_error_line(self, tmp_path, capsys, old, new):
+        # each once ended in an OverflowError traceback
+        text = (CONFIGS / "actuator.cfg").read_text(encoding="utf-8")
+        assert old in text
+        cfg = write_cfg(tmp_path, text.replace(old, new))
+        assert main(["average", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: window length T = \S+ is too long to sample\n", err)
+        assert not (tmp_path / "o").exists()
+
+    def test_without_favg_the_average_is_the_table(self, tmp_path):
+        text = SMALL_ACTUATOR.format(p=0.1, t_values="3.14", eps_values="0.1")
+        cfg = write_cfg(tmp_path, text.replace("favg = -x_1\n", ""))
+        out = tmp_path / "out"
+        assert main(["average", "--config", cfg, "--out", str(out)]) == 0
+        assert "registered closed form: no" in (out / "average_report.txt").read_text()
+        _, rows = read_csv(out / "average_favg.csv")
+        assert [float(x) for x, _, _ in rows] == [-2.0, -2.0, -1.0, -1.0, 1.0, 1.0, 2.0, 2.0]
+        assert all(float(fx) == pytest.approx(-float(x), abs=1e-9) for x, _, fx in rows)
+
     @pytest.mark.parametrize("favg", ["pow(x_1, 0.5)", "x_1/0"])
     def test_non_finite_favg_is_exit_one_naming_favg(self, tmp_path, capsys, favg):
         # pow once printed "max nodal deviation: nan" and x_1/0 wrote
@@ -275,7 +298,13 @@ class TestCertifyCommand:
                      "[certify] V: line 1, column 1: unknown symbol 'tau'", id="V-tau"),
         pytest.param("favg = -x_1\n", "favg = -x_1; -x_1\n",
                      "[average] favg: expected 1 expression(s) separated by ';', got 2",
-                     id="favg-two")])
+                     id="favg-two"),
+        pytest.param("favg = -x_1\n", "",
+                     "certification needs [average] favg (registered average map)",
+                     id="favg-missing"),
+        # a continuation line is line 2 of the key's text
+        pytest.param("V = pow(x_1, 2)\n", "V = pow(x_1, 2) +\n    tau\n",
+                     "[certify] V: line 2, column 1: unknown symbol 'tau'", id="V-line-2")])
     def test_bad_expression_key_is_one_config_error_line(self, tmp_path, capsys, old, new,
                                                          error):
         # every expression key is read, counted and compiled by one helper,
@@ -695,7 +724,8 @@ class TestExitCodes:
         # [recur] and [sweep] read these from [simulate], which the error names
         ("recur", "simulate", "j_max = 0", "[simulate] j_max: must be >= 1, got 0"),
         ("sweep", "simulate", "r0 = 0 0", "[simulate] r0: initial condition dims "
-         "(x:1, r:2) do not match system (n=1, p=1)")])
+         "(x:1, r:2) do not match system (n=1, p=1)"),
+        ("average", "average", "x_values = -2 -1; 1 2", "[average] x_values needs 1 axis/axes")])
     def test_bad_value_names_the_section_that_set_it(self, tmp_path, capsys, command,
                                                       section, line, err):
         # each once exited 1 with a message that named no key

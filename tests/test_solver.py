@@ -770,6 +770,16 @@ class TestEventScan:
             assert arc.terminal_reason == TERMINAL_HORIZON_T
             assert arc.end_time == ha.HybridTime(2.0, 4)
 
+    def test_flowing_out_of_c_with_no_jump_ends_the_path(self):
+        # r flows from 0.5 onto the face r = 1 of C = [0, 1] and on, out of
+        # C u D: D = {2} lies past a gap, so the path stops on the face
+        spec = ha.load_system(GAP_CONFIG.replace("box 0 0.2 | box 0.4 1", "box 0 1")
+                              .replace("jump_set = point 1", "jump_set = point 2"))
+        arc = ha.simulate_path(spec, state(1.0, 0.5), 0, ha.Horizon(2.0, 10))
+        assert arc.terminal_reason == TERMINAL_LEFT_SETS and not arc.jumps
+        assert arc.end_time.j == 0 and arc.end_time.t == pytest.approx(0.5)
+        assert arc.segments[-1].r[-1].tolist() == [1.0]
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=_event_cases())
     def test_matches_membership_along_the_path(self, case):

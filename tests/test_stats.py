@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridavg as ha
-from hybridavg.core import TERMINAL_HORIZON_T, FlowSegment, distances_to_target, hybrid_time_sum
+from hybridavg.core import (TERMINAL_HORIZON_T, TERMINAL_LEFT_SETS, FlowSegment,
+                            distances_to_target, hybrid_time_sum)
 from hybridavg.stats import _hitting_index
 
 from conftest import state
@@ -272,6 +273,20 @@ class TestRecurrenceEstimate:
         rep = ha.recurrence_estimate(ens, 0.25, 0.05, 5.0, actuator)
         assert rep.wilson_low <= rep.hit_fraction <= rep.wilson_high
 
+    @pytest.mark.parametrize("terminal, end, stopped", [
+        (TERMINAL_LEFT_SETS, 1.0, 1), (TERMINAL_LEFT_SETS, 3.0, 0),
+        (TERMINAL_HORIZON_T, 1.0, 0)], ids=["stopped-early", "stopped-late", "horizon"])
+    def test_a_path_that_stops_before_tau_hat_is_a_success(self, actuator, terminal, end,
+                                                            stopped):
+        # 29 paths reach x = 0.05 at t = 2, so tau_hat = 2; the last never hits
+        hit = make_arc([([0.0, 1.0, 2.0], [2.0, 1.0, 0.05], [0.5] * 3)])
+        miss = dataclasses.replace(make_arc([([0.0, end], [2.0, 2.0], [0.5, 0.5])]),
+                                   terminal_reason=terminal)
+        rep = ha.recurrence_estimate([hit] * 29 + [miss], 0.1, 0.05, 5.0, actuator)
+        assert rep.tau_hat == 2.0 and rep.hitting_times[-1] is None
+        assert rep.stopped_before_budget == stopped
+        assert rep.hit_fraction == (29 + stopped) / 30
+
     def test_reports_reproduce_bitwise(self, es_system):
         a = ha.recurrence_estimate(self.make_ensemble(es_system), 0.1, 0.05, 5.0,
                                    es_system)
@@ -319,6 +334,14 @@ class TestUgesMFit:
             ens = ha.simulate_ensemble(actuator, inits, 60, 11, ha.Horizon(5.0, 1000))
             fits.append(ha.uges_m_fit(ens, grid, actuator))
         assert fits[0].k2 == pytest.approx(fits[1].k2, abs=1e-6)
+
+    def test_one_evaluation_time_fits_the_rate_cap(self, actuator):
+        # with nothing after the anchor the weighted means never exceed it
+        inits = [state(2.0, 0.0), state(-2.0, 0.0)]
+        ens = ha.simulate_ensemble(actuator, inits, 4, 3, ha.Horizon(2.0, 100))
+        fit = ha.uges_m_fit(ens, np.array([1.0]), actuator)
+        assert fit.k2 == 50.0
+        assert fit.k1 == pytest.approx(fit.empirical_means[0] / fit.initial_distance)
 
 
     def test_rejects_non_finite_evaluation_times(self, actuator):
