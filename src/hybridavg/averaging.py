@@ -5,12 +5,13 @@ epsilon = 0,
 
     avg(x, r, tau0, T) = (1/T) * integral_{tau0}^{tau0+T} f(x, r, s, 0) ds,
 
-computed by composite Simpson quadrature.  From it we estimate the average
+computed by composite Simpson quadrature.  From it we tabulate the average
 map f_ave on a grid, the convergence-rate curve gamma(T) bounding
 |avg - f_ave| / |x|, and the matching curve for the Jacobian of the residual.
 One sampler evaluates f over the windows of many (x, r) rows in one 2-D
-batch, so the table and its midpoint check are one f call each; gamma and
-the Jacobian check share one sweep over the (x, r, tau0) grid per T.
+batch, so the table is one f call; gamma and the Jacobian check share one
+sweep over the (x, r, tau0) grid per T.  Without a registered closed form,
+f_ave is the long-window mean itself, as the paper defines it.
 The average system, an AverageSpec, is a SystemSpec of the same class with
 no fast clock: the solver, the certificate and the target distance take it
 as they take any system.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -96,47 +97,22 @@ def window_average(spec: SystemSpec, x, r, tau0: float, T: float,
                          quad_points)[0]
 
 
-class TabulatedMap:
-    """Multilinear interpolant of a tabulated vector field over a product grid.
+@dataclass(frozen=True)
+class _LongWindowMean:
+    """The average map as the long-window mean: f_ave(x, r) = avg(x, r, 0, T_long).
 
-    A query outside the grid's hull is extrapolated linearly from the edge
-    cell, so differences taken across a hull node read the edge cell's slope;
-    along a one-point axis the table is constant.  Instances are plain data
-    and safe to share or pickle.
+    Each call takes one window quadrature per row; r is one row (p,) or one
+    per row of x (B, p).  Instances are plain data and safe to share.
     """
 
-    def __init__(self, axes: Sequence[np.ndarray], table: np.ndarray):
-        self.axes = [np.asarray(a, dtype=float) for a in axes]
-        self.table = np.asarray(table, dtype=float)
-        expect = tuple(len(a) for a in self.axes)
-        if self.table.shape[:-1] != expect:
-            raise ValueError(f"table shape {self.table.shape} does not match axes {expect}")
+    spec: SystemSpec
+    T_long: float
 
     def __call__(self, x, r) -> np.ndarray:
-        """Interpolated values at the rows (x (B, n), r (B, p) or (p,)), as f_ave(x, r)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.atleast_2d(np.asarray(r, dtype=float))
-        pts = np.concatenate([x, np.broadcast_to(r, (x.shape[0], r.shape[-1]))], axis=-1)
-        B, d = pts.shape
-        if d != len(self.axes):
-            raise ValueError("query dimension does not match the table axes")
-        cells = []  # per axis: (low corner, high corner, frac)
-        for ax, q in zip(self.axes, pts.T):
-            if len(ax) == 1:  # one node: both corners, reached with frac = 0
-                cells.append((0, 0, np.zeros(B)))
-                continue
-            i = np.clip(np.searchsorted(ax, q, side="right") - 1, 0, len(ax) - 2)
-            cells.append((i, i + 1, (q - ax[i]) / (ax[i + 1] - ax[i])))
-        out = np.zeros((B, self.table.shape[-1]))
-        for corner in range(1 << d):
-            wgt = np.ones(B)
-            sel = []
-            for k, (lo, hi, frac) in enumerate(cells):
-                up = (corner >> k) & 1
-                sel.append(hi if up else lo)
-                wgt = wgt * (frac if up else (1.0 - frac))
-            out += wgt[:, None] * self.table[tuple(sel)]
-        return out
+        r = np.broadcast_to(r, (x.shape[0], r.shape[-1]))
+        return _window_means(self.spec, x, r, 0.0, self.T_long)
 
 
 class _AveFlowAdapter:
@@ -157,15 +133,16 @@ class AverageSpec(SystemSpec):
     signature and ``epsilon`` is 1.0, both derived, so
     dataclasses.replace(avg, f_ave=...) never leaves a stale f.  ``f_ave``
     follows the batched convention f_ave(x, r) -> (B, n).
-    estimate_average_map also sets the window-mean ``table`` and, against a
-    closed form, its largest deviation ``nodal_residual`` and the (x, r) node
-    ``nodal_witness`` where it occurs.
+    estimate_average_map also sets ``table``, the long-window means on its
+    grid, shape (*axis lengths, n), and, against a closed form, their largest
+    deviation ``nodal_residual`` and the (x, r) node ``nodal_witness`` where
+    it occurs.
     """
 
     f: Callable = field(init=False, compare=False)
     epsilon: float = field(init=False, default=1.0)
     f_ave: Callable
-    table: Optional[TabulatedMap] = None
+    table: Optional[np.ndarray] = field(default=None, compare=False)
     nodal_residual: float = 0.0
     nodal_witness: Optional[tuple] = None
 
@@ -212,50 +189,27 @@ def estimate_average_map(spec: SystemSpec, x_grid, r_grid, T_long: float,
     ``x_grid`` / ``r_grid`` are per-dimension 1-D axes (a single array is one
     axis).  With a registered closed-form ``f_ave`` the table is compared
     with it and the returned AverageSpec wraps the closed form; otherwise
-    the AverageSpec interpolates the table multilinearly, and an error is
-    raised when midpoint interpolation residuals betray a too-coarse grid.
-    A non-finite deviation from the table is an error naming its (x, r) node.
+    its f_ave is the long-window mean itself, avg(x, r, 0, T_long), one
+    window quadrature per row at every call.  A non-finite deviation from
+    the table is an error naming its (x, r) node.
     """
     x_axes = _as_axes(x_grid, "x_grid")
     r_axes = _as_axes(r_grid, "r_grid")
     if len(x_axes) != spec.n or len(r_axes) != spec.p:
         raise ValueError("grid axes do not match system dimensions")
     axes = x_axes + r_axes
-    shape = tuple(len(a) for a in axes)
     flat = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     n = spec.n
-    table = _window_means(spec, flat[:, :n], flat[:, n:], 0.0, T_long)
-    tab = TabulatedMap(axes, table.reshape(shape + (n,)))
-    if f_ave is not None:
-        closed = np.asarray(f_ave(flat[:, :n], flat[:, n:]), dtype=float)
-        nodal, node = _grid_sup(np.sqrt(np.sum((closed - table) ** 2, axis=-1)),
-                                "deviation of favg from the window mean", ("x", "r"),
-                                lambda k: (flat[k, :n], flat[k, n:]))
-        return replace(build_average_system(spec, f_ave), table=tab, nodal_residual=nodal,
-                       nodal_witness=node)
-
-    # tabulated fallback: check cell midpoints against fresh window means, up
-    # to 5 centers per axis, each at every node of a stride through the grid
-    rows = flat[:: max(1, flat.shape[0] // 4)]
-    mids = []
-    for k, ax in enumerate(axes):
-        centers = (0.5 * (ax[:-1] + ax[1:]))[:5]
-        mids.append(np.tile(rows, (len(centers), 1)))
-        mids[-1][:, k] = np.repeat(centers, len(rows))
-    mids = np.concatenate(mids)
-    floor = 1e-8 * max(1.0, float(np.max(np.abs(table))))
-    if len(mids):
-        means = _window_means(spec, mids[:, :n], mids[:, n:], 0.0, T_long)
-        worst_mid, _ = _grid_sup(np.linalg.norm(means - tab(mids[:, :n], mids[:, n:]), axis=-1),
-                                 "midpoint interpolation residual", ("x", "r"),
-                                 lambda k: (mids[k, :n], mids[k, n:]))
-        if worst_mid > 10.0 * floor:
-            raise ValueError(
-                f"average-map grid too coarse: midpoint interpolation residual {worst_mid:g} "
-                f"exceeds 10x the floor {floor:g} (1e-8 of the largest table value); "
-                f"refine the x/r grid"
-            )
-    return replace(build_average_system(spec, tab), table=tab)
+    means = _window_means(spec, flat[:, :n], flat[:, n:], 0.0, T_long)
+    table = means.reshape(tuple(len(a) for a in axes) + (n,))
+    if f_ave is None:
+        return replace(build_average_system(spec, _LongWindowMean(spec, T_long)), table=table)
+    closed = np.asarray(f_ave(flat[:, :n], flat[:, n:]), dtype=float)
+    nodal, node = _grid_sup(np.sqrt(np.sum((closed - means) ** 2, axis=-1)),
+                            "deviation of favg from the window mean", ("x", "r"),
+                            lambda k: (flat[k, :n], flat[k, n:]))
+    return replace(build_average_system(spec, f_ave), table=table, nodal_residual=nodal,
+                   nodal_witness=node)
 
 
 @dataclass(frozen=True)

@@ -166,9 +166,10 @@ def _average_system(doc: ConfigDocument, spec):
     """The [average] grids, the average system and its failed favg check's line, or None.
 
     A grid that cannot be averaged over is a config error.  The average
-    system wraps the registered favg, or interpolates the window means when
-    there is none.  A favg that deviates from a window mean by more than
-    FAVG_REL_TOL * max(1, max |window mean|) fails: it is not the flow's average.
+    system wraps the registered favg, or takes the long-window mean itself
+    as its average map when there is none.  A favg that deviates from a
+    window mean by more than FAVG_REL_TOL * max(1, max |window mean|) fails:
+    it is not the flow's average.
     """
     x_axes = [np.array(axis) for axis in doc.get_float_groups("average", "x_values")]
     if len(x_axes) != spec.n:
@@ -199,7 +200,7 @@ def _average_system(doc: ConfigDocument, spec):
     exprs = compile_key(doc, "average", "favg", ("x", "r"), spec.n, {"x": spec.n, "r": spec.p})
     favg = None if exprs is None else AverageField(exprs, spec.n)
     avg = estimate_average_map(spec, x_axes, r_axes, T_long, f_ave=favg)
-    tol = FAVG_REL_TOL * max(1.0, float(np.max(np.abs(avg.table.table))))
+    tol = FAVG_REL_TOL * max(1.0, float(np.max(np.abs(avg.table))))
     if favg is None or avg.nodal_residual <= tol:
         return grids, avg, None
     x, r = (c.tolist() for c in avg.nodal_witness)
@@ -222,11 +223,10 @@ def cmd_average(doc, spec):
                    _vec(gamma.witnesses[k][0]), _vec(gamma.witnesses[k][1]),
                    _f(gamma.witnesses[k][2])]
                   for k, T in enumerate(gamma.windows))
-    tab = avg.table
-    grid_nodes = np.stack([m.ravel() for m in np.meshgrid(*tab.axes, indexing="ij")],
+    grid_nodes = np.stack([m.ravel() for m in np.meshgrid(*x_axes, *r_axes, indexing="ij")],
                           axis=-1)
     table_rows = ([_vec(z[: spec.n]), _vec(z[spec.n:]), _vec(fz)]
-                  for z, fz in zip(grid_nodes, tab.table.reshape(-1, spec.n)))
+                  for z, fz in zip(grid_nodes, avg.table.reshape(-1, spec.n)))
 
     report = [f"window length for the tabulated average: T_long = {_f(T_long)}",
               f"registered closed form: {'yes' if avg.nodal_witness is not None else 'no'}",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridavg as ha
-from hybridavg.averaging import TabulatedMap, window_average
+from hybridavg.averaging import window_average
 
 from conftest import V_quad, state
 
@@ -110,9 +110,9 @@ class TestEstimateAverageMap:
         got = avg.f_ave(pts, r)
         assert np.allclose(got, -pts, atol=1e-9)
 
-    def test_table_and_midpoints_match_one_window_per_node(self, actuator):
-        # the nodes and midpoints are sampled in one f call each; every row
-        # keeps the bits of its own window mean
+    def test_table_matches_one_window_per_node(self, actuator):
+        # the nodes are sampled in one f call; every row keeps the bits of its
+        # own window mean
         calls = []
 
         def counted(x, r, tau, eps):
@@ -121,21 +121,25 @@ class TestEstimateAverageMap:
 
         spec = dataclasses.replace(actuator, f=counted)
         avg = ha.estimate_average_map(spec, self.X_AXIS, self.R_AXIS, T_long=7.3)
-        assert len(calls) == 2
+        assert len(calls) == 1
         for (i, xv), (j, rv) in itertools.product(enumerate(self.X_AXIS),
                                                   enumerate(self.R_AXIS)):
             one = window_average(actuator, [xv], [rv], 0.0, 7.3)
-            assert np.array_equal(avg.table.table[i, j], one)
+            assert np.array_equal(avg.table[i, j], one)
 
-    def test_coarse_grid_for_curved_map_raises(self, actuator):
+    def test_curved_map_without_favg_is_its_window_mean(self, actuator):
+        # a three-node grid once raised "grid too coarse" for this flow, whose
+        # window mean is -x**3 at every x, on the grid or not
         def cubic_flow(x, r, tau, eps):
             x = np.asarray(x, dtype=float)
             return -(x * x * x)
 
         spec = dataclasses.replace(actuator, f=cubic_flow)
-        with pytest.raises(ValueError, match="refine"):
-            ha.estimate_average_map(spec, np.array([-3.0, 0.0, 3.0]),
-                                    np.array([0.0]), T_long=5.0)
+        avg = ha.estimate_average_map(spec, np.array([-3.0, 0.0, 3.0]),
+                                      np.array([0.0]), T_long=5.0)
+        x = np.array([[-4.0], [-2.5], [0.7], [1.9], [3.5]])
+        assert np.allclose(avg.f_ave(x, np.array([0.0])), -x ** 3, rtol=0.0, atol=1e-12)
+        assert np.allclose(avg.f_ave(x, np.full((5, 1), 0.4)), -x ** 3, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("T_long, error", [
         (-2.0 * math.pi, "finite and positive"), (0.0, "finite and positive"),
@@ -253,23 +257,6 @@ class TestSampledEstimateGrids:
                 pytest.raises(ValueError, match=r"against favg .* is non-finite .* "
                                                 r"at x = \[1\.0\], r = \[0\.0\], tau0 = 0\.0"):
             estimate(actuator, over_zero, self.X_PTS, self.R_PTS, TAUS[:8], np.array([1.0]))
-
-
-class TestTabulatedMap:
-    def test_extrapolates_linearly_beyond_the_hull(self):
-        # a multilinear table of a linear field reproduces it off the grid too;
-        # queries were once clamped to the hull, reading a constant there
-        axes = (np.array([-3.0, -1.0, 2.0]), np.array([0.0, 1.0]))
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        tab = TabulatedMap(axes, 2.0 * grid[..., :1] - 3.0 * grid[..., 1:] + 1.0)
-        x = np.array([[-5.0], [-3.0 - 1e-5], [2.5], [0.0]])
-        r = np.array([[-0.5], [0.3], [1.5], [2.0]])
-        assert np.allclose(tab(x, r), 2.0 * x - 3.0 * r + 1.0, rtol=0.0, atol=1e-12)
-
-    def test_one_point_axis_is_constant(self):
-        tab = TabulatedMap((np.array([-1.0, 1.0]), np.array([0.5])), np.array([[[2.0]], [[4.0]]]))
-        got = tab(np.array([[-3.0], [0.0], [3.0]]), np.array([[7.0], [-2.0], [0.5]]))
-        assert np.array_equal(got, [[0.0], [3.0], [6.0]])
 
 
 class TestJacobianAverage:

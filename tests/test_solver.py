@@ -713,6 +713,10 @@ values = 0.75; -0.75
 probs = 0.1 0.9
 """
 
+#: C = [0, 1] and D = {2}: a path that flows onto r = 1 leaves C u D there
+OPEN_END_CONFIG = (GAP_CONFIG.replace("box 0 0.2 | box 0.4 1", "box 0 1")
+                   .replace("jump_set = point 1", "jump_set = point 2"))
+
 #: steps and face values on a grid of 1/4, so that every s, midpoint and point
 #: r + s*w below is exact
 _QUARTERS = st.integers(0, 4).map(lambda k: 0.25 * k)
@@ -773,12 +777,24 @@ class TestEventScan:
     def test_flowing_out_of_c_with_no_jump_ends_the_path(self):
         # r flows from 0.5 onto the face r = 1 of C = [0, 1] and on, out of
         # C u D: D = {2} lies past a gap, so the path stops on the face
-        spec = ha.load_system(GAP_CONFIG.replace("box 0 0.2 | box 0.4 1", "box 0 1")
-                              .replace("jump_set = point 1", "jump_set = point 2"))
+        spec = ha.load_system(OPEN_END_CONFIG)
         arc = ha.simulate_path(spec, state(1.0, 0.5), 0, ha.Horizon(2.0, 10))
         assert arc.terminal_reason == TERMINAL_LEFT_SETS and not arc.jumps
         assert arc.end_time.j == 0 and arc.end_time.t == pytest.approx(0.5)
         assert arc.segments[-1].r[-1].tolist() == [1.0]
+
+    def test_a_group_stopping_on_the_face_leaves_the_others_stepping(self):
+        # in the first wave the group at r = 1 sits on the face of C = [0, 1],
+        # flowing out with D = {2} out of reach, and stops, while the group at
+        # r = 0.5 steps: only its rows enter the RK4 stages
+        spec = ha.load_system(OPEN_END_CONFIG)
+        inits = [state(1.0, 1.0), state(-1.0, 0.5)]
+        horizon = ha.Horizon(2.0, 10)
+        ens = ha.simulate_ensemble(spec, inits, 4, 0, horizon)
+        assert [arc.end_time.t for arc in ens] == [0.0, pytest.approx(0.5)] * 2
+        for i, arc in enumerate(ens):
+            assert arc.terminal_reason == TERMINAL_LEFT_SETS
+            assert arcs_equal(arc, ha.simulate_path(spec, inits[i % 2], i, horizon))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=_event_cases())

@@ -343,6 +343,15 @@ class TestUgesMFit:
         assert fit.k2 == 50.0
         assert fit.k1 == pytest.approx(fit.empirical_means[0] / fit.initial_distance)
 
+    def test_growth_past_the_rate_cap_fits_minus_the_cap(self):
+        # x' = 100 x outgrows e^(50 t): the weighted means exceed the anchor
+        # even at k2 = -50, so the fit stops at the lower cap
+        slow_timer = ha.jammed_actuator(period=1000.0, jam_prob=0.1, epsilon=0.01)
+        spec = ha.build_average_system(slow_timer, lambda x, r: 100.0 * np.asarray(x))
+        ens = ha.simulate_ensemble(spec, [state(2.0, 0.0)], 2, 0, ha.Horizon(1.0, 5))
+        fit = ha.uges_m_fit(ens, np.array([0.0, 0.5, 1.0]), spec)
+        assert fit.k2 == -50.0
+
 
     def test_rejects_non_finite_evaluation_times(self, actuator):
         ens = ha.simulate_ensemble(actuator, [state(2.0, 0.0)], 3, 3, ha.Horizon(1.0, 10))
