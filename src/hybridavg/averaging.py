@@ -5,9 +5,11 @@ epsilon = 0,
 
     avg(x, r, tau0, T) = (1/T) * integral_{tau0}^{tau0+T} f(x, r, s, 0) ds,
 
-computed by composite Simpson quadrature.  From it we tabulate the average
-map f_ave on a grid, the convergence-rate curve gamma(T) bounding
-|avg - f_ave| / |x|, and the matching curve for the Jacobian of the residual.
+computed by composite Simpson quadrature under one panel rule for every
+window (PANELS_PER_PERIOD panels per 2*pi of the clock, at least 2).  From
+it we tabulate the average map f_ave on a grid, the convergence-rate curve
+gamma(T) bounding |avg - f_ave| / |x|, and the matching curve for the
+Jacobian of the residual.
 One sampler evaluates f over the windows of many (x, r) rows in one 2-D
 batch, so the table is one f call; gamma and the Jacobian check share one
 sweep over the (x, r, tau0) grid per T.  Without a registered closed form,
@@ -30,27 +32,25 @@ import numpy as np
 
 from .core import SystemSpec, grid_extreme
 
-#: default Simpson panel density: panels per 2*pi of the fast clock
+#: Simpson panel density: panels per 2*pi of the fast clock
 PANELS_PER_PERIOD = 40
 #: most panels a window may take, so that its 2 * panels + 1 samples are indexable
 _MAX_PANELS = np.iinfo(np.intp).max // 2
 
 
-def _window(T: float, panels: Optional[int] = None) -> tuple:
+def _window(T: float) -> tuple:
     """(h, sample offsets k * h, Simpson weights) of a window of length T.
 
     The only check of a window's length: finite, positive and short enough to
-    sample.  It has max(2, panels) panels, by default PANELS_PER_PERIOD per
-    2*pi, and its mean is (h / 3) * (weights @ samples) / T.
+    sample.  Every window takes the one panel rule, PANELS_PER_PERIOD panels
+    per 2*pi and at least 2, and its mean is (h / 3) * (weights @ samples) / T.
     """
     if not (T > 0.0 and math.isfinite(T)):
         raise ValueError(f"window length T must be finite and positive, got {T!r}")
-    if panels is None:
-        panels = PANELS_PER_PERIOD * T / (2.0 * math.pi)
-        if not panels <= _MAX_PANELS:
-            raise ValueError(f"window length T = {T!r} is too long to sample")
-        panels = math.ceil(panels)
-    n_sub = 2 * max(2, int(panels))
+    panels = PANELS_PER_PERIOD * T / (2.0 * math.pi)
+    if not panels <= _MAX_PANELS:
+        raise ValueError(f"window length T = {T!r} is too long to sample")
+    n_sub = 2 * max(2, math.ceil(panels))
     w = np.ones(n_sub + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -82,19 +82,11 @@ def _sample_window(spec: SystemSpec, x: np.ndarray, r: np.ndarray,
     return vals
 
 
-def _window_means(spec: SystemSpec, x: np.ndarray, r: np.ndarray, tau0: float, T: float,
-                  panels: Optional[int] = None) -> np.ndarray:
+def _window_means(spec: SystemSpec, x: np.ndarray, r: np.ndarray, tau0: float,
+                  T: float) -> np.ndarray:
     """Window means over [tau0, tau0 + T] for K rows x (K, n), r (K, p); shape (K, n)."""
-    h, offsets, w = _window(T, panels)
+    h, offsets, w = _window(T)
     return (h / 3.0) * (w @ _sample_window(spec, x, r, tau0 + offsets)) / T
-
-
-def window_average(spec: SystemSpec, x, r, tau0: float, T: float,
-                   quad_points: Optional[int] = None) -> np.ndarray:
-    """Window mean of f(x, r, ., 0) over [tau0, tau0 + T] (Simpson, quad_points panels)."""
-    return _window_means(spec, np.atleast_1d(np.asarray(x, dtype=float))[None],
-                         np.atleast_1d(np.asarray(r, dtype=float))[None], tau0, T,
-                         quad_points)[0]
 
 
 @dataclass(frozen=True)

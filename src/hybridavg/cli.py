@@ -193,9 +193,9 @@ def _average_system(doc: ConfigDocument, spec):
         raise ConfigError(f"[average] {T_keys}: window lengths T must be > 0 and strictly "
                           f"increasing, got {T_set}")
     T_long = doc.get_float("average", "T_long_periods") * period
-    if not (T_long > 0.0 and math.isfinite(T_long)):
+    if not math.isfinite(T_long):  # > 0, as T_long_periods >= 1 and tau_period > 0
         raise ConfigError(f"[average] T_long_periods, tau_period: the long window "
-                          f"T_long_periods * tau_period must be finite and > 0, got {T_long!r}")
+                          f"T_long_periods * tau_period must be finite, got {T_long!r}")
     grids = x_axes, r_axes, tau_grid, T_grid, T_long
     exprs = compile_key(doc, "average", "favg", ("x", "r"), spec.n, {"x": spec.n, "r": spec.p})
     favg = None if exprs is None else AverageField(exprs, spec.n)

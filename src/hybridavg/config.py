@@ -138,7 +138,7 @@ _COMMANDS = {
         "T_min": Key(_float, "0.5"),
         "T_max": Key(_float, "12.566370614359172"),  # 4 pi
         "T_points": Key(_int, "20", _COUNT),
-        "T_long_periods": Key(_float, "20"),
+        "T_long_periods": Key(_float, "20", _at_least(1)),
         "favg": Key(_exprs),
     },
     "certify": {

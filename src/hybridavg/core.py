@@ -85,11 +85,6 @@ class SetDescriptor:
         return SetDescriptor((tuple(float(v) for v in lo),), (tuple(float(v) for v in hi),))
 
     @staticmethod
-    def point(values: Sequence[float]) -> "SetDescriptor":
-        vals = tuple(float(v) for v in values)
-        return SetDescriptor((vals,), (vals,))
-
-    @staticmethod
     def union_of(parts: Sequence["SetDescriptor"]) -> "SetDescriptor":
         return SetDescriptor(tuple(lo for part in parts for lo in part.lows),
                              tuple(hi for part in parts for hi in part.highs))

@@ -4,7 +4,9 @@ Flows are integrated with a fixed-step classical 4th-order scheme while r is
 in C.  _events is the one place where events are located: one scan of the
 intervals of s during which r + s*w(r) lies in each box of C u D gives both
 the exit from the run of boxes holding r and the entry into D, and the step
-is clipped to land exactly there.  Jumps fire with jump priority and a draw
+is clipped to land exactly there.  That location is exact for an affine w;
+otherwise the step is predicted from w(r), and a step that overshoots C u D
+is clipped onto the box it left.  Jumps fire with jump priority and a draw
 keyed by (seed, jump index).  The clock tau is never integrated: within a
 flow segment it is tau_anchor + (t - t_anchor)/epsilon, exact to a few ulps.
 
@@ -121,9 +123,10 @@ def _plan_steps(spec: SystemSpec, asks, seeds) -> list:
     An outcome is None for a jump, a terminal reason, r snapped onto the D
     boundary it lies on, or a flow step (dt, rows, r_next): rows (5, 1, p)
     stacks RK4's four r stages and r_next, the next r (1, p), snapped onto its
-    box when an event clipped the step.  Membership and _events decide each row
-    on Python floats; w is called once per RK4 stage over the flowing rows, with
-    an (M, 1) column of their dts, or one float when shared (the same bits).
+    box when an event clipped the step, or onto the box of the run it leaves
+    when an unclipped step overshot C u D.  Membership and _events decide each
+    row on Python floats; w is called once per RK4 stage over the flowing rows,
+    with an (M, 1) column of their dts, or one float when shared (the same bits).
     """
     def check(values, g):  # asks come by lowest path, so the first row to fail names it
         if not all(map(math.isfinite, values)):
@@ -163,12 +166,12 @@ def _plan_steps(spec: SystemSpec, asks, seeds) -> list:
             # r is bitwise on the D boundary without exact membership; snap it on
             plans[m] = np.clip(g.r, *box)
         else:
-            steps.append((q, m, dt, box))
+            steps.append((q, m, dt, box, leave[1]))
     if not steps:
         return plans
     if len(steps) < len(flowing):
-        R, K1 = R[[q for q, _, _, _ in steps]], K1[[q for q, _, _, _ in steps]]
-    dts = [dt for _, _, dt, _ in steps]
+        R, K1 = R[[q for q, *_ in steps]], K1[[q for q, *_ in steps]]
+    dts = [dt for _, _, dt, *_ in steps]
     dt = dts[0] if dts.count(dts[0]) == len(dts) else np.array(dts)[:, None]
     half = 0.5 * dt
     R2 = R + half * K1
@@ -179,9 +182,11 @@ def _plan_steps(spec: SystemSpec, asks, seeds) -> list:
     K4 = np.asarray(spec.w(R4), dtype=float)
     R_next = R + (dt / 6.0) * (K1 + 2.0 * (K2 + K3) + K4)
     rows, M = np.concatenate((R, R2, R3, R4, R_next)), len(steps)
-    for q, ((_, m, dt, box), r_vals) in enumerate(zip(steps, R_next.tolist())):
+    for q, ((_, m, dt, box, leave_box), r_vals) in enumerate(zip(steps, R_next.tolist())):
         # r_next is non-finite whenever a k is: every k enters it with a positive weight
         check(r_vals, asks[m][0])
+        if box is None and not spec.flow_or_jump_set.contains(r_vals):
+            box = leave_box  # a nonlinear w carried r past the exit _events predicted
         if box is not None:
             rows[4 * M + q] = np.clip(R_next[q], *box)
         plans[m] = (dt, rows[q::M, None], rows[4 * M + q:4 * M + q + 1])

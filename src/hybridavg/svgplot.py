@@ -34,10 +34,11 @@ class Panel:
     curves: list = field(default_factory=list)
 
 
-def _panel_svg(panel: Panel, ox: float, oy: float, width: float, height: float) -> str:
+def _panel_svg(panel: Panel, oy: float) -> str:
+    """One panel, _WIDTH wide and _PANEL_HEIGHT high, with its top edge at oy."""
     pad_l, pad_r, pad_t, pad_b = 46.0, 12.0, 22.0, 30.0
-    iw = width - pad_l - pad_r
-    ih = height - pad_t - pad_b
+    iw = _WIDTH - pad_l - pad_r
+    ih = _PANEL_HEIGHT - pad_t - pad_b
     tmin = min(min(c.t) for c in panel.curves if len(c.t))
     tmax = max(max(c.t) for c in panel.curves if len(c.t))
     ymin = min(min(c.y) for c in panel.curves if len(c.y))
@@ -51,23 +52,23 @@ def _panel_svg(panel: Panel, ox: float, oy: float, width: float, height: float) 
     ymax += 0.05 * yspan
 
     def sx(t):
-        return ox + pad_l + (t - tmin) / (tmax - tmin) * iw
+        return pad_l + (t - tmin) / (tmax - tmin) * iw
 
     def sy(y):
         return oy + pad_t + (ymax - y) / (ymax - ymin) * ih
 
     out = []
-    out.append(f'<rect x="{_fmt(ox + pad_l)}" y="{_fmt(oy + pad_t)}" '
+    out.append(f'<rect x="{_fmt(pad_l)}" y="{_fmt(oy + pad_t)}" '
                f'width="{_fmt(iw)}" height="{_fmt(ih)}" fill="none" '
                f'stroke="#333333" stroke-width="0.8"/>')
-    out.append(f'<text x="{_fmt(ox + pad_l)}" y="{_fmt(oy + 14.0)}" '
+    out.append(f'<text x="{_fmt(pad_l)}" y="{_fmt(oy + 14.0)}" '
                f'font-family="sans-serif" font-size="11">{panel.title}</text>')
-    out.append(f'<text x="{_fmt(ox + pad_l + 0.5 * iw)}" y="{_fmt(oy + height - 8.0)}" '
+    out.append(f'<text x="{_fmt(pad_l + 0.5 * iw)}" y="{_fmt(oy + _PANEL_HEIGHT - 8.0)}" '
                f'font-family="sans-serif" font-size="10" text-anchor="middle">'
                f'{panel.xlabel}</text>')
-    out.append(f'<text x="{_fmt(ox + 12.0)}" y="{_fmt(oy + pad_t + 0.5 * ih)}" '
+    out.append(f'<text x="{_fmt(12.0)}" y="{_fmt(oy + pad_t + 0.5 * ih)}" '
                f'font-family="sans-serif" font-size="10" text-anchor="middle" '
-               f'transform="rotate(-90 {_fmt(ox + 12.0)} {_fmt(oy + pad_t + 0.5 * ih)})">'
+               f'transform="rotate(-90 {_fmt(12.0)} {_fmt(oy + pad_t + 0.5 * ih)})">'
                f'{panel.ylabel}</text>')
     for frac in (0.0, 0.5, 1.0):
         tv = tmin + frac * (tmax - tmin)
@@ -75,7 +76,7 @@ def _panel_svg(panel: Panel, ox: float, oy: float, width: float, height: float) 
         out.append(f'<text x="{_fmt(sx(tv))}" y="{_fmt(oy + pad_t + ih + 12.0)}" '
                    f'font-family="sans-serif" font-size="9" text-anchor="middle">'
                    f'{format(tv, ".3g")}</text>')
-        out.append(f'<text x="{_fmt(ox + pad_l - 4.0)}" y="{_fmt(sy(yv) + 3.0)}" '
+        out.append(f'<text x="{_fmt(pad_l - 4.0)}" y="{_fmt(sy(yv) + 3.0)}" '
                    f'font-family="sans-serif" font-size="9" text-anchor="end">'
                    f'{format(yv, ".3g")}</text>')
     for curve in panel.curves:
@@ -99,6 +100,6 @@ def render_panels(panels: Sequence[Panel]) -> str:
         f'<rect x="0" y="0" width="{_fmt(_WIDTH)}" height="{_fmt(total_h)}" fill="#ffffff"/>',
     ]
     for k, panel in enumerate(panels):
-        parts.append(_panel_svg(panel, 0.0, k * _PANEL_HEIGHT, _WIDTH, _PANEL_HEIGHT))
+        parts.append(_panel_svg(panel, k * _PANEL_HEIGHT))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridavg as ha
-from hybridavg.averaging import window_average
+from hybridavg.averaging import PANELS_PER_PERIOD, _window_means
 
 from conftest import V_quad, state
 
@@ -31,30 +31,29 @@ TAUS = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
 
 class TestWindowAverage:
     def test_full_period_gives_minus_x(self, actuator):
-        got = window_average(actuator, [1.0], [0.5], 0.0, 2.0 * math.pi)
+        got = _window_means(actuator, np.array([[1.0]]), np.array([[0.5]]), 0.0,
+                            2.0 * math.pi)[0]
         assert got[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_vanishes_at_origin(self, actuator):
-        got = window_average(actuator, [0.0], [0.5], 1.3, 5.0)
+        got = _window_means(actuator, np.array([[0.0]]), np.array([[0.5]]), 1.3, 5.0)[0]
         assert got[0] == 0.0
 
     def test_half_period_closed_form(self, actuator):
         # (1/pi) * int_0^pi (1 + sin s) ds = (pi + 2)/pi, so mean = -(1 + 2/pi)
         expected = -(1.0 + 2.0 / math.pi)
-        got = window_average(actuator, [1.0], [0.5], 0.0, math.pi)
+        got = _window_means(actuator, np.array([[1.0]]), np.array([[0.5]]), 0.0, math.pi)[0]
         assert got[0] == pytest.approx(expected, abs=1e-6)
-        fine = window_average(actuator, [1.0], [0.5], 0.0, math.pi, quad_points=400)
-        assert fine[0] == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_nonpositive_window(self, actuator):
         with pytest.raises(ValueError):
-            window_average(actuator, [1.0], [0.5], 0.0, 0.0)
+            _window_means(actuator, np.array([[1.0]]), np.array([[0.5]]), 0.0, 0.0)
 
     @pytest.mark.parametrize("T", [math.nan, math.inf])
     def test_rejects_non_finite_window(self, actuator, T):
         # these once failed converting the panel count, inf with an OverflowError
         with pytest.raises(ValueError, match="window length T must be finite and positive"):
-            window_average(actuator, [1.0], [0.5], 0.0, T)
+            _window_means(actuator, np.array([[1.0]]), np.array([[0.5]]), 0.0, T)
 
     def test_nonfinite_integrand_is_hard_error(self, actuator):
         def blow_up(x, r, tau, eps):
@@ -62,17 +61,18 @@ class TestWindowAverage:
 
         spec = dataclasses.replace(actuator, f=blow_up)
         with pytest.raises(ValueError, match="non-finite"):
-            window_average(spec, [1.0], [0.5], 0.0, 1.0)
+            _window_means(spec, np.array([[1.0]]), np.array([[0.5]]), 0.0, 1.0)
 
     def test_non_finite_sample_names_f_x_r_and_the_first_tau(self, actuator):
         def late_blow_up(x, r, tau, eps):
             return np.where(np.asarray(tau)[..., None] >= 1.0, math.inf, -np.asarray(x))
 
         spec = dataclasses.replace(actuator, f=late_blow_up)
+        # T = 2 takes 13 panels, so the samples step by 2/26 and 13 * (2/26) == 1.0
         msg = (r"^map 'f' returned a non-finite value \(inf\) inside the window at "
                r"x = \[1\.5\], r = \[0\.5\], tau = 1\.0$")
         with pytest.raises(ValueError, match=msg):
-            window_average(spec, [1.5], [0.5], 0.0, 2.0, 4)
+            _window_means(spec, np.array([[1.5]]), np.array([[0.5]]), 0.0, 2.0)
         with pytest.raises(ValueError, match=msg):  # the batched window means
             ha.estimate_gamma(spec, lambda x, r: -x, [[1.5]], [[0.5]], [0.0, 0.5], [0.5])
 
@@ -80,11 +80,16 @@ class TestWindowAverage:
     @given(st.floats(0.0, 10.0), st.floats(0.3, 5.0), st.floats(0.3, 5.0))
     def test_splicing_identity(self, tau0, T1, T2):
         spec = ha.jammed_actuator(period=1.0, jam_prob=0.1, epsilon=0.01)
-        q = 300
-        a = window_average(spec, [1.7], [0.5], tau0, T1, q)[0]
-        b = window_average(spec, [1.7], [0.5], tau0 + T1, T2, q)[0]
-        c = window_average(spec, [1.7], [0.5], tau0, T1 + T2, q)[0]
-        assert T1 * a + T2 * b == pytest.approx((T1 + T2) * c, abs=1e-8)
+        x, r = np.array([[1.7]]), np.array([[0.5]])
+        a = _window_means(spec, x, r, tau0, T1)[0, 0]
+        b = _window_means(spec, x, r, tau0 + T1, T2)[0, 0]
+        c = _window_means(spec, x, r, tau0, T1 + T2)[0, 0]
+        # Simpson's error on a window of length T is at most T h^4 max|f^(4)| / 180,
+        # here with |f^(4)| = 1.7 |sin| <= 1.7 and a sample spacing h of at most
+        # 2 pi / (2 * PANELS_PER_PERIOD); the three windows span 2 (T1 + T2)
+        h = math.pi / PANELS_PER_PERIOD
+        tol = 2.0 * (T1 + T2) * h ** 4 * 1.7 / 180.0
+        assert T1 * a + T2 * b == pytest.approx((T1 + T2) * c, abs=tol + 1e-12)
 
 
 class TestEstimateAverageMap:
@@ -124,7 +129,7 @@ class TestEstimateAverageMap:
         assert len(calls) == 1
         for (i, xv), (j, rv) in itertools.product(enumerate(self.X_AXIS),
                                                   enumerate(self.R_AXIS)):
-            one = window_average(actuator, [xv], [rv], 0.0, 7.3)
+            one = _window_means(actuator, np.array([[xv]]), np.array([[rv]]), 0.0, 7.3)[0]
             assert np.array_equal(avg.table[i, j], one)
 
     def test_curved_map_without_favg_is_its_window_mean(self, actuator):
@@ -194,7 +199,7 @@ class TestEstimateGamma:
         wx, wr, wtau = curve.witnesses[0]
 
         def normalized(xv):
-            mean = window_average(actuator, xv, wr, wtau, float(Ts[0]))
+            mean = _window_means(actuator, xv[None], wr[None], wtau, float(Ts[0]))[0]
             ref = favg(np.atleast_2d(xv), np.atleast_2d(wr))[0]
             return np.linalg.norm(mean - ref) / np.linalg.norm(xv)
 
@@ -207,7 +212,8 @@ class TestEstimateGamma:
             for xv in self.X_PTS:
                 for rv in self.R_PTS:
                     for tau0 in TAUS[:64]:
-                        mean = window_average(actuator, xv, rv, float(tau0), float(T))
+                        mean = _window_means(actuator, xv[None], rv[None], float(tau0),
+                                             float(T))[0]
                         ref = favg(np.atleast_2d(xv), np.atleast_2d(rv))[0]
                         resid = np.linalg.norm(mean - ref) / np.linalg.norm(xv)
                         assert resid <= curve.values[ti] + 1e-12

@@ -372,6 +372,20 @@ class TestFavgCheck:
             "average_gamma.csv", "average_favg.csv", "average_report.txt",
             "average_manifest.json"}
 
+    @pytest.mark.parametrize("command", ["average", "certify"])
+    def test_a_long_window_shorter_than_one_period_is_a_config_error(
+            self, tmp_path, capsys, command):
+        # the true average of -x_1*(1 + cos(tau)) is -x_1; a window of 1e-308
+        # periods once sampled f at tau ~ 0 only, read -2*x_1 there and passed
+        text = (CONFIGS / "actuator_expr.cfg").read_text(encoding="utf-8")
+        text = (text.replace("flow_x = -x_1*(1 + sin(tau))", "flow_x = -x_1*(1 + cos(tau))")
+                .replace("favg = -x_1", "favg = -2*x_1"))
+        cfg = write_cfg(tmp_path, with_line(text, "average", "T_long_periods = 1e-308"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: [average] T_long_periods: must be >= 1, got 1e-308\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("name", ["actuator.cfg", "actuator_expr.cfg", "es.cfg"])
     def test_shipped_configs_pass(self, tmp_path, capsys, name):
         assert main(["certify", "--config", str(CONFIGS / name),
@@ -693,6 +707,28 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, re.sub(rf"(?m)^{key} = .*$", line, text))
         assert main(["simulate", "--config", cfg, "--t-max", "0.1",
                      "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"config error: {err}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("old, new, err", [
+        (b"flow_set = box 0 1\n", b"flow_set = ball 0 1\n",
+         "[system] flow_set: unknown set shape 'ball' (use box/point)"),
+        (b"flow_set = box 0 1\n", b"flow_set = |\n", "[system] flow_set: empty set description"),
+        (b"flow_set = box 0 1\n", b"flow_set = box 0 1 0 1\n",
+         "[system] flow_set: a set over r needs 1 coordinate(s), got 2"),
+        (b"values = 0.75; -0.75\n", b"values = 0.75 1; -0.75 1\n",
+         "[noise] values: atom [0.75, 1.0] has 2 component(s), expected 1"),
+        (b"probs = 0.1 0.9\n", b"probs = 0.1 0.8 0.1\n",
+         "[noise] probs: 3 probabilities for 2 atoms"),
+        (b"# The same", b"# The \xff same", "cannot parse config: 'utf-8' codec can't decode "
+         "byte 0xff in position 6: invalid start byte")],
+        ids=["shape", "empty-set", "set-dim", "atom-dim", "probs-count", "non-utf-8"])
+    def test_bad_system_or_noise_is_one_config_error_line(self, tmp_path, capsys, old, new, err):
+        raw = (CONFIGS / "actuator_expr.cfg").read_bytes()
+        assert raw.count(old) == 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(raw.replace(old, new))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"config error: {err}\n"
         assert not (tmp_path / "o").exists()
 

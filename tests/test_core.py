@@ -61,12 +61,12 @@ class TestSetDescriptor:
         box = ha.SetDescriptor.box([0.0], [1.0])
         assert box.contains([0.0]) and box.contains([1.0]) and box.contains([0.5])
         assert not box.contains([1.0 + 1e-15])
-        pt = ha.SetDescriptor.point([1.0])
+        pt = ha.SetDescriptor.box([1.0], [1.0])
         assert pt.contains([1.0]) and not pt.contains([1.0 - 1e-15])
 
     def test_membership_takes_arrays_and_never_admits_nan(self):
         box = ha.SetDescriptor.union_of([ha.SetDescriptor.box([0.0, 0.0], [1.0, 1.0]),
-                                         ha.SetDescriptor.point([2.0, 2.0])])
+                                         ha.SetDescriptor.box([2.0, 2.0], [2.0, 2.0])])
         assert box.contains(np.array([2.0, 2.0])) and box.contains((0.5, 1.0))
         assert not box.contains(np.array([0.5, math.nan]))
         assert not box.contains([math.nan, math.nan])
@@ -75,7 +75,7 @@ class TestSetDescriptor:
 
     def test_union_distance_is_min_over_parts(self):
         u = ha.SetDescriptor.union_of([ha.SetDescriptor.box([0.0], [1.0]),
-                                       ha.SetDescriptor.point([3.0])])
+                                       ha.SetDescriptor.box([3.0], [3.0])])
         assert u.distance(np.array([2.5])) == pytest.approx(0.5)
         assert u.distance(np.array([1.5])) == pytest.approx(0.5)
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import hybridavg as ha
-from hybridavg.averaging import window_average
+from hybridavg.averaging import _window_means
 
 from conftest import assert_origin_rest_and_timer_reset
 
@@ -54,8 +54,9 @@ def test_structural_checks_pass(planar):
     assert_origin_rest_and_timer_reset(planar)
 
 
-def test_window_average_recovers_minus_x(planar):
-    got = window_average(planar, [1.0, -0.5], [0.2], 0.3, 2.0 * math.pi)
+def test_window_mean_recovers_minus_x(planar):
+    got = _window_means(planar, np.array([[1.0, -0.5]]), np.array([[0.2]]), 0.3,
+                        2.0 * math.pi)[0]
     assert np.allclose(got, [-1.0, 0.5], atol=1e-12)
 
 

@@ -783,6 +783,22 @@ class TestEventScan:
         assert arc.end_time.j == 0 and arc.end_time.t == pytest.approx(0.5)
         assert arc.segments[-1].r[-1].tolist() == [1.0]
 
+    def test_a_step_that_overshoots_c_under_a_nonlinear_w_lands_on_its_face(self):
+        # under w(r) = r the exit predicted from w(r) lies past the 0.01 step,
+        # yet the step carries r from 0.99009 to 1.00004, out of C = [0, 1]
+        # with D = {2}; it once recorded that sample and stopped there
+        spec = ha.load_system(OPEN_END_CONFIG.replace("flow_r = 1", "flow_r = r_1")
+                              .replace("epsilon = 0.01", "epsilon = 0.1"))
+        inits = [state(1.0, 0.99009), state(-1.0, 0.5)]
+        horizon = ha.Horizon(2.0, 10)
+        arc = ha.simulate_path(spec, inits[0], 0, horizon)
+        rs = np.concatenate([seg.r for seg in arc.segments])
+        assert all(spec.flow_or_jump_set.contains(r) for r in rs)
+        assert rs[-1].tolist() == [1.0] and arc.end_time == ha.HybridTime(0.01, 0)
+        assert arc.terminal_reason == TERMINAL_LEFT_SETS and not arc.jumps
+        for i, member in enumerate(ha.simulate_ensemble(spec, inits, 4, 0, horizon)):
+            assert arcs_equal(member, ha.simulate_path(spec, inits[i % 2], i, horizon))
+
     def test_a_group_stopping_on_the_face_leaves_the_others_stepping(self):
         # in the first wave the group at r = 1 sits on the face of C = [0, 1],
         # flowing out with D = {2} out of reach, and stops, while the group at
