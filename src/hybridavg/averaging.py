@@ -11,9 +11,15 @@ it we tabulate the average map f_ave on a grid, the convergence-rate curve
 gamma(T) bounding |avg - f_ave| / |x|, and the matching curve for the
 Jacobian of the residual.
 One sampler evaluates f over the windows of many (x, r) rows in one 2-D
-batch, so the table is one f call; gamma and the Jacobian check share one
-sweep over the (x, r, tau0) grid per T.  Without a registered closed form,
-f_ave is the long-window mean itself, as the paper defines it.
+batch, so the table is one f call.  gamma and the Jacobian check each form
+their (x, r) rows once, x-major, call f_ave once on them (the Jacobian on its
+central-difference probe rows), and per T sample the windows from every start
+tau0 one row at a time, so that no f call holds more than one row's samples.
+The table's mean (weights @ samples) and the per-start mean (an einsum over
+the starts) stay two reductions: at all 18 table nodes of the shipped
+actuator grid they differ in the last bit, so merging them would change the
+pinned output digests.  Without a registered closed form, f_ave is the
+long-window mean itself, as the paper defines it.
 The average system, an AverageSpec, is a SystemSpec of the same class with
 no fast clock: the solver, the certificate and the target distance take it
 as they take any system.
@@ -160,16 +166,21 @@ def _as_axes(grid, what: str):
     return axes
 
 
-def _grid_sup(values, what: str, layout: tuple, point: Callable) -> tuple:
+def _grid_sup(values: np.ndarray, what: str, x: np.ndarray, r: np.ndarray,
+              tau0s: np.ndarray = ()) -> tuple:
     """(maximum, witness) of an estimate's samples by grid_extreme.
 
-    The witness is point(*grid index), a tuple of the coordinates named by
-    layout.  A non-finite sample is an error naming the quantity and point.
+    values holds one row per (x, r) row and, with tau0s, one column per window
+    start; the witness is the (x, r) or (x, r, tau0) sample achieving the
+    maximum, the first in C order.  A non-finite sample is an error naming the
+    quantity and point.
     """
     value, k = grid_extreme(values)
-    witness = point(*np.unravel_index(k, np.shape(values)))
+    row, *start = np.unravel_index(k, values.shape)
+    witness = (x[row].copy(), r[row].copy(), *(float(tau0s[j]) for j in start))
     if not math.isfinite(value):
-        at = ", ".join(f"{name} = {np.asarray(c).tolist()!r}" for name, c in zip(layout, witness))
+        at = ", ".join(f"{name} = {np.asarray(c).tolist()!r}"
+                       for name, c in zip(("x", "r", "tau0"), witness))
         raise ValueError(f"{what} is non-finite ({value!r}) at {at}")
     return value, witness
 
@@ -198,8 +209,7 @@ def estimate_average_map(spec: SystemSpec, x_grid, r_grid, T_long: float,
         return replace(build_average_system(spec, _LongWindowMean(spec, T_long)), table=table)
     closed = np.asarray(f_ave(flat[:, :n], flat[:, n:]), dtype=float)
     nodal, node = _grid_sup(np.sqrt(np.sum((closed - means) ** 2, axis=-1)),
-                            "deviation of favg from the window mean", ("x", "r"),
-                            lambda k: (flat[k, :n], flat[k, n:]))
+                            "deviation of favg from the window mean", flat[:, :n], flat[:, n:])
     return replace(build_average_system(spec, f_ave), table=table, nodal_residual=nodal,
                    nodal_witness=node)
 
@@ -218,48 +228,38 @@ class GammaCurve:
     values: np.ndarray
     envelope: np.ndarray
     witnesses: tuple
-    exceeds_state_envelope: Optional[tuple] = None
 
 
 def _envelope(values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(values[::-1])[::-1]
 
 
-def _sweep(spec: SystemSpec, x_grid, r_grid, tau_grid, T_grid, what: str,
-           residual: Callable) -> tuple:
-    """(windows, values, witnesses): per window length T, the grid supremum of
-    residual over (x, r, tau0) and the (x, r, tau0) sample achieving it.
-
-    residual(i, x, r, means) gives one value per window start at the i-th x
-    point, where means(x', r') are the window means of f(x', r', ., 0) of
-    length T from every start, shape (len(tau_grid), n).
-    """
+def _grid_rows(spec: SystemSpec, x_grid, r_grid, tau_grid, T_grid) -> tuple:
+    """(x, r, tau0s, Ts): the grid's (x, r) rows, x-major, its window starts and lengths."""
     x_pts = np.atleast_2d(np.asarray(x_grid, dtype=float)).reshape(-1, spec.n)
     r_pts = np.atleast_2d(np.asarray(r_grid, dtype=float)).reshape(-1, spec.p)
     tau0s = np.asarray(tau_grid, dtype=float).ravel()
     Ts = np.asarray(T_grid, dtype=float).ravel()
     if not (x_pts.size and r_pts.size and tau0s.size and Ts.size):
         raise ValueError("x, r, tau and T grids must be non-empty")
-    if not np.all(np.isfinite(Ts) & (Ts > 0.0)):
-        raise ValueError(f"window lengths T must be finite and positive, got {Ts.tolist()}")
+    return (np.repeat(x_pts, r_pts.shape[0], axis=0), np.tile(r_pts, (x_pts.shape[0], 1)),
+            tau0s, Ts)
 
-    values = np.zeros(Ts.shape[0])
-    witnesses = []
-    for ti, T in enumerate(Ts.tolist()):
-        h, offsets, w = _window(T)
-        s = (tau0s[:, None] + offsets[None, :]).ravel()
 
-        def means(x, r):
-            vals = _sample_window(spec, x[None], r[None], s).reshape(tau0s.shape[0], -1, spec.n)
-            return (h / 3.0) * np.einsum("q,tqn->tn", w, vals) / T
+def _start_means(spec: SystemSpec, x: np.ndarray, r: np.ndarray, tau0s: np.ndarray,
+                 T: float) -> np.ndarray:
+    """Window means of length T from every start in tau0s for K rows x (K, n), r (K, p).
 
-        resid = [residual(i, x, r, means) for i, x in enumerate(x_pts) for r in r_pts]
-        values[ti], witness = _grid_sup(
-            np.reshape(resid, (x_pts.shape[0], r_pts.shape[0], -1)), f"{what} (T = {T!r})",
-            ("x", "r", "tau0"), lambda i, j, k: (x_pts[i].copy(), r_pts[j].copy(),
-                                                 float(tau0s[k])))
-        witnesses.append(witness)
-    return Ts, values, tuple(witnesses)
+    Shape (K, starts, n).  One _sample_window call per row, so that no call
+    holds more than one row's samples.
+    """
+    h, offsets, w = _window(T)
+    s = (tau0s[:, None] + offsets[None, :]).ravel()
+    means = np.empty((x.shape[0], tau0s.shape[0], spec.n))
+    for k in range(x.shape[0]):
+        vals = _sample_window(spec, x[k:k + 1], r[k:k + 1], s).reshape(tau0s.shape[0], -1, spec.n)
+        means[k] = (h / 3.0) * np.einsum("q,tqn->tn", w, vals) / T
+    return means
 
 
 def estimate_gamma(spec: SystemSpec, f_ave: Callable, x_grid, r_grid,
@@ -271,60 +271,54 @@ def estimate_gamma(spec: SystemSpec, f_ave: Callable, x_grid, r_grid,
     grid point the window residual is <= gamma(T) * |x| by construction.  A
     non-finite residual is an error naming its (x, r, tau0) point.
     """
-    x_pts = np.reshape(np.asarray(x_grid, dtype=float), (-1, spec.n))
-    norms = np.sqrt(np.sum(x_pts * x_pts, axis=-1))
+    x, r, tau0s, Ts = _grid_rows(spec, x_grid, r_grid, tau_grid, T_grid)
+    norms = np.sqrt(np.sum(x * x, axis=-1))[:, None]
     if np.any(norms == 0.0):
         raise ValueError("x grid must exclude 0 (residuals are normalized by |x|)")
-
-    def residual(i, x, r, means):
-        mean = means(x, r)
-        ref = np.asarray(f_ave(x[None, :], r[None, :]), dtype=float)[0]
-        return np.sqrt(np.sum((mean - ref) ** 2, axis=-1)) / norms[i]
-
-    Ts, values, witnesses = _sweep(spec, x_pts, r_grid, tau_grid, T_grid,
-                                   "window-mean residual of f against favg", residual)
-    return GammaCurve(Ts, values, _envelope(values), witnesses)
+    ref = np.asarray(f_ave(x, r), dtype=float)[:, None]
+    values, witnesses = np.zeros(Ts.shape[0]), []
+    for ti, T in enumerate(Ts.tolist()):
+        resid = np.sqrt(np.sum((_start_means(spec, x, r, tau0s, T) - ref) ** 2, axis=-1)) / norms
+        values[ti], witness = _grid_sup(
+            resid, f"window-mean residual of f against favg (T = {T!r})", x, r, tau0s)
+        witnesses.append(witness)
+    return GammaCurve(Ts, values, _envelope(values), tuple(witnesses))
 
 
 def check_jacobian_average(spec: SystemSpec, f_ave: Callable, x_grid, r_grid,
-                           tau_grid, T_grid,
-                           state_gamma: Optional[GammaCurve] = None) -> GammaCurve:
+                           tau_grid, T_grid) -> GammaCurve:
     """Window-averaged Jacobian of the residual d = f(., 0) - f_ave, per T.
 
     The Jacobian over (x, r) is taken by central differences with step
     1e-5 * max(1, |(x, r)|); because quadrature is linear, differencing the
     window means equals window-averaging the Jacobian.  Values are raw
-    Frobenius magnitudes (the theoretical bound carries no |x| factor), and
-    T values whose magnitude exceeds a provided state-residual envelope are
-    flagged.  A non-finite magnitude is an error naming its (x, r, tau0) point.
+    Frobenius magnitudes (the theoretical bound carries no |x| factor).  A
+    non-finite magnitude is an error naming its (x, r, tau0) point.
     """
-    n = spec.n
-
-    def residual(i, x, r, means):
-        """Frobenius norms, per window start, of the windowed Jacobian at (x, r)."""
-        z0 = np.concatenate([x, r])
-        h = 1e-5 * max(1.0, float(np.linalg.norm(z0)))
-        cols = []
-        for d in range(n + spec.p):
-            zp, zm = z0.copy(), z0.copy()
-            zp[d] += h
-            zm[d] -= h
-            mp, mm = means(zp[:n], zp[n:]), means(zm[:n], zm[n:])
-            fp = np.asarray(f_ave(zp[None, :n], zp[None, n:]), dtype=float)[0]
-            fm = np.asarray(f_ave(zm[None, :n], zm[None, n:]), dtype=float)[0]
-            cols.append(((mp - mm) - (fp - fm)[None, :]) / (2.0 * h))
-        jac = np.stack(cols, axis=-1)  # (ntau, n, n+p)
-        return np.sqrt(np.sum(jac * jac, axis=(1, 2)))
-
-    Ts, values, witnesses = _sweep(spec, x_grid, r_grid, tau_grid, T_grid,
-                                   "Jacobian residual of f against favg", residual)
-    flags = None
-    if state_gamma is not None:
-        env = np.interp(Ts, state_gamma.windows, state_gamma.envelope)
-        # slack absorbs finite-difference noise when the curves coincide
-        flags = tuple(bool(v > e * (1.0 + 1e-6) + 1e-9) for v, e in zip(values, env))
-    return GammaCurve(Ts, values, _envelope(values), witnesses,
-                      exceeds_state_envelope=flags)
+    x, r, tau0s, Ts = _grid_rows(spec, x_grid, r_grid, tau_grid, T_grid)
+    n, dims = spec.n, spec.n + spec.p
+    z = np.concatenate([x, r], axis=1)
+    step = np.array([1e-5 * max(1.0, float(np.linalg.norm(row))) for row in z])
+    # probe rows (row, coordinate, +h / -h); only the moved coordinate is touched
+    probes = np.tile(z[:, None, None], (1, dims, 2, 1))
+    moved = np.arange(dims)
+    probes[:, moved, 0, moved] += step[:, None]
+    probes[:, moved, 1, moved] -= step[:, None]
+    probes = probes.reshape(-1, dims)
+    f_probes = np.asarray(f_ave(probes[:, :n], probes[:, n:]), dtype=float)
+    f_probes = f_probes.reshape(z.shape[0], dims, 2, 1, n)
+    df = f_probes[:, :, 0] - f_probes[:, :, 1]
+    values, witnesses = np.zeros(Ts.shape[0]), []
+    for ti, T in enumerate(Ts.tolist()):
+        means = _start_means(spec, probes[:, :n], probes[:, n:], tau0s, T)
+        means = means.reshape(z.shape[0], dims, 2, tau0s.shape[0], n)
+        cols = ((means[:, :, 0] - means[:, :, 1]) - df) / (2.0 * step)[:, None, None, None]
+        jac = np.ascontiguousarray(np.moveaxis(cols, 1, -1))  # (rows, starts, n, dims)
+        values[ti], witness = _grid_sup(np.sqrt(np.sum(jac * jac, axis=(2, 3))),
+                                        f"Jacobian residual of f against favg (T = {T!r})",
+                                        x, r, tau0s)
+        witnesses.append(witness)
+    return GammaCurve(Ts, values, _envelope(values), tuple(witnesses))
 
 
 def build_average_system(spec: SystemSpec, f_ave: Callable) -> AverageSpec:

@@ -216,8 +216,7 @@ def cmd_average(doc, spec):
     x_pts = x_pts[np.linalg.norm(x_pts, axis=-1) > 0.0]
     r_pts = np.stack(np.meshgrid(*r_axes, indexing="ij"), axis=-1).reshape(-1, spec.p)
     gamma = estimate_gamma(spec, avg.f_ave, x_pts, r_pts, tau_grid, T_grid)
-    jac = check_jacobian_average(spec, avg.f_ave, x_pts, r_pts, tau_grid, T_grid,
-                                 state_gamma=gamma)
+    jac = check_jacobian_average(spec, avg.f_ave, x_pts, r_pts, tau_grid, T_grid)
 
     gamma_rows = ([_f(T), _f(gamma.values[k]), _f(gamma.envelope[k]), _f(jac.values[k]),
                    _vec(gamma.witnesses[k][0]), _vec(gamma.witnesses[k][1]),
@@ -235,8 +234,9 @@ def cmd_average(doc, spec):
         trend = gamma.envelope[-1] / gamma.envelope[0]
         report.append(f"gamma trend envelope(T_last)/envelope(T_first) = {_f(trend)} "
                       f"(diagnostic: <= 0.1 indicates a well-averaged field)")
-    flagged = [str(float(T)) for T, bad
-               in zip(jac.windows, jac.exceeds_state_envelope or ()) if bad]
+    # the slack absorbs finite-difference noise where the two curves coincide
+    flagged = [str(float(T)) for T, v, e in zip(gamma.windows, jac.values, gamma.envelope)
+               if v > e * (1.0 + 1e-6) + 1e-9]
     report.append("jacobian residual exceeds state gamma envelope at T values: "
                   + (", ".join(flagged) or "none"))
     report.append("results are grid-certified suprema, not proofs")
@@ -444,7 +444,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, MemoryError, MapEvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a MemoryError may carry no text: then its type names what failed
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

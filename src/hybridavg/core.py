@@ -324,7 +324,10 @@ class HybridArc:
 def distances_to_target(x: np.ndarray, r: np.ndarray, spec: SystemSpec) -> np.ndarray:
     """Euclidean distances of rows (x (K, n), r (K, p)) to the target set A = {0} x (C u D).
 
-    A row's distance is |x| whenever r lies in C u D, which holds along every solution.
+    A row's distance is |x| whenever r lies in C u D.  That holds at every
+    sample of a solution but one: a jump that lands outside C u D ends the
+    path on a one-sample segment holding that r, whose distance also counts
+    r's distance to C u D.
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)

@@ -254,6 +254,23 @@ class TestAverageCommand:
         assert "at x = [-2.0], r = [" in err
         assert not (tmp_path / "o").exists()
 
+    def test_jacobian_flag_lists_the_windows_above_the_gamma_envelope(self, tmp_path):
+        # the window mean of this flow is -x_1 (favg passes), but its residual
+        # -x_1**2 sin(tau) has twice the x-slope of its size at |x| = 1
+        text = (CONFIGS / "actuator_expr.cfg").read_text(encoding="utf-8")
+        cfg = write_cfg(tmp_path, text.replace("flow_x = -x_1*(1 + sin(tau))",
+                                               "flow_x = -x_1 - x_1*x_1*sin(tau)"))
+        out = tmp_path / "out"
+        assert main(["average", "--config", cfg, "--out", str(out)]) == 0
+        prefix = "jacobian residual exceeds state gamma envelope at T values: "
+        (line,) = [ln for ln in (out / "average_report.txt").read_text().splitlines()
+                   if ln.startswith(prefix)]
+        flagged = line[len(prefix):].split(", ")
+        header, rows = read_csv(out / "average_gamma.csv")
+        T, env, jac = (header.index(k) for k in ("T", "gamma_envelope", "jac_gamma_raw"))
+        want = [r[T] for r in rows if float(r[jac]) > float(r[env]) * (1 + 1e-6) + 1e-9]
+        assert want and flagged == want
+
     def test_non_finite_window_mean_names_f_and_its_point(self, tmp_path, capsys):
         # once "flow map returned a non-finite value inside the window", naming no point
         text = (CONFIGS / "actuator_expr.cfg").read_text(encoding="utf-8")
@@ -679,6 +696,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "estimate_average_map", too_large)
         assert main(["average", "--config", actuator_cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: Unable to allocate 596. GiB for an array\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_error_without_a_message_names_its_type(self, actuator_cfg, tmp_path, capsys,
+                                                    monkeypatch):
+        # a bare MemoryError() once printed "error: " and nothing else
+        def too_large(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "estimate_average_map", too_large)
+        assert main(["average", "--config", actuator_cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_step_in_config_is_error(self, tmp_path, capsys):

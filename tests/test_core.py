@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -132,6 +133,40 @@ class TestStateVec:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             ha.StateVec(np.array([1.0]), np.array([0.0]), -1.0)
+
+
+def _box(dim):
+    return ha.SetDescriptor.box([0.0] * dim, [1.0] * dim)
+
+
+@pytest.mark.parametrize("build, error", [
+    pytest.param(lambda spec: ha.SetDescriptor((), ()), r"at least one \(lo, hi\) box",
+                 id="descriptor-without-boxes"),
+    pytest.param(lambda spec: ha.SetDescriptor(((0.0,), (0.0, 0.0)), ((1.0,), (1.0, 1.0))),
+                 "share one dimension", id="descriptor-of-mixed-dimensions"),
+    pytest.param(lambda spec: _box(1).grid(0), "points_per_dim must be >= 1", id="empty-grid"),
+    pytest.param(lambda spec: ha.JumpNoise.finite([[0.5], [-0.5]], [1.0]),
+                 "disagree in length", id="noise-probabilities-short"),
+    pytest.param(lambda spec: ha.JumpNoise("sampler-only"), "needs a sampler",
+                 id="noise-without-sampler"),
+    pytest.param(lambda spec: ha.JumpNoise.from_sampler(lambda seed, k: np.zeros(0), m=0),
+                 "noise dimension m must be >= 1", id="noise-of-dimension-0"),
+    pytest.param(lambda spec: ha.JumpNoise("gaussian"), "unknown noise kind 'gaussian'",
+                 id="noise-of-unknown-kind"),
+    pytest.param(lambda spec: ha.StateVec(np.array([math.nan]), np.array([0.0])),
+                 "state components must be finite", id="state-with-nan"),
+    pytest.param(lambda spec: dataclasses.replace(spec, epsilon=0.0),
+                 "epsilon must be positive, got 0.0", id="spec-epsilon-0"),
+    pytest.param(lambda spec: dataclasses.replace(spec, n=0), "dimension n must be >= 1",
+                 id="spec-n-0"),
+    pytest.param(lambda spec: dataclasses.replace(spec, C=_box(2)),
+                 "C and D must be descriptors over the r-component", id="spec-C-of-wrong-dim"),
+    pytest.param(lambda spec: dataclasses.replace(spec, m=2),
+                 "noise dimension disagrees with m", id="spec-m-not-noise-m"),
+])
+def test_malformed_input_is_rejected_where_it_enters(actuator, build, error):
+    with pytest.raises(ValueError, match=error):
+        build(actuator)
 
 
 @st.composite

@@ -127,6 +127,23 @@ class TestSimulatePath:
             ha.simulate_path(spec, state(1.0, 0.0), 0, ha.Horizon(1.0, 10))
 
 
+@pytest.mark.parametrize("run, error", [
+    pytest.param(lambda spec: ha.Horizon(math.inf, 10), "t_max must be finite and >= 0",
+                 id="infinite-t_max"),
+    pytest.param(lambda spec: ha.Horizon(1.0, 0), "j_max must be a positive integer",
+                 id="j_max-0"),
+    pytest.param(lambda spec: ha.simulate_path(spec, state([1.0, 2.0]), 0, ha.Horizon(1.0, 5)),
+                 "initial state dimensions do not match the system", id="start-of-wrong-dim"),
+    pytest.param(lambda spec: ha.simulate_ensemble(spec, [state(1.0)], 0, 0, ha.Horizon(1.0, 5)),
+                 "n_paths must be >= 1", id="no-paths"),
+    pytest.param(lambda spec: ha.simulate_ensemble(spec, [], 1, 0, ha.Horizon(1.0, 5)),
+                 "need at least one initial condition", id="no-starts"),
+])
+def test_malformed_run_is_rejected_before_any_step(actuator, run, error):
+    with pytest.raises(ValueError, match=error):
+        run(actuator)
+
+
 class TestIntegratorConfig:
     @pytest.mark.parametrize("field", ["base_step", "substep_per_epsilon"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.01])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import hybridavg as ha
 from hybridavg.core import (TERMINAL_HORIZON_T, TERMINAL_LEFT_SETS, FlowSegment,
                             distances_to_target, hybrid_time_sum)
-from hybridavg.stats import _hitting_index
+from hybridavg.stats import _hitting_index, wilson_interval
 
 from conftest import state
 
@@ -294,6 +294,35 @@ class TestRecurrenceEstimate:
                                    es_system)
         assert a.hit_fraction == b.hit_fraction and a.tau_hat == b.tau_hat
         assert a.hitting_times == b.hitting_times
+
+
+def _starts_only(spec, n_paths, x0=(2.0,)):
+    """n_paths arcs that record only their initial sample (t_max = 0)."""
+    return ha.simulate_ensemble(spec, [state(x) for x in x0], n_paths, 0, ha.Horizon(0.0, 1))
+
+
+@pytest.mark.parametrize("run, error", [
+    pytest.param(lambda spec: ha.recurrence_estimate(_starts_only(spec, 30), 0.1, 1.0, 5.0,
+                                                     spec),
+                 r"rho must lie in \(0, 1\)", id="rho-1"),
+    pytest.param(lambda spec: ha.uges_m_fit(_starts_only(spec, 2), [], spec),
+                 "need at least one evaluation time", id="no-evaluation-times"),
+    pytest.param(lambda spec: ha.uges_m_fit([], [1.0], spec), "need at least one path",
+                 id="no-paths"),
+    pytest.param(lambda spec: ha.uges_m_fit(_starts_only(spec, 2, x0=(1.0, 2.0)), [0.0],
+                                            spec),
+                 "all paths must share one initial distance", id="mixed-initial-distances"),
+    pytest.param(lambda spec: ha.epsilon_sweep(
+        spec, [], [state(2.0)], 0, radius_max=2.0, rho=0.05, R=5.0, n_paths=30,
+        horizon=ha.Horizon(1.0, 5)), "need at least one epsilon", id="no-epsilon"),
+])
+def test_malformed_analysis_input_is_rejected(actuator, run, error):
+    with pytest.raises(ValueError, match=error):
+        run(actuator)
+
+
+def test_wilson_interval_of_no_trials_is_the_unit_interval():
+    assert wilson_interval(0, 0) == (0.0, 1.0)
 
 
 class TestUgesMFit:
