@@ -15,6 +15,9 @@ batch, so the table is one f call.  gamma and the Jacobian check each form
 their (x, r) rows once, x-major, call f_ave once on them (the Jacobian on its
 central-difference probe rows), and per T sample the windows from every start
 tau0 one row at a time, so that no f call holds more than one row's samples.
+Every sampling fixes f at its clock samples first: an expression-compiled f
+computes its subtrees of tau and eps alone once per window length (once for
+the table), not once per row, with the same bits; any other f is called as is.
 The table's mean (weights @ samples) and the per-start mean (an einsum over
 the starts) stay two reductions: at all 18 table nodes of the shipped
 actuator grid they differ in the last bit, so merging them would change the
@@ -37,6 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import SystemSpec, grid_extreme
+from .expressions import CompiledMap
 
 #: Simpson panel density: panels per 2*pi of the fast clock
 PANELS_PER_PERIOD = 40
@@ -64,21 +68,33 @@ def _window(T: float) -> tuple:
     return h, np.arange(n_sub + 1) * h, w
 
 
-def _sample_window(spec: SystemSpec, x: np.ndarray, r: np.ndarray,
+def _at_samples(f: Callable, s: np.ndarray, K: int) -> Callable:
+    """f(., ., tau, 0) at the samples s of K rows, as a map of (x, r) batches (K * len(s), .).
+
+    A CompiledMap f is fixed at those clock values, so its subtrees of tau and
+    eps alone are computed once, here, for every call of the map; any other f
+    is called with them.
+    """
+    taus = np.broadcast_to(s, (K, s.shape[0])).reshape(-1)
+    if isinstance(f, CompiledMap):
+        return f.fixed(tau=taus, eps=0.0)
+    return lambda x, r: f(x, r, taus, 0.0)
+
+
+def _sample_window(f_at: Callable, x: np.ndarray, r: np.ndarray,
                    s: np.ndarray) -> np.ndarray:
     """f(x, r, s, 0) at the window samples s for K rows x (K, n), r (K, p); shape (K, len(s), n).
 
-    f gets one 2-D batch, each row repeated over s (one row as stride-0 views
-    beside s itself).  A non-finite value is an error naming f, x, r and the
-    first such tau.
+    f_at is _at_samples(f, s, K).  It gets one 2-D batch, each row repeated
+    over s (one row as stride-0 views beside s itself).  A non-finite value is
+    an error naming f, x, r and the first such tau.
     """
     K, S = x.shape[0], s.shape[0]
 
     def rows(a):  # (K * S, a's width): each row of a repeated over s
         return np.broadcast_to(a[:, None], (K, S, a.shape[1])).reshape(K * S, -1)
 
-    taus = np.broadcast_to(s, (K, S)).reshape(-1)
-    vals = np.asarray(spec.f(rows(x), rows(r), taus, 0.0), dtype=float).reshape(K, S, -1)
+    vals = np.asarray(f_at(rows(x), rows(r)), dtype=float).reshape(K, S, -1)
     bad = ~np.isfinite(vals)
     if bad.any():
         i, k, c = np.unravel_index(np.argmax(bad), bad.shape)
@@ -92,7 +108,8 @@ def _window_means(spec: SystemSpec, x: np.ndarray, r: np.ndarray, tau0: float,
                   T: float) -> np.ndarray:
     """Window means over [tau0, tau0 + T] for K rows x (K, n), r (K, p); shape (K, n)."""
     h, offsets, w = _window(T)
-    return (h / 3.0) * (w @ _sample_window(spec, x, r, tau0 + offsets)) / T
+    s = tau0 + offsets
+    return (h / 3.0) * (w @ _sample_window(_at_samples(spec.f, s, x.shape[0]), x, r, s)) / T
 
 
 @dataclass(frozen=True)
@@ -251,14 +268,16 @@ def _start_means(spec: SystemSpec, x: np.ndarray, r: np.ndarray, tau0s: np.ndarr
     """Window means of length T from every start in tau0s for K rows x (K, n), r (K, p).
 
     Shape (K, starts, n).  One _sample_window call per row, so that no call
-    holds more than one row's samples.
+    holds more than one row's samples; they share one f fixed at the samples.
     """
     h, offsets, w = _window(T)
     s = (tau0s[:, None] + offsets[None, :]).ravel()
+    f_at = _at_samples(spec.f, s, 1)
     means = np.empty((x.shape[0], tau0s.shape[0], spec.n))
     for k in range(x.shape[0]):
-        vals = _sample_window(spec, x[k:k + 1], r[k:k + 1], s).reshape(tau0s.shape[0], -1, spec.n)
+        vals = _sample_window(f_at, x[k:k + 1], r[k:k + 1], s).reshape(tau0s.shape[0], -1, spec.n)
         means[k] = (h / 3.0) * np.einsum("q,tqn->tn", w, vals) / T
+        del vals  # freed before the next row's samples are taken, not after
     return means
 
 

@@ -52,6 +52,20 @@ def _int(text: str) -> int:
         raise ValueError(f"not an integer: {text!r}") from None
 
 
+#: most paths one ensemble may hold: 2000 times the largest ensemble a shipped
+#: config or the benchmark runs (500 paths); its per-path lists are built before
+#: any path runs, so a count far above this would exhaust memory first
+MAX_PATHS = 10**6
+
+
+def _paths(text: str) -> int:
+    """A path count: an integer no larger than MAX_PATHS (its key guards the least)."""
+    value = _int(text)
+    if value > MAX_PATHS:
+        raise ValueError(f"must be <= {MAX_PATHS}, got {value!r}")
+    return value
+
+
 def _floats(text: str) -> list:
     try:
         values = [_number(float, tok) for tok in text.split()]
@@ -110,7 +124,7 @@ _POSITIVE = (lambda v: v > 0.0, "must be > 0")
 
 #: the keys of one simulated ensemble; [recur] and [sweep] fall back for them
 _SIMULATION = {
-    "n_paths": Key(_int, "100", _COUNT),
+    "n_paths": Key(_paths, "100", _COUNT),
     "t_max": Key(_float, "10.0", _at_least(0)),
     "j_max": Key(_int, "10000", _COUNT),
     "base_step": Key(_float, "0.01", _POSITIVE),
@@ -121,7 +135,7 @@ _SIMULATION = {
 }
 _SEED = Key(_int, "0", _at_least(0))
 #: [recur] and [sweep] estimate recurrence, which needs at least 30 paths
-_RECURRENCE = {**_SIMULATION, "n_paths": Key(_int, "100", _at_least(30)), "seed": _SEED,
+_RECURRENCE = {**_SIMULATION, "n_paths": Key(_paths, "100", _at_least(30)), "seed": _SEED,
                "rho": Key(_float, "0.05", (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
                "R": Key(_float, "5.0", _POSITIVE)}
 

@@ -17,7 +17,11 @@ from the AST alone: its names come from the roles and a fixed table of numpy
 functions, literals, and subtrees of literals alone computed once when the
 map is built, are bound as constants, and no user text is ever evaluated.
 tau and eps enter a map as float64, so every subtree, even one of them alone,
-is numpy float64 arithmetic (a zero divisor gives inf or nan).
+is numpy float64 arithmetic (a zero divisor gives inf or nan).  CompiledMap.fixed
+binds tau and eps to values, an array of the batch's length or a number: in the
+map of the remaining roles it builds, every subtree of those names and literals
+alone is computed once, when it is built, so a map called many times at the same
+clock samples computes its clock-only subtrees once.
 Maps run vectorized over batched numpy arrays and pickle as plain data.
 """
 
@@ -306,14 +310,15 @@ def _common(a: tuple, b: tuple) -> tuple:
     return a[:n]
 
 
-def _emit(exprs, lines: list, consts: list):
+def _emit(exprs, lines: list, consts: list, fixed: dict):
     """Yield (text, whether it is a fresh array) of each tree's value, once the
     lines it reads are appended.
 
     Subtrees are hash-consed: they compare by structure without source
     positions, constants by their exact bits (-0.0 is not 0.0).  A subtree of
-    literals alone is computed here, once, by the numpy operations a call
-    would apply, and bound as a constant.  An inner subtree held by two or more
+    literals and names in ``fixed`` alone is computed here, once, by the numpy
+    operations a call would apply, and bound as a constant (an array where a
+    fixed value is one).  An inner subtree held by two or more
     operands or columns of the distinct subtrees is computed once, into a
     name; any other is written inline, so numpy can reuse its temporaries.
     Each fold step of a variadic min or max has its own line, so calls nest no
@@ -330,7 +335,8 @@ def _emit(exprs, lines: list, consts: list):
     block that reads it, so no name is read unset.
     """
     ids, table, names = {}, [], {}  # structure -> id; id -> (node, child ids); id -> name
-    reads, literal = [], []  # id -> it reads an array column; it reads no name at all
+    reads, literal = [], []  # id -> it reads an array column; it reads no name but fixed ones
+    folded = {}  # id -> value of a subtree of literals and fixed names alone
     serial, fresh = itertools.count(), set()  # names of arrays allocated by the call
     depth = 0  # blocks open around the next line
 
@@ -344,7 +350,8 @@ def _emit(exprs, lines: list, consts: list):
             table.append((node, kids))
             role = label.partition("_")[0] if isinstance(node, Var) else None
             reads.append(role in _ARRAY_ROLES or any(map(reads.__getitem__, kids)))
-            literal.append(role is None and all(map(literal.__getitem__, kids)))
+            literal.append((role is None or label in fixed)
+                           and all(map(literal.__getitem__, kids)))
         return i
 
     def line(text: str) -> None:
@@ -360,17 +367,25 @@ def _emit(exprs, lines: list, consts: list):
         return not text.isidentifier() or text in fresh
 
     def fold(i: int):
-        """Subtree i of literals alone, by the float64 operations of a call."""
+        """Subtree i of literals and fixed names alone, by the float64 operations
+        of a call; each subtree is computed once, however many trees hold it."""
+        if i in folded:
+            return folded[i]
         node, kids = table[i]
-        if isinstance(node, Num):
-            return np.float64(node.value)
         args = [fold(kid) for kid in kids]
-        if not isinstance(node, Call):
-            return _OPERATORS[getattr(node, "op", "neg")](*args)
-        fn = _FUNCTIONS[node.fn][2]
-        if node.fn == "ifge":
-            return fn(args[0] >= args[1], *args[2:])
-        return functools.reduce(fn, args[2:], fn(*args[:2]))  # min and max fold left
+        if isinstance(node, Num):
+            out = np.float64(node.value)
+        elif isinstance(node, Var):
+            out = fixed[_name(node)]
+        elif not isinstance(node, Call):
+            out = _OPERATORS[getattr(node, "op", "neg")](*args)
+        elif node.fn == "ifge":
+            out = np.where(args[0] >= args[1], *args[2:])
+        else:  # min and max fold left
+            fn = _FUNCTIONS[node.fn][2]
+            out = functools.reduce(fn, args[2:], fn(*args[:2]))
+        folded[i] = out
+        return out
 
     def branches(i: int) -> str:
         """The lines of lazy ifge i; the name of its value."""
@@ -405,7 +420,8 @@ def _emit(exprs, lines: list, consts: list):
                 consts.append(node.value)
             else:
                 with np.errstate(all="ignore"):  # a call reports a non-finite value
-                    consts.append(float(fold(i)))
+                    const = fold(i)
+                consts.append(const if np.ndim(const) else float(const))
             names[i] = f"_c{len(consts) - 1}"
         if i in names or isinstance(node, Var):
             return names.get(i) or _name(node), False
@@ -455,6 +471,9 @@ def _emit(exprs, lines: list, consts: list):
     for root in roots:
         text = value(root)[0]
         yield text, is_fresh(text)
+    # the recursive closures hold each other, consts and fixed in a reference
+    # cycle, which only the cyclic collector would free
+    intern = fold = value = branches = None
 
 
 class CompiledMap:
@@ -468,17 +487,22 @@ class CompiledMap:
     first array argument (all axes but the last).  A tuple of expressions
     gives one output column each, written into a fresh (B, k) array; one bare
     expression gives a scalar map, a fresh (B,) array.  ``source`` is the text
-    of the generated function.
+    of the generated function.  ``bound`` maps tau or eps, where they are not
+    roles, to the value fixed when the map was built (see ``fixed``).
     """
 
-    def __init__(self, exprs, roles):
+    def __init__(self, exprs, roles, bound=None):
         self.exprs = tuple(exprs) if isinstance(exprs, (list, tuple)) else exprs
         self.roles = tuple(roles)
+        self.bound = {a: np.float64(v) for a, v in (bound or {}).items()}
         arrays = [a for a in self.roles if a in _ARRAY_ROLES]
         if not arrays or len(set(self.roles)) != len(self.roles) \
                 or not set(self.roles) <= {*_ARRAY_ROLES, *_SCALAR_ROLES}:
             raise ValueError(f"roles must be distinct, known and include an array role: "
                              f"{self.roles}")
+        if not set(self.bound) <= set(_SCALAR_ROLES) - set(self.roles):
+            raise ValueError(f"only tau and eps that are not roles can be bound: "
+                             f"{sorted(self.bound)}")
         scalar = not isinstance(self.exprs, tuple)
         exprs = (self.exprs,) if scalar else self.exprs
         columns, read = set(), set()  # (array role, 1-based column) pairs read; names read
@@ -486,7 +510,8 @@ class CompiledMap:
             name = _name(var)
             role, _, idx = name.partition("_")
             column = role in _ARRAY_ROLES and idx.isascii() and idx.isdigit() and idx[0] != "0"
-            if role not in self.roles or not (column or name in _SCALAR_ROLES):
+            if role not in (*self.roles, *self.bound) \
+                    or not (column or name in _SCALAR_ROLES):
                 raise ExpressionError(f"unknown symbol {var.name!r}", var.line, var.column)
             read.add(name)
             if column:
@@ -498,10 +523,10 @@ class CompiledMap:
                           f" or {a}.ndim < 2:",
                           f"    {a} = _atleast_2d(_asarray({a}, dtype=_float64))"]
         lines += [f"{a}_{i} = {a}[..., {i - 1}]" for a, i in sorted(columns)]
-        lines += [f"{a} = _as_float64({a})" for a in _SCALAR_ROLES if a in read]
+        lines += [f"{a} = _as_float64({a})" for a in _SCALAR_ROLES if a in read - self.bound.keys()]
         batch = f"{arrays[0]}.shape[:-1]"
         consts = []
-        values = _emit(exprs, lines, consts)
+        values = _emit(exprs, lines, consts, self.bound)
         shape = batch if scalar else f"(*{batch}, {len(exprs)})"
         if len(exprs) == 1:
             ((v, fresh),) = values
@@ -523,13 +548,24 @@ class CompiledMap:
         scope.update((f"_{fn}", ufunc) for fn, (_, _, ufunc) in _FUNCTIONS.items())
         scope.update((f"_c{i}", c) for i, c in enumerate(consts))
         exec(_compile(self.source, f"<CompiledMap {self.roles}>", "exec"), scope)
-        self._fn = scope["_map"]
+        self._fn = scope.pop("_map")  # left in scope, its own globals, it is a reference cycle
 
     def __call__(self, *args):
         return self._fn(*args)
 
+    def fixed(self, **values) -> "CompiledMap":
+        """This map with the scalar roles named in values (tau, eps) bound to them.
+
+        The result is a map over the remaining roles in which every subtree of
+        bound names and literals alone is computed once, now, by the numpy
+        operations a call would apply, so its bits are those of a call given
+        the values.  An array value fits only batches of its length.
+        """
+        return CompiledMap(self.exprs, [a for a in self.roles if a not in values],
+                           {**self.bound, **values})
+
     def __reduce__(self):
-        return CompiledMap, (self.exprs, self.roles)
+        return CompiledMap, (self.exprs, self.roles, self.bound)
 
 
 def AverageField(exprs, n: int) -> CompiledMap:

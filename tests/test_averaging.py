@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import hybridavg as ha
 from hybridavg.averaging import PANELS_PER_PERIOD, _window_means
+from hybridavg.expressions import CompiledMap, allowed_names, compile_expressions
 
 from conftest import V_quad, state
 
@@ -271,6 +272,46 @@ class TestSampledEstimateGrids:
                 pytest.raises(ValueError, match=r"against favg .* is non-finite .* "
                                                 r"at x = \[1\.0\], r = \[0\.0\], tau0 = 0\.0"):
             estimate(actuator, over_zero, self.X_PTS, self.R_PTS, TAUS[:8], np.array([1.0]))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestCompiledFlowSampling:
+    """A compiled f is fixed at each window's clock samples; any other f is called."""
+
+    GRIDS = (np.array([[-2.0], [0.05], [1.0]]), np.array([[0.0], [0.5]]), TAUS[:16],
+             np.array([0.5, 3.3, 2.0 * math.pi]))
+
+    @pytest.mark.parametrize("estimate", [ha.estimate_gamma, ha.check_jacobian_average])
+    def test_same_bits_as_the_flow_behind_a_plain_callable(self, es_system, favg, estimate):
+        # x = 0.05 lies inside the ES flow's delta-ball, the others outside it
+        plain = dataclasses.replace(es_system, f=lambda *a: es_system.f(*a))
+        got, want = (estimate(spec, favg, *self.GRIDS) for spec in (es_system, plain))
+        assert _same_bits(got.values, want.values)
+        assert _same_bits(got.envelope, want.envelope)
+        assert len(got.witnesses) == len(want.witnesses) == 3
+        for ours, theirs in zip(got.witnesses, want.witnesses):
+            assert all(map(_same_bits, ours, theirs))
+
+    def test_table_has_the_bits_of_the_flow_behind_a_plain_callable(self, es_system):
+        plain = dataclasses.replace(es_system, f=lambda *a: es_system.f(*a))
+        got, want = (ha.estimate_average_map(spec, np.array([-2.0, 0.05, 1.0]), np.array([0.0, 0.5]),
+                                             T_long=4 * math.pi).table
+                     for spec in (es_system, plain))
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("estimate", [ha.estimate_gamma, ha.check_jacobian_average])
+    def test_non_finite_compiled_flow_names_f_x_r_and_tau(self, actuator, favg, estimate):
+        exprs = compile_expressions(["x_1/sin(tau)"],
+                                    allowed_names(n=1, p=1, tau=True, eps=True))
+        spec = dataclasses.replace(actuator, f=CompiledMap(exprs, ("x", "r", "tau", "eps")))
+        msg = (r"^map 'f' returned a non-finite value \(inf\) inside the window at "
+               r"x = \[1\.0\d*\], r = \[0\.0\], tau = 0\.0$")
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match=msg):
+            estimate(spec, favg, np.array([[1.0]]), np.array([[0.0]]), TAUS[:8], np.array([1.0]))
 
 
 class TestJacobianAverage:

@@ -1,8 +1,10 @@
 import functools
+import gc
 import math
 import operator
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -544,3 +546,59 @@ class TestGeneratedCode:
         args = _args("g", 7)
         assert _same_bits(copy(*args), fmap(*args))
         assert _same_bits(copy(*args), reference_map(exprs, ("x", "r", "v"), *args))
+
+
+class TestFixedMap:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), batch=st.sampled_from([1, 64, 500]), scalar=st.booleans(),
+           eps=st.sampled_from([0.0, -0.0, 0.01, math.inf]))
+    def test_fixed_map_matches_the_call_bit_for_bit(self, data, batch, scalar, eps):
+        # subtrees of tau, eps and literals alone are computed once, when the
+        # fixed map is built, by the operations a call given the values applies
+        roles = ROLES["f"]
+        trees = data.draw(st.lists(_trees(_names(roles)), min_size=2, max_size=2))
+        exprs = trees[0] if scalar else tuple(trees)
+        x, r, tau, _ = _args("f", batch)
+        tau = tau * data.draw(st.sampled_from([1.0, 7.0, 1e6]))
+        fmap = CompiledMap(exprs, roles)
+        with np.errstate(all="ignore"):
+            want = fmap(x, r, tau, eps)
+            fixed = fmap.fixed(tau=tau, eps=eps)
+            got = fixed(x, r)
+            copy = pickle.loads(pickle.dumps(fixed))
+            again = copy(x, r)
+        assert fixed.roles == copy.roles == ("x", "r")
+        assert copy.source == fixed.source
+        assert _same_bits(got, want) and _same_bits(again, want)
+
+    def test_clock_only_subtrees_are_constants(self):
+        fmap = _compiled("f", ["-(x_1*(1.0 + sin(tau)))", "x_2*eps - sin(tau)"])
+        tau = np.linspace(0.0, 1.0, 9)
+        fixed = fmap.fixed(tau=tau, eps=0.0)
+        assert "tau" not in fixed.source and "_sin" not in fixed.source
+        x, r = np.random.default_rng(3).normal(size=(9, 2)), np.zeros((9, 1))
+        assert _same_bits(fixed(x, r), fmap(x, r, tau, 0.0))
+
+    @pytest.mark.parametrize("bound", [{"x": 1.0}, {"tau": 1.0, "eps": 0.0, "y": 2.0}])
+    def test_only_scalar_roles_can_be_fixed(self, bound):
+        fmap = _compiled("f", ["x_1", "tau"])
+        with pytest.raises(ValueError, match="can be bound"):
+            fmap.fixed(**bound)
+
+    def test_a_map_is_freed_without_the_cyclic_collector(self):
+        # the generated function once sat in its own globals, and the code
+        # generator's recursive closures held its constants, so a map and its
+        # constant arrays lived until the cyclic collector ran
+        exprs = compile_expressions(["ifge(x_1, 0, x_1*sin(tau), -x_1) + cos(tau)*eps", "r_1"],
+                                    _names(ROLES["f"]))
+        gc.disable()
+        try:
+            plain = CompiledMap(exprs, ROLES["f"])
+            fixed = plain.fixed(tau=np.linspace(0.0, 1.0, 5), eps=0.5)
+            const = next(value for name, value in fixed._fn.__globals__.items()
+                         if name.startswith("_c") and np.ndim(value))
+            refs = [weakref.ref(obj) for obj in (plain, plain._fn, fixed, fixed._fn, const)]
+            del plain, fixed, const
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
