@@ -18,10 +18,9 @@ functions, literals, and subtrees of literals alone computed once when the
 map is built, are bound as constants, and no user text is ever evaluated.
 tau and eps enter a map as float64, so every subtree, even one of them alone,
 is numpy float64 arithmetic (a zero divisor gives inf or nan).  CompiledMap.fixed
-binds tau and eps to values, an array of the batch's length or a number: in the
-map of the remaining roles it builds, every subtree of those names and literals
-alone is computed once, when it is built, so a map called many times at the same
-clock samples computes its clock-only subtrees once.
+binds tau and eps to values (a number, or an array of the batch's length) and
+builds a map of the remaining roles in which every subtree of those names and
+literals alone is computed once, when it is built.
 Maps run vectorized over batched numpy arrays and pickle as plain data.
 """
 

@@ -298,8 +298,8 @@ class TestCompiledFlowSampling:
 
     def test_table_has_the_bits_of_the_flow_behind_a_plain_callable(self, es_system):
         plain = dataclasses.replace(es_system, f=lambda *a: es_system.f(*a))
-        got, want = (ha.estimate_average_map(spec, np.array([-2.0, 0.05, 1.0]), np.array([0.0, 0.5]),
-                                             T_long=4 * math.pi).table
+        axes = (np.array([-2.0, 0.05, 1.0]), np.array([0.0, 0.5]))
+        got, want = (ha.estimate_average_map(spec, *axes, T_long=4 * math.pi).table
                      for spec in (es_system, plain))
         assert _same_bits(got, want)
 

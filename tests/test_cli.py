@@ -848,15 +848,17 @@ class TestExitCodes:
         # in the solver, with messages naming no key
         (["simulate"], "simulate", "tau0 = -1", "[simulate] tau0: must be >= 0, got -1.0"),
         (["simulate"], "simulate", "r0 = 2", "[simulate] r0: r0 = [2.0] lies in neither C nor D"),
+        (["recur"], "recur", "r0 = 2", "[recur] r0: r0 = [2.0] lies in neither C nor D"),
         # per-path lists were once built for any count, until memory ran out
         (["simulate"], "simulate", "n_paths = 1000000000000",
          "[simulate] n_paths: must be <= 1000000, got 1000000000000"),
-        (["recur"], "recur", "n_paths = 1000001", "[recur] n_paths: must be <= 1000000, got 1000001"),
-        (["simulate", "--paths", "1000001"], None, None, "--paths: must be <= 1000000, got 1000001"),
+        (["recur"], "recur", "n_paths = 1000001",
+         "[recur] n_paths: must be <= 1000000, got 1000001"),
+        (["simulate", "--paths", "1000001"], None, None,
+         "--paths: must be <= 1000000, got 1000001"),
         (["sweep", "--paths", "1000000000000"], None, None,
          "--paths: must be <= 1000000, got 1000000000000"),
-        (["fig1", "--paths", "1000001"], None, None, "--paths: must be <= 1000000, got 1000001"),
-        (["recur"], "recur", "r0 = 2", "[recur] r0: r0 = [2.0] lies in neither C nor D")])
+        (["fig1", "--paths", "1000001"], None, None, "--paths: must be <= 1000000, got 1000001")])
     def test_bad_flag_or_key_fails_before_any_path_is_simulated(
             self, tmp_path, capsys, monkeypatch, argv, section, line, err):
         def simulated(*args, **kwargs):
