@@ -105,11 +105,15 @@ def _sample_window(f_at: Callable, x: np.ndarray, r: np.ndarray,
 
 
 def _window_means(spec: SystemSpec, x: np.ndarray, r: np.ndarray, tau0: float,
-                  T: float) -> np.ndarray:
-    """Window means over [tau0, tau0 + T] for K rows x (K, n), r (K, p); shape (K, n)."""
+                  T: float, f_at: Optional[Callable] = None) -> np.ndarray:
+    """Window means over [tau0, tau0 + T] for K rows x (K, n), r (K, p); shape (K, n).
+
+    f_at is _at_samples(spec.f, tau0 + offsets, K) when the caller already holds it.
+    """
     h, offsets, w = _window(T)
     s = tau0 + offsets
-    return (h / 3.0) * (w @ _sample_window(_at_samples(spec.f, s, x.shape[0]), x, r, s)) / T
+    f_at = _at_samples(spec.f, s, x.shape[0]) if f_at is None else f_at
+    return (h / 3.0) * (w @ _sample_window(f_at, x, r, s)) / T
 
 
 @dataclass(frozen=True)
@@ -117,17 +121,27 @@ class _LongWindowMean:
     """The average map as the long-window mean: f_ave(x, r) = avg(x, r, 0, T_long).
 
     Each call takes one window quadrature per row; r is one row (p,) or one
-    per row of x (B, p).  Instances are plain data and safe to share.
+    per row of x (B, p).  The flow fixed at the window's samples is kept for
+    the last batch length, so repeated calls at one B build it once; it is
+    neither compared nor pickled.  Instances are safe to share.
     """
 
     spec: SystemSpec
     T_long: float
+    _sampled: tuple = field(default=(0, None), init=False, compare=False, repr=False)
+
+    def __reduce__(self):
+        return _LongWindowMean, (self.spec, self.T_long)
 
     def __call__(self, x, r) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.atleast_2d(np.asarray(r, dtype=float))
         r = np.broadcast_to(r, (x.shape[0], r.shape[-1]))
-        return _window_means(self.spec, x, r, 0.0, self.T_long)
+        K, f_at = self._sampled  # one read: another thread may swap the pair
+        if K != len(x):
+            K, f_at = len(x), _at_samples(self.spec.f, _window(self.T_long)[1], len(x))
+            object.__setattr__(self, "_sampled", (K, f_at))
+        return _window_means(self.spec, x, r, 0.0, self.T_long, f_at)
 
 
 class _AveFlowAdapter:

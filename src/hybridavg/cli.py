@@ -34,12 +34,13 @@ from .certificates import CertGrid, foster_certificate
 from .config import ConfigDocument, ConfigError, as_document
 from .core import JumpNoise, StateVec
 from .expressions import AverageField, ExpressionError, ScalarField
+# simulate_path stays a name of this module: benchmarks/tracing.py wraps cli.simulate_path
 from .solver import (
     Horizon,
     IntegratorConfig,
     MapEvaluationError,
     simulate_ensemble,
-    simulate_path,
+    simulate_path,  # noqa: F401
 )
 from .stats import epsilon_sweep, first_start_outside, recurrence_estimate
 from .svgplot import Curve, Panel, render_panels
@@ -325,10 +326,13 @@ def cmd_sweep(doc, spec):
 
 def cmd_fig1(doc, spec):
     inits, n_paths, horizon, cfg, seed = _ensemble_inputs(doc, spec, "simulate")
-    ensemble = simulate_ensemble(spec, inits, n_paths, seed, horizon, cfg)
-    # nominal run: same dynamics, jamming disabled by a unit-gain point mass
-    nominal_spec = dataclasses.replace(spec, noise=JumpNoise.finite([[0.25]], [1.0]))
-    nominal = simulate_path(nominal_spec, inits[1], seed, horizon, cfg)
+    # the nominal path is the last member: same dynamics, jamming disabled by a
+    # unit-gain point mass (its draw ignores its seed); h resets r whatever v
+    # is, so it stays in the jammed paths' lockstep group
+    starts = [inits[i % len(inits)] for i in range(n_paths)] + [inits[1]]
+    noises = [spec.noise] * n_paths + [JumpNoise.finite([[0.25]], [1.0])]
+    *ensemble, nominal = simulate_ensemble(spec, starts, n_paths + 1, seed, horizon, cfg,
+                                           noises=noises)
 
     header = ["path_id", "kind", "t", "j", "x_1", "r_1", "tau", "event"]
     stride = 25

@@ -7,8 +7,9 @@ the exit from the run of boxes holding r and the entry into D, and the step
 is clipped to land exactly there.  That location is exact for an affine w;
 otherwise the step is predicted from w(r), and a step that overshoots C u D
 is clipped onto the box it left.  Jumps fire with jump priority and a draw
-keyed by (seed, jump index).  The clock tau is never integrated: within a
-flow segment it is tau_anchor + (t - t_anchor)/epsilon, exact to a few ulps.
+keyed by (seed, jump index) from the path's own noise: the system's, unless
+an ensemble gives each path one.  The clock tau is never integrated: within
+a flow segment it is tau_anchor + (t - t_anchor)/epsilon, exact to a few ulps.
 
 Paths with bitwise-equal aux rows form a lockstep group, which splits at a
 jump into sub-groups of equal post-jump r.  The run advances in waves, each
@@ -266,9 +267,9 @@ class _Group:
         self.t0, self.tau0, self.samples = t, tau, ([t], [x], [r], [tau])
 
 
-def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
+def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
               cfg: IntegratorConfig) -> list:
-    """Simulate path i from starts[i] under seeds[i]; returns one HybridArc per path.
+    """Simulate path i from starts[i] under seeds[i] and noises[i]; one HybridArc per path.
 
     Groups start from paths with bitwise-equal initial (r, tau); members share
     the read-only t, tau and r arrays of each segment.  Each wave moves every
@@ -372,7 +373,7 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
             fired = []
             for g in jumping:
                 k, B = g.j + 1, len(g.paths)
-                V = np.stack([spec.noise.draw(seeds[i], k) for i in g.paths])
+                V = np.stack([noises[i].draw(seeds[i], k) for i in g.paths])
                 R = np.repeat(g.r, B, axis=0)
                 Xp = np.broadcast_to(np.asarray(spec.g(g.x, R, V), dtype=float), (B, spec.n))
                 Rp = np.broadcast_to(np.asarray(spec.h(R, V), dtype=float), (B, spec.p))
@@ -403,24 +404,38 @@ def _simulate(spec: SystemSpec, starts, seeds, horizon: Horizon,
 def simulate_path(spec: SystemSpec, init: StateVec, seed: int, horizon: Horizon,
                   cfg: IntegratorConfig | None = None) -> HybridArc:
     """Simulate one random solution from init under the given seed."""
-    return _simulate(spec, [init], [int(seed)], horizon, cfg or IntegratorConfig())[0]
+    return _simulate(spec, [init], [int(seed)], [spec.noise], horizon,
+                     cfg or IntegratorConfig())[0]
 
 
 def simulate_ensemble(spec: SystemSpec, inits, n_paths: int, seed_base: int,
-                      horizon: Horizon, cfg: IntegratorConfig | None = None):
+                      horizon: Horizon, cfg: IntegratorConfig | None = None, *,
+                      noises=None):
     """Simulate n_paths solutions with seeds seed_base .. seed_base + n_paths - 1.
 
-    Initial conditions are cycled from ``inits``.  Paths with equal auxiliary
-    states run in lockstep groups, which split when jumps separate them; each
-    wave steps every group once, groups whose step shares (tau, dt) share one
-    RK4 step, and maps see a scalar tau.  Path i is bit-identical to
-    simulate_path run alone, which assumes the maps are pure.
+    Initial conditions are cycled from ``inits``.  ``noises`` gives path i its
+    own jump noise noises[i], one per path with spec's m; by default every
+    path draws from spec.noise.  Paths with equal auxiliary states run in
+    lockstep groups, which split when jumps separate them; each wave steps
+    every group once, groups whose step shares (tau, dt) share one RK4 step,
+    and maps see a scalar tau.  Path i is bit-identical to simulate_path run
+    alone on replace(spec, noise=noises[i]), which assumes the maps are pure.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     inits = list(inits)
     if not inits:
         raise ValueError("need at least one initial condition")
+    noises = [spec.noise] * n_paths if noises is None else list(noises)
+    if len(noises) != n_paths:
+        i = min(len(noises), n_paths)
+        raise ValueError(f"need one noise per path, got {len(noises)} for {n_paths} paths: "
+                         + (f"path {i} (seed {int(seed_base) + i}) has none"
+                            if i < n_paths else f"noise {i} has no path"))
+    for i, noise in enumerate(noises):
+        if noise.m != spec.m:
+            raise ValueError(f"noise of path {i} (seed {int(seed_base) + i}) draws "
+                             f"v in R^{noise.m}, but the system's jumps take m = {spec.m}")
     chosen = [inits[i % len(inits)] for i in range(n_paths)]
     seeds = [int(seed_base) + i for i in range(n_paths)]
-    return _simulate(spec, chosen, seeds, horizon, cfg or IntegratorConfig())
+    return _simulate(spec, chosen, seeds, noises, horizon, cfg or IntegratorConfig())

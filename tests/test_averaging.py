@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridavg as ha
-from hybridavg.averaging import PANELS_PER_PERIOD, _window_means
+from hybridavg import averaging
+from hybridavg.averaging import PANELS_PER_PERIOD, _LongWindowMean, _window_means
 from hybridavg.expressions import CompiledMap, allowed_names, compile_expressions
 
 from conftest import V_quad, state
@@ -302,6 +304,26 @@ class TestCompiledFlowSampling:
         got, want = (ha.estimate_average_map(spec, *axes, T_long=4 * math.pi).table
                      for spec in (es_system, plain))
         assert _same_bits(got, want)
+
+    def test_long_window_mean_fixes_the_flow_once_per_batch_length(self, es_system,
+                                                                  monkeypatch):
+        T = 4 * math.pi
+        plain = dataclasses.replace(es_system, f=lambda *a: es_system.f(*a))
+        x, r = np.array([[-2.0], [0.05], [1.0]]), np.array([[0.0], [0.5], [0.5]])
+        batches = [slice(0, 1), slice(1, 2), slice(0, 3), slice(0, 3), slice(2, 3)]
+        want = [_window_means(plain, x[b], r[b], 0.0, T) for b in batches]
+        builds, at_samples = [], averaging._at_samples
+        monkeypatch.setattr(averaging, "_at_samples",
+                            lambda f, s, K: builds.append(K) or at_samples(f, s, K))
+        f_ave = _LongWindowMean(es_system, T)
+        for b, mean in zip(batches, want):
+            assert _same_bits(f_ave(x[b], r[b]), mean)
+        assert builds == [1, 3, 1]
+        # the fixed map is neither compared nor pickled
+        assert f_ave == _LongWindowMean(es_system, T)
+        copy = pickle.loads(pickle.dumps(f_ave))
+        assert copy._sampled == (0, None) and copy.T_long == T
+        assert _same_bits(copy(x, r), f_ave(x, r))
 
     @pytest.mark.parametrize("estimate", [ha.estimate_gamma, ha.check_jacobian_average])
     def test_non_finite_compiled_flow_names_f_x_r_and_tau(self, actuator, favg, estimate):

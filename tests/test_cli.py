@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -12,6 +13,10 @@ import pytest
 
 from hybridavg import __version__, cli, solver
 from hybridavg.cli import FIG1_CONFIG, main
+from hybridavg.config import as_document
+from hybridavg.core import JumpNoise
+
+from conftest import arcs_equal
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -494,6 +499,26 @@ class TestFig1Command:
         assert kinds == {"jammed", "nominal"}
         assert (out_a / "fig1.svg").read_bytes() == (out_b / "fig1.svg").read_bytes()
         assert (out_a / "fig1.csv").read_bytes() == (out_b / "fig1.csv").read_bytes()
+
+    def test_nominal_member_is_its_lone_run_and_the_rest_the_plain_ensemble(
+            self, tmp_path, monkeypatch):
+        arcs = []
+        recording(monkeypatch, "simulate_ensemble", arcs)
+        assert main(["fig1", "--paths", "4", "--seed", "4", "--out", str(tmp_path)]) == 0
+        *ensemble, nominal = arcs
+        doc = dataclasses.replace(as_document(FIG1_CONFIG), flags={
+            "n_paths": ("--paths", "4"), "seed": ("--seed", "4")})
+        spec = cli.load_system(doc)
+        inits, n_paths, horizon, cfg, seed = cli._ensemble_inputs(doc, spec, "simulate")
+        unit_gain = dataclasses.replace(spec, noise=JumpNoise.finite([[0.25]], [1.0]))
+        want = [*solver.simulate_ensemble(spec, inits, n_paths, seed, horizon, cfg),
+                solver.simulate_path(unit_gain, inits[1], seed, horizon, cfg)]
+        assert len(ensemble) == 4 and len(nominal.jumps) > 1
+        for got, lone in zip([*ensemble, nominal], want):
+            assert arcs_equal(got, lone)
+            for a, b in zip(got.jumps, lone.jumps):
+                assert np.array_equal(a.x_pre, b.x_pre) and np.array_equal(a.r_pre, b.r_pre)
+                assert a.tau == b.tau
 
     def test_nominal_path_decays_into_the_dither_ball(self, tmp_path):
         out = tmp_path / "out"

@@ -409,6 +409,49 @@ class TestWaves:
             solo = ha.simulate_path(spec, inits[i % len(inits)], 3 + i, horizon)
             assert arcs_equal(arc, solo)
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        starts=st.lists(st.tuples(st.floats(-3.0, 3.0), st.sampled_from([0.0, 0.6, 0.95])),
+                        min_size=1, max_size=4),
+        picks=st.lists(st.booleans(), min_size=1, max_size=10),
+        h_shift=st.floats(0.0, 0.9),
+        h_gain=st.sampled_from([0.0, 0.1, -0.4]),
+        t_max=st.floats(0.0, 2.0),
+    )
+    def test_each_path_draws_from_its_own_noise(self, starts, picks, h_shift, h_gain, t_max):
+        # with h_gain != 0, h reads v, so a lockstep group splits on the noise
+        def h(r, v):
+            return h_shift + h_gain * np.asarray(v, dtype=float)
+
+        spec = dataclasses.replace(make_actuator(p=0.5, eps=0.1), h=h)
+        pair = (JumpNoise.finite([[0.75], [-0.75], [0.25]], [0.4, 0.4, 0.2]),
+                JumpNoise.finite([[0.25], [0.5]], [0.5, 0.5]))
+        noises = [pair[pick] for pick in picks]
+        inits = [state(x, r) for x, r in starts]
+        horizon = ha.Horizon(t_max, 6)
+        ens = ha.simulate_ensemble(spec, inits, len(picks), 3, horizon, noises=noises)
+        for i, arc in enumerate(ens):
+            solo = ha.simulate_path(dataclasses.replace(spec, noise=noises[i]),
+                                    inits[i % len(inits)], 3 + i, horizon)
+            assert arcs_equal(arc, solo)
+
+    @pytest.mark.parametrize("noises, error", [
+        ([JumpNoise.finite([[0.25]], [1.0])] * 2,
+         r"^need one noise per path, got 2 for 3 paths: path 2 \(seed 9\) has none$"),
+        ([JumpNoise.finite([[0.25]], [1.0])] * 4,
+         r"^need one noise per path, got 4 for 3 paths: noise 3 has no path$"),
+        ([JumpNoise.finite([[0.25]], [1.0]), JumpNoise.finite([[0.25, 0.5]], [1.0]),
+          JumpNoise.finite([[0.25]], [1.0])],
+         r"^noise of path 1 \(seed 8\) draws v in R\^2, but the system's jumps take m = 1$"),
+    ], ids=["too-few", "too-many", "wrong-m"])
+    def test_a_bad_noise_list_is_an_error_before_any_step(self, noises, error):
+        def f(x, r, tau, eps):
+            raise AssertionError("a step ran")
+
+        spec = dataclasses.replace(make_actuator(), f=f)
+        with pytest.raises(ValueError, match=error):
+            ha.simulate_ensemble(spec, [state(1.0)], 3, 7, ha.Horizon(1.0, 10), noises=noises)
+
     @pytest.mark.parametrize("x2", [2.0, 2.5], ids=["later", "same-wave"])
     def test_the_first_failing_wave_names_its_lowest_failing_path(self, x2):
         # f turns infinite once x passes 3: path 1 (x0 = 2.5, its own group) gets
@@ -423,7 +466,8 @@ class TestWaves:
         with pytest.raises(MapEvaluationError,
                            match=r"^map 'f' returned a non-finite value \(t=0\.18\d*; "
                                  r"path 1, seed 5\)$"):
-            solver._simulate(spec, inits, [4, 5, 6], ha.Horizon(2.0, 10), ha.IntegratorConfig())
+            solver._simulate(spec, inits, [4, 5, 6], [spec.noise] * 3, ha.Horizon(2.0, 10),
+                             ha.IntegratorConfig())
 
 
 # --- reference: the per-step loop that evaluated the aux state on every step --
@@ -555,7 +599,8 @@ def _outcome(run, spec, starts, seeds, horizon, cfg):
 
 
 def _assert_same_outcome(spec, starts, seeds, horizon, cfg=ha.IntegratorConfig()):
-    got = _outcome(solver._simulate, spec, starts, seeds, horizon, cfg)
+    got = _outcome(lambda spec, starts, seeds, *rest: solver._simulate(
+        spec, starts, seeds, [spec.noise] * len(starts), *rest), spec, starts, seeds, horizon, cfg)
     want = _outcome(_reference_simulate, spec, starts, seeds, horizon, cfg)
     if isinstance(want, tuple):
         assert got == want
@@ -665,7 +710,8 @@ class TestAuxStepPlan:
         with pytest.raises(MapEvaluationError,
                            match=r"^map 'f' returned a non-finite value \(t=0\.4\d*; "
                                  r"path 1, seed 5\)$"):
-            solver._simulate(spec, inits, [4, 5, 6], horizon, ha.IntegratorConfig())
+            solver._simulate(spec, inits, [4, 5, 6], [spec.noise] * 3, horizon,
+                             ha.IntegratorConfig())
 
     @pytest.mark.parametrize("cut, bad", [(0.5, np.inf), (0.49925, np.nan)],
                              ids=["k4-inf", "k2-nan"])
