@@ -3,7 +3,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import types
 import warnings
 from pathlib import Path
@@ -20,6 +23,7 @@ from conftest import arcs_equal
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SMALL_ACTUATOR = """\
 [system]
@@ -237,15 +241,25 @@ class TestAverageCommand:
         assert re.fullmatch(r"error: window length T = \S+ is too long to sample\n", err)
         assert not (tmp_path / "o").exists()
 
-    def test_without_favg_the_average_is_the_table(self, tmp_path):
-        text = SMALL_ACTUATOR.format(p=0.1, t_values="3.14", eps_values="0.1")
+    @pytest.mark.parametrize("text, xs, mean", [
+        pytest.param(SMALL_ACTUATOR.format(p=0.1, t_values="3.14", eps_values="0.1"),
+                     [-2.0, -2.0, -1.0, -1.0, 1.0, 1.0, 2.0, 2.0], lambda x: -x,
+                     id="actuator"),
+        # a curved flow on a grid holding 0: its average map is the long-window
+        # mean, not an interpolant of the grid
+        pytest.param(with_line((CONFIGS / "actuator_expr.cfg").read_text(encoding="utf-8")
+                               .replace("flow_x = -x_1*(1 + sin(tau))",
+                                        "flow_x = -x_1*x_1*x_1*(1 + sin(tau))"),
+                               "average", "x_values = -3 0 3"),
+                     [-3.0] * 3 + [0.0] * 3 + [3.0] * 3, lambda x: -x ** 3, id="cubic")])
+    def test_without_favg_the_average_is_the_table(self, tmp_path, text, xs, mean):
         cfg = write_cfg(tmp_path, text.replace("favg = -x_1\n", ""))
         out = tmp_path / "out"
         assert main(["average", "--config", cfg, "--out", str(out)]) == 0
         assert "registered closed form: no" in (out / "average_report.txt").read_text()
         _, rows = read_csv(out / "average_favg.csv")
-        assert [float(x) for x, _, _ in rows] == [-2.0, -2.0, -1.0, -1.0, 1.0, 1.0, 2.0, 2.0]
-        assert all(float(fx) == pytest.approx(-float(x), abs=1e-9) for x, _, fx in rows)
+        assert [float(x) for x, _, _ in rows] == xs
+        assert all(float(fx) == pytest.approx(mean(float(x)), abs=1e-9) for x, _, fx in rows)
 
     @pytest.mark.parametrize("favg", ["pow(x_1, 0.5)", "x_1/0"])
     def test_non_finite_favg_is_exit_one_naming_favg(self, tmp_path, capsys, favg):
@@ -408,11 +422,16 @@ class TestFavgCheck:
             "config error: [average] T_long_periods: must be >= 1, got 1e-308\n")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("name", ["actuator.cfg", "actuator_expr.cfg", "es.cfg"])
-    def test_shipped_configs_pass(self, tmp_path, capsys, name):
-        assert main(["certify", "--config", str(CONFIGS / name),
+    @pytest.mark.parametrize("command, name", [
+        *(pytest.param("certify", name, id=name)
+          for name in ("actuator.cfg", "actuator_expr.cfg", "es.cfg")),
+        pytest.param("average", "es.cfg", id="average-es.cfg")])
+    def test_shipped_configs_pass(self, tmp_path, capsys, command, name):
+        # average prints nothing when its favg check passes
+        assert main([command, "--config", str(CONFIGS / name),
                      "--out", str(tmp_path / "o")]) == 0
-        assert "verdict: PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "verdict: PASS" in out if command == "certify" else out == ""
 
     def test_tolerance_scales_with_the_largest_window_mean(self, tmp_path, capsys):
         # favg = -x_1 + 1e-6 deviates by 1e-6 everywhere: within 1e-6 * max(1, 3)
@@ -920,6 +939,21 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: step too small to advance t")
         assert "dt_eff" in err[0] and "t_max = " in err[0] and not calls
+
+    def test_the_module_exits_with_the_code_of_main(self, tmp_path):
+        # python -m hybridavg.cli: pass, config error and verdict fail, each
+        # with its own exit code and no traceback
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        for config, code, err in ((str(CONFIGS / "actuator.cfg"), 0, ""),
+                                  (str(tmp_path / "missing.cfg"), 1,
+                                   r"config error: cannot read config [^\n]*\n"),
+                                  (write_cfg(tmp_path, WRONG_FAVG), 2, "")):
+            run = subprocess.run([sys.executable, "-m", "hybridavg.cli", "certify",
+                                  "--config", config, "--out", str(tmp_path / str(code))],
+                                 capture_output=True, text=True, env=env, timeout=300)
+            assert run.returncode == code and "Traceback" not in run.stderr, run.stderr
+            assert re.fullmatch(err, run.stderr), run.stderr
 
     def test_usage_error_is_one_not_two(self, capsys):
         assert main(["simulate"]) == 1  # missing --config

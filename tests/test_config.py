@@ -14,8 +14,8 @@ from test_multidim import PLANAR_CFG
 from test_systems import ACTUATOR_EXPR_CFG
 
 ROOT = Path(__file__).resolve().parents[1]
-README_INI = re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
-                       re.S).group(1)
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+README_INI = re.search(r"```ini\n(.*?)```", README, re.S).group(1)
 FORMAT = dict(p=0.1, t_values="3.141592653589793 6.283185307179586", eps_values="0.1 0.05")
 
 CONFIGS = {
@@ -42,3 +42,10 @@ def test_config_loads_and_every_key_it_sets_reads(name):
         if section not in ("system", "noise"):
             for key in keys:
                 doc._get(section, key, table[section][key].read)
+
+
+def test_readme_library_example_runs(capsys):
+    # so a public name it uses cannot disappear unnoticed
+    (block,) = re.findall(r"```python\n(.*?)```", README, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "verdict: PASS (grid-certified)" in capsys.readouterr().out
