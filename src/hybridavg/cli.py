@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .averaging import check_jacobian_average, estimate_average_map, estimate_gamma
 from .certificates import CertGrid, foster_certificate
-from .config import ConfigDocument, ConfigError, as_document
+from .config import MAX_STEPS, ConfigDocument, ConfigError, as_document
 from .core import JumpNoise, StateVec
 from .expressions import AverageField, ExpressionError, ScalarField
 # simulate_path stays a name of this module: benchmarks/tracing.py wraps cli.simulate_path
@@ -76,12 +76,28 @@ def _ensemble_inputs(doc: ConfigDocument, spec, section: str):
     """(inits, n_paths, horizon, integrator config, seed) of [section].
 
     Initial conditions are x0 as ';'-separated vectors (scalars when n = 1)
-    with a shared r0 in C or D and tau0.
+    with a shared r0 in C or D and tau0.  A path that would take more than
+    MAX_STEPS steps at [system] epsilon, or at any of sweep's eps_values, is
+    a config error before any path runs.
     """
     horizon = Horizon(doc.get_float(section, "t_max"), doc.get_int(section, "j_max"))
     n_paths = doc.get_int(section, "n_paths")
     cfg = IntegratorConfig(doc.get_float(section, "base_step"),
                            doc.get_float(section, "substep_per_epsilon"))
+    if section == "sweep":
+        eps_key, epsilons = ("sweep", "eps_values"), doc.get_float_list("sweep", "eps_values")
+    else:
+        eps_key, epsilons = ("system", "epsilon"), [spec.epsilon]
+    for eps in epsilons:
+        dt = cfg.effective_step(eps)
+        # a step that cannot advance t at all is the solver's own error
+        if 2.0 * dt > math.ulp(horizon.t_max) and horizon.t_max / dt > MAX_STEPS:
+            keys = [doc.where(*eps_key)] + [doc.where(section, key) for key in
+                                            ("t_max", "base_step", "substep_per_epsilon")]
+            raise ConfigError(
+                f"{', '.join(keys)}: t_max / min(base_step, epsilon * substep_per_epsilon) "
+                f"= {horizon.t_max!r} / {dt!r} at epsilon = {eps!r}: more than "
+                f"{MAX_STEPS} steps per path")
     x0s = doc.get_float_groups(section, "x0")
     if spec.n == 1:
         x0s = [[value] for group in x0s for value in group]

@@ -57,6 +57,12 @@ def _int(text: str) -> int:
 #: any path runs, so a count far above this would exhaust memory first
 MAX_PATHS = 10**6
 
+#: most RK4 steps one path may take over [0, t_max]: 1000 times the most a
+#: shipped config takes (es at epsilon 0.01 over t_max 10, 10^4 steps); a lone
+#: path takes ~10^4 steps a second, so a run at the cap lasts about a quarter
+#: of an hour, where epsilon = 1e-9 over t_max 2 (2e10 steps) would take weeks
+MAX_STEPS = 10**7
+
 
 def _paths(text: str) -> int:
     """A path count: an integer no larger than MAX_PATHS (its key guards the least)."""

@@ -12,10 +12,15 @@ an ensemble gives each path one.  The clock tau is never integrated: within
 a flow segment it is tau_anchor + (t - t_anchor)/epsilon, exact to a few ulps.
 
 Paths with bitwise-equal aux rows form a lockstep group, which splits at a
-jump into sub-groups of equal post-jump r.  The run advances in waves, each
-moving every live group one step; flowing groups whose step has the same
-(tau, dt) bits share one stacked RK4 step, so maps always see a scalar tau.
-Maps act elementwise across the batch, so this is bit-identical to running
+jump into sub-groups of equal post-jump r.  A group holds one x row per
+bitwise-distinct state, found where the group is made (at the start and after
+each jump), and maps each path to its row; f, the RK4 arithmetic and the
+stored samples work on those rows, and a jump expands them per path for its
+per-path draws.  The run advances in waves, each moving every live group one
+step; flowing groups whose step has the same (tau, dt) bits share one stacked
+RK4 step, so maps always see a scalar tau.  Maps act elementwise across the
+batch, so a row's bits do not depend on the other rows beside it: stepping a
+state once for every path on it, in any batch, is bit-identical to running
 each path alone.
 
 w and the sets C, D involve r alone, so a step's outcome (a jump, the
@@ -239,30 +244,41 @@ def _bitwise_groups(rows) -> list:
     return list(groups.values())
 
 
-def _store_segment(segments, paths, j, ts, xs, rs, taus):
+def _store_segment(segments, paths, of, j, ts, xs, rs, taus):
     """Stack one finished flow segment of a group and give each path its share.
 
-    rs holds the group's aux row (1, p) per sample.  Every member's segment
-    shares one read-only t, tau and (k, p) r array; x is a view of one (k, B, n)
-    stack.
+    xs holds the group's distinct x rows (U, n) per sample, path paths[b]
+    being row of[b]; rs holds its aux row (1, p) per sample.  Every member's
+    segment shares one read-only t, tau and (k, p) r array; x is a view of one
+    (k, U, n) stack, and members on one row share one view.
     """
     t_arr = np.asarray(ts, dtype=float)
     tau_arr = np.asarray(taus, dtype=float)
-    x_arr = np.stack(xs, axis=0)  # (k, B, n)
+    x_arr = np.stack(xs, axis=0)  # (k, U, n)
     r_arr = np.concatenate(rs, axis=0)  # (k, p)
     for a in (t_arr, tau_arr, x_arr, r_arr):
         a.flags.writeable = False
-    for b, i in enumerate(paths):
-        segments[i].append(FlowSegment(j, t_arr, x_arr[:, b, :], r_arr, tau_arr))
+    views = [x_arr[:, u, :] for u in range(x_arr.shape[1])]
+    for i, u in zip(paths, of.tolist()):
+        segments[i].append(FlowSegment(j, t_arr, views[u], r_arr, tau_arr))
 
 
 class _Group:
-    """A lockstep group: paths (ascending), x (B, n), aux row r (1, p), t, j, tau, its
-    step's plan key and plan, and its segment's t, x, r, tau samples since (t0, tau0)."""
+    """A lockstep group: paths (ascending), x (U, n) its distinct rows, of (B,) each
+    path's row of x, aux row r (1, p), t, j, tau, its step's plan key and plan, and
+    its segment's t, x, r, tau samples since (t0, tau0)."""
 
-    __slots__ = ("paths", "x", "r", "t", "j", "tau", "key", "plan", "t0", "tau0", "samples")
+    __slots__ = ("paths", "x", "of", "r", "t", "j", "tau", "key", "plan", "t0", "tau0",
+                 "samples")
 
-    def __init__(self, paths, x, r, t, j, tau):
+    def __init__(self, paths, X, r, t, j, tau):
+        # bitwise, not np.unique: that would merge 0.0 with -0.0, which a map may
+        # tell apart; rows equal now stay equal for the whole flow
+        rows = _bitwise_groups(X)
+        x = X if len(rows) == len(X) else X[[u[0] for u in rows]]
+        self.of = np.empty(len(X), dtype=np.intp)
+        for u, members in enumerate(rows):
+            self.of[members] = u
         self.paths, self.x, self.r, self.t, self.j, self.tau = paths, x, r, t, j, tau
         self.t0, self.tau0, self.samples = t, tau, ([t], [x], [r], [tau])
 
@@ -272,9 +288,10 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
     """Simulate path i from starts[i] under seeds[i] and noises[i]; one HybridArc per path.
 
     Groups start from paths with bitwise-equal initial (r, tau); members share
-    the read-only t, tau and r arrays of each segment.  Each wave moves every
-    live group one step: a flow step, a snap onto D, a jump, or the end of its
-    paths.  A (tau, dt) cohort stacks its groups' x blocks into one RK4 step,
+    the read-only t, tau and r arrays of each segment, and members on one
+    distinct x row share its x view.  Each wave moves every live group one
+    step: a flow step, a snap onto D, a jump, or the end of its paths.  A
+    (tau, dt) cohort stacks its groups' distinct x rows into one RK4 step,
     each group's r stages repeated over its rows, with a scalar tau.  Every
     outcome comes from one plan memo keyed by (r's bits, step cap) and shared
     by all groups of the run; _plan_steps fills a wave's misses together.
@@ -299,7 +316,7 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
     segments, jumps, terminals = [[] for _ in starts], [[] for _ in starts], [None] * len(starts)
 
     def end(g, terminal):
-        _store_segment(segments, g.paths, g.j, *g.samples)
+        _store_segment(segments, g.paths, g.of, g.j, *g.samples)
         for i in g.paths:
             terminals[i] = terminal
 
@@ -347,17 +364,17 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
                 X = np.concatenate([g.x for g in members])
                 rows = np.concatenate([g.plan[1] for g in members], axis=1)
             if len(X) > len(members):
-                rows = rows.repeat([len(g.paths) for g in members], axis=1)
+                rows = rows.repeat([len(g.x) for g in members], axis=1)
             X2 = _rk4(spec, X, rows, g.tau, dt)
             # the r stages were checked when the plan was made, and maps are pure;
             # a sum of finite terms that overflows only sends the check to the rows
             finite, o = math.isfinite(X2.sum()), 0
             for g in members:
                 # one group keeps X2 itself: the samples would keep a view per step
-                x = X2 if len(members) == 1 else X2[o:o + len(g.paths)]
+                x = X2 if len(members) == 1 else X2[o:o + len(g.x)]
                 o += len(x)
                 if not finite:
-                    bad.append((x, g.paths, f"t={g.t}"))
+                    bad.append((x[g.of], g.paths, f"t={g.t}"))
                 g.t = t_max if dt == t_max - g.t else g.t + dt
                 g.tau = g.tau0 + (g.t - g.t0) * inv_eps
                 g.x, g.r = x, g.plan[2]
@@ -373,18 +390,22 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
             fired = []
             for g in jumping:
                 k, B = g.j + 1, len(g.paths)
+                # draws are per path, so the pre-jump rows are too
+                X = g.x[g.of]
                 V = np.stack([noises[i].draw(seeds[i], k) for i in g.paths])
                 R = np.repeat(g.r, B, axis=0)
-                Xp = np.broadcast_to(np.asarray(spec.g(g.x, R, V), dtype=float), (B, spec.n))
+                Xp = np.broadcast_to(np.asarray(spec.g(X, R, V), dtype=float), (B, spec.n))
                 Rp = np.broadcast_to(np.asarray(spec.h(R, V), dtype=float), (B, spec.p))
-                fired.append((g, k, V, Xp, Rp, f"jump {k} at t={g.t}"))
-            _check_finite("g", [(Xp, g.paths, where) for g, _, _, Xp, _, where in fired], seeds)
-            _check_finite("h", [(Rp, g.paths, where) for g, _, _, _, Rp, where in fired], seeds)
-            for g, k, V, Xp, Rp, _ in fired:
+                fired.append((g, k, X, V, Xp, Rp, f"jump {k} at t={g.t}"))
+            _check_finite("g", [(Xp, g.paths, where) for g, _, _, _, Xp, _, where in fired],
+                          seeds)
+            _check_finite("h", [(Rp, g.paths, where) for g, _, _, _, _, Rp, where in fired],
+                          seeds)
+            for g, k, X, V, Xp, Rp, _ in fired:
                 end(g, None)
                 ht = HybridTime(g.t, g.j)
                 for b, i in enumerate(g.paths):
-                    jumps[i].append(JumpRecord(ht, g.x[b].copy(), g.r[0].copy(), g.tau,
+                    jumps[i].append(JumpRecord(ht, X[b].copy(), g.r[0].copy(), g.tau,
                                                V[b].copy(), Xp[b].copy(), Rp[b].copy()))
                 for rows in _bitwise_groups(Rp):
                     sub = _Group(g.paths[rows], Xp[rows], Rp[rows[:1]], g.t, k, g.tau)
@@ -416,10 +437,12 @@ def simulate_ensemble(spec: SystemSpec, inits, n_paths: int, seed_base: int,
     Initial conditions are cycled from ``inits``.  ``noises`` gives path i its
     own jump noise noises[i], one per path with spec's m; by default every
     path draws from spec.noise.  Paths with equal auxiliary states run in
-    lockstep groups, which split when jumps separate them; each wave steps
-    every group once, groups whose step shares (tau, dt) share one RK4 step,
-    and maps see a scalar tau.  Path i is bit-identical to simulate_path run
-    alone on replace(spec, noise=noises[i]), which assumes the maps are pure.
+    lockstep groups, which split when jumps separate them; a group steps one
+    x row per bitwise-distinct state, each wave steps every group once,
+    groups whose step shares (tau, dt) share one RK4 step, and maps see a
+    scalar tau.  Path i is bit-identical to simulate_path run alone on
+    replace(spec, noise=noises[i]), which assumes the maps are elementwise and
+    pure.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 import warnings
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 
 from hybridavg import __version__, cli, solver
 from hybridavg.cli import FIG1_CONFIG, main
-from hybridavg.config import as_document
+from hybridavg.config import MAX_STEPS, as_document
 from hybridavg.core import JumpNoise
 
 from conftest import arcs_equal
@@ -939,6 +940,39 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: step too small to advance t")
         assert "dt_eff" in err[0] and "t_max = " in err[0] and not calls
+
+    @pytest.mark.parametrize("argv, section, line, keys", [
+        (["simulate"], "system", "epsilon = 1e-9",
+         "[system] epsilon, [simulate] t_max, [simulate] base_step, "
+         "[simulate] substep_per_epsilon"),
+        # every epsilon is checked before the first one runs
+        (["sweep"], "sweep", "eps_values = 0.1 1e-9",
+         "[sweep] eps_values, [sweep] t_max, [sweep] base_step, [sweep] substep_per_epsilon"),
+        (["sweep", "--eps", "0.1", "1e-9"], None, None,
+         "--eps, [sweep] t_max, [sweep] base_step, [sweep] substep_per_epsilon")],
+        ids=["simulate", "sweep", "sweep-eps-flag"])
+    def test_a_run_over_the_step_budget_fails_before_any_step(
+            self, tmp_path, capsys, monkeypatch, argv, section, line, keys):
+        # at epsilon = 1e-9 a path needs 2e10 steps: the run once went on for days
+        def stepped(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(solver, "_rk4", stepped)
+        text = (CONFIGS / "es.cfg").read_text()
+        for sec, key in (("simulate", "n_paths = 4"), ("simulate", "t_max = 2"),
+                         ("sweep", "n_paths = 30"), ("sweep", "t_max = 2")):
+            text = with_line(text, sec, key)
+        if section is not None:
+            text = with_line(text, section, line)
+        started = time.perf_counter()
+        assert main(argv + ["--config", write_cfg(tmp_path, text),
+                            "--out", str(tmp_path / "o")]) == 1
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().err == (
+            f"config error: {keys}: t_max / min(base_step, epsilon * substep_per_epsilon) = "
+            f"2.0 / 1.0000000000000002e-10 at epsilon = 1e-09: more than {MAX_STEPS} steps "
+            f"per path\n")
+        assert not (tmp_path / "o").exists()
 
     def test_the_module_exits_with_the_code_of_main(self, tmp_path):
         # python -m hybridavg.cli: pass, config error and verdict fail, each

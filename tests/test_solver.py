@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hybridavg as ha
@@ -270,14 +270,20 @@ class TestEnsemble:
             assert arcs_equal(arc, solo)
 
     def test_members_share_read_only_segment_arrays(self, actuator):
-        # one shared r0 and a timer reset to 0: both paths stay one group
+        # one shared r0 and a timer reset to 0: all four paths stay one group,
+        # and members whose segment starts on one x row share its x view
         ens = ha.simulate_ensemble(actuator, [state(-2.0, 0.0), state(2.0, 0.0)],
-                                   2, 50, ha.Horizon(3.5, 100))
-        assert len(ens[0].segments) == len(ens[1].segments) == 4
-        for a, b in zip(ens[0].segments, ens[1].segments):
-            for name in ("t", "tau", "r"):
-                assert getattr(a, name) is getattr(b, name)
-                assert not getattr(a, name).flags.writeable
+                                   4, 50, ha.Horizon(3.5, 100))
+        assert [len(arc.segments) for arc in ens] == [4] * 4
+        assert ens[0].segments[0].x is ens[2].segments[0].x
+        for segs in zip(*(arc.segments for arc in ens)):
+            for a in segs:
+                for name in ("t", "tau", "r"):
+                    assert getattr(a, name) is getattr(segs[0], name)
+                for name in ("t", "tau", "r", "x"):
+                    assert not getattr(a, name).flags.writeable
+                for b in segs:
+                    assert (a.x is b.x) == (a.x[0].tobytes() == b.x[0].tobytes())
 
     def test_mixed_aux_initials_fall_back_per_path(self, actuator):
         # different r(0) start separate lockstep groups; results must still match lone runs
@@ -375,8 +381,13 @@ class TestWaves:
         ens = ha.simulate_ensemble(spec, inits, 30, 0, ha.Horizon(0.1, 10))
         assert len({arc.jumps[0].r_post.tobytes() for arc in ens}) == 30
         steps = [sum(len(seg.t) - 1 for seg in arc.segments) for arc in ens]
-        # no padding rows: f sees each path's four stages of each step once
-        assert calls["f_rows"] == 4 * sum(steps)
+        # dt = 0.001: 50 steps to the jump at t = 0.05, then 50 more.  f sees
+        # each distinct row's four stages of each step once: before the jump
+        # the one group holds the 3 starts' rows, after it the 30 one-path
+        # groups hold one row each
+        assert [len(arc.segments[0].t) - 1 for arc in ens] == [50] * 30
+        assert steps == [100] * 30
+        assert calls["f_rows"] == 4 * (3 * 50 + 30 * 50) == 6600
         assert calls["f"] <= 4 * (max(steps) + 2)
         assert calls["w"] <= 4 * (max(steps) + 2)
 
@@ -470,6 +481,54 @@ class TestWaves:
                              ha.IntegratorConfig())
 
 
+class TestDistinctRows:
+    """A lockstep group steps one x row per bitwise-distinct state."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        x0s=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]), min_size=1, max_size=5),
+        n_paths=st.integers(1, 12),
+        t_max=st.floats(0.0, 2.5),
+    )
+    @example(x0s=[0.0, -0.0, 2.0, 0.0], n_paths=9, t_max=2.5)
+    def test_f_sees_each_distinct_row_once(self, x0s, n_paths, t_max):
+        base = make_actuator(p=0.5, eps=0.1)
+        rows = []
+
+        def f(x, r, tau, eps):
+            # 0.0 and -0.0 flow apart here, so a group must not merge them
+            rows.append(len(x))
+            return base.f(x, r, tau, eps) + np.where(np.signbit(x), -0.5, 0.5)
+
+        spec = dataclasses.replace(base, f=f)
+        inits = [state(x) for x in x0s]
+        horizon = ha.Horizon(t_max, 10)
+        ens = ha.simulate_ensemble(spec, inits, n_paths, 3, horizon)
+        # a shared r0 and the timer reset keep every path in one group, whose
+        # rows in a segment are the distinct bits of its members' first samples
+        want = sum(len({seg.x[0].tobytes() for seg in segs}) * (len(segs[0].t) - 1)
+                   for segs in zip(*(arc.segments for arc in ens)))
+        assert sum(rows) == 4 * want
+        for i, arc in enumerate(ens):
+            solo = ha.simulate_path(spec, inits[i % len(inits)], 3 + i, horizon)
+            assert arcs_equal(arc, solo)
+
+    def test_a_non_finite_f_on_a_shared_row_names_its_lowest_path(self):
+        # one group of five paths on two rows: paths 2 and 4 share x0 = 2.5,
+        # and f turns infinite on that row once x passes 3, at t ~ 0.18
+        def f(x, r, tau, eps):
+            x = np.asarray(x, dtype=float)
+            return np.where(x > 3.0, np.inf, x)
+
+        spec = dataclasses.replace(_r_dependent_spec(1.0, 0.0, 0.0, [], 1.0, 0.0, 0.0), f=f)
+        inits = [state(x, 0.0) for x in (1.0, 1.0, 2.5, 1.0, 2.5)]
+        with pytest.raises(MapEvaluationError,
+                           match=r"^map 'f' returned a non-finite value \(t=0\.18\d*; "
+                                 r"path 2, seed 6\)$"):
+            solver._simulate(spec, inits, [4, 5, 6, 7, 8], [spec.noise] * 5,
+                             ha.Horizon(2.0, 10), ha.IntegratorConfig())
+
+
 # --- reference: the per-step loop that evaluated the aux state on every step --
 
 def _reference_rk4(spec, x, r, tau, dt):
@@ -557,8 +616,8 @@ def _reference_simulate(spec, starts, seeds, horizon, cfg):
             cur_tau.append(tau_now)
 
         # a group's members share one aux row per sample
-        solver._store_segment(segments, paths, j, cur_t, cur_x, [R[:1] for R in cur_r],
-                              cur_tau)
+        solver._store_segment(segments, paths, np.arange(len(paths)), j, cur_t, cur_x,
+                              [R[:1] for R in cur_r], cur_tau)
         if terminal is not None:
             for i in paths:
                 terminals[i] = terminal
@@ -582,7 +641,8 @@ def _reference_simulate(spec, starts, seeds, horizon, cfg):
             if cu.contains(Rp[rows[0]]):
                 work.append((sub, Xp[rows], Rp[rows], t, k, tau_now))
                 continue
-            solver._store_segment(segments, sub, k, [t], [Xp[rows]], [Rp[rows[:1]]], [tau_now])
+            solver._store_segment(segments, sub, np.arange(len(sub)), k, [t], [Xp[rows]],
+                                  [Rp[rows[:1]]], [tau_now])
             for i in sub:
                 terminals[i] = TERMINAL_LEFT_SETS
 
