@@ -10,9 +10,10 @@ FLAGS maps each flag to the config key it sets, and its text goes through
 that key's reader and guard, so a bad value is a config error naming the
 flag.  A run is deterministic for a fixed config digest and seed.  Exit codes:
 0 success/pass, 1 usage or config error, 2 analysis verdict fail.  Floats are
-written with shortest round-trip formatting.  The t, r and tau columns that
-lockstep paths share are formatted once per command and reused for every path
-holding them; the output is the same as formatting each path alone.
+written with shortest round-trip formatting.  The t, x, r and tau columns that
+lockstep paths share are formatted once per command, reused for every path
+holding them and dropped after their last use; the output is the same as
+formatting each path alone.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -39,6 +41,7 @@ from .solver import (
     Horizon,
     IntegratorConfig,
     MapEvaluationError,
+    _advancing_step,
     simulate_ensemble,
     simulate_path,  # noqa: F401
 )
@@ -76,9 +79,10 @@ def _ensemble_inputs(doc: ConfigDocument, spec, section: str):
     """(inits, n_paths, horizon, integrator config, seed) of [section].
 
     Initial conditions are x0 as ';'-separated vectors (scalars when n = 1)
-    with a shared r0 in C or D and tau0.  A path that would take more than
-    MAX_STEPS steps at [system] epsilon, or at any of sweep's eps_values, is
-    a config error before any path runs.
+    with a shared r0 in C or D and tau0.  At [system] epsilon, or at each of
+    sweep's eps_values in turn, a step too small to advance t is the solver's
+    error and a path that would take more than MAX_STEPS steps a config
+    error, both raised before any path runs.
     """
     horizon = Horizon(doc.get_float(section, "t_max"), doc.get_int(section, "j_max"))
     n_paths = doc.get_int(section, "n_paths")
@@ -89,9 +93,8 @@ def _ensemble_inputs(doc: ConfigDocument, spec, section: str):
     else:
         eps_key, epsilons = ("system", "epsilon"), [spec.epsilon]
     for eps in epsilons:
-        dt = cfg.effective_step(eps)
-        # a step that cannot advance t at all is the solver's own error
-        if 2.0 * dt > math.ulp(horizon.t_max) and horizon.t_max / dt > MAX_STEPS:
+        dt = _advancing_step(eps, cfg, horizon.t_max)
+        if horizon.t_max / dt > MAX_STEPS:
             keys = [doc.where(*eps_key)] + [doc.where(section, key) for key in
                                             ("t_max", "base_step", "substep_per_epsilon")]
             raise ConfigError(
@@ -135,17 +138,22 @@ def _arc_lines(arcs, stride: int = 1, kinds=None):
 
     Each segment is formatted column by column and then joined row by row, so
     lines stream out one segment at a time.  Lockstep members share one t, r
-    and tau array per segment: such an array is formatted once, on its first
-    use, and its strings are kept while the lines are written.  x is
-    formatted per path.
+    and tau array per segment, and members on one x row share x too: each
+    array is formatted once, on its first use, and its strings are dropped
+    after its last use, counted over arcs up front.
     """
     arcs = list(arcs)  # keeps every keyed array alive, so no id is reused
+    uses = Counter(id(a) for arc in arcs for seg in arc.segments
+                   for a in (seg.t, seg.x, seg.r, seg.tau))
     memo = {}
 
-    def shared(a, keep):
-        cols = memo.get(id(a))
+    def formatted(a, keep):
+        cols = memo.pop(id(a), None)
         if cols is None:
-            cols = memo[id(a)] = _columns(a[keep])
+            cols = _columns(a[keep])
+        uses[id(a)] -= 1
+        if uses[id(a)]:
+            memo[id(a)] = cols
         return cols
 
     for path_id, arc in enumerate(arcs):
@@ -156,8 +164,7 @@ def _arc_lines(arcs, stride: int = 1, kinds=None):
             keep = slice(None)
             if stride > 1:
                 keep = list(range(0, count, stride)) + ([count - 1] if (count - 1) % stride else [])
-            (t,), r, (tau,) = (shared(a, keep) for a in (seg.t, seg.r, seg.tau))
-            rest = [*_columns(seg.x[keep]), *r, tau]
+            t, *rest = (col for a in (seg.t, seg.x, seg.r, seg.tau) for col in formatted(a, keep))
             j = str(int(seg.j))
             events = ["jump" if si > 0 else "flow"] + ["flow"] * (len(t) - 1)
             yield from map(",".join, zip(*map(repeat, head), t, repeat(j), *rest, events))

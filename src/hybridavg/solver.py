@@ -96,6 +96,17 @@ class MapEvaluationError(RuntimeError):
     """A registered map produced a non-finite value during integration."""
 
 
+def _advancing_step(epsilon: float, cfg: IntegratorConfig, t_max: float) -> float:
+    """cfg's effective step at epsilon, or a ValueError when it cannot advance t to t_max."""
+    dt_eff = cfg.effective_step(epsilon)
+    if not 2.0 * dt_eff > math.ulp(t_max):  # then t + dt > t for every t <= t_max
+        raise ValueError(f"step too small to advance t: dt_eff = min(base_step "
+                         f"{cfg.base_step!r}, epsilon {epsilon!r} * substep_per_epsilon "
+                         f"{cfg.substep_per_epsilon!r}) = {dt_eff!r} is at most half of "
+                         f"ulp(t_max) at t_max = {t_max!r}")
+    return dt_eff
+
+
 def _check_finite(map_name: str, parts, seeds):
     """Raise MapEvaluationError naming the lowest path whose row is non-finite.
 
@@ -250,7 +261,7 @@ def _store_segment(segments, paths, of, j, ts, xs, rs, taus):
     xs holds the group's distinct x rows (U, n) per sample, path paths[b]
     being row of[b]; rs holds its aux row (1, p) per sample.  Every member's
     segment shares one read-only t, tau and (k, p) r array; x is a view of one
-    (k, U, n) stack, and members on one row share one view.
+    (k, U, n) stack, and members on one row share one segment object.
     """
     t_arr = np.asarray(ts, dtype=float)
     tau_arr = np.asarray(taus, dtype=float)
@@ -258,9 +269,10 @@ def _store_segment(segments, paths, of, j, ts, xs, rs, taus):
     r_arr = np.concatenate(rs, axis=0)  # (k, p)
     for a in (t_arr, tau_arr, x_arr, r_arr):
         a.flags.writeable = False
-    views = [x_arr[:, u, :] for u in range(x_arr.shape[1])]
+    shared = [FlowSegment(j, t_arr, x_arr[:, u, :], r_arr, tau_arr)
+              for u in range(x_arr.shape[1])]
     for i, u in zip(paths, of.tolist()):
-        segments[i].append(FlowSegment(j, t_arr, views[u], r_arr, tau_arr))
+        segments[i].append(shared[u])
 
 
 class _Group:
@@ -289,8 +301,8 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
 
     Groups start from paths with bitwise-equal initial (r, tau); members share
     the read-only t, tau and r arrays of each segment, and members on one
-    distinct x row share its x view.  Each wave moves every live group one
-    step: a flow step, a snap onto D, a jump, or the end of its paths.  A
+    distinct x row share one segment object.  Each wave moves every live group
+    one step: a flow step, a snap onto D, a jump, or the end of its paths.  A
     (tau, dt) cohort stacks its groups' distinct x rows into one RK4 step,
     each group's r stages repeated over its rows, with a scalar tau.  Every
     outcome comes from one plan memo keyed by (r's bits, step cap) and shared
@@ -305,13 +317,8 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
         raise ValueError("initial state dimensions do not match the system")
     cu = spec.flow_or_jump_set
     inv_eps = 1.0 / spec.epsilon
-    dt_eff = cfg.effective_step(spec.epsilon)
     t_max = horizon.t_max
-    if not 2.0 * dt_eff > math.ulp(t_max):  # then t + dt > t for every t <= t_max
-        raise ValueError(f"step too small to advance t: dt_eff = min(base_step "
-                         f"{cfg.base_step!r}, epsilon {spec.epsilon!r} * substep_per_epsilon "
-                         f"{cfg.substep_per_epsilon!r}) = {dt_eff!r} is at most half of "
-                         f"ulp(t_max) at t_max = {t_max!r}")
+    dt_eff = _advancing_step(spec.epsilon, cfg, t_max)
     plans = {}
     segments, jumps, terminals = [[] for _ in starts], [[] for _ in starts], [None] * len(starts)
 

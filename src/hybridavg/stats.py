@@ -1,11 +1,12 @@
 """Ensemble statistics: hitting times, recurrence certification, mean-envelope fits.
 
 These operations post-process immutable ensembles of arcs.  Hitting-time
-queries are served from a per-arc index of the running minimum distance to
-the target set, kept per segment, cached on the arc and extended lazily one
-segment at a time, so repeated queries at shrinking radii (bisection) never
-recompute a distance.  The recurrence budget tau_hat is the (1 - rho)
-order-statistic of hitting t + j sums; the exponential-in-the-mean
+queries are served from each segment's running minimum distance to the
+target set, cached on the segment the first time a query's scan reaches
+it, so repeated queries at shrinking radii (bisection) never recompute a
+distance, and arcs that share a segment object (lockstep members on one x
+row) share its distances and its answer.  The recurrence budget tau_hat is
+the (1 - rho) order-statistic of hitting t + j sums; the exponential-in-the-mean
 fit anchors the envelope at the initial distance and finds the largest rate
 that keeps the weighted means below it at every evaluation time (a
 necessary-condition check on a deterministic grid, not a bound over all
@@ -39,9 +40,9 @@ _K2_TOL = 1e-9
 _RADIUS_REL_TOL = 0.01
 _RADIUS_ABS_TOL = 1e-4
 
-#: attribute of a HybridArc holding its hitting indexes, keyed by C u D; not a
-#: dataclass field, so the arc's equality and repr never see it
-_INDEX_ATTR = "_hitting_indexes"
+#: attribute of a FlowSegment holding its hitting runs, keyed by C u D; not a
+#: dataclass field, so the segment's equality and repr never see it
+_INDEX_ATTR = "_hitting_runs"
 
 
 def _check_positive(name: str, value: float):
@@ -49,52 +50,42 @@ def _check_positive(name: str, value: float):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-class _HittingIndex:
-    """One arc's running-minimum distance to one target set, kept per segment.
+def _segment_run(seg, spec: SystemSpec) -> tuple:
+    """(low, neg_run): a FlowSegment's minimum distance to spec's target set and
+    the negated running minimum of its distances, cached on it by spec's C u D."""
+    runs = seg.__dict__.setdefault(_INDEX_ATTR, {})
+    run = runs.get(spec.flow_or_jump_set)
+    if run is None:
+        # fmin skips NaN distances, which then never lower the minimum
+        d = distances_to_target(seg.x, seg.r, spec)
+        neg_run = -np.fmin.accumulate(np.concatenate(([math.inf], d)))[1:]
+        run = runs[spec.flow_or_jump_set] = (-float(neg_run[-1]), neg_run)
+    return run
 
-    The first hit of the open radius-ball is the first sample whose running
-    minimum is < radius (a NaN distance never lowers it): one searchsorted on
-    the negated running minimum, which never decreases, inside the first
-    scanned segment whose minimum is < radius.  Segments are scanned in order
-    and only while the running minimum is still >= the radius asked for, so
-    a single query reads no further than a plain scan stopping at the hit.
-    Only segments that lower the minimum can hold a first hit; each is kept
-    as (its minimum, the segment, its negated running minimum).
+
+def _first_hits(arcs: list, radius: float, spec: SystemSpec) -> list:
+    """Per arc, the first hybrid time at distance < radius from the target set, or None.
+
+    The hit is in the arc's first segment whose minimum is < radius, found by
+    one searchsorted, so a query reads no further than a plain scan stopping
+    at the hit.  A distinct segment is answered once per call for every arc
+    holding it; arcs keeps every segment alive, so no id is reused.
     """
-
-    __slots__ = ("_segments", "_scanned", "_low", "_lows")
-
-    def __init__(self, segments):
-        self._segments = segments
-        self._scanned = 0  # segments read so far
-        self._low = math.inf  # running minimum over them
-        self._lows = []
-
-    def first_below(self, radius: float, spec: SystemSpec) -> Optional[HybridTime]:
-        while self._low >= radius and self._scanned < len(self._segments):
-            seg = self._segments[self._scanned]
-            self._scanned += 1
-            d = distances_to_target(seg.x, seg.r, spec)
-            # fmin skips NaN distances, which then never lower the minimum
-            run = np.fmin.accumulate(np.concatenate(([self._low], d)))
-            if run[-1] < self._low:
-                self._low = float(run[-1])
-                self._lows.append((self._low, seg, -run[1:]))
-        if not self._low < radius:
-            return None
-        seg, neg_run = next(low[1:] for low in self._lows if low[0] < radius)
-        k = int(np.searchsorted(neg_run, -radius, side="right"))
-        return HybridTime(float(seg.t[k]), int(seg.j))
-
-
-def _hitting_index(arc: HybridArc, spec: SystemSpec) -> _HittingIndex:
-    """The arc's cached index for spec's C u D, the only part distances depend on."""
-    indexes = arc.__dict__.setdefault(_INDEX_ATTR, {})
-    key = spec.flow_or_jump_set
-    index = indexes.get(key)
-    if index is None:
-        index = indexes[key] = _HittingIndex(arc.segments)
-    return index
+    answers, hits = {}, []  # answers: id(segment) -> its first hit, or None
+    for arc in arcs:
+        ht = None
+        for seg in arc.segments:
+            if id(seg) not in answers:
+                low, neg_run = _segment_run(seg, spec)
+                answers[id(seg)] = None
+                if low < radius:
+                    k = int(np.searchsorted(neg_run, -radius, side="right"))
+                    answers[id(seg)] = HybridTime(float(seg.t[k]), int(seg.j))
+            ht = answers[id(seg)]
+            if ht is not None:
+                break
+        hits.append(ht)
+    return hits
 
 
 def wilson_interval(successes: int, trials: int):
@@ -148,8 +139,9 @@ def recurrence_estimate(ensemble: Sequence[HybridArc], radius: float, rho: float
     domain, or when it stops (leaves the flow and jump sets) before the
     certified budget tau_hat.  tau_hat is the (1 - rho) order statistic of
     hitting t + j values among hitting paths and is only reported when the
-    success fraction reaches 1 - rho.  Hitting times come from each arc's
-    cached hitting index, so a bisection over radii reads every distance once.
+    success fraction reaches 1 - rho.  Hitting times come from running minima
+    cached on each distinct segment, so a bisection over radii reads every
+    distance once.
     """
     arcs = list(ensemble)
     if len(arcs) < 30:
@@ -158,13 +150,14 @@ def recurrence_estimate(ensemble: Sequence[HybridArc], radius: float, rho: float
         raise ValueError("rho must lie in (0, 1)")
     _check_positive("radius", radius)
     _check_positive("R", R)
-    outside = first_start_outside([arc.segments[0].x[0] for arc in arcs],
-                                  [arc.segments[0].r[0] for arc in arcs], R)
+    # lockstep members share segment objects: read each distinct first one once
+    firsts = {id(arc.segments[0]): arc.segments[0] for arc in arcs}.values()
+    outside = first_start_outside([s.x[0] for s in firsts], [s.r[0] for s in firsts], R)
     if outside is not None:
         raise ValueError(f"initial condition with |z(0,0)| = {outside[1]} "
                          f"lies outside R = {R}")
 
-    hits = [_hitting_index(arc, spec).first_below(radius, spec) for arc in arcs]
+    hits = _first_hits(arcs, radius, spec)
     hit_sums = sorted(hybrid_time_sum(ht) for ht in hits if ht is not None)
     tau_hat = None
     if hit_sums:

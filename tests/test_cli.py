@@ -10,6 +10,7 @@ import sys
 import time
 import types
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from hybridavg.cli import FIG1_CONFIG, main
 from hybridavg.config import MAX_STEPS, as_document
 from hybridavg.core import JumpNoise
 
-from conftest import arcs_equal
+from conftest import arcs_equal, state
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -679,6 +680,46 @@ class TestSharedColumnsFormattedOnce:
         assert {arc.segments[-1].r[0, 1] for arc in arcs} == {0.0, 0.5}
         assert_csv_is(csv, "path_id,t,j,x_1,x_2,r_1,r_2,tau,event", naive_arc_lines(arcs))
 
+    def test_each_array_is_formatted_once_and_dropped_after_its_last_use(
+            self, es_system, monkeypatch):
+        arcs = solver.simulate_ensemble(es_system, [state(2.0, 0.0), state(-1.5, 0.0)], 6, 5,
+                                        solver.Horizon(3.0, 1000))
+        # per array: its first line, the first and the past-the-end line of its
+        # last segment; lines run segment by segment, one terminal per path
+        first, last, line = {}, {}, 0
+        for arc in arcs:
+            for seg in arc.segments:
+                for a in (seg.t, seg.x, seg.r, seg.tau):
+                    first.setdefault(id(a), line)
+                    last[id(a)] = (line, line + len(seg.t))
+                line += len(seg.t)
+            line += 1
+        assert any(last[key][0] > first[key] for key in first)
+        assert shared(arcs, "x") > 0
+
+        class Strings(list):  # a list that can be weakly referenced
+            pass
+
+        made, columns = [], cli._columns
+
+        def counted(a):
+            cols = Strings(columns(a))
+            made.append(weakref.ref(cols))
+            return cols
+
+        monkeypatch.setattr(cli, "_columns", counted)
+        lines = []
+        for n, text in enumerate(cli._arc_lines(arcs)):
+            lines.append(text)
+            # arrays are formatted in order of first use
+            for key, ref in zip(first, made):
+                if n >= last[key][1]:
+                    assert ref() is None, n
+                elif n < last[key][0]:
+                    assert ref() is not None, n
+        assert len(made) == len(first)
+        assert lines == list(naive_arc_lines(arcs))
+
     def test_fig1_strided_lines(self, tmp_path, monkeypatch):
         arcs = []
         recording(monkeypatch, "simulate_ensemble", arcs)
@@ -920,7 +961,9 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, section, line", [
-        ("simulate", "system", "epsilon = 1e-300"), ("sweep", "sweep", "eps_values = 1e-300")])
+        ("simulate", "system", "epsilon = 1e-300"), ("sweep", "sweep", "eps_values = 1e-300"),
+        # every epsilon is checked before the first one runs
+        ("sweep", "sweep", "eps_values = 0.1 1e-300")])
     def test_step_too_small_to_advance_t_is_an_error(self, tmp_path, capsys, monkeypatch,
                                                       command, section, line):
         # t + 1e-301 rounds back to t once ulp(t) > 2e-301: the run never ended

@@ -271,7 +271,7 @@ class TestEnsemble:
 
     def test_members_share_read_only_segment_arrays(self, actuator):
         # one shared r0 and a timer reset to 0: all four paths stay one group,
-        # and members whose segment starts on one x row share its x view
+        # and members whose segment starts on one x row share its segment object
         ens = ha.simulate_ensemble(actuator, [state(-2.0, 0.0), state(2.0, 0.0)],
                                    4, 50, ha.Horizon(3.5, 100))
         assert [len(arc.segments) for arc in ens] == [4] * 4
@@ -284,6 +284,7 @@ class TestEnsemble:
                     assert not getattr(a, name).flags.writeable
                 for b in segs:
                     assert (a.x is b.x) == (a.x[0].tobytes() == b.x[0].tobytes())
+                    assert (a is b) == (a.x is b.x)
 
     def test_mixed_aux_initials_fall_back_per_path(self, actuator):
         # different r(0) start separate lockstep groups; results must still match lone runs

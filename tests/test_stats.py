@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import types
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import hybridavg as ha
 from hybridavg.core import (TERMINAL_HORIZON_T, TERMINAL_LEFT_SETS, FlowSegment,
                             distances_to_target, hybrid_time_sum)
-from hybridavg.stats import _hitting_index, wilson_interval
+from hybridavg.stats import _first_hits, wilson_interval
 
 from conftest import state
 
@@ -24,7 +25,7 @@ def decay_system(average_system):
 
 def hitting_time(arc, radius, spec):
     """First hybrid time at which the distance to the target set is < radius."""
-    return _hitting_index(arc, spec).first_below(radius, spec)
+    return _first_hits([arc], radius, spec)[0]
 
 
 class TestHittingTime:
@@ -142,7 +143,7 @@ def sample_distances(arc, spec):
 
 
 class TestHittingIndex:
-    """hitting_time's cached running-minimum index against a plain scan."""
+    """hitting_time's per-segment running minima against a plain scan."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(random_arcs(nan=True), st.data())
@@ -204,16 +205,62 @@ class TestHittingIndex:
             assert want == reference_hitting_time(arc, radius, spec)
 
     def test_cache_is_not_part_of_the_arc_value(self, actuator):
-        arc = make_arc([([0.0, 1.0], [2.0, 0.5], [0.5, 0.5])])
-        before = repr(arc)
-        hitting_time(arc, 1.0, actuator)
-        assert repr(arc) == before
+        arc = make_arc([([0.0, 1.0], [2.0, 0.5], [0.5, 0.5]), ([1.0], [0.25], [0.5])])
+        before = repr(arc), [repr(seg) for seg in arc.segments]
+        hitting_time(arc, 0.3, actuator)
+        assert (repr(arc), [repr(seg) for seg in arc.segments]) == before
         assert [f.name for f in dataclasses.fields(arc)] == [
             "segments", "jumps", "seed", "terminal_reason"]
+        for seg in arc.segments:
+            assert [f.name for f in dataclasses.fields(seg)] == ["j", "t", "x", "r", "tau"]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.lists(random_arcs(), min_size=1, max_size=4), st.data())
+    def test_shared_segments_answer_as_unshared_copies(self, actuator_2d, pool, data):
+        # arcs built from a pool of segment objects, so several share each one
+        segs = [seg for arc in pool for seg in arc.segments]
+        picks = data.draw(st.lists(st.lists(st.sampled_from(range(len(segs))), min_size=1,
+                                            max_size=4), min_size=1, max_size=6))
+        shared = [ha.HybridArc(tuple(segs[k] for k in pick), (), 0, TERMINAL_HORIZON_T)
+                  for pick in picks]
+        unshared = copy.deepcopy(shared)
+        assert not {id(s) for a in unshared for s in a.segments} & set(map(id, segs))
+        d = np.concatenate([sample_distances(arc, actuator_2d) for arc in shared])
+        exact = sorted(set(d.tolist()) - {0.0})
+        others = data.draw(st.lists(st.floats(1e-3, 6.0), max_size=4))
+        for radius in data.draw(st.permutations(exact + others)):
+            want = [reference_hitting_time(arc, radius, actuator_2d) for arc in shared]
+            assert _first_hits(shared, radius, actuator_2d) == want, radius
+            assert _first_hits(unshared, radius, actuator_2d) == want, radius
+
+    def test_each_distinct_segment_reached_is_read_once(self, actuator, monkeypatch):
+        # K = 4 segment objects shared by N = 60 arcs; `never` is reached only
+        # below radius 0.1, where `hit` no longer hits
+        first, hit, late = (make_arc([([0.0, 1.0], [2.0, 1.0], [0.5, 0.5])]).segments[0],
+                            make_arc([([0.0, 1.0], [0.5, 0.1], [0.5, 0.5])]).segments[0],
+                            make_arc([([1.0, 2.0], [3.0, 2.0], [0.5, 0.5])]).segments[0])
+        never = make_arc([([2.0], [1.0], [0.5])]).segments[0]
+        arcs = [ha.HybridArc(segs, (), i, TERMINAL_HORIZON_T)
+                for i in range(20) for segs in ((first, hit, never), (hit, never),
+                                                (first, late))]
+        read = []
+        counted = ha.stats.distances_to_target
+
+        def counting(x, r, spec):
+            read.append(x)
+            return counted(x, r, spec)
+
+        monkeypatch.setattr(ha.stats, "distances_to_target", counting)
+        for radii, reached in (((0.75, 0.2, 5.0, 0.15, 0.75), (first, hit, late)),
+                               ((0.05, 0.01, 0.2), (first, hit, late, never))):
+            for radius in radii:
+                hits = _first_hits(arcs, radius, actuator)
+                assert hits == [reference_hitting_time(arc, radius, actuator) for arc in arcs]
+            assert [id(x) for x in read] == [id(seg.x) for seg in reached]
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_radius(self, actuator, radius):
-        # recurrence_estimate guards the radius its hitting index is asked for
+        # recurrence_estimate guards the radius its hitting scan is asked for
         arc = make_arc([([0.0], [1.0], [0.5])])
         with pytest.raises(ValueError, match="radius must be positive"):
             ha.recurrence_estimate([arc] * 30, radius, 0.05, 5.0, actuator)
