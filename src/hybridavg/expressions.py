@@ -9,19 +9,26 @@ whether a flow, aux flow, jump, average map or scalar candidate, is one
 CompiledMap keyed by the roles of its positional arguments.  When it is
 built, a map translates its AST into the source of one Python function, one
 numpy operation per distinct subtree (a repeated subtree is computed once),
-and compiles it once.  An ifge has the values of where(a >= b, then, else).
+and compiles it once.  The function has two bodies written from one table of
+the distinct subtrees: the vectorized one, over numpy arrays, and for a batch
+of at most _MAX_ROWS rows a loop over the rows in Python floats, where numpy's
+per-operation cost would dominate.  Both apply the same IEEE operations, so a
+row's bits do not depend on its batch or on the body; NaN signs alone differ
+between Python and numpy arithmetic, so a call with a NaN output is left to
+the vectorized body.  An ifge has the values of where(a >= b, then, else).
 When its condition and both branches read an array column and it sits inside
 fewer than 98 such branches, it computes each branch only for a batch in which
 some row takes it; otherwise it computes both branches.  That source is made
 from the AST alone: its names come from the roles and a fixed table of numpy
 functions, literals, and subtrees of literals alone computed once when the
 map is built, are bound as constants, and no user text is ever evaluated.
-tau and eps enter a map as float64, so every subtree, even one of them alone,
-is numpy float64 arithmetic (a zero divisor gives inf or nan).  CompiledMap.fixed
+tau and eps enter a map as float64, so every subtree of them without a column,
+even one of them alone, is numpy float64 arithmetic in both bodies, and so is
+every quotient (a zero divisor gives inf or nan).  CompiledMap.fixed
 binds tau and eps to values (a number, or an array of the batch's length) and
 builds a map of the remaining roles in which every subtree of those names and
 literals alone is computed once, when it is built.
-Maps run vectorized over batched numpy arrays and pickle as plain data.
+Maps run over batched numpy arrays and pickle as plain data.
 """
 
 from __future__ import annotations
@@ -296,6 +303,11 @@ _SCALAR_ROLES = ("tau", "eps")
 #: nested ``if`` blocks CPython compiles in one function body
 _MAX_BLOCKS = 98
 
+#: largest batch a map computes row by row in Python floats (see CompiledMap);
+#: per call on a 2-vCPU Xeon, the ES flow map's row body took 1.7 to 3.2 us at
+#: 1 to 8 rows, against 4.7 to 9.0 us vectorized
+_MAX_ROWS = 8
+
 #: the operator of each Bin and Neg node, applied to float64 numbers
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
               "neg": operator.neg}
@@ -309,9 +321,9 @@ def _common(a: tuple, b: tuple) -> tuple:
     return a[:n]
 
 
-def _emit(exprs, lines: list, consts: list, fixed: dict):
-    """Yield (text, whether it is a fresh array) of each tree's value, once the
-    lines it reads are appended.
+def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None):
+    """Yield (text, whether it is a fresh array) of each tree's value over the
+    batch, once the lines it reads are appended.
 
     Subtrees are hash-consed: they compare by structure without source
     positions, constants by their exact bits (-0.0 is not 0.0).  A subtree of
@@ -332,12 +344,22 @@ def _emit(exprs, lines: list, consts: list, fixed: dict):
     where(a >= b, then, else).  A named subtree is computed
     in the innermost branch that holds all of its uses, before the first
     block that reads it, so no name is read unset.
+
+    Given ``rows``, (first array role, checks, output shape or None), the
+    same table first gives a row body for batches of at most the row limit
+    (see CompiledMap) that pass the checks: a loop over the rows in Python floats
+    (see CompiledMap) whose lazy ifge are ``if``/``else`` blocks and whose
+    other ifge are ``then if a >= b else other``.  Before the loop, each
+    subtree of tau, eps and literals that the loop reads is computed as the
+    vectorized body computes it, in np.float64, and read through float().
     """
-    ids, table, names = {}, [], {}  # structure -> id; id -> (node, child ids); id -> name
+    ids, table = {}, []  # structure -> id; id -> (node, child ids)
     reads, literal = [], []  # id -> it reads an array column; it reads no name but fixed ones
     folded = {}  # id -> value of a subtree of literals and fixed names alone
     serial, fresh = itertools.count(), set()  # names of arrays allocated by the call
     depth = 0  # blocks open around the next line
+    # id -> name of a constant; of a subtree over the batch, before the row loop, in it
+    constant, batch, before, per_row = {}, {}, {}, {}
 
     def intern(node) -> int:
         kids = tuple(map(intern, _children(node)))
@@ -386,24 +408,31 @@ def _emit(exprs, lines: list, consts: list, fixed: dict):
         folded[i] = out
         return out
 
-    def branches(i: int) -> str:
+    def branches(i: int, names: dict) -> str:
         """The lines of lazy ifge i; the name of its value."""
         nonlocal depth
         kids = table[i][1]
-        a, b = (value(kid)[0] for kid in kids[:2])
+        a, b = (value(kid, names)[0] for kid in kids[:2])
         for j in sorted(hoist.get(i, ())):  # shared subtrees the blocks read
-            value(j)
+            value(j, names)
+        out = f"_t{next(serial)}"
+        if names is per_row:
+            for head, kid in ((f"if {a} >= {b}:", kids[2]), ("else:", kids[3])):
+                line(head)
+                depth += 1
+                line(f"{out} = {value(kid, names)[0]}")
+                depth -= 1
+            return out
         mask = assign(f"{a} >= {b}")
         count = assign(f"_count_nonzero({mask})")
-        out = f"_t{next(serial)}"
         line(f"if {count}:")
         depth += 1
-        then = value(kids[2])[0]
+        then = value(kids[2], names)[0]
         line(f"{out} = {then}")
         depth -= 1
         line(f"if not {count} or {count} != {mask}.size:")  # some row false, or no row
         depth += 1
-        other = value(kids[3])[0]
+        other = value(kids[3], names)[0]
         other = other if other.isidentifier() else assign(other)
         line(f"{out} = _ifge({mask}, {out}, {other}) if {count} else {other}")
         depth -= 1
@@ -411,38 +440,83 @@ def _emit(exprs, lines: list, consts: list, fixed: dict):
             fresh.add(out)
         return out
 
-    def value(i: int):
-        """(text, whether it is infix) of subtree i."""
+    def value(i: int, names: dict):
+        """(text, whether it is infix) of subtree i, where names is batch (the
+        vectorized body), before (its np.float64 values ahead of the row loop)
+        or per_row (the row loop)."""
         node, kids = table[i]
-        if literal[i] and i not in names:
+        if literal[i] and i not in constant:
             if isinstance(node, Num):
                 consts.append(node.value)
             else:
                 with np.errstate(all="ignore"):  # a call reports a non-finite value
                     const = fold(i)
                 consts.append(const if np.ndim(const) else float(const))
-            names[i] = f"_c{len(consts) - 1}"
-        if i in names or isinstance(node, Var):
-            return names.get(i) or _name(node), False
-        args = [] if i in lazy else [value(kid) for kid in kids]
+            constant[i] = f"_c{len(consts) - 1}"
+        if i in constant or i in names or isinstance(node, Var):
+            return constant.get(i) or names.get(i) or _name(node), False
+        row = names is per_row
         infix = not isinstance(node, Call)
-        if i in lazy:
-            text = branches(i)
+        if i in lazy and depth < _MAX_BLOCKS:  # the row loop starts two blocks deep
+            text = branches(i, names)
         elif not infix:
-            args = [text for text, _ in args]
+            args = [value(kid, names)[0] for kid in kids]
             if node.fn == "ifge":
-                text = f"_ifge({args[0]} >= {args[1]}, {args[2]}, {args[3]})"
+                text = (f"({args[2]} if {args[0]} >= {args[1]} else {args[3]})" if row
+                        else f"_ifge({args[0]} >= {args[1]}, {args[2]}, {args[3]})")
             else:
-                text = f"_{node.fn}({', '.join(args[:2])})"
+                fn = "_fabs" if row and node.fn == "abs" else f"_{node.fn}"
+                text = f"{fn}({', '.join(args[:2])})"
                 for arg in args[2:]:  # a min or max folds left, one line per step
-                    text = f"_{node.fn}({assign(text)}, {arg})"
+                    text = f"{fn}({assign(text)}, {arg})"
         else:  # an infix operand is parenthesized
+            args = [value(kid, names) for kid in kids]
             ops = [f"({text})" if paren else text for text, paren in args]
-            text = f"-{ops[0]}" if isinstance(node, Neg) else f"{ops[0]} {node.op} {ops[1]}"
+            text = (f"-{ops[0]}" if isinstance(node, Neg)
+                    else f"_as_float64({args[0][0]}) / {ops[1]}" if row and node.op == "/"
+                    else f"{ops[0]} {node.op} {ops[1]}")
         if uses[i] > 1:
             names[i] = text if text.isidentifier() else assign(text)
             return names[i], False
         return text, infix
+
+    def row_body(limit: int, first: str, checks: list, shape) -> None:
+        """The loop over the rows of a batch of at most limit rows that passes
+        checks; a row with a NaN output leaves it for the vectorized body."""
+        nonlocal depth
+        # a named subtree of tau and eps that the vectorized body computes in any
+        # case is computed before the check, once for both bodies
+        for i in range(len(table)):
+            if not (reads[i] or literal[i]) and uses[i] > 1 and not region[i]:
+                before[i] = value(i, batch)[0]
+        line(f"if {' and '.join([f'{first}.ndim == 2 and _len({first}) <= {limit}', *checks])}:")
+        depth += 1
+        columns = {i: _name(node) for i, (node, _) in enumerate(table)
+                   if reads[i] and isinstance(node, Var)}
+        per_row.update((i, f"_{name}") for i, name in columns.items())
+        read = {*roots, *itertools.chain(*hoist.values()),
+                *(kid for i, (_, kids) in enumerate(table) if reads[i] for kid in kids)}
+        for i in sorted(read):
+            if not (reads[i] or literal[i]):
+                per_row[i] = assign(f"_float({value(i, before)[0]})")
+        line("_o = []")
+        lists = ", ".join(f"{name}.tolist()" for name in columns.values())
+        line(f"for {', '.join(per_row[i] for i in columns)} in "
+             f"{lists if len(columns) == 1 else f'_zip({lists})'}:")
+        depth += 1
+        out = [value(root, per_row)[0] for root in roots]
+        out = [y if y.isidentifier() else assign(y) for y in out]
+        line(f"if {' or '.join(f'{y} != {y}' for y in out)}:")
+        line("    break")
+        for y in out:
+            line(f"_o.append({y})")
+        depth -= 1
+        line("else:")
+        line("    _v = _array(_o)")
+        if shape:
+            line(f"    _v.shape = {shape}")
+        line("    return _v")
+        depth -= 1
 
     roots = [intern(expr) for expr in exprs]
     uses = Counter(roots + [kid for _, kids in table for kid in kids])
@@ -467,12 +541,24 @@ def _emit(exprs, lines: list, consts: list, fixed: dict):
     for kid, need in needs:
         if len(need) > len(region[kid]):
             hoist.setdefault(need[len(region[kid])][0], set()).add(kid)
+    ops = calls = 0  # the vectorized body's operations on columns; numpy calls in a row
+    for (node, kids), r in zip(table, reads):
+        if r and not isinstance(node, Var):
+            fn = getattr(node, "fn", None)
+            steps = len(kids) - 1 if fn in ("min", "max") else 1
+            ops += steps
+            # a ufunc call on scalars costs two operations, an np.float64 quotient one
+            calls += 2 * steps if fn in ("sin", "cos", "pow", "min", "max") else (
+                getattr(node, "op", None) == "/")
+    limit = min(_MAX_ROWS, ops // (1 + calls))
+    if rows and limit:
+        row_body(limit, *rows)
     for root in roots:
-        text = value(root)[0]
+        text = value(root, batch)[0]
         yield text, is_fresh(text)
     # the recursive closures hold each other, consts and fixed in a reference
     # cycle, which only the cyclic collector would free
-    intern = fold = value = branches = None
+    intern = fold = value = branches = row_body = None
 
 
 class CompiledMap:
@@ -488,6 +574,28 @@ class CompiledMap:
     expression gives a scalar map, a fresh (B,) array.  ``source`` is the text
     of the generated function.  ``bound`` maps tau or eps, where they are not
     roles, to the value fixed when the map was built (see ``fixed``).
+
+    A map computes a batch row by row when its read array roles are 2-D
+    float64 arrays of one length, tau, eps and the bound values are not
+    arrays, and the batch has at most min(_MAX_ROWS, ops // (1 + calls))
+    rows.  ops counts the vectorized body's numpy operations on columns, and
+    calls weighs the numpy calls a row makes on them: two for each sin, cos,
+    pow and min or max step, since such a call on scalars costs about what two
+    operations on a short array do, and one for each np.float64 quotient.
+    One row of Python arithmetic costs about what one operation does.  So a
+    map of n operations among + - * abs and ifge takes up to min(_MAX_ROWS, n)
+    rows, and x_1/x_2 or min(x_1, 1) has no row body.
+
+    In the row body, columns come in as Python floats through tolist();
+    + - *, unary minus, abs and >= are Python float arithmetic; / is
+    np.float64's; sin, cos, pow, min and max are the numpy ufuncs on scalars;
+    an ifge is ``then if a >= b else other``, which is where's value, taking
+    else at a NaN condition; and each subtree of tau, eps and literals is
+    computed once per call in np.float64, as in the vectorized body, and read
+    through float().  If an output is NaN, whose sign Python and numpy may
+    give differently, the row results are dropped and the vectorized body
+    computes the batch.  Python float arithmetic issues no numpy
+    floating-point warning.
     """
 
     def __init__(self, exprs, roles, bound=None):
@@ -522,10 +630,17 @@ class CompiledMap:
                           f" or {a}.ndim < 2:",
                           f"    {a} = _atleast_2d(_asarray({a}, dtype=_float64))"]
         lines += [f"{a}_{i} = {a}[..., {i - 1}]" for a, i in sorted(columns)]
-        lines += [f"{a} = _as_float64({a})" for a in _SCALAR_ROLES if a in read - self.bound.keys()]
-        batch = f"{arrays[0]}.shape[:-1]"
+        scalars = [a for a in _SCALAR_ROLES if a in read - self.bound.keys()]
+        lines += [f"{a} = _as_float64({a})" for a in scalars]
+        first, rows = arrays[0], None
+        if not any(map(np.ndim, self.bound.values())):  # an array bound fits one batch only
+            rows = (first, [*(f"{a}.ndim == 2 and _len({a}) == _len({first})"
+                              for a in arrays[1:] if any(role == a for role, _ in columns)),
+                            *(f"{a}.__class__ is not _ndarray" for a in scalars)],
+                    None if scalar else f"(_len({first}), {len(exprs)})")
+        batch = f"{first}.shape[:-1]"
         consts = []
-        values = _emit(exprs, lines, consts, self.bound)
+        values = _emit(exprs, lines, consts, self.bound, rows)
         shape = batch if scalar else f"(*{batch}, {len(exprs)})"
         if len(exprs) == 1:
             ((v, fresh),) = values
@@ -536,14 +651,16 @@ class CompiledMap:
                           f" and _v.shape == {batch}:", f"    _v.shape = {shape}", "    return _v"]
                 v = "_v"
             values = [(v, fresh)]
-        lines.append(f"_out = _empty({shape})")  # more columns are written straight into it
         for k, (value, _) in enumerate(values):
+            if not k:  # below the row body; more columns are written straight into it
+                lines.append(f"_out = _empty({shape})")
             lines.append(f"_out[{'...' if scalar else f'..., {k}'}] = {value}")
         self.source = "\n    ".join(lines + ["return _out"]) + "\n"
         scope = {"__builtins__": {}, "__name__": __name__, "_ndarray": np.ndarray,
                  "_float64": np.dtype(np.float64), "_asarray": np.asarray,
                  "_atleast_2d": np.atleast_2d, "_empty": np.empty, "_as_float64": np.float64,
-                 "_count_nonzero": np.count_nonzero}
+                 "_count_nonzero": np.count_nonzero, "_float": float, "_fabs": abs, "_len": len,
+                 "_zip": zip, "_array": np.array}
         scope.update((f"_{fn}", ufunc) for fn, (_, _, ufunc) in _FUNCTIONS.items())
         scope.update((f"_c{i}", c) for i, c in enumerate(consts))
         exec(_compile(self.source, f"<CompiledMap {self.roles}>", "exec"), scope)

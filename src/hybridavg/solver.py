@@ -18,7 +18,9 @@ each jump), and maps each path to its row; f, the RK4 arithmetic and the
 stored samples work on those rows, and a jump expands them per path for its
 per-path draws.  The run advances in waves, each moving every live group one
 step; flowing groups whose step has the same (tau, dt) bits share one stacked
-RK4 step, so maps always see a scalar tau.  Maps act elementwise across the
+RK4 step, so maps always see a scalar tau, and a compiled map computes such a
+step's few rows one at a time in Python floats (see expressions.CompiledMap),
+not in numpy calls over the stack.  Maps act elementwise across the
 batch, so a row's bits do not depend on the other rows beside it: stepping a
 state once for every path on it, in any batch, is bit-identical to running
 each path alone.

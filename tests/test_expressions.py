@@ -5,13 +5,16 @@ import operator
 import pickle
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hybridavg as ha
 from hybridavg.expressions import (
+    _MAX_ROWS,
     AverageField,
     Bin,
     Call,
@@ -28,6 +31,7 @@ from hybridavg.expressions import (
     parse_expression,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "pow": np.power,
            "min": np.minimum, "max": np.maximum}
@@ -372,8 +376,9 @@ def _trees(names):
 class TestGeneratedCode:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), role=st.sampled_from(sorted(ROLES)),
-           batch=st.sampled_from([1, 100, 500]), tau=st.sampled_from(["rows", 0.7, 0.0]))
+           batch=st.sampled_from([1, 2, 8, 9, 100, 500]), tau=st.sampled_from(["rows", 0.7, 0.0]))
     def test_generated_map_matches_reference_bit_for_bit(self, data, role, batch, tau):
+        # batches of up to _MAX_ROWS rows are computed row by row in Python floats
         roles = ROLES[role]
         k = 1 if role == "V" else DIMS[roles[0]]
         trees = data.draw(st.lists(_trees(_names(roles)), min_size=k, max_size=k))
@@ -444,6 +449,30 @@ class TestGeneratedCode:
             want = reference_map((tree,), ("x",), x)
         signs = {bool(np.signbit(fmap(x)[0, 0])) for _ in range(20_000)}
         assert signs == {bool(np.signbit(want[0, 0]))}
+
+    def test_a_nan_row_takes_the_vectorized_body(self):
+        # CPython gives the sum of two nans the sign of either, depending on
+        # whether it has specialized the add; a row with a nan output is left
+        # to the vectorized body, whose nan has one sign
+        tree = parse_expression("(x_1*1e999) + -(x_1*1e999) + x_1")
+        fmap = CompiledMap((tree,), ("x",))
+        with np.errstate(invalid="ignore"):
+            signs = {bool(np.signbit(fmap(np.zeros((1, 1)))[0, 0])) for _ in range(20_000)}
+            wide = fmap(np.zeros((_MAX_ROWS + 1, 1)))
+        assert signs == {bool(np.signbit(wide[0, 0]))}
+
+    def test_small_batches_have_a_row_body(self):
+        es = ha.load_system(str(CONFIGS / "es.cfg"))
+        # the solver steps the ES flow at 1 to 5 rows
+        assert "_array(_o)" in es.f.source and "_len(x) <= 7" in es.f.source
+        # a map without an operation on a column, or bound to an array, has none
+        assert "_array(_o)" not in es.w.source and "_array(_o)" not in es.h.source
+        fixed = es.f.fixed(tau=np.linspace(0.0, 1.0, 3), eps=0.1)
+        assert "_array(_o)" not in fixed.source
+        assert "_array(_o)" in es.f.fixed(tau=0.5, eps=0.1).source
+        # nor a map whose numpy calls in a row cost more than the operations it saves
+        for text in ("min(x_1, 1)", "x_1/x_2"):
+            assert "_array(_o)" not in CompiledMap(parse_expression(text), ("x",)).source
 
     @pytest.mark.parametrize("scalar", ["tau", "eps"])
     def test_subtrees_of_tau_or_eps_alone_are_float64_arithmetic(self, scalar):
