@@ -15,7 +15,11 @@ of at most _MAX_ROWS rows a loop over the rows in Python floats, where numpy's
 per-operation cost would dominate.  Both apply the same IEEE operations, so a
 row's bits do not depend on its batch or on the body; NaN signs alone differ
 between Python and numpy arithmetic, so a call with a NaN output is left to
-the vectorized body.  An ifge has the values of where(a >= b, then, else).
+the vectorized body.  The same source holds, for a flow map of roles (x, r,
+tau, eps), a third function from the same table: the fused step, the solver's
+whole RK4 step of such a small batch (see CompiledMap.step), whose four
+stages run per row in Python floats with the row body's rules.  An ifge has
+the values of where(a >= b, then, else).
 When its condition and both branches read an array column and it sits inside
 fewer than 98 such branches, it computes each branch only for a batch in which
 some row takes it; otherwise it computes both branches.  That source is made
@@ -321,7 +325,11 @@ def _common(a: tuple, b: tuple) -> tuple:
     return a[:n]
 
 
-def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None):
+class _Rows(dict):
+    """Names of subtrees in a loop over rows, which computes them in Python floats."""
+
+
+def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None):
     """Yield (text, whether it is a fresh array) of each tree's value over the
     batch, once the lines it reads are appended.
 
@@ -352,6 +360,17 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None):
     other ifge are ``then if a >= b else other``.  Before the loop, each
     subtree of tau, eps and literals that the loop reads is computed as the
     vectorized body computes it, in np.float64, and read through float().
+
+    Given ``step`` as well, a list holding the header of a function
+    ``(x, rs, tau, eps, dt)``, the same table writes the fused RK4 step into
+    it, for the same row limit, when x's columns read are among the outputs'
+    (a map of n outputs steps x in R^n).  The clock subtrees the row loop
+    reads are computed as there, once for each of tau, tau_h and tau_f, which
+    are computed as solver._rk4 computes them.  Per row, each stage's lines are
+    those of the row loop, with x's columns bound to the stage state and r's
+    to that stage's row of rs; then the stage states, x + half*k, x + dt*k3
+    and the step's output are Python float arithmetic in _rk4's order.  The
+    step returns None for a batch the checks turn away or a NaN output.
     """
     ids, table = {}, []  # structure -> id; id -> (node, child ids)
     reads, literal = [], []  # id -> it reads an array column; it reads no name but fixed ones
@@ -359,7 +378,7 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None):
     serial, fresh = itertools.count(), set()  # names of arrays allocated by the call
     depth = 0  # blocks open around the next line
     # id -> name of a constant; of a subtree over the batch, before the row loop, in it
-    constant, batch, before, per_row = {}, {}, {}, {}
+    constant, batch, before, per_row = {}, {}, {}, _Rows()
 
     def intern(node) -> int:
         kids = tuple(map(intern, _children(node)))
@@ -416,7 +435,7 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None):
         for j in sorted(hoist.get(i, ())):  # shared subtrees the blocks read
             value(j, names)
         out = f"_t{next(serial)}"
-        if names is per_row:
+        if isinstance(names, _Rows):
             for head, kid in ((f"if {a} >= {b}:", kids[2]), ("else:", kids[3])):
                 line(head)
                 depth += 1
@@ -442,8 +461,8 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None):
 
     def value(i: int, names: dict):
         """(text, whether it is infix) of subtree i, where names is batch (the
-        vectorized body), before (its np.float64 values ahead of the row loop)
-        or per_row (the row loop)."""
+        vectorized body), before (its np.float64 values ahead of the row loop),
+        per_row (the row loop) or a stage of the fused step (a _Rows)."""
         node, kids = table[i]
         if literal[i] and i not in constant:
             if isinstance(node, Num):
@@ -455,7 +474,7 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None):
             constant[i] = f"_c{len(consts) - 1}"
         if i in constant or i in names or isinstance(node, Var):
             return constant.get(i) or names.get(i) or _name(node), False
-        row = names is per_row
+        row = isinstance(names, _Rows)
         infix = not isinstance(node, Call)
         if i in lazy and depth < _MAX_BLOCKS:  # the row loop starts two blocks deep
             text = branches(i, names)
@@ -473,7 +492,7 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None):
             args = [value(kid, names) for kid in kids]
             ops = [f"({text})" if paren else text for text, paren in args]
             text = (f"-{ops[0]}" if isinstance(node, Neg)
-                    else f"_as_float64({args[0][0]}) / {ops[1]}" if row and node.op == "/"
+                    else f"_float(_as_float64({args[0][0]}) / {ops[1]})" if row and node.op == "/"
                     else f"{ops[0]} {node.op} {ops[1]}")
         if uses[i] > 1:
             names[i] = text if text.isidentifier() else assign(text)
@@ -491,16 +510,10 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None):
                 before[i] = value(i, batch)[0]
         line(f"if {' and '.join([f'{first}.ndim == 2 and _len({first}) <= {limit}', *checks])}:")
         depth += 1
-        columns = {i: _name(node) for i, (node, _) in enumerate(table)
-                   if reads[i] and isinstance(node, Var)}
-        per_row.update((i, f"_{name}") for i, name in columns.items())
-        read = {*roots, *itertools.chain(*hoist.values()),
-                *(kid for i, (_, kids) in enumerate(table) if reads[i] for kid in kids)}
-        for i in sorted(read):
-            if not (reads[i] or literal[i]):
-                per_row[i] = assign(f"_float({value(i, before)[0]})")
+        per_row.update((i, f"_{role}_{j}") for i, (role, j) in columns.items())
+        per_row.update((i, assign(f"_float({value(i, before)[0]})")) for i in clocks)
         line("_o = []")
-        lists = ", ".join(f"{name}.tolist()" for name in columns.values())
+        lists = ", ".join(f"{role}_{j}.tolist()" for role, j in columns.values())
         line(f"for {', '.join(per_row[i] for i in columns)} in "
              f"{lists if len(columns) == 1 else f'_zip({lists})'}:")
         depth += 1
@@ -517,6 +530,71 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None):
             line(f"    _v.shape = {shape}")
         line("    return _v")
         depth -= 1
+
+    def step_body(limit: int) -> None:
+        """The fused RK4 step, written into step: _rk4's step of x under this
+        flow map for a batch of at most limit rows, each row's four stages in
+        Python floats; it returns None for any other batch or a NaN output."""
+        nonlocal lines, depth
+        k = len(roots)
+        xs = [j for role, j in columns.values() if role == "x"]
+        if max(xs, default=0) > k:  # x has one column per output
+            return
+        rs = [j for role, j in columns.values() if role == "r"]
+        checks = ["x.__class__ is not _ndarray", "x.dtype is not _float64", "x.ndim != 2",
+                  f"_len(x) > {limit}", f"x.shape[1] != {k}"]
+        if rs:
+            checks += ["rs.__class__ is not _ndarray", "rs.dtype is not _float64",
+                       "rs.ndim != 3", "_len(rs) < 4", "rs.shape[1] != _len(x)",
+                       f"rs.shape[2] < {max(rs)}"]
+        scalars = {node.name: i for i, (node, _) in enumerate(table) if isinstance(node, Var)
+                   and node.name in _SCALAR_ROLES}
+        if scalars:
+            checks += ["tau.__class__ is _ndarray", "eps.__class__ is _ndarray"]
+        main, lines = lines, step
+        line(f"if {' or '.join(checks)}:")
+        line("    return None")
+        line("_h = 0.5 * dt")
+        line("_d6 = dt / 6.0")
+        # the clock subtrees at tau, tau_h and tau_f, as _rk4 computes those times
+        tau = scalars.get("tau")
+        if tau is not None:
+            for s, text in enumerate(("tau", "tau + _h / eps", "tau + dt / eps")):
+                line(f"_T{s} = _as_float64({text})")
+        if "eps" in scalars:
+            line("eps = _as_float64(eps)")
+        at = []
+        for s in range(3):
+            names = {} if tau is None else {tau: f"_T{s}"}
+            at.append({i: assign(f"_float({value(i, names)[0]})") for i in clocks})
+        line("_o = []")
+        head = f"({', '.join(f'_x_{j}' for j in range(1, k + 1))},)"
+        if rs:
+            line("_R = rs.tolist()")
+            line(f"for {head}, _q0, _q1, _q2, _q3 in _zip(x.tolist(), _R[0], _R[1], _R[2], _R[3]):")
+        else:
+            line(f"for {head} in x.tolist():")
+        depth += 1
+        state, ks = {j: f"_x_{j}" for j in xs}, []
+        for s, (t, scale) in enumerate(((0, "_h"), (1, "_h"), (1, "dt"), (2, None))):
+            names = _Rows(at[t])
+            names.update((i, state[j] if role == "x" else f"_q{s}[{j - 1}]")
+                         for i, (role, j) in columns.items())
+            out = [value(root, names)[0] for root in roots]
+            ks.append([y if y.isidentifier() else assign(y) for y in out])
+            if scale:
+                state = {j: assign(f"_x_{j} + {scale} * {ks[-1][j - 1]}") for j in xs}
+        out = [assign(f"_x_{j + 1} + _d6 * ({k1} + 2.0 * ({k2} + {k3}) + {k4})")
+               for j, (k1, k2, k3, k4) in enumerate(zip(*ks))]
+        line(f"if {' or '.join(f'{y} != {y}' for y in out)}:")
+        line("    return None")
+        for y in out:
+            line(f"_o.append({y})")
+        depth -= 1
+        line("_v = _array(_o)")
+        line(f"_v.shape = (_len(x), {k})")
+        line("return _v")
+        lines = main
 
     roots = [intern(expr) for expr in exprs]
     uses = Counter(roots + [kid for _, kids in table for kid in kids])
@@ -551,14 +629,24 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None):
             calls += 2 * steps if fn in ("sin", "cos", "pow", "min", "max") else (
                 getattr(node, "op", None) == "/")
     limit = min(_MAX_ROWS, ops // (1 + calls))
+    # the columns a row loop reads, as (role, index), and the subtrees of tau,
+    # eps and literals it reads, computed before it
+    columns = {i: (role, int(j)) for i, (node, _) in enumerate(table)
+               if reads[i] and isinstance(node, Var) for role, _, j in [_name(node).partition("_")]}
+    clocks = sorted(i for i in {*roots, *itertools.chain(*hoist.values()),
+                                *(kid for i, (_, kids) in enumerate(table) if reads[i]
+                                  for kid in kids)}
+                    if not (reads[i] or literal[i]))
     if rows and limit:
         row_body(limit, *rows)
+        if step is not None:
+            step_body(limit)
     for root in roots:
         text = value(root, batch)[0]
         yield text, is_fresh(text)
     # the recursive closures hold each other, consts and fixed in a reference
     # cycle, which only the cyclic collector would free
-    intern = fold = value = branches = row_body = None
+    intern = fold = value = branches = row_body = step_body = None
 
 
 class CompiledMap:
@@ -588,7 +676,9 @@ class CompiledMap:
 
     In the row body, columns come in as Python floats through tolist();
     + - *, unary minus, abs and >= are Python float arithmetic; / is
-    np.float64's; sin, cos, pow, min and max are the numpy ufuncs on scalars;
+    np.float64's (a zero divisor gives inf or nan), its quotient read back
+    through float(), so the arithmetic after it stays in Python floats; sin,
+    cos, pow, min and max are the numpy ufuncs on scalars;
     an ifge is ``then if a >= b else other``, which is where's value, taking
     else at a NaN condition; and each subtree of tau, eps and literals is
     computed once per call in np.float64, as in the vectorized body, and read
@@ -596,6 +686,17 @@ class CompiledMap:
     give differently, the row results are dropped and the vectorized body
     computes the batch.  Python float arithmetic issues no numpy
     floating-point warning.
+
+    ``step`` is the map's fused RK4 step, step(x, rs, tau, eps, dt): the
+    solver's step of a (B, n) float64 x under this map as f, given its r
+    stages rs[0:4], each (B, p), in the bits of solver._rk4's numpy code.  It
+    runs the four stages of each row in turn, in Python floats by the row
+    body's rules, computing each clock subtree once per stage time, and it
+    returns a fresh (B, n) array.  It returns None, leaving the step to that
+    numpy code, for a batch above the row limit or of another shape or type,
+    and when an output is NaN.  ``step`` is None unless the roles are (x, r,
+    tau, eps), the map has a tuple of expressions, none reading a column of
+    x past their count, and it has a row body.
     """
 
     def __init__(self, exprs, roles, bound=None):
@@ -640,7 +741,9 @@ class CompiledMap:
                     None if scalar else f"(_len({first}), {len(exprs)})")
         batch = f"{first}.shape[:-1]"
         consts = []
-        values = _emit(exprs, lines, consts, self.bound, rows)
+        step = (["def _step(x, rs, tau, eps, dt):"]
+                if self.roles == ("x", "r", "tau", "eps") and not scalar else None)
+        values = _emit(exprs, lines, consts, self.bound, rows, step)
         shape = batch if scalar else f"(*{batch}, {len(exprs)})"
         if len(exprs) == 1:
             ((v, fresh),) = values
@@ -656,6 +759,8 @@ class CompiledMap:
                 lines.append(f"_out = _empty({shape})")
             lines.append(f"_out[{'...' if scalar else f'..., {k}'}] = {value}")
         self.source = "\n    ".join(lines + ["return _out"]) + "\n"
+        if step and len(step) > 1:
+            self.source += "\n" + "\n    ".join(step) + "\n"
         scope = {"__builtins__": {}, "__name__": __name__, "_ndarray": np.ndarray,
                  "_float64": np.dtype(np.float64), "_asarray": np.asarray,
                  "_atleast_2d": np.atleast_2d, "_empty": np.empty, "_as_float64": np.float64,
@@ -664,7 +769,8 @@ class CompiledMap:
         scope.update((f"_{fn}", ufunc) for fn, (_, _, ufunc) in _FUNCTIONS.items())
         scope.update((f"_c{i}", c) for i, c in enumerate(consts))
         exec(_compile(self.source, f"<CompiledMap {self.roles}>", "exec"), scope)
-        self._fn = scope.pop("_map")  # left in scope, its own globals, it is a reference cycle
+        # left in scope, their own globals, they would be a reference cycle
+        self._fn, self.step = scope.pop("_map"), scope.pop("_step", None)
 
     def __call__(self, *args):
         return self._fn(*args)

@@ -18,9 +18,10 @@ each jump), and maps each path to its row; f, the RK4 arithmetic and the
 stored samples work on those rows, and a jump expands them per path for its
 per-path draws.  The run advances in waves, each moving every live group one
 step; flowing groups whose step has the same (tau, dt) bits share one stacked
-RK4 step, so maps always see a scalar tau, and a compiled map computes such a
-step's few rows one at a time in Python floats (see expressions.CompiledMap),
-not in numpy calls over the stack.  Maps act elementwise across the
+RK4 step, so maps always see a scalar tau.  A compiled f computes such a
+step's few rows whole, one row at a time in Python floats, in its fused RK4
+step (see _rk4 and expressions.CompiledMap), not in numpy calls over the
+stack.  Maps act elementwise across the
 batch, so a row's bits do not depend on the other rows beside it: stepping a
 state once for every path on it, in any batch, is bit-identical to running
 each path alone.
@@ -124,8 +125,20 @@ def _check_finite(map_name: str, parts, seeds):
 
 
 def _rk4(spec: SystemSpec, x, rs, tau: float, dt: float):
-    """One classical 4th-order step of x under f, given the r stages rs[0:4], each (B, p)."""
+    """One classical 4th-order step of x under f, given the r stages rs[0:4], each (B, p).
+
+    A compiled f's fused step (expressions.CompiledMap.step) computes a batch
+    within its row limit row by row in Python floats, with the operations
+    below in their order, so its bits are those of the numpy code.  Where f
+    has none (a plain callable, or a map without a row body) or it returns
+    None (a larger batch, or a NaN output, whose sign Python may give
+    differently), the whole step is the numpy code: four calls of f and the
+    arithmetic over the batch.  This is the solver's one call per step.
+    """
     f, eps = spec.f, spec.epsilon
+    step = getattr(f, "step", None)
+    if step is not None and (out := step(x, rs, tau, eps, dt)) is not None:
+        return out
     half = 0.5 * dt
     tau_h = tau + half / eps
     tau_f = tau + dt / eps

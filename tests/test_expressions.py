@@ -3,7 +3,9 @@ import gc
 import math
 import operator
 import pickle
+import re
 import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridavg as ha
+from hybridavg import solver
 from hybridavg.expressions import (
     _MAX_ROWS,
     AverageField,
@@ -577,6 +580,117 @@ class TestGeneratedCode:
         assert _same_bits(copy(*args), reference_map(exprs, ("x", "r", "v"), *args))
 
 
+def _row_limit(fmap) -> int:
+    """The largest batch fmap's fused step takes, read from its source."""
+    return int(re.search(r"_len\(x\) > (\d+)", fmap.source).group(1))
+
+
+def _numpy_rk4(fmap, x, rs, tau, eps, dt):
+    """_rk4's numpy step: a plain callable f has no fused step."""
+    return solver._rk4(types.SimpleNamespace(f=lambda *args: fmap(*args), epsilon=eps),
+                       x, rs, tau, dt)
+
+
+#: values a row may hold besides normal draws
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+class TestFusedStep:
+    """A flow map's fused RK4 step against _rk4's numpy step, bit for bit."""
+
+    def _check(self, fmap, x, rs, tau, eps, dt):
+        with np.errstate(all="ignore"):  # a quotient of numbers such as 1/tau is inf
+            want = _numpy_rk4(fmap, x, rs, tau, eps, dt)
+            fused = fmap.step(x, rs, tau, eps, dt)
+            got = solver._rk4(types.SimpleNamespace(f=fmap, epsilon=eps), x, rs, tau, dt)
+        assert _same_bits(got, want)
+        # a batch above the row limit, or a NaN output, is left to the numpy step
+        assert (fused is None) == (len(x) > _row_limit(fmap) or bool(np.isnan(want).any()))
+        if fused is not None:
+            assert _same_bits(fused, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), batch=st.sampled_from([1, 2, 3, 4, 5, 9, 40]),
+           tau=st.sampled_from([0.0, 0.7, 731.25]), eps=st.sampled_from([0.01, 0.1, 1.0]),
+           dt=st.sampled_from([1e-3, 0.01, 0.5]))
+    def test_random_flows_match_the_numpy_step(self, data, batch, tau, eps, dt):
+        trees = data.draw(st.lists(_trees(_names(ROLES["f"])), min_size=2, max_size=2))
+        fmap = CompiledMap(tuple(trees), ROLES["f"])
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, DIMS["x"]))
+        # r stages that differ from one stage to the next, as a nonlinear w gives
+        rs = rng.normal(size=(5, batch, DIMS["r"]))
+        for cell in data.draw(st.lists(st.tuples(st.integers(0, x.size - 1),
+                                                 st.sampled_from(_SPECIAL)), max_size=3)):
+            x.flat[cell[0]] = cell[1]
+        if fmap.step is None:
+            assert "_array(_o)" not in fmap.source  # a flow map without a row body
+            return
+        self._check(fmap, x, rs, tau, eps, dt)
+
+    @pytest.mark.parametrize("config", ["es.cfg", "actuator.cfg"])
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from(_SPECIAL)),
+                         min_size=1, max_size=9),
+           tau=st.floats(0.0, 1000.0), r=st.floats(0.0, 1.0))
+    def test_built_in_flows_match_the_numpy_step(self, config, rows, tau, r):
+        spec = ha.load_system(str(CONFIGS / config))
+        dt = ha.IntegratorConfig().effective_step(spec.epsilon)
+        x = np.array(rows)[:, None]
+        rs = np.full((5, len(rows), 1), r)
+        self._check(spec.f, x, rs, tau, spec.epsilon, dt)
+
+    def test_only_flow_maps_with_a_row_body_have_a_step(self):
+        es = ha.load_system(str(CONFIGS / "es.cfg"))
+        assert es.f.step is not None and _row_limit(es.f) == 7
+        assert es.w.step is es.g.step is es.h.step is None
+        assert es.f.fixed(tau=0.5, eps=0.1).step is None
+        # no row body; x_2 read by a map of one output, so x has one column
+        for texts in (["x_1/x_2", "x_2"], ["-x_2*(1 + sin(tau))"]):
+            exprs = compile_expressions(texts, _names(ROLES["f"]))
+            assert CompiledMap(exprs, ROLES["f"]).step is None
+        assert _compiled("V", ["-x_1*(1 + sin(r_1))"]).step is None
+        # x with a column per output only: numpy broadcasts one output over two
+        fmap = CompiledMap(compile_expressions(["-x_1*(1 + sin(tau))"], _names(ROLES["f"])),
+                           ROLES["f"])
+        x, rs = np.array([[0.5, 2.0]]), np.zeros((5, 1, 1))
+        assert fmap.step(x, rs, 0.3, 0.1, 0.01) is None
+        assert fmap.step(x[:, :1], rs, 0.3, 0.1, 0.01) is not None
+        spec = types.SimpleNamespace(f=fmap, epsilon=0.1)
+        assert _same_bits(solver._rk4(spec, x, rs, 0.3, 0.01),
+                          _numpy_rk4(fmap, x, rs, 0.3, 0.1, 0.01))
+
+    def test_a_step_of_a_flow_reading_r_reads_each_stage(self):
+        fmap = _compiled("f", ["-(x_1 - r_1)*(2 + sin(tau))", "r_1*x_2*eps"])
+        x = np.array([[0.5, -1.0], [2.0, 0.25]])
+        rs = np.arange(20.0).reshape(5, 2, 2) / 7.0
+        self._check(fmap, x, rs, 0.3, 0.05, 0.01)
+        # a stage that read r_1 of another stage would change the step
+        bumped = rs.copy()
+        bumped[2, :, 0] += 1.0
+        assert not np.array_equal(fmap.step(x, bumped, 0.3, 0.05, 0.01),
+                                  fmap.step(x, rs, 0.3, 0.05, 0.01))
+
+    def test_a_nan_output_recomputes_the_whole_step_in_numpy(self, monkeypatch):
+        # row 0 flows to a nan (0 * inf); row 1 stays finite
+        fmap = _compiled("f", ["ifge(x_1, 0.5, -x_1, (x_1*1e999) + -(x_1*1e999))", "-x_2"])
+        x, rs = np.array([[0.0, 1.0], [1.0, 1.0]]), np.zeros((5, 2, 1))
+        calls, call = [], CompiledMap.__call__
+
+        def counted(self, *args):
+            calls.append(len(args[0]))
+            return call(self, *args)
+
+        with np.errstate(invalid="ignore"):
+            assert fmap.step(x, rs, 0.3, 0.1, 0.01) is None
+            want = _numpy_rk4(fmap, x, rs, 0.3, 0.1, 0.01)
+            monkeypatch.setattr(CompiledMap, "__call__", counted)
+            got = solver._rk4(types.SimpleNamespace(f=fmap, epsilon=0.1), x, rs, 0.3, 0.01)
+        assert np.isnan(got[0, 0]) and np.isfinite(got[1]).all()
+        assert calls == [2, 2, 2, 2]  # f over the whole batch, once per stage
+        assert _same_bits(got, want)
+
+
 class TestFixedMap:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), batch=st.sampled_from([1, 64, 500]), scalar=st.booleans(),
@@ -626,7 +740,9 @@ class TestFixedMap:
             fixed = plain.fixed(tau=np.linspace(0.0, 1.0, 5), eps=0.5)
             const = next(value for name, value in fixed._fn.__globals__.items()
                          if name.startswith("_c") and np.ndim(value))
-            refs = [weakref.ref(obj) for obj in (plain, plain._fn, fixed, fixed._fn, const)]
+            assert plain.step is not None
+            refs = [weakref.ref(obj) for obj in (plain, plain._fn, plain.step, fixed, fixed._fn,
+                                                 const)]
             del plain, fixed, const
             assert [ref() for ref in refs] == [None] * len(refs)
         finally:

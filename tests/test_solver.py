@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import re
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +11,15 @@ from hypothesis import strategies as st
 
 import hybridavg as ha
 from hybridavg import solver
+from hybridavg.expressions import CompiledMap, allowed_names, compile_expressions
 from hybridavg.core import (HybridArc, JumpNoise, JumpRecord, SetDescriptor, SystemSpec,
                             TERMINAL_HORIZON_J, TERMINAL_HORIZON_T, TERMINAL_LEFT_SETS)
 from hybridavg.solver import MapEvaluationError
 
 from conftest import arcs_equal, state
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_actuator(p=0.1, T=1.0, eps=0.01):
@@ -528,6 +534,100 @@ class TestDistinctRows:
                                  r"path 2, seed 6\)$"):
             solver._simulate(spec, inits, [4, 5, 6, 7, 8], [spec.noise] * 5,
                              ha.Horizon(2.0, 10), ha.IntegratorConfig())
+
+
+def _compiled_flow(text):
+    """A compiled flow map f(x, r, tau, eps) of one state column."""
+    return CompiledMap(compile_expressions([text], allowed_names(1, 1, tau=True, eps=True)),
+                       ("x", "r", "tau", "eps"))
+
+
+def _row_limit(fmap) -> int:
+    """The largest batch fmap's fused step takes, read from its source."""
+    return int(re.search(r"_len\(x\) > (\d+)", fmap.source).group(1))
+
+
+class TestFusedStep:
+    """A compiled flow map steps a small batch through its fused RK4 step."""
+
+    @pytest.mark.parametrize("config", ["es.cfg", "actuator.cfg"])
+    def test_within_limit_batches_never_call_f(self, monkeypatch, config):
+        spec = ha.load_system(str(CONFIGS / config))
+        limit = _row_limit(spec.f)
+        batches, fused, called = [], [], []
+        rk4, step, call = solver._rk4, spec.f.step, CompiledMap.__call__
+
+        def counted_rk4(spec, x, *args):
+            batches.append(len(x))
+            return rk4(spec, x, *args)
+
+        def counted_step(x, *args):
+            out = step(x, *args)
+            fused.append(out is not None)
+            return out
+
+        def counted_call(fmap, *args):
+            if fmap is spec.f:
+                called.append(len(args[0]))
+            return call(fmap, *args)
+
+        monkeypatch.setattr(solver, "_rk4", counted_rk4)
+        monkeypatch.setattr(spec.f, "step", counted_step)
+        monkeypatch.setattr(CompiledMap, "__call__", counted_call)
+        inits = [state(x) for x in (-2.0, 2.0, 0.5)]
+        ens = ha.simulate_ensemble(spec, inits, 12, 1, ha.Horizon(3.0, 100))
+        # _rk4 runs once per step and tries the fused step first, which takes
+        # every batch within the limit; f itself sees only the larger ones,
+        # four times each
+        assert len(fused) == len(batches) and min(batches) <= limit
+        assert fused == [b <= limit for b in batches]
+        assert called == [b for b in batches if b > limit for _ in range(4)]
+        # a plain callable f takes the numpy step, with the same bits
+        plain = dataclasses.replace(spec, f=lambda *args: spec.f(*args))
+        assert all(map(arcs_equal, ha.simulate_ensemble(plain, inits, 12, 1,
+                                                        ha.Horizon(3.0, 100)), ens))
+
+    def test_rk4_runs_once_per_step_of_a_lone_path(self, monkeypatch):
+        spec = ha.load_system(str(CONFIGS / "es.cfg"))
+        rk4, calls = solver._rk4, []
+
+        def counted(*args):
+            calls.append(None)
+            return rk4(*args)
+
+        monkeypatch.setattr(solver, "_rk4", counted)
+        arc = ha.simulate_path(spec, state(2.0), 3, ha.Horizon(2.5, 10))
+        assert len(calls) == sum(len(seg.t) - 1 for seg in arc.segments) > 0
+
+    def test_a_batch_above_the_limit_takes_the_numpy_step(self):
+        spec = ha.load_system(str(CONFIGS / "es.cfg"))
+        B = _row_limit(spec.f) + 1
+        x, rs = np.linspace(-2.0, 2.0, B)[:, None], np.zeros((5, B, 1))
+        want = solver._rk4(dataclasses.replace(spec, f=lambda *args: spec.f(*args)),
+                           x, rs, 0.3, 1e-3)
+        assert spec.f.step(x, rs, 0.3, spec.epsilon, 1e-3) is None
+        assert spec.f.step(x[1:], rs[:, 1:], 0.3, spec.epsilon, 1e-3) is not None
+        got = solver._rk4(spec, x, rs, 0.3, 1e-3)
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_non_finite_compiled_f_names_its_lowest_path(self):
+        # test_a_non_finite_f_on_a_shared_row_names_its_lowest_path with a
+        # compiled f: x' = x, infinite once x passes 3; its fused step takes the
+        # group's two rows
+        f = _compiled_flow("ifge(3.0, x_1, x_1*1.0 + 0.0, x_1*1e999)")
+        assert _row_limit(f) >= 2
+        base = _r_dependent_spec(1.0, 0.0, 0.0, [], 1.0, 0.0, 0.0)
+        inits = [state(x, 0.0) for x in (1.0, 1.0, 2.5, 1.0, 2.5)]
+        messages = []
+        for fmap in (f, lambda *args: f(*args)):
+            spec = dataclasses.replace(base, f=fmap)
+            with pytest.raises(MapEvaluationError) as err:
+                solver._simulate(spec, inits, [4, 5, 6, 7, 8], [spec.noise] * 5,
+                                 ha.Horizon(2.0, 10), ha.IntegratorConfig())
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert re.fullmatch(r"map 'f' returned a non-finite value \(t=0\.18\d*; "
+                            r"path 2, seed 6\)", messages[0])
 
 
 # --- reference: the per-step loop that evaluated the aux state on every step --
