@@ -39,6 +39,68 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i = 0..n, as a (n + 1, 1) uint32 column."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# numpy.random.SeedSequence's hash constants: hashmix i of its pool mixing
+# xors with _POOL[i] and multiplies by _POOL[i + 1]; word i of generate_state
+# does so with _STATE[i] and _STATE[i + 1]
+_POOL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+# PCG64's 128-bit multiplier; seeding and the first output take two steps from
+# state 0 + inc + initstate, so the multiplier enters squared
+_MASK_128, _MASK_64 = (1 << 128) - 1, (1 << 64) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_2, _PCG_MULT_1 = _PCG_MULT * _PCG_MULT & _MASK_128, _PCG_MULT + 1
+
+#: smallest batch of seeds whose finite-support draws at one jump index are
+#: computed together (see JumpNoise.draws): per group on a 2-vCPU Xeon, that
+#: took 48-58 us at 1 seed, 61-82 us at 5 and 62-79 us at 6, against draw per
+#: seed's 16-27, 66-86 and 81-101 us
+_GROUP_DRAWS = 6
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult
+    return value ^ (value >> _SHIFT)
+
+
+def _keyed_uniforms(seeds, k: int) -> list:
+    """np.random.default_rng([s, k]).random() for each s of seeds, bit for bit.
+
+    Every seed and k must lie in [0, 2**32), so the entropy is the two words
+    [s, k].  SeedSequence's pool mixing and generate_state(4, uint64) run over
+    all seeds at once in uint32 numpy arithmetic, which wraps as its C code
+    does; PCG64's seeding, one step and its XSL-RR output follow per seed in
+    Python ints, and the double is the output's top 53 bits times 2**-53.
+    """
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = seeds, k
+    pool = _hashmix(pool, _POOL[:4], _POOL[1:5])
+    n = 4
+    for src in range(4):  # mix every pool word into each of the others, in order
+        dst = [d for d in range(4) if d != src]
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _POOL[n:n + 3],
+                                                       _POOL[n + 1:n + 4])
+        pool[dst] = mixed ^ (mixed >> _SHIFT)
+        n += 3
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE[:8], _STATE[1:9]).astype(np.uint64)
+    out = []
+    # the four little-endian uint64 words: initstate's high and low, initseq's
+    for s_hi, s_lo, q_hi, q_lo in (words[0::2] | words[1::2] << np.uint64(32)).T.tolist():
+        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK_128
+        s = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT_2 + inc * _PCG_MULT_1) & _MASK_128
+        x, rot = (s >> 64 ^ s) & _MASK_64, s >> 122
+        out.append(((x >> rot | x << (64 - rot)) & _MASK_64) >> 11)
+    return [u * (1.0 / 9007199254740992.0) for u in out]
+
+
 @dataclass(frozen=True)
 class HybridTime:
     """A point (t, j) of a hybrid time domain: elapsed time and jump count."""
@@ -149,7 +211,11 @@ class JumpNoise:
     ``sampler-only`` delegates to a user sampler with the contract that the
     same (seed, jump_index) always yields the same draw.  Draws are keyed by
     jump index, never by stream position, so refining the integrator step
-    cannot change a realized jump sequence.
+    cannot change a realized jump sequence.  A finite-support draw picks the
+    atom at np.random.default_rng([seed, jump_index]).random() on the
+    cumulative probabilities; draws gives the draws of many seeds at one jump
+    index, the solver's one call per jumping group and noise object, with the
+    same bits.
     """
 
     kind: str  # 'finite-support' | 'sampler-only'
@@ -206,6 +272,22 @@ class JumpNoise:
         if v.shape != (self.m,):
             raise ValueError(f"sampler returned shape {v.shape}, expected ({self.m},)")
         return v
+
+    def draws(self, seeds, jump_index: int) -> np.ndarray:
+        """The (B, m) stack of draw(seed, jump_index) for each seed of seeds, with its bits.
+
+        Finite-support noise draws at least _GROUP_DRAWS seeds in [0, 2**32),
+        at a jump index in [0, 2**32), in one computation of their uniforms
+        (see _keyed_uniforms), each bit-identical to
+        default_rng([seed, jump_index]).random().  Any other case calls draw
+        per seed, so it raises draw's errors (a negative seed, a sampler's shape).
+        """
+        seeds, k = [int(s) for s in seeds], int(jump_index)
+        if (self.kind != "finite-support" or len(seeds) < _GROUP_DRAWS or not 0 <= k < 2**32
+                or not 0 <= min(seeds) <= max(seeds) < 2**32):
+            return np.stack([self.draw(s, k) for s in seeds])
+        idx = np.searchsorted(self._cum, _keyed_uniforms(seeds, k), side="right")
+        return self.values[np.minimum(idx, self.values.shape[0] - 1)]
 
 
 @dataclass(frozen=True)

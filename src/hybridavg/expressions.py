@@ -17,8 +17,9 @@ row's bits do not depend on its batch or on the body; NaN signs alone differ
 between Python and numpy arithmetic, so a call with a NaN output is left to
 the vectorized body.  The same source holds, for a flow map of roles (x, r,
 tau, eps), a third function from the same table: the fused step, the solver's
-whole RK4 step of such a small batch (see CompiledMap.step), whose four
-stages run per row in Python floats with the row body's rules.  An ifge has
+whole RK4 step of a small batch (see CompiledMap.step), whose four stages run
+per row in Python floats with the row body's rules, up to a row limit of its
+own that weighs the whole step.  An ifge has
 the values of where(a >= b, then, else).
 When its condition and both branches read an array column and it sits inside
 fewer than 98 such branches, it computes each branch only for a batch in which
@@ -312,6 +313,13 @@ _MAX_BLOCKS = 98
 #: 1 to 8 rows, against 4.7 to 9.0 us vectorized
 _MAX_ROWS = 8
 
+#: array operations of solver._rk4's numpy step besides its four map calls, and
+#: the operations' worth of work a vectorized call does besides its own (its
+#: checks, column views, tau and output); on a 2-vCPU Xeon, an operation on a
+#: 12-row array took 0.7 to 1.0 us and the actuator flow's call 4.4 us
+_RK4_OPS = 12
+_CALL_OPS = 4
+
 #: the operator of each Bin and Neg node, applied to float64 numbers
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
               "neg": operator.neg}
@@ -363,14 +371,15 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None):
 
     Given ``step`` as well, a list holding the header of a function
     ``(x, rs, tau, eps, dt)``, the same table writes the fused RK4 step into
-    it, for the same row limit, when x's columns read are among the outputs'
-    (a map of n outputs steps x in R^n).  The clock subtrees the row loop
+    it, for the step's row limit (see CompiledMap), when the map has a row
+    body and x's columns read are among the outputs' (a map of n outputs
+    steps x in R^n).  The clock subtrees the row loop
     reads are computed as there, once for each of tau, tau_h and tau_f, which
     are computed as solver._rk4 computes them.  Per row, each stage's lines are
     those of the row loop, with x's columns bound to the stage state and r's
     to that stage's row of rs; then the stage states, x + half*k, x + dt*k3
     and the step's output are Python float arithmetic in _rk4's order.  The
-    step returns None for a batch the checks turn away or a NaN output.
+    step returns None for a batch the checks turn away or a non-finite output.
     """
     ids, table = {}, []  # structure -> id; id -> (node, child ids)
     reads, literal = [], []  # id -> it reads an array column; it reads no name but fixed ones
@@ -534,7 +543,8 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None):
     def step_body(limit: int) -> None:
         """The fused RK4 step, written into step: _rk4's step of x under this
         flow map for a batch of at most limit rows, each row's four stages in
-        Python floats; it returns None for any other batch or a NaN output."""
+        Python floats; it returns None for any other batch or a non-finite
+        output."""
         nonlocal lines, depth
         k = len(roots)
         xs = [j for role, j in columns.values() if role == "x"]
@@ -586,7 +596,8 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None):
                 state = {j: assign(f"_x_{j} + {scale} * {ks[-1][j - 1]}") for j in xs}
         out = [assign(f"_x_{j + 1} + _d6 * ({k1} + 2.0 * ({k2} + {k3}) + {k4})")
                for j, (k1, k2, k3, k4) in enumerate(zip(*ks))]
-        line(f"if {' or '.join(f'{y} != {y}' for y in out)}:")
+        # y - y is 0.0 for a finite y, and NaN, which is true, for an inf or a NaN
+        line(f"if {' or '.join(f'{y} - {y}' for y in out)}:")
         line("    return None")
         for y in out:
             line(f"_o.append({y})")
@@ -629,6 +640,8 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None):
             calls += 2 * steps if fn in ("sin", "cos", "pow", "min", "max") else (
                 getattr(node, "op", None) == "/")
     limit = min(_MAX_ROWS, ops // (1 + calls))
+    # the fused step's limit weighs a whole RK4 step (see CompiledMap)
+    step_limit = min(_MAX_ROWS, (4 * (ops + _CALL_OPS) + _RK4_OPS) // (4 * (1 + calls)))
     # the columns a row loop reads, as (role, index), and the subtrees of tau,
     # eps and literals it reads, computed before it
     columns = {i: (role, int(j)) for i, (node, _) in enumerate(table)
@@ -640,7 +653,7 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None):
     if rows and limit:
         row_body(limit, *rows)
         if step is not None:
-            step_body(limit)
+            step_body(step_limit)
     for root in roots:
         text = value(root, batch)[0]
         yield text, is_fresh(text)
@@ -693,10 +706,17 @@ class CompiledMap:
     runs the four stages of each row in turn, in Python floats by the row
     body's rules, computing each clock subtree once per stage time, and it
     returns a fresh (B, n) array.  It returns None, leaving the step to that
-    numpy code, for a batch above the row limit or of another shape or type,
-    and when an output is NaN.  ``step`` is None unless the roles are (x, r,
-    tau, eps), the map has a tuple of expressions, none reading a column of
-    x past their count, and it has a row body.
+    numpy code, for a batch above its row limit or of another shape or type,
+    and when an output is non-finite (a NaN, or an inf, so that the solver
+    checks only numpy steps for non-finite values).  ``step`` is None unless
+    the roles are (x, r, tau, eps), the map has a tuple of expressions, none
+    reading a column of x past their count, and it has a row body.  The step's
+    row limit, min(_MAX_ROWS, (4 * (ops + _CALL_OPS) + _RK4_OPS) // (4 * (1 +
+    calls))), weighs a whole step: the numpy step's four calls, each its ops
+    and _CALL_OPS more, and _rk4's _RK4_OPS array operations, against a fused
+    row's four rows of the map.  It is never below the map's row limit; the
+    ES flow map steps up to 8 rows fused where it takes 7 per call, and the
+    actuator's 8 where it takes 2.
     """
 
     def __init__(self, exprs, roles, bound=None):

@@ -8,8 +8,11 @@ is clipped to land exactly there.  That location is exact for an affine w;
 otherwise the step is predicted from w(r), and a step that overshoots C u D
 is clipped onto the box it left.  Jumps fire with jump priority and a draw
 keyed by (seed, jump index) from the path's own noise: the system's, unless
-an ensemble gives each path one.  The clock tau is never integrated: within
-a flow segment it is tau_anchor + (t - t_anchor)/epsilon, exact to a few ulps.
+an ensemble gives each path one.  A jumping group draws once per noise
+object among its paths (JumpNoise.draws), each path's draw bit-identical to
+its lone draw, default_rng([seed, k]).random() for finite support.  The
+clock tau is never integrated: within a flow segment it is
+tau_anchor + (t - t_anchor)/epsilon, exact to a few ulps.
 
 Paths with bitwise-equal aux rows form a lockstep group, which splits at a
 jump into sub-groups of equal post-jump r.  A group holds one x row per
@@ -131,14 +134,17 @@ def _rk4(spec: SystemSpec, x, rs, tau: float, dt: float):
     within its row limit row by row in Python floats, with the operations
     below in their order, so its bits are those of the numpy code.  Where f
     has none (a plain callable, or a map without a row body) or it returns
-    None (a larger batch, or a NaN output, whose sign Python may give
-    differently), the whole step is the numpy code: four calls of f and the
-    arithmetic over the batch.  This is the solver's one call per step.
+    None (a larger batch, or a non-finite output: a NaN, whose sign Python
+    may give differently, or an inf), the whole step is the numpy code: four
+    calls of f and the arithmetic over the batch.  This is the solver's one
+    call per step.  Returns (x2, finite): finite is True for a fused step,
+    whose outputs are all finite, and otherwise whether x2's sum is finite;
+    False sends the solver to check x2's rows.
     """
     f, eps = spec.f, spec.epsilon
     step = getattr(f, "step", None)
     if step is not None and (out := step(x, rs, tau, eps, dt)) is not None:
-        return out
+        return out, True
     half = 0.5 * dt
     tau_h = tau + half / eps
     tau_f = tau + dt / eps
@@ -146,7 +152,9 @@ def _rk4(spec: SystemSpec, x, rs, tau: float, dt: float):
     k2 = np.asarray(f(x + half * k1, rs[1], tau_h, eps), dtype=float)
     k3 = np.asarray(f(x + half * k2, rs[2], tau_h, eps), dtype=float)
     k4 = np.asarray(f(x + dt * k3, rs[3], tau_f, eps), dtype=float)
-    return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    x2 = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    # a sum of finite terms that overflows only sends the check to the rows
+    return x2, math.isfinite(x2.sum())
 
 
 def _plan_steps(spec: SystemSpec, asks, seeds) -> list:
@@ -290,6 +298,18 @@ def _store_segment(segments, paths, of, j, ts, xs, rs, taus):
         segments[i].append(shared[u])
 
 
+def _draws(noises, seeds, paths, k: int) -> np.ndarray:
+    """The jump inputs (B, m) of paths at jump index k, one JumpNoise.draws call
+    per noise object among them (fig1's nominal path has its own)."""
+    paths, parts = paths.tolist(), {}
+    for b, i in enumerate(paths):
+        parts.setdefault(id(noises[i]), []).append(b)
+    V = np.empty((len(paths), noises[paths[0]].m))
+    for rows in parts.values():
+        V[rows] = noises[paths[rows[0]]].draws([seeds[paths[b]] for b in rows], k)
+    return V
+
+
 class _Group:
     """A lockstep group: paths (ascending), x (U, n) its distinct rows, of (B,) each
     path's row of x, aux row r (1, p), t, j, tau, its step's plan key and plan, and
@@ -387,10 +407,9 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
                 rows = np.concatenate([g.plan[1] for g in members], axis=1)
             if len(X) > len(members):
                 rows = rows.repeat([len(g.x) for g in members], axis=1)
-            X2 = _rk4(spec, X, rows, g.tau, dt)
-            # the r stages were checked when the plan was made, and maps are pure;
-            # a sum of finite terms that overflows only sends the check to the rows
-            finite, o = math.isfinite(X2.sum()), 0
+            # the r stages were checked when the plan was made, and maps are pure
+            X2, finite = _rk4(spec, X, rows, g.tau, dt)
+            o = 0
             for g in members:
                 # one group keeps X2 itself: the samples would keep a view per step
                 x = X2 if len(members) == 1 else X2[o:o + len(g.x)]
@@ -414,7 +433,7 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
                 k, B = g.j + 1, len(g.paths)
                 # draws are per path, so the pre-jump rows are too
                 X = g.x[g.of]
-                V = np.stack([noises[i].draw(seeds[i], k) for i in g.paths])
+                V = _draws(noises, seeds, g.paths, k)
                 R = np.repeat(g.r, B, axis=0)
                 Xp = np.broadcast_to(np.asarray(spec.g(X, R, V), dtype=float), (B, spec.n))
                 Rp = np.broadcast_to(np.asarray(spec.h(R, V), dtype=float), (B, spec.p))

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hybridavg as ha
-from hybridavg.core import distances_to_target, grid_extreme, hybrid_time_sum
+from hybridavg.core import (_GROUP_DRAWS, _keyed_uniforms, distances_to_target,
+                            grid_extreme, hybrid_time_sum)
 
 from conftest import state
 
@@ -122,6 +123,68 @@ class TestJumpNoise:
         bad = ha.JumpNoise.from_sampler(lambda seed, k: np.array([1.0]), m=2)
         with pytest.raises(ValueError):
             bad.draw(0, 1)
+
+
+#: seeds and jump indices at and past the ends of [0, 2**32), where draws
+#: computes the uniforms together, and beyond it, where it calls draw per seed
+_KEY_EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 7]
+
+
+class TestGroupDraws:
+    """JumpNoise.draws against draw per seed, bit for bit."""
+
+    NOISE = ha.JumpNoise.finite([[0.75, 1.0], [-0.75, 2.0], [0.25, -3.0]], [0.2, 0.5, 0.3])
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.sampled_from(_KEY_EDGES[:3])),
+                          min_size=1, max_size=2 * _GROUP_DRAWS + 2),
+           k=st.one_of(st.integers(0, 2**32 - 1), st.sampled_from(_KEY_EDGES)),
+           beyond=st.one_of(st.none(), st.sampled_from(_KEY_EDGES[3:])))
+    @example(seeds=[2**32 - 1] * _GROUP_DRAWS, k=2**32 - 1, beyond=None)
+    @example(seeds=[0] * _GROUP_DRAWS, k=0, beyond=None)
+    @example(seeds=[0] * _GROUP_DRAWS, k=2**32, beyond=None)
+    @example(seeds=list(range(_GROUP_DRAWS)), k=3, beyond=2**32)
+    def test_draws_match_draw_per_seed(self, seeds, k, beyond):
+        seeds = seeds + ([] if beyond is None else [beyond])
+        want = np.stack([self.NOISE.draw(s, k) for s in seeds])
+        got = self.NOISE.draws(seeds, k)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if k < 2**32 and beyond is None:
+            # the uniforms computed together, at any group size
+            assert _keyed_uniforms(seeds, k) == [np.random.default_rng([s, k]).random()
+                                                 for s in seeds]
+
+    def test_keyed_uniforms_match_default_rng(self):
+        rng = np.random.default_rng(5)
+        pairs = [(s, 1) for s in range(300)] + [tuple(map(int, rng.integers(0, 2**32, 2)))
+                                                for _ in range(500)]
+        for s, k in pairs:
+            assert _keyed_uniforms([s], k) == [np.random.default_rng([s, k]).random()]
+        seeds = [s for s, _ in pairs[300:]]
+        assert _keyed_uniforms(seeds, 17) == [np.random.default_rng([s, 17]).random()
+                                              for s in seeds]
+
+    @pytest.mark.parametrize("seed, k", [(-1, 3), (5, -2)], ids=["negative-seed", "negative-k"])
+    def test_a_negative_key_raises_draws_error(self, seed, k):
+        seeds = list(range(2 * _GROUP_DRAWS)) + [seed]
+        with pytest.raises(ValueError) as want:
+            self.NOISE.draw(seed, k)
+        with pytest.raises(ValueError) as got:
+            self.NOISE.draws(seeds, k)
+        assert str(got.value) == str(want.value)
+
+    def test_sampler_noise_draws_per_seed(self):
+        calls = []
+
+        def sampler(seed, k):
+            calls.append((seed, k))
+            return np.array([seed / 7.0, k])
+
+        noise = ha.JumpNoise.from_sampler(sampler, 2)
+        seeds = list(range(3, 3 + 2 * _GROUP_DRAWS))
+        got = noise.draws(seeds, 4)
+        assert calls == [(s, 4) for s in seeds]
+        assert got.tobytes() == np.stack([[s / 7.0, 4.0] for s in seeds]).tobytes()
 
 
 class TestStateVec:

@@ -529,6 +529,14 @@ class TestGeneratedCode:
         with pytest.raises(ValueError, match="roles"):
             CompiledMap((Num(1.0),), roles)
 
+    @pytest.mark.parametrize("exprs", [
+        (Bin("^", Var("x_1"), Num(2.0)),), 3.0, (Neg(object()),), (Call("exp", (Var("x_1"),)),),
+    ], ids=["unknown-operator", "bare-float", "object", "unknown-function"])
+    def test_a_hand_built_non_node_fails_when_the_map_is_built(self, exprs):
+        # the parser makes no such node; a tree built by hand is checked all the same
+        with pytest.raises(ValueError, match="^not an expression node: "):
+            CompiledMap(exprs, ("x",))
+
     def test_literals_are_bound_not_spliced(self):
         exprs = compile_expressions(["1e999 - x_1", "-1e999"], allowed_names(n=2))
         fmap = CompiledMap(exprs, ("x",))
@@ -588,7 +596,7 @@ def _row_limit(fmap) -> int:
 def _numpy_rk4(fmap, x, rs, tau, eps, dt):
     """_rk4's numpy step: a plain callable f has no fused step."""
     return solver._rk4(types.SimpleNamespace(f=lambda *args: fmap(*args), epsilon=eps),
-                       x, rs, tau, dt)
+                       x, rs, tau, dt)[0]
 
 
 #: values a row may hold besides normal draws
@@ -602,10 +610,12 @@ class TestFusedStep:
         with np.errstate(all="ignore"):  # a quotient of numbers such as 1/tau is inf
             want = _numpy_rk4(fmap, x, rs, tau, eps, dt)
             fused = fmap.step(x, rs, tau, eps, dt)
-            got = solver._rk4(types.SimpleNamespace(f=fmap, epsilon=eps), x, rs, tau, dt)
+            got, finite = solver._rk4(types.SimpleNamespace(f=fmap, epsilon=eps), x, rs, tau, dt)
         assert _same_bits(got, want)
-        # a batch above the row limit, or a NaN output, is left to the numpy step
-        assert (fused is None) == (len(x) > _row_limit(fmap) or bool(np.isnan(want).any()))
+        # a batch above the row limit, or a non-finite output, is left to the
+        # numpy step, which sums its output to check it
+        assert (fused is None) == (len(x) > _row_limit(fmap) or not np.isfinite(want).all())
+        assert finite == (fused is not None or bool(np.isfinite(want.sum())))
         if fused is not None:
             assert _same_bits(fused, want)
 
@@ -642,7 +652,7 @@ class TestFusedStep:
 
     def test_only_flow_maps_with_a_row_body_have_a_step(self):
         es = ha.load_system(str(CONFIGS / "es.cfg"))
-        assert es.f.step is not None and _row_limit(es.f) == 7
+        assert es.f.step is not None and _row_limit(es.f) == 8
         assert es.w.step is es.g.step is es.h.step is None
         assert es.f.fixed(tau=0.5, eps=0.1).step is None
         # no row body; x_2 read by a map of one output, so x has one column
@@ -657,8 +667,35 @@ class TestFusedStep:
         assert fmap.step(x, rs, 0.3, 0.1, 0.01) is None
         assert fmap.step(x[:, :1], rs, 0.3, 0.1, 0.01) is not None
         spec = types.SimpleNamespace(f=fmap, epsilon=0.1)
-        assert _same_bits(solver._rk4(spec, x, rs, 0.3, 0.01),
+        assert _same_bits(solver._rk4(spec, x, rs, 0.3, 0.01)[0],
                           _numpy_rk4(fmap, x, rs, 0.3, 0.1, 0.01))
+
+    @pytest.mark.parametrize("rows", range(1, 9))
+    def test_the_actuator_steps_up_to_eight_rows_without_calling_f(self, monkeypatch, rows):
+        # the step's limit weighs a whole RK4 step: four map calls and _rk4's
+        # arithmetic against four rows of the map per row
+        spec = ha.load_system(str(CONFIGS / "actuator.cfg"))
+        assert _row_limit(spec.f) == _MAX_ROWS == 8
+        x, rs = np.linspace(-2.0, 2.0, rows)[:, None], np.zeros((5, rows, 1))
+        want = _numpy_rk4(spec.f, x, rs, 0.3, spec.epsilon, 1e-3)
+        calls, call = [], CompiledMap.__call__
+
+        def counted(self, *args):
+            calls.append(len(args[0]))
+            return call(self, *args)
+
+        monkeypatch.setattr(CompiledMap, "__call__", counted)
+        got, finite = solver._rk4(spec, x, rs, 0.3, 1e-3)
+        assert calls == [] and finite and _same_bits(got, want)
+
+    def test_an_infinite_output_recomputes_the_whole_step_in_numpy(self):
+        # row 1 passes x = 3 within the step and turns infinite; row 0 stays finite
+        fmap = _compiled("f", ["ifge(3.0, x_1, x_1, x_1*1e999)", "-x_2"])
+        x, rs = np.array([[1.0, 1.0], [2.9999, 1.0]]), np.zeros((5, 2, 1))
+        assert fmap.step(x, rs, 0.3, 0.1, 0.5) is None
+        got, finite = solver._rk4(types.SimpleNamespace(f=fmap, epsilon=0.1), x, rs, 0.3, 0.5)
+        assert not finite and np.isinf(got[1, 0]) and np.isfinite(got[0]).all()
+        assert _same_bits(got, _numpy_rk4(fmap, x, rs, 0.3, 0.1, 0.5))
 
     def test_a_step_of_a_flow_reading_r_reads_each_stage(self):
         fmap = _compiled("f", ["-(x_1 - r_1)*(2 + sin(tau))", "r_1*x_2*eps"])
@@ -685,7 +722,7 @@ class TestFusedStep:
             assert fmap.step(x, rs, 0.3, 0.1, 0.01) is None
             want = _numpy_rk4(fmap, x, rs, 0.3, 0.1, 0.01)
             monkeypatch.setattr(CompiledMap, "__call__", counted)
-            got = solver._rk4(types.SimpleNamespace(f=fmap, epsilon=0.1), x, rs, 0.3, 0.01)
+            got = solver._rk4(types.SimpleNamespace(f=fmap, epsilon=0.1), x, rs, 0.3, 0.01)[0]
         assert np.isnan(got[0, 0]) and np.isfinite(got[1]).all()
         assert calls == [2, 2, 2, 2]  # f over the whole batch, once per stage
         assert _same_bits(got, want)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hybridavg as ha
-from hybridavg import solver
+from hybridavg import core, solver
 from hybridavg.expressions import CompiledMap, allowed_names, compile_expressions
 from hybridavg.core import (HybridArc, JumpNoise, JumpRecord, SetDescriptor, SystemSpec,
                             TERMINAL_HORIZON_J, TERMINAL_HORIZON_T, TERMINAL_LEFT_SETS)
@@ -603,11 +603,11 @@ class TestFusedStep:
         spec = ha.load_system(str(CONFIGS / "es.cfg"))
         B = _row_limit(spec.f) + 1
         x, rs = np.linspace(-2.0, 2.0, B)[:, None], np.zeros((5, B, 1))
-        want = solver._rk4(dataclasses.replace(spec, f=lambda *args: spec.f(*args)),
-                           x, rs, 0.3, 1e-3)
+        want, _ = solver._rk4(dataclasses.replace(spec, f=lambda *args: spec.f(*args)),
+                              x, rs, 0.3, 1e-3)
         assert spec.f.step(x, rs, 0.3, spec.epsilon, 1e-3) is None
         assert spec.f.step(x[1:], rs[:, 1:], 0.3, spec.epsilon, 1e-3) is not None
-        got = solver._rk4(spec, x, rs, 0.3, 1e-3)
+        got, _ = solver._rk4(spec, x, rs, 0.3, 1e-3)
         assert got.tobytes() == want.tobytes()
 
     def test_a_non_finite_compiled_f_names_its_lowest_path(self):
@@ -628,6 +628,70 @@ class TestFusedStep:
         assert messages[0] == messages[1]
         assert re.fullmatch(r"map 'f' returned a non-finite value \(t=0\.18\d*; "
                             r"path 2, seed 6\)", messages[0])
+
+
+class TestGroupDraws:
+    """A jumping group draws once per noise object among its paths (JumpNoise.draws)."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        x0s=st.lists(st.sampled_from([-2.0, 0.5, 1.0, 2.5]), min_size=1, max_size=3),
+        n_paths=st.integers(core._GROUP_DRAWS - 2, 2 * core._GROUP_DRAWS + 2),
+        below=st.integers(0, 3 * core._GROUP_DRAWS),
+        own=st.one_of(st.none(), st.integers(0, 40)),
+        blow_up=st.booleans(),
+    )
+    @example(x0s=[1.0, 2.5], n_paths=2 * core._GROUP_DRAWS, below=core._GROUP_DRAWS,
+             own=None, blow_up=True)
+    def test_members_match_lone_paths_and_per_path_draws(self, x0s, n_paths, below, own,
+                                                        blow_up):
+        # seeds 2**32 - below ...: all below 2**32, straddling it, or all above;
+        # a flow that turns infinite past x = 3 leaves the fused step to the numpy one
+        text = "ifge(3.0, x_1, x_1*(1 + sin(tau)), x_1*1e999)" if blow_up \
+            else "-x_1*(1 + sin(tau))"
+        spec = dataclasses.replace(make_actuator(p=0.5, eps=0.1), f=_compiled_flow(text))
+        inits = [state(x) for x in x0s]
+        horizon, seed_base = ha.Horizon(2.5, 10), 2**32 - below
+        if own is None or blow_up:
+            # against the reference runner, which draws per path, error text included
+            starts = [inits[i % len(inits)] for i in range(n_paths)]
+            arcs = _assert_same_outcome(spec, starts,
+                                        list(range(seed_base, seed_base + n_paths)), horizon)
+            # x0 = 2.5 passes 3 at t ~ 0.18, before the first jump
+            assert arcs is not None or blow_up
+            assert arcs is None or not (blow_up and 2.5 in x0s)
+            return
+        # one path draws from its own noise, as fig1's nominal path does
+        noises = [spec.noise] * n_paths
+        noises[own % n_paths] = JumpNoise.finite([[0.25], [-0.5]], [0.5, 0.5])
+        ens = ha.simulate_ensemble(spec, inits, n_paths, seed_base, horizon, noises=noises)
+        for i, arc in enumerate(ens):
+            solo = ha.simulate_path(dataclasses.replace(spec, noise=noises[i]),
+                                    inits[i % len(inits)], seed_base + i, horizon)
+            assert arcs_equal(arc, solo)
+
+    @pytest.mark.parametrize("seed_base, together", [(7, [19] * 2), (2**32 - 10, [])],
+                             ids=["below-2**32", "straddling-2**32"])
+    def test_only_a_large_part_in_range_draws_together(self, monkeypatch, seed_base, together):
+        # one group of 20 paths jumps twice by t = 2.5; path 3 has its own noise
+        keyed, sizes = core._keyed_uniforms, []
+
+        def counted(seeds, k):
+            sizes.append(len(seeds))
+            return keyed(seeds, k)
+
+        monkeypatch.setattr(core, "_keyed_uniforms", counted)
+        spec = make_actuator(p=0.5, eps=0.1)
+        noises = [spec.noise] * 20
+        noises[3] = JumpNoise.finite([[0.25], [-0.5]], [0.5, 0.5])
+        ens = ha.simulate_ensemble(spec, [state(2.0)], 20, seed_base, ha.Horizon(2.5, 10),
+                                   noises=noises)
+        assert [len(arc.jumps) for arc in ens] == [2] * 20
+        assert sizes == together
+        for i in (0, 3, 19):
+            solo = ha.simulate_path(dataclasses.replace(spec, noise=noises[i]), state(2.0),
+                                    seed_base + i, ha.Horizon(2.5, 10))
+            assert arcs_equal(ens[i], solo)
 
 
 # --- reference: the per-step loop that evaluated the aux state on every step --
