@@ -362,11 +362,11 @@ def cmd_fig1(doc, spec):
 
     def strided(seg_attr, arc):
         ts, ys = [], []
-        for seg in arc.segments:
-            ts.extend(seg.t[::stride])
-            ys.extend(getattr(seg, seg_attr)[::stride, 0])
-            ts.append(seg.t[-1])
-            ys.append(getattr(seg, seg_attr)[-1, 0])
+        for seg in arc.segments:  # Python floats: svgplot scales each point
+            ts.extend(seg.t[::stride].tolist())
+            ys.extend(getattr(seg, seg_attr)[::stride, 0].tolist())
+            ts.append(seg.t[-1].item())
+            ys.append(getattr(seg, seg_attr)[-1, 0].item())
         return ts, ys
 
     main_panel = Panel("sample paths under periodic random jamming", "t", "x")

@@ -19,7 +19,9 @@ the vectorized body.  The same source holds, for a flow map of roles (x, r,
 tau, eps), a third function from the same table: the fused step, the solver's
 whole RK4 step of a small batch (see CompiledMap.step), whose four stages run
 per row in Python floats with the row body's rules, up to a row limit of its
-own that weighs the whole step.  An ifge has
+own that weighs the whole step; and, for an aux flow map of roles (r,), the
+map on one row of Python floats by the same rules, with which the solver's
+plan computes w's RK4 stages (see CompiledMap.row).  An ifge has
 the values of where(a >= b, then, else).
 When its condition and both branches read an array column and it sits inside
 fewer than 98 such branches, it computes each branch only for a batch in which
@@ -337,7 +339,7 @@ class _Rows(dict):
     """Names of subtrees in a loop over rows, which computes them in Python floats."""
 
 
-def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None):
+def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None, row=None):
     """Yield (text, whether it is a fresh array) of each tree's value over the
     batch, once the lines it reads are appended.
 
@@ -380,6 +382,14 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None):
     to that stage's row of rs; then the stage states, x + half*k, x + dt*k3
     and the step's output are Python float arithmetic in _rk4's order.  The
     step returns None for a batch the checks turn away or a non-finite output.
+    One row of rs serves every row of x, by reference.
+
+    Given ``rows`` and ``row``, a list holding the header of a function of the
+    first array role alone, the same table writes into it the map on one row
+    of Python floats, whatever the row limit: each column read is an item of
+    the argument, the lines are those of the row loop, and it returns the list
+    of the outputs, whatever their values.  It is written for a map that reads
+    no tau or eps but fixed ones, so it has no clock subtree.
     """
     ids, table = {}, []  # structure -> id; id -> (node, child ids)
     reads, literal = [], []  # id -> it reads an array column; it reads no name but fixed ones
@@ -555,7 +565,7 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None):
                   f"_len(x) > {limit}", f"x.shape[1] != {k}"]
         if rs:
             checks += ["rs.__class__ is not _ndarray", "rs.dtype is not _float64",
-                       "rs.ndim != 3", "_len(rs) < 4", "rs.shape[1] != _len(x)",
+                       "rs.ndim != 3", "_len(rs) < 4", "rs.shape[1] not in (1, _len(x))",
                        f"rs.shape[2] < {max(rs)}"]
         scalars = {node.name: i for i, (node, _) in enumerate(table) if isinstance(node, Var)
                    and node.name in _SCALAR_ROLES}
@@ -581,6 +591,8 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None):
         head = f"({', '.join(f'_x_{j}' for j in range(1, k + 1))},)"
         if rs:
             line("_R = rs.tolist()")
+            line("if rs.shape[1] != _len(x):")  # one group's stages, shared by its rows
+            line("    _R = [_s * _len(x) for _s in _R[:4]]")
             line(f"for {head}, _q0, _q1, _q2, _q3 in _zip(x.tolist(), _R[0], _R[1], _R[2], _R[3]):")
         else:
             line(f"for {head} in x.tolist():")
@@ -605,6 +617,17 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None):
         line("_v = _array(_o)")
         line(f"_v.shape = (_len(x), {k})")
         line("return _v")
+        lines = main
+
+    def row_function() -> None:
+        """The map on one row of floats, written into row."""
+        nonlocal lines
+        main, lines = lines, row
+        names = _Rows()
+        for i, (role, j) in columns.items():
+            names[i] = f"_{role}_{j}"
+            line(f"_{role}_{j} = {role}[{j - 1}]")
+        line(f"return [{', '.join(value(root, names)[0] for root in roots)}]")
         lines = main
 
     roots = [intern(expr) for expr in exprs]
@@ -654,12 +677,14 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None):
         row_body(limit, *rows)
         if step is not None:
             step_body(step_limit)
+    if rows and row is not None:
+        row_function()
     for root in roots:
         text = value(root, batch)[0]
         yield text, is_fresh(text)
     # the recursive closures hold each other, consts and fixed in a reference
     # cycle, which only the cyclic collector would free
-    intern = fold = value = branches = row_body = step_body = None
+    intern = fold = value = branches = row_body = step_body = row_function = None
 
 
 class CompiledMap:
@@ -716,7 +741,17 @@ class CompiledMap:
     and _CALL_OPS more, and _rk4's _RK4_OPS array operations, against a fused
     row's four rows of the map.  It is never below the map's row limit; the
     ES flow map steps up to 8 rows fused where it takes 7 per call, and the
-    actuator's 8 where it takes 2.
+    actuator's 8 where it takes 2.  rs may hold one row, shared by every row
+    of x; the step reads it for each row without copying it.
+
+    ``row`` is the map on one row of Python floats: row(r), for a sequence r
+    of the p floats of one aux row, returns the list of the outputs, which
+    solver._plan_steps takes as w's value in its RK4 stages.  Its lines come
+    from the same table by the row body's rules, whatever the row limit, so a
+    map of literals alone such as the timer's 1.0, which has no row body, has
+    one too.  It has no NaN check: an output may be a NaN of either sign, and
+    the plan rejects any non-finite value.  ``row`` is None unless the roles
+    are (r,) and the map has a tuple of expressions.
     """
 
     def __init__(self, exprs, roles, bound=None):
@@ -763,7 +798,8 @@ class CompiledMap:
         consts = []
         step = (["def _step(x, rs, tau, eps, dt):"]
                 if self.roles == ("x", "r", "tau", "eps") and not scalar else None)
-        values = _emit(exprs, lines, consts, self.bound, rows, step)
+        row = ["def _row(r):"] if self.roles == ("r",) and not scalar else None
+        values = _emit(exprs, lines, consts, self.bound, rows, step, row)
         shape = batch if scalar else f"(*{batch}, {len(exprs)})"
         if len(exprs) == 1:
             ((v, fresh),) = values
@@ -779,8 +815,9 @@ class CompiledMap:
                 lines.append(f"_out = _empty({shape})")
             lines.append(f"_out[{'...' if scalar else f'..., {k}'}] = {value}")
         self.source = "\n    ".join(lines + ["return _out"]) + "\n"
-        if step and len(step) > 1:
-            self.source += "\n" + "\n    ".join(step) + "\n"
+        for fn in (step, row):
+            if fn and len(fn) > 1:
+                self.source += "\n" + "\n    ".join(fn) + "\n"
         scope = {"__builtins__": {}, "__name__": __name__, "_ndarray": np.ndarray,
                  "_float64": np.dtype(np.float64), "_asarray": np.asarray,
                  "_atleast_2d": np.atleast_2d, "_empty": np.empty, "_as_float64": np.float64,
@@ -791,6 +828,7 @@ class CompiledMap:
         exec(_compile(self.source, f"<CompiledMap {self.roles}>", "exec"), scope)
         # left in scope, their own globals, they would be a reference cycle
         self._fn, self.step = scope.pop("_map"), scope.pop("_step", None)
+        self.row = scope.pop("_row", None)
 
     def __call__(self, *args):
         return self._fn(*args)

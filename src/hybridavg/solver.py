@@ -21,7 +21,8 @@ each jump), and maps each path to its row; f, the RK4 arithmetic and the
 stored samples work on those rows, and a jump expands them per path for its
 per-path draws.  The run advances in waves, each moving every live group one
 step; flowing groups whose step has the same (tau, dt) bits share one stacked
-RK4 step, so maps always see a scalar tau.  A compiled f computes such a
+RK4 step, so maps always see a scalar tau, and a group stepping alone passes
+its one row of r stages for all of its x rows.  A compiled f computes such a
 step's few rows whole, one row at a time in Python floats, in its fused RK4
 step (see _rk4 and expressions.CompiledMap), not in numpy calls over the
 stack.  Maps act elementwise across the
@@ -32,8 +33,11 @@ each path alone.
 w and the sets C, D involve r alone, so a step's outcome (a jump, the
 horizon, leaving C u D, a snap onto D, or a flow step with its dt and r
 stages) depends only on r's bits and the step cap: it is planned once per
-distinct (r, cap) and memoized for the run.  This relies on maps being pure:
-a map must return the same bits for the same arguments every time it is called.
+distinct (r, cap) and memoized for the run.  A wave's new steps are planned
+together; a compiled w plans a few of them one row at a time in Python
+floats, through its function of one row (see _plan_steps).  This relies on
+maps being pure: a map must return the same bits for the same arguments every
+time it is called.
 """
 
 from __future__ import annotations
@@ -128,23 +132,27 @@ def _check_finite(map_name: str, parts, seeds):
 
 
 def _rk4(spec: SystemSpec, x, rs, tau: float, dt: float):
-    """One classical 4th-order step of x under f, given the r stages rs[0:4], each (B, p).
+    """One classical 4th-order step of x under f, given the r stages rs[0:4], each
+    (B, p), or (1, p) for one row of stages shared by every row of x.
 
     A compiled f's fused step (expressions.CompiledMap.step) computes a batch
     within its row limit row by row in Python floats, with the operations
     below in their order, so its bits are those of the numpy code.  Where f
     has none (a plain callable, or a map without a row body) or it returns
     None (a larger batch, or a non-finite output: a NaN, whose sign Python
-    may give differently, or an inf), the whole step is the numpy code: four
-    calls of f and the arithmetic over the batch.  This is the solver's one
-    call per step.  Returns (x2, finite): finite is True for a fused step,
-    whose outputs are all finite, and otherwise whether x2's sum is finite;
-    False sends the solver to check x2's rows.
+    may give differently, or an inf), the whole step is the numpy code: a
+    shared row of stages repeated to B rows, so f sees equal batch lengths,
+    then four calls of f and the arithmetic over the batch.  This is the
+    solver's one call per step.  Returns (x2, finite): finite is True for a
+    fused step, whose outputs are all finite, and otherwise whether x2's sum
+    is finite; False sends the solver to check x2's rows.
     """
     f, eps = spec.f, spec.epsilon
     step = getattr(f, "step", None)
     if step is not None and (out := step(x, rs, tau, eps, dt)) is not None:
         return out, True
+    if rs.shape[1] != len(x):  # one group's r stages, shared by its rows
+        rs = rs.repeat(len(x), axis=1)
     half = 0.5 * dt
     tau_h = tau + half / eps
     tau_f = tau + dt / eps
@@ -157,6 +165,14 @@ def _rk4(spec: SystemSpec, x, rs, tau: float, dt: float):
     return x2, math.isfinite(x2.sum())
 
 
+#: most flowing rows a plan steps in Python floats through a compiled w's row
+#: function (see _plan_steps); per call on a 2-vCPU Xeon, es.cfg's timer took
+#: 13.7-14.1 us at 1 row against 22.4-24.5 us in numpy, was faster in 2 of 3
+#: runs at 5 rows and slower in 2 of 3 at 6, and took 3-7% longer at 7 and 8
+#: rows (BENCH_38.json)
+_PLAN_ROWS = 5
+
+
 def _plan_steps(spec: SystemSpec, asks, seeds) -> list:
     """Outcomes of a wave's unplanned steps, one per ask (group, step cap).
 
@@ -164,9 +180,14 @@ def _plan_steps(spec: SystemSpec, asks, seeds) -> list:
     boundary it lies on, or a flow step (dt, rows, r_next): rows (5, 1, p)
     stacks RK4's four r stages and r_next, the next r (1, p), snapped onto its
     box when an event clipped the step, or onto the box of the run it leaves
-    when an unclipped step overshot C u D.  Membership and _events decide each
-    row on Python floats; w is called once per RK4 stage over the flowing rows,
-    with an (M, 1) column of their dts, or one float when shared (the same bits).
+    when an unclipped step overshot C u D.  All plans of a call view one
+    (5, M, p) array.  Membership and _events decide each row on Python floats.
+    A compiled w (expressions.CompiledMap.row) planning at most _PLAN_ROWS
+    flowing rows computes each row's stages in Python floats too, one row of w
+    at a time, with the operations below in their order, so its bits are
+    those of the numpy code.  Otherwise w is called once per RK4 stage over
+    the flowing rows, with an (M, 1) column of their dts, or one float when
+    shared (the same bits).  Either way every k1 is checked before any r_next.
     """
     def check(values, g):  # asks come by lowest path, so the first row to fail names it
         if not all(map(math.isfinite, values)):
@@ -187,11 +208,16 @@ def _plan_steps(spec: SystemSpec, asks, seeds) -> list:
             flowing.append((m, r_vals))
     if not flowing:
         return plans
-    R = asks[flowing[0][0]][0].r if len(flowing) == 1 else np.array([r for _, r in flowing])
-    K1 = np.asarray(spec.w(R), dtype=float)
-    K1 = K1 if K1.shape == R.shape else np.broadcast_to(K1, R.shape)  # a broadcastable w
+    row = getattr(spec.w, "row", None) if len(flowing) <= _PLAN_ROWS else None
+    if row is None:
+        R = asks[flowing[0][0]][0].r if len(flowing) == 1 else np.array([r for _, r in flowing])
+        K1 = np.asarray(spec.w(R), dtype=float)
+        K1 = K1 if K1.shape == R.shape else np.broadcast_to(K1, R.shape)  # a broadcastable w
+        k1s = K1.tolist()
+    else:
+        k1s = [row(r_vals) for _, r_vals in flowing]
     steps = []
-    for q, ((m, r_vals), k1) in enumerate(zip(flowing, K1.tolist())):
+    for q, ((m, r_vals), k1) in enumerate(zip(flowing, k1s)):
         g, cap = asks[m]
         check(k1, g)
         leave, entry = _events(r_vals, k1, spec, cap)
@@ -209,27 +235,49 @@ def _plan_steps(spec: SystemSpec, asks, seeds) -> list:
             steps.append((q, m, dt, box, leave[1]))
     if not steps:
         return plans
-    if len(steps) < len(flowing):
-        R, K1 = R[[q for q, *_ in steps]], K1[[q for q, *_ in steps]]
-    dts = [dt for _, _, dt, *_ in steps]
-    dt = dts[0] if dts.count(dts[0]) == len(dts) else np.array(dts)[:, None]
-    half = 0.5 * dt
-    R2 = R + half * K1
-    K2 = np.asarray(spec.w(R2), dtype=float)
-    R3 = R + half * K2
-    K3 = np.asarray(spec.w(R3), dtype=float)
-    R4 = R + dt * K3
-    K4 = np.asarray(spec.w(R4), dtype=float)
-    R_next = R + (dt / 6.0) * (K1 + 2.0 * (K2 + K3) + K4)
-    rows, M = np.concatenate((R, R2, R3, R4, R_next)), len(steps)
-    for q, ((_, m, dt, box, leave_box), r_vals) in enumerate(zip(steps, R_next.tolist())):
+    M = len(steps)
+    if row is None:
+        if M < len(flowing):
+            R, K1 = R[[q for q, *_ in steps]], K1[[q for q, *_ in steps]]
+        dts = [dt for _, _, dt, *_ in steps]
+        dt = dts[0] if dts.count(dts[0]) == M else np.array(dts)[:, None]
+        half = 0.5 * dt
+        R2 = R + half * K1
+        K2 = np.asarray(spec.w(R2), dtype=float)
+        R3 = R + half * K2
+        K3 = np.asarray(spec.w(R3), dtype=float)
+        R4 = R + dt * K3
+        K4 = np.asarray(spec.w(R4), dtype=float)
+        R_next = R + (dt / 6.0) * (K1 + 2.0 * (K2 + K3) + K4)
+        rows = np.concatenate((R, R2, R3, R4, R_next)).reshape(5, M, -1)
+        nexts = R_next.tolist()
+    else:
+        # each stage's rows end to end: one flat list makes the array fastest
+        R, R2, R3, R4, R_next, nexts = [], [], [], [], [], []
+        for q, _, dt, *_ in steps:
+            r, k1, half, d6 = flowing[q][1], k1s[q], 0.5 * dt, dt / 6.0
+            r2 = [a + half * k for a, k in zip(r, k1)]
+            k2 = row(r2)
+            r3 = [a + half * k for a, k in zip(r, k2)]
+            k3 = row(r3)
+            r4 = [a + dt * k for a, k in zip(r, k3)]
+            k4 = row(r4)
+            r_next = [a + d6 * (b + 2.0 * (c + d) + e) for a, b, c, d, e in zip(r, k1, k2, k3, k4)]
+            R += r
+            R2 += r2
+            R3 += r3
+            R4 += r4
+            R_next += r_next
+            nexts.append(r_next)
+        rows = np.array(R + R2 + R3 + R4 + R_next).reshape(5, M, -1)
+    for q, ((_, m, dt, box, leave_box), r_vals) in enumerate(zip(steps, nexts)):
         # r_next is non-finite whenever a k is: every k enters it with a positive weight
         check(r_vals, asks[m][0])
         if box is None and not spec.flow_or_jump_set.contains(r_vals):
             box = leave_box  # a nonlinear w carried r past the exit _events predicted
         if box is not None:
-            rows[4 * M + q] = np.clip(R_next[q], *box)
-        plans[m] = (dt, rows[q::M, None], rows[4 * M + q:4 * M + q + 1])
+            rows[4, q] = np.clip(rows[4, q], *box)
+        plans[m] = (dt, rows[:, q:q + 1], rows[4, q:q + 1])
     return plans
 
 
@@ -339,7 +387,8 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
     distinct x row share one segment object.  Each wave moves every live group
     one step: a flow step, a snap onto D, a jump, or the end of its paths.  A
     (tau, dt) cohort stacks its groups' distinct x rows into one RK4 step,
-    each group's r stages repeated over its rows, with a scalar tau.  Every
+    each group's r stages repeated over its rows, with a scalar tau; a cohort
+    of one group passes its one row of r stages as it is.  Every
     outcome comes from one plan memo keyed by (r's bits, step cap) and shared
     by all groups of the run; _plan_steps fills a wave's misses together.
 
@@ -405,8 +454,8 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
             if len(members) > 1:
                 X = np.concatenate([g.x for g in members])
                 rows = np.concatenate([g.plan[1] for g in members], axis=1)
-            if len(X) > len(members):
-                rows = rows.repeat([len(g.x) for g in members], axis=1)
+                if len(X) > len(members):
+                    rows = rows.repeat([len(g.x) for g in members], axis=1)
             # the r stages were checked when the plan was made, and maps are pure
             X2, finite = _rk4(spec, X, rows, g.tau, dt)
             o = 0

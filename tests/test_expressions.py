@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import arcs_equal, state
+
 import hybridavg as ha
 from hybridavg import solver
 from hybridavg.expressions import (
@@ -602,6 +604,28 @@ def _numpy_rk4(fmap, x, rs, tau, eps, dt):
 #: values a row may hold besides normal draws
 _SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan]
 
+#: a flow reading r under an affine timer w that is not constant, so each RK4
+#: stage has its own r; every jump resets r to 0
+R_FLOW_CONFIG = """\
+[system]
+kind = custom
+state_dim = 1
+aux_dim = 1
+noise_dim = 1
+epsilon = 0.1
+flow_x = -(x_1 - r_1)*(1.0 + sin(tau))
+flow_r = 1.0 + 0.5*r_1
+jump_x = (0.75 + v)*x_1
+jump_r = 0.0
+flow_set = box 0.0 1.0
+jump_set = point 1.0
+
+[noise]
+kind = finite
+values = 0.75; -0.75
+probs = 0.5 0.5
+"""
+
 
 class TestFusedStep:
     """A flow map's fused RK4 step against _rk4's numpy step, bit for bit."""
@@ -708,6 +732,60 @@ class TestFusedStep:
         assert not np.array_equal(fmap.step(x, bumped, 0.3, 0.05, 0.01),
                                   fmap.step(x, rs, 0.3, 0.05, 0.01))
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), batch=st.sampled_from([1, 2, 3, 5, 9]),
+           tau=st.sampled_from([0.0, 0.7]), dt=st.sampled_from([1e-3, 0.5]))
+    def test_one_row_of_r_stages_serves_every_row(self, data, batch, tau, dt):
+        # a lone group passes its r stages as one row for all of its x rows
+        trees = data.draw(st.lists(_trees(_names(ROLES["f"])), min_size=2, max_size=2))
+        fmap = CompiledMap((Bin("*", trees[0], Var("r_1")), trees[1]), ROLES["f"])
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, DIMS["x"]))
+        one = rng.normal(size=(5, 1, DIMS["r"]))
+        many = one.repeat(batch, axis=1)
+        spec = types.SimpleNamespace(f=fmap, epsilon=0.1)
+        with np.errstate(all="ignore"):
+            got, finite = solver._rk4(spec, x, one, tau, dt)
+            want, want_finite = solver._rk4(spec, x, many, tau, dt)
+            assert _same_bits(got, want) and finite == want_finite
+            # a plain callable f sees r stages of x's batch length
+
+            def plain(x, r, tau, eps):
+                assert r.shape == (len(x), DIMS["r"])
+                return fmap(x, r, tau, eps)
+
+            plain_spec = types.SimpleNamespace(f=plain, epsilon=0.1)
+            assert _same_bits(solver._rk4(plain_spec, x, one, tau, dt)[0], want)
+            if fmap.step is not None:
+                fused = fmap.step(x, one, tau, 0.1, dt)
+                if fused is None:
+                    assert fmap.step(x, many, tau, 0.1, dt) is None
+                else:
+                    assert _same_bits(fused, want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(x0s=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=6, unique=True),
+           seed=st.integers(0, 50), t_max=st.sampled_from([0.3, 1.5, 2.5]))
+    def test_a_lone_group_under_an_r_reading_flow_matches_its_lone_paths(self, x0s, seed,
+                                                                        t_max):
+        # one shared r0 and a reset to r = 0 keep the paths one lockstep group
+        # whose distinct x rows step with one row of r stages
+        spec = ha.load_system(R_FLOW_CONFIG)
+        inits = [state(x) for x in x0s]
+        horizon = ha.Horizon(t_max, 100)
+        shapes, rk4 = [], solver._rk4
+
+        def seen(spec, x, rs, tau, dt):
+            shapes.append((len(x), rs.shape[1]))
+            return rk4(spec, x, rs, tau, dt)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_rk4", seen)
+            ens = ha.simulate_ensemble(spec, inits, len(inits), seed, horizon)
+        assert shapes[0] == (len(x0s), 1) and all(rows == 1 for _, rows in shapes)
+        for i, arc in enumerate(ens):
+            assert arcs_equal(arc, ha.simulate_path(spec, inits[i], seed + i, horizon))
+
     def test_a_nan_output_recomputes_the_whole_step_in_numpy(self, monkeypatch):
         # row 0 flows to a nan (0 * inf); row 1 stays finite
         fmap = _compiled("f", ["ifge(x_1, 0.5, -x_1, (x_1*1e999) + -(x_1*1e999))", "-x_2"])
@@ -726,6 +804,44 @@ class TestFusedStep:
         assert np.isnan(got[0, 0]) and np.isfinite(got[1]).all()
         assert calls == [2, 2, 2, 2]  # f over the whole batch, once per stage
         assert _same_bits(got, want)
+
+
+class TestRowFunction:
+    """An aux flow map's function of one row of floats, the plan's w."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([1, 2]))
+    def test_random_maps_match_the_reference_on_one_row(self, data, p):
+        names = _names(ROLES["w"]) if p == 1 else allowed_names(p=2)
+        trees = data.draw(st.lists(_trees(names), min_size=p, max_size=p))
+        w = CompiledMap(tuple(trees), ROLES["w"])
+        r = data.draw(st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from(_SPECIAL)),
+                               min_size=p, max_size=p))
+        with np.errstate(all="ignore"):
+            got = np.array(w.row(r), dtype=float)
+            want = reference_map(tuple(trees), ROLES["w"], np.array([r]))[0]
+        # NaN signs alone may differ between Python and numpy arithmetic
+        nan = np.isnan(want)
+        assert got.shape == (p,) and np.array_equal(np.isnan(got), nan)
+        assert _same_bits(got[~nan], want[~nan])
+
+    def test_only_aux_flow_maps_have_a_row_function(self):
+        es = ha.load_system(str(CONFIGS / "es.cfg"))
+        # the shipped timer w = 1.0 has no row body, yet a row function
+        assert "_array(_o)" not in es.w.source and es.w.row([0.25]) == [1.0]
+        assert es.f.row is es.g.row is es.h.row is None
+        assert _compiled("V", ["r_1"]).row is None
+        w = _compiled("w", ["r_1*r_1 - 1/r_1"])
+        assert w.row([0.5]) == w(np.array([[0.5]]))[0].tolist() == [-1.75]
+        with np.errstate(divide="ignore"):
+            assert w.row([0.0]) == [-math.inf]
+        gc.disable()
+        try:
+            refs = [weakref.ref(obj) for obj in (w, w.row)]
+            del w
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestFixedMap:

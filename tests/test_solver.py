@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import math
 import re
+import tracemalloc
+import types
 from collections import deque
 from pathlib import Path
 
@@ -11,12 +14,13 @@ from hypothesis import strategies as st
 
 import hybridavg as ha
 from hybridavg import core, solver
-from hybridavg.expressions import CompiledMap, allowed_names, compile_expressions
+from hybridavg.expressions import CompiledMap, Num, allowed_names, compile_expressions
 from hybridavg.core import (HybridArc, JumpNoise, JumpRecord, SetDescriptor, SystemSpec,
                             TERMINAL_HORIZON_J, TERMINAL_HORIZON_T, TERMINAL_LEFT_SETS)
 from hybridavg.solver import MapEvaluationError
 
 from conftest import arcs_equal, state
+from test_expressions import ROLES, _names, _trees
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -1133,3 +1137,209 @@ class TestEventScan:
         first = next(box for box in zip(D.lows, D.highs)
                      if SetDescriptor((box[0],), (box[1],)).contains(at(start)))
         assert (lo, hi) == first
+
+
+# --- reference: the plan of a wave's steps in numpy, one w call per RK4 stage --
+
+def _reference_plan_steps(spec, asks, seeds):
+    """_plan_steps as it was before compiled w planned small batches in Python floats."""
+    def check(values, g):
+        if not all(map(math.isfinite, values)):
+            solver._check_finite("w", [(values, g.paths[:1], f"t={g.t}")], seeds)
+
+    plans, flowing = [None] * len(asks), []
+    for m, (g, cap) in enumerate(asks):
+        r_vals = g.r[0].tolist()
+        if spec.D.contains(r_vals):
+            continue
+        if cap <= 0.0:
+            plans[m] = TERMINAL_HORIZON_T
+        elif not spec.C.contains(r_vals):
+            plans[m] = TERMINAL_LEFT_SETS
+        else:
+            flowing.append((m, r_vals))
+    if not flowing:
+        return plans
+    R = asks[flowing[0][0]][0].r if len(flowing) == 1 else np.array([r for _, r in flowing])
+    K1 = np.asarray(spec.w(R), dtype=float)
+    K1 = K1 if K1.shape == R.shape else np.broadcast_to(K1, R.shape)
+    steps = []
+    for q, ((m, r_vals), k1) in enumerate(zip(flowing, K1.tolist())):
+        g, cap = asks[m]
+        check(k1, g)
+        leave, entry = solver._events(r_vals, k1, spec, cap)
+        if leave[0] <= 0.0:
+            plans[m] = TERMINAL_LEFT_SETS
+            continue
+        dt, box = leave if leave[0] < cap else (cap, None)
+        if entry is not None and entry[0] <= dt:
+            dt, box = entry
+        if dt <= 0.0:
+            plans[m] = np.clip(g.r, *box)
+        else:
+            steps.append((q, m, dt, box, leave[1]))
+    if not steps:
+        return plans
+    if len(steps) < len(flowing):
+        R, K1 = R[[q for q, *_ in steps]], K1[[q for q, *_ in steps]]
+    dts = [dt for _, _, dt, *_ in steps]
+    dt = dts[0] if dts.count(dts[0]) == len(dts) else np.array(dts)[:, None]
+    half = 0.5 * dt
+    R2 = R + half * K1
+    K2 = np.asarray(spec.w(R2), dtype=float)
+    R3 = R + half * K2
+    K3 = np.asarray(spec.w(R3), dtype=float)
+    R4 = R + dt * K3
+    K4 = np.asarray(spec.w(R4), dtype=float)
+    R_next = R + (dt / 6.0) * (K1 + 2.0 * (K2 + K3) + K4)
+    rows, M = np.concatenate((R, R2, R3, R4, R_next)), len(steps)
+    for q, ((_, m, dt, box, leave_box), r_vals) in enumerate(zip(steps, R_next.tolist())):
+        check(r_vals, asks[m][0])
+        if box is None and not spec.flow_or_jump_set.contains(r_vals):
+            box = leave_box
+        if box is not None:
+            rows[4 * M + q] = np.clip(R_next[q], *box)
+        plans[m] = (dt, rows[q::M, None], rows[4 * M + q:4 * M + q + 1])
+    return plans
+
+
+def _plans(plan, spec, asks, seeds):
+    """The plans of one call, or the type and message of the error it raised."""
+    with np.errstate(all="ignore"):
+        try:
+            return plan(spec, asks, seeds)
+        except MapEvaluationError as exc:
+            return type(exc), str(exc)
+
+
+def _plan_bits(plans):
+    """A call's plans with each array as its shape and bytes; an error as it is."""
+    def bits(a):
+        return (a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
+
+    if isinstance(plans, tuple):
+        return plans
+    return [tuple(map(bits, plan)) if isinstance(plan, tuple) else bits(plan) for plan in plans]
+
+
+def _asks(rows, caps):
+    """One ask per aux row, each a lone group (path m, seed 10 + m) at t = m / 8."""
+    return [(types.SimpleNamespace(r=np.array([row], dtype=float), paths=np.array([m]),
+                                   t=m / 8.0), cap)
+            for m, (row, cap) in enumerate(zip(rows, caps))]
+
+
+def _timer_spec(w, p, cuts=(), d_lo=1.0):
+    """Aux state in R^p under w: C = [0, 1]^p split at cuts, D = [d_lo, 1] x [0, 1]^(p-1)."""
+    edges = [0.0, *sorted(cuts), 1.0]
+    C = SetDescriptor.union_of([SetDescriptor.box([lo] + [0.0] * (p - 1), [hi] + [1.0] * (p - 1))
+                                for lo, hi in zip(edges, edges[1:])])
+    D = SetDescriptor.box([d_lo] + [0.0] * (p - 1), [1.0] * p)
+    return dataclasses.replace(make_actuator(), p=p, w=w, C=C, D=D)
+
+
+_W_TREES = {p: st.one_of(_trees(names), st.floats(-3.0, 3.0).map(Num))
+            for p, names in ((1, _names(ROLES["w"])), (2, allowed_names(p=2)))}
+_AUX_VALUES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, math.nextafter(1.0, 0.0), 0.999]),
+                        st.floats(-0.1, 1.1))
+_CAPS = st.sampled_from([0.0, 1e-3, 0.01, 0.3])
+
+
+class TestPlanRows:
+    """A compiled w plans a small batch in Python floats, in the bits of the numpy plan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([1, 2]), n=st.integers(1, 12),
+           cuts=st.lists(st.sampled_from([0.25, 0.5, 0.75]), max_size=2, unique=True),
+           d_lo=st.sampled_from([1.0, 0.9]))
+    def test_plans_match_the_numpy_plan(self, data, p, n, cuts, d_lo):
+        # random w trees, literal-only ones included; rows in and out of C u D,
+        # mixed caps for a per-row dt; events and nonlinear w clip r_next
+        w = CompiledMap(tuple(data.draw(st.lists(_W_TREES[p], min_size=p, max_size=p))),
+                        ROLES["w"])
+        assert w.row is not None
+        spec = _timer_spec(w, p, cuts, d_lo)
+        rows = data.draw(st.lists(st.lists(_AUX_VALUES, min_size=p, max_size=p),
+                                  min_size=n, max_size=n))
+        asks = _asks(rows, data.draw(st.lists(_CAPS, min_size=n, max_size=n)))
+        seeds = list(range(10, 10 + n))
+        got = _plans(solver._plan_steps, spec, asks, seeds)
+        assert _plan_bits(got) == _plan_bits(_plans(_reference_plan_steps, spec, asks, seeds))
+        # the flow steps of a call view one (5, M, p) array
+        flows = [] if isinstance(got, tuple) else [plan for plan in got if type(plan) is tuple]
+        for _, rows, r_next in flows:
+            assert rows.shape == (5, 1, p) and r_next.shape == (1, p)
+            assert np.shares_memory(rows, r_next) and rows.base is flows[0][1].base
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["rows", "numpy"])
+    @pytest.mark.parametrize("text, path", [
+        ("ifge(r_1, 0.6, 1.0, ifge(r_1, 0.4993, ifge(r_1, 0.4999, 1e999, 2.0), 1.0))", 2),
+        ("ifge(r_1, 0.6, 1.0, ifge(r_1, 0.4993, (r_1*1e999) + -(r_1*1e999), 1.0))", 2),
+        ("ifge(r_1, 0.8, 1e999, ifge(r_1, 0.4993, 1e999, 1.0))", 3)],
+        ids=["k3-inf", "k2-nan", "k1-after-k2"])
+    def test_a_w_turning_non_finite_at_an_inner_stage_keeps_its_message(self, text, path,
+                                                                         extra):
+        # from r = 0.499 at dt = 1e-3 the stages visit 0.4995 (k2), then 0.4995
+        # or 0.5 (k3): the row of path 2 fails at that stage, not at k1; every
+        # k1 is checked first, so a later path failing at k1 is named instead
+        w = CompiledMap(compile_expressions([text], allowed_names(p=1)), ROLES["w"])
+        n = solver._PLAN_ROWS + extra
+        rows = [[0.1], [0.2], [0.499], [0.9]] + [[0.3 + 0.01 * m] for m in range(n - 4)]
+        spec = _timer_spec(w, 1)
+        asks, seeds = _asks(rows, [1e-3] * n), list(range(10, 10 + n))
+        got = _plans(solver._plan_steps, spec, asks, seeds)
+        assert got == (MapEvaluationError, "map 'w' returned a non-finite value "
+                                           f"(t={path / 8}; path {path}, seed {10 + path})")
+        assert got == _plans(_reference_plan_steps, spec, asks, seeds)
+
+    @pytest.mark.parametrize("n, calls", [(1, 0), (solver._PLAN_ROWS, 0),
+                                          (solver._PLAN_ROWS + 1, 4)])
+    def test_compiled_w_plans_a_small_batch_without_a_map_call(self, monkeypatch, n, calls):
+        spec = ha.load_system(str(CONFIGS / "es.cfg"))
+        asks = _asks([[0.1 * (m + 1)] for m in range(n)], [1e-3] * n)
+        want = _plan_bits(_plans(_reference_plan_steps, spec, asks, list(range(n))))
+        counted, call = [], CompiledMap.__call__
+
+        def count(self, *args):
+            counted.append(len(args[0]))
+            return call(self, *args)
+
+        monkeypatch.setattr(CompiledMap, "__call__", count)
+        assert _plan_bits(_plans(solver._plan_steps, spec, asks, list(range(n)))) == want
+        assert counted == [n] * calls
+        # a plain callable, such as a traced map, takes the numpy plan
+        counted.clear()
+        plain = dataclasses.replace(spec, w=lambda r: spec.w(r))
+        assert _plan_bits(_plans(solver._plan_steps, plain, asks, list(range(n)))) == want
+        assert counted == [n] * 4
+
+
+class TestPlanMemory:
+    def test_a_plan_entry_stays_small(self, monkeypatch):
+        # the memo keeps one plan per distinct (r, cap) for the whole run: on a
+        # lone es path of 20000 steps at dt = 1e-5 a plan held 513 bytes before
+        # compiled w planned in Python floats and 497 after (tracemalloc,
+        # numpy 2.4.6); it must not grow
+        held, real = [], solver._plan_steps
+
+        def keep(*args):
+            plans = real(*args)
+            held.extend(plans)
+            return plans
+
+        monkeypatch.setattr(solver, "_plan_steps", keep)
+        spec = ha.jammed_es(epsilon=1e-4)
+        tracemalloc.start()
+        try:
+            arc = ha.simulate_path(spec, state(1.0, 0.0), 0, ha.Horizon(0.02, 10))
+            gc.collect()
+            with_plans = tracemalloc.get_traced_memory()[0]
+            n = len(held)
+            held.clear()
+            gc.collect()
+            without = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # one plan per step, each at a distinct r, and the horizon's
+        assert n == sum(len(seg.t) - 1 for seg in arc.segments) + 1 > 2000
+        assert (with_plans - without) / n <= 640
