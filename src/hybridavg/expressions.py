@@ -9,20 +9,15 @@ whether a flow, aux flow, jump, average map or scalar candidate, is one
 CompiledMap keyed by the roles of its positional arguments.  When it is
 built, a map translates its AST into the source of one Python function, one
 numpy operation per distinct subtree (a repeated subtree is computed once),
-and compiles it once.  The function has two bodies written from one table of
-the distinct subtrees: the vectorized one, over numpy arrays, and for a batch
-of at most _MAX_ROWS rows a loop over the rows in Python floats, where numpy's
-per-operation cost would dominate.  Both apply the same IEEE operations, so a
-row's bits do not depend on its batch or on the body; NaN signs alone differ
-between Python and numpy arithmetic, so a call with a NaN output is left to
-the vectorized body.  The same source holds, for a flow map of roles (x, r,
-tau, eps), a third function from the same table: the fused step, the solver's
-whole RK4 step of a small batch (see CompiledMap.step), whose four stages run
-per row in Python floats with the row body's rules, up to a row limit of its
-own that weighs the whole step; and, for an aux flow map of roles (r,), the
-map on one row of Python floats by the same rules, with which the solver's
-plan computes w's RK4 stages (see CompiledMap.row).  An ifge has
-the values of where(a >= b, then, else).
+and compiles it once.  Every call runs that one vectorized body, so a row's
+bits do not depend on its batch.  The same source holds, for a flow map of
+roles (x, r, tau, eps), a second function from the same table: the fused
+step, the solver's whole RK4 step of a small batch (see CompiledMap.step),
+whose four stages run per row in Python floats with the IEEE operations of
+the vectorized body, up to a row limit that weighs the whole step; and, for
+an aux flow map of roles (r,), the map on one row of Python floats by the
+same rules, with which the solver's plan computes w's RK4 stages (see
+CompiledMap.row).  An ifge has the values of where(a >= b, then, else).
 When its condition and both branches read an array column and it sits inside
 fewer than 98 such branches, it computes each branch only for a batch in which
 some row takes it; otherwise it computes both branches.  That source is made
@@ -30,8 +25,8 @@ from the AST alone: its names come from the roles and a fixed table of numpy
 functions, literals, and subtrees of literals alone computed once when the
 map is built, are bound as constants, and no user text is ever evaluated.
 tau and eps enter a map as float64, so every subtree of them without a column,
-even one of them alone, is numpy float64 arithmetic in both bodies, and so is
-every quotient (a zero divisor gives inf or nan).  CompiledMap.fixed
+even one of them alone, is numpy float64 arithmetic in every function, and so
+is every quotient (a zero divisor gives inf or nan).  CompiledMap.fixed
 binds tau and eps to values (a number, or an array of the batch's length) and
 builds a map of the remaining roles in which every subtree of those names and
 literals alone is computed once, when it is built.
@@ -310,9 +305,9 @@ _SCALAR_ROLES = ("tau", "eps")
 #: nested ``if`` blocks CPython compiles in one function body
 _MAX_BLOCKS = 98
 
-#: largest batch a map computes row by row in Python floats (see CompiledMap);
-#: per call on a 2-vCPU Xeon, the ES flow map's row body took 1.7 to 3.2 us at
-#: 1 to 8 rows, against 4.7 to 9.0 us vectorized
+#: largest batch a fused step computes row by row in Python floats (see
+#: CompiledMap); on a 2-vCPU Xeon, the ES flow's step at 8 rows took ~7 us
+#: fused against ~30 us in solver._rk4's numpy code
 _MAX_ROWS = 8
 
 #: array operations of solver._rk4's numpy step besides its four map calls, and
@@ -336,10 +331,11 @@ def _common(a: tuple, b: tuple) -> tuple:
 
 
 class _Rows(dict):
-    """Names of subtrees in a loop over rows, which computes them in Python floats."""
+    """Names of subtrees computed in Python floats: in a stage of the fused
+    step's loop over the rows, or in the row function."""
 
 
-def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None, row=None):
+def _emit(exprs, lines: list, consts: list, fixed: dict, step=None, row=None):
     """Yield (text, whether it is a fresh array) of each tree's value over the
     batch, once the lines it reads are appended.
 
@@ -363,41 +359,34 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None, r
     in the innermost branch that holds all of its uses, before the first
     block that reads it, so no name is read unset.
 
-    Given ``rows``, (first array role, checks, output shape or None), the
-    same table first gives a row body for batches of at most the row limit
-    (see CompiledMap) that pass the checks: a loop over the rows in Python floats
-    (see CompiledMap) whose lazy ifge are ``if``/``else`` blocks and whose
-    other ifge are ``then if a >= b else other``.  Before the loop, each
-    subtree of tau, eps and literals that the loop reads is computed as the
-    vectorized body computes it, in np.float64, and read through float().
-
-    Given ``step`` as well, a list holding the header of a function
+    Given ``step``, a list holding the header of a function
     ``(x, rs, tau, eps, dt)``, the same table writes the fused RK4 step into
-    it, for the step's row limit (see CompiledMap), when the map has a row
-    body and x's columns read are among the outputs' (a map of n outputs
-    steps x in R^n).  The clock subtrees the row loop
-    reads are computed as there, once for each of tau, tau_h and tau_f, which
-    are computed as solver._rk4 computes them.  Per row, each stage's lines are
-    those of the row loop, with x's columns bound to the stage state and r's
-    to that stage's row of rs; then the stage states, x + half*k, x + dt*k3
-    and the step's output are Python float arithmetic in _rk4's order.  The
-    step returns None for a batch the checks turn away or a non-finite output.
-    One row of rs serves every row of x, by reference.
+    it when the step's row limit (see CompiledMap) is at least 1 and x's
+    columns read are among the outputs' (a map of n outputs steps x in R^n).
+    It loops over the rows in Python floats: a lazy ifge is an ``if``/``else``
+    block and any other ifge ``then if a >= b else other``.  Each clock
+    subtree, of tau, eps and literals, that a row reads is computed as the
+    vectorized body computes it, in np.float64, once for each of tau, tau_h
+    and tau_f, which are computed as solver._rk4 computes them, and read
+    through float().  Per row, each stage binds x's columns to the stage
+    state and r's to that stage's row of rs; then the stage states, x +
+    half*k, x + dt*k3 and the step's output are Python float arithmetic in
+    _rk4's order.  The step returns None for a batch its checks turn away or
+    a non-finite output.  One row of rs serves every row of x, by reference.
 
-    Given ``rows`` and ``row``, a list holding the header of a function of the
-    first array role alone, the same table writes into it the map on one row
-    of Python floats, whatever the row limit: each column read is an item of
-    the argument, the lines are those of the row loop, and it returns the list
-    of the outputs, whatever their values.  It is written for a map that reads
-    no tau or eps but fixed ones, so it has no clock subtree.
+    Given ``row``, a list holding the header of a function of the first
+    array role alone, the same table writes into it the map on one row of
+    Python floats by the step's rules: each column read is an item of the
+    argument, and it returns the list of the outputs, whatever their values.
+    It is written for a map that reads no tau or eps but fixed ones, so it
+    has no clock subtree.
     """
     ids, table = {}, []  # structure -> id; id -> (node, child ids)
     reads, literal = [], []  # id -> it reads an array column; it reads no name but fixed ones
     folded = {}  # id -> value of a subtree of literals and fixed names alone
     serial, fresh = itertools.count(), set()  # names of arrays allocated by the call
     depth = 0  # blocks open around the next line
-    # id -> name of a constant; of a subtree over the batch, before the row loop, in it
-    constant, batch, before, per_row = {}, {}, {}, _Rows()
+    constant, batch = {}, {}  # id -> name of a constant; of a subtree over the batch
 
     def intern(node) -> int:
         kids = tuple(map(intern, _children(node)))
@@ -480,8 +469,8 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None, r
 
     def value(i: int, names: dict):
         """(text, whether it is infix) of subtree i, where names is batch (the
-        vectorized body), before (its np.float64 values ahead of the row loop),
-        per_row (the row loop) or a stage of the fused step (a _Rows)."""
+        vectorized body), the clock values of one stage time of the fused
+        step, or a _Rows: a stage of the fused step, or the row function."""
         node, kids = table[i]
         if literal[i] and i not in constant:
             if isinstance(node, Num):
@@ -495,7 +484,7 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None, r
             return constant.get(i) or names.get(i) or _name(node), False
         row = isinstance(names, _Rows)
         infix = not isinstance(node, Call)
-        if i in lazy and depth < _MAX_BLOCKS:  # the row loop starts two blocks deep
+        if i in lazy and depth < _MAX_BLOCKS:  # the step's loop starts one block deep
             text = branches(i, names)
         elif not infix:
             args = [value(kid, names)[0] for kid in kids]
@@ -517,38 +506,6 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None, r
             names[i] = text if text.isidentifier() else assign(text)
             return names[i], False
         return text, infix
-
-    def row_body(limit: int, first: str, checks: list, shape) -> None:
-        """The loop over the rows of a batch of at most limit rows that passes
-        checks; a row with a NaN output leaves it for the vectorized body."""
-        nonlocal depth
-        # a named subtree of tau and eps that the vectorized body computes in any
-        # case is computed before the check, once for both bodies
-        for i in range(len(table)):
-            if not (reads[i] or literal[i]) and uses[i] > 1 and not region[i]:
-                before[i] = value(i, batch)[0]
-        line(f"if {' and '.join([f'{first}.ndim == 2 and _len({first}) <= {limit}', *checks])}:")
-        depth += 1
-        per_row.update((i, f"_{role}_{j}") for i, (role, j) in columns.items())
-        per_row.update((i, assign(f"_float({value(i, before)[0]})")) for i in clocks)
-        line("_o = []")
-        lists = ", ".join(f"{role}_{j}.tolist()" for role, j in columns.values())
-        line(f"for {', '.join(per_row[i] for i in columns)} in "
-             f"{lists if len(columns) == 1 else f'_zip({lists})'}:")
-        depth += 1
-        out = [value(root, per_row)[0] for root in roots]
-        out = [y if y.isidentifier() else assign(y) for y in out]
-        line(f"if {' or '.join(f'{y} != {y}' for y in out)}:")
-        line("    break")
-        for y in out:
-            line(f"_o.append({y})")
-        depth -= 1
-        line("else:")
-        line("    _v = _array(_o)")
-        if shape:
-            line(f"    _v.shape = {shape}")
-        line("    return _v")
-        depth -= 1
 
     def step_body(limit: int) -> None:
         """The fused RK4 step, written into step: _rk4's step of x under this
@@ -662,29 +619,26 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, rows=None, step=None, r
             # a ufunc call on scalars costs two operations, an np.float64 quotient one
             calls += 2 * steps if fn in ("sin", "cos", "pow", "min", "max") else (
                 getattr(node, "op", None) == "/")
-    limit = min(_MAX_ROWS, ops // (1 + calls))
-    # the fused step's limit weighs a whole RK4 step (see CompiledMap)
-    step_limit = min(_MAX_ROWS, (4 * (ops + _CALL_OPS) + _RK4_OPS) // (4 * (1 + calls)))
-    # the columns a row loop reads, as (role, index), and the subtrees of tau,
-    # eps and literals it reads, computed before it
+    # the fused step's row limit weighs a whole RK4 step (see CompiledMap)
+    limit = min(_MAX_ROWS, (4 * (ops + _CALL_OPS) + _RK4_OPS) // (4 * (1 + calls)))
+    # the columns a row reads, as (role, index), and the subtrees of tau, eps
+    # and literals it reads, computed before the loop over the rows
     columns = {i: (role, int(j)) for i, (node, _) in enumerate(table)
                if reads[i] and isinstance(node, Var) for role, _, j in [_name(node).partition("_")]}
     clocks = sorted(i for i in {*roots, *itertools.chain(*hoist.values()),
                                 *(kid for i, (_, kids) in enumerate(table) if reads[i]
                                   for kid in kids)}
                     if not (reads[i] or literal[i]))
-    if rows and limit:
-        row_body(limit, *rows)
-        if step is not None:
-            step_body(step_limit)
-    if rows and row is not None:
+    if step is not None and limit:
+        step_body(limit)
+    if row is not None:
         row_function()
     for root in roots:
         text = value(root, batch)[0]
         yield text, is_fresh(text)
     # the recursive closures hold each other, consts and fixed in a reference
     # cycle, which only the cyclic collector would free
-    intern = fold = value = branches = row_body = step_body = row_function = None
+    intern = fold = value = branches = step_body = row_function = None
 
 
 class CompiledMap:
@@ -701,57 +655,47 @@ class CompiledMap:
     of the generated function.  ``bound`` maps tau or eps, where they are not
     roles, to the value fixed when the map was built (see ``fixed``).
 
-    A map computes a batch row by row when its read array roles are 2-D
-    float64 arrays of one length, tau, eps and the bound values are not
-    arrays, and the batch has at most min(_MAX_ROWS, ops // (1 + calls))
-    rows.  ops counts the vectorized body's numpy operations on columns, and
-    calls weighs the numpy calls a row makes on them: two for each sin, cos,
-    pow and min or max step, since such a call on scalars costs about what two
-    operations on a short array do, and one for each np.float64 quotient.
-    One row of Python arithmetic costs about what one operation does.  So a
-    map of n operations among + - * abs and ifge takes up to min(_MAX_ROWS, n)
-    rows, and x_1/x_2 or min(x_1, 1) has no row body.
+    Every call runs the vectorized body.  ``step`` is the map's fused RK4
+    step, step(x, rs, tau, eps, dt): the solver's step of a (B, n) float64 x
+    under this map as f, given its r stages rs[0:4], each (B, p), in the bits
+    of solver._rk4's numpy code.  It runs the four stages of each row in
+    turn, in Python floats, and returns a fresh (B, n) array.  Columns come in
+    as Python floats through tolist(); + - *, unary minus, abs and >= are
+    Python float arithmetic; / is np.float64's (a zero divisor gives inf or
+    nan), its quotient read back through float(), so the arithmetic after it
+    stays in Python floats; sin, cos, pow, min and max are the numpy ufuncs
+    on scalars; an ifge is ``then if a >= b else other``, which is where's
+    value, taking else at a NaN condition; and each subtree of tau, eps and
+    literals is computed once per stage time in np.float64, as in the
+    vectorized body, and read through float().  Python float arithmetic
+    issues no numpy floating-point warning.  The step returns None, leaving
+    the step to that numpy code, for a batch above its row limit or of
+    another shape or type, and when an output is non-finite (a NaN, whose
+    sign Python and numpy may give differently, or an inf, so that the
+    solver checks only numpy steps for non-finite values).  rs may hold one
+    row, shared by every row of x; the step reads it for each row without
+    copying it.
 
-    In the row body, columns come in as Python floats through tolist();
-    + - *, unary minus, abs and >= are Python float arithmetic; / is
-    np.float64's (a zero divisor gives inf or nan), its quotient read back
-    through float(), so the arithmetic after it stays in Python floats; sin,
-    cos, pow, min and max are the numpy ufuncs on scalars;
-    an ifge is ``then if a >= b else other``, which is where's value, taking
-    else at a NaN condition; and each subtree of tau, eps and literals is
-    computed once per call in np.float64, as in the vectorized body, and read
-    through float().  If an output is NaN, whose sign Python and numpy may
-    give differently, the row results are dropped and the vectorized body
-    computes the batch.  Python float arithmetic issues no numpy
-    floating-point warning.
-
-    ``step`` is the map's fused RK4 step, step(x, rs, tau, eps, dt): the
-    solver's step of a (B, n) float64 x under this map as f, given its r
-    stages rs[0:4], each (B, p), in the bits of solver._rk4's numpy code.  It
-    runs the four stages of each row in turn, in Python floats by the row
-    body's rules, computing each clock subtree once per stage time, and it
-    returns a fresh (B, n) array.  It returns None, leaving the step to that
-    numpy code, for a batch above its row limit or of another shape or type,
-    and when an output is non-finite (a NaN, or an inf, so that the solver
-    checks only numpy steps for non-finite values).  ``step`` is None unless
-    the roles are (x, r, tau, eps), the map has a tuple of expressions, none
-    reading a column of x past their count, and it has a row body.  The step's
-    row limit, min(_MAX_ROWS, (4 * (ops + _CALL_OPS) + _RK4_OPS) // (4 * (1 +
-    calls))), weighs a whole step: the numpy step's four calls, each its ops
-    and _CALL_OPS more, and _rk4's _RK4_OPS array operations, against a fused
-    row's four rows of the map.  It is never below the map's row limit; the
-    ES flow map steps up to 8 rows fused where it takes 7 per call, and the
-    actuator's 8 where it takes 2.  rs may hold one row, shared by every row
-    of x; the step reads it for each row without copying it.
+    The step's row limit, min(_MAX_ROWS, (4 * (ops + _CALL_OPS) + _RK4_OPS)
+    // (4 * (1 + calls))), weighs a whole step: the numpy step's four calls,
+    each its ops and _CALL_OPS more, and _rk4's _RK4_OPS array operations,
+    against a fused row's four rows of the map.  ops counts the vectorized
+    body's numpy operations on columns, and calls weighs the numpy calls a
+    row makes on them: two for each sin, cos, pow and min or max step, since
+    such a call on scalars costs about what two operations on a short array
+    do, and one for each np.float64 quotient.  Both shipped flows step up to
+    8 rows fused.  ``step`` is None unless the roles are (x, r, tau, eps),
+    the map has a tuple of expressions, none reading a column of x past
+    their count, and the row limit is at least 1.
 
     ``row`` is the map on one row of Python floats: row(r), for a sequence r
     of the p floats of one aux row, returns the list of the outputs, which
     solver._plan_steps takes as w's value in its RK4 stages.  Its lines come
-    from the same table by the row body's rules, whatever the row limit, so a
-    map of literals alone such as the timer's 1.0, which has no row body, has
-    one too.  It has no NaN check: an output may be a NaN of either sign, and
-    the plan rejects any non-finite value.  ``row`` is None unless the roles
-    are (r,) and the map has a tuple of expressions.
+    from the same table by the step's rules, whatever the row limit, so a map
+    of literals alone such as the timer's 1.0 has one too.  It has no NaN
+    check: an output may be a NaN of either sign, and the plan rejects any
+    non-finite value.  ``row`` is None unless the roles are (r,), the map has
+    a tuple of expressions and no bound value is an array.
     """
 
     def __init__(self, exprs, roles, bound=None):
@@ -786,20 +730,15 @@ class CompiledMap:
                           f" or {a}.ndim < 2:",
                           f"    {a} = _atleast_2d(_asarray({a}, dtype=_float64))"]
         lines += [f"{a}_{i} = {a}[..., {i - 1}]" for a, i in sorted(columns)]
-        scalars = [a for a in _SCALAR_ROLES if a in read - self.bound.keys()]
-        lines += [f"{a} = _as_float64({a})" for a in scalars]
-        first, rows = arrays[0], None
-        if not any(map(np.ndim, self.bound.values())):  # an array bound fits one batch only
-            rows = (first, [*(f"{a}.ndim == 2 and _len({a}) == _len({first})"
-                              for a in arrays[1:] if any(role == a for role, _ in columns)),
-                            *(f"{a}.__class__ is not _ndarray" for a in scalars)],
-                    None if scalar else f"(_len({first}), {len(exprs)})")
-        batch = f"{first}.shape[:-1]"
+        lines += [f"{a} = _as_float64({a})" for a in _SCALAR_ROLES if a in read - self.bound.keys()]
+        batch = f"{arrays[0]}.shape[:-1]"
         consts = []
         step = (["def _step(x, rs, tau, eps, dt):"]
                 if self.roles == ("x", "r", "tau", "eps") and not scalar else None)
-        row = ["def _row(r):"] if self.roles == ("r",) and not scalar else None
-        values = _emit(exprs, lines, consts, self.bound, rows, step, row)
+        # an array bound fits one batch only
+        row = (["def _row(r):"] if self.roles == ("r",) and not scalar
+               and not any(map(np.ndim, self.bound.values())) else None)
+        values = _emit(exprs, lines, consts, self.bound, step, row)
         shape = batch if scalar else f"(*{batch}, {len(exprs)})"
         if len(exprs) == 1:
             ((v, fresh),) = values
@@ -811,7 +750,7 @@ class CompiledMap:
                 v = "_v"
             values = [(v, fresh)]
         for k, (value, _) in enumerate(values):
-            if not k:  # below the row body; more columns are written straight into it
+            if not k:  # more columns are written straight into the output
                 lines.append(f"_out = _empty({shape})")
             lines.append(f"_out[{'...' if scalar else f'..., {k}'}] = {value}")
         self.source = "\n    ".join(lines + ["return _out"]) + "\n"

@@ -138,9 +138,10 @@ def _rk4(spec: SystemSpec, x, rs, tau: float, dt: float):
     A compiled f's fused step (expressions.CompiledMap.step) computes a batch
     within its row limit row by row in Python floats, with the operations
     below in their order, so its bits are those of the numpy code.  Where f
-    has none (a plain callable, or a map without a row body) or it returns
-    None (a larger batch, or a non-finite output: a NaN, whose sign Python
-    may give differently, or an inf), the whole step is the numpy code: a
+    has none (a plain callable, or a map whose step row limit is 0 or that
+    reads a column of x past its outputs) or it returns None (a larger
+    batch, or a non-finite output: a NaN, whose sign Python may give
+    differently, or an inf), the whole step is the numpy code: a
     shared row of stages repeated to B rows, so f sees equal batch lengths,
     then four calls of f and the arithmetic over the batch.  This is the
     solver's one call per step.  Returns (x2, finite): finite is True for a

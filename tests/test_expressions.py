@@ -4,6 +4,7 @@ import math
 import operator
 import pickle
 import re
+import struct
 import tracemalloc
 import types
 import weakref
@@ -383,7 +384,7 @@ class TestGeneratedCode:
     @given(data=st.data(), role=st.sampled_from(sorted(ROLES)),
            batch=st.sampled_from([1, 2, 8, 9, 100, 500]), tau=st.sampled_from(["rows", 0.7, 0.0]))
     def test_generated_map_matches_reference_bit_for_bit(self, data, role, batch, tau):
-        # batches of up to _MAX_ROWS rows are computed row by row in Python floats
+        # every call, of 1 row or of 500, runs the one vectorized body
         roles = ROLES[role]
         k = 1 if role == "V" else DIMS[roles[0]]
         trees = data.draw(st.lists(_trees(_names(roles)), min_size=k, max_size=k))
@@ -455,29 +456,16 @@ class TestGeneratedCode:
         signs = {bool(np.signbit(fmap(x)[0, 0])) for _ in range(20_000)}
         assert signs == {bool(np.signbit(want[0, 0]))}
 
-    def test_a_nan_row_takes_the_vectorized_body(self):
+    def test_a_nan_output_has_one_sign_at_any_batch(self):
         # CPython gives the sum of two nans the sign of either, depending on
-        # whether it has specialized the add; a row with a nan output is left
-        # to the vectorized body, whose nan has one sign
+        # whether it has specialized the add; a call of one row, like a call
+        # of nine, computes the nan in numpy, whose nan has one sign
         tree = parse_expression("(x_1*1e999) + -(x_1*1e999) + x_1")
         fmap = CompiledMap((tree,), ("x",))
         with np.errstate(invalid="ignore"):
             signs = {bool(np.signbit(fmap(np.zeros((1, 1)))[0, 0])) for _ in range(20_000)}
-            wide = fmap(np.zeros((_MAX_ROWS + 1, 1)))
+            wide = fmap(np.zeros((9, 1)))
         assert signs == {bool(np.signbit(wide[0, 0]))}
-
-    def test_small_batches_have_a_row_body(self):
-        es = ha.load_system(str(CONFIGS / "es.cfg"))
-        # the solver steps the ES flow at 1 to 5 rows
-        assert "_array(_o)" in es.f.source and "_len(x) <= 7" in es.f.source
-        # a map without an operation on a column, or bound to an array, has none
-        assert "_array(_o)" not in es.w.source and "_array(_o)" not in es.h.source
-        fixed = es.f.fixed(tau=np.linspace(0.0, 1.0, 3), eps=0.1)
-        assert "_array(_o)" not in fixed.source
-        assert "_array(_o)" in es.f.fixed(tau=0.5, eps=0.1).source
-        # nor a map whose numpy calls in a row cost more than the operations it saves
-        for text in ("min(x_1, 1)", "x_1/x_2"):
-            assert "_array(_o)" not in CompiledMap(parse_expression(text), ("x",)).source
 
     @pytest.mark.parametrize("scalar", ["tau", "eps"])
     def test_subtrees_of_tau_or_eps_alone_are_float64_arithmetic(self, scalar):
@@ -595,6 +583,40 @@ def _row_limit(fmap) -> int:
     return int(re.search(r"_len\(x\) > (\d+)", fmap.source).group(1))
 
 
+def _step_limit(exprs) -> int:
+    """The fused step's row limit by its formula, over the distinct subtrees of
+    exprs that read an array column: ops counts their numpy operations (k - 1
+    for a min or max of k arguments), and calls two for each sin, cos, pow
+    and min or max step and one for each quotient."""
+    distinct = {}
+
+    def walk(node) -> tuple:  # (structure, whether it reads a column)
+        if isinstance(node, Num):
+            return ("num", struct.pack("<d", node.value)), False
+        if isinstance(node, Var):
+            return ("var", node.name), node.name.partition("_")[0] in DIMS
+        kids = ((node.a,) if isinstance(node, Neg) else (node.a, node.b)
+                if isinstance(node, Bin) else node.args)
+        walked = [walk(kid) for kid in kids]
+        key = (type(node).__name__, getattr(node, "op", getattr(node, "fn", None)),
+               tuple(k for k, _ in walked))
+        reads = any(r for _, r in walked)
+        if reads:
+            distinct[key] = node
+        return key, reads
+
+    for expr in exprs:
+        walk(expr)
+    ops = calls = 0
+    for node in distinct.values():
+        fn = getattr(node, "fn", None)
+        steps = len(node.args) - 1 if fn in ("min", "max") else 1
+        ops += steps
+        calls += 2 * steps if fn in ("sin", "cos", "pow", "min", "max") else (
+            getattr(node, "op", None) == "/")
+    return min(_MAX_ROWS, (4 * (ops + 4) + 12) // (4 * (1 + calls)))
+
+
 def _numpy_rk4(fmap, x, rs, tau, eps, dt):
     """_rk4's numpy step: a plain callable f has no fused step."""
     return solver._rk4(types.SimpleNamespace(f=lambda *args: fmap(*args), epsilon=eps),
@@ -635,11 +657,12 @@ class TestFusedStep:
             want = _numpy_rk4(fmap, x, rs, tau, eps, dt)
             fused = fmap.step(x, rs, tau, eps, dt)
             got, finite = solver._rk4(types.SimpleNamespace(f=fmap, epsilon=eps), x, rs, tau, dt)
+            total = want.sum()  # inf - inf is a nan
         assert _same_bits(got, want)
         # a batch above the row limit, or a non-finite output, is left to the
         # numpy step, which sums its output to check it
         assert (fused is None) == (len(x) > _row_limit(fmap) or not np.isfinite(want).all())
-        assert finite == (fused is not None or bool(np.isfinite(want.sum())))
+        assert finite == (fused is not None or bool(np.isfinite(total)))
         if fused is not None:
             assert _same_bits(fused, want)
 
@@ -657,9 +680,11 @@ class TestFusedStep:
         for cell in data.draw(st.lists(st.tuples(st.integers(0, x.size - 1),
                                                  st.sampled_from(_SPECIAL)), max_size=3)):
             x.flat[cell[0]] = cell[1]
+        # x has a column per output, so a step is absent only at a row limit of 0
         if fmap.step is None:
-            assert "_array(_o)" not in fmap.source  # a flow map without a row body
+            assert _step_limit(trees) == 0
             return
+        assert _row_limit(fmap) == _step_limit(trees) >= 1
         self._check(fmap, x, rs, tau, eps, dt)
 
     @pytest.mark.parametrize("config", ["es.cfg", "actuator.cfg"])
@@ -674,16 +699,27 @@ class TestFusedStep:
         rs = np.full((5, len(rows), 1), r)
         self._check(spec.f, x, rs, tau, spec.epsilon, dt)
 
-    def test_only_flow_maps_with_a_row_body_have_a_step(self):
+    def test_which_flow_maps_have_a_step(self):
         es = ha.load_system(str(CONFIGS / "es.cfg"))
         assert es.f.step is not None and _row_limit(es.f) == 8
         assert es.w.step is es.g.step is es.h.step is None
         assert es.f.fixed(tau=0.5, eps=0.1).step is None
-        # no row body; x_2 read by a map of one output, so x has one column
-        for texts in (["x_1/x_2", "x_2"], ["-x_2*(1 + sin(tau))"]):
+        assert _compiled("V", ["-x_1*(1 + sin(r_1))"]).step is None
+        # x_2 read by a map of one output, so x has one column; seven sin calls
+        # on a column weigh more than the operations a fused row saves
+        for texts in (["-x_2*(1 + sin(tau))"], ["sin(sin(sin(sin(sin(sin(sin(x_1)))))))"]):
             exprs = compile_expressions(texts, _names(ROLES["f"]))
             assert CompiledMap(exprs, ROLES["f"]).step is None
-        assert _compiled("V", ["-x_1*(1 + sin(r_1))"]).step is None
+        # a quotient or a min on a column, and a map of literals alone, step fused
+        for texts, limit in ((["x_1/x_2", "x_2"], 4), (["min(x_1, 1)"], 2), (["2.5"], 7)):
+            fmap = CompiledMap(compile_expressions(texts, _names(ROLES["f"])), ROLES["f"])
+            assert fmap.step is not None and _row_limit(fmap) == _step_limit(fmap.exprs) == limit
+            x = np.array([[0.5, 2.0], [-1.5, 0.25]])[:, :len(texts)]
+            rs = np.zeros((5, len(x), 1))
+            self._check(fmap, x, rs, 0.3, 0.1, 0.01)
+            # an inf or a nan output, from x or from the map, leaves the step to numpy
+            for bad in ([math.inf, 1.0], [math.nan, 1.0], [1.0, 0.0], [0.0, 0.0]):
+                self._check(fmap, np.array([bad])[:, :len(texts)], rs[:, :1], 0.3, 0.1, 0.01)
         # x with a column per output only: numpy broadcasts one output over two
         fmap = CompiledMap(compile_expressions(["-x_1*(1 + sin(tau))"], _names(ROLES["f"])),
                            ROLES["f"])
@@ -827,8 +863,8 @@ class TestRowFunction:
 
     def test_only_aux_flow_maps_have_a_row_function(self):
         es = ha.load_system(str(CONFIGS / "es.cfg"))
-        # the shipped timer w = 1.0 has no row body, yet a row function
-        assert "_array(_o)" not in es.w.source and es.w.row([0.25]) == [1.0]
+        # the shipped timer w = 1.0, a map of literals alone, has one too
+        assert es.w.row([0.25]) == [1.0]
         assert es.f.row is es.g.row is es.h.row is None
         assert _compiled("V", ["r_1"]).row is None
         w = _compiled("w", ["r_1*r_1 - 1/r_1"])
