@@ -2,10 +2,10 @@
 
 Each command is a function (doc, spec) of the config document and its
 system; it never sees the parsed arguments, computes its results and returns
-(exit code, seed, [(file name, lines)]).  One runner, _run, does the rest for
-all six: it loads the config (fig1's is FIG1_CONFIG), hands it the flags
-given as its first layer and builds its system, creates --out once the
-command has returned, writes every output file and a JSON run manifest.
+(exit code, seed, [(file name, chunks of lines)]).  One runner, _run, does
+the rest for all six: it loads the config (fig1's is FIG1_CONFIG), hands it
+the flags given as its first layer and builds its system, creates --out once
+the command has returned, writes every output file and a JSON run manifest.
 FLAGS maps each flag to the config key it sets, and its text goes through
 that key's reader and guard, so a bad value is a config error naming the
 flag.  A run is deterministic for a fixed config digest and seed.  Exit codes:
@@ -136,11 +136,13 @@ def _columns(a):
 def _arc_lines(arcs, stride: int = 1, kinds=None):
     """CSV lines for arcs as paths 0, 1, ...: flow samples (strided), jump post-states, terminal.
 
-    Each segment is formatted column by column and then joined row by row, so
-    lines stream out one segment at a time.  Lockstep members share one t, r
-    and tau array per segment, and members on one x row share x too: each
-    array is formatted once, on its first use, and its strings are dropped
-    after its last use, counted over arcs up front.
+    Each segment is formatted column by column and then joined row by row
+    into one chunk, its lines joined by newlines, so lines stream out one
+    segment at a time; a path's terminal line is a chunk of its own.
+    Lockstep members share one t, r and tau array per segment, and members on
+    one x row share x too: each array is formatted once, on its first use,
+    and its strings are dropped after its last use, counted over arcs up
+    front.
     """
     arcs = list(arcs)  # keeps every keyed array alive, so no id is reused
     uses = Counter(id(a) for arc in arcs for seg in arc.segments
@@ -167,7 +169,7 @@ def _arc_lines(arcs, stride: int = 1, kinds=None):
             t, *rest = (col for a in (seg.t, seg.x, seg.r, seg.tau) for col in formatted(a, keep))
             j = str(int(seg.j))
             events = ["jump" if si > 0 else "flow"] + ["flow"] * (len(t) - 1)
-            yield from map(",".join, zip(*map(repeat, head), t, repeat(j), *rest, events))
+            yield "\n".join(map(",".join, zip(*map(repeat, head), t, repeat(j), *rest, events)))
             last = [*head, t[-1], j, *(col[-1] for col in rest)]
         if last is not None:
             yield ",".join(last + ["terminal"])
@@ -421,10 +423,10 @@ def _run(args) -> int:
     """Run one command and write its outputs and manifest into --out.
 
     The command gets the config document, with the flags given as its first
-    layer, and its system, and returns (exit code, seed, [(file name, lines)]).
-    --out is created only after the command returns, so a failing command
-    leaves nothing behind; CSV lines stream from generators while they are
-    written.
+    layer, and its system, and returns (exit code, seed, [(file name, chunks)]):
+    each chunk is one line or several joined by newlines.  --out is created
+    only after the command returns, so a failing command leaves nothing
+    behind; CSV chunks stream from generators while they are written.
     """
     started = time.time()
     given = {key: (flag, value if isinstance(value, str) else " ".join(value))
@@ -435,10 +437,9 @@ def _run(args) -> int:
     seed = int(args.seed or 0) if seed is None else seed  # average and certify draw none
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, lines in outputs:
+    for name, chunks in outputs:
         with open(outdir / name, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.writelines(chunk + "\n" for chunk in chunks)
     manifest = {
         "command": args.command,
         "config_digest": doc.digest(),

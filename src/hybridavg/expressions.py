@@ -12,9 +12,10 @@ numpy operation per distinct subtree (a repeated subtree is computed once),
 and compiles it once.  Every call runs that one vectorized body, so a row's
 bits do not depend on its batch.  The same source holds, for a flow map of
 roles (x, r, tau, eps), a second function from the same table: the fused
-step, the solver's whole RK4 step of a small batch (see CompiledMap.step),
-whose four stages run per row in Python floats with the IEEE operations of
-the vectorized body, up to a row limit that weighs the whole step; and, for
+run, the solver's whole RK4 steps of a small batch, K at once (see
+CompiledMap.step), whose four stages run per row in Python floats with the
+IEEE operations of the vectorized body, up to a row limit that weighs the
+whole step; and, for
 an aux flow map of roles (r,), the map on one row of Python floats by the
 same rules, with which the solver's plan computes w's RK4 stages (see
 CompiledMap.row).  An ifge has the values of where(a >= b, then, else).
@@ -305,7 +306,7 @@ _SCALAR_ROLES = ("tau", "eps")
 #: nested ``if`` blocks CPython compiles in one function body
 _MAX_BLOCKS = 98
 
-#: largest batch a fused step computes row by row in Python floats (see
+#: largest batch a fused run computes row by row in Python floats (see
 #: CompiledMap); on a 2-vCPU Xeon, the ES flow's step at 8 rows took ~7 us
 #: fused against ~30 us in solver._rk4's numpy code
 _MAX_ROWS = 8
@@ -332,7 +333,20 @@ def _common(a: tuple, b: tuple) -> tuple:
 
 class _Rows(dict):
     """Names of subtrees computed in Python floats: in a stage of the fused
-    step's loop over the rows, or in the row function."""
+    run's loop over the rows, or in the row function."""
+
+
+class _Run(list):
+    """The lines of the fused run; rows, its row limit, is set when they are written."""
+
+    rows = 0
+
+
+def _block(rows: list, B: int, n: int):
+    """The fused run's finished steps: one (K, B, n) array of their rows, and K."""
+    v = np.array(rows)  # float64, even when empty
+    v.shape = (len(rows) // B, B, n)
+    return v, len(v)
 
 
 def _emit(exprs, lines: list, consts: list, fixed: dict, step=None, row=None):
@@ -359,20 +373,24 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, step=None, row=None):
     in the innermost branch that holds all of its uses, before the first
     block that reads it, so no name is read unset.
 
-    Given ``step``, a list holding the header of a function
-    ``(x, rs, tau, eps, dt)``, the same table writes the fused RK4 step into
-    it when the step's row limit (see CompiledMap) is at least 1 and x's
-    columns read are among the outputs' (a map of n outputs steps x in R^n).
-    It loops over the rows in Python floats: a lazy ifge is an ``if``/``else``
-    block and any other ifge ``then if a >= b else other``.  Each clock
-    subtree, of tau, eps and literals, that a row reads is computed as the
-    vectorized body computes it, in np.float64, once for each of tau, tau_h
-    and tau_f, which are computed as solver._rk4 computes them, and read
-    through float().  Per row, each stage binds x's columns to the stage
-    state and r's to that stage's row of rs; then the stage states, x +
-    half*k, x + dt*k3 and the step's output are Python float arithmetic in
-    _rk4's order.  The step returns None for a batch its checks turn away or
-    a non-finite output.  One row of rs serves every row of x, by reference.
+    Given ``step``, a _Run holding the header of a function
+    ``(x, rss, taus, eps, dts)``, the same table writes the fused RK4 run into
+    it, and its row limit (see CompiledMap) into step.rows, when that limit
+    is at least 1 and x's columns read are among the outputs' (a map of n
+    outputs steps x in R^n).  It loops over the steps, and in each over the
+    rows, in Python floats: a lazy ifge is an ``if``/``else`` block and any
+    other ifge ``then if a >= b else other``.  Each clock subtree, of tau,
+    eps and literals, that a row reads is computed once per run as the
+    vectorized body computes it, in np.float64, over the (K, 3) array of
+    each step's tau, tau_h and tau_f, which are computed as solver._rk4
+    computes them, and read back through tolist(); for one step, over those
+    three times as np.float64 scalars, read through float().  Per row, each
+    stage binds x's columns to the stage state and r's to that stage's row
+    of the step's rs; then the stage states, x + half*k, x + dt*k3 and the
+    step's output are Python float arithmetic in _rk4's order.  A step's
+    outputs are the next step's rows.  The run returns None for a batch its
+    checks turn away, and stops before a step with a non-finite output.  One
+    row of a step's rs serves every row of x, by reference.
 
     Given ``row``, a list holding the header of a function of the first
     array role alone, the same table writes into it the map on one row of
@@ -469,8 +487,8 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, step=None, row=None):
 
     def value(i: int, names: dict):
         """(text, whether it is infix) of subtree i, where names is batch (the
-        vectorized body), the clock values of one stage time of the fused
-        step, or a _Rows: a stage of the fused step, or the row function."""
+        vectorized body), the stage times of the fused run's clock subtrees,
+        or a _Rows: a stage of the fused run, or the row function."""
         node, kids = table[i]
         if literal[i] and i not in constant:
             if isinstance(node, Num):
@@ -484,7 +502,7 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, step=None, row=None):
             return constant.get(i) or names.get(i) or _name(node), False
         row = isinstance(names, _Rows)
         infix = not isinstance(node, Call)
-        if i in lazy and depth < _MAX_BLOCKS:  # the step's loop starts one block deep
+        if i in lazy and depth < _MAX_BLOCKS:  # the run's row loop starts two blocks deep
             text = branches(i, names)
         elif not infix:
             args = [value(kid, names)[0] for kid in kids]
@@ -507,11 +525,11 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, step=None, row=None):
             return names[i], False
         return text, infix
 
-    def step_body(limit: int) -> None:
-        """The fused RK4 step, written into step: _rk4's step of x under this
-        flow map for a batch of at most limit rows, each row's four stages in
-        Python floats; it returns None for any other batch or a non-finite
-        output."""
+    def run_body(limit: int) -> None:
+        """The fused RK4 run, written into step: K consecutive _rk4 steps of x
+        under this flow map for a batch of at most limit rows, each row's four
+        stages in Python floats; it returns None for any other batch, and
+        stops before the first step with a non-finite output."""
         nonlocal lines, depth
         k = len(roots)
         xs = [j for role, j in columns.values() if role == "x"]
@@ -519,40 +537,90 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, step=None, row=None):
             return
         rs = [j for role, j in columns.values() if role == "r"]
         checks = ["x.__class__ is not _ndarray", "x.dtype is not _float64", "x.ndim != 2",
-                  f"_len(x) > {limit}", f"x.shape[1] != {k}"]
+                  f"_len(x) > {limit}", f"x.shape[1] != {k}", "not _len(dts)",
+                  "_len(taus) != _len(dts)"]
         if rs:
-            checks += ["rs.__class__ is not _ndarray", "rs.dtype is not _float64",
-                       "rs.ndim != 3", "_len(rs) < 4", "rs.shape[1] not in (1, _len(x))",
-                       f"rs.shape[2] < {max(rs)}"]
+            checks.append("_len(rss) != _len(dts)")
         scalars = {node.name: i for i, (node, _) in enumerate(table) if isinstance(node, Var)
                    and node.name in _SCALAR_ROLES}
         if scalars:
-            checks += ["tau.__class__ is _ndarray", "eps.__class__ is _ndarray"]
+            checks += ["taus[0].__class__ is _ndarray", "eps.__class__ is _ndarray"]
         main, lines = lines, step
+        step.rows = limit
         line(f"if {' or '.join(checks)}:")
         line("    return None")
-        line("_h = 0.5 * dt")
-        line("_d6 = dt / 6.0")
-        # the clock subtrees at tau, tau_h and tau_f, as _rk4 computes those times
-        tau = scalars.get("tau")
+        if rs:
+            line("for rs in rss:")
+            line(f"    if rs.__class__ is not _ndarray or rs.dtype is not _float64 or rs.ndim != 3"
+                 f" or _len(rs) < 4 or rs.shape[1] not in (1, _len(x)) or rs.shape[2] < {max(rs)}:")
+            line("        return None")
+        # the clock subtrees at each step's stage times tau, tau + half/eps and
+        # tau + dt/eps, each time as _rk4 computes it: over one (K, 3) array,
+        # or for one step over three np.float64 scalars, on which each
+        # operation costs about a third of what it does on a (1, 3) array; a
+        # subtree of eps and literals alone is one value for the run
+        tau, timed = scalars.get("tau"), []  # id -> it reads tau
+        for node, kids in table:
+            timed.append(node.name == "tau" if isinstance(node, Var)
+                         else any(map(timed.__getitem__, kids)))
         if tau is not None:
-            for s, text in enumerate(("tau", "tau + _h / eps", "tau + dt / eps")):
-                line(f"_T{s} = _as_float64({text})")
+            line("if _len(dts) == 1:")
+            line("    _T0 = _as_float64(taus[0])")
+            line("    _T1 = _as_float64(taus[0] + 0.5 * dts[0] / eps)")
+            line("    _T2 = _as_float64(taus[0] + dts[0] / eps)")
+            line("else:")
+            line("    _T = _array([(_a, _a + 0.5 * _d / eps, _a + _d / eps)"
+                 " for _a, _d in _zip(taus, dts)], _float64)")
+            line("    if _T.shape != (_len(dts), 3):")  # taus that are arrays
+            line("        return None")
         if "eps" in scalars:
             line("eps = _as_float64(eps)")
-        at = []
-        for s in range(3):
-            names = {} if tau is None else {tau: f"_T{s}"}
-            at.append({i: assign(f"_float({value(i, names)[0]})") for i in clocks})
+        at, lists = ({}, {}, {}), []
+        for i in clocks:
+            if timed[i]:
+                lists.append((i, f"_t{next(serial)}", [f"_t{next(serial)}" for _ in at]))
+                for s, name in enumerate(lists[-1][2]):
+                    at[s][i] = name
+            else:
+                name = assign(f"_float({value(i, {})[0]})")
+                for names_at in at:
+                    names_at[i] = name
+        if lists:
+            line("if _len(dts) == 1:")
+            depth += 1
+            stages = [[value(i, names)[0] for i, *_ in lists]
+                      for names in ({tau: "_T0"}, {tau: "_T1"}, {tau: "_T2"})]
+            for (_, name, _), *values in zip(lists, *stages):
+                line(f"{name} = [({', '.join(f'_float({v})' for v in values)})]")
+            depth -= 1
+            line("else:")
+            depth += 1
+            names = {tau: "_T"}
+            for i, name, _ in lists:
+                text, infix = value(i, names)
+                line(f"{name} = ({text}).tolist()" if infix else f"{name} = {text}.tolist()")
+            depth -= 1
         line("_o = []")
-        head = f"({', '.join(f'_x_{j}' for j in range(1, k + 1))},)"
+        # a row is a float for a map of one output, a tuple otherwise
+        line("_X = x.ravel().tolist()" if k == 1 else "_X = x.tolist()")
+        each = [("dt", "dts")] + [("rs", "rss")] * bool(rs) + [
+            (f"({', '.join(names_at)})", name) for _, name, names_at in lists]
+        if len(each) == 1:
+            line("for dt in dts:")
+        else:
+            line(f"for {', '.join(t for t, _ in each)} in _zip({', '.join(v for _, v in each)}):")
+        depth += 1
+        line("_h = 0.5 * dt")
+        line("_d6 = dt / 6.0")
+        line("_Y = []")
+        head = "_x_1" if k == 1 else f"({', '.join(f'_x_{j}' for j in range(1, k + 1))},)"
         if rs:
             line("_R = rs.tolist()")
             line("if rs.shape[1] != _len(x):")  # one group's stages, shared by its rows
             line("    _R = [_s * _len(x) for _s in _R[:4]]")
-            line(f"for {head}, _q0, _q1, _q2, _q3 in _zip(x.tolist(), _R[0], _R[1], _R[2], _R[3]):")
+            line(f"for {head}, _q0, _q1, _q2, _q3 in _zip(_X, _R[0], _R[1], _R[2], _R[3]):")
         else:
-            line(f"for {head} in x.tolist():")
+            line(f"for {head} in _X:")
         depth += 1
         state, ks = {j: f"_x_{j}" for j in xs}, []
         for s, (t, scale) in enumerate(((0, "_h"), (1, "_h"), (1, "dt"), (2, None))):
@@ -567,13 +635,13 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, step=None, row=None):
                for j, (k1, k2, k3, k4) in enumerate(zip(*ks))]
         # y - y is 0.0 for a finite y, and NaN, which is true, for an inf or a NaN
         line(f"if {' or '.join(f'{y} - {y}' for y in out)}:")
-        line("    return None")
-        for y in out:
-            line(f"_o.append({y})")
+        line(f"    return _block(_o, _len(x), {k})")
+        line(f"_Y.append({out[0] if k == 1 else '(' + ', '.join(out) + ',)'})")
         depth -= 1
-        line("_v = _array(_o)")
-        line(f"_v.shape = (_len(x), {k})")
-        line("return _v")
+        line("_o += _Y")
+        line("_X = _Y")
+        depth -= 1
+        line(f"return _block(_o, _len(x), {k})")
         lines = main
 
     def row_function() -> None:
@@ -619,7 +687,7 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, step=None, row=None):
             # a ufunc call on scalars costs two operations, an np.float64 quotient one
             calls += 2 * steps if fn in ("sin", "cos", "pow", "min", "max") else (
                 getattr(node, "op", None) == "/")
-    # the fused step's row limit weighs a whole RK4 step (see CompiledMap)
+    # the fused run's row limit weighs a whole RK4 step (see CompiledMap)
     limit = min(_MAX_ROWS, (4 * (ops + _CALL_OPS) + _RK4_OPS) // (4 * (1 + calls)))
     # the columns a row reads, as (role, index), and the subtrees of tau, eps
     # and literals it reads, computed before the loop over the rows
@@ -630,7 +698,7 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, step=None, row=None):
                                   for kid in kids)}
                     if not (reads[i] or literal[i]))
     if step is not None and limit:
-        step_body(limit)
+        run_body(limit)
     if row is not None:
         row_function()
     for root in roots:
@@ -638,7 +706,7 @@ def _emit(exprs, lines: list, consts: list, fixed: dict, step=None, row=None):
         yield text, is_fresh(text)
     # the recursive closures hold each other, consts and fixed in a reference
     # cycle, which only the cyclic collector would free
-    intern = fold = value = branches = step_body = row_function = None
+    intern = fold = value = branches = run_body = row_function = None
 
 
 class CompiledMap:
@@ -656,25 +724,33 @@ class CompiledMap:
     roles, to the value fixed when the map was built (see ``fixed``).
 
     Every call runs the vectorized body.  ``step`` is the map's fused RK4
-    step, step(x, rs, tau, eps, dt): the solver's step of a (B, n) float64 x
-    under this map as f, given its r stages rs[0:4], each (B, p), in the bits
-    of solver._rk4's numpy code.  It runs the four stages of each row in
-    turn, in Python floats, and returns a fresh (B, n) array.  Columns come in
+    run, step(x, rss, taus, eps, dts): K consecutive solver steps of a (B, n)
+    float64 x under this map as f, step k from tau = taus[k] by dts[k] given
+    its r stages rss[k][0:4], each (B, p), each step in the bits of
+    solver._rk4's numpy code; its K = 1 run is _rk4's step.  It runs the four
+    stages of each row in turn, in Python floats, carries the rows to the
+    next step as Python floats, and returns (block, k): a fresh (k, B, n)
+    array of the outputs of the first k steps.  Columns come in
     as Python floats through tolist(); + - *, unary minus, abs and >= are
     Python float arithmetic; / is np.float64's (a zero divisor gives inf or
     nan), its quotient read back through float(), so the arithmetic after it
     stays in Python floats; sin, cos, pow, min and max are the numpy ufuncs
     on scalars; an ifge is ``then if a >= b else other``, which is where's
     value, taking else at a NaN condition; and each subtree of tau, eps and
-    literals is computed once per stage time in np.float64, as in the
-    vectorized body, and read through float().  Python float arithmetic
-    issues no numpy floating-point warning.  The step returns None, leaving
-    the step to that numpy code, for a batch above its row limit or of
-    another shape or type, and when an output is non-finite (a NaN, whose
-    sign Python and numpy may give differently, or an inf, so that the
-    solver checks only numpy steps for non-finite values).  rs may hold one
-    row, shared by every row of x; the step reads it for each row without
-    copying it.
+    literals is computed once per run in np.float64, as in the vectorized
+    body: over a (K, 3) array of the stage times, whose ufuncs give the bits
+    of their calls on scalars, or on the three scalars of a one-step run,
+    where that costs less.  Python float arithmetic issues no numpy
+    floating-point warning.  The run returns None, leaving the step to that
+    numpy code, for a batch above its row limit or of another shape or type,
+    a tau or eps that is an array, or no step; it stops before a step with
+    a non-finite output, k being the steps before it (a NaN, whose sign
+    Python and numpy may give differently, or an inf, so that the solver
+    checks only numpy steps for non-finite values).  A step's rs may hold
+    one row, shared by every row of x; the run reads it for each row without
+    copying it.  The clock subtrees of all K steps are computed before the
+    first step, so a numpy floating-point warning of a later step's clock
+    comes before an earlier step's output.
 
     The step's row limit, min(_MAX_ROWS, (4 * (ops + _CALL_OPS) + _RK4_OPS)
     // (4 * (1 + calls))), weighs a whole step: the numpy step's four calls,
@@ -684,9 +760,10 @@ class CompiledMap:
     row makes on them: two for each sin, cos, pow and min or max step, since
     such a call on scalars costs about what two operations on a short array
     do, and one for each np.float64 quotient.  Both shipped flows step up to
-    8 rows fused.  ``step`` is None unless the roles are (x, r, tau, eps),
-    the map has a tuple of expressions, none reading a column of x past
-    their count, and the row limit is at least 1.
+    8 rows fused.  ``step_rows`` is that limit, and 0 where there is no run.
+    ``step`` is None unless the roles are (x, r, tau, eps), the map has a
+    tuple of expressions, none reading a column of x past their count, and
+    the row limit is at least 1.
 
     ``row`` is the map on one row of Python floats: row(r), for a sequence r
     of the p floats of one aux row, returns the list of the outputs, which
@@ -733,7 +810,7 @@ class CompiledMap:
         lines += [f"{a} = _as_float64({a})" for a in _SCALAR_ROLES if a in read - self.bound.keys()]
         batch = f"{arrays[0]}.shape[:-1]"
         consts = []
-        step = (["def _step(x, rs, tau, eps, dt):"]
+        step = (_Run(["def _step(x, rss, taus, eps, dts):"])
                 if self.roles == ("x", "r", "tau", "eps") and not scalar else None)
         # an array bound fits one batch only
         row = (["def _row(r):"] if self.roles == ("r",) and not scalar
@@ -761,13 +838,14 @@ class CompiledMap:
                  "_float64": np.dtype(np.float64), "_asarray": np.asarray,
                  "_atleast_2d": np.atleast_2d, "_empty": np.empty, "_as_float64": np.float64,
                  "_count_nonzero": np.count_nonzero, "_float": float, "_fabs": abs, "_len": len,
-                 "_zip": zip, "_array": np.array}
+                 "_zip": zip, "_array": np.array, "_block": _block}
         scope.update((f"_{fn}", ufunc) for fn, (_, _, ufunc) in _FUNCTIONS.items())
         scope.update((f"_c{i}", c) for i, c in enumerate(consts))
         exec(_compile(self.source, f"<CompiledMap {self.roles}>", "exec"), scope)
         # left in scope, their own globals, they would be a reference cycle
         self._fn, self.step = scope.pop("_map"), scope.pop("_step", None)
         self.row = scope.pop("_row", None)
+        self.step_rows = step.rows if self.step else 0
 
     def __call__(self, *args):
         return self._fn(*args)

@@ -24,11 +24,14 @@ step; flowing groups whose step has the same (tau, dt) bits share one stacked
 RK4 step, so maps always see a scalar tau, and a group stepping alone passes
 its one row of r stages for all of its x rows.  A compiled f computes such a
 step's few rows whole, one row at a time in Python floats, in its fused RK4
-step (see _rk4 and expressions.CompiledMap), not in numpy calls over the
-stack.  Maps act elementwise across the
-batch, so a row's bits do not depend on the other rows beside it: stepping a
-state once for every path on it, in any batch, is bit-identical to running
-each path alone.
+run (see _rk4 and expressions.CompiledMap), not in numpy calls over the
+stack.  A lone live group within the run's row limit goes further: its next
+flow steps, chained from its memoized plans up to a jump or any other
+outcome, are one call of the run, which carries its rows from step to step in
+Python floats and computes the clock subtrees once for all the steps (see
+_run_lone).  Maps act elementwise across the batch, so a row's bits do not
+depend on the other rows beside it: stepping a state once for every path on
+it, in any batch, is bit-identical to running each path alone.
 
 w and the sets C, D involve r alone, so a step's outcome (a jump, the
 horizon, leaving C u D, a snap onto D, or a flow step with its dt and r
@@ -135,23 +138,26 @@ def _rk4(spec: SystemSpec, x, rs, tau: float, dt: float):
     """One classical 4th-order step of x under f, given the r stages rs[0:4], each
     (B, p), or (1, p) for one row of stages shared by every row of x.
 
-    A compiled f's fused step (expressions.CompiledMap.step) computes a batch
-    within its row limit row by row in Python floats, with the operations
-    below in their order, so its bits are those of the numpy code.  Where f
-    has none (a plain callable, or a map whose step row limit is 0 or that
-    reads a column of x past its outputs) or it returns None (a larger
-    batch, or a non-finite output: a NaN, whose sign Python may give
-    differently, or an inf), the whole step is the numpy code: a
-    shared row of stages repeated to B rows, so f sees equal batch lengths,
-    then four calls of f and the arithmetic over the batch.  This is the
-    solver's one call per step.  Returns (x2, finite): finite is True for a
-    fused step, whose outputs are all finite, and otherwise whether x2's sum
-    is finite; False sends the solver to check x2's rows.
+    A compiled f's fused run (expressions.CompiledMap.step), called for this
+    one step, computes a batch within its row limit row by row in Python
+    floats, with the operations below in their order, so its bits are those
+    of the numpy code.  Where f has none (a plain callable, or a map whose
+    row limit is 0 or that reads a column of x past its outputs) or it takes
+    no step (a larger batch, which it turns away, or a non-finite output: a
+    NaN, whose sign Python may give differently, or an inf), the whole step
+    is the numpy code: a shared row of stages repeated to B rows, so f sees
+    equal batch lengths, then four calls of f and the arithmetic over the
+    batch.  This is the wave's one call per step.  Returns (x2, finite):
+    finite is True for a step of the fused run, whose outputs are all
+    finite, and otherwise whether x2's sum is finite; False sends the solver
+    to check x2's rows.
     """
     f, eps = spec.f, spec.epsilon
-    step = getattr(f, "step", None)
-    if step is not None and (out := step(x, rs, tau, eps, dt)) is not None:
-        return out, True
+    run = getattr(f, "step", None)
+    if run is not None and (out := run(x, (rs,), (tau,), eps, (dt,))) is not None and out[1]:
+        x2 = out[0]
+        x2.shape = x2.shape[1:]  # the run's one step
+        return x2, True
     if rs.shape[1] != len(x):  # one group's r stages, shared by its rows
         rs = rs.repeat(len(x), axis=1)
     half = 0.5 * dt
@@ -330,14 +336,15 @@ def _bitwise_groups(rows) -> list:
 def _store_segment(segments, paths, of, j, ts, xs, rs, taus):
     """Stack one finished flow segment of a group and give each path its share.
 
-    xs holds the group's distinct x rows (U, n) per sample, path paths[b]
-    being row of[b]; rs holds its aux row (1, p) per sample.  Every member's
-    segment shares one read-only t, tau and (k, p) r array; x is a view of one
-    (k, U, n) stack, and members on one row share one segment object.
+    xs holds blocks (k_i, U, n) of the group's distinct x rows, k_i samples
+    each, path paths[b] being row of[b]; rs holds its aux row (1, p) per
+    sample.  Every member's segment shares one read-only t, tau and (k, p) r
+    array; x is a view of one (k, U, n) array, and members on one row share
+    one segment object.
     """
     t_arr = np.asarray(ts, dtype=float)
     tau_arr = np.asarray(taus, dtype=float)
-    x_arr = np.stack(xs, axis=0)  # (k, U, n)
+    x_arr = np.concatenate(xs, axis=0)  # (k, U, n)
     r_arr = np.concatenate(rs, axis=0)  # (k, p)
     for a in (t_arr, tau_arr, x_arr, r_arr):
         a.flags.writeable = False
@@ -362,7 +369,7 @@ def _draws(noises, seeds, paths, k: int) -> np.ndarray:
 class _Group:
     """A lockstep group: paths (ascending), x (U, n) its distinct rows, of (B,) each
     path's row of x, aux row r (1, p), t, j, tau, its step's plan key and plan, and
-    its segment's t, x, r, tau samples since (t0, tau0)."""
+    its segment's t, x, r, tau samples since (t0, tau0), x in (k, U, n) blocks."""
 
     __slots__ = ("paths", "x", "of", "r", "t", "j", "tau", "key", "plan", "t0", "tau0",
                  "samples")
@@ -376,7 +383,67 @@ class _Group:
         for u, members in enumerate(rows):
             self.of[members] = u
         self.paths, self.x, self.r, self.t, self.j, self.tau = paths, x, r, t, j, tau
-        self.t0, self.tau0, self.samples = t, tau, ([t], [x], [r], [tau])
+        self.t0, self.tau0, self.samples = t, tau, ([t], [x[None]], [r], [tau])
+
+
+#: most steps a lone group's chain takes into one call of f's fused run; it
+#: bounds the chain's and the run's lists, which live only for that call (a
+#: seed-1 recur on es.cfg took 0.091 s at 256 and 0.095 s at 1000, peaking
+#: 0.8 MB higher; 2-vCPU Xeon)
+_RUN_STEPS = 256
+
+#: a key the plan memo does not hold, where None is a jump's plan
+_UNPLANNED = object()
+
+
+def _run_lone(spec, g, plans, seeds, dt_eff, t_max, inv_eps) -> int:
+    """Step lone group g through its next flow steps in one call of f's fused run.
+
+    The chain follows g's plans from its (r bits, step cap): memo hits, and
+    each miss planned as a one-ask _plan_steps call and memoized.  It stops
+    at the first plan that is not a flow step, at _RUN_STEPS steps, or before
+    a step whose plan raises: the wave loop then plans that step again and
+    raises, once the steps before it are stored.  The run stops before a
+    step whose output is non-finite, which the wave loop then takes through
+    _rk4 and its check, so every error and its message is the wave loop's.
+    t and tau advance by the wave loop's rules.  Returns the steps taken,
+    each stored as the wave loop stores it; 0 leaves g as it was.
+    """
+    r0, t0 = g.r, g.t
+    r, t, tau = r0, t0, g.tau
+    chain, taus, ts, tau_after = [], [], [], []
+    while len(chain) < _RUN_STEPS:
+        key = (r.tobytes(), min(dt_eff, t_max - t))
+        plan = plans.get(key, _UNPLANNED)
+        if plan is _UNPLANNED:
+            g.r, g.t = r, t  # the ask's group, at this step
+            try:
+                (plan,) = _plan_steps(spec, [(g, key[1])], seeds)
+            except Exception:  # raised again by the wave loop, after f's earlier steps
+                break
+            plans[key] = plan
+        if type(plan) is not tuple:
+            break
+        chain.append(plan)
+        taus.append(tau)
+        dt, _, r = plan
+        t = t_max if dt == t_max - t else t + dt
+        tau = g.tau0 + (t - g.t0) * inv_eps
+        ts.append(t)
+        tau_after.append(tau)
+    g.r, g.t = r0, t0
+    out = chain and spec.f.step(g.x, [plan[1] for plan in chain], taus, spec.epsilon,
+                                [plan[0] for plan in chain])
+    if not out or not out[1]:
+        return 0
+    block, k = out
+    t_s, xs, rs, tau_s = g.samples
+    t_s += ts[:k]
+    xs.append(block)
+    rs += [plan[2] for plan in chain[:k]]
+    tau_s += tau_after[:k]
+    g.x, g.r, g.t, g.tau = block[-1], chain[k - 1][2], ts[k - 1], tau_after[k - 1]
+    return k
 
 
 def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
@@ -392,6 +459,9 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
     of one group passes its one row of r stages as it is.  Every
     outcome comes from one plan memo keyed by (r's bits, step cap) and shared
     by all groups of the run; _plan_steps fills a wave's misses together.
+    While one group is live and within the row limit of f's fused run, its
+    next flow steps are one call of the run instead (_run_lone), with the
+    samples, bits and errors of as many waves.
 
     Errors: the first wave in which a map returns a non-finite value raises
     MapEvaluationError.  Its checks follow the calls (w, then f, g and h), and
@@ -405,6 +475,9 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
     t_max = horizon.t_max
     dt_eff = _advancing_step(spec.epsilon, cfg, t_max)
     plans = {}
+    # a lone group within the row limit of f's fused run chains its steps into
+    # one call; 0 where f has no run
+    limit = getattr(spec.f, "step_rows", 0)
     segments, jumps, terminals = [[] for _ in starts], [[] for _ in starts], [None] * len(starts)
 
     def end(g, terminal):
@@ -422,6 +495,9 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
         live.append(_Group(np.array(rows), X, first.r[None, :], 0.0, 0, first.tau))
 
     while live:
+        if len(live) == 1 and len(live[0].x) <= limit \
+                and _run_lone(spec, live[0], plans, seeds, dt_eff, t_max, inv_eps):
+            continue
         # the plan decides, in order: a jump, the horizon, leaving C u D, a snap
         # onto D, or a flow step clipped to the horizon, to entry into D and to
         # exit from C u D; live is sorted by lowest path, as an ask names it
@@ -461,9 +537,14 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
             X2, finite = _rk4(spec, X, rows, g.tau, dt)
             o = 0
             for g in members:
-                # one group keeps X2 itself: the samples would keep a view per step
-                x = X2 if len(members) == 1 else X2[o:o + len(g.x)]
-                o += len(x)
+                if len(members) == 1:
+                    # one group keeps X2 itself: the samples would keep a view per step
+                    block = X2
+                    X2.shape = (1, *X2.shape)
+                else:
+                    block = X2[None, o:o + len(g.x)]
+                    o += len(g.x)
+                x = block[0]
                 if not finite:
                     bad.append((x[g.of], g.paths, f"t={g.t}"))
                 g.t = t_max if dt == t_max - g.t else g.t + dt
@@ -471,7 +552,7 @@ def _simulate(spec: SystemSpec, starts, seeds, noises, horizon: Horizon,
                 g.x, g.r = x, g.plan[2]
                 ts, xs, rs, taus = g.samples
                 ts.append(g.t)
-                xs.append(x)
+                xs.append(block)
                 rs.append(g.r)
                 taus.append(g.tau)
         if bad:

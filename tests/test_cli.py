@@ -709,8 +709,10 @@ class TestSharedColumnsFormattedOnce:
 
         monkeypatch.setattr(cli, "_columns", counted)
         lines = []
-        for n, text in enumerate(cli._arc_lines(arcs)):
-            lines.append(text)
+        for chunk in cli._arc_lines(arcs):
+            # a chunk is one segment's lines, or a terminal line; n is its first
+            n = len(lines)
+            lines += chunk.split("\n")
             # arrays are formatted in order of first use
             for key, ref in zip(first, made):
                 if n >= last[key][1]:

@@ -618,9 +618,19 @@ def _step_limit(exprs) -> int:
 
 
 def _numpy_rk4(fmap, x, rs, tau, eps, dt):
-    """_rk4's numpy step: a plain callable f has no fused step."""
+    """_rk4's numpy step: a plain callable f has no fused run."""
     return solver._rk4(types.SimpleNamespace(f=lambda *args: fmap(*args), epsilon=eps),
                        x, rs, tau, dt)[0]
+
+
+def _fused(fmap, x, rs, tau, eps, dt):
+    """The fused run of one step, as _rk4 calls it: its (B, n) output, or None
+    where the run turns the batch away or stops before the step."""
+    out = fmap.step(x, (rs,), (tau,), eps, (dt,))
+    if out is None or not out[1]:
+        return None
+    assert out[0].shape == (1, *x.shape) and out[1] == 1
+    return out[0][0]
 
 
 #: values a row may hold besides normal draws
@@ -650,12 +660,12 @@ probs = 0.5 0.5
 
 
 class TestFusedStep:
-    """A flow map's fused RK4 step against _rk4's numpy step, bit for bit."""
+    """A flow map's fused run of one step against _rk4's numpy step, bit for bit."""
 
     def _check(self, fmap, x, rs, tau, eps, dt):
         with np.errstate(all="ignore"):  # a quotient of numbers such as 1/tau is inf
             want = _numpy_rk4(fmap, x, rs, tau, eps, dt)
-            fused = fmap.step(x, rs, tau, eps, dt)
+            fused = _fused(fmap, x, rs, tau, eps, dt)
             got, finite = solver._rk4(types.SimpleNamespace(f=fmap, epsilon=eps), x, rs, tau, dt)
             total = want.sum()  # inf - inf is a nan
         assert _same_bits(got, want)
@@ -701,7 +711,7 @@ class TestFusedStep:
 
     def test_which_flow_maps_have_a_step(self):
         es = ha.load_system(str(CONFIGS / "es.cfg"))
-        assert es.f.step is not None and _row_limit(es.f) == 8
+        assert es.f.step is not None and _row_limit(es.f) == es.f.step_rows == 8
         assert es.w.step is es.g.step is es.h.step is None
         assert es.f.fixed(tau=0.5, eps=0.1).step is None
         assert _compiled("V", ["-x_1*(1 + sin(r_1))"]).step is None
@@ -713,7 +723,8 @@ class TestFusedStep:
         # a quotient or a min on a column, and a map of literals alone, step fused
         for texts, limit in ((["x_1/x_2", "x_2"], 4), (["min(x_1, 1)"], 2), (["2.5"], 7)):
             fmap = CompiledMap(compile_expressions(texts, _names(ROLES["f"])), ROLES["f"])
-            assert fmap.step is not None and _row_limit(fmap) == _step_limit(fmap.exprs) == limit
+            assert fmap.step is not None
+            assert _row_limit(fmap) == fmap.step_rows == _step_limit(fmap.exprs) == limit
             x = np.array([[0.5, 2.0], [-1.5, 0.25]])[:, :len(texts)]
             rs = np.zeros((5, len(x), 1))
             self._check(fmap, x, rs, 0.3, 0.1, 0.01)
@@ -724,8 +735,8 @@ class TestFusedStep:
         fmap = CompiledMap(compile_expressions(["-x_1*(1 + sin(tau))"], _names(ROLES["f"])),
                            ROLES["f"])
         x, rs = np.array([[0.5, 2.0]]), np.zeros((5, 1, 1))
-        assert fmap.step(x, rs, 0.3, 0.1, 0.01) is None
-        assert fmap.step(x[:, :1], rs, 0.3, 0.1, 0.01) is not None
+        assert fmap.step(x, (rs,), (0.3,), 0.1, (0.01,)) is None
+        assert _fused(fmap, x[:, :1], rs, 0.3, 0.1, 0.01) is not None
         spec = types.SimpleNamespace(f=fmap, epsilon=0.1)
         assert _same_bits(solver._rk4(spec, x, rs, 0.3, 0.01)[0],
                           _numpy_rk4(fmap, x, rs, 0.3, 0.1, 0.01))
@@ -752,7 +763,7 @@ class TestFusedStep:
         # row 1 passes x = 3 within the step and turns infinite; row 0 stays finite
         fmap = _compiled("f", ["ifge(3.0, x_1, x_1, x_1*1e999)", "-x_2"])
         x, rs = np.array([[1.0, 1.0], [2.9999, 1.0]]), np.zeros((5, 2, 1))
-        assert fmap.step(x, rs, 0.3, 0.1, 0.5) is None
+        assert _fused(fmap, x, rs, 0.3, 0.1, 0.5) is None
         got, finite = solver._rk4(types.SimpleNamespace(f=fmap, epsilon=0.1), x, rs, 0.3, 0.5)
         assert not finite and np.isinf(got[1, 0]) and np.isfinite(got[0]).all()
         assert _same_bits(got, _numpy_rk4(fmap, x, rs, 0.3, 0.1, 0.5))
@@ -765,8 +776,8 @@ class TestFusedStep:
         # a stage that read r_1 of another stage would change the step
         bumped = rs.copy()
         bumped[2, :, 0] += 1.0
-        assert not np.array_equal(fmap.step(x, bumped, 0.3, 0.05, 0.01),
-                                  fmap.step(x, rs, 0.3, 0.05, 0.01))
+        assert not np.array_equal(_fused(fmap, x, bumped, 0.3, 0.05, 0.01),
+                                  _fused(fmap, x, rs, 0.3, 0.05, 0.01))
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), batch=st.sampled_from([1, 2, 3, 5, 9]),
@@ -793,9 +804,9 @@ class TestFusedStep:
             plain_spec = types.SimpleNamespace(f=plain, epsilon=0.1)
             assert _same_bits(solver._rk4(plain_spec, x, one, tau, dt)[0], want)
             if fmap.step is not None:
-                fused = fmap.step(x, one, tau, 0.1, dt)
+                fused = _fused(fmap, x, one, tau, 0.1, dt)
                 if fused is None:
-                    assert fmap.step(x, many, tau, 0.1, dt) is None
+                    assert _fused(fmap, x, many, tau, 0.1, dt) is None
                 else:
                     assert _same_bits(fused, want)
 
@@ -805,20 +816,20 @@ class TestFusedStep:
     def test_a_lone_group_under_an_r_reading_flow_matches_its_lone_paths(self, x0s, seed,
                                                                         t_max):
         # one shared r0 and a reset to r = 0 keep the paths one lockstep group
-        # whose distinct x rows step with one row of r stages
+        # whose distinct x rows step with one row of r stages per step
         spec = ha.load_system(R_FLOW_CONFIG)
         inits = [state(x) for x in x0s]
         horizon = ha.Horizon(t_max, 100)
-        shapes, rk4 = [], solver._rk4
+        shapes, run = [], spec.f.step
 
-        def seen(spec, x, rs, tau, dt):
-            shapes.append((len(x), rs.shape[1]))
-            return rk4(spec, x, rs, tau, dt)
+        def seen(x, rss, *args):
+            shapes.append((len(x), {rs.shape[1] for rs in rss}))
+            return run(x, rss, *args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "_rk4", seen)
+            patch.setattr(spec.f, "step", seen)
             ens = ha.simulate_ensemble(spec, inits, len(inits), seed, horizon)
-        assert shapes[0] == (len(x0s), 1) and all(rows == 1 for _, rows in shapes)
+        assert shapes[0] == (len(x0s), {1}) and all(rows == {1} for _, rows in shapes)
         for i, arc in enumerate(ens):
             assert arcs_equal(arc, ha.simulate_path(spec, inits[i], seed + i, horizon))
 
@@ -833,13 +844,121 @@ class TestFusedStep:
             return call(self, *args)
 
         with np.errstate(invalid="ignore"):
-            assert fmap.step(x, rs, 0.3, 0.1, 0.01) is None
+            assert _fused(fmap, x, rs, 0.3, 0.1, 0.01) is None
             want = _numpy_rk4(fmap, x, rs, 0.3, 0.1, 0.01)
             monkeypatch.setattr(CompiledMap, "__call__", counted)
             got = solver._rk4(types.SimpleNamespace(f=fmap, epsilon=0.1), x, rs, 0.3, 0.01)[0]
         assert np.isnan(got[0, 0]) and np.isfinite(got[1]).all()
         assert calls == [2, 2, 2, 2]  # f over the whole batch, once per stage
         assert _same_bits(got, want)
+
+
+def _step_by_step(fmap, x, rss, taus, eps, dts):
+    """The steps of a run by _rk4's numpy step, each from the last one's
+    output, up to the first with a non-finite output."""
+    out = []
+    for rs, tau, dt in zip(rss, taus, dts):
+        x = _numpy_rk4(fmap, x, rs, tau, eps, dt)
+        if not np.isfinite(x).all():
+            break
+        out.append(x)
+    return out
+
+
+class TestFusedRun:
+    """A flow map's fused run of K steps against K single steps, bit for bit."""
+
+    def _check(self, fmap, x, rss, taus, eps, dts):
+        with np.errstate(all="ignore"):  # a quotient of numbers such as 1/tau is inf
+            want = _step_by_step(fmap, x, rss, taus, eps, dts)
+            block, k = fmap.step(x, rss, taus, eps, dts)
+            # each step of the run is the run of that one step from the last
+            ones = [_fused(fmap, prev, rs, tau, eps, dt) for prev, rs, tau, dt
+                    in zip([x, *want], rss, taus, dts)]
+        assert k == len(want) and block.shape == (k, *x.shape)
+        assert block.flags.owndata and block.flags.writeable
+        assert all(_same_bits(got, w) for got, w in zip(block, want))
+        assert all(_same_bits(one, w) for one, w in zip(ones, want))
+        # the step it stops before is left to the numpy step
+        assert k == len(dts) or ones[k] is None
+        return k
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), K=st.integers(1, 50), batch=st.integers(1, _MAX_ROWS),
+           shared=st.booleans(), eps=st.sampled_from([0.01, 0.1, 1.0]))
+    def test_a_run_equals_its_steps_one_by_one(self, data, K, batch, shared, eps):
+        trees = data.draw(st.lists(_trees(_names(ROLES["f"])), min_size=2, max_size=2))
+        fmap = CompiledMap(tuple(trees), ROLES["f"])
+        if fmap.step is None:
+            return
+        rng = np.random.default_rng(K)
+        x = rng.normal(size=(min(batch, fmap.step_rows), DIMS["x"]))
+        for cell in data.draw(st.lists(st.tuples(st.integers(0, x.size - 1),
+                                                 st.sampled_from(_SPECIAL)), max_size=2)):
+            x.flat[cell[0]] = cell[1]
+        # each step has r stages of its own, one row for every x row or one per row
+        rss = [rng.normal(size=(5, 1 if shared else len(x), DIMS["r"])) for _ in range(K)]
+        taus = data.draw(st.lists(st.one_of(st.sampled_from([0.0, 0.7, 731.25]),
+                                            st.floats(0.0, 1e4)), min_size=K, max_size=K))
+        dts = data.draw(st.lists(st.sampled_from([1e-3, 0.01, 0.5]), min_size=K, max_size=K))
+        self._check(fmap, x, rss, taus, eps, dts)
+
+    @pytest.mark.parametrize("config", ["es.cfg", "actuator.cfg"])
+    def test_built_in_flows_run_as_they_step(self, config):
+        # 400 steps of the shipped flows from rows in and out of es's delta-ball
+        spec = ha.load_system(str(CONFIGS / config))
+        dt = ha.IntegratorConfig().effective_step(spec.epsilon)
+        x = np.array([-2.0, -0.05, 0.0, -0.0, 0.03, 1.5])[:, None]
+        rss = [np.zeros((5, 1, 1))] * 400
+        taus = [k * dt / spec.epsilon for k in range(400)]
+        assert self._check(spec.f, x, rss, taus, spec.epsilon, [dt] * 400) == 400
+
+    @pytest.mark.parametrize("text", ["ifge(3.0, x_1, x_1, x_1*1e999)",
+                                      "ifge(x_1, 0.5, -x_1, (x_1*1e999) + -(x_1*1e999))"],
+                             ids=["inf", "nan"])
+    def test_a_run_stops_before_a_step_whose_output_turns_non_finite(self, text):
+        # x_1 grows past 3, or decays below 0.5, some steps into the run
+        fmap = _compiled("f", [text, "-x_2"])
+        x, rss = np.array([[1.0, 1.0], [1.25, 2.0]]), [np.zeros((5, 1, 1))] * 50
+        k = self._check(fmap, x, rss, [0.3] * 50, 0.1, [0.25] * 50)
+        assert 0 < k < 50
+
+    def test_a_run_turns_away_what_a_step_turns_away(self):
+        fmap = _compiled("f", ["-(x_1 - r_1)*(2 + sin(tau))", "r_1*x_2*eps"])
+        x, rs = np.array([[0.5, -1.0], [2.0, 0.25]]), np.zeros((5, 2, 1))
+        assert fmap.step(x, [rs] * 3, [0.3] * 3, 0.05, [0.01] * 3)[1] == 3
+        for args in (([rs] * 3, [0.3] * 2, 0.05, [0.01] * 3),  # lengths differ
+                     ([rs] * 2, [0.3] * 3, 0.05, [0.01] * 3),
+                     ([], [], 0.05, []),  # a run of no step
+                     ([rs, rs[:, :1], rs[:3]], [0.3] * 3, 0.05, [0.01] * 3),  # 3 stages
+                     ([rs] * 3, [np.array([0.3, 0.4])] * 3, 0.05, [0.01] * 3),  # taus
+                     ([rs], [np.array([0.3, 0.4])], 0.05, [0.01]),
+                     ([rs] * 3, [0.3] * 3, np.array([0.05, 0.1]), [0.01] * 3),
+                     ([rs], [0.3], np.array([0.05, 0.1]), [0.01])):
+            assert fmap.step(x, *args) is None
+        # eps enters the stage times of a flow that reads tau alone
+        tau_only = _compiled("f", ["-x_1*sin(tau)", "-x_2"])
+        assert tau_only.step(x, [rs], [0.3], np.array([0.05, 0.1]), [0.01]) is None
+
+    @pytest.mark.parametrize("fn", ["sin", "cos", "pow", "min", "max"])
+    def test_array_clocks_have_the_bits_of_scalar_clocks(self, fn):
+        # a run computes its clock subtrees over a (K, 3) array of stage times,
+        # where a call gets np.float64 scalars: the ufuncs must give the bits
+        # of their 0-d calls
+        rng = np.random.default_rng(11)
+        values = np.concatenate([rng.normal(size=6000) * scale for scale in (1.0, 1e3, 1e9)]
+                                + [np.array([0.0, -0.0, math.pi, 1e300, -1e-300, math.inf,
+                                             -math.inf, math.nan, 5e-324])])
+        T = values[:len(values) // 3 * 3].reshape(-1, 3)
+        ufunc = {"sin": np.sin, "cos": np.cos, "pow": np.power, "min": np.minimum,
+                 "max": np.maximum}[fn]
+        other = np.float64(0.37) if fn == "pow" else np.float64(-0.0)
+        args = (np.abs(T), other) if fn == "pow" else (T, other) if fn in ("min", "max") else (T,)
+        with np.errstate(all="ignore"):
+            got = np.array(ufunc(*args).tolist())
+            want = np.array([[float(ufunc(*(np.float64(a), *args[1:]))) for a in row]
+                             for row in args[0].tolist()])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestRowFunction:

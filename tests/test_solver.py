@@ -9,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hybridavg as ha
 from hybridavg import core, solver
-from hybridavg.expressions import CompiledMap, Num, allowed_names, compile_expressions
+from hybridavg.expressions import (Bin, Call, CompiledMap, Neg, Num, Var, allowed_names,
+                                  compile_expressions)
 from hybridavg.core import (HybridArc, JumpNoise, JumpRecord, SetDescriptor, SystemSpec,
                             TERMINAL_HORIZON_J, TERMINAL_HORIZON_T, TERMINAL_LEFT_SETS)
 from hybridavg.solver import MapEvaluationError
@@ -558,16 +559,12 @@ class TestFusedStep:
     def test_within_limit_batches_never_call_f(self, monkeypatch, config):
         spec = ha.load_system(str(CONFIGS / config))
         limit = _row_limit(spec.f)
-        batches, fused, called = [], [], []
-        rk4, step, call = solver._rk4, spec.f.step, CompiledMap.__call__
+        runs, called = [], []
+        run, call = spec.f.step, CompiledMap.__call__
 
-        def counted_rk4(spec, x, *args):
-            batches.append(len(x))
-            return rk4(spec, x, *args)
-
-        def counted_step(x, *args):
-            out = step(x, *args)
-            fused.append(out is not None)
+        def counted_run(x, rss, taus, eps, dts):
+            out = run(x, rss, taus, eps, dts)
+            runs.append((len(x), len(dts), None if out is None else out[1]))
             return out
 
         def counted_call(fmap, *args):
@@ -575,33 +572,48 @@ class TestFusedStep:
                 called.append(len(args[0]))
             return call(fmap, *args)
 
-        monkeypatch.setattr(solver, "_rk4", counted_rk4)
-        monkeypatch.setattr(spec.f, "step", counted_step)
+        monkeypatch.setattr(spec.f, "step", counted_run)
         monkeypatch.setattr(CompiledMap, "__call__", counted_call)
         inits = [state(x) for x in (-2.0, 2.0, 0.5)]
         ens = ha.simulate_ensemble(spec, inits, 12, 1, ha.Horizon(3.0, 100))
-        # _rk4 runs once per step and tries the fused step first, which takes
-        # every batch within the limit; f itself sees only the larger ones,
-        # four times each
-        assert len(fused) == len(batches) and min(batches) <= limit
-        assert fused == [b <= limit for b in batches]
-        assert called == [b for b in batches if b > limit for _ in range(4)]
+        # the fused run takes every batch within the limit, all of its steps,
+        # whose outputs are finite, and turns away the larger ones; f itself
+        # sees only those, four times each, in _rk4's one numpy step
+        assert min(rows for rows, _, _ in runs) <= limit == spec.f.step_rows
+        assert all(taken == (steps if rows <= limit else None) for rows, steps, taken in runs)
+        assert called == [rows for rows, steps, _ in runs if rows > limit
+                          for _ in range(4 * steps)]
         # a plain callable f takes the numpy step, with the same bits
         plain = dataclasses.replace(spec, f=lambda *args: spec.f(*args))
         assert all(map(arcs_equal, ha.simulate_ensemble(plain, inits, 12, 1,
                                                         ha.Horizon(3.0, 100)), ens))
 
     def test_rk4_runs_once_per_step_of_a_lone_path(self, monkeypatch):
+        # with a plain callable f, as under the tracer, a lone path steps in
+        # waves, one _rk4 call per step; a compiled f chains its steps into
+        # fused runs between jumps, and _rk4 runs for none of them
         spec = ha.load_system(str(CONFIGS / "es.cfg"))
-        rk4, calls = solver._rk4, []
+        rk4, calls, steps = solver._rk4, [], []
+        run = spec.f.step
 
         def counted(*args):
             calls.append(None)
             return rk4(*args)
 
+        def counted_run(x, rss, taus, eps, dts):
+            out = run(x, rss, taus, eps, dts)
+            steps.append(out[1])
+            return out
+
         monkeypatch.setattr(solver, "_rk4", counted)
-        arc = ha.simulate_path(spec, state(2.0), 3, ha.Horizon(2.5, 10))
+        plain = dataclasses.replace(spec, f=lambda *args: spec.f(*args))
+        arc = ha.simulate_path(plain, state(2.0), 3, ha.Horizon(2.5, 10))
         assert len(calls) == sum(len(seg.t) - 1 for seg in arc.segments) > 0
+        calls.clear()
+        monkeypatch.setattr(spec.f, "step", counted_run)
+        assert arcs_equal(ha.simulate_path(spec, state(2.0), 3, ha.Horizon(2.5, 10)), arc)
+        assert calls == [] and sum(steps) == sum(len(seg.t) - 1 for seg in arc.segments)
+        assert max(steps) > 1
 
     def test_a_batch_above_the_limit_takes_the_numpy_step(self):
         spec = ha.load_system(str(CONFIGS / "es.cfg"))
@@ -609,8 +621,8 @@ class TestFusedStep:
         x, rs = np.linspace(-2.0, 2.0, B)[:, None], np.zeros((5, B, 1))
         want, _ = solver._rk4(dataclasses.replace(spec, f=lambda *args: spec.f(*args)),
                               x, rs, 0.3, 1e-3)
-        assert spec.f.step(x, rs, 0.3, spec.epsilon, 1e-3) is None
-        assert spec.f.step(x[1:], rs[:, 1:], 0.3, spec.epsilon, 1e-3) is not None
+        assert spec.f.step(x, (rs,), (0.3,), spec.epsilon, (1e-3,)) is None
+        assert spec.f.step(x[1:], (rs[:, 1:],), (0.3,), spec.epsilon, (1e-3,))[1] == 1
         got, _ = solver._rk4(spec, x, rs, 0.3, 1e-3)
         assert got.tobytes() == want.tobytes()
 
@@ -784,9 +796,9 @@ def _reference_simulate(spec, starts, seeds, horizon, cfg):
             cur_r.append(R)
             cur_tau.append(tau_now)
 
-        # a group's members share one aux row per sample
-        solver._store_segment(segments, paths, np.arange(len(paths)), j, cur_t, cur_x,
-                              [R[:1] for R in cur_r], cur_tau)
+        # a group's members share one aux row per sample; x comes in (1, B, n) blocks
+        solver._store_segment(segments, paths, np.arange(len(paths)), j, cur_t,
+                              [X[None] for X in cur_x], [R[:1] for R in cur_r], cur_tau)
         if terminal is not None:
             for i in paths:
                 terminals[i] = terminal
@@ -810,7 +822,7 @@ def _reference_simulate(spec, starts, seeds, horizon, cfg):
             if cu.contains(Rp[rows[0]]):
                 work.append((sub, Xp[rows], Rp[rows], t, k, tau_now))
                 continue
-            solver._store_segment(segments, sub, np.arange(len(sub)), k, [t], [Xp[rows]],
+            solver._store_segment(segments, sub, np.arange(len(sub)), k, [t], [Xp[rows][None]],
                                   [Rp[rows[:1]]], [tau_now])
             for i in sub:
                 terminals[i] = TERMINAL_LEFT_SETS
@@ -1343,3 +1355,208 @@ class TestPlanMemory:
         # one plan per step, each at a distinct r, and the horizon's
         assert n == sum(len(seg.t) - 1 for seg in arc.segments) + 1 > 2000
         assert (with_plans - without) / n <= 640
+
+
+class TestSampleMemory:
+    def test_x_samples_of_a_long_flow_are_held_in_blocks(self, monkeypatch):
+        # a lone es path of 20000 steps at dt = 1e-5 flows in one segment; its
+        # x samples are a few blocks, one per fused run, until the segment is
+        # stacked: one (1, 1) array per step held ~128 bytes per step, the
+        # blocks ~9 (tracemalloc, numpy 2.4.6)
+        freed, store = [], solver._store_segment
+
+        def measured(segments, paths, of, j, ts, xs, rs, taus):
+            store(segments, paths, of, j, ts, xs, rs, taus)
+            held = tracemalloc.get_traced_memory()[0]
+            xs.clear()
+            gc.collect()
+            freed.append((held - tracemalloc.get_traced_memory()[0], len(ts)))
+
+        monkeypatch.setattr(solver, "_store_segment", measured)
+        tracemalloc.start()
+        try:
+            ha.simulate_path(ha.jammed_es(epsilon=1e-4), state(1.0, 0.0), 0,
+                             ha.Horizon(0.2, 10))
+        finally:
+            tracemalloc.stop()
+        ((held, samples),) = freed
+        assert samples > 20000 and held / samples <= 32
+
+
+def _lone_flow(tree, tame=False):
+    """A compiled flow of one state column that reads tau, eps and r besides
+    tree; a tame one is -x_1 (1 + sin(tree)/2) besides, finite where tree is."""
+    if tame:
+        tree = Neg(Bin("*", Var("x_1"), Bin("+", Num(1.0),
+                                            Bin("*", Num(0.5), Call("sin", (tree,))))))
+    clock = Bin("*", Var("r_1"), Bin("*", Var("eps"), Call("sin", (Var("tau"),))))
+    return CompiledMap((Bin("+", tree, clock),), ("x", "r", "tau", "eps"))
+
+
+class TestLoneRun:
+    """A lone group chains its flow steps into one call of f's fused run, with
+    the bits and the errors of the per-step loop."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        tree=_trees(allowed_names(1, 1, tau=True, eps=True)),
+        tame=st.booleans(),
+        a=st.floats(0.3, 2.0),
+        b=st.sampled_from([0.0, 0.7, -0.4]),
+        w=st.sampled_from(["plain", "compiled", "huge"]),
+        cuts=st.lists(st.floats(0.05, 0.95), max_size=2),
+        d_lo=st.sampled_from([1.0, 0.9]),
+        h_shift=st.sampled_from([0.0, 0.3]),
+        h_gain=st.sampled_from([0.0, 0.4, -0.2]),
+        r0=st.sampled_from([0.0, 0.5, math.nextafter(0.9, 0.0), math.nextafter(1.0, 0.0)]),
+        # past a step's start, so the horizon caps the last step
+        t_max=st.sampled_from([0.0, 0.0137, 0.4737, 1.0037, 1.7537, 2.5037]),
+        j_max=st.integers(1, 6),
+    )
+    def test_matches_the_per_step_loop(self, data, tree, tame, a, b, w, cuts, d_lo, h_shift,
+                                       h_gain, r0, t_max, j_max):
+        # one shared r0 and a post-jump r shared by every path keep the paths
+        # one group of U distinct rows, from 1 to one past the run's row limit;
+        # t_max caps a step mid-period, D clips a step onto it, and a huge w
+        # snaps r onto D from one ulp below without a step, then jumps once
+        # (the reference checks only w's first stage, and past the jump the
+        # huge w overflows the others)
+        f = _lone_flow(tree, tame)
+        assume(f.step is not None)
+        spec = dataclasses.replace(_r_dependent_spec(a, b, 0.0, cuts, d_lo, h_shift, h_gain),
+                                   f=f)
+        if w == "compiled":
+            spec = dataclasses.replace(spec, w=CompiledMap(compile_expressions(
+                [f"{a!r} + {b!r}*r_1"], allowed_names(p=1)), ("r",)))
+        elif w == "huge":
+            spec = dataclasses.replace(spec, w=lambda r: np.full_like(
+                np.asarray(r, dtype=float), 1.7e308))
+            r0, j_max = math.nextafter(d_lo, 0.0), 1
+        U = data.draw(st.integers(1, f.step_rows + 1))
+        x0s = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=U, max_size=U, unique=True))
+        inits = [state(x, r0) for x in x0s]
+        starts = inits + inits[:data.draw(st.integers(0, 2))]
+        chained, run_lone = [], solver._run_lone
+
+        def counted(spec, g, *args):
+            chained.append(len(g.x))
+            return run_lone(spec, g, *args)
+
+        # a random tree may divide by zero: the runs' checks report it
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(solver, "_run_lone", counted)
+            _assert_same_outcome(spec, starts, list(range(3, 3 + len(starts))),
+                                 ha.Horizon(t_max, j_max))
+        # a group above the limit builds no chain
+        assert all(rows <= f.step_rows for rows in chained)
+
+    @pytest.mark.parametrize("w", ["plain", "compiled"])
+    @pytest.mark.parametrize("U", [1, 3, 8, 9])
+    def test_an_r_reading_flow_matches_the_per_step_loop(self, monkeypatch, U, w):
+        # an affine w from r = 0.2 across a cut to D = [0.9, 1], then resets to
+        # r = 0.3: several jumps, each step into D clipped onto it, and a last
+        # step capped by t_max; 8 rows is the flow's row limit
+        f = _compiled_flow("-(x_1 - r_1)*(1 + 0.5*sin(tau)) + eps*r_1")
+        assert f.step_rows == 8
+        spec = dataclasses.replace(_r_dependent_spec(0.8, 0.7, 0.0, [0.5], 0.9, 0.3, 0.0), f=f)
+        if w == "compiled":
+            spec = dataclasses.replace(spec, w=CompiledMap(compile_expressions(
+                ["0.8 + 0.7*r_1"], allowed_names(p=1)), ("r",)))
+        steps, run = [], f.step
+
+        def counted(x, rss, *args):
+            out = run(x, rss, *args)
+            steps.append(0 if out is None else out[1])
+            return out
+
+        monkeypatch.setattr(f, "step", counted)
+        inits = [state(x, 0.2) for x in np.linspace(-2.0, 2.0, U)]
+        arcs = _assert_same_outcome(spec, inits + inits[:2], list(range(3, 5 + U)),
+                                    ha.Horizon(2.5037, 8))
+        assert len(arcs[0].jumps) >= 3 and arcs[0].end_time.t == 2.5037
+        # within the limit, runs take every flow step; above it, the run turns
+        # away each step until a jump merges rows onto 0
+        flows = [len(seg.t) - 1 for seg in arcs[0].segments]
+        if U <= 8:
+            assert sum(steps) == sum(flows) and max(steps) > 40
+        else:
+            assert steps[:flows[0]] == [0] * flows[0]
+
+    def test_a_step_capped_by_the_horizon_ends_on_it(self):
+        # the first jump comes at t1 = 0.00333..., under half of t_max, where
+        # t1 + (t_max - t1) is not t_max: the chained step lands on t_max
+        f = _compiled_flow("-(x_1 - r_1)*(1 + 0.5*sin(tau)) + eps*r_1")
+        spec = dataclasses.replace(_r_dependent_spec(0.3, 0.0, 0.0, [], 1.0, 0.3, 0.0), f=f)
+        t_max = 0.01117638190954774
+        arcs = _assert_same_outcome(spec, [state(1.0, 0.999), state(2.0, 0.999)], [3, 4],
+                                    ha.Horizon(t_max, 10))
+        t1 = arcs[0].jumps[0].time.t
+        assert t1 + (t_max - t1) != t_max
+        assert [arc.end_time.t for arc in arcs] == [t_max] * 2
+        assert len(arcs[0].segments[-1].t) == 2
+
+    @pytest.mark.parametrize("f_at, w_at", [(3, 5), (5, 3), (3, 3)])
+    def test_the_first_failing_step_names_its_map(self, monkeypatch, f_at, w_at):
+        # under the timer r = k dt at step k, f turns infinite at a stage of
+        # step f_at, and w at a stage of step w_at's plan; a step is planned
+        # before its RK4 step, so at one step the w error wins
+        dt = ha.IntegratorConfig().effective_step(0.1)
+        f = _compiled_flow(f"ifge(r_1, {(f_at + 0.25) * dt!r}, x_1*1e999, -x_1 + 0.0*r_1)")
+        w = CompiledMap(compile_expressions([f"ifge(r_1, {(w_at + 0.75) * dt!r}, 1e999, 1.0)"],
+                                            allowed_names(p=1)), ("r",))
+        spec = dataclasses.replace(_r_dependent_spec(1.0, 0.0, 0.0, [], 1.0, 0.0, 0.0),
+                                   f=f, w=w)
+        runs, run = [], f.step
+
+        def counted(x, rss, *args):
+            out = run(x, rss, *args)
+            runs.append((len(rss), out[1]))
+            return out
+
+        monkeypatch.setattr(f, "step", counted)
+        inits, horizon = [state(1.0), state(2.0), state(1.0)], ha.Horizon(2.0, 10)
+        got = _outcome(lambda spec, *args: solver._simulate(spec, args[0], args[1],
+                                                            [spec.noise] * 3, *args[2:]),
+                       spec, inits, [4, 5, 6], horizon, ha.IntegratorConfig())
+        name, at = ("f", f_at) if f_at < w_at else ("w", w_at)
+        assert got[0] is MapEvaluationError
+        assert re.fullmatch(rf"map '{name}' returned a non-finite value "
+                            rf"\(t=0\.0{at}\d*; path 0, seed 4\)", got[1])
+        # the message of the wave loop with plain callable maps, which plans
+        # in numpy and steps by _rk4's numpy step, one wave per step
+        plain = dataclasses.replace(spec, f=lambda *args: f(*args), w=lambda r: w(r))
+        assert got == _outcome(lambda spec, *args: solver._simulate(
+            spec, args[0], args[1], [spec.noise] * 3, *args[2:]), plain, inits, [4, 5, 6],
+            horizon, ha.IntegratorConfig())
+        if name == "f":  # the reference checks only w's first stage
+            _assert_same_outcome(spec, inits, [4, 5, 6], horizon)
+        # the steps before the failing one ran in the first run, chained up to
+        # the step whose plan fails
+        assert runs[0] == (w_at, min(f_at, w_at))
+
+    def test_a_lone_group_above_the_row_limit_builds_no_chain(self, monkeypatch):
+        spec = ha.load_system(str(CONFIGS / "es.cfg"))
+        U = spec.f.step_rows + 1
+        inits = [state(x) for x in np.linspace(-2.0, 2.0, U)]
+        horizon = ha.Horizon(0.5, 10)  # no jump, so the group keeps its U rows
+        chained, batches, run_lone, rk4 = [], [], solver._run_lone, solver._rk4
+
+        def counted_chain(*args):
+            chained.append(run_lone(*args))
+            return chained[-1]
+
+        def counted_rk4(spec, x, *args):
+            batches.append(len(x))
+            return rk4(spec, x, *args)
+
+        monkeypatch.setattr(solver, "_run_lone", counted_chain)
+        monkeypatch.setattr(solver, "_rk4", counted_rk4)
+        ens = ha.simulate_ensemble(spec, inits, U, 0, horizon)
+        assert chained == [] and batches == [U] * 500
+        assert sum(len(seg.t) - 1 for seg in ens[0].segments) == 500
+        # one row fewer: runs of every step, then none at the horizon
+        batches.clear()
+        fewer = ha.simulate_ensemble(spec, inits[:-1], U - 1, 0, horizon)
+        assert sum(chained) == 500 and chained[-1] == 0 and batches == []
+        assert all(map(arcs_equal, fewer, ens))
